@@ -2,7 +2,7 @@
 // — the five stacked components Peripheral:{SpMSpV, Other} and
 // Ordering:{SpMSpV, Sorting, Other}.
 //
-// Methodology (DESIGN.md §1): the algorithm's execution trace (per-level
+// Methodology: the algorithm's execution trace (per-level
 // frontier sizes and expansion volumes, peripheral sweep count) is
 // collected from the real implementation, then projected through the same
 // alpha-beta-gamma model the paper's Sec. IV-B analysis uses, at the

@@ -1,6 +1,8 @@
 // The benchmark matrix suite: synthetic stand-ins for the paper's Figure-3
-// matrices (see DESIGN.md §4 for the mapping rationale), plus shared
-// formatting and argument helpers for the bench binaries.
+// matrices (each matches its SuiteSparse original's diameter regime, degree
+// profile and natural-ordering quality, since the originals cannot ship
+// with the repo), plus shared formatting and argument helpers for the bench
+// binaries.
 //
 // Every bench accepts `--scale S` (default 1.0): linear dimensions grow
 // with S so the suite can be pushed toward paper-scale sizes on bigger

@@ -1,17 +1,16 @@
 // Distributed execution tour: run the paper's algorithm on real (simulated)
 // process grids of growing size, watch the per-phase cost breakdown, and
 // verify that the ordering never changes with the grid; run the fully
-// distributed ordered_solve pipeline (RCM -> value-carrying redistribute ->
-// 2D->1D re-own -> distributed CG, no gathered CSR) and watch the per-rank
-// resident ledger shrink with the grid — then project the same execution to
-// Edison-scale core counts with the trace model.
+// distributed ordered_solve pipeline (RCM -> one-shot redistribution
+// straight to the 1D row blocks -> distributed CG, no gathered CSR) and
+// watch the per-rank resident ledger shrink with the grid — then project
+// the same execution to Edison-scale core counts with the trace model.
 //
-// The ordered_solve section runs BOTH redistribution routes per grid — the
-// legacy two-hop 2D-permute -> re-own chain ("before") and the one-shot
-// streaming redistribution ("after") — and enforces the ledger regression
-// gate: the one-shot per-rank resident peak must STRICTLY decrease across
-// p = 4 -> 9 -> 16. `--json FILE` additionally emits the before/after
-// redistribution words-moved and peak-resident numbers (BENCH_2.json).
+// The ordered_solve section enforces the ledger regression gate: the
+// per-rank resident peak must STRICTLY decrease across p = 4 -> 9 -> 16.
+// `--json FILE` additionally emits the redistribution words-moved and
+// peak-resident numbers per grid (the "after" side of BENCH_2.json, whose
+// "before" side records the since-deleted two-hop route).
 //
 //   $ ./examples/distributed_scaling [--json BENCH_2.json]
 #include <cstdio>
@@ -77,8 +76,7 @@ int main(int argc, char** argv) {
   // to the 1D owners), and block-Jacobi CG all on the grid. peak-resident
   // is the mpsim ledger's per-rank high-water mark — it SHRINKS with the
   // grid, where a gathered permuted CSR would pin ~n + 2*nnz elements on
-  // every rank. Each grid also runs the legacy two-hop route ("before")
-  // so the one-shot win shows up as measured redistribution words moved.
+  // every rank.
   const auto m = gen::with_laplacian_values(a, 0.02);
   std::vector<double> b(static_cast<std::size_t>(m.n()));
   for (index_t i = 0; i < m.n(); ++i) {
@@ -90,49 +88,31 @@ int main(int argc, char** argv) {
       2 * static_cast<unsigned long long>(m.nnz());
   std::printf("ordered_solve pipeline (RCM -> one-shot redistribute -> CG), "
               "rtol 1e-8; gathered-CSR footprint would be %llu\n", gathered);
-  std::printf("(redist words / peak-resident are per-rank maxima; 'two-hop' "
-              "is the legacy permute -> re-own route):\n");
-  std::printf("%6s %8s %12s %14s %14s %14s %14s\n", "ranks", "iters",
-              "bandwidth", "redist words", "two-hop words", "peak-resident",
-              "two-hop peak");
+  std::printf("(redist words / peak-resident are per-rank maxima):\n");
+  std::printf("%6s %8s %12s %14s %14s\n", "ranks", "iters", "bandwidth",
+              "redist words", "peak-resident");
   struct Point {
     int ranks;
-    unsigned long long one_words, one_peak, two_words, two_peak;
+    unsigned long long words, peak;
   };
   std::vector<Point> points;
   for (const int p : {1, 4, 9, 16}) {
     solver::CgOptions opt;
     opt.rtol = 1e-8;
-    rcm::DistRcmOptions one_shot;
-    one_shot.one_shot_redistribute = true;
-    rcm::DistRcmOptions two_hop;
-    two_hop.one_shot_redistribute = false;
-    const auto run = rcm::run_ordered_solve(p, m, b, /*precondition=*/true,
-                                            one_shot, opt);
-    const auto before = rcm::run_ordered_solve(p, m, b, /*precondition=*/true,
-                                               two_hop, opt);
-    if (!run.result.cg.converged || !before.result.cg.converged) {
+    const auto run =
+        rcm::run_ordered_solve(p, m, b, /*precondition=*/true, {}, opt);
+    if (!run.result.cg.converged) {
       std::printf("ERROR: pipeline did not converge at p=%d\n", p);
       return 1;
     }
     Point pt;
     pt.ranks = p;
-    pt.one_words = run.report.aggregate(mps::Phase::kRedistribute).max.words;
-    pt.one_peak = run.report.max_peak_resident();
-    pt.two_words = before.report.aggregate(mps::Phase::kRedistribute).max.words;
-    pt.two_peak = before.report.max_peak_resident();
+    pt.words = run.report.aggregate(mps::Phase::kRedistribute).max.words;
+    pt.peak = run.report.max_peak_resident();
     points.push_back(pt);
-    std::printf("%6d %8d %12lld %14llu %14llu %14llu %14llu\n", p,
-                run.result.cg.iterations,
+    std::printf("%6d %8d %12lld %14llu %14llu\n", p, run.result.cg.iterations,
                 static_cast<long long>(run.result.permuted_bandwidth),
-                pt.one_words, pt.two_words, pt.one_peak, pt.two_peak);
-    // The two routes must be interchangeable: identical ordering quality
-    // and identical solver trajectory (the tests pin the solutions bitwise).
-    if (run.result.cg.iterations != before.result.cg.iterations ||
-        run.result.permuted_bandwidth != before.result.permuted_bandwidth) {
-      std::printf("ERROR: one-shot and two-hop runs disagree at p=%d!\n", p);
-      return 1;
-    }
+                pt.words, pt.peak);
     // The pipeline's bandwidth must agree with the grid-insensitive
     // ordering above. (Iteration counts may differ BETWEEN rank counts —
     // p diagonal preconditioner blocks per p ranks — but each equals the
@@ -152,15 +132,15 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  // The ledger-regression gate: the one-shot O(nnz/p + n/p) contract means
+  // The ledger-regression gate: the O(nnz/p + n/p) contract means
   // the per-rank peak must STRICTLY decrease as the grid grows. A flat or
   // rising step means some stage re-grew an O(n) or O(nnz/q) resident.
   for (std::size_t i = 1; i < points.size(); ++i) {
     if (points[i].ranks < 4) continue;  // p=1 has no distribution to shrink
-    if (points[i].one_peak >= points[i - 1].one_peak) {
+    if (points[i].peak >= points[i - 1].peak) {
       std::printf("ERROR: ledger regression: peak did not decrease from "
                   "p=%d (%llu) to p=%d (%llu)!\n", points[i - 1].ranks,
-                  points[i - 1].one_peak, points[i].ranks, points[i].one_peak);
+                  points[i - 1].peak, points[i].ranks, points[i].peak);
       return 1;
     }
   }
@@ -185,12 +165,10 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < points.size(); ++i) {
       const auto& pt = points[i];
       std::fprintf(f,
-                   "    {\"ranks\": %d, \"before\": {\"redistribute_words\": "
-                   "%llu, \"peak_resident\": %llu}, \"after\": "
-                   "{\"redistribute_words\": %llu, \"peak_resident\": "
-                   "%llu}}%s\n",
-                   pt.ranks, pt.two_words, pt.two_peak, pt.one_words,
-                   pt.one_peak, i + 1 < points.size() ? "," : "");
+                   "    {\"ranks\": %d, \"after\": {\"redistribute_words\": "
+                   "%llu, \"peak_resident\": %llu}}%s\n",
+                   pt.ranks, pt.words, pt.peak,
+                   i + 1 < points.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -5,9 +5,7 @@
 namespace drcm::dist {
 
 DistSpMat::DistSpMat(ProcGrid2D& grid, const sparse::CsrMatrix& a)
-    // A source with zero stored entries is vacuously valued: degenerate
-    // empty inputs must keep flowing down the solver (valued) path.
-    : dist_(a.n(), grid.q()), has_values_(a.has_values() || a.nnz() == 0) {
+    : dist_(a.n(), grid.q()) {
   row_lo_ = dist_.chunk_lo(grid.row());
   row_hi_ = dist_.chunk_lo(grid.row() + 1);
   col_lo_ = dist_.chunk_lo(grid.col());
@@ -30,42 +28,15 @@ DistSpMat::DistSpMat(ProcGrid2D& grid, const sparse::CsrMatrix& a)
     col_ptr_[c + 1] = col_ptr_[c] + count[c];
   }
   rows_.resize(static_cast<std::size_t>(col_ptr_[ncols]));
-  if (has_values_) vals_.resize(rows_.size());
   std::vector<nnz_t> next(col_ptr_.begin(), col_ptr_.end() - 1);
   for (index_t gr = row_lo_; gr < row_hi_; ++gr) {
     const auto cols = a.row(gr);
     const auto first = std::lower_bound(cols.begin(), cols.end(), col_lo_);
     for (auto it = first; it != cols.end() && *it < col_hi_; ++it) {
       const auto lc = static_cast<std::size_t>(*it - col_lo_);
-      const auto slot = static_cast<std::size_t>(next[lc]++);
-      rows_[slot] = gr - row_lo_;
-      if (has_values_) {
-        vals_[slot] = a.row_values(gr)[static_cast<std::size_t>(it - cols.begin())];
-      }
+      rows_[static_cast<std::size_t>(next[lc]++)] = gr - row_lo_;
     }
   }
-}
-
-DistSpMat DistSpMat::from_local_csc(ProcGrid2D& grid, index_t n,
-                                    std::vector<nnz_t> col_ptr,
-                                    std::vector<index_t> rows,
-                                    std::vector<double> vals,
-                                    bool with_values) {
-  DistSpMat m;
-  m.dist_ = VectorDist(n, grid.q());
-  m.row_lo_ = m.dist_.chunk_lo(grid.row());
-  m.row_hi_ = m.dist_.chunk_lo(grid.row() + 1);
-  m.col_lo_ = m.dist_.chunk_lo(grid.col());
-  m.col_hi_ = m.dist_.chunk_lo(grid.col() + 1);
-  DRCM_CHECK(static_cast<index_t>(col_ptr.size()) == m.local_cols() + 1,
-             "local CSC column pointer size mismatch");
-  DRCM_CHECK(with_values ? vals.size() == rows.size() : vals.empty(),
-             "local CSC values must match the pattern entry for entry");
-  m.has_values_ = with_values;
-  m.col_ptr_ = std::move(col_ptr);
-  m.rows_ = std::move(rows);
-  m.vals_ = std::move(vals);
-  return m;
 }
 
 nnz_t DistSpMat::global_nnz(mps::Comm& world) const {

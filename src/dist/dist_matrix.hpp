@@ -18,27 +18,15 @@ namespace drcm::dist {
 
 class DistSpMat {
  public:
-  /// Builds my block from the replicated matrix. Collective only in the
-  /// sense that every rank must construct the same matrix on the same grid.
-  /// When `a` carries numerical values they are stored in lockstep with the
-  /// pattern (vals_[k] belongs to rows_[k]), so the ordering -> permute ->
-  /// solve pipeline never has to rebuild them from a replicated CSR.
+  /// Builds my block of the pattern of the replicated matrix (values, if
+  /// any, are ignored: the ordering needs the pattern only, and the solver
+  /// matrix travels through redistribute_to_row_blocks). Collective only in
+  /// the sense that every rank must construct the same matrix on the same
+  /// grid.
   DistSpMat(ProcGrid2D& grid, const sparse::CsrMatrix& a);
-
-  /// Assembles a matrix directly from my local CSC block (used by
-  /// redistribute_permuted, which never materializes the global matrix).
-  /// `vals` must be empty (pattern-only, `with_values` false) or hold one
-  /// value per entry of `rows`; `with_values` must agree on every rank of
-  /// the grid even where a block is empty.
-  static DistSpMat from_local_csc(ProcGrid2D& grid, index_t n,
-                                  std::vector<nnz_t> col_ptr,
-                                  std::vector<index_t> rows,
-                                  std::vector<double> vals = {},
-                                  bool with_values = false);
 
   index_t n() const { return dist_.n(); }
   const VectorDist& vec_dist() const { return dist_; }
-  bool has_values() const { return has_values_; }
 
   index_t row_lo() const { return row_lo_; }
   index_t row_hi() const { return row_hi_; }
@@ -56,21 +44,10 @@ class DistSpMat {
     return {rows_.data() + b, e - b};
   }
 
-  /// Values of local column lc, parallel to column(lc). Only valid when
-  /// has_values().
-  std::span<const double> column_values(index_t lc) const {
-    DRCM_DCHECK(has_values_);
-    DRCM_DCHECK(lc >= 0 && lc < local_cols());
-    const auto b = static_cast<std::size_t>(col_ptr_[static_cast<std::size_t>(lc)]);
-    const auto e = static_cast<std::size_t>(col_ptr_[static_cast<std::size_t>(lc) + 1]);
-    return {vals_.data() + b, e - b};
-  }
-
-  /// Scalar slots this block keeps resident (pattern + values + column
-  /// pointers) — what the block contributes to the mpsim resident ledger.
+  /// Scalar slots this block keeps resident (pattern + column pointers) —
+  /// what the block contributes to the mpsim resident ledger.
   std::uint64_t resident_elements() const {
-    return static_cast<std::uint64_t>(col_ptr_.size() + rows_.size() +
-                                      vals_.size());
+    return static_cast<std::uint64_t>(col_ptr_.size() + rows_.size());
   }
 
   /// Total stored entries across all blocks. Collective.
@@ -82,15 +59,11 @@ class DistSpMat {
   DistDenseVec degrees(ProcGrid2D& grid) const;
 
  private:
-  DistSpMat() = default;
-
   VectorDist dist_{};
   index_t row_lo_ = 0, row_hi_ = 0;
   index_t col_lo_ = 0, col_hi_ = 0;
-  bool has_values_ = false;
   std::vector<nnz_t> col_ptr_{0};
   std::vector<index_t> rows_;  ///< local row ids, sorted within each column
-  std::vector<double> vals_;   ///< parallel to rows_ when has_values_
 };
 
 }  // namespace drcm::dist

@@ -94,7 +94,7 @@ class VectorDist {
 ///   * `get`/`set` touch ONLY owned elements; addressing an element outside
 ///     [lo, hi) is a contract violation (debug-checked). There is no remote
 ///     access path — cross-rank movement is always an explicit collective
-///     (`to_global`, or the redistribute overloads in redistribute.hpp).
+///     (`to_global`, or redistribute_to_row_slab in redistribute.hpp).
 ///   * `to_global` is the ONE deliberate replication point, and it is
 ///     collective: every rank pays O(n). Pipeline stages must stay on the
 ///     owned slab and never call it on the hot path; the resident ledger

@@ -57,9 +57,9 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
 
 /// The reference chain: the same level computed with the four unfused
 /// primitives (gather_from_dense, spmspv_select2nd_min,
-/// select_where_equals, global_nnz) — eight barrier crossings. Kept
-/// callable so the equivalence suite and the crossing-count benches can
-/// compare against the fused path on identical inputs.
+/// select_where_equals, global_nnz) — eight barrier crossings. No
+/// production path runs it: it is the level-by-level reference of the
+/// equivalence suite and the unfused side of fig4's crossing split.
 LevelStepResult bfs_level_step_unfused(
     const DistSpMat& a, const DistSpVec& frontier, const DistDenseVec& dense,
     index_t keep_sentinel, ProcGrid2D& grid, mps::Phase spmspv_phase,
@@ -111,8 +111,10 @@ CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
 /// The reference ordering level: the fused BFS level step followed by the
 /// standalone SORTPERM chain (sortperm_bucket or, when `sample_sort`, the
 /// sample-sort baseline) and the label scatter — 3 + 6 = 9 barrier
-/// crossings. Kept callable for the equivalence suite, the crossing-ledger
-/// tests and the fig4 bench.
+/// crossings. The ordering driver runs it only for SortKind::kSampleSort
+/// (a comparison sort has no histogram to ride the fused collective); with
+/// bucket sort it is the level-by-level reference of the equivalence suite
+/// and the unfused side of fig4's crossing split.
 CmLevelResult cm_level_step_unfused(
     const DistSpMat& a, const DistSpVec& frontier, DistDenseVec& labels,
     const DistDenseVec& degrees, index_t label_lo, index_t label_hi,

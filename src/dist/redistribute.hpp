@@ -2,49 +2,20 @@
 // without ever gathering it — the paper's conclusion pipeline ("the matrix
 // can be permuted in place in parallel").
 //
-// Every entry knows its destination arithmetically (the owner maps of
-// VectorDist / the block map of DistSpMat), so one alltoallv moves
-// everything and a local rebuild restores the invariants.
+// Every entry knows its destination arithmetically (the 1D row-block map of
+// its NEW index), so one alltoallv moves everything straight to its solver
+// owner and a local rebuild restores the invariants.
 #pragma once
 
 #include <vector>
 
-#include "dist/dist_matrix.hpp"
 #include "dist/dist_vector.hpp"
 #include "dist/row_block.hpp"
+#include "sparse/csr.hpp"
 
 namespace drcm::dist {
 
-/// Returns the distributed matrix B with B(labels[i], labels[j]) = A(i, j):
-/// the 2D-partitioned equivalent of sparse::permute_symmetric. `labels` is
-/// the replicated new-index-of vector (size n). When `a` carries values
-/// they ride the same alltoallv as their coordinates and arrive in lockstep
-/// with the rebuilt pattern. Collective.
-DistSpMat redistribute_permuted(const DistSpMat& a,
-                                const std::vector<index_t>& labels,
-                                ProcGrid2D& grid);
-
-/// 2D -> 1D re-owning: converts a 2D-partitioned matrix (values required)
-/// into the PETSc-style contiguous row blocks dist_pcg consumes — rank r of
-/// `world` receives global rows [r*n/p, (r+1)*n/p) as a local CSR slab.
-/// One alltoallv (every entry knows its destination arithmetically from its
-/// global row), then a local sort/rebuild; no rank ever holds more than its
-/// own slab. Collective on `world`, which must be the grid's world
-/// communicator (all p = q*q ranks).
-RowBlockCsr to_row_blocks(const DistSpMat& a, mps::Comm& world);
-
-/// Same for a dense vector: out[labels[g]] = v[g], re-owned accordingly.
-/// Collective.
-DistDenseVec redistribute_permuted(const DistDenseVec& v,
-                                   const std::vector<index_t>& labels,
-                                   ProcGrid2D& grid);
-
-/// double overload: the distributed rhs/solution permuted in place.
-DistDenseVecD redistribute_permuted(const DistDenseVecD& v,
-                                    const std::vector<index_t>& labels,
-                                    ProcGrid2D& grid);
-
-/// Result of the fused permute + re-own streaming redistribution.
+/// Result of the one-shot permute + re-own streaming redistribution.
 struct OneShotRowBlocks {
   RowBlockCsr block;
   /// max |labels[r] - labels[c]| over all entries — the permuted bandwidth,
@@ -53,17 +24,18 @@ struct OneShotRowBlocks {
   index_t bandwidth = 0;
 };
 
-/// One-shot streaming redistribution, fusing redistribute_permuted and
-/// to_row_blocks: this rank streams the entries of its balanced-2D block of
-/// `a` (rows and columns restricted to its grid chunk) as relabeled
-/// (row, col, value) triples routed straight to the 1D owner of each NEW
-/// row — ONE alltoallv where the two-hop path pays two, and no permuted-2D
-/// intermediate, whose q diagonal blocks concentrate Θ(nnz/q) of the banded
-/// output, ever exists. The input block is consumed as a coordinate stream
-/// (3 nnz/p words, no O(n/q) column pointer), so the whole step stays
-/// O(nnz/p + n/p) resident per rank. The receive path re-sorts wholesale by
-/// (row, col) — unique keys under a bijective relabeling — so the block is
-/// bit-identical to the two-hop result. Collective on the grid's world.
+/// One-shot streaming redistribution: this rank streams the entries of its
+/// balanced-2D block of `a` (rows and columns restricted to its grid chunk)
+/// as relabeled (row, col, value) triples routed straight to the 1D owner
+/// of each NEW row — ONE alltoallv, and no permuted-2D intermediate, whose
+/// q diagonal blocks would concentrate Θ(nnz/q) of the banded output. The
+/// input block is consumed as a coordinate stream (3 nnz/p words, no O(n/q)
+/// column pointer), so the whole step stays O(nnz/p + n/p) resident per
+/// rank. The receive path re-sorts wholesale by (row, col) — unique keys
+/// under a bijective relabeling — so rank r's block is exactly rows
+/// [lo, hi) of sparse::permute_symmetric(a, labels), values bit for bit.
+/// `a` must carry values unless it has no entries. Collective on the grid's
+/// world.
 OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
                                             const std::vector<index_t>& labels,
                                             ProcGrid2D& grid);

@@ -4,10 +4,10 @@
 // and one value per entry.
 //
 // This is the hand-off format between the 2D-partitioned ordering world
-// (DistSpMat, sqrt(p) x sqrt(p) grid) and the 1D solver world: the
-// to_row_blocks re-owning step in redistribute.{hpp,cpp} converts the
-// permuted 2D matrix into these blocks with one alltoallv, so the
-// RCM -> permute -> CG pipeline never gathers a replicated CSR.
+// (DistSpMat, sqrt(p) x sqrt(p) grid) and the 1D solver world:
+// redistribute_to_row_blocks in redistribute.{hpp,cpp} relabels the
+// balanced-2D input and routes it into these blocks with one alltoallv, so
+// the RCM -> permute -> CG pipeline never gathers a replicated CSR.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,7 @@ namespace drcm::dist {
 
 /// First row of rank r's contiguous block when n rows split over p ranks —
 /// the exact slicing rule of the replicated-CSR dist_pcg path, so a matrix
-/// re-owned through to_row_blocks lands on identical blocks.
+/// re-owned through redistribute_to_row_blocks lands on identical blocks.
 inline index_t row_block_lo(index_t n, int p, int r) {
   return (static_cast<index_t>(r) * n) / p;
 }

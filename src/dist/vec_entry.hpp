@@ -25,14 +25,8 @@ struct VecEntryD {
 };
 
 /// One matrix entry in flight, already relabeled to its new coordinates
-/// (the redistribution collectives' pattern payload).
-struct MatEntry {
-  index_t row;
-  index_t col;
-};
-
-/// Same, carrying its numerical value (the value rides the same alltoallv
-/// as its coordinates).
+/// and carrying its numerical value (the value rides the same alltoallv as
+/// its coordinates).
 struct MatEntryV {
   index_t row;
   index_t col;

@@ -12,7 +12,6 @@ index_t dist_cm_component(const dist::DistSpMat& a,
                           dist::DistDenseVec& labels, index_t root,
                           index_t next_label, dist::ProcGrid2D& grid,
                           SortKind sort, dist::SpmspvAccumulator acc,
-                          bool fuse_ordering,
                           std::vector<index_t>* level_starts) {
   DRCM_CHECK(root >= 0 && root < a.n(), "root out of range");
   auto& world = grid.world();
@@ -32,7 +31,7 @@ index_t dist_cm_component(const dist::DistSpMat& a,
   }
   return dist_cm_cone(a, degrees, labels, std::move(frontier),
                       /*frontier_nnz=*/1, next_label + 1, grid, sort, acc,
-                      fuse_ordering, level_starts);
+                      level_starts);
 }
 
 index_t dist_cm_cone(const dist::DistSpMat& a,
@@ -40,13 +39,12 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
                      dist::DistDenseVec& labels, DistSpVec frontier,
                      index_t frontier_nnz, index_t next_label,
                      dist::ProcGrid2D& grid, SortKind sort,
-                     dist::SpmspvAccumulator acc, bool fuse_ordering,
+                     dist::SpmspvAccumulator acc,
                      std::vector<index_t>* level_starts, index_t label_cap) {
-  auto& world = grid.world();
   // The sample-sort baseline cannot ride the level collective (a comparison
   // sort has no histogram to piggyback), so it always takes the reference
   // chain.
-  const bool fused = fuse_ordering && sort == SortKind::kBucket;
+  const bool fused = sort == SortKind::kBucket;
 
   while (frontier_nnz > 0) {
     // Labels of the current frontier form the contiguous range

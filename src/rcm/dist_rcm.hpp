@@ -28,9 +28,9 @@ enum class SortKind { kBucket, kSampleSort };
 /// Labels the component containing `root` (which must itself be unlabeled)
 /// with consecutive CM labels starting at `next_label`; returns the first
 /// unused label. `labels` is the paper's dense vector R (kNoVertex =
-/// unvisited). `fuse_ordering` selects the fused five-crossing ordering
-/// level (bucket sort only; the sample-sort baseline always runs the
-/// reference chain) — both arms are bit-identical. Collective.
+/// unvisited). Bucket sort runs the fused five-crossing ordering level; the
+/// sample-sort baseline runs the reference chain (bit-identical).
+/// Collective.
 ///
 /// `level_starts`, when non-null, receives the first CM label of every
 /// BFS level discovered (level 0 = the root, so the first pushed value is
@@ -45,7 +45,6 @@ index_t dist_cm_component(const dist::DistSpMat& a,
                           SortKind sort = SortKind::kBucket,
                           dist::SpmspvAccumulator acc =
                               dist::SpmspvAccumulator::kAuto,
-                          bool fuse_ordering = true,
                           std::vector<index_t>* level_starts = nullptr);
 
 /// The CONE-RESTRICTED entry point the incremental-repair path uses:
@@ -71,7 +70,6 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
                      SortKind sort = SortKind::kBucket,
                      dist::SpmspvAccumulator acc =
                          dist::SpmspvAccumulator::kAuto,
-                     bool fuse_ordering = true,
                      std::vector<index_t>* level_starts = nullptr,
                      index_t label_cap = -1);
 

@@ -84,7 +84,7 @@ dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     cr.root = peripheral.vertex;
     next_label = dist_cm_component(mat, degrees, labels, peripheral.vertex,
                                    next_label, grid, options.sort,
-                                   options.accumulator, options.fuse_ordering,
+                                   options.accumulator,
                                    recipe ? &cr.level_starts : nullptr);
     if (recipe) {
       cr.level_starts.push_back(next_label);  // one-past-the-end sentinel
@@ -169,8 +169,7 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
       world.charge_compute(static_cast<double>(keys.local_size()));
     }
     next_label = dist_cm_component(mat, keys, labels, s, next_label, grid,
-                                   options.sort, options.accumulator,
-                                   options.fuse_ordering, nullptr);
+                                   options.sort, options.accumulator);
   }
   if (stats) *stats = local_stats;
   return labels;  // no reversal
@@ -515,8 +514,8 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
       std::vector<index_t> cone_starts;
       next_label = dist_cm_cone(mat, degrees, labels, std::move(frontier),
                                 fhi - flo, fhi, grid, options.sort,
-                                options.accumulator, options.fuse_ordering,
-                                &cone_starts, /*label_cap=*/comp_hi);
+                                options.accumulator, &cone_starts,
+                                /*label_cap=*/comp_hi);
       if (next_label != comp_hi) {
         out.reason = next_label > comp_hi
                          ? "cone escaped its component (pattern merge)"
@@ -537,7 +536,6 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
     } else {
       next_label = dist_cm_component(mat, degrees, labels, root, comp_lo,
                                      grid, options.sort, options.accumulator,
-                                     options.fuse_ordering,
                                      &ncr.level_starts);
       if (next_label != comp_hi) {
         out.reason = "recomputed component changed size (split or merge)";
@@ -592,15 +590,6 @@ std::uint64_t resident_budget_one_shot(nnz_t nnz, int p, index_t n) {
          4096;
 }
 
-/// Legacy budget of the two-hop path, kept callable for the before/after
-/// ledger comparison: the permuted-2D intermediate concentrates Θ(nnz/q)
-/// on the q diagonal blocks of the banded output, and the historic stage-3
-/// rhs scatter held O(n) replicated state. `q` is the grid side.
-std::uint64_t resident_budget_two_hop(nnz_t nnz, int q, index_t n) {
-  return 8 * static_cast<std::uint64_t>(nnz) / static_cast<std::uint64_t>(q) +
-         10 * static_cast<std::uint64_t>(n) + 1024;
-}
-
 /// Budget of the sharded-label pipeline: the one-shot budget plus the
 /// O(n/q) label windows (and their in-flight exchange doubles) the
 /// two-sided relabel lookup holds during redistribution. Still no O(n)
@@ -613,71 +602,25 @@ std::uint64_t resident_budget_sharded(nnz_t nnz, int p, int q, index_t n) {
 
 std::uint64_t resident_budget(const DistRcmOptions& options, nnz_t nnz, int p,
                               int q, index_t n) {
-  if (options.sharded_labels) return resident_budget_sharded(nnz, p, q, n);
-  return options.one_shot_redistribute ? resident_budget_one_shot(nnz, p, n)
-                                       : resident_budget_two_hop(nnz, q, n);
+  return options.sharded_labels ? resident_budget_sharded(nnz, p, q, n)
+                                : resident_budget_one_shot(nnz, p, n);
 }
 
-struct RedistributeOut {
-  dist::RowBlockCsr block;
-  index_t bandwidth = 0;
-};
-
 /// Stage 2 of the pipeline: route every relabeled entry of this rank's
-/// balanced-2D block straight to its 1D solver owner. One alltoallv on the
-/// one-shot path; the two-hop arm (permuted-2D intermediate, then re-own)
-/// remains callable for the equivalence wall and pays two. Both arms
-/// produce bit-identical row blocks. Collective; `labels` must be the
-/// replicated stage-1 output. The grid is built by the CALLER, outside the
-/// phase scope below: its two Comm::split calls are collectives of their
-/// own, and keeping them out pins the kRedistribute crossing count to
-/// exactly the redistribution traffic (one-shot: alltoallv + bandwidth
-/// allreduce = 4 crossings; two-hop: two alltoallvs + allreduce = 6).
-RedistributeOut redistribute_stage(mps::Comm& world, dist::ProcGrid2D& grid,
-                                   const sparse::CsrMatrix& a,
-                                   const std::vector<index_t>& labels,
-                                   bool one_shot) {
+/// balanced-2D block straight to its 1D solver owner in one alltoallv.
+/// Collective; `labels` is the stage-1 output, replicated or sharded. The
+/// grid is built by the CALLER, outside the phase scope below: its two
+/// Comm::split calls are collectives of their own, and keeping them out
+/// pins the kRedistribute crossing count to exactly the redistribution
+/// traffic (alltoallv + bandwidth allreduce = 4 crossings, plus the label
+/// window alltoallv on the sharded arm).
+template <class Labels>
+dist::OneShotRowBlocks redistribute_stage(mps::Comm& world,
+                                          dist::ProcGrid2D& grid,
+                                          const sparse::CsrMatrix& a,
+                                          const Labels& labels) {
   mps::PhaseScope scope(world, mps::Phase::kRedistribute);
-  RedistributeOut out;
-  if (one_shot) {
-    auto fused = dist::redistribute_to_row_blocks(a, labels, grid);
-    out.block = std::move(fused.block);
-    out.bandwidth = fused.bandwidth;
-    return out;
-  }
-
-  // The permuted 2D intermediate lives exactly as long as the re-owning
-  // needs it, so the resident ledger matches what is actually live: the
-  // 2D input block dies after the redistribution, the permuted 2D block
-  // after the 1D re-owning.
-  const auto permuted = [&] {
-    // The value-carrying 2D decomposition, built from the
-    // pre-distribution input ONCE; every later stage works on
-    // distributed blocks only. Permuting in place in parallel (the
-    // paper's conclusion): the values ride the redistribution alltoallv
-    // with their coordinates.
-    dist::DistSpMat mat(grid, a);
-    world.note_resident(mat.resident_elements());
-    return dist::redistribute_permuted(mat, labels, grid);
-  }();
-
-  // Bandwidth of the permuted system, computed distributively: each
-  // local entry's |row - col| is a lower bound and every entry lives
-  // somewhere.
-  index_t local_bw = 0;
-  for (index_t lc = 0; lc < permuted.local_cols(); ++lc) {
-    for (const index_t lr : permuted.column(lc)) {
-      local_bw = std::max(local_bw, std::abs((lr + permuted.row_lo()) -
-                                             (lc + permuted.col_lo())));
-    }
-  }
-  out.bandwidth = world.allreduce(
-      local_bw, [](index_t x, index_t y) { return std::max(x, y); });
-
-  // 2D -> 1D re-owning: the permuted matrix becomes the solver's
-  // contiguous row blocks without ever being gathered.
-  out.block = dist::to_row_blocks(permuted, world);
-  return out;
+  return dist::redistribute_to_row_blocks(a, labels, grid);
 }
 
 struct SolveOut {
@@ -774,8 +717,7 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
                "labels must cover every vertex");
     DRCM_CHECK(!rcm_options.sharded_labels,
                "the hit path takes replicated labels");
-    const auto redist = redistribute_stage(world, grid, a, *spec.labels,
-                                           rcm_options.one_shot_redistribute);
+    const auto redist = redistribute_stage(world, grid, a, *spec.labels);
     out.permuted_bandwidth = redist.bandwidth;
 
     auto solved = solve_stage(world, grid, n, redist.block, *spec.labels,
@@ -802,8 +744,6 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
     // the two-sided window lookup, the rhs relabel is a local slab read.
     // RCM-only in v1: dist_rcm_sharded is the only sharded ordering body,
     // so a portfolio request must resolve to kRcm to take this arm.
-    DRCM_CHECK(rcm_options.one_shot_redistribute,
-               "sharded labels require the one-shot redistribution");
     DRCM_CHECK(spec.recipe == nullptr,
                "recipe capture requires the replicated-label arm");
     {
@@ -823,18 +763,14 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
             ? dist_rcm_sharded(world, grid, *spec.adjacency, rcm_options)
             : dist_rcm_sharded(world, grid, a.strip_diagonal(), rcm_options);
 
-    dist::OneShotRowBlocks fused;
-    {
-      mps::PhaseScope scope(world, mps::Phase::kRedistribute);
-      fused = dist::redistribute_to_row_blocks(a, labels, grid);
-    }
-    out.permuted_bandwidth = fused.bandwidth;
+    const auto redist = redistribute_stage(world, grid, a, labels);
+    out.permuted_bandwidth = redist.bandwidth;
 
-    auto solved = solve_stage(world, grid, n, fused.block, /*labels=*/{},
+    auto solved = solve_stage(world, grid, n, redist.block, /*labels=*/{},
                               &labels, spec.b, spec.precondition, spec.cg);
     out.cg = solved.cg;
     out.x_local = std::move(solved.x_local);
-    out.x_lo = fused.block.lo;
+    out.x_lo = redist.block.lo;
 
     // The contract is asserted BEFORE the result is packaged: with labels
     // sharded, no O(n) structure existed at any point of the pipeline.
@@ -865,8 +801,7 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
                             spec.recipe);
   }
 
-  const auto redist = redistribute_stage(world, grid, a, out.labels,
-                                         rcm_options.one_shot_redistribute);
+  const auto redist = redistribute_stage(world, grid, a, out.labels);
   out.permuted_bandwidth = redist.bandwidth;
 
   auto solved = solve_stage(world, grid, n, redist.block, out.labels,
@@ -876,13 +811,11 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
   out.x_local = std::move(solved.x_local);
   out.x_lo = redist.block.lo;
 
-  // The scalability contract, now O(nnz/p + n/p) end to end on the
-  // default path: the one-shot redistribution streams the balanced-2D
-  // block straight into row blocks (no Θ(nnz/q) permuted-2D intermediate),
-  // the rhs moves as O(n/p) slabs, and the solution stays a slab — no
-  // O(n) replicated vector exists at ANY stage inside the ranks. The
-  // two-hop arm keeps its historic looser budget so the before/after
-  // ledgers remain comparable.
+  // The scalability contract, O(nnz/p + n/p) end to end: the one-shot
+  // redistribution streams the balanced-2D block straight into row blocks
+  // (no Θ(nnz/q) permuted-2D intermediate), the rhs moves as O(n/p) slabs,
+  // and the solution stays a slab — no O(n) replicated vector exists at
+  // ANY stage inside the ranks.
   const auto peak = world.stats().peak_resident_elements();
   DRCM_CHECK(
       peak <= resident_budget(rcm_options, a.nnz(), world.size(), grid.q(), n),
@@ -1081,8 +1014,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
       "redistribute",
       [&](mps::Comm& world) {
         dist::ProcGrid2D grid(world);
-        auto result = redistribute_stage(world, grid, a, labels,
-                                         rcm_options.one_shot_redistribute);
+        auto result = redistribute_stage(world, grid, a, labels);
         blocks[static_cast<std::size_t>(world.rank())] =
             std::move(result.block);
         if (world.rank() == 0) bandwidth = result.bandwidth;

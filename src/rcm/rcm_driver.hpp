@@ -47,29 +47,14 @@ struct DistRcmOptions {
   /// selection per level; DRCM_SPMSPV_ACC overrides). All arms produce
   /// bit-identical orderings — this is a performance knob.
   dist::SpmspvAccumulator accumulator = dist::SpmspvAccumulator::kAuto;
-  /// Run each ordering level through the fused dist::cm_level_step
-  /// collective (five barrier crossings per level) instead of the reference
-  /// bfs_level_step + sortperm chain (nine). Bucket sort only; both arms
-  /// are bit-identical — this is a synchrony knob kept for the equivalence
-  /// suite and the crossing-ledger benches.
-  bool fuse_ordering = true;
-  /// Route each relabeled entry straight from the balanced-2D input block
-  /// to the 1D owner of its NEW row in ONE alltoallv (O(nnz/p + n/p)
-  /// resident per rank), instead of the two-hop chain through the
-  /// permuted-2D intermediate whose q diagonal blocks concentrate
-  /// Θ(nnz/q) of the banded output. Both paths produce bit-identical row
-  /// blocks; the two-hop arm is kept for the equivalence wall and the
-  /// before/after ledger comparison.
-  bool one_shot_redistribute = true;
   /// Keep the label vector sharded O(n/p) per rank through the WHOLE
   /// pipeline (ordered_solve_on only): ordering returns a distributed
   /// slab, redistribution resolves labels through a two-sided window
   /// lookup (one extra O(n/q) alltoallv), and the rhs relabel becomes a
   /// local read. Removes the last replicated O(n) structure from the
   /// ranks — the resident ledger then covers the complete pipeline state.
-  /// Requires one_shot_redistribute; bit-identical results. dist_rcm and
-  /// the run_* wrappers ignore it (their contract is a replicated label
-  /// vector).
+  /// Bit-identical results. dist_rcm and the run_* wrappers ignore it
+  /// (their contract is a replicated label vector).
   bool sharded_labels = false;
   /// OpenMP threads per rank of the hybrid configuration (paper Fig. 6:
   /// one communicating thread per process, the others splitting the local
@@ -282,14 +267,12 @@ DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,
 
 /// The paper's Figure-1 pipeline as ONE distributed call: RCM ordering on
 /// the 2D grid, ONE streaming redistribution routing every relabeled entry
-/// straight to its 1D solver owner (the two-hop permute-then-re-own chain
-/// stays callable via DistRcmOptions::one_shot_redistribute = false), a
-/// distributed rhs, and block-Jacobi preconditioned CG producing per-rank
-/// solution slabs. Between ordering and solution no rank materializes a
-/// replicated CSR or a replicated O(n) value vector; the mpsim resident
-/// ledger records every stage's footprint and ordered_solve asserts the
-/// per-rank peak stays O(nnz/p + n/p) on the one-shot path (O(nnz/q + n)
-/// on the legacy two-hop path; see rcm_driver.cpp for the constants).
+/// straight to its 1D solver owner, a distributed rhs, and block-Jacobi
+/// preconditioned CG producing per-rank solution slabs. Between ordering
+/// and solution no rank materializes a replicated CSR or a replicated O(n)
+/// value vector; the mpsim resident ledger records every stage's footprint
+/// and ordered_solve asserts the per-rank peak stays O(nnz/p + n/p) (see
+/// rcm_driver.cpp for the constants).
 struct OrderedSolveResult {
   /// RCM labels of the ORIGINAL numbering (labels[v] = new index of v).
   std::vector<index_t> labels;
@@ -433,9 +416,9 @@ struct OrderedSolveRecoverableRun {
 
 /// The Figure-1 pipeline with stage-boundary checkpoints and bounded
 /// retries. Execution is split into three SPMD runs — ordering (via
-/// dist_order, so the whole portfolio is recoverable), redistribute (2D
-/// permute + 1D re-owning), solve — whose outputs (replicated labels;
-/// per-rank row blocks) the driver holds between runs. A failed attempt
+/// dist_order, so the whole portfolio is recoverable), redistribute (the
+/// one-shot route to the 1D row blocks), solve — whose outputs (replicated
+/// labels; per-rank row blocks) the driver holds between runs. A failed attempt
 /// (rank death, injected allocation failure, corrupted payload tripping a
 /// structural check or poisoning the CG recurrence, watchdog timeout) is
 /// retried from the last checkpoint up to `max_attempts` times with

@@ -14,8 +14,8 @@ namespace drcm::solver {
 namespace {
 
 // The 1D slicing rule lives in dist/row_block.hpp (row_block_lo /
-// row_block_owner) so this file and to_row_blocks can never disagree on
-// block bounds or halo owners.
+// row_block_owner) so this file and redistribute_to_row_blocks can never
+// disagree on block bounds or halo owners.
 using dist::row_block_lo;
 using dist::row_block_owner;
 using sparse::CsrMatrix;

@@ -34,7 +34,7 @@ CgResult dist_pcg(mps::Comm& world, const sparse::CsrMatrix& a,
                   bool precondition, const CgOptions& options = {});
 
 /// Same solve on an ALREADY DISTRIBUTED matrix: `a` is this rank's 1D row
-/// block (the output of dist::to_row_blocks / redistribute_to_row_blocks)
+/// block (the output of dist::redistribute_to_row_blocks)
 /// and `b_local` the rhs entries of the owned rows [a.lo, a.hi). Halo
 /// analysis, the local/remote column split and the block-Jacobi ILU(0)
 /// factorization are all built from rank-local data — no replicated CSR

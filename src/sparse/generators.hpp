@@ -1,11 +1,11 @@
 // Synthetic matrix/graph generators.
 //
 // The paper evaluates on SuiteSparse matrices that are not redistributable
-// offline; these generators produce the structural stand-ins documented in
-// DESIGN.md §4 (same diameter regime, degree profile, and natural-ordering
-// quality as each paper matrix), plus the elementary graphs the test suite
-// uses as ground truth. All randomized generators are deterministic per
-// seed.
+// offline; these generators produce the structural stand-ins of
+// bench/suite.hpp (same diameter regime, degree profile, and
+// natural-ordering quality as each paper matrix), plus the elementary
+// graphs the test suite uses as ground truth. All randomized generators are
+// deterministic per seed.
 //
 // Every generator returns a symmetric, self-loop-free adjacency pattern
 // (pattern-only CSR). `with_laplacian_values` turns a pattern into the SPD

@@ -48,28 +48,24 @@ std::vector<CsrMatrix> graph_pool() {
   return pool;
 }
 
-TEST(CmLevelEquivalence, FullOrderingFusedUnfusedSerialBitIdentical) {
+TEST(CmLevelEquivalence, FullOrderingFusedAndSampleSortMatchSerial) {
   for (const auto& a : graph_pool()) {
     const auto want = order::rcm_serial(a);
     for (const int p : rank_counts()) {
       for (const int t : thread_counts()) {
-        for (const bool fuse : {true, false}) {
+        // Bucket sort runs the fused level; the sample-sort baseline cannot
+        // ride the collective and runs the reference chain. Both must
+        // reproduce serial RCM.
+        for (const auto sort :
+             {rcm::SortKind::kBucket, rcm::SortKind::kSampleSort}) {
           rcm::DistRcmOptions opt;
-          opt.fuse_ordering = fuse;
+          opt.sort = sort;
           opt.threads = t;
           const auto run = rcm::run_dist_rcm(p, a, opt);
           EXPECT_EQ(run.labels, want)
               << "n=" << a.n() << " p=" << p << " t=" << t
-              << " fuse=" << fuse;
+              << " sort=" << static_cast<int>(sort);
         }
-        // The sample-sort baseline ignores the fuse knob (it cannot ride
-        // the collective) and must still agree.
-        rcm::DistRcmOptions opt;
-        opt.sort = rcm::SortKind::kSampleSort;
-        opt.threads = t;
-        const auto run = rcm::run_dist_rcm(p, a, opt);
-        EXPECT_EQ(run.labels, want)
-            << "n=" << a.n() << " p=" << p << " t=" << t << " sample";
       }
     }
   }

@@ -1,11 +1,14 @@
 // Tests for the root-rooted collectives and the distributed in-place
-// permutation (redistribute_permuted), including the full pipeline the
-// paper's conclusion describes: order on the grid, permute on the grid,
-// no gather anywhere.
+// permutation (the one-shot redistribute_to_row_blocks), including the full
+// pipeline the paper's conclusion describes: order on the grid, permute on
+// the grid, no gather anywhere.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dist/redistribute.hpp"
-#include "dist/spmspv.hpp"
+#include "dist_rank_matrix.hpp"
 #include "mpsim/runtime.hpp"
 #include "order/rcm_serial.hpp"
 #include "rcm/rcm_driver.hpp"
@@ -85,88 +88,116 @@ TEST(RootCollectives, RootOutOfRangeThrows) {
   });
 }
 
-class RedistributeGrids : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Grids, RedistributeGrids, ::testing::Values(1, 4, 9, 16));
+/// Checks that this rank's one-shot block is exactly its rows of the
+/// serially permuted matrix `want`: row partition, row_ptr and cols, and
+/// values at the bit-pattern level.
+void expect_rows_of(const OneShotRowBlocks& got, const sparse::CsrMatrix& want,
+                    Comm& world) {
+  const index_t n = want.n();
+  const auto& block = got.block;
+  ASSERT_EQ(block.n, n);
+  ASSERT_EQ(block.lo, row_block_lo(n, world.size(), world.rank()));
+  ASSERT_EQ(block.hi, row_block_lo(n, world.size(), world.rank() + 1));
+  std::vector<nnz_t> row_ptr{0};
+  std::vector<index_t> cols;
+  std::vector<std::uint64_t> vals;
+  for (index_t g = block.lo; g < block.hi; ++g) {
+    const auto row = want.row(g);
+    cols.insert(cols.end(), row.begin(), row.end());
+    for (const double v : want.row_values(g)) {
+      vals.push_back(std::bit_cast<std::uint64_t>(v));
+    }
+    row_ptr.push_back(static_cast<nnz_t>(cols.size()));
+  }
+  EXPECT_EQ(block.row_ptr, row_ptr);
+  EXPECT_EQ(block.cols, cols);
+  std::vector<std::uint64_t> got_vals;
+  for (const double v : block.vals) {
+    got_vals.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  EXPECT_EQ(got_vals, vals) << "values are moved, never recomputed";
+}
 
-TEST_P(RedistributeGrids, MatchesSequentialPermutation) {
-  const int p = GetParam();
-  for (u64 seed : {1u, 5u}) {
-    const auto a = gen::erdos_renyi(70, 5.0, seed);
-    const auto labels = sparse::random_permutation(a.n(), seed + 100);
-    const auto want = sparse::permute_symmetric(a, labels);
+TEST(Redistribute, MatchesSerialPermutationAcrossTheRankWall) {
+  // The one-shot route against the serial reference: rank r's block must be
+  // exactly rows [lo, hi) of sparse::permute_symmetric(m, labels), and the
+  // folded bandwidth must equal the serial bandwidth of the relabeled
+  // pattern. p = 16 is the first size where the 1D row cut is strictly
+  // finer than every 2D chunk cut.
+  for (const int p : testing::rank_counts_wall()) {
+    for (const u64 seed : {3u, 14u}) {
+      // A scattered grid (mass degree ties) and an Erdős–Rényi graph
+      // (irregular degrees, uneven 2D blocks).
+      const auto m = gen::with_laplacian_values(
+          seed == 3u ? gen::relabel_random(gen::grid2d(19, 23), seed)
+                     : gen::erdos_renyi(70, 5.0, seed),
+          0.02);
+      const auto labels = sparse::random_permutation(m.n(), seed + 100);
+      const auto want = sparse::permute_symmetric(m, labels);
+      const auto want_bw =
+          sparse::bandwidth_with_labels(m.strip_diagonal(), labels);
+      Runtime::run(p, [&](Comm& world) {
+        ProcGrid2D grid(world);
+        const auto got = redistribute_to_row_blocks(m, labels, grid);
+        EXPECT_EQ(got.bandwidth, want_bw) << "p=" << p << " seed=" << seed;
+        expect_rows_of(got, want, world);
+      });
+    }
+  }
+}
+
+TEST(Redistribute, FullInPlacePipeline) {
+  // The paper's conclusion pipeline: compute RCM on the grid, then permute
+  // the matrix on the grid — never gathering anything — and verify the
+  // redistributed matrix has the RCM bandwidth.
+  const auto a = gen::relabel_random(gen::grid2d(12, 12), 3);
+  const auto m = gen::with_laplacian_values(a, 0.02);
+  const auto expected_bw =
+      sparse::bandwidth_with_labels(a, order::rcm_serial(a));
+  for (const int p : testing::rank_counts_wall()) {
     Runtime::run(p, [&](Comm& world) {
       ProcGrid2D grid(world);
-      DistSpMat mat(grid, a);
-      const auto moved = redistribute_permuted(mat, labels, grid);
-      // The redistributed matrix must equal the block of the sequentially
-      // permuted matrix, column for column.
-      DistSpMat reference(grid, want);
-      EXPECT_EQ(moved.local_nnz(), reference.local_nnz());
-      for (index_t lc = 0; lc < moved.local_cols(); ++lc) {
-        const auto got = moved.column(lc);
-        const auto exp = reference.column(lc);
-        ASSERT_EQ(got.size(), exp.size()) << "col " << lc;
-        for (std::size_t k = 0; k < got.size(); ++k) {
-          EXPECT_EQ(got[k], exp[k]);
-        }
-      }
-      EXPECT_EQ(moved.global_nnz(world), want.nnz());
+      const auto labels = rcm::dist_rcm(world, a);
+      EXPECT_EQ(redistribute_to_row_blocks(m, labels, grid).bandwidth,
+                expected_bw)
+          << "p=" << p;
     });
   }
 }
 
-TEST_P(RedistributeGrids, FullInPlacePipeline) {
-  // The paper's conclusion pipeline: compute RCM on the grid, then permute
-  // the matrix on the grid — never gathering anything — and verify the
-  // redistributed matrix has the RCM bandwidth.
-  const int p = GetParam();
-  const auto a = gen::relabel_random(gen::grid2d(12, 12), 3);
-  const auto expected_bw =
-      sparse::bandwidth_with_labels(a, order::rcm_serial(a));
-  Runtime::run(p, [&](Comm& world) {
-    ProcGrid2D grid(world);
-    DistSpMat mat(grid, a);
-    const auto labels = rcm::dist_rcm(world, a);
-    const auto moved = redistribute_permuted(mat, labels, grid);
-    // Bandwidth of the redistributed matrix, computed distributively: each
-    // local entry's |row - col| is a lower bound; the max over all ranks is
-    // exact because every entry lives somewhere.
-    index_t local_bw = 0;
-    for (index_t lc = 0; lc < moved.local_cols(); ++lc) {
-      for (const index_t lr : moved.column(lc)) {
-        local_bw = std::max(local_bw, std::abs((lr + moved.row_lo()) -
-                                               (lc + moved.col_lo())));
-      }
-    }
-    const auto bw = world.allreduce(
-        local_bw, [](index_t x, index_t y) { return std::max(x, y); });
-    EXPECT_EQ(bw, expected_bw);
-  });
-}
-
 TEST(Redistribute, IdentityIsNoop) {
-  Runtime::run(4, [](Comm& world) {
-    ProcGrid2D grid(world);
-    const auto a = gen::grid2d_9pt(8, 8);
-    DistSpMat mat(grid, a);
-    const auto moved =
-        redistribute_permuted(mat, sparse::identity_permutation(a.n()), grid);
-    EXPECT_EQ(moved.local_nnz(), mat.local_nnz());
-    for (index_t lc = 0; lc < mat.local_cols(); ++lc) {
-      const auto got = moved.column(lc);
-      const auto exp = mat.column(lc);
-      ASSERT_EQ(got.size(), exp.size());
-      for (std::size_t k = 0; k < got.size(); ++k) EXPECT_EQ(got[k], exp[k]);
-    }
-  });
+  // Identity labels: every rank's row slab equals the same rows of the
+  // input, global column ids ascending, values in lockstep.
+  const auto m = gen::with_laplacian_values(
+      gen::relabel_random(gen::grid2d(11, 13), 4), 0.02);
+  for (const int p : testing::rank_counts()) {
+    Runtime::run(p, [&](Comm& world) {
+      ProcGrid2D grid(world);
+      expect_rows_of(redistribute_to_row_blocks(
+                         m, sparse::identity_permutation(m.n()), grid),
+                     m, world);
+    });
+  }
 }
 
 TEST(Redistribute, BadLabelSizeThrows) {
   Runtime::run(1, [](Comm& world) {
     ProcGrid2D grid(world);
-    DistSpMat mat(grid, gen::path(6));
+    const auto m = gen::with_laplacian_values(gen::path(6), 0.02);
     std::vector<index_t> short_labels{0, 1, 2};
-    EXPECT_THROW(redistribute_permuted(mat, short_labels, grid), CheckError);
+    EXPECT_THROW(redistribute_to_row_blocks(m, short_labels, grid), CheckError);
+  });
+}
+
+TEST(Redistribute, PatternOnlyMatrixThrows) {
+  // The route feeds the solver: a pattern without values is rejected
+  // (unless it has no entries at all).
+  Runtime::run(1, [](Comm& world) {
+    ProcGrid2D grid(world);
+    const auto a = gen::path(6);
+    EXPECT_THROW(redistribute_to_row_blocks(
+                     a, sparse::identity_permutation(a.n()), grid),
+                 CheckError);
   });
 }
 

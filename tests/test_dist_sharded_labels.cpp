@@ -161,18 +161,5 @@ TEST(ShardedLabels, ResidentPeakStaysInsideTheShardedBudget) {
   }
 }
 
-TEST(ShardedLabels, RequiresTheOneShotRedistribution) {
-  const auto m = gen::with_laplacian_values(gen::grid2d(8, 8), 0.02);
-  const auto b = wavy_rhs(m.n());
-  DistRcmOptions options;
-  options.sharded_labels = true;
-  options.one_shot_redistribute = false;
-  EXPECT_THROW(Runtime::run(4,
-                            [&](Comm& world) {
-                              ordered_solve(world, m, b, true, options);
-                            }),
-               CheckError);
-}
-
 }  // namespace
 }  // namespace drcm::rcm

@@ -205,17 +205,12 @@ TEST(SortpermUnpack, RejectsTruncatedAndCorruptStreams) {
 
 TEST(SortpermCompaction, FusedOrderingOnPowerLawGraphStaysBitIdentical) {
   // End-to-end tie-down: the packed carry feeds the fused ordering level;
-  // on the same power-law graph the fused, unfused and serial orderings
-  // must still agree label for label.
+  // on the same power-law graph the distributed ordering must still agree
+  // with serial RCM label for label.
   const auto g = gen::rmat(7, 8, 5);
   const auto want = order::rcm_serial(g);
   for (const int p : {1, 4, 9}) {
-    for (const bool fuse : {true, false}) {
-      rcm::DistRcmOptions opt;
-      opt.fuse_ordering = fuse;
-      const auto run = rcm::run_dist_rcm(p, g, opt);
-      EXPECT_EQ(run.labels, want) << "p=" << p << " fuse=" << fuse;
-    }
+    EXPECT_EQ(rcm::run_dist_rcm(p, g).labels, want) << "p=" << p;
   }
 }
 

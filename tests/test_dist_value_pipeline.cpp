@@ -1,29 +1,20 @@
-// The value-carrying equivalence wall: numerical values must survive the
+// The value-carrying pipeline wall: numerical values must survive the
 // whole distributed pipeline bit for bit.
 //
-//  * redistribute_permuted on a value-carrying DistSpMat vs
-//    sparse::permute_symmetric on the gathered matrix, column for column;
-//  * dist_pcg on the distributed row blocks (DistSpMat -> to_row_blocks)
-//    vs the replicated-CSR overload: identical iteration counts, solutions
-//    equal to 1e-12;
-//  * the one-shot streaming redistribution (redistribute_to_row_blocks)
-//    vs the two-hop 2D-permute -> re-own chain: bit-identical RowBlockCsr
-//    slabs and bandwidth, at the block level and through the whole
-//    ordered_solve pipeline, across the extended {1,4,9,16} rank wall;
+//  * dist_pcg on the distributed row blocks (redistribute_to_row_blocks
+//    under identity labels) vs the replicated-CSR overload: identical
+//    iteration counts, solutions equal to 1e-12;
+//  * a fault-plan sweep over the one-shot redistribution: death or
+//    corruption at every collective terminates structured;
 //  * ordered_solve end to end: the one-call RCM -> permute -> CG pipeline
 //    reproduces the replicated path and keeps every rank's resident peak
 //    inside the O(nnz/p + n/p) ledger budget — the property both the
-//    gather-based path and the permuted-2D intermediate violate;
-//  * a fault-plan sweep over the fused collective: death or corruption at
-//    every collective of the one-shot step terminates structured.
-// Swept over the {1,4,9} simulated rank matrix — {1,4,9,16} for the
-// one-shot equivalence wall — with DRCM_TEST_RANKS pinning one cell, as
-// in CI.
+//    gather-based path and a permuted-2D intermediate would violate.
+// The one-shot block itself is checked against the serial permutation in
+// tests/test_dist_redistribute.cpp. Swept over the {1,4,9} simulated rank
+// matrix, with DRCM_TEST_RANKS pinning one cell, as in CI.
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
-#include <cstdint>
 #include <string>
 
 #include "dist/redistribute.hpp"
@@ -53,77 +44,6 @@ std::vector<double> wavy_rhs(index_t n) {
   return b;
 }
 
-TEST(ValueRedistribute, ValuesMatchSequentialPermutationColumnForColumn) {
-  for (const int p : testing::rank_counts()) {
-    for (const u64 seed : {2u, 9u}) {
-      const auto m =
-          gen::with_laplacian_values(gen::erdos_renyi(73, 5.0, seed), 0.02);
-      const auto labels = sparse::random_permutation(m.n(), seed + 50);
-      const auto want = sparse::permute_symmetric(m, labels);
-      Runtime::run(p, [&](Comm& world) {
-        ProcGrid2D grid(world);
-        DistSpMat mat(grid, m);
-        ASSERT_TRUE(mat.has_values());
-        const auto moved = redistribute_permuted(mat, labels, grid);
-        ASSERT_TRUE(moved.has_values());
-        DistSpMat reference(grid, want);
-        ASSERT_EQ(moved.local_nnz(), reference.local_nnz());
-        for (index_t lc = 0; lc < moved.local_cols(); ++lc) {
-          const auto got = moved.column(lc);
-          const auto exp = reference.column(lc);
-          const auto got_v = moved.column_values(lc);
-          const auto exp_v = reference.column_values(lc);
-          ASSERT_EQ(got.size(), exp.size()) << "p=" << p << " col " << lc;
-          for (std::size_t k = 0; k < got.size(); ++k) {
-            EXPECT_EQ(got[k], exp[k]);
-            // Values are moved, never recomputed: bitwise equality.
-            EXPECT_EQ(got_v[k], exp_v[k]);
-          }
-        }
-      });
-    }
-  }
-}
-
-TEST(ValueRedistribute, PatternOnlyInputStaysPatternOnly) {
-  Runtime::run(4, [](Comm& world) {
-    ProcGrid2D grid(world);
-    const auto a = gen::grid2d(9, 9);
-    DistSpMat mat(grid, a);
-    EXPECT_FALSE(mat.has_values());
-    const auto moved = redistribute_permuted(
-        mat, sparse::random_permutation(a.n(), 7), grid);
-    EXPECT_FALSE(moved.has_values());
-  });
-}
-
-TEST(ValueRedistribute, RowBlocksHoldExactlyTheMatrix) {
-  // 2D -> 1D re-owning: every rank's row slab must equal the same rows of
-  // the replicated matrix, global column ids ascending, values in lockstep.
-  for (const int p : testing::rank_counts()) {
-    const auto m = gen::with_laplacian_values(
-        gen::relabel_random(gen::grid2d(11, 13), 4), 0.02);
-    Runtime::run(p, [&](Comm& world) {
-      ProcGrid2D grid(world);
-      DistSpMat mat(grid, m);
-      const auto block = to_row_blocks(mat, world);
-      EXPECT_EQ(block.lo, row_block_lo(m.n(), p, world.rank()));
-      EXPECT_EQ(block.hi, row_block_lo(m.n(), p, world.rank() + 1));
-      for (index_t g = block.lo; g < block.hi; ++g) {
-        const auto got = block.row(g);
-        const auto exp = m.row(g);
-        const auto got_v = block.row_values(g);
-        const auto exp_v = m.row_values(g);
-        ASSERT_EQ(got.size(), exp.size()) << "p=" << p << " row " << g;
-        for (std::size_t k = 0; k < got.size(); ++k) {
-          EXPECT_EQ(got[k], exp[k]);
-          EXPECT_EQ(got_v[k], exp_v[k]);
-        }
-      }
-    });
-  }
-}
-
 TEST(DistributedCg, MatchesTheReplicatedOverloadExactly) {
   // Same world, both overloads back to back: the distributed row-block
   // build must reproduce the replicated slicing bit for bit — identical
@@ -143,8 +63,10 @@ TEST(DistributedCg, MatchesTheReplicatedOverloadExactly) {
         const auto rep = solver::dist_pcg(world, m, b, x_rep, precondition, opt);
 
         ProcGrid2D grid(world);
-        DistSpMat mat(grid, m);
-        const auto block = to_row_blocks(mat, world);
+        const auto block =
+            redistribute_to_row_blocks(
+                m, sparse::identity_permutation(m.n()), grid)
+                .block;
         const auto b_local =
             std::span<const double>(b).subspan(
                 static_cast<std::size_t>(block.lo),
@@ -170,78 +92,6 @@ TEST(DistributedCg, MatchesTheReplicatedOverloadExactly) {
               << "the slab is the owned slice of the gathered solution";
         }
       });
-    }
-  }
-}
-
-TEST(OneShotRedistribute, BitIdenticalToTwoHopAcrossTheRankWall) {
-  // The tentpole equivalence: the fused permute + re-own streaming
-  // redistribution must reproduce the two-hop 2D-permute -> to_row_blocks
-  // chain BIT FOR BIT — same row partition, same row_ptr/cols, values
-  // identical at the u64 bit-pattern level — and its folded bandwidth must
-  // equal the serial bandwidth of the relabeled pattern. Swept over the
-  // extended {1,4,9,16} rank wall: p = 16 is the first size where the 1D
-  // row cut is strictly finer than every 2D chunk cut.
-  for (const int p : testing::rank_counts_wall()) {
-    for (const u64 seed : {3u, 14u}) {
-      const auto m = gen::with_laplacian_values(
-          gen::relabel_random(gen::grid2d(19, 23), seed), 0.02);
-      const auto labels = sparse::random_permutation(m.n(), seed + 100);
-      const auto want_bw =
-          sparse::bandwidth_with_labels(m.strip_diagonal(), labels);
-      Runtime::run(p, [&](Comm& world) {
-        ProcGrid2D grid(world);
-        const auto fused = redistribute_to_row_blocks(m, labels, grid);
-
-        DistSpMat mat(grid, m);
-        const auto moved = redistribute_permuted(mat, labels, grid);
-        const auto block = to_row_blocks(moved, world);
-
-        EXPECT_EQ(fused.bandwidth, want_bw) << "p=" << p << " seed=" << seed;
-        EXPECT_EQ(fused.block.n, block.n);
-        EXPECT_EQ(fused.block.lo, block.lo);
-        EXPECT_EQ(fused.block.hi, block.hi);
-        EXPECT_EQ(fused.block.row_ptr, block.row_ptr);
-        EXPECT_EQ(fused.block.cols, block.cols);
-        ASSERT_EQ(fused.block.vals.size(), block.vals.size());
-        for (std::size_t k = 0; k < block.vals.size(); ++k) {
-          EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.block.vals[k]),
-                    std::bit_cast<std::uint64_t>(block.vals[k]))
-              << "p=" << p << " seed=" << seed << " entry " << k;
-        }
-      });
-    }
-  }
-}
-
-TEST(OneShotRedistribute, PipelineKnobChangesTheRouteAndNothingElse) {
-  // ordered_solve under both settings of one_shot_redistribute: identical
-  // labels, identical permuted bandwidth, identical CG iteration counts and
-  // bitwise-identical solutions. The knob may only change HOW the matrix
-  // travels, never what arrives.
-  for (const int p : testing::rank_counts_wall()) {
-    const auto m = gen::with_laplacian_values(
-        gen::relabel_random(gen::grid2d(17, 18), 9), 0.02);
-    const auto b = wavy_rhs(m.n());
-    solver::CgOptions opt;
-    opt.rtol = 1e-8;
-    rcm::DistRcmOptions one_shot;
-    one_shot.one_shot_redistribute = true;
-    rcm::DistRcmOptions two_hop;
-    two_hop.one_shot_redistribute = false;
-
-    const auto a = rcm::run_ordered_solve(p, m, b, true, one_shot, opt);
-    const auto c = rcm::run_ordered_solve(p, m, b, true, two_hop, opt);
-    ASSERT_TRUE(a.result.cg.converged);
-    ASSERT_TRUE(c.result.cg.converged);
-    EXPECT_EQ(a.result.labels, c.result.labels) << "p=" << p;
-    EXPECT_EQ(a.result.permuted_bandwidth, c.result.permuted_bandwidth);
-    EXPECT_EQ(a.result.cg.iterations, c.result.cg.iterations) << "p=" << p;
-    ASSERT_EQ(a.result.x.size(), c.result.x.size());
-    for (std::size_t i = 0; i < a.result.x.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.result.x[i]),
-                std::bit_cast<std::uint64_t>(c.result.x[i]))
-          << "p=" << p << " component " << i;
     }
   }
 }

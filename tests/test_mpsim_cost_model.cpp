@@ -305,28 +305,18 @@ TEST(CrossingLedger, OrderedSolvePerformsExactlyOneMatrixRedistribution) {
   // in an ordered_solve is ONE fused matrix alltoallv (2 crossings), the
   // folded bandwidth allreduce (2) and the rhs slab alltoallv (2) — six
   // crossings total, with the grid's communicator splits deliberately
-  // constructed outside the phase. The legacy two-hop route pays one more
-  // alltoallv (the permuted-2D hop) for eight. Any second matrix
-  // redistribution sneaking into the pipeline moves these exact counts.
+  // constructed outside the phase. Any second matrix redistribution
+  // sneaking into the pipeline moves this exact count.
   const auto a = sparse::gen::with_laplacian_values(
       sparse::gen::relabel_random(sparse::gen::grid2d(10, 10), 3), 0.02);
   std::vector<double> b(static_cast<std::size_t>(a.n()));
   for (std::size_t i = 0; i < b.size(); ++i) {
     b[i] = 1.0 + static_cast<double>(i % 7);
   }
-  rcm::DistRcmOptions one_shot;
-  one_shot.one_shot_redistribute = true;
-  const auto fused = rcm::run_ordered_solve(4, a, b, true, one_shot);
-  EXPECT_EQ(fused.report.aggregate(Phase::kRedistribute).max.barrier_crossings,
+  const auto run = rcm::run_ordered_solve(4, a, b);
+  EXPECT_EQ(run.report.aggregate(Phase::kRedistribute).max.barrier_crossings,
             6u)
       << "one-shot: matrix alltoallv + bandwidth allreduce + rhs alltoallv";
-
-  rcm::DistRcmOptions two_hop;
-  two_hop.one_shot_redistribute = false;
-  const auto legacy = rcm::run_ordered_solve(4, a, b, true, two_hop);
-  EXPECT_EQ(legacy.report.aggregate(Phase::kRedistribute).max.barrier_crossings,
-            8u)
-      << "two-hop: permute alltoallv + allreduce + re-own + rhs alltoallv";
 }
 
 TEST(CrossingLedger, StandaloneSortpermCarriesThePackedHistogram) {
