@@ -1,14 +1,13 @@
 #include "mpsim/comm.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstring>
 #include <functional>
 #include <map>
 #include <mutex>
 
+#include "mpsim/barrier.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/internal.hpp"
 
@@ -18,100 +17,45 @@ namespace drcm::mps {
 // BarrierRegistry: lets the runtime tear down every communicator (including
 // splits created mid-run) when one rank fails, so surviving ranks blocked in
 // a collective throw PoisonedError instead of deadlocking. It also carries
-// the watchdog configuration every barrier consults: a wall-clock budget and
-// a diagnostic callback (the runtime's per-rank last-entered table).
+// what every barrier of the run shares: the wait policy Runtime::run chose
+// once for the whole run (split sub-communicators inherit it), and the
+// watchdog configuration: a wall-clock budget and a diagnostic callback (the
+// runtime's per-rank last-entered table).
 
 class BarrierRegistry {
  public:
-  void register_barrier(const std::shared_ptr<PoisonableBarrier>& b);
-  void poison_all();
+  explicit BarrierRegistry(WaitPolicy policy) : policy_(policy) {}
+
+  std::shared_ptr<PoisonableBarrier> make_barrier(int n) {
+    auto b = std::make_shared<PoisonableBarrier>(n, policy_, &watchdog_);
+    std::lock_guard<std::mutex> lock(mu_);
+    barriers_.push_back(b);
+    if (poisoned_) b->poison();
+    return b;
+  }
+
+  void poison_all() {
+    std::lock_guard<std::mutex> lock(mu_);
+    poisoned_ = true;
+    for (auto& weak : barriers_) {
+      if (auto b = weak.lock()) b->poison();
+    }
+  }
 
   /// Called by Runtime::run BEFORE any rank thread starts (thread creation
   /// provides the happens-before; no locking needed on the read side).
   void configure_watchdog(double seconds, std::function<std::string()> diag) {
-    watchdog_seconds_ = seconds;
-    diagnostic_ = std::move(diag);
-  }
-
-  double watchdog_seconds() const { return watchdog_seconds_; }
-  std::string diagnostic() const {
-    return diagnostic_ ? diagnostic_() : std::string();
+    watchdog_.seconds = seconds;
+    watchdog_.diagnostic = std::move(diag);
   }
 
  private:
+  const WaitPolicy policy_;
+  Watchdog watchdog_;
   std::mutex mu_;
   bool poisoned_ = false;
   std::vector<std::weak_ptr<PoisonableBarrier>> barriers_;
-  double watchdog_seconds_ = 0.0;
-  std::function<std::string()> diagnostic_;
 };
-
-class PoisonableBarrier {
- public:
-  explicit PoisonableBarrier(int n, const BarrierRegistry* registry)
-      : n_(n), registry_(registry) {}
-
-  void arrive_and_wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (poisoned_) throw PoisonedError{};
-    const std::uint64_t my_generation = generation_;
-    if (++waiting_ == n_) {
-      waiting_ = 0;
-      ++generation_;
-      cv_.notify_all();
-      return;
-    }
-    const double budget = registry_ ? registry_->watchdog_seconds() : 0.0;
-    if (budget <= 0.0) {
-      cv_.wait(lock, [&] { return generation_ != my_generation || poisoned_; });
-    } else if (!cv_.wait_for(
-                   lock, std::chrono::duration<double>(budget),
-                   [&] { return generation_ != my_generation || poisoned_; })) {
-      // Watchdog: the communicator never completed within budget — some
-      // member is stalled (or exited without arriving). Kill this barrier
-      // so fellow waiters throw PoisonedError, then report who got where;
-      // the runtime's poisoning cascade reaches every other communicator.
-      poisoned_ = true;
-      cv_.notify_all();
-      lock.unlock();
-      throw WatchdogTimeoutError(
-          "barrier watchdog fired: communicator incomplete after " +
-          std::to_string(budget) + "s\n" +
-          (registry_ ? registry_->diagnostic() : std::string()));
-    }
-    if (generation_ == my_generation && poisoned_) throw PoisonedError{};
-  }
-
-  void poison() {
-    std::lock_guard<std::mutex> lock(mu_);
-    poisoned_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  const int n_;
-  const BarrierRegistry* registry_;
-  int waiting_ = 0;
-  std::uint64_t generation_ = 0;
-  bool poisoned_ = false;
-  std::mutex mu_;
-  std::condition_variable cv_;
-};
-
-void BarrierRegistry::register_barrier(
-    const std::shared_ptr<PoisonableBarrier>& b) {
-  std::lock_guard<std::mutex> lock(mu_);
-  barriers_.push_back(b);
-  if (poisoned_) b->poison();
-}
-
-void BarrierRegistry::poison_all() {
-  std::lock_guard<std::mutex> lock(mu_);
-  poisoned_ = true;
-  for (auto& weak : barriers_) {
-    if (auto b = weak.lock()) b->poison();
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Collective tags: every collective entry publishes (op, phase, per-rank
@@ -163,7 +107,7 @@ class CommContext {
   CommContext(int size, std::shared_ptr<BarrierRegistry> registry)
       : size_(size),
         registry_(std::move(registry)),
-        barrier_(std::make_shared<PoisonableBarrier>(size, registry_.get())),
+        barrier_(registry_->make_barrier(size)),
         ptr_(static_cast<std::size_t>(size), nullptr),
         cnt_(static_cast<std::size_t>(size), 0),
         ptr_arr_(static_cast<std::size_t>(size), nullptr),
@@ -185,7 +129,6 @@ class CommContext {
         tags_(static_cast<std::size_t>(size)),
         tag_seq_(static_cast<std::size_t>(size), 0) {
     for (auto& t : tags_) t.store(0, std::memory_order_relaxed);
-    if (registry_) registry_->register_barrier(barrier_);
   }
 
   int size() const { return size_; }
@@ -314,8 +257,8 @@ std::shared_ptr<CommContext> make_comm_context(
   return std::make_shared<CommContext>(size, registry);
 }
 
-std::shared_ptr<BarrierRegistry> make_barrier_registry() {
-  return std::make_shared<BarrierRegistry>();
+std::shared_ptr<BarrierRegistry> make_barrier_registry(WaitPolicy policy) {
+  return std::make_shared<BarrierRegistry>(policy);
 }
 
 void poison_all_barriers(BarrierRegistry& registry) { registry.poison_all(); }

@@ -6,16 +6,19 @@
 #include <memory>
 #include <string>
 
+#include "mpsim/barrier.hpp"
+
 namespace drcm::mps {
 
 class CommContext;
 class BarrierRegistry;
-class PoisonableBarrier;
 
 std::shared_ptr<CommContext> make_comm_context(
     int size, const std::shared_ptr<BarrierRegistry>& registry);
 
-std::shared_ptr<BarrierRegistry> make_barrier_registry();
+/// Every barrier created through the registry (the world communicator's
+/// and every split's) waits under `policy`.
+std::shared_ptr<BarrierRegistry> make_barrier_registry(WaitPolicy policy);
 void poison_all_barriers(BarrierRegistry& registry);
 
 /// Arm the barrier watchdog: any barrier that stays incomplete for `seconds`

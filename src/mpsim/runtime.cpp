@@ -90,7 +90,10 @@ SpmdReport Runtime::run(int nranks, const std::function<void(Comm&)>& body,
   DRCM_CHECK(options.threads_per_rank >= 1,
              "need at least one thread per rank");
   const MachineParams& machine = options.machine;
-  auto registry = make_barrier_registry();
+  // Decided once per run: spin only when every rank thread (and each
+  // rank's node-level workers) can own a core.
+  auto registry = make_barrier_registry(choose_wait_policy(
+      nranks, options.threads_per_rank, usable_cores()));
   auto world_ctx = make_comm_context(nranks, registry);
   const CostModel model(machine);
 

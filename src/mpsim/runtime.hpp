@@ -72,7 +72,9 @@ class Runtime {
   /// Comm::threads() reports it, the node-level kernels split their local
   /// loops across that many OpenMP threads, and modeled compute time is
   /// divided accordingly (communication is performed by one thread per
-  /// rank, as in the paper's hybrid implementation).
+  /// rank, as in the paper's hybrid implementation). Barrier waiters spin
+  /// briefly before sleeping only when `nranks × threads_per_rank` fits
+  /// the usable cores (mpsim/barrier.hpp).
   static SpmdReport run(int nranks, const std::function<void(Comm&)>& body,
                         const MachineParams& machine = {},
                         int threads_per_rank = 1);

@@ -56,14 +56,17 @@ bool is_permutation(const std::vector<index_t>& labels, index_t n) {
   return true;
 }
 
-/// One rank's ordering-phase wall: the cost a cache entry remembers for
-/// cost/recency eviction (same five phases as mps::ordering_crossings).
-double ordering_wall(const mps::StatsRecorder& stats) {
-  return stats.phase(mps::Phase::kPeripheralSpmspv).wall_seconds +
-         stats.phase(mps::Phase::kPeripheralOther).wall_seconds +
-         stats.phase(mps::Phase::kOrderingSpmspv).wall_seconds +
-         stats.phase(mps::Phase::kOrderingSort).wall_seconds +
-         stats.phase(mps::Phase::kOrderingOther).wall_seconds;
+/// One rank's modeled ordering-phase seconds: the cost a cache entry
+/// remembers for cost/recency eviction (same five phases as
+/// mps::ordering_crossings). Modeled rather than measured, so the score is
+/// a deterministic function of the input: a preempted rank cannot make a
+/// cheap ordering outrank an expensive one.
+double ordering_model_seconds(const mps::StatsRecorder& stats) {
+  return stats.phase(mps::Phase::kPeripheralSpmspv).model_total() +
+         stats.phase(mps::Phase::kPeripheralOther).model_total() +
+         stats.phase(mps::Phase::kOrderingSpmspv).model_total() +
+         stats.phase(mps::Phase::kOrderingSort).model_total() +
+         stats.phase(mps::Phase::kOrderingOther).model_total();
 }
 
 }  // namespace
@@ -494,8 +497,8 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
               !requests[req].rcm.load_balance && !entry.recipe.empty() &&
               entry.spec.algorithm == rcm::OrderingAlgorithm::kRcm;
           for (const auto& rank_stats : resp.report.ranks) {
-            entry.cost_wall =
-                std::max(entry.cost_wall, ordering_wall(rank_stats));
+            entry.cost_model_seconds = std::max(
+                entry.cost_model_seconds, ordering_model_seconds(rank_stats));
           }
           to_insert.emplace_back(salted[req], std::move(entry));
         }
@@ -622,7 +625,7 @@ void ReorderingService::cache_insert(const PatternFingerprint& fp,
   // twins were served from.
   if (cache_.find(fp) != cache_.end()) return;
   while (cache_.size() >= options_.cache_capacity) {
-    // Cost/recency eviction: the victim minimizes cost_wall / age
+    // Cost/recency eviction: the victim minimizes cost_model_seconds / age
     // (age in ticks since last insert-or-hit), ties to least recently
     // used — an expensive ordering outlives a stream of cheap one-offs.
     // Pinned entries (served to the batch in flight) are exempt; when
@@ -634,7 +637,7 @@ void ReorderingService::cache_insert(const PatternFingerprint& fp,
       if (pinned.find(it->first) != pinned.end()) continue;
       const double age =
           static_cast<double>(tick_ - it->second.last_use_tick) + 1.0;
-      const double score = it->second.cost_wall / age;
+      const double score = it->second.cost_model_seconds / age;
       if (victim == cache_.end() || score < victim_score ||
           (score == victim_score &&
            it->second.last_use_tick < victim->second.last_use_tick)) {

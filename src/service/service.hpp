@@ -214,9 +214,10 @@ class ReorderingService {
     /// entry can seed dist_rcm_repair. Only kRcm entries qualify (Sloan
     /// and GPS runs capture no recipe).
     bool repair_eligible = false;
-    /// Max over lane ranks of the ordering-phase wall that produced the
-    /// labels — the numerator of the cost/recency eviction score.
-    double cost_wall = 0.0;
+    /// Max over lane ranks of the modeled ordering-phase seconds that
+    /// produced the labels — the numerator of the cost/recency eviction
+    /// score. Modeled, not measured, so eviction order is deterministic.
+    double cost_model_seconds = 0.0;
     /// Logical clock of the last insert-or-hit (eviction recency).
     std::uint64_t last_use_tick = 0;
   };

@@ -126,7 +126,10 @@ BlockJacobi::Block BlockJacobi::factor_block(const sparse::CsrMatrix& a,
 void BlockJacobi::apply(std::span<const double> r, std::span<double> z) const {
   DRCM_CHECK(r.size() == z.size(), "apply dimension mismatch");
   const auto nb = static_cast<std::int64_t>(blocks_.size());
-#pragma omp parallel for schedule(dynamic, 1)
+  // A single block (dist_pcg's one block per rank) runs on the calling
+  // thread: forking a team there would park idle OpenMP workers on the
+  // cores the other rank threads need, once per CG iteration.
+#pragma omp parallel for schedule(dynamic, 1) if (nb > 1)
   for (std::int64_t b = 0; b < nb; ++b) {
     const Block& blk = blocks_[static_cast<std::size_t>(b)];
     const index_t m = blk.hi - blk.lo;

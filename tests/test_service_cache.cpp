@@ -266,8 +266,8 @@ TEST(ServiceCache, SteadyStateStreamRunsWithoutReallocationOrOrderingWork) {
 }
 
 TEST(ServiceCache, CostRecencyEvictionKeepsTheExpensiveEntry) {
-  // Capacity 2 with cost/recency eviction: BIG's ordering wall is orders
-  // of magnitude above the small patterns', so when a third entry needs a
+  // Capacity 2 with cost/recency eviction: BIG's modeled ordering cost is
+  // orders of magnitude above the small patterns', so when a third entry needs a
   // slot the victim is the cheap older entry — under the old FIFO policy
   // BIG (first in) would have been thrown away and recomputed.
   const auto big = gen::with_laplacian_values(
