@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "bench/suite.hpp"
-#include "rcm/rcm_driver.hpp"
 #include "rcm/trace_model.hpp"
 #include "sparse/generators.hpp"
 
@@ -66,40 +65,10 @@ int main(int argc, char** argv) {
     std::printf("  nnz %10lld -> crossover at %d cores\n",
                 static_cast<long long>(cube.nnz()), crossover);
   }
-  // Accumulator arm split inside the fused kernel: real p=4 runs of the
-  // two headline matrices with each arm pinned (the DistRcmOptions /
-  // DRCM_SPMSPV_ACC override) versus the degree-aware auto-select. All
-  // three produce bit-identical orderings; only the charged SpMSpV phase
-  // moves. Auto follows the MEASURED BENCH_1.json crossover (edges vs
-  // local_rows/8), so on high-diameter matrices it leans sort-merge even
-  // where the model's pessimistic log-factor charge favors the SPA.
-  std::printf("\nfused-kernel accumulator arms, charged SpMSpV seconds "
-              "(real p=4 runs, scale 1):\n");
-  const auto small = bench::make_suite(1.0);
-  for (int i = 0; i < 2; ++i) {
-    const auto& e = small[static_cast<std::size_t>(i)];
-    std::printf("  %-12s", e.name.c_str());
-    for (const auto [label, acc] :
-         {std::pair{"spa", drcm::dist::SpmspvAccumulator::kSpa},
-          std::pair{"sortmerge", drcm::dist::SpmspvAccumulator::kSortMerge},
-          std::pair{"auto", drcm::dist::SpmspvAccumulator::kAuto}}) {
-      rcm::DistRcmOptions opt;
-      opt.accumulator = acc;
-      const auto run = rcm::run_dist_rcm(4, e.pattern, opt);
-      double spmspv = 0;
-      spmspv +=
-          run.report.aggregate(mps::Phase::kPeripheralSpmspv).max.model_total();
-      spmspv +=
-          run.report.aggregate(mps::Phase::kOrderingSpmspv).max.model_total();
-      std::printf("  %s %.4fs", label, spmspv);
-    }
-    std::printf("\n");
-  }
   std::printf("\nshape check: high-diameter stand-ins (shell3d, kkt_mesh) "
               "cross over earlier than low-diameter ones; crossover moves "
               "right as matrices grow (the paper's matrices are 100-400x "
               "larger, placing their crossovers at hundreds to thousands "
-              "of cores); dense-frontier matrices run the SPA arm under "
-              "auto-select, and either arm can be pinned for ablation.\n");
+              "of cores).\n");
   return 0;
 }

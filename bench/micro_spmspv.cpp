@@ -29,8 +29,7 @@ std::vector<dist::VecEntry> frontier_of(index_t count, index_t n) {
   return f;
 }
 
-template <dist::SpmspvAccumulator kAcc>
-void spmspv_local_arm(benchmark::State& state) {
+void BM_SpmspvLocal(benchmark::State& state) {
   const auto& a = test_matrix();
   const auto frontier = frontier_of(state.range(0), a.n());
   for (auto _ : state) {
@@ -39,22 +38,14 @@ void spmspv_local_arm(benchmark::State& state) {
       dist::DistSpMat mat(grid, a);
       dist::DistSpVec x(mat.vec_dist(), grid);
       x.assign(frontier);
-      auto y = dist::spmspv_select2nd_min(mat, x, grid, kAcc);
+      auto y = dist::spmspv_select2nd_min(mat, x, grid);
       benchmark::DoNotOptimize(y.entries().data());
     });
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(frontier.size()));
 }
-
-void BM_SpmspvLocal(benchmark::State& state) {
-  spmspv_local_arm<dist::SpmspvAccumulator::kSpa>(state);
-}
-void BM_SpmspvLocalSortMerge(benchmark::State& state) {
-  spmspv_local_arm<dist::SpmspvAccumulator::kSortMerge>(state);
-}
 BENCHMARK(BM_SpmspvLocal)->Arg(16)->Arg(256)->Arg(4096)->Iterations(10);
-BENCHMARK(BM_SpmspvLocalSortMerge)->Arg(16)->Arg(256)->Arg(4096)->Iterations(10);
 
 void BM_SpmspvGrid4(benchmark::State& state) {
   const auto& a = test_matrix();

@@ -193,6 +193,12 @@ class DistSpVec {
     return out;
   }
 
+  /// Sets every local value to `v` in place; the indices — and with them
+  /// the storage invariant — are untouched.
+  void fill_values(index_t v) {
+    for (auto& e : entries_) e.val = v;
+  }
+
   const std::vector<VecEntry>& entries() const { return entries_; }
   index_t local_nnz() const { return static_cast<index_t>(entries_.size()); }
 

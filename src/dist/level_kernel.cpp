@@ -1,10 +1,12 @@
 #include "dist/level_kernel.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/timer.hpp"
 #include "dist/primitives.hpp"
 #include "dist/sortperm.hpp"
+#include "dist/spmspv.hpp"
 
 namespace drcm::dist {
 
@@ -31,14 +33,14 @@ std::vector<VecEntry>& publish_set(const DistSpVec& frontier,
 /// Stage 2: local block multiply into per-row partial minima, then route
 /// each partial straight to the owner of its element — the step that
 /// replaces the row-merge alltoallv + transpose pairwise exchange of the
-/// unfused kernel.
+/// unfused kernel. The owner min-merges in stamped slots, so the partials
+/// travel in whatever order the multiply emitted them.
 void route_partials(const DistSpMat& a, const std::vector<VecEntry>& gathered,
                     std::vector<std::vector<VecEntry>>& route,
-                    SpmspvAccumulator acc, mps::Comm& world, DistWorkspace& w,
-                    SpmspvAccumulator* used) {
+                    mps::Comm& world, DistWorkspace& w) {
   double work = 0;
-  const auto& partial = spmspv_local_multiply(a, gathered, acc, w, &work, used,
-                                              world.threads());
+  const auto& partial =
+      spmspv_local_multiply(a, gathered, w, &work, world.threads());
   const auto& dist = a.vec_dist();
   for (const auto& e : partial) {
     route[static_cast<std::size_t>(dist.owner_rank(e.idx))].push_back(e);
@@ -46,10 +48,11 @@ void route_partials(const DistSpMat& a, const std::vector<VecEntry>& gathered,
   world.charge_compute(work + static_cast<double>(partial.size()));
 }
 
-/// Owner merge: min-combine the ≤ q partial lists over my owned range with
-/// the stamped slot array, then SELECT right here, where the dense vector
-/// lives: append (ascending by construction) only the elements whose dense
-/// value equals `keep_sentinel` to `kept`.
+/// Owner merge: min-combine the <= q partial lists over my owned range in
+/// the stamped slot array, recording each slot the first time it fills,
+/// then SELECT right here, where the dense vector lives: test only the
+/// filled slots against `keep_sentinel` and append the survivors to
+/// `kept`, sorted ascending by index (DistSpVec's storage order).
 void merge_and_select(const std::vector<VecEntry>& received,
                       const DistDenseVec& dense, index_t keep_sentinel,
                       mps::Comm& world, mps::Phase other_phase,
@@ -57,23 +60,28 @@ void merge_and_select(const std::vector<VecEntry>& received,
   const index_t lo = dense.lo();
   const index_t hi = dense.hi();
   auto& slots = w.merge_slots(static_cast<std::size_t>(hi - lo));
+  auto& touched = w.merge_touched();
   for (const auto& e : received) {
     // Receive-path range check (always on): the entries arrived over the
     // wire, so a corrupted index must stop here as a CheckError, not as an
     // out-of-bounds slot write.
     DRCM_CHECK(e.idx >= lo && e.idx < hi, "partial routed to non-owner");
-    slots.put_min(static_cast<std::size_t>(e.idx - lo), e.val);
+    if (slots.put_min(static_cast<std::size_t>(e.idx - lo), e.val)) {
+      touched.push_back(e.idx - lo);
+    }
   }
   world.charge_compute(static_cast<double>(received.size()));
   const auto prev = world.set_phase(other_phase);
-  for (index_t g = lo; g < hi; ++g) {
-    const auto s = static_cast<std::size_t>(g - lo);
-    if (slots.live(s) && dense.get(g) == keep_sentinel) {
-      kept.push_back(VecEntry{g, slots.val[s]});
+  for (const index_t s : touched) {
+    const index_t g = lo + s;
+    if (dense.get(g) == keep_sentinel) {
+      kept.push_back(VecEntry{g, slots.val[static_cast<std::size_t>(s)]});
     }
   }
-  world.charge_compute(kScanUnit * static_cast<double>(hi - lo) +
-                       static_cast<double>(kept.size()));
+  std::sort(kept.begin(), kept.end(), idx_less);
+  const auto k = static_cast<double>(kept.size());
+  world.charge_compute(static_cast<double>(touched.size()) +
+                       k * std::log2(k + 1.0));
   world.set_phase(prev);
 }
 
@@ -83,7 +91,7 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
                                const DistDenseVec& dense,
                                index_t keep_sentinel, ProcGrid2D& grid,
                                mps::Phase spmspv_phase, mps::Phase other_phase,
-                               SpmspvAccumulator acc, DistWorkspace* ws) {
+                               DistWorkspace* ws) {
   DRCM_CHECK(frontier.dist() == a.vec_dist(),
              "frontier distribution does not match the matrix");
   DRCM_CHECK(dense.dist() == a.vec_dist(),
@@ -104,7 +112,7 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
       w.recv_scratch(),
       [&](const std::vector<VecEntry>& gathered,
           std::vector<std::vector<VecEntry>>& route) {
-        route_partials(a, gathered, route, acc, world, w, &res.used);
+        route_partials(a, gathered, route, world, w);
       },
       [&](const std::vector<VecEntry>& received) -> std::int64_t {
         merge_and_select(received, dense, keep_sentinel, world, other_phase,
@@ -119,7 +127,7 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
 LevelStepResult bfs_level_step_unfused(
     const DistSpMat& a, const DistSpVec& frontier, const DistDenseVec& dense,
     index_t keep_sentinel, ProcGrid2D& grid, mps::Phase spmspv_phase,
-    mps::Phase other_phase, SpmspvAccumulator acc, DistWorkspace* ws) {
+    mps::Phase other_phase, DistWorkspace* ws) {
   auto& world = grid.world();
   DistWorkspace& w = ws ? *ws : grid.workspace();
 
@@ -132,7 +140,7 @@ LevelStepResult bfs_level_step_unfused(
   DistSpVec expanded;
   {
     mps::PhaseScope scope(world, spmspv_phase);
-    expanded = spmspv_select2nd_min(a, cur, grid, acc, &w, &res.used);
+    expanded = spmspv_select2nd_min(a, cur, grid, &w);
   }
   {
     mps::PhaseScope scope(world, other_phase);
@@ -147,8 +155,7 @@ CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
                             index_t label_lo, index_t label_hi,
                             index_t next_label, ProcGrid2D& grid,
                             mps::Phase spmspv_phase, mps::Phase sort_phase,
-                            mps::Phase other_phase, SpmspvAccumulator acc,
-                            DistWorkspace* ws) {
+                            mps::Phase other_phase, DistWorkspace* ws) {
   DRCM_CHECK(frontier.dist() == a.vec_dist(),
              "frontier distribution does not match the matrix");
   DRCM_CHECK(labels.dist() == a.vec_dist(),
@@ -194,7 +201,7 @@ CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
           w.entry_route(static_cast<std::size_t>(p)), w.rank_recv_scratch(),
           [&](const std::vector<VecEntry>& gathered,
               std::vector<std::vector<VecEntry>>& route) {
-            route_partials(a, gathered, route, acc, world, w, &res.used);
+            route_partials(a, gathered, route, world, w);
           },
           [&](const std::vector<VecEntry>& received,
               std::vector<index_t>& carry) -> std::int64_t {
@@ -278,10 +285,9 @@ CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
             world.set_phase(prev);
           }));
 
-  // Callbacks may have left the phase on the sort bucket; restore it, then
-  // split the measured wall: the sampled SORTPERM seconds go to the sort
-  // ledger, the rest of the collective to SpMSpV.
-  world.set_phase(spmspv_phase);
+  // Callbacks may have left the phase on the sort bucket; restore the
+  // caller's, then split the measured wall: the sampled SORTPERM seconds go
+  // to the sort ledger, the rest of the collective to SpMSpV.
   world.set_phase(prev_phase);
   const double total_wall = level_timer.seconds();
   world.stats().add_wall(sort_phase, sort_wall);
@@ -295,15 +301,14 @@ CmLevelResult cm_level_step_unfused(
     const DistDenseVec& degrees, index_t label_lo, index_t label_hi,
     index_t next_label, ProcGrid2D& grid, mps::Phase spmspv_phase,
     mps::Phase sort_phase, mps::Phase other_phase, bool sample_sort,
-    SpmspvAccumulator acc, DistWorkspace* ws) {
+    DistWorkspace* ws) {
   auto& world = grid.world();
 
   CmLevelResult res;
   auto step = bfs_level_step(a, frontier, labels, kNoVertex, grid,
-                             spmspv_phase, other_phase, acc, ws);
+                             spmspv_phase, other_phase, ws);
   res.next = std::move(step.next);
   res.global_nnz = step.global_nnz;
-  res.used = step.used;
   if (res.global_nnz == 0) return res;
 
   // Rnext <- SORTPERM(Lnext, D) + next_label.

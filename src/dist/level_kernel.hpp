@@ -16,15 +16,17 @@
 //     alltoallv + transpose pairwise exchange of the unfused kernel and
 //     lets SELECT run where the dense vector already lives.
 //
-// Both paths are bit-identical by construction — min over parents,
-// emission in ascending index order — which
-// tests/test_dist_level_kernel_equivalence.cpp enforces on randomized
-// graphs, rank counts and both accumulator arms.
+// The fused level is OUTPUT-SENSITIVE: stage 2 emits only the rows its
+// SPA touched, and the owner merge tests only the slots it filled before
+// sorting the kept level — O(frontier edges + |next| log |next|) per rank,
+// with no pass over the owned range. Both paths are bit-identical by
+// construction — min over parents, emission in ascending index order —
+// which tests/test_dist_level_kernel_equivalence.cpp enforces on
+// randomized graphs at every rank x thread count.
 #pragma once
 
 #include "dist/dist_matrix.hpp"
 #include "dist/dist_vector.hpp"
-#include "dist/spmspv.hpp"
 #include "dist/workspace.hpp"
 #include "mpsim/stats.hpp"
 
@@ -38,8 +40,6 @@ struct LevelStepResult {
   /// Exact global nnz of `next` (the emptiness test), identical on every
   /// rank.
   index_t global_nnz = 0;
-  /// The accumulator arm stage 2 actually ran after kAuto resolution.
-  SpmspvAccumulator used = SpmspvAccumulator::kSpa;
 };
 
 /// One fused BFS level: y = SELECT(SPMSPV(A, SET(x, dense)), dense ==
@@ -52,7 +52,6 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
                                const DistDenseVec& dense,
                                index_t keep_sentinel, ProcGrid2D& grid,
                                mps::Phase spmspv_phase, mps::Phase other_phase,
-                               SpmspvAccumulator acc = SpmspvAccumulator::kAuto,
                                DistWorkspace* ws = nullptr);
 
 /// The reference chain: the same level computed with the four unfused
@@ -63,8 +62,7 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
 LevelStepResult bfs_level_step_unfused(
     const DistSpMat& a, const DistSpVec& frontier, const DistDenseVec& dense,
     index_t keep_sentinel, ProcGrid2D& grid, mps::Phase spmspv_phase,
-    mps::Phase other_phase, SpmspvAccumulator acc = SpmspvAccumulator::kAuto,
-    DistWorkspace* ws = nullptr);
+    mps::Phase other_phase, DistWorkspace* ws = nullptr);
 
 /// Result of one fused (or reference-unfused) ORDERING level: the BFS level
 /// step above plus SORTPERM plus the label scatter of Algorithm 3.
@@ -73,8 +71,6 @@ struct CmLevelResult {
   DistSpVec next;
   /// Exact global nnz of `next`, identical on every rank.
   index_t global_nnz = 0;
-  /// The accumulator arm the expansion actually ran.
-  SpmspvAccumulator used = SpmspvAccumulator::kSpa;
 };
 
 /// One fused Cuthill-McKee ordering level in FIVE barrier crossings
@@ -105,7 +101,6 @@ CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
                             index_t next_label, ProcGrid2D& grid,
                             mps::Phase spmspv_phase, mps::Phase sort_phase,
                             mps::Phase other_phase,
-                            SpmspvAccumulator acc = SpmspvAccumulator::kAuto,
                             DistWorkspace* ws = nullptr);
 
 /// The reference ordering level: the fused BFS level step followed by the
@@ -120,7 +115,6 @@ CmLevelResult cm_level_step_unfused(
     const DistDenseVec& degrees, index_t label_lo, index_t label_hi,
     index_t next_label, ProcGrid2D& grid, mps::Phase spmspv_phase,
     mps::Phase sort_phase, mps::Phase other_phase, bool sample_sort = false,
-    SpmspvAccumulator acc = SpmspvAccumulator::kAuto,
     DistWorkspace* ws = nullptr);
 
 /// Reconstructs a frontier from the dense label vector: the sparse vector

@@ -3,10 +3,6 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <limits>
-#include <string_view>
 
 namespace drcm::dist {
 
@@ -26,99 +22,46 @@ Stripe stripe_of(std::size_t n, int parts, int t) {
   return Stripe{n * i / p, n * (i + 1) / p};
 }
 
-/// Stage 2, kSpa: accumulate minima in the workspace's dense stamped SPA,
-/// emit by dense scan (sorted by construction) into `out` (GLOBAL rows).
+/// Stage 2, flat: accumulate minima in the workspace's stamped SPA,
+/// recording each row the first time it is touched, then emit the touched
+/// rows once each, in first-touch order, into `out` (GLOBAL rows). No pass
+/// over untouched rows: O(frontier edges).
 void multiply_spa(const DistSpMat& a, std::span<const VecEntry> frontier,
                   DistWorkspace& ws, std::vector<VecEntry>& out,
                   double* work) {
-  const auto rows = static_cast<std::size_t>(a.local_rows());
-  auto& spa = ws.spa(rows);
+  auto& spa = ws.spa(static_cast<std::size_t>(a.local_rows()));
+  auto& touched = ws.spa_touched();
   double edges = 0;
   for (const auto& e : frontier) {
     const auto col = a.column(e.idx - a.col_lo());
     edges += static_cast<double>(col.size());
     for (const index_t lr : col) {
-      spa.put_min(static_cast<std::size_t>(lr), e.val);
+      if (spa.put_min(static_cast<std::size_t>(lr), e.val)) {
+        touched.push_back(lr);
+      }
     }
   }
-  for (std::size_t s = 0; s < rows; ++s) {
-    if (spa.live(s)) {
-      out.push_back(VecEntry{a.row_lo() + static_cast<index_t>(s), spa.val[s]});
-    }
+  for (const index_t lr : touched) {
+    out.push_back(
+        VecEntry{a.row_lo() + lr, spa.val[static_cast<std::size_t>(lr)]});
   }
-  *work = edges + kScanUnit * static_cast<double>(rows);
+  *work = edges + static_cast<double>(out.size());
 }
 
-/// The k-way heap merge of the sorted column lists of `frontier` with
-/// min-combine on duplicate rows, appended to `out` (GLOBAL rows,
-/// ascending). Shared by the serial kSortMerge arm (whole frontier, the
-/// workspace's cursor/heap arrays) and each hybrid stripe (its frontier
-/// slice, its own ThreadStripe arrays). Returns the edge count; the caller
-/// reads the heap width (`cursors.size()`) for the work formula.
-double sort_merge_into(const DistSpMat& a, std::span<const VecEntry> frontier,
-                       std::vector<MergeCursor>& cursors,
-                       std::vector<std::pair<index_t, std::size_t>>& heap,
-                       std::vector<VecEntry>& out) {
-  double edges = 0;
-  for (const auto& e : frontier) {
-    const auto col = a.column(e.idx - a.col_lo());
-    edges += static_cast<double>(col.size());
-    if (!col.empty()) cursors.push_back(MergeCursor{col, 0, e.val});
-  }
-  using HeapItem = std::pair<index_t, std::size_t>;  // (local row, cursor)
-  const auto heap_greater = [](const HeapItem& x, const HeapItem& y) {
-    return x > y;
-  };
-  for (std::size_t k = 0; k < cursors.size(); ++k) {
-    heap.emplace_back(cursors[k].rows[0], k);
-  }
-  std::make_heap(heap.begin(), heap.end(), heap_greater);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_greater);
-    const auto [lr, k] = heap.back();
-    heap.pop_back();
-    const index_t g = a.row_lo() + lr;
-    if (!out.empty() && out.back().idx == g) {
-      out.back().val = std::min(out.back().val, cursors[k].val);
-    } else {
-      out.push_back(VecEntry{g, cursors[k].val});
-    }
-    if (++cursors[k].pos < cursors[k].rows.size()) {
-      heap.emplace_back(cursors[k].rows[cursors[k].pos], k);
-      std::push_heap(heap.begin(), heap.end(), heap_greater);
-    }
-  }
-  return edges;
-}
-
-/// Stage 2, kSortMerge: the heap merge over the whole frontier. No dense
-/// state; cursor and heap arrays come from the workspace.
-void multiply_sort_merge(const DistSpMat& a, std::span<const VecEntry> frontier,
-                         DistWorkspace& ws, std::vector<VecEntry>& out,
-                         double* work) {
-  auto& cursors = ws.cursors();
-  const double edges =
-      sort_merge_into(a, frontier, cursors, ws.heap_storage(), out);
-  const double logk =
-      cursors.empty() ? 1.0 : std::log2(static_cast<double>(cursors.size()) + 1);
-  *work = edges * (1.0 + logk);
-}
-
-/// Hybrid kSpa (paper Fig. 6, the node-level parallel SpMSpV): the frontier
-/// loop splits into contiguous stripes, one per OpenMP thread, each
-/// accumulating into its own stamped SPA (and recording its first-touched
-/// rows); after the team barrier every thread emits a contiguous ROW stripe
-/// by min-merging the team SPAs, and the thread-order concatenation
-/// reproduces the serial arm's ascending dense scan bit for bit (min is
-/// associative and commutative, so the frontier partition is invisible in
-/// the output).
+/// Hybrid stage 2 (paper Fig. 6, the node-level parallel SpMSpV): the
+/// frontier loop splits into contiguous stripes, one per OpenMP thread,
+/// each accumulating into its own stamped SPA (and recording its
+/// first-touched rows); after the team barrier every thread emits a
+/// contiguous ROW stripe by min-merging the team SPAs, so the thread-order
+/// concatenation is ascending (min is associative and commutative, so the
+/// frontier partition is invisible in the output).
 ///
 /// The merge is output-sensitive: when the team touched fewer distinct
 /// slots than there are local rows, each thread collects the touched rows
 /// of its stripe from the per-thread lists, sorts/dedups, and probes only
 /// those (O(touched log touched + touched * team) instead of the dense
 /// O(rows * team) scan — the ROADMAP PR-4 follow-up). Dense levels keep
-/// the branch-free dense scan. Both arms emit identical entries.
+/// the branch-free dense scan. Both branches emit identical entries.
 void multiply_spa_hybrid(const DistSpMat& a, std::span<const VecEntry> frontier,
                          int threads, DistWorkspace& ws,
                          std::vector<VecEntry>& out, double* work) {
@@ -140,9 +83,9 @@ void multiply_spa_hybrid(const DistSpMat& a, std::span<const VecEntry> frontier,
       const auto col = a.column(e.idx - a.col_lo());
       edges += static_cast<double>(col.size());
       for (const index_t lr : col) {
-        const auto s = static_cast<std::size_t>(lr);
-        if (!spa.live(s)) mine.touched.push_back(lr);
-        spa.put_min(s, e.val);
+        if (spa.put_min(static_cast<std::size_t>(lr), e.val)) {
+          mine.touched.push_back(lr);
+        }
       }
     }
 #pragma omp barrier
@@ -203,152 +146,37 @@ void multiply_spa_hybrid(const DistSpMat& a, std::span<const VecEntry> frontier,
   for (const auto& stripe : stripes) {
     out.insert(out.end(), stripe.emit.begin(), stripe.emit.end());
   }
-  // Charged as the serial loop's work: same edges, same emission scan. The
+  // Charged as the flat loop's work: same edges, same emitted rows. The
   // per-row team probes are the price of the merge, paid in wall time only;
   // the Comm divides these modeled units by the thread count.
-  *work = edges + kScanUnit * static_cast<double>(rows);
-}
-
-/// Hybrid kSortMerge: each thread heap-merges its contiguous frontier
-/// stripe into its own sorted emission, then the calling thread min-merges
-/// the (ascending, duplicate-free) per-stripe emissions in index order — a
-/// row's minimum over stripes equals the serial heap's minimum over all
-/// columns, so the output is bit-identical to the serial arm.
-void multiply_sort_merge_hybrid(const DistSpMat& a,
-                                std::span<const VecEntry> frontier,
-                                int threads, DistWorkspace& ws,
-                                std::vector<VecEntry>& out, double* work) {
-  const auto stripes = ws.thread_stripes(static_cast<std::size_t>(threads));
-  double edges = 0;
-  double heap_width = 0;
-#pragma omp parallel num_threads(threads) reduction(+ : edges, heap_width)
-  {
-    const int team = omp_get_num_threads();
-    const int t = omp_get_thread_num();
-    auto& mine = stripes[static_cast<std::size_t>(t)];
-    const auto f = stripe_of(frontier.size(), team, t);
-    edges += sort_merge_into(a, frontier.subspan(f.lo, f.hi - f.lo),
-                             mine.cursors, mine.heap, mine.emit);
-    heap_width += static_cast<double>(mine.cursors.size());
-  }
-  auto& pos = ws.counters(stripes.size());
-  auto& winners = ws.merge_winners();
-  u64 probes = 0;
-  while (true) {
-    // One probe per stripe head per round: the same scan that finds the
-    // minimum index min-combines its value (in thread order, so the
-    // output stays bit-identical at any thread count) and collects the
-    // stripes holding it; only those advance.
-    winners.clear();
-    index_t best = 0;
-    index_t val = 0;
-    for (std::size_t t = 0; t < stripes.size(); ++t) {
-      const auto& emit = stripes[t].emit;
-      const auto at = static_cast<std::size_t>(pos[t]);
-      ++probes;
-      if (at >= emit.size()) continue;
-      if (winners.empty() || emit[at].idx < best) {
-        best = emit[at].idx;
-        val = emit[at].val;
-        winners.clear();
-        winners.push_back(static_cast<index_t>(t));
-      } else if (emit[at].idx == best) {
-        val = std::min(val, emit[at].val);
-        winners.push_back(static_cast<index_t>(t));
-      }
-    }
-    if (winners.empty()) break;
-    for (const index_t t : winners) ++pos[static_cast<std::size_t>(t)];
-    out.push_back(VecEntry{best, val});
-  }
-  ws.count_merge_probes(probes);
-  // The serial formula over the partition-invariant totals: the number of
-  // nonempty frontier columns does not depend on how stripes cut them.
-  const double logk = heap_width == 0 ? 1.0 : std::log2(heap_width + 1.0);
-  *work = edges * (1.0 + logk);
-}
-
-/// The DRCM_SPMSPV_ACC override, re-read per call so tests and benches can
-/// flip it between runs (a getenv per BFS level, not per edge). Returns
-/// kAuto when unset or "auto".
-SpmspvAccumulator env_accumulator() {
-  if (const char* env = std::getenv("DRCM_SPMSPV_ACC")) {
-    const std::string_view v(env);
-    if (v == "spa") return SpmspvAccumulator::kSpa;
-    if (v == "sortmerge") return SpmspvAccumulator::kSortMerge;
-    DRCM_CHECK(v.empty() || v == "auto",
-               "DRCM_SPMSPV_ACC must be spa, sortmerge or auto");
-  }
-  return SpmspvAccumulator::kAuto;
+  *work = edges + static_cast<double>(out.size());
 }
 
 }  // namespace
 
-SpmspvAccumulator resolve_accumulator(SpmspvAccumulator requested,
-                                      double frontier_edges,
-                                      index_t local_rows) {
-  if (requested != SpmspvAccumulator::kAuto) return requested;
-  if (const auto pinned = env_accumulator(); pinned != SpmspvAccumulator::kAuto) {
-    return pinned;
-  }
-  // BENCH_1.json places the crossover near |frontier| 16-256 on a graph
-  // with avg degree ~27 and 8000 local rows: the SPA's dense emission scan
-  // (kScanUnit * rows) amortizes once the touched edges reach ~1/8 of the
-  // local rows, which on that graph is frontier ~37.
-  return frontier_edges >= kScanUnit * static_cast<double>(local_rows)
-             ? SpmspvAccumulator::kSpa
-             : SpmspvAccumulator::kSortMerge;
-}
-
 std::vector<VecEntry>& spmspv_local_multiply(const DistSpMat& a,
                                              std::span<const VecEntry> frontier,
-                                             SpmspvAccumulator acc,
                                              DistWorkspace& ws, double* work,
-                                             SpmspvAccumulator* used,
                                              int threads) {
   DRCM_CHECK(threads >= 1, "local multiply needs at least one thread");
   // Receive-path range check (always on): the gathered frontier arrived
-  // over the wire and every arm below turns e.idx into a local column
+  // over the wire and both paths below turn e.idx into a local column
   // access, so a corrupted index must stop here as a CheckError.
   for (const auto& e : frontier) {
     DRCM_CHECK(e.idx >= a.col_lo() && e.idx < a.col_hi(),
                "received frontier index outside the local column chunk");
   }
-  if (acc == SpmspvAccumulator::kAuto) {
-    acc = env_accumulator();
-  }
-  if (acc == SpmspvAccumulator::kAuto) {
-    // Heuristic actually consulted: the crossover needs the frontier's
-    // local edge volume, an O(|frontier|) col_ptr sweep (cheap next to
-    // the O(edges) multiply, and skipped entirely when an arm is pinned).
-    // Thread-independent, so flat and hybrid runs pick the same arm.
-    double edges = 0;
-    for (const auto& e : frontier) {
-      edges += static_cast<double>(a.column(e.idx - a.col_lo()).size());
-    }
-    acc = resolve_accumulator(acc, edges, a.local_rows());
-  }
-  if (used) *used = acc;
   auto& out = ws.partial_scratch();
-  if (acc == SpmspvAccumulator::kSpa) {
-    if (threads > 1) {
-      multiply_spa_hybrid(a, frontier, threads, ws, out, work);
-    } else {
-      multiply_spa(a, frontier, ws, out, work);
-    }
+  if (threads > 1) {
+    multiply_spa_hybrid(a, frontier, threads, ws, out, work);
   } else {
-    if (threads > 1) {
-      multiply_sort_merge_hybrid(a, frontier, threads, ws, out, work);
-    } else {
-      multiply_sort_merge(a, frontier, ws, out, work);
-    }
+    multiply_spa(a, frontier, ws, out, work);
   }
   return out;
 }
 
 DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
-                               ProcGrid2D& grid, SpmspvAccumulator acc,
-                               DistWorkspace* ws, SpmspvAccumulator* used) {
+                               ProcGrid2D& grid, DistWorkspace* ws) {
   DRCM_CHECK(x.dist() == a.vec_dist(),
              "frontier distribution does not match the matrix");
   auto& world = grid.world();
@@ -366,18 +194,16 @@ DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
   // across the rank's hybrid OpenMP team (communication stays on this
   // thread, as in the paper's one-communicating-thread design).
   double work = 0;
-  const auto& partial = spmspv_local_multiply(a, frontier, acc, w, &work, used,
-                                              world.threads());
+  const auto& partial =
+      spmspv_local_multiply(a, frontier, w, &work, world.threads());
 
   // Stage 3a: my partial rows live in row chunk R = grid.row(); the rank
-  // in my processor row at column s merges sub-chunk s of that chunk.
+  // in my processor row at column s merges sub-chunk s of that chunk —
+  // which is the grid row of the element's owner. Stage 3b merges in
+  // stamped slots, so the partials may travel in any order.
   auto& to_merge = w.merge_route(static_cast<std::size_t>(q));
-  {
-    int s = 0;
-    for (const auto& e : partial) {
-      while (e.idx >= dist.sub_lo(grid.row(), s + 1)) ++s;
-      to_merge[static_cast<std::size_t>(s)].push_back(e);
-    }
+  for (const auto& e : partial) {
+    to_merge[static_cast<std::size_t>(dist.owner_row(e.idx))].push_back(e);
   }
   const auto received = grid.row_comm().alltoallv(to_merge);
 

@@ -25,71 +25,48 @@ namespace drcm::dist {
 
 /// Work units charged per element of a sequential stamp-check sweep.
 /// MachineParams::gamma is calibrated for one random CSR edge visit; a
-/// predictable linear sweep over a dense array costs a fraction of that,
-/// and charging it at full weight would overstate the SPA emission scans
-/// relative to the trace model's output-sensitive analysis. Doubles as the
-/// kAuto crossover constant: the SPA arm pays kScanUnit * local_rows for
-/// its emission scan, so it wins once the frontier's edge volume clears
-/// that bar.
+/// predictable linear sweep over a dense array costs a fraction of that.
+/// Only the unfused reference's stage-3b merge still sweeps its whole
+/// merge range; the fused level kernel never scans a dense range.
 inline constexpr double kScanUnit = 0.125;
 
-/// Local accumulation policy of stage 2 — the kernel-design tradeoff
-/// bench/micro_spmspv.cpp measures.
-enum class SpmspvAccumulator {
-  /// Dense sparse accumulator: O(local_rows) array with timestamp reset
-  /// (no clearing between calls) and a dense emission scan. Wins on dense
-  /// frontiers where the scan amortizes over many touched rows.
-  kSpa,
-  /// Heap merge of the (already sorted) column row lists. No dense scan,
-  /// but pays a log(k) comparison factor per edge; wins on tiny frontiers.
-  kSortMerge,
-  /// Degree-aware selection per call: kSpa once the frontier's local edge
-  /// count reaches 1/8 of the local rows (the BENCH_1.json crossover),
-  /// kSortMerge below it. The DRCM_SPMSPV_ACC environment variable
-  /// ("spa" / "sortmerge" / "auto") overrides the heuristic so benches can
-  /// pin either arm without recompiling.
-  kAuto,
-};
-
-/// Resolves kAuto to a concrete arm from the frontier's local expansion
-/// volume (sum of local column lengths) versus the local row count,
-/// honoring the DRCM_SPMSPV_ACC override. Returns kSpa or kSortMerge;
-/// non-kAuto requests pass through unchanged.
-SpmspvAccumulator resolve_accumulator(SpmspvAccumulator requested,
-                                      double frontier_edges,
-                                      index_t local_rows);
-
-/// Stage 2 alone: multiplies my block by the (index-sorted) gathered
-/// frontier into per-row partial minima with GLOBAL row indices, ascending.
+/// Stage 2 alone: multiplies my block by the gathered frontier into
+/// per-row partial minima with GLOBAL row indices, each row at most once.
 /// Returns workspace-owned scratch valid until the next workspace checkout;
-/// `*work` receives the work units to charge. `used` (optional) reports the
-/// arm chosen after kAuto resolution. Shared by the unfused kernel below
-/// and the fused level kernel.
+/// `*work` receives the work units to charge: frontier edges + emitted
+/// rows, the same at every thread count. Shared by the unfused kernel
+/// below and the fused level kernel.
 ///
+/// With `threads` == 1 one stamped SPA records the rows it touches and
+/// emits them in first-touch order — O(frontier edges), NOT ascending.
 /// `threads` > 1 selects the hybrid node-level path (paper Fig. 6): the
 /// frontier loop OpenMP-splits into contiguous stripes over per-thread
-/// workspace arms — stamped SPAs for kSpa, cursor/heap stripes for
-/// kSortMerge — and the per-thread emissions are min-merged in a
-/// deterministic order, so the output is BIT-IDENTICAL to the serial loop
-/// at any thread count. The charged work units are the serial loop's
-/// (min-combines are partition-invariant); the caller's Comm divides
-/// modeled seconds by its thread count.
+/// stamped SPAs, and the per-thread results are min-merged in a
+/// deterministic order into ascending output. Either way the emitted
+/// (row, minimum) SET is identical, so callers that need an order sort
+/// it; the caller's Comm divides modeled seconds by its thread count.
 std::vector<VecEntry>& spmspv_local_multiply(const DistSpMat& a,
                                              std::span<const VecEntry> frontier,
-                                             SpmspvAccumulator acc,
                                              DistWorkspace& ws, double* work,
-                                             SpmspvAccumulator* used = nullptr,
                                              int threads = 1);
 
 /// Collective. `x` must be distributed conformally with `a`
 /// (x.dist() == a.vec_dist(); throws CheckError otherwise). Scratch comes
-/// from `ws`, or from the grid's per-rank workspace when `ws` is null.
-/// `used` (optional) reports the arm chosen after kAuto resolution. The
+/// from `ws`, or from the grid's per-rank workspace when `ws` is null. The
 /// local multiply runs on grid.world().threads() OpenMP threads (the
 /// Runtime::run threads_per_rank of the hybrid configuration).
-DistSpVec spmspv_select2nd_min(
-    const DistSpMat& a, const DistSpVec& x, ProcGrid2D& grid,
-    SpmspvAccumulator acc = SpmspvAccumulator::kSpa,
-    DistWorkspace* ws = nullptr, SpmspvAccumulator* used = nullptr);
+DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
+                               ProcGrid2D& grid, DistWorkspace* ws = nullptr);
+
+/// Source compatibility for callers written against the removed
+/// accumulator arms (perfbench/src/probes.cpp passes kAuto): stage 2 has a
+/// single arm, so the value selects nothing.
+enum class SpmspvAccumulator { kAuto };
+
+inline DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
+                                      ProcGrid2D& grid, SpmspvAccumulator,
+                                      DistWorkspace* ws = nullptr) {
+  return spmspv_select2nd_min(a, x, grid, ws);
+}
 
 }  // namespace drcm::dist

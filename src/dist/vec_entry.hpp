@@ -16,6 +16,11 @@ struct VecEntry {
   friend bool operator==(const VecEntry&, const VecEntry&) = default;
 };
 
+/// Orders entries by index: the order a DistSpVec stores them in.
+inline bool idx_less(const VecEntry& a, const VecEntry& b) {
+  return a.idx < b.idx;
+}
+
 /// Same with a numerical payload: one rhs/solution element in flight
 /// through the value pipeline's redistribution collectives.
 struct VecEntryD {

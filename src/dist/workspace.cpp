@@ -7,21 +7,17 @@ StampedSlots& DistWorkspace::spa(std::size_t rows) {
   return spa_;
 }
 
+std::vector<index_t>& DistWorkspace::spa_touched() {
+  return checkout_cleared(spa_touched_, spa_touched_cap_);
+}
+
 StampedSlots& DistWorkspace::merge_slots(std::size_t n) {
   reallocations_ += merge_slots_.begin(n);
   return merge_slots_;
 }
 
-std::vector<MergeCursor>& DistWorkspace::cursors() {
-  return checkout_cleared(cursors_, cursors_cap_);
-}
-
-std::vector<std::pair<index_t, std::size_t>>& DistWorkspace::heap_storage() {
-  return checkout_cleared(heap_, heap_cap_);
-}
-
-std::vector<index_t>& DistWorkspace::merge_winners() {
-  return checkout_cleared(merge_winners_, merge_winners_cap_);
+std::vector<index_t>& DistWorkspace::merge_touched() {
+  return checkout_cleared(merge_touched_, merge_touched_cap_);
 }
 
 std::vector<VecEntry>& DistWorkspace::frontier_scratch() {
@@ -146,15 +142,12 @@ std::span<ThreadStripe> DistWorkspace::thread_stripes(std::size_t threads) {
   }
   for (std::size_t t = 0; t < threads; ++t) {
     auto& s = thread_stripes_[t];
-    const std::size_t cap = s.cursors.capacity() + s.heap.capacity() +
-                            s.emit.capacity() + s.touched.capacity() +
-                            s.gather.capacity();
+    const std::size_t cap =
+        s.emit.capacity() + s.touched.capacity() + s.gather.capacity();
     if (cap != thread_stripe_caps_[t]) {
       ++reallocations_;
       thread_stripe_caps_[t] = cap;
     }
-    s.cursors.clear();
-    s.heap.clear();
     s.emit.clear();
     s.touched.clear();
     s.gather.clear();

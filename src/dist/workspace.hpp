@@ -4,11 +4,11 @@
 // kernel all need O(local_rows) / O(frontier) scratch every call. Before
 // this object existed the SPA lived in a `thread_local` inside spmspv.cpp:
 // invisible to callers, sized by whichever matrix touched it last, leaked
-// across Runtime::run invocations on reused threads, and impossible to
-// share with the sort-merge arm's cursor arrays. A DistWorkspace is owned
-// per rank (ProcGrid2D carries one; callers may pass their own), so the
-// scoping is explicit and two matrices of different dimensions on one rank
-// can alternate kernels through it safely:
+// across Runtime::run invocations on reused threads, and outside the
+// reallocation ledger. A DistWorkspace is owned per rank (ProcGrid2D
+// carries one; callers may pass their own), so the scoping is explicit and
+// two matrices of different dimensions on one rank can alternate kernels
+// through it safely:
 //
 //   * StampedSlots buffers never need clearing — a slot is live only when
 //     its stamp equals the epoch opened by the current call, so a small
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -53,22 +52,17 @@ struct StampedSlots {
   bool live(std::size_t s) const { return stamp[s] == epoch; }
 
   /// Min-combines `v` into slot s (first write wins unconditionally).
-  void put_min(std::size_t s, index_t v) {
+  /// Returns true when this write opened the slot in the current epoch —
+  /// the hook callers use to record the slots they touch.
+  bool put_min(std::size_t s, index_t v) {
     if (stamp[s] != epoch) {
       stamp[s] = epoch;
       val[s] = v;
-    } else if (v < val[s]) {
-      val[s] = v;
+      return true;
     }
+    if (v < val[s]) val[s] = v;
+    return false;
   }
-};
-
-/// One column cursor of the kSortMerge heap: position `pos` in the sorted
-/// local row list of a frontier column carrying value `val`.
-struct MergeCursor {
-  std::span<const index_t> rows;
-  std::size_t pos;
-  index_t val;
 };
 
 /// One SORTPERM element in flight: (parent bucket, degree, global index).
@@ -80,22 +74,18 @@ struct SortRec {
 
 /// Per-thread stage-2 stripe of the hybrid node-level SpMSpV: thread t of
 /// the OpenMP team owns a contiguous slice of the gathered frontier and
-/// merges it through its own cursor/heap arrays (kSortMerge) or emits its
-/// row-stripe of the merged SPA scan (kSpa) into `emit`, so no two threads
-/// ever share mutable state. The calling thread then concatenates /
-/// min-merges the emissions in thread order — a deterministic reduction
-/// that keeps the hybrid output bit-identical to the serial loop at any
-/// thread count.
+/// emits its row-stripe of the merged per-thread SPAs into `emit`, so no
+/// two threads ever share mutable state. The calling thread then
+/// concatenates the emissions in thread order — a deterministic reduction
+/// that keeps the hybrid output identical at any thread count.
 ///
 /// `touched` records the rows this thread's SPA first-touched during
-/// accumulation, which makes the kSpa merge OUTPUT-SENSITIVE on sparse
-/// levels: instead of probing team x local_rows SPA slots, each emitting
-/// thread collects the team's touched rows falling in its row stripe into
+/// accumulation, which makes the merge OUTPUT-SENSITIVE on sparse levels:
+/// instead of probing team x local_rows SPA slots, each emitting thread
+/// collects the team's touched rows falling in its row stripe into
 /// `gather`, sorts/dedups them, and probes only those (team probes per
-/// emitted row, same bound as before — but zero scans of untouched rows).
+/// emitted row — but zero scans of untouched rows).
 struct ThreadStripe {
-  std::vector<MergeCursor> cursors;
-  std::vector<std::pair<index_t, std::size_t>> heap;
   std::vector<VecEntry> emit;
   std::vector<index_t> touched;
   std::vector<index_t> gather;
@@ -118,18 +108,15 @@ struct SortHistCell {
 
 class DistWorkspace {
  public:
-  /// The SpMSpV stage-2 accumulator (kSpa arm), epoch opened over `rows`.
+  /// The flat SpMSpV stage-2 accumulator, epoch opened over `rows`, and
+  /// the list of local rows it touched in this epoch, cleared.
   StampedSlots& spa(std::size_t rows);
+  std::vector<index_t>& spa_touched();
   /// The result-merge accumulator (SpMSpV stage 3b / fused owner merge),
-  /// epoch opened over `n` slots.
+  /// epoch opened over `n` slots, and the fused owner merge's list of the
+  /// slots it filled, cleared.
   StampedSlots& merge_slots(std::size_t n);
-
-  /// kSortMerge cursor array and heap storage, cleared.
-  std::vector<MergeCursor>& cursors();
-  std::vector<std::pair<index_t, std::size_t>>& heap_storage();
-  /// Winner-stripe list of the hybrid stage-2b min-merge, cleared. Holds
-  /// at most one id per thread stripe.
-  std::vector<index_t>& merge_winners();
+  std::vector<index_t>& merge_touched();
 
   /// Outgoing frontier buffer (the SET-refreshed entries a kernel
   /// publishes). Kept distinct from partial_scratch(): the published span
@@ -201,10 +188,9 @@ class DistWorkspace {
   /// nothing, so a rank alternating hybrid and flat calls stays
   /// allocation-free after warm-up.
   std::span<StampedSlots> thread_spas(std::size_t threads, std::size_t rows);
-  /// Per-thread sort-merge stripes (cursors + heap + emission buffer),
-  /// each cleared with capacity retained; realloc accounting mirrors
-  /// thread_spas. The kSpa arm uses only the `emit` buffers (its row-stripe
-  /// emission); the kSortMerge arm uses all three.
+  /// Per-thread stripes of the hybrid local multiply (emission, touched
+  /// and gather buffers), each cleared with capacity retained; realloc
+  /// accounting mirrors thread_spas.
   std::span<ThreadStripe> thread_stripes(std::size_t threads);
 
   /// Plain index scratch of exactly `n` elements, contents unspecified
@@ -222,14 +208,6 @@ class DistWorkspace {
   /// metric: steady-state reuse must leave this constant. Growth performed
   /// by a caller's push_backs is detected at the buffer's next checkout.
   u64 reallocations() const { return reallocations_; }
-
-  /// Stripe-head probes performed by the hybrid min-merge since this
-  /// workspace was constructed — the op-count ledger the single-probe
-  /// merge is pinned on: emitting E distinct rows from S stripes costs
-  /// exactly (E + 1) * S probes (every round reads each head once; the
-  /// final round finds all heads exhausted).
-  u64 merge_probes() const { return merge_probes_; }
-  void count_merge_probes(u64 probes) { merge_probes_ += probes; }
 
  private:
   template <class V>
@@ -259,10 +237,9 @@ class DistWorkspace {
   }
 
   StampedSlots spa_;
+  std::vector<index_t> spa_touched_;
   StampedSlots merge_slots_;
-  std::vector<MergeCursor> cursors_;
-  std::vector<std::pair<index_t, std::size_t>> heap_;
-  std::vector<index_t> merge_winners_;
+  std::vector<index_t> merge_touched_;
   std::vector<VecEntry> frontier_;
   std::vector<VecEntry> partial_;
   std::vector<VecEntry> gather_;
@@ -295,7 +272,7 @@ class DistWorkspace {
   /// buffers), so shrinking and re-growing the thread count between calls
   /// is not misread as a reallocation.
   std::vector<std::size_t> thread_stripe_caps_;
-  std::size_t cursors_cap_ = 0, heap_cap_ = 0, merge_winners_cap_ = 0,
+  std::size_t spa_touched_cap_ = 0, merge_touched_cap_ = 0,
               frontier_cap_ = 0,
               partial_cap_ = 0, gather_cap_ = 0, recv_cap_ = 0,
               merge_route_cap_ = 0, entry_route_cap_ = 0,
@@ -310,7 +287,6 @@ class DistWorkspace {
               my_starts_cap_ = 0, sort_recv_cap_ = 0,
               rank_recv_cap_ = 0;
   u64 reallocations_ = 0;
-  u64 merge_probes_ = 0;
 };
 
 }  // namespace drcm::dist

@@ -10,8 +10,7 @@ using dist::VecEntry;
 
 DistBfsResult dist_bfs(const dist::DistSpMat& a, index_t root,
                        dist::DistDenseVec& levels, dist::ProcGrid2D& grid,
-                       mps::Phase spmspv_phase, mps::Phase other_phase,
-                       dist::SpmspvAccumulator acc) {
+                       mps::Phase spmspv_phase, mps::Phase other_phase) {
   DRCM_CHECK(root >= 0 && root < a.n(), "BFS root out of range");
   auto& world = grid.world();
 
@@ -29,7 +28,6 @@ DistBfsResult dist_bfs(const dist::DistSpMat& a, index_t root,
   if (frontier.lo() <= root && root < frontier.hi()) {
     frontier.assign({VecEntry{root, 0}});
   }
-  res.last_frontier = frontier;
   res.reached = 1;
   res.last_width = 1;  // the root level, until a deeper level replaces it
 
@@ -38,7 +36,7 @@ DistBfsResult dist_bfs(const dist::DistSpMat& a, index_t root,
     // One fused level: SET (values <- levels, Algorithm 4 line 8) ->
     // SPMSPV -> SELECT (keep unvisited) -> count, three barrier crossings.
     auto step = dist::bfs_level_step(a, frontier, levels, kNoVertex, grid,
-                                     spmspv_phase, other_phase, acc);
+                                     spmspv_phase, other_phase);
     if (step.global_nnz == 0) break;
 
     {
@@ -46,18 +44,15 @@ DistBfsResult dist_bfs(const dist::DistSpMat& a, index_t root,
       ++depth;
       // Record true levels (clearer than the paper's parent-level values;
       // SELECT only ever tests for the kNoVertex sentinel).
-      std::vector<VecEntry> leveled(step.next.entries().begin(),
-                                    step.next.entries().end());
-      for (auto& e : leveled) e.val = depth;
-      step.next.assign(std::move(leveled));
+      step.next.fill_values(depth);
       dist::scatter_into_dense(levels, step.next, world);
     }
     res.reached += step.global_nnz;
     res.last_width = step.global_nnz;
-    frontier = step.next;
-    res.last_frontier = step.next;
+    frontier = std::move(step.next);
   }
   res.eccentricity = depth;
+  res.last_frontier = std::move(frontier);
   return res;
 }
 

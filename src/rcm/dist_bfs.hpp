@@ -7,7 +7,6 @@
 
 #include "dist/dist_matrix.hpp"
 #include "dist/dist_vector.hpp"
-#include "dist/spmspv.hpp"
 #include "mpsim/stats.hpp"
 
 namespace drcm::rcm {
@@ -21,13 +20,10 @@ struct DistBfsResult {
 
 /// Runs a full BFS from `root`, writing levels into the dense vector
 /// `levels` (reset to kNoVertex first). `spmspv_phase` / `other_phase`
-/// control the Figure-4 cost attribution (peripheral vs ordering); `acc`
-/// selects the SpMSpV accumulator arm (default: degree-aware auto-select).
+/// control the Figure-4 cost attribution (peripheral vs ordering).
 /// Collective.
 DistBfsResult dist_bfs(const dist::DistSpMat& a, index_t root,
                        dist::DistDenseVec& levels, dist::ProcGrid2D& grid,
-                       mps::Phase spmspv_phase, mps::Phase other_phase,
-                       dist::SpmspvAccumulator acc =
-                           dist::SpmspvAccumulator::kAuto);
+                       mps::Phase spmspv_phase, mps::Phase other_phase);
 
 }  // namespace drcm::rcm

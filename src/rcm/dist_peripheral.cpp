@@ -24,7 +24,6 @@ DistPeripheralResult dist_pseudo_peripheral(const dist::DistSpMat& a,
                                             const dist::DistDenseVec& degrees,
                                             index_t start,
                                             dist::ProcGrid2D& grid,
-                                            dist::SpmspvAccumulator acc,
                                             PeripheralMode mode) {
   DRCM_CHECK(start >= 0 && start < a.n(), "start vertex out of range");
   auto& world = grid.world();
@@ -35,7 +34,7 @@ DistPeripheralResult dist_pseudo_peripheral(const dist::DistSpMat& a,
   dist::DistDenseVec levels(a.vec_dist(), grid, kNoVertex);
   auto bfs = dist_bfs(a, res.vertex, levels, grid,
                       mps::Phase::kPeripheralSpmspv,
-                      mps::Phase::kPeripheralOther, acc);
+                      mps::Phase::kPeripheralOther);
   ++res.bfs_sweeps;
   res.eccentricity = bfs.eccentricity;
 
@@ -46,7 +45,7 @@ DistPeripheralResult dist_pseudo_peripheral(const dist::DistSpMat& a,
       const index_t candidate = shrink_last_level(bfs, degrees, world);
       if (candidate == res.vertex) break;  // isolated vertex or fixpoint
       bfs = dist_bfs(a, candidate, levels, grid, mps::Phase::kPeripheralSpmspv,
-                     mps::Phase::kPeripheralOther, acc);
+                     mps::Phase::kPeripheralOther);
       ++res.bfs_sweeps;
       res.vertex = candidate;
       res.eccentricity = bfs.eccentricity;
@@ -66,7 +65,7 @@ DistPeripheralResult dist_pseudo_peripheral(const dist::DistSpMat& a,
     if (candidate == res.vertex) break;  // isolated vertex or fixpoint
     auto bfs2 = dist_bfs(a, candidate, levels, grid,
                          mps::Phase::kPeripheralSpmspv,
-                         mps::Phase::kPeripheralOther, acc);
+                         mps::Phase::kPeripheralOther);
     ++res.bfs_sweeps;
     const bool better = bfs2.eccentricity > res.eccentricity ||
                         (bfs2.eccentricity == res.eccentricity &&

@@ -14,7 +14,6 @@
 
 #include "dist/dist_matrix.hpp"
 #include "dist/dist_vector.hpp"
-#include "dist/spmspv.hpp"
 #include "order/pseudo_peripheral.hpp"
 
 namespace drcm::rcm {
@@ -31,13 +30,10 @@ struct DistPeripheralResult {
 };
 
 /// Collective. `degrees` is the matrix's distributed degree vector;
-/// `start` is the arbitrary starting vertex (Algorithm 4 line 1); `acc`
-/// selects the SpMSpV accumulator arm of every sweep; `mode` picks the
-/// George-Liu or bi-criteria iteration.
+/// `start` is the arbitrary starting vertex (Algorithm 4 line 1); `mode`
+/// picks the George-Liu or bi-criteria iteration.
 DistPeripheralResult dist_pseudo_peripheral(
     const dist::DistSpMat& a, const dist::DistDenseVec& degrees, index_t start,
-    dist::ProcGrid2D& grid,
-    dist::SpmspvAccumulator acc = dist::SpmspvAccumulator::kAuto,
-    PeripheralMode mode = PeripheralMode::kGeorgeLiu);
+    dist::ProcGrid2D& grid, PeripheralMode mode = PeripheralMode::kGeorgeLiu);
 
 }  // namespace drcm::rcm

@@ -11,8 +11,7 @@ index_t dist_cm_component(const dist::DistSpMat& a,
                           const dist::DistDenseVec& degrees,
                           dist::DistDenseVec& labels, index_t root,
                           index_t next_label, dist::ProcGrid2D& grid,
-                          SortKind sort, dist::SpmspvAccumulator acc,
-                          std::vector<index_t>* level_starts) {
+                          SortKind sort, std::vector<index_t>* level_starts) {
   DRCM_CHECK(root >= 0 && root < a.n(), "root out of range");
   auto& world = grid.world();
 
@@ -30,7 +29,7 @@ index_t dist_cm_component(const dist::DistSpMat& a,
     frontier.assign({VecEntry{root, next_label}});
   }
   return dist_cm_cone(a, degrees, labels, std::move(frontier),
-                      /*frontier_nnz=*/1, next_label + 1, grid, sort, acc,
+                      /*frontier_nnz=*/1, next_label + 1, grid, sort,
                       level_starts);
 }
 
@@ -39,7 +38,6 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
                      dist::DistDenseVec& labels, DistSpVec frontier,
                      index_t frontier_nnz, index_t next_label,
                      dist::ProcGrid2D& grid, SortKind sort,
-                     dist::SpmspvAccumulator acc,
                      std::vector<index_t>* level_starts, index_t label_cap) {
   // The sample-sort baseline cannot ride the level collective (a comparison
   // sort has no histogram to piggyback), so it always takes the reference
@@ -56,17 +54,17 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
     // One ordering level: Lnext <- SELECT(SPMSPV(A, SET(Lcur, R)), R = -1);
     // R <- SET(R, SORTPERM(Lnext, D) + nv). Fused: five barrier crossings
     // (three on the terminal level). Reference: 3 + SORTPERM's 6 = 9.
-    const auto step =
+    auto step =
         fused ? dist::cm_level_step(a, frontier, labels, degrees, label_lo,
                                     label_hi, next_label, grid,
                                     mps::Phase::kOrderingSpmspv,
                                     mps::Phase::kOrderingSort,
-                                    mps::Phase::kOrderingOther, acc)
+                                    mps::Phase::kOrderingOther)
               : dist::cm_level_step_unfused(
                     a, frontier, labels, degrees, label_lo, label_hi,
                     next_label, grid, mps::Phase::kOrderingSpmspv,
                     mps::Phase::kOrderingSort, mps::Phase::kOrderingOther,
-                    sort == SortKind::kSampleSort, acc);
+                    sort == SortKind::kSampleSort);
     frontier_nnz = step.global_nnz;
     if (frontier_nnz == 0) break;
     if (level_starts) level_starts->push_back(next_label);
@@ -77,7 +75,7 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
     // counter instead of flooding the merged blob. The level that crossed
     // the cap HAS already written labels; the caller discards the vector.
     if (label_cap >= 0 && next_label > label_cap) return next_label;
-    frontier = step.next;
+    frontier = std::move(step.next);
   }
   return next_label;
 }

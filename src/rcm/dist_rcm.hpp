@@ -16,7 +16,6 @@
 
 #include "dist/dist_matrix.hpp"
 #include "dist/dist_vector.hpp"
-#include "dist/spmspv.hpp"
 
 namespace drcm::rcm {
 
@@ -43,8 +42,6 @@ index_t dist_cm_component(const dist::DistSpMat& a,
                           dist::DistDenseVec& labels, index_t root,
                           index_t next_label, dist::ProcGrid2D& grid,
                           SortKind sort = SortKind::kBucket,
-                          dist::SpmspvAccumulator acc =
-                              dist::SpmspvAccumulator::kAuto,
                           std::vector<index_t>* level_starts = nullptr);
 
 /// The CONE-RESTRICTED entry point the incremental-repair path uses:
@@ -68,8 +65,6 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
                      index_t frontier_nnz, index_t next_label,
                      dist::ProcGrid2D& grid,
                      SortKind sort = SortKind::kBucket,
-                     dist::SpmspvAccumulator acc =
-                         dist::SpmspvAccumulator::kAuto,
                      std::vector<index_t>* level_starts = nullptr,
                      index_t label_cap = -1);
 

@@ -10,10 +10,9 @@
 //
 // kAuto is the portfolio selector: cheap O(n + nnz) per-matrix proxies
 // (natural bandwidth, RMS wavefront, density, component count) computed
-// once on the driver, reduced to a deterministic choice — the same
-// generalization step SpmspvAccumulator::kAuto took for accumulators,
-// lifted to whole algorithms. The choice and its proxies are recorded in
-// OrderSolveResponse so callers can audit every auto decision.
+// once on the driver, reduced to a deterministic choice. The choice and
+// its proxies are recorded in OrderSolveResponse so callers can audit
+// every auto decision.
 #pragma once
 
 #include "common/types.hpp"

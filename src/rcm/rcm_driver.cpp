@@ -74,7 +74,7 @@ dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     }
     DRCM_CHECK(seed != kNoVertex, "unlabeled vertices must exist");
     const auto peripheral =
-        dist_pseudo_peripheral(mat, degrees, seed, grid, options.accumulator,
+        dist_pseudo_peripheral(mat, degrees, seed, grid,
                                options.ordering.peripheral_mode);
     local_stats.components += 1;
     local_stats.peripheral_bfs_sweeps += peripheral.bfs_sweeps;
@@ -84,7 +84,6 @@ dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     cr.root = peripheral.vertex;
     next_label = dist_cm_component(mat, degrees, labels, peripheral.vertex,
                                    next_label, grid, options.sort,
-                                   options.accumulator,
                                    recipe ? &cr.level_starts : nullptr);
     if (recipe) {
       cr.level_starts.push_back(next_label);  // one-past-the-end sentinel
@@ -134,7 +133,7 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     }
     DRCM_CHECK(seed != kNoVertex, "unlabeled vertices must exist");
     const auto peripheral =
-        dist_pseudo_peripheral(mat, degrees, seed, grid, options.accumulator,
+        dist_pseudo_peripheral(mat, degrees, seed, grid,
                                options.ordering.peripheral_mode);
     local_stats.components += 1;
     local_stats.peripheral_bfs_sweeps += peripheral.bfs_sweeps;
@@ -143,7 +142,7 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
 
     // Pseudo-diameter end vertex e: REDUCE(last level of s's BFS, D).
     auto bfs_s = dist_bfs(mat, s, levels, grid, mps::Phase::kPeripheralSpmspv,
-                          mps::Phase::kPeripheralOther, options.accumulator);
+                          mps::Phase::kPeripheralOther);
     index_t e = kNoVertex;
     {
       mps::PhaseScope scope(world, mps::Phase::kPeripheralOther);
@@ -152,7 +151,7 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     DRCM_CHECK(e != kNoVertex, "last BFS level cannot be empty");
     const auto bfs_e =
         dist_bfs(mat, e, levels, grid, mps::Phase::kPeripheralSpmspv,
-                 mps::Phase::kPeripheralOther, options.accumulator);
+                 mps::Phase::kPeripheralOther);
 
     // Static key = w1*(deg+1) + w2*(ecc(e) - dist(v, e)), non-negative and
     // < 3n with the default weights — within the widened ranking-key bound
@@ -169,7 +168,7 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
       world.charge_compute(static_cast<double>(keys.local_size()));
     }
     next_label = dist_cm_component(mat, keys, labels, s, next_label, grid,
-                                   options.sort, options.accumulator);
+                                   options.sort);
   }
   if (stats) *stats = local_stats;
   return labels;  // no reversal
@@ -475,7 +474,7 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
     index_t root = cr.root;
     if (!(action == RepairAction::kReuse && seed == cr.seed)) {
       const auto peripheral =
-          dist_pseudo_peripheral(mat, degrees, seed, grid, options.accumulator,
+          dist_pseudo_peripheral(mat, degrees, seed, grid,
                                  options.ordering.peripheral_mode);
       root = peripheral.vertex;
       if (root != cr.root) {
@@ -514,8 +513,7 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
       std::vector<index_t> cone_starts;
       next_label = dist_cm_cone(mat, degrees, labels, std::move(frontier),
                                 fhi - flo, fhi, grid, options.sort,
-                                options.accumulator, &cone_starts,
-                                /*label_cap=*/comp_hi);
+                                &cone_starts, /*label_cap=*/comp_hi);
       if (next_label != comp_hi) {
         out.reason = next_label > comp_hi
                          ? "cone escaped its component (pattern merge)"
@@ -535,8 +533,7 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
       out.level_steps_skipped += d - 1;
     } else {
       next_label = dist_cm_component(mat, degrees, labels, root, comp_lo,
-                                     grid, options.sort, options.accumulator,
-                                     &ncr.level_starts);
+                                     grid, options.sort, &ncr.level_starts);
       if (next_label != comp_hi) {
         out.reason = "recomputed component changed size (split or merge)";
         return out;

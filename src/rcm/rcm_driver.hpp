@@ -43,10 +43,6 @@ struct DistRcmOptions {
   u64 seed = 0x5eed;
   /// Which SORTPERM ranks the levels (bucket = the paper's algorithm).
   SortKind sort = SortKind::kBucket;
-  /// SpMSpV accumulator arm for every BFS level (kAuto = degree-aware
-  /// selection per level; DRCM_SPMSPV_ACC overrides). All arms produce
-  /// bit-identical orderings — this is a performance knob.
-  dist::SpmspvAccumulator accumulator = dist::SpmspvAccumulator::kAuto;
   /// Keep the label vector sharded O(n/p) per rank through the WHOLE
   /// pipeline (ordered_solve_on only): ordering returns a distributed
   /// slab, redistribution resolves labels through a two-sided window
@@ -67,8 +63,8 @@ struct DistRcmOptions {
 };
 
 /// Resolves DistRcmOptions::threads: a positive request passes through;
-/// 0 reads DRCM_THREADS (re-read per call, like DRCM_SPMSPV_ACC, so benches
-/// can flip configurations between runs), defaulting to 1.
+/// 0 reads DRCM_THREADS (re-read per call, so benches can flip
+/// configurations between runs), defaulting to 1.
 int resolve_threads(int requested);
 
 struct DistRcmStats {

@@ -1,11 +1,11 @@
 // Randomized equivalence suite for the fused BFS level kernel: on
 // Erdős–Rényi and grid graphs, under the {1,4,9} x {1,2,6} rank x thread
-// matrix, the fused kernel, the unfused primitive chain, and both forced
-// accumulator arms must produce bit-identical frontiers, levels and labels
-// — including the degree-tie determinism the ordering quality contract
-// rests on. The thread axis drives the hybrid node-level SpMSpV (per-
-// thread SPAs / sort-merge stripes with a deterministic ordered merge), so
-// every point of the matrix is held to the same serial reference.
+// matrix, the fused kernel and the unfused primitive chain must produce
+// bit-identical frontiers, levels and labels — including the degree-tie
+// determinism the ordering quality contract rests on. The thread axis
+// drives the hybrid node-level SpMSpV (per-thread SPAs with a
+// deterministic ordered merge), so every point of the matrix is held to
+// the same serial reference.
 //
 // The sweep honors DRCM_TEST_RANKS / DRCM_TEST_THREADS (a single rank or
 // thread count each) so CI can run the same suite once per configuration.
@@ -95,28 +95,14 @@ TEST(LevelKernelEquivalence, RandomizedBfsSweepAllPathsBitIdentical) {
         }
         index_t depth = 0;
         while (true) {
-          // The fused kernel under every arm, plus the unfused primitive
-          // chain, on identical inputs. All four must agree bitwise.
+          // The fused kernel and the unfused primitive chain on identical
+          // inputs must agree bitwise.
           const auto fused = bfs_level_step(
               mat, frontier, levels, kNoVertex, grid,
-              mps::Phase::kOrderingSpmspv, mps::Phase::kOrderingOther,
-              SpmspvAccumulator::kAuto);
-          const auto spa = bfs_level_step(
-              mat, frontier, levels, kNoVertex, grid,
-              mps::Phase::kOrderingSpmspv, mps::Phase::kOrderingOther,
-              SpmspvAccumulator::kSpa);
-          const auto merge = bfs_level_step(
-              mat, frontier, levels, kNoVertex, grid,
-              mps::Phase::kOrderingSpmspv, mps::Phase::kOrderingOther,
-              SpmspvAccumulator::kSortMerge);
+              mps::Phase::kOrderingSpmspv, mps::Phase::kOrderingOther);
           const auto unfused = bfs_level_step_unfused(
               mat, frontier, levels, kNoVertex, grid,
-              mps::Phase::kPeripheralSpmspv, mps::Phase::kPeripheralOther,
-              SpmspvAccumulator::kAuto);
-          expect_same_step(fused, spa, "fused-auto vs fused-spa", p, seed,
-                           depth);
-          expect_same_step(fused, merge, "fused-auto vs fused-sortmerge", p,
-                           seed, depth);
+              mps::Phase::kPeripheralSpmspv, mps::Phase::kPeripheralOther);
           expect_same_step(fused, unfused, "fused vs unfused chain", p, seed,
                            depth);
           if (fused.global_nnz == 0) break;
@@ -179,10 +165,10 @@ TEST(LevelKernelEquivalence, RandomFrontiersNotJustBfsFrontiers) {
         // flow from the dense vector. That matches the BFS loops' usage.
         const auto fused = bfs_level_step(
             mat, x, dense, kNoVertex, grid, mps::Phase::kOrderingSpmspv,
-            mps::Phase::kOrderingOther, SpmspvAccumulator::kSpa);
+            mps::Phase::kOrderingOther);
         const auto unfused = bfs_level_step_unfused(
             mat, x, dense, kNoVertex, grid, mps::Phase::kOrderingSpmspv,
-            mps::Phase::kOrderingOther, SpmspvAccumulator::kSortMerge);
+            mps::Phase::kOrderingOther);
         expect_same_step(fused, unfused, "random frontier fused vs unfused",
                          p, seed * 100 + static_cast<u64>(t), 0);
       }, {}, t);
@@ -195,8 +181,7 @@ TEST(LevelKernelEquivalence, FullOrderingDegreeTieDeterminism) {
   // RCM++ (Hou & Liu 2024) point: ordering quality is only trustworthy
   // with deterministic level-by-level tie-breaking. Regular graphs make
   // every degree compare equal, so the ordering is pure tie-breaking; it
-  // must be bit-identical to serial RCM for every rank count and every
-  // accumulator arm.
+  // must be bit-identical to serial RCM at every rank and thread count.
   const CsrMatrix graphs[] = {
       gen::cycle(48),                          // all degrees 2
       gen::grid2d(13, 13),                     // mass interior ties
@@ -207,64 +192,13 @@ TEST(LevelKernelEquivalence, FullOrderingDegreeTieDeterminism) {
     const auto want = order::rcm_serial(a);
     for (const int p : rank_counts()) {
       for (const int t : thread_counts()) {
-        for (const auto acc :
-             {SpmspvAccumulator::kAuto, SpmspvAccumulator::kSpa,
-              SpmspvAccumulator::kSortMerge}) {
-          rcm::DistRcmOptions opt;
-          opt.accumulator = acc;
-          opt.threads = t;
-          const auto run = rcm::run_dist_rcm(p, a, opt);
-          EXPECT_EQ(run.labels, want)
-              << "p=" << p << " t=" << t << " acc=" << static_cast<int>(acc);
-        }
+        rcm::DistRcmOptions opt;
+        opt.threads = t;
+        const auto run = rcm::run_dist_rcm(p, a, opt);
+        EXPECT_EQ(run.labels, want) << "p=" << p << " t=" << t;
       }
     }
   }
-}
-
-TEST(LevelKernelEquivalence, AutoSelectResolvesByCrossover) {
-  // The BENCH_1.json rule: kSpa once the frontier's local edge volume
-  // reaches kScanUnit * local_rows, kSortMerge below.
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kAuto, 432.0, 8000),
-            SpmspvAccumulator::kSortMerge);  // frontier 16 on the bench graph
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kAuto, 6912.0, 8000),
-            SpmspvAccumulator::kSpa);  // frontier 256
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kAuto, 1000.0, 8000),
-            SpmspvAccumulator::kSpa);  // exactly at the bar
-  // Pinned arms pass through untouched.
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kSpa, 0.0, 8000),
-            SpmspvAccumulator::kSpa);
-  EXPECT_EQ(resolve_accumulator(SpmspvAccumulator::kSortMerge, 1e9, 8000),
-            SpmspvAccumulator::kSortMerge);
-}
-
-TEST(LevelKernelEquivalence, EnvOverridePinsTheArm) {
-  const auto a = gen::grid2d(10, 10);
-  const auto run_used = [&]() {
-    SpmspvAccumulator used{};
-    Runtime::run(1, [&](Comm& world) {
-      ProcGrid2D grid(world);
-      DistSpMat mat(grid, a);
-      DistDenseVec dense(mat.vec_dist(), grid, kNoVertex);
-      DistSpVec x(mat.vec_dist(), grid);
-      std::vector<VecEntry> all;
-      for (index_t v = 0; v < a.n(); ++v) all.push_back(VecEntry{v, v});
-      x.assign(all);
-      const auto step = bfs_level_step(mat, x, dense, kNoVertex, grid,
-                                       mps::Phase::kOrderingSpmspv,
-                                       mps::Phase::kOrderingOther);
-      used = step.used;
-    });
-    return used;
-  };
-  // Full frontier on a grid: the heuristic picks the SPA...
-  EXPECT_EQ(run_used(), SpmspvAccumulator::kSpa);
-  // ...but the environment override pins either arm without recompiling.
-  ASSERT_EQ(setenv("DRCM_SPMSPV_ACC", "sortmerge", 1), 0);
-  EXPECT_EQ(run_used(), SpmspvAccumulator::kSortMerge);
-  ASSERT_EQ(setenv("DRCM_SPMSPV_ACC", "spa", 1), 0);
-  EXPECT_EQ(run_used(), SpmspvAccumulator::kSpa);
-  ASSERT_EQ(unsetenv("DRCM_SPMSPV_ACC"), 0);
 }
 
 TEST(LevelKernelEquivalence, ThreadsKnobResolvesThroughTheEnvironment) {

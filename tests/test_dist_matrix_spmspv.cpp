@@ -5,6 +5,7 @@
 #include <map>
 
 #include "dist/dist_matrix.hpp"
+#include "dist/level_kernel.hpp"
 #include "dist/primitives.hpp"
 #include "dist/spmspv.hpp"
 #include "mpsim/runtime.hpp"
@@ -170,31 +171,52 @@ TEST_P(DistMatrixGrids, SpmspvChargesPhaseCosts) {
   }
 }
 
-TEST_P(DistMatrixGrids, AccumulatorStrategiesAgree) {
-  // The paper's kernel-design ablation: the dense SPA and the sort-merge
-  // accumulator must produce identical sparse vectors on any input.
+TEST_P(DistMatrixGrids, FusedAndUnfusedExpansionsAgree) {
+  // The unfused kernel (first-touch emission sorted before the row merge)
+  // and the fused level kernel (unsorted partials min-merged at their
+  // owners, the kept level sorted last) must expand a frontier into the
+  // same sparse vector at every thread count. SET refreshes the fused
+  // frontier's values from `dense`, which holds the frontier values on
+  // its support and the keep sentinel elsewhere, so SELECT drops exactly
+  // the frontier's own rows from both sides.
   const int p = GetParam();
   const auto a = gen::rmat(6, 6, 13);
   std::vector<VecEntry> frontier;
   for (index_t v = 0; v < a.n(); v += 3) frontier.push_back(VecEntry{v, v + 1});
-  Runtime::run(p, [&](Comm& world) {
-    ProcGrid2D grid(world);
-    DistSpMat mat(grid, a);
-    DistSpVec x(mat.vec_dist(), grid);
-    std::vector<VecEntry> mine;
-    for (const auto& e : frontier) {
-      if (e.idx >= x.lo() && e.idx < x.hi()) mine.push_back(e);
-    }
-    x.assign(mine);
-    const auto y_spa =
-        spmspv_select2nd_min(mat, x, grid, SpmspvAccumulator::kSpa);
-    const auto y_merge =
-        spmspv_select2nd_min(mat, x, grid, SpmspvAccumulator::kSortMerge);
-    ASSERT_EQ(y_spa.entries().size(), y_merge.entries().size());
-    for (std::size_t k = 0; k < y_spa.entries().size(); ++k) {
-      EXPECT_EQ(y_spa.entries()[k], y_merge.entries()[k]);
-    }
-  });
+  std::vector<VecEntry> want;
+  for (const auto& [i, val] : reference_spmspv(a, frontier)) {
+    if (i % 3 != 0) want.push_back(VecEntry{i, val});
+  }
+  for (const int threads : {1, 2, 6}) {
+    std::vector<VecEntry> fused_all, unfused_all;
+    Runtime::run(p, [&](Comm& world) {
+      ProcGrid2D grid(world);
+      DistSpMat mat(grid, a);
+      DistSpVec x(mat.vec_dist(), grid);
+      DistDenseVec dense(mat.vec_dist(), grid, kNoVertex);
+      std::vector<VecEntry> mine;
+      for (const auto& e : frontier) {
+        if (e.idx >= x.lo() && e.idx < x.hi()) {
+          mine.push_back(e);
+          dense.set(e.idx, e.val);
+        }
+      }
+      x.assign(mine);
+      const auto fused = bfs_level_step(mat, x, dense, kNoVertex, grid,
+                                        mps::Phase::kOrderingSpmspv,
+                                        mps::Phase::kOrderingOther);
+      const auto unfused = select_where_equals(
+          spmspv_select2nd_min(mat, x, grid), dense, kNoVertex, world);
+      const auto f = fused.next.to_global(world);
+      const auto u = unfused.to_global(world);
+      if (world.rank() == 0) {
+        fused_all = f;
+        unfused_all = u;
+      }
+    }, {}, threads);
+    EXPECT_EQ(fused_all, want) << "p=" << p << " threads=" << threads;
+    EXPECT_EQ(unfused_all, want) << "p=" << p << " threads=" << threads;
+  }
 }
 
 TEST(DistMatrix, MismatchedVectorDistributionThrows) {

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dist/dist_matrix.hpp"
+#include "dist/level_kernel.hpp"
+#include "dist/primitives.hpp"
 #include "dist/spmspv.hpp"
 #include "mpsim/runtime.hpp"
 #include "rcm/dist_bfs.hpp"
@@ -75,14 +79,14 @@ TEST(ThreadArms, CheckoutOpensAFreshEpochOnEveryArm) {
   EXPECT_FALSE(again[1].live(3));
   auto stripes = ws.thread_stripes(2);
   stripes[0].emit.push_back(VecEntry{1, 1});
-  stripes[1].cursors.push_back(MergeCursor{{}, 0, 0});
+  stripes[1].touched.push_back(3);
   auto stripes_again = ws.thread_stripes(2);
   EXPECT_TRUE(stripes_again[0].emit.empty());
-  EXPECT_TRUE(stripes_again[1].cursors.empty());
+  EXPECT_TRUE(stripes_again[1].touched.empty());
 }
 
 TEST(ThreadArms, TouchedRowListsClearAtCheckoutAndCountCapacity) {
-  // The output-sensitive kSpa merge records first-touched rows per thread;
+  // The output-sensitive hybrid merge records first-touched rows per thread;
   // the lists must behave like every other stripe buffer: cleared at
   // checkout with capacity retained, growth observed by the realloc ledger.
   DistWorkspace ws;
@@ -104,11 +108,12 @@ TEST(ThreadArms, TouchedRowListsClearAtCheckoutAndCountCapacity) {
 }
 
 TEST(ThreadArms, SparseAndDenseMergeRegimesEmitIdenticalEntries) {
-  // The hybrid kSpa merge switches between the touched-row (sparse) and
+  // The hybrid merge switches between the touched-row (sparse) and
   // dense-stripe scans on the team's touched total; both regimes — and
-  // every thread count — must emit exactly the serial arm's output. A
-  // 1-entry frontier exercises the sparse branch, the full frontier the
-  // dense branch.
+  // every thread count — must emit exactly the flat multiply's entries
+  // (which come in first-touch order, so they are sorted for the
+  // comparison) and charge the same units. A 1-entry frontier exercises
+  // the sparse branch, the full frontier the dense branch.
   const auto a = gen::grid3d(5, 5, 6);
   Runtime::run(1, [&](Comm& world) {
     ProcGrid2D grid(world);
@@ -120,62 +125,16 @@ TEST(ThreadArms, SparseAndDenseMergeRegimesEmitIdenticalEntries) {
       }
       DistWorkspace serial_ws;
       double w0 = 0;
-      const auto want = spmspv_local_multiply(
-          mat, frontier, SpmspvAccumulator::kSpa, serial_ws, &w0, nullptr, 1);
+      auto want = spmspv_local_multiply(mat, frontier, serial_ws, &w0, 1);
+      std::sort(want.begin(), want.end(), idx_less);
       for (const int threads : {2, 3, 6}) {
         DistWorkspace ws;
         double w1 = 0;
-        const auto got = spmspv_local_multiply(
-            mat, frontier, SpmspvAccumulator::kSpa, ws, &w1, nullptr, threads);
+        const auto got = spmspv_local_multiply(mat, frontier, ws, &w1, threads);
         ASSERT_EQ(got, want) << "threads=" << threads << " stride=" << stride;
         EXPECT_EQ(w1, w0);  // modeled units are thread-invariant
       }
     }
-  });
-}
-
-TEST(ThreadArms, SortMergeStripeMergeProbesEachHeadOncePerRound) {
-  // The hybrid kSortMerge stage-2b merge used to scan every stripe head
-  // TWICE per emitted row (one pass to find the minimum, a second to
-  // re-find and advance the winners): 2*E*S + S probes for E emitted rows
-  // from S stripes. The single-pass merge is pinned at exactly (E + 1) * S
-  // — each round reads each head once, and the last round discovers every
-  // head exhausted — while emitting bit-identical entries.
-  const auto a = gen::grid3d(5, 5, 6);
-  Runtime::run(1, [&](Comm& world) {
-    ProcGrid2D grid(world);
-    DistSpMat mat(grid, a);
-    for (const index_t stride : {a.n(), index_t{7}, index_t{1}}) {
-      std::vector<VecEntry> frontier;
-      for (index_t v = 0; v < a.n(); v += stride) {
-        frontier.push_back(VecEntry{v, a.n() - v});
-      }
-      DistWorkspace serial_ws;
-      double w0 = 0;
-      const auto want =
-          spmspv_local_multiply(mat, frontier, SpmspvAccumulator::kSortMerge,
-                                serial_ws, &w0, nullptr, 1);
-      for (const u64 threads : {2u, 3u, 6u}) {
-        DistWorkspace ws;
-        double w1 = 0;
-        const auto got = spmspv_local_multiply(
-            mat, frontier, SpmspvAccumulator::kSortMerge, ws, &w1, nullptr,
-            static_cast<int>(threads));
-        ASSERT_EQ(got, want) << "threads=" << threads << " stride=" << stride;
-        const u64 emitted = static_cast<u64>(got.size());
-        EXPECT_EQ(ws.merge_probes(), (emitted + 1) * threads)
-            << "threads=" << threads << " stride=" << stride;
-      }
-    }
-    // Degenerate frontier: zero emitted rows still cost one probe per
-    // stripe (the round that discovers there is nothing to merge).
-    DistWorkspace ws;
-    double w = 0;
-    const std::vector<VecEntry> empty;
-    const auto got = spmspv_local_multiply(
-        mat, empty, SpmspvAccumulator::kSortMerge, ws, &w, nullptr, 4);
-    EXPECT_TRUE(got.empty());
-    EXPECT_EQ(ws.merge_probes(), 4u);
   });
 }
 
@@ -190,7 +149,7 @@ TEST(ThreadArms, ReallocAccountingAcrossThreadCountChanges) {
     for (std::size_t t = 0; t < threads; ++t) {
       spas[t].put_min(t, 1);
       stripes[t].emit.assign(16, VecEntry{0, 0});
-      stripes[t].heap.assign(8, {0, 0});
+      stripes[t].touched.assign(8, 0);
     }
   };
   warm(6);
@@ -224,38 +183,55 @@ INSTANTIATE_TEST_SUITE_P(Grids, WorkspaceGrids, ::testing::Values(1, 4));
 TEST_P(WorkspaceGrids, TwoMatrixSizesAlternateWithoutCrossContamination) {
   // The hazard the workspace object fixes: under the thread_local SPA, a
   // big matrix inflated the shared buffer and a small matrix reused it
-  // blind. Alternate SpMSpV calls of two differently-sized matrices
-  // through ONE shared workspace and demand bit-identical results to
-  // calls made with a fresh workspace each time.
+  // blind. Alternate unfused SpMSpV calls and fused level steps of two
+  // differently-sized matrices through ONE shared workspace and demand
+  // bit-identical results to calls made with a fresh workspace each time.
   const int p = GetParam();
   const auto big = gen::grid3d(6, 5, 5);   // n = 150
   const auto small = gen::path(37);        // n = 37
-  for (const int threads : {1, 3}) {  // flat and hybrid share the arms
-    for (const auto acc :
-         {SpmspvAccumulator::kSpa, SpmspvAccumulator::kSortMerge}) {
-      Runtime::run(p, [&](Comm& world) {
-        ProcGrid2D grid(world);
-        DistSpMat mat_big(grid, big);
-        DistSpMat mat_small(grid, small);
-        DistSpVec x_big(mat_big.vec_dist(), grid);
-        DistSpVec x_small(mat_small.vec_dist(), grid);
-        DistWorkspace shared;
-        for (int round = 0; round < 4; ++round) {
-          x_big.assign(owned_frontier(x_big, big.n(), 2 + round));
-          x_small.assign(owned_frontier(x_small, small.n(), 1 + round));
-          for (bool use_big : {true, false, true}) {
-            const auto& mat = use_big ? mat_big : mat_small;
-            const auto& x = use_big ? x_big : x_small;
-            const auto got = spmspv_select2nd_min(mat, x, grid, acc, &shared);
-            DistWorkspace fresh;
-            const auto want = spmspv_select2nd_min(mat, x, grid, acc, &fresh);
-            ASSERT_EQ(got.entries(), want.entries())
-                << "p=" << p << " threads=" << threads << " round=" << round
-                << " big=" << use_big;
-          }
+  for (const int threads : {1, 3}) {  // flat and hybrid paths
+    Runtime::run(p, [&](Comm& world) {
+      ProcGrid2D grid(world);
+      DistSpMat mat_big(grid, big);
+      DistSpMat mat_small(grid, small);
+      DistSpVec x_big(mat_big.vec_dist(), grid);
+      DistSpVec x_small(mat_small.vec_dist(), grid);
+      DistDenseVec dense_big(mat_big.vec_dist(), grid, kNoVertex);
+      DistDenseVec dense_small(mat_small.vec_dist(), grid, kNoVertex);
+      // Every fourth vertex "visited" with a distinct value: the fused SET
+      // publishes varied parent values and SELECT has real work.
+      for (auto* dense : {&dense_big, &dense_small}) {
+        for (index_t g = dense->lo(); g < dense->hi(); ++g) {
+          if (g % 4 == 0) dense->set(g, g);
         }
-      }, {}, threads);
-    }
+      }
+      DistWorkspace shared;
+      for (int round = 0; round < 4; ++round) {
+        x_big.assign(owned_frontier(x_big, big.n(), 2 + round));
+        x_small.assign(owned_frontier(x_small, small.n(), 1 + round));
+        for (bool use_big : {true, false, true}) {
+          const auto& mat = use_big ? mat_big : mat_small;
+          const auto& x = use_big ? x_big : x_small;
+          const auto& dense = use_big ? dense_big : dense_small;
+          DistWorkspace fresh;
+          const auto got = spmspv_select2nd_min(mat, x, grid, &shared);
+          const auto want = spmspv_select2nd_min(mat, x, grid, &fresh);
+          ASSERT_EQ(got.entries(), want.entries())
+              << "unfused p=" << p << " threads=" << threads
+              << " round=" << round << " big=" << use_big;
+          const auto step = [&](DistWorkspace& ws) {
+            return bfs_level_step(mat, x, dense, kNoVertex, grid,
+                                  mps::Phase::kOrderingSpmspv,
+                                  mps::Phase::kOrderingOther, &ws)
+                .next.entries();
+          };
+          DistWorkspace fresh_fused;
+          ASSERT_EQ(step(shared), step(fresh_fused))
+              << "fused p=" << p << " threads=" << threads
+              << " round=" << round << " big=" << use_big;
+        }
+      }
+    }, {}, threads);
   }
 }
 
@@ -286,6 +262,55 @@ TEST_P(WorkspaceGrids, SteadyStateLevelsStopAllocatingAfterWarmup) {
       EXPECT_EQ(grid.workspace().reallocations(), warm)
           << "steady-state BFS levels must reuse workspace buffers"
           << " (threads=" << threads << ")";
+    }, {}, threads);
+  }
+}
+
+TEST_P(WorkspaceGrids, FusedTouchedBuffersSettleAfterWarmup) {
+  // The fused level's touched lists — the flat SPA's rows and the owner
+  // merge's filled slots — are workspace buffers like any other: one BFS
+  // warms them and identical traversals afterwards must reuse them with
+  // zero reallocations. At six threads the local multiply runs the
+  // per-thread stripes, so only the owner merge's list is in play there.
+  const int p = GetParam();
+  const auto a = gen::grid3d(4, 4, 12, gen::Stencil3d::k27);
+  for (const int threads : {1, 6}) {
+    Runtime::run(p, [&](Comm& world) {
+      ProcGrid2D grid(world);
+      DistSpMat mat(grid, a);
+      DistWorkspace ws;
+      const auto bfs = [&] {
+        DistDenseVec levels(mat.vec_dist(), grid, kNoVertex);
+        if (levels.owns(0)) levels.set(0, 0);
+        DistSpVec frontier(mat.vec_dist(), grid);
+        if (frontier.lo() == 0 && frontier.hi() > 0) {
+          frontier.assign({VecEntry{0, 0}});
+        }
+        for (index_t depth = 1;; ++depth) {
+          auto step = bfs_level_step(mat, frontier, levels, kNoVertex, grid,
+                                     mps::Phase::kPeripheralSpmspv,
+                                     mps::Phase::kPeripheralOther, &ws);
+          if (step.global_nnz == 0) break;
+          step.next.fill_values(depth);
+          scatter_into_dense(levels, step.next, world);
+          frontier = std::move(step.next);
+        }
+        // Checkouts surface growth the last level's push_backs caused.
+        ws.spa_touched();
+        ws.merge_touched();
+      };
+      bfs();
+      bfs();
+      const u64 warm = ws.reallocations();
+      const auto merge_cap = ws.merge_touched().capacity();
+      const auto spa_cap = ws.spa_touched().capacity();
+      EXPECT_GT(merge_cap, 0u) << "threads=" << threads;
+      if (threads == 1) EXPECT_GT(spa_cap, 0u);
+      bfs();
+      bfs();
+      EXPECT_EQ(ws.reallocations(), warm) << "threads=" << threads;
+      EXPECT_EQ(ws.merge_touched().capacity(), merge_cap);
+      EXPECT_EQ(ws.spa_touched().capacity(), spa_cap);
     }, {}, threads);
   }
 }
