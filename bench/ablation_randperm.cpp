@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
     rcm::DistRcmOptions with;
     with.load_balance = true;
     with.seed = 4242;
-    const auto plain = rcm::run_dist_rcm(4, e.pattern);
-    const auto balanced = rcm::run_dist_rcm(4, e.pattern, with);
+    const auto plain = rcm::run_dist_order(4, e.pattern);
+    const auto balanced = rcm::run_dist_order(4, e.pattern, with);
     std::printf("%-14s %12.2f %12.2f %10lld %10lld\n", e.name.c_str(), imb_nat,
                 imb_perm,
                 static_cast<long long>(

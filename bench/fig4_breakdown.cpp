@@ -17,6 +17,9 @@
 
 #include "bench/suite.hpp"
 #include "dist/level_kernel.hpp"
+#include "dist/primitives.hpp"
+#include "dist/sortperm.hpp"
+#include "dist/spmspv.hpp"
 #include "mpsim/runtime.hpp"
 #include "rcm/dist_bfs.hpp"
 #include "rcm/rcm_driver.hpp"
@@ -64,7 +67,7 @@ int main(int argc, char** argv) {
     const auto& e = small[static_cast<std::size_t>(i)];
     std::printf("validation, real SPMD runs of %s: ", e.name.c_str());
     for (const int p : {1, 4}) {
-      const auto run = rcm::run_dist_rcm(p, e.pattern);
+      const auto run = rcm::run_dist_order(p, e.pattern);
       double spmspv = 0, sort = 0, other = 0;
       spmspv += run.report.aggregate(mps::Phase::kPeripheralSpmspv).max.model_total();
       spmspv += run.report.aggregate(mps::Phase::kOrderingSpmspv).max.model_total();
@@ -78,106 +81,79 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  // Synchrony budget: the barrier-crossing ledger of one real p=4 run.
-  // The fused level kernel (dist::bfs_level_step) spends 3 crossings per
-  // BFS level; the unfused primitive chain (SET -> SpMSpV's three
-  // collectives -> SELECT -> emptiness AllReduce) spends 8. Measured, not
-  // asserted: the phases isolate each path's ledger.
-  {
-    std::uint64_t fused_one = 0, unfused_one = 0;
-    double fused_avg = 0;
-    const auto a = small[0].pattern;
-    const auto report = mps::Runtime::run(4, [&](mps::Comm& world) {
-      dist::ProcGrid2D grid(world);
-      dist::DistSpMat mat(grid, a);
-      dist::DistDenseVec levels(mat.vec_dist(), grid, kNoVertex);
-      if (levels.owns(0)) levels.set(0, 0);
-      dist::DistSpVec frontier(mat.vec_dist(), grid);
-      if (frontier.lo() <= 0 && 0 < frontier.hi()) {
-        frontier.assign({dist::VecEntry{0, 0}});
-      }
-      dist::bfs_level_step(mat, frontier, levels, kNoVertex, grid,
-                           mps::Phase::kOrderingSpmspv,
-                           mps::Phase::kOrderingOther);
-      dist::bfs_level_step_unfused(mat, frontier, levels, kNoVertex, grid,
-                                   mps::Phase::kPeripheralSpmspv,
-                                   mps::Phase::kPeripheralOther);
-      // A whole fused BFS: eccentricity+1 level steps, 3 crossings each.
-      const auto bfs = rcm::dist_bfs(mat, 0, levels, grid,
-                                     mps::Phase::kSolver, mps::Phase::kSolver);
-      if (world.rank() == 0) {
-        fused_avg = static_cast<double>(
-                        world.stats().phase(mps::Phase::kSolver).barrier_crossings) /
-                    static_cast<double>(bfs.eccentricity + 1);
-      }
-    });
-    fused_one =
-        report.aggregate(mps::Phase::kOrderingSpmspv).max.barrier_crossings +
-        report.aggregate(mps::Phase::kOrderingOther).max.barrier_crossings;
-    unfused_one =
-        report.aggregate(mps::Phase::kPeripheralSpmspv).max.barrier_crossings +
-        report.aggregate(mps::Phase::kPeripheralOther).max.barrier_crossings;
-    std::printf("collective crossings per BFS level (real p=4 run of %s):\n"
-                "  fused level kernel %llu, unfused primitive chain %llu; "
-                "full fused BFS averages %.2f/level\n\n",
-                small[0].name.c_str(),
-                static_cast<unsigned long long>(fused_one),
-                static_cast<unsigned long long>(unfused_one), fused_avg);
-  }
-
-  // The ordering-level split: one WHOLE Cuthill-McKee ordering level (BFS
-  // level + SORTPERM + label scatter) through the fused dist::cm_level_step
-  // vs the reference chain, on identical inputs. Fused: 3 SpMSpV-side + 2
-  // sort-side crossings. Unfused: 3 + the standalone SORTPERM's 6 (parked
-  // on the kSolver phase below).
+  // Synchrony budget, from the barrier-crossing ledger of one real p=4 run:
+  // one BFS level through the fused dist::bfs_level_step against the same
+  // level as its four standalone primitives (SET -> SpMSpV's three
+  // collectives -> SELECT -> emptiness AllReduce), one whole Cuthill-McKee
+  // ordering level through dist::cm_level_step against the standalone
+  // SORTPERM it absorbs, and a whole fused BFS. Measured, not asserted.
   {
     const auto a = small[0].pattern;
-    const auto report = mps::Runtime::run(4, [&](mps::Comm& world) {
+    std::uint64_t bfs_fused = 0, bfs_chain = 0, cm_fused = 0, cm_sort = 0,
+                  sortperm = 0;
+    double bfs_avg = 0;
+    mps::Runtime::run(4, [&](mps::Comm& world) {
+      const auto crossings = [&] {
+        return world.stats().total().barrier_crossings;
+      };
       dist::ProcGrid2D grid(world);
       dist::DistSpMat mat(grid, a);
       const auto degrees = mat.degrees(grid);
+      dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
+      if (labels.owns(0)) labels.set(0, 0);
       dist::DistSpVec frontier(mat.vec_dist(), grid);
       if (frontier.lo() <= 0 && 0 < frontier.hi()) {
         frontier.assign({dist::VecEntry{0, 0}});
       }
-      dist::DistDenseVec labels_f(mat.vec_dist(), grid, kNoVertex);
-      if (labels_f.owns(0)) labels_f.set(0, 0);
-      dist::cm_level_step(mat, frontier, labels_f, degrees, 0, 1, 1, grid,
-                          mps::Phase::kOrderingSpmspv,
-                          mps::Phase::kOrderingSort,
-                          mps::Phase::kOrderingOther);
-      dist::DistDenseVec labels_u(mat.vec_dist(), grid, kNoVertex);
-      if (labels_u.owns(0)) labels_u.set(0, 0);
-      dist::cm_level_step_unfused(mat, frontier, labels_u, degrees, 0, 1, 1,
-                                  grid, mps::Phase::kPeripheralSpmspv,
-                                  mps::Phase::kSolver,
-                                  mps::Phase::kPeripheralOther);
+      const auto c0 = crossings();
+      dist::bfs_level_step(mat, frontier, labels, kNoVertex, grid,
+                           mps::Phase::kOrderingSpmspv,
+                           mps::Phase::kOrderingOther);
+      const auto c1 = crossings();
+      dist::DistSpVec x = frontier;
+      dist::gather_from_dense(x, labels, world);
+      (void)dist::select_where_equals(dist::spmspv_select2nd_min(mat, x, grid),
+                                      labels, kNoVertex, world)
+          .global_nnz(world);
+      const auto c2 = crossings();
+      const auto level = dist::cm_level_step(
+          mat, frontier, labels, degrees, 0, 1, 1, grid,
+          mps::Phase::kOrderingSpmspv, mps::Phase::kOrderingSort,
+          mps::Phase::kOrderingOther);
+      const auto c3 = crossings();
+      (void)dist::sortperm_bucket(level.next, degrees, 0, 1, grid);
+      const auto c4 = crossings();
+      // A whole fused BFS: eccentricity+1 level steps, 3 crossings each.
+      dist::DistDenseVec levels(mat.vec_dist(), grid, kNoVertex);
+      const auto bfs = rcm::dist_bfs(mat, 0, levels, grid,
+                                     mps::Phase::kSolver, mps::Phase::kSolver);
+      if (world.rank() == 0) {
+        bfs_fused = c1 - c0;
+        bfs_chain = c2 - c1;
+        cm_fused = c3 - c2;
+        cm_sort =
+            world.stats().phase(mps::Phase::kOrderingSort).barrier_crossings;
+        sortperm = c4 - c3;
+        bfs_avg = static_cast<double>(
+                      world.stats().phase(mps::Phase::kSolver).barrier_crossings) /
+                  static_cast<double>(bfs.eccentricity + 1);
+      }
     });
-    const auto fused_spmspv =
-        report.aggregate(mps::Phase::kOrderingSpmspv).max.barrier_crossings +
-        report.aggregate(mps::Phase::kOrderingOther).max.barrier_crossings;
-    const auto fused_sort =
-        report.aggregate(mps::Phase::kOrderingSort).max.barrier_crossings;
-    const auto unfused_sort =
-        report.aggregate(mps::Phase::kSolver).max.barrier_crossings;
-    const auto unfused_total =
-        report.aggregate(mps::Phase::kPeripheralSpmspv).max.barrier_crossings +
-        report.aggregate(mps::Phase::kPeripheralOther).max.barrier_crossings +
-        unfused_sort;
-    std::printf("collective crossings per ORDERING level (real p=4 run of "
-                "%s):\n"
-                "  fused cm_level_step %llu (%llu SpMSpV + %llu sort), "
-                "unfused chain %llu (3 + SORTPERM's %llu)\n\n",
-                small[0].name.c_str(),
-                static_cast<unsigned long long>(fused_spmspv + fused_sort),
-                static_cast<unsigned long long>(fused_spmspv),
-                static_cast<unsigned long long>(fused_sort),
-                static_cast<unsigned long long>(unfused_total),
-                static_cast<unsigned long long>(unfused_sort));
+    const auto u = [](std::uint64_t v) {
+      return static_cast<unsigned long long>(v);
+    };
+    std::printf("collective crossings (real p=4 run of %s):\n"
+                "  BFS level: fused level kernel %llu, standalone primitive "
+                "chain %llu; full fused BFS averages %.2f/level\n"
+                "  ORDERING level: fused cm_level_step %llu (%llu SpMSpV + "
+                "%llu sort); standalone SORTPERM alone %llu\n\n",
+                small[0].name.c_str(), u(bfs_fused), u(bfs_chain), bfs_avg,
+                u(cm_fused), u(cm_fused - cm_sort), u(cm_sort), u(sortperm));
   }
   std::printf("shape check: Ord:Sort share rises with cores; "
               "low-diameter matrices keep scaling past 1K cores; fused "
-              "level kernel holds at <=3 crossings/level vs ~8 unfused, "
-              "and a whole fused ordering level at <=5 vs 9.\n");
+              "level kernel holds at <=3 crossings/level vs 8 for its "
+              "primitives, and a whole fused ordering level at <=5, less "
+              "than the standalone SORTPERM's 6.\n");
   return 0;
 }

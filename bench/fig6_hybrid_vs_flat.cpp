@@ -55,13 +55,13 @@ int main(int argc, char** argv) {
               "modeled (s)");
   bench::rule(60);
   rcm::DistRcmOptions flat_opt;  // threads = 1
-  const auto flat_run = rcm::run_dist_rcm(25, ldoor.pattern, flat_opt);
+  const auto flat_run = rcm::run_dist_order(25, ldoor.pattern, flat_opt);
   std::printf("%-22s %10d %12.3f %12.5f\n", "flat MPI p=25 t=1", 25,
               flat_run.report.measured_makespan(),
               flat_run.report.modeled_makespan());
   rcm::DistRcmOptions hybrid_opt;
   hybrid_opt.threads = 6;
-  const auto hybrid_run = rcm::run_dist_rcm(4, ldoor.pattern, hybrid_opt);
+  const auto hybrid_run = rcm::run_dist_order(4, ldoor.pattern, hybrid_opt);
   std::printf("%-22s %10d %12.3f %12.5f\n", "hybrid p=4 t=6", 4,
               hybrid_run.report.measured_makespan(),
               hybrid_run.report.modeled_makespan());

@@ -56,10 +56,10 @@ int main(int argc, char** argv) {
 
     // Distributed: measured at 1 and 4 ranks, modeled at 24 cores (t=6).
     t.reset();
-    const auto run1 = rcm::run_dist_rcm(1, a);
+    const auto run1 = rcm::run_dist_order(1, a);
     const double d1 = t.seconds();
     t.reset();
-    const auto run4 = rcm::run_dist_rcm(4, a);
+    const auto run4 = rcm::run_dist_order(4, a);
     const double d4 = t.seconds();
     const double d1014 = rcm::project_cost(trace, 1014, 6, machine).total();
 

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   std::vector<index_t> reference;
   for (const int p : {1, 4, 9, 16}) {
     WallTimer t;
-    const auto run = rcm::run_dist_rcm(p, a);
+    const auto run = rcm::run_dist_order(p, a);
     const double wall = t.seconds();
     double spmspv = 0, sort = 0, other = 0;
     spmspv += run.report.aggregate(mps::Phase::kPeripheralSpmspv).max.model_total();

@@ -7,7 +7,7 @@
 // This is the ten-line tour of the public API:
 //   sparse::gen::*          — build (or read, see reorder_tool) a matrix
 //   order::rcm_serial       — sequential reference ordering
-//   rcm::run_dist_rcm       — the paper's distributed algorithm
+//   rcm::run_dist_order     — the paper's distributed algorithm
 //   sparse::bandwidth/profile — quality metrics
 #include <cstdio>
 
@@ -38,7 +38,7 @@ int main() {
               static_cast<long long>(sparse::profile_with_labels(a, serial_labels)));
 
   // Distributed RCM on a 2x2 process grid (simulated ranks).
-  const auto run = rcm::run_dist_rcm(/*nranks=*/4, a);
+  const auto run = rcm::run_dist_order(/*nranks=*/4, a);
   std::printf("distributed RCM: bandwidth %6lld, profile %10lld "
               "(%d component%s, %d peripheral BFS sweeps)\n",
               static_cast<long long>(sparse::bandwidth_with_labels(a, run.labels)),

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/timer.hpp"
-#include "dist/primitives.hpp"
 #include "dist/sortperm.hpp"
 #include "dist/spmspv.hpp"
 
@@ -31,10 +30,9 @@ std::vector<VecEntry>& publish_set(const DistSpVec& frontier,
 }
 
 /// Stage 2: local block multiply into per-row partial minima, then route
-/// each partial straight to the owner of its element — the step that
-/// replaces the row-merge alltoallv + transpose pairwise exchange of the
-/// unfused kernel. The owner min-merges in stamped slots, so the partials
-/// travel in whatever order the multiply emitted them.
+/// each partial straight to the owner of its element. The owner min-merges
+/// in stamped slots, so the partials travel in whatever order the multiply
+/// emitted them.
 void route_partials(const DistSpMat& a, const std::vector<VecEntry>& gathered,
                     std::vector<std::vector<VecEntry>>& route,
                     mps::Comm& world, DistWorkspace& w) {
@@ -124,38 +122,13 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
   return res;
 }
 
-LevelStepResult bfs_level_step_unfused(
-    const DistSpMat& a, const DistSpVec& frontier, const DistDenseVec& dense,
-    index_t keep_sentinel, ProcGrid2D& grid, mps::Phase spmspv_phase,
-    mps::Phase other_phase, DistWorkspace* ws) {
-  auto& world = grid.world();
-  DistWorkspace& w = ws ? *ws : grid.workspace();
-
-  LevelStepResult res;
-  DistSpVec cur = frontier;
-  {
-    mps::PhaseScope scope(world, other_phase);
-    gather_from_dense(cur, dense, world);
-  }
-  DistSpVec expanded;
-  {
-    mps::PhaseScope scope(world, spmspv_phase);
-    expanded = spmspv_select2nd_min(a, cur, grid, &w);
-  }
-  {
-    mps::PhaseScope scope(world, other_phase);
-    res.next = select_where_equals(expanded, dense, keep_sentinel, world);
-    res.global_nnz = res.next.global_nnz(world);
-  }
-  return res;
-}
-
-CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
-                            DistDenseVec& labels, const DistDenseVec& degrees,
-                            index_t label_lo, index_t label_hi,
-                            index_t next_label, ProcGrid2D& grid,
-                            mps::Phase spmspv_phase, mps::Phase sort_phase,
-                            mps::Phase other_phase, DistWorkspace* ws) {
+LevelStepResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
+                              DistDenseVec& labels,
+                              const DistDenseVec& degrees, index_t label_lo,
+                              index_t label_hi, index_t next_label,
+                              ProcGrid2D& grid, mps::Phase spmspv_phase,
+                              mps::Phase sort_phase, mps::Phase other_phase,
+                              DistWorkspace* ws) {
   DRCM_CHECK(frontier.dist() == a.vec_dist(),
              "frontier distribution does not match the matrix");
   DRCM_CHECK(labels.dist() == a.vec_dist(),
@@ -171,7 +144,7 @@ CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
   const index_t nb = label_hi - label_lo;
   const index_t my_block = block_index(grid.row(), grid.col(), q);
 
-  CmLevelResult res;
+  LevelStepResult res;
   // Measured-wall attribution: a single PhaseScope would land EVERY second
   // of this fused collective — including the SORTPERM plan, deal and worker
   // sort — on the SpMSpV ledger (the modeled split was always exact; the
@@ -293,39 +266,6 @@ CmLevelResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
   world.stats().add_wall(sort_phase, sort_wall);
   world.stats().add_wall(spmspv_phase, std::max(0.0, total_wall - sort_wall));
   res.next = frontier.sibling(std::move(kept));
-  return res;
-}
-
-CmLevelResult cm_level_step_unfused(
-    const DistSpMat& a, const DistSpVec& frontier, DistDenseVec& labels,
-    const DistDenseVec& degrees, index_t label_lo, index_t label_hi,
-    index_t next_label, ProcGrid2D& grid, mps::Phase spmspv_phase,
-    mps::Phase sort_phase, mps::Phase other_phase, bool sample_sort,
-    DistWorkspace* ws) {
-  auto& world = grid.world();
-
-  CmLevelResult res;
-  auto step = bfs_level_step(a, frontier, labels, kNoVertex, grid,
-                             spmspv_phase, other_phase, ws);
-  res.next = std::move(step.next);
-  res.global_nnz = step.global_nnz;
-  if (res.global_nnz == 0) return res;
-
-  // Rnext <- SORTPERM(Lnext, D) + next_label.
-  DistSpVec ranks;
-  {
-    mps::PhaseScope scope(world, sort_phase);
-    ranks = sample_sort
-                ? sortperm_sample(res.next, degrees, grid, ws)
-                : sortperm_bucket(res.next, degrees, label_lo, label_hi,
-                                  grid, ws);
-    add_scalar(ranks, next_label, world);
-  }
-  // R <- SET(R, Rnext).
-  {
-    mps::PhaseScope scope(world, other_phase);
-    scatter_into_dense(labels, ranks, world);
-  }
   return res;
 }
 

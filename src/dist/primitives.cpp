@@ -52,13 +52,6 @@ DistSpVec select_where_equals(const DistSpVec& sp, const DistDenseVec& dense,
   return sp.sibling(std::move(kept));
 }
 
-void add_scalar(DistSpVec& sp, index_t s, mps::Comm& world) {
-  auto entries = sp.entries();
-  for (auto& e : entries) e.val += s;
-  world.charge_compute(static_cast<double>(entries.size()));
-  sp.assign(std::move(entries));
-}
-
 std::pair<index_t, index_t> reduce_argmin(const DistSpVec& sp,
                                           const DistDenseVec& key,
                                           mps::Comm& world) {

@@ -1,10 +1,10 @@
 // The paper's Table-I vector primitives (SET / SELECT / REDUCE and
 // friends) on aligned distributed vectors.
 //
-// All sparse/dense pairs must share one distribution, so SET, SELECT and
-// the scalar shift are embarrassingly local; only the argmin reductions
-// communicate (one allreduce of an (key, index) pair). Every primitive
-// charges its scalar work through the Comm so phase breakdowns stay honest.
+// All sparse/dense pairs must share one distribution, so SET and SELECT
+// are embarrassingly local; only the argmin reductions communicate (one
+// allreduce of an (key, index) pair). Every primitive charges its scalar
+// work through the Comm so phase breakdowns stay honest.
 #pragma once
 
 #include <utility>
@@ -25,9 +25,6 @@ void scatter_into_dense(DistDenseVec& dense, const DistSpVec& sp,
 /// SELECT: keep the sparse entries whose dense value equals `value`.
 DistSpVec select_where_equals(const DistSpVec& sp, const DistDenseVec& dense,
                               index_t value, mps::Comm& world);
-
-/// Adds `s` to every sparse value in place.
-void add_scalar(DistSpVec& sp, index_t s, mps::Comm& world);
 
 /// REDUCE: (min dense[idx], idx) over the sparse support, ties to the
 /// smallest index; (kNoVertex, kNoVertex) when the support is empty

@@ -6,7 +6,8 @@
 // primary key needs counting, not comparing. sortperm_bucket exploits this
 // with counting passes only (an LSD radix over the key) and performs zero
 // comparison sorts over the elements end to end. sortperm_sample is the
-// general sample sort used as the HykSort-style ablation baseline.
+// general sample sort kept as the HykSort-style comparison baseline
+// (micro_sort and the perfbench dist.sortperm_sample_* probes time it).
 //
 // The counting structure is factored into histogram-cell helpers shared
 // with the fused ordering-level kernel (dist/level_kernel.hpp): each rank

@@ -9,12 +9,12 @@
 //      hand the merged sub-chunk to its true owner via the transpose
 //      pairwise exchange.
 //
-// This is the unfused kernel: three collectives (six barrier crossings)
+// This is the standalone kernel: three collectives (six barrier crossings)
 // per call, plus the caller's SET / SELECT / emptiness round trips. The
 // fused per-level path (dist/level_kernel.hpp) performs the same math in
 // one three-crossing collective and is what the BFS loops actually run;
-// this entry point remains the primitive-chain reference the equivalence
-// tests compare against.
+// this entry point remains a primitive of its own (micro_spmspv, fig4's
+// crossing split and the perfbench dist.spmspv_* probes time it).
 #pragma once
 
 #include "dist/dist_matrix.hpp"
@@ -26,7 +26,7 @@ namespace drcm::dist {
 /// Work units charged per element of a sequential stamp-check sweep.
 /// MachineParams::gamma is calibrated for one random CSR edge visit; a
 /// predictable linear sweep over a dense array costs a fraction of that.
-/// Only the unfused reference's stage-3b merge still sweeps its whole
+/// Only the standalone kernel's stage-3b merge still sweeps its whole
 /// merge range; the fused level kernel never scans a dense range.
 inline constexpr double kScanUnit = 0.125;
 
@@ -34,7 +34,7 @@ inline constexpr double kScanUnit = 0.125;
 /// per-row partial minima with GLOBAL row indices, each row at most once.
 /// Returns workspace-owned scratch valid until the next workspace checkout;
 /// `*work` receives the work units to charge: frontier edges + emitted
-/// rows, the same at every thread count. Shared by the unfused kernel
+/// rows, the same at every thread count. Shared by the standalone kernel
 /// below and the fused level kernel.
 ///
 /// With `threads` == 1 one stamped SPA records the rows it touches and

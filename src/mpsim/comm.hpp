@@ -209,7 +209,7 @@ class Comm {
   /// (dist::bfs_level_step): a sub-group allgatherv, an alltoallv of what
   /// `route` makes of the gathered data, and an allreduce-sum of what
   /// `count` makes of the routed data — in THREE barrier crossings, where
-  /// the unfused chain of four collectives pays eight. The supersteps use
+  /// the same four collectives run standalone pay eight. The supersteps use
   /// three distinct publication boards, so the read of one round and the
   /// publish of the next share a single crossing (classic BSP):
   ///
@@ -243,9 +243,9 @@ class Comm {
   /// (dist::cm_level_step): extends fused_gather_route_count with a carried
   /// payload on the count superstep and TWO further routed supersteps, so a
   /// whole Cuthill-McKee ordering level (SET + SpMSpV + SELECT + count +
-  /// SORTPERM + label scatter) costs FIVE barrier crossings — where the
-  /// reference chain pays 3 (fused BFS level) + 6 (SORTPERM's three
-  /// collectives) = 9. Board schedule (each board is free one crossing
+  /// SORTPERM + label scatter) costs FIVE barrier crossings — where a fused
+  /// BFS level followed by the standalone SORTPERM (three collectives)
+  /// pays 3 + 6 = 9. Board schedule (each board is free one crossing
   /// after its readers finish, classic BSP):
   ///
   ///   publish my `local` span                           [scalar board]

@@ -11,7 +11,7 @@ index_t dist_cm_component(const dist::DistSpMat& a,
                           const dist::DistDenseVec& degrees,
                           dist::DistDenseVec& labels, index_t root,
                           index_t next_label, dist::ProcGrid2D& grid,
-                          SortKind sort, std::vector<index_t>* level_starts) {
+                          std::vector<index_t>* level_starts) {
   DRCM_CHECK(root >= 0 && root < a.n(), "root out of range");
   auto& world = grid.world();
 
@@ -29,21 +29,15 @@ index_t dist_cm_component(const dist::DistSpMat& a,
     frontier.assign({VecEntry{root, next_label}});
   }
   return dist_cm_cone(a, degrees, labels, std::move(frontier),
-                      /*frontier_nnz=*/1, next_label + 1, grid, sort,
-                      level_starts);
+                      /*frontier_nnz=*/1, next_label + 1, grid, level_starts);
 }
 
 index_t dist_cm_cone(const dist::DistSpMat& a,
                      const dist::DistDenseVec& degrees,
                      dist::DistDenseVec& labels, DistSpVec frontier,
                      index_t frontier_nnz, index_t next_label,
-                     dist::ProcGrid2D& grid, SortKind sort,
+                     dist::ProcGrid2D& grid,
                      std::vector<index_t>* level_starts, index_t label_cap) {
-  // The sample-sort baseline cannot ride the level collective (a comparison
-  // sort has no histogram to piggyback), so it always takes the reference
-  // chain.
-  const bool fused = sort == SortKind::kBucket;
-
   while (frontier_nnz > 0) {
     // Labels of the current frontier form the contiguous range
     // [next_label - |frontier|, next_label): the bucket boundaries of
@@ -52,19 +46,13 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
     const index_t label_hi = next_label;
 
     // One ordering level: Lnext <- SELECT(SPMSPV(A, SET(Lcur, R)), R = -1);
-    // R <- SET(R, SORTPERM(Lnext, D) + nv). Fused: five barrier crossings
-    // (three on the terminal level). Reference: 3 + SORTPERM's 6 = 9.
-    auto step =
-        fused ? dist::cm_level_step(a, frontier, labels, degrees, label_lo,
+    // R <- SET(R, SORTPERM(Lnext, D) + nv), in five barrier crossings
+    // (three on the terminal level).
+    auto step = dist::cm_level_step(a, frontier, labels, degrees, label_lo,
                                     label_hi, next_label, grid,
                                     mps::Phase::kOrderingSpmspv,
                                     mps::Phase::kOrderingSort,
-                                    mps::Phase::kOrderingOther)
-              : dist::cm_level_step_unfused(
-                    a, frontier, labels, degrees, label_lo, label_hi,
-                    next_label, grid, mps::Phase::kOrderingSpmspv,
-                    mps::Phase::kOrderingSort, mps::Phase::kOrderingOther,
-                    sort == SortKind::kSampleSort);
+                                    mps::Phase::kOrderingOther);
     frontier_nnz = step.global_nnz;
     if (frontier_nnz == 0) break;
     if (level_starts) level_starts->push_back(next_label);

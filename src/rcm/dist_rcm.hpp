@@ -5,11 +5,11 @@
 // the (select2nd, min) SpMSpV (children attach to minimum-label parents),
 // filtered to unvisited vertices (SELECT), ranked by the distributed bucket
 // SORTPERM on the (parent label, degree, id) key, shifted by the running
-// label counter, and written into the dense label vector R (SET). By
-// default the whole ordering level runs through the fused
-// dist::cm_level_step collective — five barrier crossings per level (three
-// on the terminal level) instead of the reference chain's nine. Costs are
-// charged to the Ordering:* phases of the Figure-4 breakdown.
+// label counter, and written into the dense label vector R (SET). The
+// whole ordering level runs through the fused dist::cm_level_step
+// collective — five barrier crossings per level (three on the terminal
+// level). Costs are charged to the Ordering:* phases of the Figure-4
+// breakdown.
 #pragma once
 
 #include <vector>
@@ -19,17 +19,10 @@
 
 namespace drcm::rcm {
 
-/// Which SORTPERM implementation ranks each level (the paper's specialized
-/// bucket sort, or the general sample sort used as its HykSort-style
-/// comparison baseline).
-enum class SortKind { kBucket, kSampleSort };
-
 /// Labels the component containing `root` (which must itself be unlabeled)
 /// with consecutive CM labels starting at `next_label`; returns the first
 /// unused label. `labels` is the paper's dense vector R (kNoVertex =
-/// unvisited). Bucket sort runs the fused five-crossing ordering level; the
-/// sample-sort baseline runs the reference chain (bit-identical).
-/// Collective.
+/// unvisited). Collective.
 ///
 /// `level_starts`, when non-null, receives the first CM label of every
 /// BFS level discovered (level 0 = the root, so the first pushed value is
@@ -41,7 +34,6 @@ index_t dist_cm_component(const dist::DistSpMat& a,
                           const dist::DistDenseVec& degrees,
                           dist::DistDenseVec& labels, index_t root,
                           index_t next_label, dist::ProcGrid2D& grid,
-                          SortKind sort = SortKind::kBucket,
                           std::vector<index_t>* level_starts = nullptr);
 
 /// The CONE-RESTRICTED entry point the incremental-repair path uses:
@@ -64,7 +56,6 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
                      dist::DistDenseVec& labels, dist::DistSpVec frontier,
                      index_t frontier_nnz, index_t next_label,
                      dist::ProcGrid2D& grid,
-                     SortKind sort = SortKind::kBucket,
                      std::vector<index_t>* level_starts = nullptr,
                      index_t label_cap = -1);
 

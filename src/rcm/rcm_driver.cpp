@@ -51,7 +51,7 @@ void balance_input(mps::Comm& world, const sparse::CsrMatrix& a,
 /// The distributed ordering proper: decompose `work` onto `grid`, run the
 /// per-component peripheral search + CM labeling, reverse. Returns the
 /// SHARDED label vector in the WORK numbering — O(n/p) per rank, never
-/// replicated here; the callers decide whether to gather (dist_rcm) or
+/// replicated here; the callers decide whether to gather (dist_order) or
 /// keep it distributed (dist_rcm_sharded).
 dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
                                    const sparse::CsrMatrix& work,
@@ -83,7 +83,7 @@ dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     cr.seed = seed;
     cr.root = peripheral.vertex;
     next_label = dist_cm_component(mat, degrees, labels, peripheral.vertex,
-                                   next_label, grid, options.sort,
+                                   next_label, grid,
                                    recipe ? &cr.level_starts : nullptr);
     if (recipe) {
       cr.level_starts.push_back(next_label);  // one-past-the-end sentinel
@@ -167,8 +167,7 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
       }
       world.charge_compute(static_cast<double>(keys.local_size()));
     }
-    next_label = dist_cm_component(mat, keys, labels, s, next_label, grid,
-                                   options.sort);
+    next_label = dist_cm_component(mat, keys, labels, s, next_label, grid);
   }
   if (stats) *stats = local_stats;
   return labels;  // no reversal
@@ -250,22 +249,13 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
   return global;
 }
 
-std::vector<index_t> dist_rcm(mps::Comm& world, const sparse::CsrMatrix& a,
-                              const DistRcmOptions& options,
-                              DistRcmStats* stats, OrderingRecipe* recipe) {
-  // The name is the contract: always RCM, whatever the spec says (the
-  // peripheral_mode knob is still honored — it tunes RCM, not replaces it).
-  DistRcmOptions pinned = options;
-  pinned.ordering.algorithm = OrderingAlgorithm::kRcm;
-  return dist_order(world, a, pinned, stats, recipe);
-}
-
 dist::DistDenseVec dist_rcm_sharded(mps::Comm& world, dist::ProcGrid2D& grid,
                                     const sparse::CsrMatrix& a,
                                     const DistRcmOptions& options,
                                     DistRcmStats* stats) {
   DRCM_CHECK(!a.has_self_loops(),
-             "dist_rcm expects an adjacency pattern (strip_diagonal first)");
+             "dist_rcm_sharded expects an adjacency pattern (strip_diagonal "
+             "first)");
   const index_t n = a.n();
 
   std::vector<index_t> balance;
@@ -512,8 +502,8 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
           labels, flo, fhi, grid, mps::Phase::kOrderingOther);
       std::vector<index_t> cone_starts;
       next_label = dist_cm_cone(mat, degrees, labels, std::move(frontier),
-                                fhi - flo, fhi, grid, options.sort,
-                                &cone_starts, /*label_cap=*/comp_hi);
+                                fhi - flo, fhi, grid, &cone_starts,
+                                /*label_cap=*/comp_hi);
       if (next_label != comp_hi) {
         out.reason = next_label > comp_hi
                          ? "cone escaped its component (pattern merge)"
@@ -533,7 +523,7 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
       out.level_steps_skipped += d - 1;
     } else {
       next_label = dist_cm_component(mat, degrees, labels, root, comp_lo,
-                                     grid, options.sort, &ncr.level_starts);
+                                     grid, &ncr.level_starts);
       if (next_label != comp_hi) {
         out.reason = "recomputed component changed size (split or merge)";
         return out;
@@ -568,6 +558,20 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
 }
 
 namespace {
+
+/// Why `labels` cannot relabel an n-vertex matrix, or empty when it is a
+/// permutation of [0, n). Checks the caller's known labels on the hit path
+/// and the recoverable runner's ordering checkpoint. Local; no charge.
+std::string permutation_error(const std::vector<index_t>& labels, index_t n) {
+  if (labels.size() != static_cast<std::size_t>(n)) {
+    return std::to_string(labels.size()) + " labels for n=" +
+           std::to_string(n);
+  }
+  if (!sparse::is_valid_permutation(labels)) {
+    return "labels are not a permutation of [0, n)";
+  }
+  return {};
+}
 
 /// Per-rank resident budget of the one-shot pipeline: O(nnz/p + n/p).
 /// Terms, largest first: this rank's balanced-2D input block consumed as
@@ -632,12 +636,11 @@ struct SolveOut {
 /// and the solution never leaves slab form inside the SPMD body.
 /// Collective; `block` is the checkpointed stage-2 row block of this rank,
 /// `grid` the caller's (its workspace stages the rhs exchange, so repeat
-/// solves on a persistent grid reallocate nothing). `label_slab`, when
-/// non-null, supplies the sharded labels instead of the replicated vector.
+/// solves on a persistent grid reallocate nothing), `labels` the stage-1
+/// output, replicated or sharded.
+template <class Labels>
 SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
-                     const dist::RowBlockCsr& block,
-                     const std::vector<index_t>& labels,
-                     const dist::DistDenseVec* label_slab,
+                     const dist::RowBlockCsr& block, const Labels& labels,
                      std::span<const double> b, bool precondition,
                      const solver::CgOptions& cg_options) {
   std::vector<double> b_local;
@@ -650,11 +653,8 @@ SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
       b_dist.set(g, b[static_cast<std::size_t>(g)]);
     }
     world.charge_compute(static_cast<double>(b_dist.local_size()));
-    b_local = label_slab
-                  ? dist::redistribute_to_row_slab(b_dist, *label_slab, world,
-                                                   &grid.workspace())
-                  : dist::redistribute_to_row_slab(b_dist, labels, world,
-                                                   &grid.workspace());
+    b_local = dist::redistribute_to_row_slab(b_dist, labels, world,
+                                             &grid.workspace());
     world.note_resident(block.resident_elements() +
                         4 * static_cast<std::uint64_t>(b_dist.local_size()) +
                         4 * b_local.size());
@@ -664,6 +664,32 @@ SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
   out.cg = solver::dist_pcg(world, block, b_local, out.x_local, precondition,
                             cg_options);
   return out;
+}
+
+/// Stages 2 and 3 of ordered_solve under the stage-1 `labels` (replicated
+/// or sharded), then the scalability contract, O(nnz/p + n/p) end to end:
+/// the one-shot redistribution streams the balanced-2D block straight into
+/// row blocks (no Θ(nnz/q) permuted-2D intermediate), the rhs moves as
+/// O(n/p) slabs, and the solution stays a slab — no O(n) replicated vector
+/// exists at ANY stage inside the ranks. Collective.
+template <class Labels>
+void redistribute_and_solve(dist::ProcGrid2D& grid,
+                            const OrderedSolveSpec& spec, const Labels& labels,
+                            OrderedSolveResult& out) {
+  auto& world = grid.world();
+  const sparse::CsrMatrix& a = *spec.matrix;
+  const auto redist = redistribute_stage(world, grid, a, labels);
+  out.permuted_bandwidth = redist.bandwidth;
+  auto solved = solve_stage(world, grid, a.n(), redist.block, labels, spec.b,
+                            spec.precondition, spec.cg);
+  out.cg = solved.cg;
+  out.x_local = std::move(solved.x_local);
+  out.x_lo = redist.block.lo;
+
+  const auto peak = world.stats().peak_resident_elements();
+  DRCM_CHECK(peak <= resident_budget(spec.rcm, a.nnz(), world.size(),
+                                     grid.q(), a.n()),
+             "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
 }
 
 /// Assembles the replicated ORIGINAL-numbering solution from the per-rank
@@ -690,8 +716,8 @@ std::vector<double> assemble_solution(
 
 }  // namespace
 
-OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
-                                      const OrderedSolveSpec& spec) {
+OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
+                                 const OrderedSolveSpec& spec) {
   DRCM_CHECK(spec.matrix != nullptr, "ordered_solve needs a matrix");
   const sparse::CsrMatrix& a = *spec.matrix;
   // A matrix with zero stored entries is vacuously valued: the degenerate
@@ -709,33 +735,16 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
 
   if (spec.labels != nullptr) {
     // The ordering-cache HIT path: stage 1 skipped, redistribution runs
-    // under the KNOWN labels.
-    DRCM_CHECK(spec.labels->size() == static_cast<std::size_t>(n),
-               "labels must cover every vertex");
-    DRCM_CHECK(!rcm_options.sharded_labels,
-               "the hit path takes replicated labels");
-    const auto redist = redistribute_stage(world, grid, a, *spec.labels);
-    out.permuted_bandwidth = redist.bandwidth;
-
-    auto solved = solve_stage(world, grid, n, redist.block, *spec.labels,
-                              /*label_slab=*/nullptr, spec.b,
-                              spec.precondition, spec.cg);
-    out.cg = solved.cg;
-    out.x_local = std::move(solved.x_local);
-    out.x_lo = redist.block.lo;
-
-    // Same per-rank contract as the full pipeline; the skipped ordering
-    // phases only make it easier to meet. `out.labels` stays EMPTY — the
+    // under the KNOWN labels. The skipped ordering phases only make the
+    // per-rank contract easier to meet. `out.labels` stays EMPTY — the
     // caller already holds the labels (that is why it could skip stage 1),
     // and the no-gather body has no business replicating them again.
-    const auto peak = world.stats().peak_resident_elements();
-    DRCM_CHECK(peak <= resident_budget(rcm_options, a.nnz(), world.size(),
-                                       grid.q(), n),
-               "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
-    return out;
-  }
-
-  if (rcm_options.sharded_labels) {
+    const std::string bad = permutation_error(*spec.labels, n);
+    DRCM_CHECK(bad.empty(), "ordered_solve known labels: " + bad);
+    DRCM_CHECK(!rcm_options.sharded_labels,
+               "the hit path takes replicated labels");
+    redistribute_and_solve(grid, spec, *spec.labels, out);
+  } else if (rcm_options.sharded_labels) {
     // Fully sharded arm: the label vector never exists replicated inside
     // the pipeline — ordering returns an O(n/p) slab, redistribution does
     // the two-sided window lookup, the rhs relabel is a local slab read.
@@ -755,113 +764,32 @@ OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
                  "sharded labels are RCM-only in v1 (Sloan/GPS arms return "
                  "replicated labels)");
     }
-    dist::DistDenseVec labels =
+    const dist::DistDenseVec labels =
         spec.adjacency
             ? dist_rcm_sharded(world, grid, *spec.adjacency, rcm_options)
             : dist_rcm_sharded(world, grid, a.strip_diagonal(), rcm_options);
+    redistribute_and_solve(grid, spec, labels, out);
 
-    const auto redist = redistribute_stage(world, grid, a, labels);
-    out.permuted_bandwidth = redist.bandwidth;
-
-    auto solved = solve_stage(world, grid, n, redist.block, /*labels=*/{},
-                              &labels, spec.b, spec.precondition, spec.cg);
-    out.cg = solved.cg;
-    out.x_local = std::move(solved.x_local);
-    out.x_lo = redist.block.lo;
-
-    // The contract is asserted BEFORE the result is packaged: with labels
-    // sharded, no O(n) structure existed at any point of the pipeline.
-    const auto peak = world.stats().peak_resident_elements();
-    DRCM_CHECK(peak <= resident_budget(rcm_options, a.nnz(), world.size(),
-                                       grid.q(), n),
-               "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
-
-    // Result packaging for the caller's checkpoint/cache, outside the
-    // asserted pipeline (exactly like the run_* wrappers' replicated x).
-    {
-      mps::PhaseScope scope(world, mps::Phase::kOther);
-      out.labels = labels.to_global(world);
-    }
-    return out;
-  }
-
-  // The ordering runs on the self-loop-free adjacency pattern. Callers
-  // that know it (run_ordered_solve strips once outside the ranks) pass
-  // it in; otherwise each rank strips its own transient copy. dist_order
-  // dispatches on spec.rcm.ordering — the whole portfolio flows through
-  // the one pipeline.
-  if (spec.adjacency) {
-    out.labels =
-        dist_order(world, *spec.adjacency, rcm_options, nullptr, spec.recipe);
+    // Result packaging for the caller's checkpoint/cache, AFTER the
+    // contract was asserted (exactly like the run_* wrappers' replicated
+    // x): with labels sharded, no O(n) structure existed at any point of
+    // the pipeline.
+    mps::PhaseScope scope(world, mps::Phase::kOther);
+    out.labels = labels.to_global(world);
   } else {
-    out.labels = dist_order(world, a.strip_diagonal(), rcm_options, nullptr,
-                            spec.recipe);
+    // The ordering runs on the self-loop-free adjacency pattern. Callers
+    // that know it (run_ordered_solve strips once outside the ranks) pass
+    // it in; otherwise each rank strips its own transient copy. dist_order
+    // dispatches on spec.rcm.ordering — the whole portfolio flows through
+    // the one pipeline.
+    out.labels = spec.adjacency
+                     ? dist_order(world, *spec.adjacency, rcm_options,
+                                  nullptr, spec.recipe)
+                     : dist_order(world, a.strip_diagonal(), rcm_options,
+                                  nullptr, spec.recipe);
+    redistribute_and_solve(grid, spec, out.labels, out);
   }
-
-  const auto redist = redistribute_stage(world, grid, a, out.labels);
-  out.permuted_bandwidth = redist.bandwidth;
-
-  auto solved = solve_stage(world, grid, n, redist.block, out.labels,
-                            /*label_slab=*/nullptr, spec.b, spec.precondition,
-                            spec.cg);
-  out.cg = solved.cg;
-  out.x_local = std::move(solved.x_local);
-  out.x_lo = redist.block.lo;
-
-  // The scalability contract, O(nnz/p + n/p) end to end: the one-shot
-  // redistribution streams the balanced-2D block straight into row blocks
-  // (no Θ(nnz/q) permuted-2D intermediate), the rhs moves as O(n/p) slabs,
-  // and the solution stays a slab — no O(n) replicated vector exists at
-  // ANY stage inside the ranks.
-  const auto peak = world.stats().peak_resident_elements();
-  DRCM_CHECK(
-      peak <= resident_budget(rcm_options, a.nnz(), world.size(), grid.q(), n),
-      "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
   return out;
-}
-
-OrderedSolveResult ordered_solve_on(dist::ProcGrid2D& grid,
-                                    const sparse::CsrMatrix& a,
-                                    std::span<const double> b,
-                                    bool precondition,
-                                    const DistRcmOptions& rcm_options,
-                                    const solver::CgOptions& cg_options,
-                                    const sparse::CsrMatrix* adjacency,
-                                    OrderingRecipe* recipe) {
-  OrderedSolveSpec spec;
-  spec.matrix = &a;
-  spec.b = b;
-  spec.precondition = precondition;
-  spec.rcm = rcm_options;
-  spec.cg = cg_options;
-  spec.adjacency = adjacency;
-  spec.recipe = recipe;
-  return ordered_solve_spec(grid, spec);
-}
-
-OrderedSolveResult ordered_solve(mps::Comm& world, const sparse::CsrMatrix& a,
-                                 std::span<const double> b, bool precondition,
-                                 const DistRcmOptions& rcm_options,
-                                 const solver::CgOptions& cg_options,
-                                 const sparse::CsrMatrix* adjacency) {
-  dist::ProcGrid2D grid(world);
-  return ordered_solve_on(grid, a, b, precondition, rcm_options, cg_options,
-                          adjacency);
-}
-
-OrderedSolveResult ordered_solve_with_labels(
-    dist::ProcGrid2D& grid, const sparse::CsrMatrix& a,
-    const std::vector<index_t>& labels, std::span<const double> b,
-    bool precondition, const DistRcmOptions& rcm_options,
-    const solver::CgOptions& cg_options) {
-  OrderedSolveSpec spec;
-  spec.matrix = &a;
-  spec.b = b;
-  spec.precondition = precondition;
-  spec.rcm = rcm_options;
-  spec.cg = cg_options;
-  spec.labels = &labels;
-  return ordered_solve_spec(grid, spec);
 }
 
 OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
@@ -873,6 +801,13 @@ OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
   // share an address space, and p transient O(nnz) copies would otherwise
   // be built concurrently inside the bodies.
   const auto adjacency = a.strip_diagonal();
+  OrderedSolveSpec spec;
+  spec.matrix = &a;
+  spec.b = b;
+  spec.precondition = precondition;
+  spec.rcm = rcm_options;
+  spec.cg = cg_options;
+  spec.adjacency = &adjacency;
   OrderedSolveRun run;
   // Per-rank solution slabs, deposited like checkpoints: the replicated
   // ORIGINAL-numbering x is assembled OUTSIDE the SPMD run, so no rank's
@@ -881,8 +816,8 @@ OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
   run.report = mps::Runtime::run(
       nranks,
       [&](mps::Comm& world) {
-        auto result = ordered_solve(world, a, b, precondition, rcm_options,
-                                    cg_options, &adjacency);
+        dist::ProcGrid2D grid(world);
+        auto result = ordered_solve(grid, spec);
         slabs[static_cast<std::size_t>(world.rank())] =
             std::move(result.x_local);
         if (world.rank() == 0) run.result = std::move(result);
@@ -905,14 +840,18 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
              "ordered_solve needs a solver matrix with values");
   DRCM_CHECK(b.size() == static_cast<std::size_t>(a.n()), "rhs size mismatch");
   DRCM_CHECK(recovery.max_attempts >= 1, "need at least one attempt");
+  DRCM_CHECK(spec.labels == nullptr,
+             "the recoverable runner orders from scratch: known labels go "
+             "through ordered_solve");
+  DRCM_CHECK(spec.recipe == nullptr,
+             "the recoverable runner captures no ordering recipe");
   const index_t n = a.n();
   const int q = static_cast<int>(std::lround(std::sqrt(nranks)));
   DRCM_CHECK(q * q == nranks, "world size must be a perfect square");
   const std::uint64_t budget = resident_budget(rcm_options, a.nnz(), nranks, q, n);
   const int threads = resolve_threads(rcm_options.threads);
-  // The runner owns its own checkpoints: spec.labels / spec.recipe are not
-  // consumed here (documented in the header), and the adjacency is stripped
-  // once outside the ranks when the caller did not supply it.
+  // The adjacency is stripped once outside the ranks when the caller did not
+  // supply it.
   sparse::CsrMatrix stripped;
   if (!spec.adjacency) stripped = a.strip_diagonal();
   const sparse::CsrMatrix& adjacency =
@@ -985,22 +924,8 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
         auto result = dist_order(world, adjacency, rcm_options);
         if (world.rank() == 0) labels = std::move(result);
       },
-      [&]() -> std::string {
-        // A corrupted index payload that survived the run shows up here:
-        // RCM labels must be a permutation of [0, n).
-        if (labels.size() != static_cast<std::size_t>(n)) {
-          return "ordering produced " + std::to_string(labels.size()) +
-                 " labels for n=" + std::to_string(n);
-        }
-        std::vector<char> seen(static_cast<std::size_t>(n), 0);
-        for (const index_t l : labels) {
-          if (l < 0 || l >= n || seen[static_cast<std::size_t>(l)]) {
-            return "ordering labels are not a permutation of [0, n)";
-          }
-          seen[static_cast<std::size_t>(l)] = 1;
-        }
-        return {};
-      });
+      // A corrupted index payload that survived the run shows up here.
+      [&] { return permutation_error(labels, n); });
 
   // Stage 2: redistribute. Checkpoint: one row block per rank (simulated
   // ranks share the address space, so the driver can hold them directly)
@@ -1057,7 +982,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
         auto result =
             solve_stage(world, grid, n,
                         blocks[static_cast<std::size_t>(world.rank())], labels,
-                        /*label_slab=*/nullptr, b, precondition, cg_options);
+                        b, precondition, cg_options);
         slabs[static_cast<std::size_t>(world.rank())] =
             std::move(result.x_local);
         if (world.rank() == 0) run.result.cg = result.cg;
@@ -1074,37 +999,6 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
   run.result.x_lo = 0;
   run.result.labels = std::move(labels);
   run.result.permuted_bandwidth = bandwidth;
-  return run;
-}
-
-OrderedSolveRecoverableRun run_ordered_solve_recoverable(
-    int nranks, const sparse::CsrMatrix& a, std::span<const double> b,
-    bool precondition, const DistRcmOptions& rcm_options,
-    const solver::CgOptions& cg_options, const RecoveryOptions& recovery) {
-  OrderedSolveSpec spec;
-  spec.matrix = &a;
-  spec.b = b;
-  spec.precondition = precondition;
-  spec.rcm = rcm_options;
-  spec.cg = cg_options;
-  return run_ordered_solve_recoverable(nranks, spec, recovery);
-}
-
-DistRcmRun run_dist_rcm(int nranks, const sparse::CsrMatrix& a,
-                        const DistRcmOptions& options,
-                        const mps::MachineParams& machine) {
-  DistRcmRun run;
-  run.report = mps::Runtime::run(
-      nranks,
-      [&](mps::Comm& world) {
-        DistRcmStats stats;
-        auto labels = dist_rcm(world, a, options, &stats);
-        if (world.rank() == 0) {
-          run.labels = std::move(labels);
-          run.stats = stats;
-        }
-      },
-      machine, resolve_threads(options.threads));
   return run;
 }
 

@@ -32,31 +32,28 @@ namespace drcm::rcm {
 
 struct DistRcmOptions {
   /// Which ordering algorithm to run, and with which pseudo-peripheral
-  /// iteration (rcm/ordering.hpp). dist_order dispatches on this;
-  /// dist_rcm, true to its name, always runs RCM but honors the
-  /// peripheral_mode. kAuto resolves deterministically from per-matrix
-  /// proxies before any collective launches.
+  /// iteration (rcm/ordering.hpp). dist_order dispatches on this. kAuto
+  /// resolves deterministically from per-matrix proxies before any
+  /// collective launches.
   OrderingSpec ordering{};
   /// Apply the load-balancing random relabeling before decomposing.
   bool load_balance = false;
   /// Seed of the load-balancing permutation.
   u64 seed = 0x5eed;
-  /// Which SORTPERM ranks the levels (bucket = the paper's algorithm).
-  SortKind sort = SortKind::kBucket;
   /// Keep the label vector sharded O(n/p) per rank through the WHOLE
-  /// pipeline (ordered_solve_on only): ordering returns a distributed
+  /// pipeline (ordered_solve only): ordering returns a distributed
   /// slab, redistribution resolves labels through a two-sided window
   /// lookup (one extra O(n/q) alltoallv), and the rhs relabel becomes a
   /// local read. Removes the last replicated O(n) structure from the
   /// ranks — the resident ledger then covers the complete pipeline state.
-  /// Bit-identical results. dist_rcm and the run_* wrappers ignore it
+  /// Bit-identical results. dist_order and the run_* launchers ignore it
   /// (their contract is a replicated label vector).
   bool sharded_labels = false;
   /// OpenMP threads per rank of the hybrid configuration (paper Fig. 6:
   /// one communicating thread per process, the others splitting the local
   /// SpMSpV). 0 resolves through the DRCM_THREADS environment variable,
-  /// defaulting to 1 (flat MPI). Consumed by run_dist_rcm when launching
-  /// the runtime; a body already running on a Comm inherits the
+  /// defaulting to 1 (flat MPI). Consumed by the run_* launchers when
+  /// launching the runtime; a body already running on a Comm inherits the
   /// Runtime::run threads_per_rank instead. Every thread count produces
   /// bit-identical orderings — this is a performance knob.
   int threads = 0;
@@ -161,7 +158,7 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
 /// (component split/merge/reorder) was detected mid-repair: `labels` is
 /// empty, nothing was poisoned, and the caller must fall back to a cold
 /// recompute. `ok == true` guarantees `labels` is BIT-IDENTICAL to what
-/// dist_rcm would return on the new pattern (DRCM_CHECK-able, and checked
+/// dist_order (kRcm) would return on the new pattern (DRCM_CHECK-able, and checked
 /// by the equivalence wall in tests/test_service_repair.cpp).
 struct RepairResult {
   bool ok = false;
@@ -221,42 +218,29 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
                                 DistRcmStats* stats = nullptr,
                                 OrderingRecipe* recipe = nullptr);
 
-/// Thin wrapper over dist_order pinned to the kRcm arm (the pre-portfolio
-/// contract this function's name promises): options.ordering.algorithm is
-/// ignored, ordering.peripheral_mode is honored. Collective.
-std::vector<index_t> dist_rcm(mps::Comm& world, const sparse::CsrMatrix& a,
-                              const DistRcmOptions& options = {},
-                              DistRcmStats* stats = nullptr,
-                              OrderingRecipe* recipe = nullptr);
-
 /// SPMD body, sharded output: the same ordering, but the result stays an
 /// O(n/p)-per-rank distributed label vector in the ORIGINAL numbering —
 /// labels.get(v) = new index of v for owned v — and no rank ever holds a
 /// replicated copy. With load balancing the map-back through the balance
 /// permutation happens via one alltoallv re-owning instead of a
 /// replicated scan. labels.to_global(world) of the result equals
-/// dist_rcm(...) bit for bit. Collective on the grid's world.
+/// dist_order(...) on the kRcm arm bit for bit. Collective on the grid's
+/// world.
 dist::DistDenseVec dist_rcm_sharded(mps::Comm& world, dist::ProcGrid2D& grid,
                                     const sparse::CsrMatrix& a,
                                     const DistRcmOptions& options = {},
                                     DistRcmStats* stats = nullptr);
 
-/// Convenience wrapper: launches `nranks` simulated ranks, runs dist_rcm,
-/// and returns labels plus the per-phase cost report (the data behind the
-/// paper's Figures 4-6).
+/// Launches `nranks` simulated ranks, runs dist_order (dispatching on
+/// options.ordering), and returns the labels plus the per-phase cost report
+/// (the data behind the paper's Figures 4-6). run.stats.algorithm records
+/// what kAuto resolved to.
 struct DistRcmRun {
   std::vector<index_t> labels;
   DistRcmStats stats;
   mps::SpmdReport report;
 };
 
-DistRcmRun run_dist_rcm(int nranks, const sparse::CsrMatrix& a,
-                        const DistRcmOptions& options = {},
-                        const mps::MachineParams& machine = {});
-
-/// run_dist_rcm's portfolio twin: launches `nranks` ranks and runs
-/// dist_order (dispatching on options.ordering). run.stats.algorithm
-/// records what kAuto resolved to.
 DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,
                           const DistRcmOptions& options = {},
                           const mps::MachineParams& machine = {});
@@ -289,11 +273,7 @@ struct OrderedSolveResult {
 };
 
 /// Everything one ordered solve needs, in one place — the parameter object
-/// the single pipeline core consumes. The historical entry points
-/// (ordered_solve, ordered_solve_on, ordered_solve_with_labels, the run_*
-/// wrappers and the recoverable runner) are documented thin wrappers that
-/// populate one of these and delegate; behavior is pinned unchanged by the
-/// pre-collapse walls.
+/// of ordered_solve and of the recoverable runner.
 struct OrderedSolveSpec {
   /// Replicated SPD input (values required, diagonal included) — the
   /// pre-distribution fixture the simulator starts from. Required.
@@ -308,10 +288,12 @@ struct OrderedSolveSpec {
   /// strip its own transient copy). Ignored when `labels` is set.
   const sparse::CsrMatrix* adjacency = nullptr;
   /// When non-null: the ordering-cache HIT path. Stage 1 is skipped
-  /// entirely and redistribution runs under these KNOWN labels (a
-  /// permutation of [0, n)); the body executes ZERO collectives in the
-  /// five ordering phases and the result's `labels` stays empty (the
-  /// caller already holds them).
+  /// entirely and redistribution runs under these KNOWN labels, which must
+  /// be a permutation of [0, n) (checked locally; anything else is a
+  /// CheckError). The body executes ZERO collectives in the five ordering
+  /// phases — the property the serving layer's crossing ledger asserts per
+  /// hit — and the result's `labels` stays empty (the caller already holds
+  /// them).
   const std::vector<index_t>* labels = nullptr;
   /// When non-null: receives the kRcm arm's level structure (cold runs
   /// only; requires the replicated-label arm and no load balancing to be
@@ -319,54 +301,19 @@ struct OrderedSolveSpec {
   OrderingRecipe* recipe = nullptr;
 };
 
-/// THE pipeline core: ordering (or label splice) -> one-shot redistribution
-/// -> distributed CG, on a caller-owned grid, under the per-rank resident
-/// budget DRCM_CHECK. Every other ordered-solve entry point is a thin
-/// wrapper over this. Collective on grid.world().
-OrderedSolveResult ordered_solve_spec(dist::ProcGrid2D& grid,
-                                      const OrderedSolveSpec& spec);
+/// THE pipeline: ordering (or label splice) -> one-shot redistribution
+/// -> distributed CG, on a CALLER-OWNED grid, under the per-rank resident
+/// budget DRCM_CHECK. The ProcGrid2D (and with it the per-rank
+/// DistWorkspace staging every exchange) survives the call, so a serving
+/// layer's request N+1 runs against warmed buffer capacities and its
+/// workspace realloc ledger stays flat. Honors DistRcmOptions::
+/// sharded_labels. Collective on grid.world().
+OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
+                                 const OrderedSolveSpec& spec);
 
-/// Thin wrapper: ordered_solve_spec on a grid built from `world`, with the
-/// classic positional arguments. SPMD body; collective; the world size
-/// must be a perfect square (the 2D grid precondition).
-OrderedSolveResult ordered_solve(mps::Comm& world, const sparse::CsrMatrix& a,
-                                 std::span<const double> b,
-                                 bool precondition = true,
-                                 const DistRcmOptions& rcm_options = {},
-                                 const solver::CgOptions& cg_options = {},
-                                 const sparse::CsrMatrix* adjacency = nullptr);
-
-/// Thin wrapper: ordered_solve_spec on a CALLER-OWNED grid — the ProcGrid2D
-/// (and with it the per-rank DistWorkspace staging every exchange) is
-/// constructed by the caller and survives the call. This is the
-/// serving-layer entry point — a persistent grid makes request N+1's
-/// collectives run against warmed buffer capacities, so its workspace
-/// realloc ledger stays flat. Honors DistRcmOptions::sharded_labels.
-/// Collective on grid.world().
-OrderedSolveResult ordered_solve_on(dist::ProcGrid2D& grid,
-                                    const sparse::CsrMatrix& a,
-                                    std::span<const double> b,
-                                    bool precondition = true,
-                                    const DistRcmOptions& rcm_options = {},
-                                    const solver::CgOptions& cg_options = {},
-                                    const sparse::CsrMatrix* adjacency = nullptr,
-                                    OrderingRecipe* recipe = nullptr);
-
-/// Thin wrapper: ordered_solve_spec with spec.labels set — the
-/// ordering-cache hit path (skip stage 1, redistribute + solve under KNOWN
-/// labels recalled from a previous solve of the same sparsity pattern).
-/// Executes ZERO collectives in the five ordering phases — the property
-/// the serving layer's crossing ledger asserts per hit. The result's
-/// `labels` stays empty: the caller already holds them, and the no-gather
-/// body does not replicate them again. Collective on grid.world().
-OrderedSolveResult ordered_solve_with_labels(
-    dist::ProcGrid2D& grid, const sparse::CsrMatrix& a,
-    const std::vector<index_t>& labels, std::span<const double> b,
-    bool precondition = true, const DistRcmOptions& rcm_options = {},
-    const solver::CgOptions& cg_options = {});
-
-/// Convenience wrapper: launches `nranks` ranks, runs ordered_solve, and
-/// returns the result plus the cost/ledger report.
+/// Launches `nranks` ranks (a perfect square), runs ordered_solve on a
+/// fresh grid, and returns the result — with the replicated `x` assembled
+/// outside the ranks — plus the cost/ledger report.
 struct OrderedSolveRun {
   OrderedSolveResult result;
   mps::SpmdReport report;
@@ -422,18 +369,10 @@ struct OrderedSolveRecoverableRun {
 /// recovered run is bit-identical to a fault-free run. When a stage
 /// exhausts its attempts the last structured error is rethrown — either
 /// way the pipeline terminates in bounded time with a named outcome,
-/// never a hang or a raw abort. spec.labels and spec.recipe are not
-/// consumed here (the recoverable runner owns its own checkpoints).
+/// never a hang or a raw abort. The runner owns its own checkpoints:
+/// spec.labels and spec.recipe must be null (a CheckError otherwise).
 OrderedSolveRecoverableRun run_ordered_solve_recoverable(
     int nranks, const OrderedSolveSpec& spec,
-    const RecoveryOptions& recovery = {});
-
-/// Thin wrapper: the classic positional signature, packed into an
-/// OrderedSolveSpec and delegated.
-OrderedSolveRecoverableRun run_ordered_solve_recoverable(
-    int nranks, const sparse::CsrMatrix& a, std::span<const double> b,
-    bool precondition = true, const DistRcmOptions& rcm_options = {},
-    const solver::CgOptions& cg_options = {},
     const RecoveryOptions& recovery = {});
 
 }  // namespace drcm::rcm

@@ -155,7 +155,8 @@ CostBreakdown project_cost(const ExecutionTrace& trace, int cores,
       // the processor column, the owner-direct alltoallv (fan-out q,
       // subsuming the old row alltoallv + transpose pairwise exchange),
       // and the folded emptiness/count reduction — three barrier
-      // crossings where the unfused chain paid eight.
+      // crossings where the same level as four standalone collectives
+      // pays eight.
       spmspv.comm += alpha * (q - 1) + beta * kEntryWords * frontier / q;
       spmspv.comm += alpha * q + beta * kEntryWords * expansion / P;
       spmspv.comm += 2.0 * alpha * logP;

@@ -327,18 +327,18 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
                 ? &pending_recipes[req]
                 : nullptr;
 
-        rcm::OrderedSolveResult result;
+        rcm::OrderedSolveSpec spec;
+        spec.matrix = rq.matrix;
+        spec.b = rq.b;
+        spec.precondition = rq.precondition;
+        spec.rcm = ropt;
+        spec.cg = rq.cg;
         rcm::RepairResult rep;
         bool repaired = false;
         if (mode[req] == Mode::kHit) {
           const CacheEntry* entry = cache_find(fp);
           DRCM_CHECK(entry != nullptr, "scheduled hit lost its entry");
-          result = rcm::ordered_solve_with_labels(grid, *rq.matrix,
-                                                  entry->labels, rq.b,
-                                                  rq.precondition, ropt,
-                                                  rq.cg);
-          DRCM_CHECK(mps::ordering_crossings(lane.stats()) == 0,
-                     "cache hit must skip every ordering collective");
+          spec.labels = &entry->labels;
         } else if (mode[req] == Mode::kRepair) {
           const CacheEntry* src = sources[req];
           rep = rcm::dist_rcm_repair(grid, adjacencies[req], src->labels,
@@ -351,30 +351,29 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
               // exists to win).
               const auto parked = lane.stats();
               lane.stats().reset();
-              const auto cold = rcm::dist_rcm(lane, adjacencies[req], ropt);
+              const auto cold = rcm::dist_order(lane, adjacencies[req], ropt);
               lane.stats() = parked;
               DRCM_CHECK(cold == rep.labels,
                          "repair must be bit-identical to a cold recompute");
             }
-            result = rcm::ordered_solve_with_labels(grid, *rq.matrix,
-                                                    rep.labels, rq.b,
-                                                    rq.precondition, ropt,
-                                                    rq.cg);
-            result.labels = std::move(rep.labels);
+            spec.labels = &rep.labels;
             repaired = true;
-          } else {
-            // Structural change detected mid-repair (component
-            // split/merge/reorder): honest cold fallback, recipe
-            // captured so the fresh entry is itself repair-eligible.
-            result = rcm::ordered_solve_on(grid, *rq.matrix, rq.b,
-                                           rq.precondition, ropt, rq.cg,
-                                           &adjacencies[req], recipe_sink);
           }
-        } else {
-          result = rcm::ordered_solve_on(grid, *rq.matrix, rq.b,
-                                         rq.precondition, ropt, rq.cg,
-                                         &adjacencies[req], recipe_sink);
+          // Otherwise a structural change was detected mid-repair
+          // (component split/merge/reorder): honest cold fallback below.
         }
+        if (spec.labels == nullptr) {
+          // Cold: recipe captured so the fresh entry is itself
+          // repair-eligible.
+          spec.adjacency = &adjacencies[req];
+          spec.recipe = recipe_sink;
+        }
+        rcm::OrderedSolveResult result = rcm::ordered_solve(grid, spec);
+        if (mode[req] == Mode::kHit) {
+          DRCM_CHECK(mps::ordering_crossings(lane.stats()) == 0,
+                     "cache hit must skip every ordering collective");
+        }
+        if (repaired) result.labels = std::move(rep.labels);
 
         const std::uint64_t my_crossings =
             mps::ordering_crossings(lane.stats());

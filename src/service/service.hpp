@@ -14,8 +14,8 @@
 //   * ORDERING CACHE — requests are keyed by a partition-invariant
 //     sparsity-pattern fingerprint (service/fingerprint.hpp). A repeat
 //     pattern skips BFS + SORTPERM entirely and jumps straight to the
-//     value-carrying redistribution (rcm::ordered_solve_with_labels); the
-//     body asserts ZERO ordering-phase barrier crossings on every hit.
+//     value-carrying redistribution (rcm::ordered_solve with known labels);
+//     the body asserts ZERO ordering-phase barrier crossings on every hit.
 //     Eviction is COST/RECENCY weighted: each entry remembers the measured
 //     ordering wall that produced it, and the evictee minimizes
 //     cost / age — an expensive ordering survives a stream of cheap

@@ -1,11 +1,11 @@
 // Equivalence wall for the fused ordering-level kernel: on Erdős–Rényi,
 // grid, star and path graphs, under the {1,4,9} x {1,2,6} rank x thread
-// matrix, the fused dist::cm_level_step, the unfused reference chain
-// (bfs_level_step + sortperm_bucket + add_scalar + scatter_into_dense) and
-// serial RCM must produce bit-identical frontiers and labels — level by
-// level and for the complete ordering. Comparison-free label ranking is
-// exactly what makes the fusion legal; the thread axis additionally proves
-// the hybrid node-level SpMSpV changed the wall clock and nothing else.
+// matrix, dist::cm_level_step must match the serial Cuthill-McKee level
+// oracle (tests/level_oracle.hpp) level by level — frontiers and every
+// label assigned so far — and whole orderings must match serial RCM.
+// Comparison-free label ranking is exactly what makes the fusion legal;
+// the thread axis additionally proves the hybrid node-level SpMSpV changed
+// the wall clock and nothing else.
 //
 // The sweep honors DRCM_TEST_RANKS / DRCM_TEST_THREADS (a single rank or
 // thread count each) so CI can run the same suite once per configuration.
@@ -15,6 +15,7 @@
 
 #include "common/rng.hpp"
 #include "dist_rank_matrix.hpp"
+#include "level_oracle.hpp"
 #include "mpsim/runtime.hpp"
 #include "order/rcm_serial.hpp"
 #include "rcm/rcm_driver.hpp"
@@ -28,7 +29,10 @@ using mps::Runtime;
 using sparse::CsrMatrix;
 namespace gen = sparse::gen;
 
+using drcm::dist::testing::owned_slice;
 using drcm::dist::testing::rank_counts;
+using drcm::dist::testing::serial_cm_level;
+using drcm::dist::testing::support;
 using drcm::dist::testing::thread_counts;
 
 /// The graph pool the ISSUE names: ER (degree diversity), grids (mass
@@ -49,33 +53,26 @@ std::vector<CsrMatrix> graph_pool() {
   return pool;
 }
 
-TEST(CmLevelEquivalence, FullOrderingFusedAndSampleSortMatchSerial) {
+TEST(CmLevelEquivalence, FullOrderingMatchesSerial) {
   for (const auto& a : graph_pool()) {
     const auto want = order::rcm_serial(a);
     for (const int p : rank_counts()) {
       for (const int t : thread_counts()) {
-        // Bucket sort runs the fused level; the sample-sort baseline cannot
-        // ride the collective and runs the reference chain. Both must
-        // reproduce serial RCM.
-        for (const auto sort :
-             {rcm::SortKind::kBucket, rcm::SortKind::kSampleSort}) {
-          rcm::DistRcmOptions opt;
-          opt.sort = sort;
-          opt.threads = t;
-          const auto run = rcm::run_dist_rcm(p, a, opt);
-          EXPECT_EQ(run.labels, want)
-              << "n=" << a.n() << " p=" << p << " t=" << t
-              << " sort=" << static_cast<int>(sort);
-        }
+        rcm::DistRcmOptions opt;
+        opt.threads = t;
+        const auto run = rcm::run_dist_order(p, a, opt);
+        EXPECT_EQ(run.labels, want)
+            << "n=" << a.n() << " p=" << p << " t=" << t;
       }
     }
   }
 }
 
-TEST(CmLevelEquivalence, LevelByLevelFusedVsUnfusedBitIdentical) {
-  // Drive one component level by level with twin label vectors: after
-  // every level both arms must agree on the next frontier (support AND
-  // minimum-parent values) and on every label assigned so far.
+TEST(CmLevelEquivalence, LevelByLevelMatchesTheSerialOracle) {
+  // Drive one component level by level next to the serial oracle: after
+  // every level the fused step must agree with it on the level count, the
+  // next frontier (support AND minimum-parent values) and every label
+  // assigned so far.
   for (u64 seed = 40; seed <= 45; ++seed) {
     const auto a = seed % 2 == 0
                        ? gen::erdos_renyi(100 + 5 * static_cast<index_t>(seed % 3),
@@ -90,10 +87,11 @@ TEST(CmLevelEquivalence, LevelByLevelFusedVsUnfusedBitIdentical) {
         ProcGrid2D grid(world);
         DistSpMat mat(grid, a);
         const auto degrees = mat.degrees(grid);
-        DistDenseVec labels_f(mat.vec_dist(), grid, kNoVertex);
-        DistDenseVec labels_u(mat.vec_dist(), grid, kNoVertex);
-        if (labels_f.owns(root)) labels_f.set(root, 0);
-        if (labels_u.owns(root)) labels_u.set(root, 0);
+        DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
+        if (labels.owns(root)) labels.set(root, 0);
+        std::vector<index_t> want(static_cast<std::size_t>(a.n()), kNoVertex);
+        want[static_cast<std::size_t>(root)] = 0;
+        std::vector<index_t> oracle_frontier{root};
         DistSpVec frontier(mat.vec_dist(), grid);
         if (frontier.lo() <= root && root < frontier.hi()) {
           frontier.assign({VecEntry{root, 0}});
@@ -104,22 +102,24 @@ TEST(CmLevelEquivalence, LevelByLevelFusedVsUnfusedBitIdentical) {
         while (frontier_nnz > 0) {
           const index_t label_lo = next_label - frontier_nnz;
           const auto fused = cm_level_step(
-              mat, frontier, labels_f, degrees, label_lo, next_label,
+              mat, frontier, labels, degrees, label_lo, next_label,
               next_label, grid, mps::Phase::kOrderingSpmspv,
               mps::Phase::kOrderingSort, mps::Phase::kOrderingOther);
-          const auto unfused = cm_level_step_unfused(
-              mat, frontier, labels_u, degrees, label_lo, next_label,
-              next_label, grid, mps::Phase::kPeripheralSpmspv,
-              mps::Phase::kSolver, mps::Phase::kPeripheralOther);
-          ASSERT_EQ(fused.global_nnz, unfused.global_nnz)
+          const auto level =
+              serial_cm_level(a, oracle_frontier, want, next_label);
+          // EXPECT, not ASSERT: a rank returning early would leave its
+          // peers blocked in the next level's collective.
+          EXPECT_EQ(fused.global_nnz, static_cast<index_t>(level.size()))
               << "seed=" << seed << " p=" << p << " depth=" << depth;
-          ASSERT_EQ(fused.next.entries(), unfused.next.entries())
+          EXPECT_EQ(fused.next.entries(), owned_slice(level, fused.next))
               << "seed=" << seed << " p=" << p << " depth=" << depth;
-          for (index_t g = labels_f.lo(); g < labels_f.hi(); ++g) {
-            ASSERT_EQ(labels_f.get(g), labels_u.get(g))
-                << "seed=" << seed << " p=" << p << " depth=" << depth
-                << " g=" << g;
-          }
+          const std::vector<index_t> owned_want(
+              want.begin() + labels.lo(), want.begin() + labels.hi());
+          EXPECT_EQ(std::vector<index_t>(labels.local().begin(),
+                                         labels.local().end()),
+                    owned_want)
+              << "seed=" << seed << " p=" << p << " depth=" << depth;
+          oracle_frontier = support(level);
           frontier_nnz = fused.global_nnz;
           next_label += frontier_nnz;
           frontier = fused.next;

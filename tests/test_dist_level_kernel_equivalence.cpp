@@ -1,11 +1,12 @@
 // Randomized equivalence suite for the fused BFS level kernel: on
 // Erdős–Rényi and grid graphs, under the {1,4,9} x {1,2,6} rank x thread
-// matrix, the fused kernel and the unfused primitive chain must produce
-// bit-identical frontiers, levels and labels — including the degree-tie
-// determinism the ordering quality contract rests on. The thread axis
-// drives the hybrid node-level SpMSpV (per-thread SPAs with a
-// deterministic ordered merge), so every point of the matrix is held to
-// the same serial reference.
+// matrix, every level dist::bfs_level_step returns must equal the serial
+// level oracle (tests/level_oracle.hpp) — count, next-frontier support and
+// minimum-parent values — and whole orderings must equal serial RCM,
+// including the degree-tie determinism the ordering quality contract rests
+// on. The thread axis drives the hybrid node-level SpMSpV (per-thread SPAs
+// with a deterministic ordered merge), so every point of the matrix is
+// held to the same serial reference.
 //
 // The sweep honors DRCM_TEST_RANKS / DRCM_TEST_THREADS (a single rank or
 // thread count each) so CI can run the same suite once per configuration.
@@ -13,11 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include <queue>
-
 #include "common/rng.hpp"
 #include "dist_rank_matrix.hpp"
 #include "dist/primitives.hpp"
+#include "level_oracle.hpp"
 #include "mpsim/runtime.hpp"
 #include "order/rcm_serial.hpp"
 #include "rcm/rcm_driver.hpp"
@@ -31,27 +31,11 @@ using mps::Runtime;
 using sparse::CsrMatrix;
 namespace gen = sparse::gen;
 
+using drcm::dist::testing::owned_slice;
 using drcm::dist::testing::rank_counts;
+using drcm::dist::testing::serial_level;
+using drcm::dist::testing::support;
 using drcm::dist::testing::thread_counts;
-
-/// Plain serial BFS distances: the oracle for the level loop.
-std::vector<index_t> serial_levels(const CsrMatrix& a, index_t root) {
-  std::vector<index_t> lvl(static_cast<std::size_t>(a.n()), kNoVertex);
-  lvl[static_cast<std::size_t>(root)] = 0;
-  std::queue<index_t> q;
-  q.push(root);
-  while (!q.empty()) {
-    const index_t u = q.front();
-    q.pop();
-    for (const index_t v : a.row(u)) {
-      if (lvl[static_cast<std::size_t>(v)] == kNoVertex) {
-        lvl[static_cast<std::size_t>(v)] = lvl[static_cast<std::size_t>(u)] + 1;
-        q.push(v);
-      }
-    }
-  }
-  return lvl;
-}
 
 /// The randomized graph pool: ER at several densities plus 2D/3D grids
 /// (mass degree ties) and a randomly relabeled grid (scattered ownership).
@@ -67,21 +51,22 @@ CsrMatrix sweep_graph(u64 seed) {
   }
 }
 
-void expect_same_step(const LevelStepResult& a, const LevelStepResult& b,
-                      const char* what, int p, u64 seed, index_t depth) {
-  EXPECT_EQ(a.global_nnz, b.global_nnz)
+/// The fused step against the oracle's whole level: the same global count,
+/// and on every rank exactly its owned slice of the level.
+void expect_step(const LevelStepResult& got, const std::vector<VecEntry>& want,
+                 const char* what, int p, u64 seed, index_t depth) {
+  EXPECT_EQ(got.global_nnz, static_cast<index_t>(want.size()))
       << what << " p=" << p << " seed=" << seed << " depth=" << depth;
-  EXPECT_EQ(a.next.entries(), b.next.entries())
+  EXPECT_EQ(got.next.entries(), owned_slice(want, got.next))
       << what << " p=" << p << " seed=" << seed << " depth=" << depth;
 }
 
-TEST(LevelKernelEquivalence, RandomizedBfsSweepAllPathsBitIdentical) {
+TEST(LevelKernelEquivalence, RandomizedBfsSweepMatchesSerialLevels) {
   for (u64 seed = 1; seed <= 12; ++seed) {
     const auto a = sweep_graph(seed);
     if (a.n() == 0) continue;
     const auto root =
         static_cast<index_t>(splitmix64(seed) % static_cast<u64>(a.n()));
-    const auto want = serial_levels(a, root);
     for (const int p : rank_counts()) {
       for (const int t : thread_counts()) {
       Runtime::run(p, [&](Comm& world) {
@@ -93,20 +78,25 @@ TEST(LevelKernelEquivalence, RandomizedBfsSweepAllPathsBitIdentical) {
         if (frontier.lo() <= root && root < frontier.hi()) {
           frontier.assign({VecEntry{root, 0}});
         }
+        // The oracle's replicated state, advanced from its own levels only.
+        std::vector<index_t> oracle_levels(static_cast<std::size_t>(a.n()),
+                                           kNoVertex);
+        oracle_levels[static_cast<std::size_t>(root)] = 0;
+        std::vector<index_t> oracle_frontier{root};
         index_t depth = 0;
         while (true) {
-          // The fused kernel and the unfused primitive chain on identical
-          // inputs must agree bitwise.
           const auto fused = bfs_level_step(
               mat, frontier, levels, kNoVertex, grid,
               mps::Phase::kOrderingSpmspv, mps::Phase::kOrderingOther);
-          const auto unfused = bfs_level_step_unfused(
-              mat, frontier, levels, kNoVertex, grid,
-              mps::Phase::kPeripheralSpmspv, mps::Phase::kPeripheralOther);
-          expect_same_step(fused, unfused, "fused vs unfused chain", p, seed,
-                           depth);
+          const auto level =
+              serial_level(a, oracle_frontier, oracle_levels, kNoVertex);
+          expect_step(fused, level, "fused vs serial level", p, seed, depth);
           if (fused.global_nnz == 0) break;
           ++depth;
+          for (const auto& e : level) {
+            oracle_levels[static_cast<std::size_t>(e.idx)] = depth;
+          }
+          oracle_frontier = support(level);
           std::vector<VecEntry> leveled(fused.next.entries().begin(),
                                         fused.next.entries().end());
           for (auto& e : leveled) e.val = depth;
@@ -116,8 +106,8 @@ TEST(LevelKernelEquivalence, RandomizedBfsSweepAllPathsBitIdentical) {
         }
         const auto got = levels.to_global(world);
         if (world.rank() == 0) {
-          EXPECT_EQ(got, want) << "levels vs serial BFS, p=" << p
-                               << " t=" << t << " seed=" << seed;
+          EXPECT_EQ(got, oracle_levels) << "levels vs serial BFS, p=" << p
+                                        << " t=" << t << " seed=" << seed;
         }
       }, {}, t);
       }
@@ -128,8 +118,7 @@ TEST(LevelKernelEquivalence, RandomizedBfsSweepAllPathsBitIdentical) {
 TEST(LevelKernelEquivalence, RandomFrontiersNotJustBfsFrontiers) {
   // BFS frontiers are special (values from a contiguous range, dense
   // support patterns); the kernel contract is broader. Drive random
-  // supports with random values and random keep-sentinels through both
-  // paths.
+  // supports with random values over a randomly marked dense vector.
   for (u64 seed = 20; seed <= 26; ++seed) {
     const auto a = sweep_graph(seed);
     Rng rng(seed * 17);
@@ -145,6 +134,8 @@ TEST(LevelKernelEquivalence, RandomFrontiersNotJustBfsFrontiers) {
     for (index_t v = 0; v < a.n(); ++v) {
       if (rng.next_below(4) == 0) mark[static_cast<std::size_t>(v)] = 7;
     }
+    const auto want =
+        serial_level(a, support(global_frontier), mark, kNoVertex);
     for (const int p : rank_counts()) {
       for (const int t : thread_counts()) {
       Runtime::run(p, [&](Comm& world) {
@@ -160,17 +151,14 @@ TEST(LevelKernelEquivalence, RandomFrontiersNotJustBfsFrontiers) {
           if (e.idx >= x.lo() && e.idx < x.hi()) mine.push_back(e);
         }
         x.assign(mine);
-        // Note: SET refreshes values from `dense` in both paths, so the
-        // random values only exercise the publish plumbing; minima then
-        // flow from the dense vector. That matches the BFS loops' usage.
+        // Note: SET refreshes values from `dense`, so the random values
+        // only exercise the publish plumbing; minima then flow from the
+        // dense vector. That matches the BFS loops' usage.
         const auto fused = bfs_level_step(
             mat, x, dense, kNoVertex, grid, mps::Phase::kOrderingSpmspv,
             mps::Phase::kOrderingOther);
-        const auto unfused = bfs_level_step_unfused(
-            mat, x, dense, kNoVertex, grid, mps::Phase::kOrderingSpmspv,
-            mps::Phase::kOrderingOther);
-        expect_same_step(fused, unfused, "random frontier fused vs unfused",
-                         p, seed * 100 + static_cast<u64>(t), 0);
+        expect_step(fused, want, "random frontier fused vs serial", p,
+                    seed * 100 + static_cast<u64>(t), 0);
       }, {}, t);
       }
     }
@@ -194,7 +182,7 @@ TEST(LevelKernelEquivalence, FullOrderingDegreeTieDeterminism) {
       for (const int t : thread_counts()) {
         rcm::DistRcmOptions opt;
         opt.threads = t;
-        const auto run = rcm::run_dist_rcm(p, a, opt);
+        const auto run = rcm::run_dist_order(p, a, opt);
         EXPECT_EQ(run.labels, want) << "p=" << p << " t=" << t;
       }
     }

@@ -220,15 +220,7 @@ TEST_P(DegenerateAlgorithms, EmptySingletonStarAllOrder) {
   }
 }
 
-// ---- Wrapper contracts -----------------------------------------------
-
-TEST(DistOrder, DistRcmIsPinnedToRcm) {
-  // dist_rcm's name is its contract: even a spec asking for Sloan runs RCM.
-  const auto a = gen::grid2d(8, 8);
-  const auto rcm_labels = order::rcm_serial(a);
-  const auto run = run_dist_rcm(4, a, with(OrderingAlgorithm::kSloan));
-  EXPECT_EQ(run.labels, rcm_labels);
-}
+// ---- Entry-point contracts --------------------------------------------
 
 TEST(DistOrder, RecipeCaptureDeclinedOffRcmArm) {
   const auto a = gen::grid2d(6, 6);

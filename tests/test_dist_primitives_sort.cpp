@@ -69,19 +69,6 @@ TEST_P(PrimGrids, ScatterAndGatherDense) {
   });
 }
 
-TEST_P(PrimGrids, AddScalarShiftsValues) {
-  Runtime::run(GetParam(), [](Comm& world) {
-    Fixture f(world, 23);
-    std::vector<VecEntry> mine;
-    for (index_t g = f.sparse.lo(); g < f.sparse.hi(); ++g) {
-      mine.push_back(VecEntry{g, 1});
-    }
-    f.sparse.assign(mine);
-    add_scalar(f.sparse, 41, world);
-    for (const auto& e : f.sparse.entries()) EXPECT_EQ(e.val, 42);
-  });
-}
-
 TEST_P(PrimGrids, ReduceArgminFindsGlobalMinWithTies) {
   Runtime::run(GetParam(), [](Comm& world) {
     Fixture f(world, 37);

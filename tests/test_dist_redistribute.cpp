@@ -157,7 +157,7 @@ TEST(Redistribute, FullInPlacePipeline) {
   for (const int p : testing::rank_counts_wall()) {
     Runtime::run(p, [&](Comm& world) {
       ProcGrid2D grid(world);
-      const auto labels = rcm::dist_rcm(world, a);
+      const auto labels = rcm::dist_order(world, a);
       EXPECT_EQ(redistribute_to_row_blocks(m, labels, grid).bandwidth,
                 expected_bw)
           << "p=" << p;
@@ -187,6 +187,25 @@ TEST(Redistribute, BadLabelSizeThrows) {
     std::vector<index_t> short_labels{0, 1, 2};
     EXPECT_THROW(redistribute_to_row_blocks(m, short_labels, grid), CheckError);
   });
+  // The same inputs through ordered_solve's known-label (cache-hit) path,
+  // plus a duplicate label: identity with labels[1] = 0 would fold rows 0
+  // and 1 into new row 0 and leave new row 1 empty — a different system
+  // that CG still "solves". Each rank rejects it before any collective.
+  const auto m = gen::with_laplacian_values(gen::grid2d(4, 4));
+  const std::vector<double> b(static_cast<std::size_t>(m.n()), 1.0);
+  auto duplicate = sparse::identity_permutation(m.n());
+  duplicate[1] = 0;
+  std::vector<index_t> short_labels{0, 1, 2};
+  for (const auto* labels : {&short_labels, &duplicate}) {
+    Runtime::run(4, [&](Comm& world) {
+      ProcGrid2D grid(world);
+      rcm::OrderedSolveSpec spec;
+      spec.matrix = &m;
+      spec.b = b;
+      spec.labels = labels;
+      EXPECT_THROW(rcm::ordered_solve(grid, spec), CheckError);
+    });
+  }
 }
 
 TEST(Redistribute, PatternOnlyMatrixThrows) {

@@ -5,7 +5,7 @@
 // extra O(n/q) alltoallv), and the rhs relabel becomes a local slab read.
 //
 // Contracts pinned here:
-//  * dist_rcm_sharded's slab, gathered, equals dist_rcm bit for bit;
+//  * dist_rcm_sharded's slab, gathered, equals dist_order bit for bit;
 //  * ordered_solve under sharded_labels reproduces the replicated-label
 //    path BIT FOR BIT (labels, bandwidth, iteration count, solution slabs)
 //    across the {1,4,9,16} rank wall, load balancing on and off;
@@ -43,6 +43,20 @@ std::vector<double> wavy_rhs(index_t n) {
   return b;
 }
 
+/// One ordered solve on a fresh grid of `world`. SPMD body.
+OrderedSolveResult solve(Comm& world, const sparse::CsrMatrix& m,
+                         const std::vector<double>& b,
+                         const DistRcmOptions& options,
+                         const solver::CgOptions& cg = {}) {
+  dist::ProcGrid2D grid(world);
+  OrderedSolveSpec spec;
+  spec.matrix = &m;
+  spec.b = b;
+  spec.rcm = options;
+  spec.cg = cg;
+  return ordered_solve(grid, spec);
+}
+
 TEST(ShardedLabels, DistRcmShardedGathersToTheReplicatedLabels) {
   for (const int p : dist::testing::rank_counts()) {
     for (const bool balance : {false, true}) {
@@ -53,7 +67,7 @@ TEST(ShardedLabels, DistRcmShardedGathersToTheReplicatedLabels) {
         dist::ProcGrid2D grid(world);
         auto slab = dist_rcm_sharded(world, grid, adjacency, options);
         const auto gathered = slab.to_global(world);
-        const auto replicated = dist_rcm(world, adjacency, options);
+        const auto replicated = dist_order(world, adjacency, options);
         EXPECT_EQ(gathered, replicated)
             << "p=" << p << " load_balance=" << balance;
       });
@@ -82,10 +96,10 @@ TEST(ShardedLabels, OrderedSolveBitIdenticalAcrossTheRankWall) {
       OrderedSolveResult got;
       OrderedSolveResult want;
       Runtime::run(p, [&](Comm& world) {
-        auto a = ordered_solve(world, m, b, true, sharded, cg);
+        auto a = solve(world, m, b, sharded, cg);
         sharded_slabs[static_cast<std::size_t>(world.rank())] =
             std::move(a.x_local);
-        auto c = ordered_solve(world, m, b, true, replicated, cg);
+        auto c = solve(world, m, b, replicated, cg);
         replicated_slabs[static_cast<std::size_t>(world.rank())] =
             std::move(c.x_local);
         if (world.rank() == 0) {
@@ -128,7 +142,7 @@ TEST(ShardedLabels, RedistributeCrossingsPinnedAtFourRanks) {
     DistRcmOptions options;
     options.sharded_labels = shard;
     const auto report = Runtime::run(4, [&](Comm& world) {
-      ordered_solve(world, m, b, true, options);
+      solve(world, m, b, options);
     });
     const std::uint64_t want = shard ? 8 : 6;
     for (std::size_t r = 0; r < report.ranks.size(); ++r) {
@@ -151,7 +165,7 @@ TEST(ShardedLabels, ResidentPeakStaysInsideTheShardedBudget) {
     DistRcmOptions options;
     options.sharded_labels = true;
     const auto report = Runtime::run(p, [&](Comm& world) {
-      ordered_solve(world, m, b, true, options);
+      solve(world, m, b, options);
     });
     const auto q = static_cast<u64>(dist::grid_side_floor(p));
     const auto budget = 24 * static_cast<u64>(m.nnz()) / static_cast<u64>(p) +

@@ -11,8 +11,8 @@
 //   * never exceed the naive encoding plus its 2-word header,
 //   * reject truncated or structurally corrupt wire streams with a
 //     structured CheckError (the words arrive over the wire),
-// and the fused ordering built on it must stay bit-identical to the
-// unfused chain and serial RCM on the same power-law graph.
+// and the fused ordering built on it must stay bit-identical to serial
+// RCM on the same power-law graph.
 #include "dist/sortperm.hpp"
 
 #include <gtest/gtest.h>
@@ -210,7 +210,7 @@ TEST(SortpermCompaction, FusedOrderingOnPowerLawGraphStaysBitIdentical) {
   const auto g = gen::rmat(7, 8, 5);
   const auto want = order::rcm_serial(g);
   for (const int p : {1, 4, 9}) {
-    EXPECT_EQ(rcm::run_dist_rcm(p, g).labels, want) << "p=" << p;
+    EXPECT_EQ(rcm::run_dist_order(p, g).labels, want) << "p=" << p;
   }
 }
 

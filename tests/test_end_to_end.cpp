@@ -14,7 +14,7 @@ TEST(EndToEnd, EmptyMatrixThroughEveryStage) {
   EXPECT_TRUE(order::rcm_serial(a).empty());
   EXPECT_TRUE(order::sloan(a).empty());
   EXPECT_TRUE(order::gps(a).empty());
-  const auto run = rcm::run_dist_rcm(4, a);
+  const auto run = rcm::run_dist_order(4, a);
   EXPECT_TRUE(run.labels.empty());
   EXPECT_EQ(run.stats.components, 0);
   const auto tr = rcm::ExecutionTrace::collect(a);
@@ -25,7 +25,7 @@ TEST(EndToEnd, EmptyMatrixThroughEveryStage) {
 TEST(EndToEnd, SingleVertexThroughEveryStage) {
   const auto a = gen::empty_graph(1);
   EXPECT_EQ(order::rcm_serial(a), (std::vector<index_t>{0}));
-  const auto run = rcm::run_dist_rcm(4, a);
+  const auto run = rcm::run_dist_order(4, a);
   EXPECT_EQ(run.labels, (std::vector<index_t>{0}));
   EXPECT_EQ(run.stats.components, 1);
 }
@@ -35,7 +35,7 @@ TEST(EndToEnd, FullPipelineOrderPermuteSolve) {
   // distributed RCM -> permuted system -> distributed CG, cheaper than the
   // scrambled solve in both iterations and traffic.
   const auto pattern = gen::relabel_random(gen::random_geometric(600, 0.08, 3), 4);
-  const auto run = rcm::run_dist_rcm(4, pattern);
+  const auto run = rcm::run_dist_order(4, pattern);
   ASSERT_TRUE(sparse::is_valid_permutation(run.labels));
   const auto reordered = sparse::permute_symmetric(pattern, run.labels);
   EXPECT_LE(sparse::bandwidth(reordered), sparse::bandwidth(pattern));
@@ -144,7 +144,7 @@ TEST(EndToEnd, DisconnectedMixedPipeline) {
       {gen::relabel_random(gen::grid2d(8, 8), 1), gen::complete(7),
        gen::caterpillar(6, 2), gen::empty_graph(3)});
   const auto serial = order::rcm_serial(a);
-  const auto run = rcm::run_dist_rcm(9, a);
+  const auto run = rcm::run_dist_order(9, a);
   EXPECT_EQ(run.labels, serial);
   EXPECT_EQ(run.stats.components, 3 + 3);  // three graphs + three isolated
 }

@@ -16,6 +16,7 @@
 #include "mpsim/runtime.hpp"
 #include "rcm/rcm_driver.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/permute.hpp"
 
 namespace drcm {
 namespace {
@@ -191,6 +192,14 @@ std::vector<NamedPlan> pipeline_plans(int nranks) {
   return plans;
 }
 
+rcm::OrderedSolveSpec spec_of(const sparse::CsrMatrix& a,
+                              const std::vector<double>& b) {
+  rcm::OrderedSolveSpec spec;
+  spec.matrix = &a;
+  spec.b = b;
+  return spec;
+}
+
 TEST(RecoverablePipeline, RecoveredRunsAreBitIdenticalToFaultFreeRuns) {
   const auto a = gen::with_laplacian_values(gen::grid2d(8, 8));
   std::vector<double> b(static_cast<std::size_t>(a.n()));
@@ -205,7 +214,7 @@ TEST(RecoverablePipeline, RecoveredRunsAreBitIdenticalToFaultFreeRuns) {
       recovery.watchdog_seconds = 20.0;
       recovery.max_attempts = 3;
       const auto run =
-          rcm::run_ordered_solve_recoverable(p, a, b, true, {}, {}, recovery);
+          rcm::run_ordered_solve_recoverable(p, spec_of(a, b), recovery);
       SCOPED_TRACE(std::string(scripted.name) + " p=" + std::to_string(p));
       EXPECT_EQ(run.result.labels, clean.result.labels);
       EXPECT_EQ(run.result.permuted_bandwidth,
@@ -242,7 +251,7 @@ TEST(RecoverablePipeline, RetriedAttemptsStayOnTheCostLedger) {
   recovery.max_attempts = 3;
   recovery.backoff_modeled_seconds = 0.125;
   const auto run =
-      rcm::run_ordered_solve_recoverable(4, a, b, true, {}, {}, recovery);
+      rcm::run_ordered_solve_recoverable(4, spec_of(a, b), recovery);
   // The merged ledger bills the abandoned attempt's partial work plus the
   // retry backoff on top of everything the clean run pays.
   EXPECT_GT(run.report.ranks[0].total().model_total(),
@@ -262,8 +271,24 @@ TEST(RecoverablePipeline, AttemptExhaustionRethrowsTheStructuredError) {
   recovery.faults = &plan;
   recovery.max_attempts = 2;
   EXPECT_THROW(
-      rcm::run_ordered_solve_recoverable(4, a, b, true, {}, {}, recovery),
+      rcm::run_ordered_solve_recoverable(4, spec_of(a, b), recovery),
       mps::InjectedFault);
+}
+
+TEST(RecoverablePipeline, KnownLabelsAndRecipeSinksAreRejected) {
+  // The runner orders from scratch and owns its checkpoints: a caller's
+  // known labels or recipe sink would be silently ignored, so both are
+  // named errors instead.
+  const auto a = gen::with_laplacian_values(gen::grid2d(6, 6));
+  const std::vector<double> b(static_cast<std::size_t>(a.n()), 1.0);
+  const auto labels = sparse::identity_permutation(a.n());
+  auto with_labels = spec_of(a, b);
+  with_labels.labels = &labels;
+  EXPECT_THROW(rcm::run_ordered_solve_recoverable(4, with_labels), CheckError);
+  rcm::OrderingRecipe recipe;
+  auto with_recipe = spec_of(a, b);
+  with_recipe.recipe = &recipe;
+  EXPECT_THROW(rcm::run_ordered_solve_recoverable(4, with_recipe), CheckError);
 }
 
 TEST(RecoverablePipeline, SeededRandomPlanSweepTerminatesStructured) {
@@ -282,7 +307,7 @@ TEST(RecoverablePipeline, SeededRandomPlanSweepTerminatesStructured) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     try {
       const auto run =
-          rcm::run_ordered_solve_recoverable(4, a, b, true, {}, {}, recovery);
+          rcm::run_ordered_solve_recoverable(4, spec_of(a, b), recovery);
       // Completed: then it must be the fault-free answer, bit for bit.
       EXPECT_EQ(run.result.labels, clean.result.labels);
       ASSERT_EQ(run.result.x.size(), clean.result.x.size());

@@ -40,7 +40,7 @@ TEST_P(ModelConsistency, SingleRankChargedComputeTracksModel) {
                  : which == 1 ? gen::erdos_renyi(300, 6.0, 5)
                  : which == 2 ? gen::relabel_random(gen::grid3d(5, 5, 12), 2)
                               : gen::kkt_system(gen::grid2d(10, 10), 50);
-  const auto run = run_dist_rcm(1, a);
+  const auto run = run_dist_order(1, a);
   const double charged = charged_total(run.report);
   const auto trace = ExecutionTrace::collect(a);
   const double projected = project_cost(trace, 1, 1).total();
@@ -57,7 +57,7 @@ TEST_P(ModelConsistency, SortShareGrowsIdenticallyInBothViews) {
   const auto a = which % 2 == 0 ? gen::relabel_random(gen::grid2d(16, 16), 3)
                                 : gen::grid3d(4, 4, 10);
   const auto sort_share = [&](int p) {
-    const auto run = run_dist_rcm(p, a);
+    const auto run = run_dist_order(p, a);
     const double sort =
         run.report.aggregate(mps::Phase::kOrderingSort).max.model_total();
     return sort / charged_total(run.report);
@@ -78,7 +78,7 @@ TEST_P(ModelConsistency, HybridChargedComputeTracksModel) {
                               : gen::kkt_system(gen::grid2d(10, 10), 50);
   DistRcmOptions opt;
   opt.threads = 6;
-  const auto run = run_dist_rcm(1, a, opt);
+  const auto run = run_dist_order(1, a, opt);
   const double charged = charged_total(run.report);
   const auto trace = ExecutionTrace::collect(a);
   const double projected = project_cost(trace, 6, 6).total();
@@ -95,10 +95,10 @@ TEST(ModelConsistency, HybridDividesComputeAndKeepsCommunication) {
   const auto a = gen::relabel_random(gen::grid2d(16, 16), 3);
   DistRcmOptions flat_opt;
   flat_opt.threads = 1;  // pinned: DRCM_THREADS must not skew the baseline
-  const auto flat = run_dist_rcm(4, a, flat_opt);
+  const auto flat = run_dist_order(4, a, flat_opt);
   DistRcmOptions opt;
   opt.threads = 6;
-  const auto hybrid = run_dist_rcm(4, a, opt);
+  const auto hybrid = run_dist_order(4, a, opt);
   EXPECT_EQ(flat.labels, hybrid.labels);  // bit-identical ordering
   double flat_compute = 0, hybrid_compute = 0;
   for (std::size_t r = 0; r < flat.report.ranks.size(); ++r) {
@@ -117,8 +117,8 @@ TEST(ModelConsistency, HybridDividesComputeAndKeepsCommunication) {
 
 TEST(ModelConsistency, MessagesCountedOnlyWhenCommunicating) {
   const auto a = gen::grid2d(10, 10);
-  const auto p1 = run_dist_rcm(1, a);
-  const auto p4 = run_dist_rcm(4, a);
+  const auto p1 = run_dist_order(1, a);
+  const auto p4 = run_dist_order(4, a);
   mps::PhaseTotals t1, t4;
   for (const auto& r : p1.report.ranks) t1 += r.total();
   for (const auto& r : p4.report.ranks) t4 += r.total();

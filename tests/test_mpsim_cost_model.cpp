@@ -1,14 +1,17 @@
 // Unit tests for the alpha-beta-gamma cost model formulas, plus the
 // barrier-crossing ledger that pins the fused kernels' synchrony budgets:
-// 3 crossings per BFS level (vs the unfused chain's 8) and 5 per whole
-// ordering level (vs 3 + SORTPERM's 6 = 9) — and the trace model's
-// analytic crossing prediction against a real p=4 run's ledger.
+// 3 crossings per BFS level (vs 8 for the same level as four standalone
+// primitives) and 5 per whole ordering level (vs 6 for the standalone
+// SORTPERM alone) — and the trace model's analytic crossing prediction
+// against a real p=4 run's ledger.
 #include "mpsim/cost_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include "dist/level_kernel.hpp"
+#include "dist/primitives.hpp"
 #include "dist/sortperm.hpp"
+#include "dist/spmspv.hpp"
 #include "mpsim/runtime.hpp"
 #include "rcm/rcm_driver.hpp"
 #include "rcm/trace_model.hpp"
@@ -113,9 +116,9 @@ TEST(CrossingLedger, EveryCollectiveIsTwoCrossingsBarrierIsOne) {
 
 TEST(CrossingLedger, FusedLevelKernelChargesAtMostThreeCrossingsPerLevel) {
   // The tentpole claim: one BFS level through dist::bfs_level_step costs
-  // THREE barrier crossings; the unfused primitive chain (gather ->
-  // SpMSpV's allgatherv + alltoallv + pairwise -> SELECT -> emptiness
-  // allreduce) costs eight. Distinct phases isolate each path's ledger.
+  // THREE barrier crossings; the same level as standalone primitives
+  // (gather -> SpMSpV's allgatherv + alltoallv + pairwise -> SELECT ->
+  // emptiness allreduce) costs eight. Distinct phases isolate each ledger.
   const auto a = sparse::gen::grid2d(8, 8);
   const auto report = Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
@@ -128,28 +131,28 @@ TEST(CrossingLedger, FusedLevelKernelChargesAtMostThreeCrossingsPerLevel) {
     }
     dist::bfs_level_step(mat, frontier, levels, kNoVertex, grid,
                          Phase::kOrderingSpmspv, Phase::kOrderingOther);
-    dist::bfs_level_step_unfused(mat, frontier, levels, kNoVertex, grid,
-                                 Phase::kPeripheralSpmspv,
-                                 Phase::kPeripheralOther);
+    PhaseScope scope(world, Phase::kPeripheralSpmspv);
+    dist::gather_from_dense(frontier, levels, world);
+    (void)dist::select_where_equals(
+        dist::spmspv_select2nd_min(mat, frontier, grid), levels, kNoVertex,
+        world)
+        .global_nnz(world);
   });
   const auto fused =
       report.aggregate(Phase::kOrderingSpmspv).max.barrier_crossings +
       report.aggregate(Phase::kOrderingOther).max.barrier_crossings;
-  const auto unfused =
-      report.aggregate(Phase::kPeripheralSpmspv).max.barrier_crossings +
-      report.aggregate(Phase::kPeripheralOther).max.barrier_crossings;
+  const auto chain =
+      report.aggregate(Phase::kPeripheralSpmspv).max.barrier_crossings;
   EXPECT_EQ(fused, 3u) << "the fused kernel's synchrony budget";
-  EXPECT_EQ(unfused, 8u) << "the unfused chain's per-level baseline";
+  EXPECT_EQ(chain, 8u) << "the four standalone primitives of one level";
 }
 
 TEST(CrossingLedger, FusedOrderingLevelIsAtMostFiveCrossings) {
   // The ordering-level tentpole: one WHOLE Cuthill-McKee ordering level
   // (BFS level + SORTPERM + label scatter) through dist::cm_level_step
   // costs FIVE barrier crossings — three for the level kernel head, two
-  // for the fused sort tail — while the unfused reference pays the level
-  // kernel's 3 plus the standalone SORTPERM's 6 (allgatherv + two
-  // alltoallvs) = 9. Distinct phases isolate each path's ledger; the
-  // unfused arm parks its sort crossings on kSolver.
+  // for the fused sort tail — while the standalone sortperm_bucket alone
+  // (allgatherv + two alltoallvs) pays 6 on the level it discovered.
   const auto a = sparse::gen::grid2d(8, 8);
   const auto report = Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
@@ -159,33 +162,24 @@ TEST(CrossingLedger, FusedOrderingLevelIsAtMostFiveCrossings) {
     if (frontier.lo() <= 27 && 27 < frontier.hi()) {
       frontier.assign({dist::VecEntry{27, 0}});
     }
-    dist::DistDenseVec labels_f(mat.vec_dist(), grid, kNoVertex);
-    if (labels_f.owns(27)) labels_f.set(27, 0);
-    dist::cm_level_step(mat, frontier, labels_f, degrees, /*label_lo=*/0,
-                        /*label_hi=*/1, /*next_label=*/1, grid,
-                        Phase::kOrderingSpmspv, Phase::kOrderingSort,
-                        Phase::kOrderingOther);
-    dist::DistDenseVec labels_u(mat.vec_dist(), grid, kNoVertex);
-    if (labels_u.owns(27)) labels_u.set(27, 0);
-    dist::cm_level_step_unfused(mat, frontier, labels_u, degrees, 0, 1, 1,
-                                grid, Phase::kPeripheralSpmspv,
-                                Phase::kSolver, Phase::kPeripheralOther);
+    dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
+    if (labels.owns(27)) labels.set(27, 0);
+    const auto level = dist::cm_level_step(
+        mat, frontier, labels, degrees, /*label_lo=*/0, /*label_hi=*/1,
+        /*next_label=*/1, grid, Phase::kOrderingSpmspv, Phase::kOrderingSort,
+        Phase::kOrderingOther);
+    PhaseScope scope(world, Phase::kSolver);
+    (void)dist::sortperm_bucket(level.next, degrees, 0, 1, grid);
   });
   const auto fused =
       report.aggregate(Phase::kOrderingSpmspv).max.barrier_crossings +
       report.aggregate(Phase::kOrderingSort).max.barrier_crossings +
       report.aggregate(Phase::kOrderingOther).max.barrier_crossings;
-  const auto unfused_sort =
-      report.aggregate(Phase::kSolver).max.barrier_crossings;
-  const auto unfused =
-      report.aggregate(Phase::kPeripheralSpmspv).max.barrier_crossings +
-      report.aggregate(Phase::kPeripheralOther).max.barrier_crossings +
-      unfused_sort;
   EXPECT_LE(fused, 5u) << "the fused ordering level's synchrony contract";
   EXPECT_EQ(fused, 5u) << "3 level-kernel crossings + 2 sort crossings";
   EXPECT_EQ(report.aggregate(Phase::kOrderingSort).max.barrier_crossings, 2u);
-  EXPECT_EQ(unfused_sort, 6u) << "the standalone SORTPERM's three collectives";
-  EXPECT_EQ(unfused, 9u) << "the unfused ordering level's baseline";
+  EXPECT_EQ(report.aggregate(Phase::kSolver).max.barrier_crossings, 6u)
+      << "the standalone SORTPERM's three collectives";
 }
 
 TEST(CrossingLedger, TerminalOrderingLevelSkipsTheSortTail) {
@@ -226,7 +220,7 @@ TEST(CrossingLedger, TraceModelPredictsTheRealLedger) {
       sparse::gen::star(17),
   };
   for (const auto& a : graphs) {
-    const auto run = rcm::run_dist_rcm(4, a);
+    const auto run = rcm::run_dist_order(4, a);
     std::uint64_t ordering = 0, peripheral = 0;
     for (const auto phase : {Phase::kOrderingSpmspv, Phase::kOrderingSort,
                              Phase::kOrderingOther}) {
@@ -262,10 +256,10 @@ TEST(CrossingLedger, TraceModelPredictsTheHybridLedger) {
   for (const auto& a : graphs) {
     rcm::DistRcmOptions flat_opt;
     flat_opt.threads = 1;  // pinned: DRCM_THREADS must not skew the baseline
-    const auto flat = rcm::run_dist_rcm(4, a, flat_opt);
+    const auto flat = rcm::run_dist_order(4, a, flat_opt);
     rcm::DistRcmOptions hybrid_opt;
     hybrid_opt.threads = 6;
-    const auto hybrid = rcm::run_dist_rcm(4, a, hybrid_opt);
+    const auto hybrid = rcm::run_dist_order(4, a, hybrid_opt);
 
     std::uint64_t ordering = 0, peripheral = 0;
     for (const auto phase : {Phase::kOrderingSpmspv, Phase::kOrderingSort,

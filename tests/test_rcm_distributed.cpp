@@ -52,18 +52,8 @@ TEST_P(DistRcmMatchesSerial, BitIdenticalLabels) {
   const auto [p, which] = GetParam();
   const auto a = workload(which);
   const auto want = order::rcm_serial(a);
-  const auto run = run_dist_rcm(p, a);
+  const auto run = run_dist_order(p, a);
   EXPECT_EQ(run.labels, want) << "workload " << which << " p=" << p;
-}
-
-TEST_P(DistRcmMatchesSerial, SampleSortGivesSameOrdering) {
-  const auto [p, which] = GetParam();
-  if (which % 4 != 0) GTEST_SKIP() << "subset is enough for the sort variant";
-  const auto a = workload(which);
-  DistRcmOptions opt;
-  opt.sort = SortKind::kSampleSort;
-  const auto run = run_dist_rcm(p, a, opt);
-  EXPECT_EQ(run.labels, order::rcm_serial(a));
 }
 
 TEST(DistRcm, ComponentAndSweepStatsMatchSerial) {
@@ -71,7 +61,7 @@ TEST(DistRcm, ComponentAndSweepStatsMatchSerial) {
                                       gen::empty_graph(2)});
   order::OrderingStats serial_stats;
   order::rcm_serial(a, &serial_stats);
-  const auto run = run_dist_rcm(4, a);
+  const auto run = run_dist_order(4, a);
   EXPECT_EQ(run.stats.components, serial_stats.components);
   EXPECT_EQ(run.stats.peripheral_bfs_sweeps, serial_stats.peripheral_bfs_sweeps);
 }
@@ -80,9 +70,9 @@ TEST(DistRcm, QualityInsensitiveToGridSize) {
   // Paper claim: ordering quality "remains insensitive to the degree of
   // concurrency". Ours is bit-identical, hence exactly insensitive.
   const auto a = gen::relabel_random(gen::grid2d(14, 14), 9);
-  const auto l1 = run_dist_rcm(1, a).labels;
-  const auto l4 = run_dist_rcm(4, a).labels;
-  const auto l16 = run_dist_rcm(16, a).labels;
+  const auto l1 = run_dist_order(1, a).labels;
+  const auto l4 = run_dist_order(4, a).labels;
+  const auto l16 = run_dist_order(16, a).labels;
   EXPECT_EQ(l1, l4);
   EXPECT_EQ(l4, l16);
   EXPECT_LT(sparse::bandwidth_with_labels(a, l1), sparse::bandwidth(a));
@@ -93,7 +83,7 @@ TEST(DistRcm, LoadBalancePermutationMapsBack) {
   DistRcmOptions opt;
   opt.load_balance = true;
   opt.seed = 77;
-  const auto run = run_dist_rcm(4, a, opt);
+  const auto run = run_dist_order(4, a, opt);
   // Result is a valid labeling of the ORIGINAL matrix...
   EXPECT_TRUE(sparse::is_valid_permutation(run.labels));
   // ...equal to serial RCM on the relabeled matrix mapped back.
@@ -114,15 +104,15 @@ TEST(DistRcm, LoadBalancePermutationMapsBack) {
 
 TEST(DistRcm, RejectsSelfLoopedInput) {
   const auto solver_matrix = gen::with_laplacian_values(gen::path(6));
-  EXPECT_THROW(run_dist_rcm(1, solver_matrix), CheckError);
+  EXPECT_THROW(run_dist_order(1, solver_matrix), CheckError);
   // The intended route: strip the diagonal first.
-  const auto run = run_dist_rcm(1, solver_matrix.strip_diagonal());
+  const auto run = run_dist_order(1, solver_matrix.strip_diagonal());
   EXPECT_TRUE(sparse::is_valid_permutation(run.labels));
 }
 
 TEST(DistRcm, ReportCarriesPhaseBreakdown) {
   const auto a = gen::grid2d(12, 12);
-  const auto run = run_dist_rcm(4, a);
+  const auto run = run_dist_order(4, a);
   const auto& rep = run.report;
   // All of the paper's Figure-4 phases must have been exercised.
   EXPECT_GT(rep.aggregate(mps::Phase::kPeripheralSpmspv).max.model_total(), 0.0);

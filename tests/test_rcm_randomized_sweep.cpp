@@ -75,7 +75,7 @@ TEST_P(RandomizedSweep, DistEqualsSerialOnRandomGrid) {
   const int grids[] = {1, 4, 9, 16};
   const int p = grids[rng.next_below(4)];
   const auto want = order::rcm_serial(a);
-  const auto run = run_dist_rcm(p, a);
+  const auto run = run_dist_order(p, a);
   ASSERT_EQ(run.labels, want) << "seed " << seed << " p=" << p
                               << " n=" << a.n() << " nnz=" << a.nnz();
 }
@@ -116,7 +116,7 @@ TEST_P(RandomizedSweep, LoadBalancedRunStaysValidAndGood) {
   DistRcmOptions opt;
   opt.load_balance = true;
   opt.seed = seed;
-  const auto run = run_dist_rcm(4, a, opt);
+  const auto run = run_dist_order(4, a, opt);
   ASSERT_TRUE(sparse::is_valid_permutation(run.labels)) << "seed " << seed;
 }
 
