@@ -1,8 +1,9 @@
 // Figure 5: computation vs communication time inside all SpMSpV calls, per
 // matrix and core count (6 threads per process, as in the paper). The
-// communication terms model the fused level kernel (three crossings per
-// level: column allgatherv, owner-direct alltoallv, folded count
-// reduction — see dist/level_kernel.hpp).
+// communication terms model the fused level kernels (column allgatherv,
+// owner-direct alltoallv and the count reduction per level, in two
+// crossings on a BFS level and three on an ordering level's head — see
+// dist/level_kernel.hpp).
 //
 // Expected shape: computation dominates at low concurrency; communication
 // crosses over at a matrix-dependent core count — earlier for high-diameter

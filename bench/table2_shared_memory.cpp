@@ -97,10 +97,15 @@ int main(int argc, char** argv) {
     big.pseudo_diameter = 243;
     const index_t levels = big.pseudo_diameter + 1;
     const rcm::LevelTrace lvl{big.n / levels, big.nnz / levels, big.n / levels};
-    for (index_t l = 0; l < levels * big.peripheral_sweeps; ++l) {
+    // The speculative George-Liu shape: the first sweep plain, the last
+    // one the ordering, the ones between discarded.
+    for (index_t l = 0; l < levels; ++l) {
       big.peripheral_levels.push_back(lvl);
+      big.ordering_levels.push_back(lvl);
+      for (int s = 2; s < big.peripheral_sweeps; ++s) {
+        big.discarded_levels.push_back(lvl);
+      }
     }
-    for (index_t l = 0; l < levels; ++l) big.ordering_levels.push_back(lvl);
     const double d1014 = rcm::project_cost(big, 1014, 6, machine).total();
     const double gather =
         machine.alpha * 1023.0 +

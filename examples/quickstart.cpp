@@ -40,11 +40,11 @@ int main() {
   // Distributed RCM on a 2x2 process grid (simulated ranks).
   const auto run = rcm::run_dist_order(/*nranks=*/4, a);
   std::printf("distributed RCM: bandwidth %6lld, profile %10lld "
-              "(%d component%s, %d peripheral BFS sweeps)\n",
+              "(%d component%s, %d peripheral BFS sweeps, %d discarded)\n",
               static_cast<long long>(sparse::bandwidth_with_labels(a, run.labels)),
               static_cast<long long>(sparse::profile_with_labels(a, run.labels)),
               run.stats.components, run.stats.components == 1 ? "" : "s",
-              run.stats.peripheral_bfs_sweeps);
+              run.stats.peripheral_bfs_sweeps, run.stats.discarded_sweeps);
 
   std::printf("orderings bit-identical: %s\n",
               run.labels == serial_labels ? "yes" : "NO (bug!)");

@@ -85,11 +85,11 @@ void merge_and_select(const std::vector<VecEntry>& received,
 
 }  // namespace
 
-LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
-                               const DistDenseVec& dense,
-                               index_t keep_sentinel, ProcGrid2D& grid,
-                               mps::Phase spmspv_phase, mps::Phase other_phase,
-                               DistWorkspace* ws) {
+BfsLevelResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
+                              const DistDenseVec& dense,
+                              index_t keep_sentinel, ProcGrid2D& grid,
+                              mps::Phase spmspv_phase, mps::Phase other_phase,
+                              DistWorkspace* ws) {
   DRCM_CHECK(frontier.dist() == a.vec_dist(),
              "frontier distribution does not match the matrix");
   DRCM_CHECK(dense.dist() == a.vec_dist(),
@@ -98,13 +98,13 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
   DistWorkspace& w = ws ? *ws : grid.workspace();
   const int p = world.size();
 
-  LevelStepResult res;
+  BfsLevelResult res;
   mps::PhaseScope scope(world, spmspv_phase);
 
   auto& outgoing = publish_set(frontier, dense, world, other_phase, w);
 
   std::vector<VecEntry> kept;
-  res.global_nnz = static_cast<index_t>(world.fused_gather_route_count(
+  res.frontier_nnz = static_cast<index_t>(world.fused_gather_route_count(
       grid.col_world_ranks(), std::span<const VecEntry>(outgoing),
       w.gather_scratch(), w.fused_route(static_cast<std::size_t>(p)),
       w.recv_scratch(),
@@ -112,10 +112,9 @@ LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
           std::vector<std::vector<VecEntry>>& route) {
         route_partials(a, gathered, route, world, w);
       },
-      [&](const std::vector<VecEntry>& received) -> std::int64_t {
+      [&](const std::vector<VecEntry>& received) {
         merge_and_select(received, dense, keep_sentinel, world, other_phase,
                          w, kept);
-        return static_cast<std::int64_t>(kept.size());
       }));
 
   res.next = frontier.sibling(std::move(kept));

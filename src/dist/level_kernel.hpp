@@ -1,11 +1,19 @@
 // The fused per-level kernels of the distributed BFS and Cuthill-McKee
-// loops. One BFS level — SET (refresh frontier values from the dense
-// level/label vector), the (select2nd, min) SpMSpV expansion, SELECT (keep
-// unvisited) and the emptiness/count reduction — runs as ONE phase-scoped
-// collective through Comm::fused_gather_route_count, whose three BSP
-// supersteps share barrier crossings: 3 crossings per level. One ordering
-// level adds SORTPERM and the label scatter on two more crossings
-// (Comm::fused_order_level): 5 per level.
+// loops. Per-level crossing budget: BFS 2, CM 5.
+//
+// One BFS level — SET (refresh frontier values from the dense level
+// vector), the (select2nd, min) SpMSpV expansion and SELECT (keep
+// unvisited) — runs as ONE phase-scoped collective through
+// Comm::fused_gather_route_count in 2 barrier crossings. It needs no count
+// superstep: the global size of the frontier it EXPANDS is the sum of the
+// span sizes every rank publishes at crossing 1. So a BFS learns that a
+// level came back empty one call later, in a terminal call of a single
+// crossing (L + 1 levels cost 2(L + 1) + 1 crossings).
+//
+// One ordering level keeps the count superstep, because SORTPERM needs the
+// level's histogram before it can deal: SET + SpMSpV + SELECT + count in
+// three crossings, SORTPERM and the label scatter on two more
+// (Comm::fused_order_level): 5 per level, 3 on the terminal level.
 //
 // Stage-3 partials are routed DIRECTLY to the owner of each output element
 // (the paper's sub-chunk owner), so SELECT runs where the dense vector
@@ -26,7 +34,19 @@
 
 namespace drcm::dist {
 
-/// Result of one fused BFS or ordering level.
+/// Result of one fused BFS level.
+struct BfsLevelResult {
+  /// The post-SELECT next frontier (this rank's owned part; its global
+  /// size is counted by the NEXT call): entries whose dense value equals
+  /// the keep sentinel, values = minimum parent value (ascending by index).
+  DistSpVec next;
+  /// Exact global nnz of the frontier this call EXPANDED, identical on
+  /// every rank. 0 means the frontier was empty: the call returned after
+  /// one crossing and `next` is empty.
+  index_t frontier_nnz = 0;
+};
+
+/// Result of one fused ordering level.
 struct LevelStepResult {
   /// The post-SELECT next frontier: entries whose dense value equals the
   /// keep sentinel, values = minimum parent value (ascending by index).
@@ -37,16 +57,16 @@ struct LevelStepResult {
 };
 
 /// One fused BFS level: y = SELECT(SPMSPV(A, SET(x, dense)), dense ==
-/// keep_sentinel), plus its global count, in three barrier crossings.
-/// Comm/multiply costs are attributed to `spmspv_phase`, the SET/SELECT
-/// scans to `other_phase` (the Figure-4 split). Collective; must not be
-/// called under an open PhaseScope. Scratch comes from `ws`, or the grid's
-/// per-rank workspace when null.
-LevelStepResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
-                               const DistDenseVec& dense,
-                               index_t keep_sentinel, ProcGrid2D& grid,
-                               mps::Phase spmspv_phase, mps::Phase other_phase,
-                               DistWorkspace* ws = nullptr);
+/// keep_sentinel), plus the global count of x, in two barrier crossings —
+/// one when x is empty everywhere. Comm/multiply costs are attributed to
+/// `spmspv_phase`, the SET/SELECT scans to `other_phase` (the Figure-4
+/// split). Collective; must not be called under an open PhaseScope.
+/// Scratch comes from `ws`, or the grid's per-rank workspace when null.
+BfsLevelResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
+                              const DistDenseVec& dense,
+                              index_t keep_sentinel, ProcGrid2D& grid,
+                              mps::Phase spmspv_phase, mps::Phase other_phase,
+                              DistWorkspace* ws = nullptr);
 
 /// One fused Cuthill-McKee ordering level in FIVE barrier crossings
 /// (Comm::fused_order_level), three when the level comes back empty:

@@ -12,7 +12,7 @@
 // This is the standalone kernel: three collectives (six barrier crossings)
 // per call, plus the caller's SET / SELECT / emptiness round trips. The
 // fused per-level path (dist/level_kernel.hpp) performs the same math in
-// one three-crossing collective and is what the BFS loops actually run;
+// one two-crossing collective and is what the BFS loops actually run;
 // this entry point remains a primitive of its own (micro_spmspv, fig4's
 // crossing split and the perfbench dist.spmspv_* probes time it).
 #pragma once

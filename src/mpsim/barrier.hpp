@@ -1,6 +1,6 @@
 // Reusable, poisonable barrier for SPMD rank synchronization.
 //
-// Every collective in the runtime is built from two or three barrier
+// Every collective in the runtime is built from one to five barrier
 // crossings over a shared "publication board" (see comm.hpp). The barrier
 // must
 //   (a) be reusable an unbounded number of times;

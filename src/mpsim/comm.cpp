@@ -1,6 +1,7 @@
 #include "mpsim/comm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <functional>
@@ -129,6 +130,9 @@ class CommContext {
         tags_(static_cast<std::size_t>(size)),
         tag_seq_(static_cast<std::size_t>(size), 0) {
     for (auto& t : tags_) t.store(0, std::memory_order_relaxed);
+    for (auto& slot : span_counts_) {
+      slot.assign(static_cast<std::size_t>(size), 0);
+    }
   }
 
   int size() const { return size_; }
@@ -177,6 +181,17 @@ class CommContext {
   std::vector<const void* const*>& ptr_arr_aux() { return ptr_arr_aux_; }
   std::vector<const std::uint64_t*>& cnt_arr_aux() { return cnt_arr_aux_; }
   std::vector<std::int64_t>& i64() { return i64_; }
+  /// The span-count board of fused_gather_route_count, double-buffered by
+  /// the parity of `rank`'s current collective ordinal on this
+  /// communicator (identical on every member in a correct program). A
+  /// one-crossing exit reads slot s after its only crossing; the next
+  /// collective writes slot 1-s, and the one after that can only write
+  /// slot s again once every member has crossed into the next one, i.e.
+  /// finished reading.
+  std::int64_t& span_count(int rank, int slot_rank) {
+    const auto slot = tag_seq_[static_cast<std::size_t>(rank)] & 1U;
+    return span_counts_[slot][static_cast<std::size_t>(slot_rank)];
+  }
   std::vector<int>& split_color() { return split_color_; }
   std::vector<int>& split_key() { return split_key_; }
   std::vector<std::shared_ptr<CommContext>>& split_ctx() { return split_ctx_; }
@@ -244,6 +259,7 @@ class CommContext {
   std::vector<std::vector<const void*>> array_ptrs_aux_;
   std::vector<std::vector<std::uint64_t>> array_cnts_aux_;
   std::vector<std::int64_t> i64_;
+  std::array<std::vector<std::int64_t>, 2> span_counts_;
   std::vector<int> split_color_;
   std::vector<int> split_key_;
   std::vector<std::shared_ptr<CommContext>> split_ctx_;
@@ -410,6 +426,16 @@ void Comm::publish_i64(std::int64_t v) {
 
 std::int64_t Comm::peer_i64(int r) const {
   return ctx_->i64()[static_cast<std::size_t>(r)];
+}
+
+void Comm::publish_span_count(std::int64_t v) {
+  ctx_->span_count(rank_, rank_) = v;
+}
+
+std::int64_t Comm::span_count_total() const {
+  std::int64_t total = 0;
+  for (int r = 0; r < size_; ++r) total += ctx_->span_count(rank_, r);
+  return total;
 }
 
 void Comm::charge(const CommCost& cost) {

@@ -205,48 +205,59 @@ class Comm {
   template <class T>
   std::vector<T> pairwise_exchange(int partner, std::span<const T> send);
 
-  /// Fused three-superstep collective for the BFS level kernel
-  /// (dist::bfs_level_step): a sub-group allgatherv, an alltoallv of what
-  /// `route` makes of the gathered data, and an allreduce-sum of what
-  /// `count` makes of the routed data — in THREE barrier crossings, where
-  /// the same four collectives run standalone pay eight. The supersteps use
-  /// three distinct publication boards, so the read of one round and the
-  /// publish of the next share a single crossing (classic BSP):
+  /// Fused two-superstep collective for the BFS level kernel
+  /// (dist::bfs_level_step): a sub-group allgatherv plus an allreduce-sum
+  /// of every rank's span size, then an alltoallv of what `route` makes of
+  /// the gathered data — in TWO barrier crossings, where the same level as
+  /// standalone collectives (gather, alltoallv, count allreduce) pays six.
+  /// The global size of the frontier is the sum of the span sizes every
+  /// rank publishes at crossing 1, so no count superstep is needed:
   ///
-  ///   publish my `local` span                         [scalar board]
+  ///   publish my `local` span [scalar board] and its size [span-count
+  ///   board]
   ///   ---- crossing 1 ----
+  ///   total = sum of all ranks' span sizes; if total == 0 RETURN 0
+  ///   (ONE crossing: the terminal call of a BFS, uniform on every rank);
   ///   gather_buf <- concatenation of `gather_peers`' spans (given order);
-  ///   route(gather_buf, route_buf); publish route_buf  [array board]
+  ///   route(gather_buf, route_buf); publish route_buf [auxiliary payload
+  ///   board]
   ///   ---- crossing 2 ----
   ///   recv_buf <- what every rank routed to me (source-rank order);
-  ///   publish count(recv_buf)                          [int64 board]
-  ///   ---- crossing 3 ----
-  ///   return the sum of all ranks' counts.
+  ///   receive(recv_buf); return total.
+  ///
+  /// Both reads that follow a call's final crossing come from boards no
+  /// collective writes before its first crossing: the auxiliary payload
+  /// board (written only after a first crossing), and the span-count
+  /// board, double-buffered by collective ordinal so the very next
+  /// collective — even another level call — writes the other slot. So a
+  /// level may chain straight into any collective after either exit.
   ///
   /// `route` must size route_buf to exactly size() buffers; both buffer
   /// arguments are caller-owned so steady-state loops reuse capacity.
-  /// The callbacks run BETWEEN crossings: they may charge compute but must
-  /// not invoke any collective on any communicator, and `route` must not
-  /// mutate `local`'s backing store (peers are still reading it).
+  /// The callbacks run BETWEEN or AFTER crossings: they may charge compute
+  /// but must not invoke any collective on any communicator, and `route`
+  /// must not mutate `local`'s backing store (peers are still reading it).
   /// Charged as its component collectives, with the alltoallv latency
   /// priced by the actual destination fan-out (the level kernel routes to
-  /// at most sqrt(p) owners, not to all p ranks).
-  template <class T, class RouteFn, class CountFn>
+  /// at most sqrt(p) owners, not to all p ranks); the terminal call is
+  /// charged as the count allreduce alone.
+  template <class T, class RouteFn, class ReceiveFn>
   std::int64_t fused_gather_route_count(std::span<const int> gather_peers,
                                         std::span<const T> local,
                                         std::vector<T>& gather_buf,
                                         std::vector<std::vector<T>>& route_buf,
                                         std::vector<T>& recv_buf,
-                                        RouteFn&& route, CountFn&& count);
+                                        RouteFn&& route, ReceiveFn&& receive);
 
   /// Fused five-superstep collective for the ordering-level kernel
-  /// (dist::cm_level_step): extends fused_gather_route_count with a carried
-  /// payload on the count superstep and TWO further routed supersteps, so a
-  /// whole Cuthill-McKee ordering level (SET + SpMSpV + SELECT + count +
-  /// SORTPERM + label scatter) costs FIVE barrier crossings — where a fused
-  /// BFS level followed by the standalone SORTPERM (three collectives)
-  /// pays 3 + 6 = 9. Board schedule (each board is free one crossing
-  /// after its readers finish, classic BSP):
+  /// (dist::cm_level_step): a gather + route head like
+  /// fused_gather_route_count's, a count superstep carrying the SORTPERM
+  /// histogram, and TWO further routed supersteps, so a whole Cuthill-McKee
+  /// ordering level (SET + SpMSpV + SELECT + count + SORTPERM + label
+  /// scatter) costs FIVE barrier crossings — where the level's head
+  /// followed by the standalone SORTPERM (three collectives) pays 3 + 6 =
+  /// 9. Board schedule (each board is free one crossing after its readers
+  /// finish, classic BSP):
   ///
   ///   publish my `local` span                           [scalar board]
   ///   ---- crossing 1 ----
@@ -275,8 +286,9 @@ class Comm {
   /// until crossing 5, and rank_route_buf until this rank's next collective
   /// (whose first crossing proves every peer finished reading; size-only
   /// mutations such as a workspace checkout's clear() are harmless).
-  /// Charged as its component collectives: the head exactly like
-  /// fused_gather_route_count, the tail as an allgatherv of the carry plus
+  /// Charged as its component collectives: the head as an allgatherv, an
+  /// alltoallv priced by fan-out and the count allreduce, the tail as an
+  /// allgatherv of the carry plus
   /// two FULL-communicator alltoallvs — the paper prices SORTPERM as an
   /// all-process AlltoAll (the T_SortPerm alpha*p term), and the standalone
   /// sortperm_bucket exchange this replaces is charged the same way.
@@ -327,17 +339,36 @@ class Comm {
   const CostModel& cost_model() const { return *model_; }
 
  private:
-  /// The shared three-superstep head of the fused collectives: publish +
-  /// gather, route + exchange, count + allreduce — three crossings, charged
-  /// as its component collectives. `count_publish(recv_buf)` runs between
-  /// crossings 2 and 3 and may publish additional boards (the ordering
-  /// level rides its histogram carry on the freed scalar board there).
-  template <class T, class RouteFn, class CountPublishFn>
-  std::int64_t fused_head(CollOp op, std::span<const int> gather_peers,
-                          std::span<const T> local, std::vector<T>& gather_buf,
-                          std::vector<std::vector<T>>& route_buf,
-                          std::vector<T>& recv_buf, RouteFn&& route,
-                          CountPublishFn&& count_publish);
+  /// Volume of one routed superstep, for charging.
+  struct RouteTally {
+    std::uint64_t gathered_words = 0;
+    std::uint64_t send_words = 0;
+    int fan_out = 0;  ///< non-empty destinations other than this rank
+  };
+
+  /// The gather + route step both fused collectives run right after their
+  /// first crossing: reads `gather_peers`' spans off the scalar board into
+  /// gather_buf, lets `route` fill route_buf (exactly size() buffers) and
+  /// stages its pointer/count tables for publication.
+  template <class T, class RouteFn>
+  RouteTally gather_and_route(std::span<const int> gather_peers,
+                              std::vector<T>& gather_buf,
+                              std::vector<std::vector<T>>& route_buf,
+                              RouteFn&& route);
+  /// Stages `bufs`' pointer/count tables in `ptrs`/`counts` and tallies the
+  /// send volume and fan-out.
+  template <class T>
+  RouteTally stage_routes(const std::vector<std::vector<T>>& bufs,
+                          std::vector<const void*>& ptrs,
+                          std::vector<std::uint64_t>& counts) const;
+  /// recv_buf <- what every rank routed to me on the primary (`aux` false)
+  /// or auxiliary array board, in source-rank order; `src_counts`, when
+  /// non-null, receives the per-source element counts. Returns the words
+  /// received.
+  template <class T>
+  std::uint64_t receive_routed(bool aux, std::vector<T>& recv_buf,
+                               std::vector<std::uint64_t>* src_counts =
+                                   nullptr);
 
   /// Entry hook of EVERY collective, called before the first crossing:
   /// bumps the rank's collective counter, fires any scripted fault due at
@@ -375,6 +406,10 @@ class Comm {
   const std::uint64_t* peer_count_array_aux(int r) const;
   void publish_i64(std::int64_t v);
   std::int64_t peer_i64(int r) const;
+  /// fused_gather_route_count's span-count board (double-buffered by
+  /// collective ordinal; see CommContext::span_count).
+  void publish_span_count(std::int64_t v);
+  std::int64_t span_count_total() const;
   /// Raw barrier crossing: no modeled seconds charged, but every crossing
   /// is recorded in the per-phase barrier_crossings ledger (the quantity
   /// the fused level kernel's 3-vs-8 contract is asserted on).
@@ -647,93 +682,108 @@ std::vector<T> Comm::pairwise_exchange(int partner, std::span<const T> send) {
   return out;
 }
 
-template <class T, class RouteFn, class CountPublishFn>
-std::int64_t Comm::fused_head(CollOp op, std::span<const int> gather_peers,
-                              std::span<const T> local,
-                              std::vector<T>& gather_buf,
-                              std::vector<std::vector<T>>& route_buf,
-                              std::vector<T>& recv_buf, RouteFn&& route,
-                              CountPublishFn&& count_publish) {
-  static_assert(std::is_trivially_copyable_v<T>);
-
-  // Superstep 1: publish my span on the scalar board...
-  enter_collective(op);
-  publish(local.data(), local.size(), sizeof(T));
-  cross_barrier();
-  verify_collective(op);
-  // ...and read my gather group. Peers read MY span until crossing 2, so
-  // `local` must not alias any buffer mutated below (gather_buf is fine:
-  // it is this rank's private landing area).
+template <class T, class RouteFn>
+Comm::RouteTally Comm::gather_and_route(std::span<const int> gather_peers,
+                                        std::vector<T>& gather_buf,
+                                        std::vector<std::vector<T>>& route_buf,
+                                        RouteFn&& route) {
+  // Peers read MY span until the next crossing, so the caller's `local`
+  // must not alias any buffer mutated here (gather_buf is fine: it is this
+  // rank's private landing area).
   gather_buf.clear();
   for (const int r : gather_peers) {
     DRCM_CHECK(r >= 0 && r < size_, "gather peer out of range");
     const T* src = static_cast<const T*>(peer_ptr(r));
     gather_buf.insert(gather_buf.end(), src, src + peer_count(r));
   }
-  const std::uint64_t gathered_words = gather_buf.size() * words_of<T>();
-
-  // Superstep 2: route locally, publish per-destination buffers on the
-  // array board (the scalar board is still being read — boards are
-  // distinct, so this costs no extra crossing).
   route(static_cast<const std::vector<T>&>(gather_buf), route_buf);
-  DRCM_CHECK(static_cast<int>(route_buf.size()) == size_,
-             "route must produce one buffer per destination rank");
-  fused_ptrs_.resize(static_cast<std::size_t>(size_));
-  fused_counts_.resize(static_cast<std::size_t>(size_));
-  std::uint64_t send_words = 0;
-  int fan_out = 0;
-  for (int d = 0; d < size_; ++d) {
-    const auto& buf = route_buf[static_cast<std::size_t>(d)];
-    fused_ptrs_[static_cast<std::size_t>(d)] = buf.data();
-    fused_counts_[static_cast<std::size_t>(d)] = buf.size();
-    send_words += buf.size() * words_of<T>();
-    fan_out += !buf.empty() && d != rank_;
-  }
-  publish_arrays(fused_ptrs_.data(), fused_counts_.data(), sizeof(T));
-  cross_barrier();
-  // Re-verify before reading: crossing 2 is non-final for both fused
-  // variants, so a passing check proves every rank is still in lockstep in
-  // THIS call and the array board below is stable while we read it. (A rank
-  // that diverged — e.g. on a corrupted payload — would have published a
-  // different tag before whichever arrival released us.)
-  verify_collective(op);
-  recv_buf.clear();
-  std::uint64_t recv_words = 0;
-  for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = peer_count_array(s)[rank_];
-    const T* src = static_cast<const T*>(peer_ptr_array(s)[rank_]);
-    recv_buf.insert(recv_buf.end(), src, src + c);
-    recv_words += c * words_of<T>();
-  }
-  maybe_corrupt(recv_buf.data(), recv_buf.size() * sizeof(T));
-
-  // Superstep 3: publish my contribution on the int64 board (the array
-  // board is still being read; count_publish may ride additional boards),
-  // fold everyone's after the last crossing.
-  publish_i64(count_publish(static_cast<const std::vector<T>&>(recv_buf)));
-  cross_barrier();
-  std::int64_t total = 0;
-  for (int r = 0; r < size_; ++r) total += peer_i64(r);
-
-  CommCost cost =
-      model_->allgatherv(static_cast<int>(gather_peers.size()), gathered_words);
-  cost += model_->alltoallv(fan_out + 1, send_words, recv_words);
-  cost += model_->allreduce(size_, 1);
-  charge(cost);
-  return total;
+  RouteTally tally = stage_routes(route_buf, fused_ptrs_, fused_counts_);
+  tally.gathered_words = gather_buf.size() * words_of<T>();
+  return tally;
 }
 
-template <class T, class RouteFn, class CountFn>
+template <class T>
+Comm::RouteTally Comm::stage_routes(const std::vector<std::vector<T>>& bufs,
+                                    std::vector<const void*>& ptrs,
+                                    std::vector<std::uint64_t>& counts) const {
+  static_assert(std::is_trivially_copyable_v<T>);
+  DRCM_CHECK(static_cast<int>(bufs.size()) == size_,
+             "a routed superstep needs one buffer per destination rank");
+  ptrs.resize(static_cast<std::size_t>(size_));
+  counts.resize(static_cast<std::size_t>(size_));
+  RouteTally tally;
+  for (int d = 0; d < size_; ++d) {
+    const auto& buf = bufs[static_cast<std::size_t>(d)];
+    ptrs[static_cast<std::size_t>(d)] = buf.data();
+    counts[static_cast<std::size_t>(d)] = buf.size();
+    tally.send_words += buf.size() * words_of<T>();
+    tally.fan_out += !buf.empty() && d != rank_;
+  }
+  return tally;
+}
+
+template <class T>
+std::uint64_t Comm::receive_routed(bool aux, std::vector<T>& recv_buf,
+                                   std::vector<std::uint64_t>* src_counts) {
+  recv_buf.clear();
+  if (src_counts) src_counts->assign(static_cast<std::size_t>(size_), 0);
+  std::uint64_t words = 0;
+  for (int s = 0; s < size_; ++s) {
+    const std::uint64_t c = aux ? peer_count_array_aux(s)[rank_]
+                                : peer_count_array(s)[rank_];
+    const T* src = static_cast<const T*>(aux ? peer_ptr_array_aux(s)[rank_]
+                                             : peer_ptr_array(s)[rank_]);
+    recv_buf.insert(recv_buf.end(), src, src + c);
+    if (src_counts) (*src_counts)[static_cast<std::size_t>(s)] = c;
+    words += c * words_of<T>();
+  }
+  maybe_corrupt(recv_buf.data(), recv_buf.size() * sizeof(T));
+  return words;
+}
+
+template <class T, class RouteFn, class ReceiveFn>
 std::int64_t Comm::fused_gather_route_count(
     std::span<const int> gather_peers, std::span<const T> local,
     std::vector<T>& gather_buf, std::vector<std::vector<T>>& route_buf,
-    std::vector<T>& recv_buf, RouteFn&& route, CountFn&& count) {
-  return fused_head(CollOp::kFusedGatherRouteCount, gather_peers, local,
-                    gather_buf, route_buf, recv_buf,
-                    std::forward<RouteFn>(route),
-                    [&](const std::vector<T>& received) -> std::int64_t {
-                      return count(received);
-                    });
+    std::vector<T>& recv_buf, RouteFn&& route, ReceiveFn&& receive) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  constexpr CollOp op = CollOp::kFusedGatherRouteCount;
+
+  // Superstep 1: publish my span on the scalar board and its size on the
+  // span-count board; the sum of the sizes is the global frontier size.
+  enter_collective(op);
+  publish(local.data(), local.size(), sizeof(T));
+  publish_span_count(static_cast<std::int64_t>(local.size()));
+  cross_barrier();
+  const std::int64_t total = span_count_total();
+  if (total == 0) {
+    // Identical on every rank: a uniform one-crossing exit. No tag check
+    // here — crossing 1 is this call's final crossing, and a fast peer may
+    // already have published its next collective's tag.
+    charge(model_->allreduce(size_, 1));
+    return 0;
+  }
+  // total != 0 means crossing 1 is NOT final, so the lockstep check is
+  // sound and guards the span reads below.
+  verify_collective(op);
+  const RouteTally tally =
+      gather_and_route(gather_peers, gather_buf, route_buf,
+                       std::forward<RouteFn>(route));
+
+  // Superstep 2: exchange the routed data on the auxiliary payload board
+  // (no collective writes it before its first crossing, so reading it
+  // after this final crossing cannot race a fast peer's next publish).
+  publish_arrays_aux(fused_ptrs_.data(), fused_counts_.data(), sizeof(T));
+  cross_barrier();
+  const std::uint64_t recv_words = receive_routed(/*aux=*/true, recv_buf);
+
+  CommCost cost = model_->allgatherv(static_cast<int>(gather_peers.size()),
+                                     tally.gathered_words);
+  cost += model_->alltoallv(tally.fan_out + 1, tally.send_words, recv_words);
+  cost += model_->allreduce(size_, 1);
+  charge(cost);
+  receive(static_cast<const std::vector<T>&>(recv_buf));
+  return total;
 }
 
 template <class T, class U, class H, class RouteFn, class CountCarryFn,
@@ -746,25 +796,52 @@ std::int64_t Comm::fused_order_level(
     std::vector<U>& sort_recv_buf, std::vector<std::vector<T>>& rank_route_buf,
     std::vector<T>& rank_recv_buf, RouteFn&& route, CountCarryFn&& count_carry,
     SortRouteFn&& sort_route, RankRouteFn&& rank_route, FinishFn&& finish) {
+  static_assert(std::is_trivially_copyable_v<T>);
   static_assert(std::is_trivially_copyable_v<U>);
   static_assert(std::is_trivially_copyable_v<H>);
+  constexpr CollOp op = CollOp::kFusedOrderLevel;
 
-  // Supersteps 1-3: the shared head, with the carry payload riding the
-  // scalar board (free since crossing 2) next to the int64 count.
-  const std::int64_t total = fused_head(
-      CollOp::kFusedOrderLevel, gather_peers, local, gather_buf, route_buf,
-      recv_buf, std::forward<RouteFn>(route),
-      [&](const std::vector<T>& received) -> std::int64_t {
-        carry_buf.clear();
-        const std::int64_t n = count_carry(received, carry_buf);
-        publish(carry_buf.data(), carry_buf.size(), sizeof(H));
-        return n;
-      });
+  // Superstep 1: publish my span on the scalar board...
+  enter_collective(op);
+  publish(local.data(), local.size(), sizeof(T));
+  cross_barrier();
+  verify_collective(op);
+  // ...then gather, route, and publish the routed partials on the array
+  // board (the scalar board is still being read — boards are distinct, so
+  // this costs no extra crossing).
+  const RouteTally head = gather_and_route(gather_peers, gather_buf, route_buf,
+                                           std::forward<RouteFn>(route));
+  publish_arrays(fused_ptrs_.data(), fused_counts_.data(), sizeof(T));
+  cross_barrier();
+  // Re-verify before reading: crossing 2 is non-final, so a passing check
+  // proves every rank is still in lockstep in THIS call and the array
+  // board below is stable while we read it. (A rank that diverged — e.g.
+  // on a corrupted payload — would have published a different tag before
+  // whichever arrival released us.)
+  verify_collective(op);
+  const std::uint64_t recv_words = receive_routed(/*aux=*/false, recv_buf);
+
+  // Superstep 3: publish my count on the int64 board and the carry on the
+  // scalar board (free since crossing 2); fold everyone's counts after the
+  // crossing. No collective writes the int64 board before its first
+  // crossing, so this read is safe even when crossing 3 is final.
+  carry_buf.clear();
+  publish_i64(count_carry(static_cast<const std::vector<T>&>(recv_buf),
+                          carry_buf));
+  publish(carry_buf.data(), carry_buf.size(), sizeof(H));
+  cross_barrier();
+  std::int64_t total = 0;
+  for (int r = 0; r < size_; ++r) total += peer_i64(r);
+  CommCost cost = model_->allgatherv(static_cast<int>(gather_peers.size()),
+                                     head.gathered_words);
+  cost += model_->alltoallv(head.fan_out + 1, head.send_words, recv_words);
+  cost += model_->allreduce(size_, 1);
+  charge(cost);
   if (total == 0) return 0;  // identical on every rank: uniform early exit
 
   // total != 0 means crossing 3 was NOT this call's final crossing, so the
   // lockstep re-check is sound here and guards the carry reads below.
-  verify_collective(CollOp::kFusedOrderLevel);
+  verify_collective(op);
 
   // Superstep 4: read the carry allgather, deal the U elements (the array
   // board is free since crossing 3).
@@ -778,61 +855,30 @@ std::int64_t Comm::fused_order_level(
   sort_route(total, static_cast<const std::vector<H>&>(carry_all),
              sort_route_buf);
   charge(model_->allgatherv(size_, carry_words));
-  DRCM_CHECK(static_cast<int>(sort_route_buf.size()) == size_,
-             "sort_route must produce one buffer per destination rank");
-  std::uint64_t sort_send_words = 0;
-  for (int d = 0; d < size_; ++d) {
-    const auto& buf = sort_route_buf[static_cast<std::size_t>(d)];
-    fused_ptrs_[static_cast<std::size_t>(d)] = buf.data();
-    fused_counts_[static_cast<std::size_t>(d)] = buf.size();
-    sort_send_words += buf.size() * words_of<U>();
-  }
+  const RouteTally sort_tally =
+      stage_routes(sort_route_buf, fused_ptrs_, fused_counts_);
   publish_arrays(fused_ptrs_.data(), fused_counts_.data(), sizeof(U));
   cross_barrier();
-  verify_collective(CollOp::kFusedOrderLevel);  // crossing 4: still non-final
-  sort_recv_buf.clear();
-  fused_src_counts_.assign(static_cast<std::size_t>(size_), 0);
-  std::uint64_t sort_recv_words = 0;
-  for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = peer_count_array(s)[rank_];
-    const U* src = static_cast<const U*>(peer_ptr_array(s)[rank_]);
-    sort_recv_buf.insert(sort_recv_buf.end(), src, src + c);
-    fused_src_counts_[static_cast<std::size_t>(s)] = c;
-    sort_recv_words += c * words_of<U>();
-  }
-  maybe_corrupt(sort_recv_buf.data(), sort_recv_buf.size() * sizeof(U));
+  verify_collective(op);  // crossing 4: still non-final
+  const std::uint64_t sort_recv_words =
+      receive_routed(/*aux=*/false, sort_recv_buf, &fused_src_counts_);
   // Priced as the paper's all-process AlltoAll (T_SortPerm's alpha*p term),
   // matching the standalone sortperm_bucket exchange it replaces.
-  charge(model_->alltoallv(size_, sort_send_words, sort_recv_words));
+  charge(model_->alltoallv(size_, sort_tally.send_words, sort_recv_words));
 
   // Superstep 5: scatter the computed positions home on the auxiliary
   // payload board (the primary array board is still being read).
   rank_route(static_cast<const std::vector<U>&>(sort_recv_buf),
              std::span<const std::uint64_t>(fused_src_counts_),
              rank_route_buf);
-  DRCM_CHECK(static_cast<int>(rank_route_buf.size()) == size_,
-             "rank_route must produce one buffer per destination rank");
-  fused_ptrs_aux_.resize(static_cast<std::size_t>(size_));
-  fused_counts_aux_.resize(static_cast<std::size_t>(size_));
-  std::uint64_t rank_send_words = 0;
-  for (int d = 0; d < size_; ++d) {
-    const auto& buf = rank_route_buf[static_cast<std::size_t>(d)];
-    fused_ptrs_aux_[static_cast<std::size_t>(d)] = buf.data();
-    fused_counts_aux_[static_cast<std::size_t>(d)] = buf.size();
-    rank_send_words += buf.size() * words_of<T>();
-  }
-  publish_arrays_aux(fused_ptrs_aux_.data(), fused_counts_aux_.data(), sizeof(T));
+  const RouteTally rank_tally =
+      stage_routes(rank_route_buf, fused_ptrs_aux_, fused_counts_aux_);
+  publish_arrays_aux(fused_ptrs_aux_.data(), fused_counts_aux_.data(),
+                     sizeof(T));
   cross_barrier();
-  rank_recv_buf.clear();
-  std::uint64_t rank_recv_words = 0;
-  for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = peer_count_array_aux(s)[rank_];
-    const T* src = static_cast<const T*>(peer_ptr_array_aux(s)[rank_]);
-    rank_recv_buf.insert(rank_recv_buf.end(), src, src + c);
-    rank_recv_words += c * words_of<T>();
-  }
-  maybe_corrupt(rank_recv_buf.data(), rank_recv_buf.size() * sizeof(T));
-  charge(model_->alltoallv(size_, rank_send_words, rank_recv_words));
+  const std::uint64_t rank_recv_words =
+      receive_routed(/*aux=*/true, rank_recv_buf);
+  charge(model_->alltoallv(size_, rank_tally.send_words, rank_recv_words));
   finish(static_cast<const std::vector<T>&>(rank_recv_buf));
   return total;
 }

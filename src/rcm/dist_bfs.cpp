@@ -28,31 +28,32 @@ DistBfsResult dist_bfs(const dist::DistSpMat& a, index_t root,
   if (frontier.lo() <= root && root < frontier.hi()) {
     frontier.assign({VecEntry{root, 0}});
   }
-  res.reached = 1;
-  res.last_width = 1;  // the root level, until a deeper level replaces it
+  DistSpVec last(levels.dist(), grid);
 
-  index_t depth = 0;
+  index_t depth = -1;  // depth of `frontier` once its count is known
   while (true) {
     // One fused level: SET (values <- levels, Algorithm 4 line 8) ->
-    // SPMSPV -> SELECT (keep unvisited) -> count, three barrier crossings.
+    // SPMSPV -> SELECT (keep unvisited), two barrier crossings; the call
+    // also counts `frontier` — an empty one ends the BFS in one crossing.
     auto step = dist::bfs_level_step(a, frontier, levels, kNoVertex, grid,
                                      spmspv_phase, other_phase);
-    if (step.global_nnz == 0) break;
+    if (step.frontier_nnz == 0) break;
+    ++depth;
+    res.reached += step.frontier_nnz;
+    res.last_width = step.frontier_nnz;
 
     {
       mps::PhaseScope scope(world, other_phase);
-      ++depth;
       // Record true levels (clearer than the paper's parent-level values;
       // SELECT only ever tests for the kNoVertex sentinel).
-      step.next.fill_values(depth);
+      step.next.fill_values(depth + 1);
       dist::scatter_into_dense(levels, step.next, world);
     }
-    res.reached += step.global_nnz;
-    res.last_width = step.global_nnz;
+    last = std::move(frontier);
     frontier = std::move(step.next);
   }
   res.eccentricity = depth;
-  res.last_frontier = std::move(frontier);
+  res.last_frontier = std::move(last);
   return res;
 }
 

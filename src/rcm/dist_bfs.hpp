@@ -1,8 +1,11 @@
-// Distributed level-synchronous BFS: the inner do-while shared by the
-// paper's Algorithm 3 (ordering) and Algorithm 4 (pseudo-peripheral
-// search). One iteration = the fused level kernel (SET -> SPMSPV ->
-// SELECT -> count in three barrier crossings; dist/level_kernel.hpp)
-// followed by the SET that records the new level.
+// Distributed level-synchronous BFS: the inner do-while of the paper's
+// Algorithm 4 (pseudo-peripheral search). One iteration = the fused level
+// kernel (SET -> SPMSPV -> SELECT in two barrier crossings, the global
+// count of the expanded frontier riding the first; dist/level_kernel.hpp)
+// followed by the local SET that records the new level. Because each call
+// counts the frontier it expands, the BFS learns that the level below its
+// last one is empty in one extra call of a single crossing: a BFS of
+// eccentricity L costs 2(L + 1) + 1 crossings.
 #pragma once
 
 #include "dist/dist_matrix.hpp"

@@ -7,11 +7,12 @@ namespace drcm::rcm {
 using dist::DistSpVec;
 using dist::VecEntry;
 
-index_t dist_cm_component(const dist::DistSpMat& a,
-                          const dist::DistDenseVec& degrees,
-                          dist::DistDenseVec& labels, index_t root,
-                          index_t next_label, dist::ProcGrid2D& grid,
-                          std::vector<index_t>* level_starts) {
+CmRun dist_cm_component(const dist::DistSpMat& a,
+                        const dist::DistDenseVec& degrees,
+                        dist::DistDenseVec& labels, index_t root,
+                        index_t next_label, dist::ProcGrid2D& grid,
+                        std::vector<index_t>* level_starts,
+                        std::vector<index_t>* touched) {
   DRCM_CHECK(root >= 0 && root < a.n(), "root out of range");
   auto& world = grid.world();
 
@@ -21,6 +22,7 @@ index_t dist_cm_component(const dist::DistSpMat& a,
     if (labels.owns(root)) {
       DRCM_CHECK(labels.get(root) == kNoVertex, "root already labeled");
       labels.set(root, next_label);
+      if (touched) touched->push_back(root);
     }
   }
   if (level_starts) level_starts->push_back(next_label);  // level 0 = root
@@ -29,15 +31,17 @@ index_t dist_cm_component(const dist::DistSpMat& a,
     frontier.assign({VecEntry{root, next_label}});
   }
   return dist_cm_cone(a, degrees, labels, std::move(frontier),
-                      /*frontier_nnz=*/1, next_label + 1, grid, level_starts);
+                      /*frontier_nnz=*/1, next_label + 1, grid, level_starts,
+                      /*label_cap=*/-1, touched);
 }
 
-index_t dist_cm_cone(const dist::DistSpMat& a,
-                     const dist::DistDenseVec& degrees,
-                     dist::DistDenseVec& labels, DistSpVec frontier,
-                     index_t frontier_nnz, index_t next_label,
-                     dist::ProcGrid2D& grid,
-                     std::vector<index_t>* level_starts, index_t label_cap) {
+CmRun dist_cm_cone(const dist::DistSpMat& a, const dist::DistDenseVec& degrees,
+                   dist::DistDenseVec& labels, DistSpVec frontier,
+                   index_t frontier_nnz, index_t next_label,
+                   dist::ProcGrid2D& grid, std::vector<index_t>* level_starts,
+                   index_t label_cap, std::vector<index_t>* touched) {
+  CmRun run;
+  run.last_width = frontier_nnz;
   while (frontier_nnz > 0) {
     // Labels of the current frontier form the contiguous range
     // [next_label - |frontier|, next_label): the bucket boundaries of
@@ -56,16 +60,23 @@ index_t dist_cm_cone(const dist::DistSpMat& a,
     frontier_nnz = step.global_nnz;
     if (frontier_nnz == 0) break;
     if (level_starts) level_starts->push_back(next_label);
+    if (touched) {
+      for (const auto& e : step.next.entries()) touched->push_back(e.idx);
+    }
     next_label += frontier_nnz;
+    run.depth += 1;
+    run.last_width = frontier_nnz;
+    frontier = std::move(step.next);
     // Escape detection for the repair cone: a level that pushes past the
     // cap means this cone is labeling vertices outside its expected
     // component (a delta merged components) — return the overshooting
     // counter instead of flooding the merged blob. The level that crossed
     // the cap HAS already written labels; the caller discards the vector.
-    if (label_cap >= 0 && next_label > label_cap) return next_label;
-    frontier = std::move(step.next);
+    if (label_cap >= 0 && next_label > label_cap) break;
   }
-  return next_label;
+  run.next_label = next_label;
+  run.last_frontier = std::move(frontier);
+  return run;
 }
 
 }  // namespace drcm::rcm

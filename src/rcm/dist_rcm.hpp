@@ -10,6 +10,13 @@
 // collective — five barrier crossings per level (three on the terminal
 // level). Costs are charged to the Ordering:* phases of the Figure-4
 // breakdown.
+//
+// A CM run discovers exactly the levels a BFS from the same root would —
+// the same eccentricity, the same last level — and labels them on the
+// way. That is what lets the George-Liu search run its candidate sweeps as
+// CM runs (rcm/dist_peripheral.hpp): each run reports the BFS facts the
+// search reads, plus the owned vertices it labeled, so a discarded run
+// can be undone in O(component / p).
 #pragma once
 
 #include <vector>
@@ -19,10 +26,23 @@
 
 namespace drcm::rcm {
 
+/// What a CM labeling run reports.
+struct CmRun {
+  index_t next_label = 0;  ///< first unused label
+  /// Non-empty levels discovered below the starting frontier — for a run
+  /// from a root, the root's eccentricity.
+  index_t depth = 0;
+  index_t last_width = 0;         ///< global size of the deepest level
+  dist::DistSpVec last_frontier;  ///< the deepest non-empty level
+};
+
 /// Labels the component containing `root` (which must itself be unlabeled)
 /// with consecutive CM labels starting at `next_label`; returns the first
 /// unused label. `labels` is the paper's dense vector R (kNoVertex =
 /// unvisited). Collective.
+///
+/// `touched`, when non-null, receives every OWNED vertex this run labels
+/// (root included) — the per-rank list that resets a discarded run.
 ///
 /// `level_starts`, when non-null, receives the first CM label of every
 /// BFS level discovered (level 0 = the root, so the first pushed value is
@@ -30,11 +50,12 @@ namespace drcm::rcm {
 /// memoizes: level ℓ of the component occupies the contiguous label range
 /// [starts[ℓ], starts[ℓ+1]) — the SORTPERM bucket-boundary observation
 /// (paper Sec. IV-B) doubling as a repair recipe.
-index_t dist_cm_component(const dist::DistSpMat& a,
-                          const dist::DistDenseVec& degrees,
-                          dist::DistDenseVec& labels, index_t root,
-                          index_t next_label, dist::ProcGrid2D& grid,
-                          std::vector<index_t>* level_starts = nullptr);
+CmRun dist_cm_component(const dist::DistSpMat& a,
+                        const dist::DistDenseVec& degrees,
+                        dist::DistDenseVec& labels, index_t root,
+                        index_t next_label, dist::ProcGrid2D& grid,
+                        std::vector<index_t>* level_starts = nullptr,
+                        std::vector<index_t>* touched = nullptr);
 
 /// The CONE-RESTRICTED entry point the incremental-repair path uses:
 /// continue CM labeling from an arbitrary mid-BFS state instead of a
@@ -43,20 +64,22 @@ index_t dist_cm_component(const dist::DistSpMat& a,
 /// next_label) (frontier VALUES are ignored — the fused kernel's SET
 /// stage refreshes them from `labels`); every deeper vertex must still be
 /// kNoVertex. Runs cm_level_step until the frontier empties, exactly the
-/// steps dist_cm_component would have run from this state, and returns
-/// the first unused label.
+/// steps dist_cm_component would have run from this state. The result's
+/// depth counts the levels below `frontier`; when no level follows,
+/// `frontier` itself is reported as the deepest level.
 ///
 /// `label_cap`, when >= 0, bounds the labels this cone may assign: the
-/// loop stops BEFORE a step that would push next_label past the cap and
-/// returns the overshooting value (> cap) so the caller can detect that
-/// the cone escaped its expected component (a pattern delta merged two
-/// cached components) without labeling the whole merged blob. Collective.
-index_t dist_cm_cone(const dist::DistSpMat& a,
-                     const dist::DistDenseVec& degrees,
-                     dist::DistDenseVec& labels, dist::DistSpVec frontier,
-                     index_t frontier_nnz, index_t next_label,
-                     dist::ProcGrid2D& grid,
-                     std::vector<index_t>* level_starts = nullptr,
-                     index_t label_cap = -1);
+/// first level that pushes next_label past the cap ends the loop, and the
+/// overshooting value (> cap) comes back as next_label, so the caller can
+/// detect that the cone escaped its expected component (a pattern delta
+/// merged two cached components) without labeling the whole merged blob.
+/// `touched` as in dist_cm_component. Collective.
+CmRun dist_cm_cone(const dist::DistSpMat& a, const dist::DistDenseVec& degrees,
+                   dist::DistDenseVec& labels, dist::DistSpVec frontier,
+                   index_t frontier_nnz, index_t next_label,
+                   dist::ProcGrid2D& grid,
+                   std::vector<index_t>* level_starts = nullptr,
+                   index_t label_cap = -1,
+                   std::vector<index_t>* touched = nullptr);
 
 }  // namespace drcm::rcm

@@ -31,6 +31,21 @@ int resolve_threads(int requested) {
 
 namespace {
 
+/// The concrete algorithm `options` asks for on the adjacency pattern `a`:
+/// kAuto resolves BEFORE any collective — the selector is a deterministic
+/// function of the replicated pattern, so every rank lands on the same arm
+/// without communicating. Charged to kOther.
+OrderingAlgorithm resolve_algorithm(mps::Comm& world,
+                                    const sparse::CsrMatrix& a,
+                                    const DistRcmOptions& options) {
+  if (options.ordering.algorithm != OrderingAlgorithm::kAuto) {
+    return options.ordering.algorithm;
+  }
+  mps::PhaseScope scope(world, mps::Phase::kOther);
+  world.charge_compute(static_cast<double>(a.nnz() + a.n()));
+  return select_ordering(a).algorithm;
+}
+
 /// Derives the load-balancing relabel (shared-seed, equivalent to
 /// broadcasting it; charged as such) and repoints `work` at the relabeled
 /// matrix. `balance` stays empty when no relabel applies.
@@ -73,19 +88,19 @@ dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
       seed = dist::argmin_unvisited(labels, degrees, world).second;
     }
     DRCM_CHECK(seed != kNoVertex, "unlabeled vertices must exist");
-    const auto peripheral =
-        dist_pseudo_peripheral(mat, degrees, seed, grid,
-                               options.ordering.peripheral_mode);
-    local_stats.components += 1;
-    local_stats.peripheral_bfs_sweeps += peripheral.bfs_sweeps;
-    local_stats.ordering_levels += peripheral.eccentricity + 1;
     ComponentRecipe cr;
-    cr.seed = seed;
-    cr.root = peripheral.vertex;
-    next_label = dist_cm_component(mat, degrees, labels, peripheral.vertex,
-                                   next_label, grid,
-                                   recipe ? &cr.level_starts : nullptr);
+    const auto comp = dist_order_component(
+        mat, degrees, labels, seed, next_label, grid,
+        options.ordering.peripheral_mode, recipe ? &cr.level_starts : nullptr);
+    local_stats.components += 1;
+    local_stats.peripheral_bfs_sweeps += comp.sweeps;
+    local_stats.discarded_sweeps += comp.discarded_sweeps;
+    local_stats.ordering_levels += comp.eccentricity + 1;
+    next_label = comp.next_label;
     if (recipe) {
+      cr.seed = seed;
+      cr.root = comp.root;
+      cr.sweeps = comp.sweeps;
       cr.level_starts.push_back(next_label);  // one-past-the-end sentinel
       recipe->components.push_back(std::move(cr));
     }
@@ -106,8 +121,9 @@ dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
 
 /// The kSloan arm: level-synchronous Sloan over the same fused level
 /// kernel, bit-identical to order::sloan_levels (the serial twin). Per
-/// component: distributed pseudo-peripheral s, REDUCE of s's last BFS
-/// level to the end vertex e (min degree, ties id — the same rule serial
+/// component: distributed pseudo-peripheral s (plain sweeps), REDUCE of
+/// s's last BFS level — which the search's last sweep from s already
+/// holds — to the end vertex e (min degree, ties id, the same rule serial
 /// Sloan applies), one more BFS for distances to e, then CM-style level
 /// expansion from s with the static Sloan key substituted for the degree
 /// as the SORTPERM ranking key. No reversal (Sloan numbers front-to-back).
@@ -141,12 +157,10 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     const index_t s = peripheral.vertex;
 
     // Pseudo-diameter end vertex e: REDUCE(last level of s's BFS, D).
-    auto bfs_s = dist_bfs(mat, s, levels, grid, mps::Phase::kPeripheralSpmspv,
-                          mps::Phase::kPeripheralOther);
     index_t e = kNoVertex;
     {
       mps::PhaseScope scope(world, mps::Phase::kPeripheralOther);
-      e = dist::reduce_argmin(bfs_s.last_frontier, degrees, world).second;
+      e = dist::reduce_argmin(peripheral.last_frontier, degrees, world).second;
     }
     DRCM_CHECK(e != kNoVertex, "last BFS level cannot be empty");
     const auto bfs_e =
@@ -167,7 +181,8 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
       }
       world.charge_compute(static_cast<double>(keys.local_size()));
     }
-    next_label = dist_cm_component(mat, keys, labels, s, next_label, grid);
+    next_label =
+        dist_cm_component(mat, keys, labels, s, next_label, grid).next_label;
   }
   if (stats) *stats = local_stats;
   return labels;  // no reversal
@@ -196,15 +211,8 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
              "dist_order expects an adjacency pattern (strip_diagonal first)");
   const index_t n = a.n();
 
-  // Resolve kAuto BEFORE any collective: the selector is a deterministic
-  // function of the replicated pattern, so every rank lands on the same
-  // concrete arm without communicating.
   DistRcmOptions resolved = options;
-  if (resolved.ordering.algorithm == OrderingAlgorithm::kAuto) {
-    mps::PhaseScope scope(world, mps::Phase::kOther);
-    resolved.ordering.algorithm = select_ordering(a).algorithm;
-    world.charge_compute(static_cast<double>(a.nnz() + a.n()));
-  }
+  resolved.ordering.algorithm = resolve_algorithm(world, a, options);
   DRCM_CHECK(recipe == nullptr ||
                  resolved.ordering.algorithm == OrderingAlgorithm::kRcm,
              "ordering recipes are captured on the kRcm arm only "
@@ -257,13 +265,19 @@ dist::DistDenseVec dist_rcm_sharded(mps::Comm& world, dist::ProcGrid2D& grid,
              "dist_rcm_sharded expects an adjacency pattern (strip_diagonal "
              "first)");
   const index_t n = a.n();
+  DistRcmOptions resolved = options;
+  resolved.ordering.algorithm = resolve_algorithm(world, a, options);
+  DRCM_CHECK(resolved.ordering.algorithm == OrderingAlgorithm::kRcm,
+             "dist_rcm_sharded is RCM-only in v1: the Sloan and GPS arms "
+             "return replicated labels through dist_order");
 
   std::vector<index_t> balance;
   const sparse::CsrMatrix* work = nullptr;
   sparse::CsrMatrix relabeled;
-  balance_input(world, a, options, balance, relabeled, work);
+  balance_input(world, a, resolved, balance, relabeled, work);
 
-  dist::DistDenseVec labels = dist_rcm_levels(world, grid, *work, options, stats);
+  dist::DistDenseVec labels =
+      dist_rcm_levels(world, grid, *work, resolved, stats);
   if (balance.empty()) return labels;
 
   // Map back through the load-balancing permutation WITHOUT replicating:
@@ -335,23 +349,52 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
     }
   }
 
-  // Crossing arithmetic (see header): a reused component skips at least
-  // its peripheral search (>= 3 crossings) and terminal level step (3); a
-  // cone skips 5 per non-terminal step but adds the 2-crossing membership
-  // allreduce; a recompute only adds the membership allreduce.
+  // Crossing arithmetic against the speculative cold run (see header).
+  // A BFS sweep of eccentricity L costs 2L + 3 crossings, a CM labeling
+  // run of L levels below its root 5L + 3, an argmin 2. Per component with
+  // k recorded sweeps and root eccentricity L, cold pays the seed argmin,
+  // the first sweep plainly, every later sweep as a CM run, k - 1 (k = 1:
+  // one) candidate argmins, and — when k = 1 — a separate CM run from the
+  // root. Eccentricities of sweeps other than the root's are not recorded,
+  // so they count as 0: every bound below is a lower bound on cold minus
+  // repair. k = 0 (not recorded) is priced like k = 2, the smaller bound.
+  const auto bfs_run = [](index_t below) { return 2 * below + 3; };
+  const auto cm_run = [](index_t below) { return 5 * below + 3; };
   for (std::size_t k = 0; k < ncomp; ++k) {
     auto& cp = plan.components[k];
+    const auto& cr = recipe.components[k];
+    const index_t ecc = cr.levels() - 1;
+    const bool one_sweep = cr.sweeps == 1;
+    const index_t sweeps = std::max(2, cr.sweeps);
     if (min_level[k] == kNoVertex) {
+      // Reuse pays only the seed argmin; cold pays the whole component.
       cp.action = RepairAction::kReuse;
-      plan.crossing_margin += 6;
-    } else if (min_level[k] >= 2) {
+      const index_t cold =
+          one_sweep ? 2 + bfs_run(ecc) + 2 + cm_run(ecc)
+                    : 2 + bfs_run(0) + 2 * (sweeps - 1) +
+                          (sweeps - 2) * cm_run(0) + cm_run(ecc);
+      plan.crossing_margin += cold - 2;
+      continue;
+    }
+    // A cone re-runs the search with plain sweeps, then the levels from
+    // cone_level on, then the membership allreduce. Against cold it saves
+    // the CM levels above the cone but pays 3L more per sweep cold would
+    // have run speculatively (one-sweep components have none).
+    const index_t d = min_level[k];
+    const index_t cone = cm_run(ecc - d + 1) + 2;
+    const index_t cone_margin = one_sweep ? cm_run(ecc) - cone
+                                          : cm_run(ecc) - bfs_run(ecc) - cone;
+    // A recompute runs cold's own speculative routine plus the membership
+    // allreduce. A cone is chosen only when it is the cheaper of the two.
+    constexpr index_t kRecomputeMargin = -2;
+    if (d >= 2 && cone_margin > kRecomputeMargin) {
       cp.action = RepairAction::kCone;
-      cp.cone_level = min_level[k];
-      plan.level_steps_skipped += min_level[k] - 1;
-      plan.crossing_margin += 5 * (min_level[k] - 1) - 2;
+      cp.cone_level = d;
+      plan.level_steps_skipped += d - 1;
+      plan.crossing_margin += cone_margin;
     } else {
       cp.action = RepairAction::kRecompute;
-      plan.crossing_margin -= 2;
+      plan.crossing_margin += kRecomputeMargin;
     }
   }
   plan.profitable = plan.crossing_margin > 0;
@@ -454,33 +497,43 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
 
     // A clean component whose seed matches needs no peripheral search: the
     // component's edges are untouched, so the search is a memoized
-    // deterministic computation ending at the cached root. Everything
-    // else re-runs it on the new pattern, exactly like cold.
+    // deterministic computation ending at the cached root. A planned
+    // recompute runs cold's own routine (search + labels, speculative
+    // under George-Liu). Everything else re-runs the search with plain
+    // sweeps on the new pattern, exactly as cold would find the root.
     // (For a clean component the seed provably cannot differ once the
     // range check above passed — its degrees are unchanged, so the cached
     // winner still wins — but the degrade path below keeps repair honest
     // rather than trusting that proof at runtime.)
     RepairAction action = cp.action;
-    index_t root = cr.root;
-    if (!(action == RepairAction::kReuse && seed == cr.seed)) {
+    ComponentRecipe ncr;
+    ncr.seed = seed;
+    ncr.root = cr.root;
+    ncr.sweeps = cr.sweeps;
+    bool searched = false;  // labels still to write from ncr.root
+    if (action == RepairAction::kRecompute) {
+      const auto comp = dist_order_component(
+          mat, degrees, labels, seed, comp_lo, grid,
+          options.ordering.peripheral_mode, &ncr.level_starts);
+      ncr.root = comp.root;
+      ncr.sweeps = comp.sweeps;
+      next_label = comp.next_label;
+    } else if (!(action == RepairAction::kReuse && seed == cr.seed)) {
       const auto peripheral =
           dist_pseudo_peripheral(mat, degrees, seed, grid,
                                  options.ordering.peripheral_mode);
-      root = peripheral.vertex;
-      if (root != cr.root) {
+      ncr.root = peripheral.vertex;
+      ncr.sweeps = peripheral.bfs_sweeps;
+      if (ncr.root != cr.root) {
         // The delta moved the peripheral root: cached levels are the
         // wrong BFS tree, so this component recomputes from the new root
-        // (still bit-identical to cold, which would do the same).
+        // (still bit-identical to cold, which would do the same). A
+        // different seed with the same root on an untouched component
+        // keeps the level structure, so the splice still applies.
         action = RepairAction::kRecompute;
-      } else if (action == RepairAction::kReuse) {
-        // Different seed, same root on an untouched component: the level
-        // structure is unchanged, the splice still applies.
+        searched = true;
       }
     }
-
-    ComponentRecipe ncr;
-    ncr.seed = seed;
-    ncr.root = root;
 
     if (action == RepairAction::kReuse) {
       splice_cached(comp_lo, comp_hi);
@@ -503,7 +556,8 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
       std::vector<index_t> cone_starts;
       next_label = dist_cm_cone(mat, degrees, labels, std::move(frontier),
                                 fhi - flo, fhi, grid, &cone_starts,
-                                /*label_cap=*/comp_hi);
+                                /*label_cap=*/comp_hi)
+                       .next_label;
       if (next_label != comp_hi) {
         out.reason = next_label > comp_hi
                          ? "cone escaped its component (pattern merge)"
@@ -522,8 +576,11 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
       out.coned += 1;
       out.level_steps_skipped += d - 1;
     } else {
-      next_label = dist_cm_component(mat, degrees, labels, root, comp_lo,
-                                     grid, &ncr.level_starts);
+      if (searched) {
+        next_label = dist_cm_component(mat, degrees, labels, ncr.root,
+                                       comp_lo, grid, &ncr.level_starts)
+                         .next_label;
+      }
       if (next_label != comp_hi) {
         out.reason = "recomputed component changed size (split or merge)";
         return out;
@@ -748,22 +805,9 @@ OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
     // Fully sharded arm: the label vector never exists replicated inside
     // the pipeline — ordering returns an O(n/p) slab, redistribution does
     // the two-sided window lookup, the rhs relabel is a local slab read.
-    // RCM-only in v1: dist_rcm_sharded is the only sharded ordering body,
-    // so a portfolio request must resolve to kRcm to take this arm.
+    // dist_rcm_sharded rejects a request that does not resolve to kRcm.
     DRCM_CHECK(spec.recipe == nullptr,
                "recipe capture requires the replicated-label arm");
-    {
-      OrderingSpec resolved = rcm_options.ordering;
-      if (resolved.algorithm == OrderingAlgorithm::kAuto) {
-        mps::PhaseScope scope(world, mps::Phase::kOther);
-        resolved.algorithm =
-            select_ordering(spec.adjacency ? *spec.adjacency : a).algorithm;
-        world.charge_compute(static_cast<double>(a.nnz() + a.n()));
-      }
-      DRCM_CHECK(resolved.algorithm == OrderingAlgorithm::kRcm,
-                 "sharded labels are RCM-only in v1 (Sloan/GPS arms return "
-                 "replicated labels)");
-    }
     const dist::DistDenseVec labels =
         spec.adjacency
             ? dist_rcm_sharded(world, grid, *spec.adjacency, rcm_options)

@@ -7,7 +7,10 @@
 //   2. 2D decomposition of the matrix onto the process grid;
 //   3. per component: seed (unvisited min-degree vertex) -> distributed
 //      pseudo-peripheral search (Algorithm 4) -> distributed CM labeling
-//      (Algorithm 3);
+//      (Algorithm 3). Under George-Liu the two phases fuse: the search's
+//      candidate sweeps are speculative CM labelings, and the last one IS
+//      the component's ordering (rcm/dist_peripheral.hpp), so no separate
+//      ordering pass runs unless the search stops after its first sweep;
 //   4. reversal of the full labeling ("return R in reverse order");
 //   5. composition back through the load-balancing permutation, so callers
 //      always receive labels of the ORIGINAL matrix.
@@ -66,7 +69,11 @@ int resolve_threads(int requested);
 
 struct DistRcmStats {
   int components = 0;
+  /// Pseudo-peripheral search sweeps, plain and speculative alike.
   int peripheral_bfs_sweeps = 0;
+  /// Speculative (CM-labeling) sweeps the George-Liu search moved past and
+  /// reset; every other speculative sweep became its component's ordering.
+  int discarded_sweeps = 0;
   /// Total BFS levels labeled over all components (kRcm/kSloan arms; one
   /// fused 5-crossing collective each) — the figure the bi-criteria
   /// peripheral mode shrinks. 0 on the replicated kGps arm.
@@ -85,6 +92,9 @@ struct ComponentRecipe {
   index_t seed = kNoVertex;
   /// Pseudo-peripheral root the CM labeling started from.
   index_t root = kNoVertex;
+  /// Sweeps the pseudo-peripheral search took (0 = not recorded) — what
+  /// plan_repair prices the speculative cold run of this component with.
+  int sweeps = 0;
   /// First CM label of every BFS level from the root, PLUS a trailing
   /// one-past-the-end sentinel: level l occupies [starts[l], starts[l+1]),
   /// so starts.front() is the component's first label and starts.back()
@@ -113,10 +123,11 @@ enum class RepairAction {
   kReuse,      ///< untouched by the delta: copy the cached labels, skip
                ///< the peripheral search and every level step
   kCone,       ///< delta confined to levels >= cone_level >= 2: re-run the
-               ///< peripheral search, copy levels < cone_level, re-level
-               ///< only the cone below
-  kRecompute,  ///< delta reaches level 0 or 1: full component recompute
-               ///< (still cheaper than cold when other components reuse)
+               ///< peripheral search (plain sweeps), copy levels <
+               ///< cone_level, re-level only the cone below
+  kRecompute,  ///< delta reaches level 0 or 1, or the cone would cost more
+               ///< than cold's own speculative search + labeling: run that
+               ///< routine (still cheaper than cold when others reuse)
 };
 
 struct ComponentRepairPlan {
@@ -136,9 +147,13 @@ struct RepairPlan {
   /// each); reused components additionally skip their peripheral search
   /// and terminal steps.
   index_t level_steps_skipped = 0;
-  /// Conservative crossing margin of repair vs cold: reuse >= +6 per
-  /// component, cone +5*(cone_level-1) - 2 (the membership-check
-  /// allreduce), recompute -2. Repair is only worth launching when > 0.
+  /// Conservative crossing margin of repair vs the SPECULATIVE cold run,
+  /// from each component's recorded sweep count k and root eccentricity L
+  /// (a BFS sweep costs 2L + 3 crossings, a CM run 5L + 3): reuse = cold's
+  /// whole component minus the seed argmin; cone = the CM levels above
+  /// cone_level minus the membership allreduce (2), minus 3L when k != 1
+  /// (the cone's plain sweep from the root, which cold runs as its
+  /// ordering); recompute -2. Repair is only worth launching when > 0.
   index_t crossing_margin = 0;
   bool profitable = false;
 };
@@ -218,14 +233,16 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
                                 DistRcmStats* stats = nullptr,
                                 OrderingRecipe* recipe = nullptr);
 
-/// SPMD body, sharded output: the same ordering, but the result stays an
+/// SPMD body, sharded output: the same RCM ordering, but the result stays an
 /// O(n/p)-per-rank distributed label vector in the ORIGINAL numbering —
 /// labels.get(v) = new index of v for owned v — and no rank ever holds a
 /// replicated copy. With load balancing the map-back through the balance
 /// permutation happens via one alltoallv re-owning instead of a
 /// replicated scan. labels.to_global(world) of the result equals
-/// dist_order(...) on the kRcm arm bit for bit. Collective on the grid's
-/// world.
+/// dist_order(...) on the kRcm arm bit for bit. options.ordering.algorithm
+/// must resolve to kRcm (kAuto resolves here, as in dist_order); anything
+/// else is a CheckError, raised before any collective. Collective on the
+/// grid's world.
 dist::DistDenseVec dist_rcm_sharded(mps::Comm& world, dist::ProcGrid2D& grid,
                                     const sparse::CsrMatrix& a,
                                     const DistRcmOptions& options = {},

@@ -73,12 +73,17 @@ ExecutionTrace ExecutionTrace::collect(const CsrMatrix& a) {
     }
     tr.components += 1;
 
-    // George-Liu iteration with traced sweeps.
+    // George-Liu iteration with traced sweeps: the first a plain BFS, every
+    // later one a speculative CM labeling (level sizes are
+    // ordering-invariant, so a plain traced BFS carries a CM run's exact
+    // per-level quantities). The live speculative sweep is discarded when
+    // another candidate follows it.
     index_t vertex = seed;
     auto bfs = traced_bfs(a, vertex, visit_mark, mark++, &tr.peripheral_levels);
     tr.peripheral_sweeps += 1;
     index_t ecc = bfs.eccentricity;
     index_t nlvl = ecc - 1;
+    std::vector<LevelTrace> live;
     while (ecc > nlvl) {
       nlvl = ecc;
       // Candidate selection: one distributed REDUCE argmin per round.
@@ -91,21 +96,21 @@ ExecutionTrace ExecutionTrace::collect(const CsrMatrix& a) {
         }
       }
       if (candidate == vertex) break;
-      bfs = traced_bfs(a, candidate, visit_mark, mark++, &tr.peripheral_levels);
+      tr.discarded_levels.insert(tr.discarded_levels.end(), live.begin(),
+                                 live.end());
+      live.clear();
+      bfs = traced_bfs(a, candidate, visit_mark, mark++, &live);
       tr.peripheral_sweeps += 1;
       vertex = candidate;
       ecc = bfs.eccentricity;
     }
     tr.pseudo_diameter = std::max(tr.pseudo_diameter, ecc);
 
-    // Ordering sweep: level sizes are ordering-invariant, so a plain BFS
-    // from the pseudo-peripheral vertex carries Algorithm 3's exact
-    // per-level quantities.
-    std::vector<LevelTrace> ordering;
-    traced_bfs(a, vertex, visit_mark, mark++, &ordering);
-    for (const auto& lvl : ordering) {
-      tr.ordering_levels.push_back(lvl);
-    }
+    // Ordering: the last speculative sweep, or — when the search stopped
+    // after its plain first sweep — a separate CM pass from the root.
+    if (live.empty()) traced_bfs(a, vertex, visit_mark, mark++, &live);
+    tr.ordering_levels.insert(tr.ordering_levels.end(), live.begin(),
+                              live.end());
     // Mark the component as labeled.
     index_t in_component = 0;
     for (index_t v = 0; v < a.n(); ++v) {
@@ -143,41 +148,48 @@ CostBreakdown project_cost(const ExecutionTrace& trace, int cores,
 
   CostBreakdown out;
 
+  // One level's expansion: allgatherv along the processor column, the
+  // owner-direct alltoallv (fan-out q, subsuming the old row alltoallv +
+  // transpose pairwise exchange) and the count reduction, in `crossings`
+  // barrier crossings.
   const auto add_spmspv_level = [&](const LevelTrace& l, PhaseTime& spmspv,
-                                    PhaseTime& other) {
+                                    PhaseTime& other,
+                                    std::uint64_t crossings) {
     const double frontier = static_cast<double>(l.frontier);
     const double expansion = static_cast<double>(l.expansion);
     const double next = static_cast<double>(l.next);
     // Local multiply + accumulator merge, multithreaded across all cores.
     spmspv.compute += gamma * (expansion + 2.0 * next) / total_cores;
     if (P > 1) {
-      // The fused level kernel (dist::bfs_level_step): allgatherv along
-      // the processor column, the owner-direct alltoallv (fan-out q,
-      // subsuming the old row alltoallv + transpose pairwise exchange),
-      // and the folded emptiness/count reduction — three barrier
-      // crossings where the same level as four standalone collectives
-      // pays eight.
       spmspv.comm += alpha * (q - 1) + beta * kEntryWords * frontier / q;
       spmspv.comm += alpha * q + beta * kEntryWords * expansion / P;
       spmspv.comm += 2.0 * alpha * logP;
     }
-    spmspv.crossings += 3;
+    spmspv.crossings += crossings;
     // SET + SELECT are local scans fused into the kernel; their work stays
-    // attributed to Other, while the count reduction's latency moved into
-    // the fused SpMSpV collective above.
+    // attributed to Other, while the count reduction's latency sits in the
+    // fused SpMSpV collective above.
     other.compute += gamma * (frontier + 2.0 * next) / total_cores;
   };
 
+  // BFS levels (dist::bfs_level_step): the count of the expanded frontier
+  // rides crossing 1, so a level costs 2 crossings, and the empty call
+  // that ends each BFS one more (plus its count reduction).
   for (const auto& l : trace.peripheral_levels) {
-    add_spmspv_level(l, out.peripheral_spmspv, out.peripheral_other);
+    add_spmspv_level(l, out.peripheral_spmspv, out.peripheral_other, 2);
+    if (l.next == 0) {
+      out.peripheral_spmspv.crossings += 1;
+      if (P > 1) out.peripheral_spmspv.comm += 2.0 * alpha * logP;
+    }
   }
-  for (const auto& l : trace.ordering_levels) {
-    add_spmspv_level(l, out.ordering_spmspv, out.ordering_other);
-    // SORTPERM fused into the ordering level (dist::cm_level_step): the
-    // (bucket, degree, block) histogram rides the count superstep as an
-    // all-rank exchange, then the element deal and the position scatter
-    // are the two sort-side supersteps — crossings 4 and 5 of the level
-    // collective; the terminal level (next == 0) skips the sort tail.
+  // Ordering levels (dist::cm_level_step), the root's and the discarded
+  // speculative sweeps' alike: the three-crossing head, then SORTPERM
+  // fused into the level — the (bucket, degree, block) histogram rides the
+  // count superstep as an all-rank exchange, then the element deal and the
+  // position scatter are the two sort-side supersteps, crossings 4 and 5;
+  // the terminal level (next == 0) skips the sort tail.
+  const auto add_cm_level = [&](const LevelTrace& l) {
+    add_spmspv_level(l, out.ordering_spmspv, out.ordering_other, 3);
     const double next = static_cast<double>(l.next);
     out.ordering_sort.compute +=
         gamma * next * (1.0 + std::log2(next + 1.0)) / total_cores;
@@ -190,6 +202,14 @@ CostBreakdown project_cost(const ExecutionTrace& trace, int cores,
             alpha * (P - 1) + beta * kEntryWords * next / P;  // positions home
       }
     }
+  };
+  for (const auto& l : trace.ordering_levels) add_cm_level(l);
+  for (const auto& l : trace.discarded_levels) {
+    add_cm_level(l);
+    // The discarded sweep's reset walks its touched list: each vertex it
+    // labeled, once.
+    out.ordering_other.compute +=
+        gamma * static_cast<double>(l.frontier) / total_cores;
   }
 
   // Per George-Liu candidate selection: the REDUCE argmin over the last

@@ -11,9 +11,10 @@
 //
 // We reproduce exactly that methodology, but exactly rather than
 // asymptotically: ExecutionTrace::collect records, per BFS level of the
-// actual algorithm execution (peripheral sweeps + ordering sweep, every
-// component), the frontier size, the expansion volume (sum of frontier
-// degrees = SpMSpV work) and the next-frontier size. project_cost then
+// actual algorithm execution (every sweep of every component, split the way
+// the speculative George-Liu search runs them), the frontier size, the
+// expansion volume (sum of frontier degrees = SpMSpV work) and the
+// next-frontier size. project_cost then
 // evaluates the per-collective formulas of mps::CostModel for any virtual
 // (cores, threads-per-process) configuration: a 2D sqrt(P) x sqrt(P) grid
 // of P = cores/threads processes, local kernels multithreaded (the paper's
@@ -48,11 +49,20 @@ struct ExecutionTrace {
   /// distributed run; the loop may select once more than it sweeps).
   int peripheral_argmin_rounds = 0;
   index_t pseudo_diameter = 0;  ///< eccentricity of the chosen start vertex
-  std::vector<LevelTrace> peripheral_levels;  ///< all sweeps, all components
-  std::vector<LevelTrace> ordering_levels;    ///< final BFS per component
+  /// Plain BFS sweeps: the first sweep of every component (2 crossings per
+  /// level, plus 1 for the empty call that ends each BFS).
+  std::vector<LevelTrace> peripheral_levels;
+  /// The CM labeling from each component's root (5 crossings per level, 3
+  /// on the terminal one): its last speculative sweep, or a separate pass
+  /// when the search stopped after its first sweep.
+  std::vector<LevelTrace> ordering_levels;
+  /// Speculative CM sweeps the search moved past and reset, priced like
+  /// ordering levels.
+  std::vector<LevelTrace> discarded_levels;
 
   /// Instruments the exact algorithm control flow (component seeding,
-  /// George-Liu iteration, ordering BFS) on the adjacency pattern `a`.
+  /// speculative George-Liu iteration, ordering pass) on the adjacency
+  /// pattern `a`.
   static ExecutionTrace collect(const sparse::CsrMatrix& a);
 };
 

@@ -51,11 +51,12 @@ CsrMatrix sweep_graph(u64 seed) {
   }
 }
 
-/// The fused step against the oracle's whole level: the same global count,
-/// and on every rank exactly its owned slice of the level.
-void expect_step(const LevelStepResult& got, const std::vector<VecEntry>& want,
-                 const char* what, int p, u64 seed, index_t depth) {
-  EXPECT_EQ(got.global_nnz, static_cast<index_t>(want.size()))
+/// The fused step against the oracle: the global count of the frontier it
+/// expanded, and on every rank exactly its owned slice of the next level.
+void expect_step(const BfsLevelResult& got, std::size_t frontier_nnz,
+                 const std::vector<VecEntry>& want, const char* what, int p,
+                 u64 seed, index_t depth) {
+  EXPECT_EQ(got.frontier_nnz, static_cast<index_t>(frontier_nnz))
       << what << " p=" << p << " seed=" << seed << " depth=" << depth;
   EXPECT_EQ(got.next.entries(), owned_slice(want, got.next))
       << what << " p=" << p << " seed=" << seed << " depth=" << depth;
@@ -88,10 +89,15 @@ TEST(LevelKernelEquivalence, RandomizedBfsSweepMatchesSerialLevels) {
           const auto fused = bfs_level_step(
               mat, frontier, levels, kNoVertex, grid,
               mps::Phase::kOrderingSpmspv, mps::Phase::kOrderingOther);
+          // The oracle's next level; an empty frontier has none (the
+          // terminal call returns after one crossing with nothing).
           const auto level =
-              serial_level(a, oracle_frontier, oracle_levels, kNoVertex);
-          expect_step(fused, level, "fused vs serial level", p, seed, depth);
-          if (fused.global_nnz == 0) break;
+              oracle_frontier.empty()
+                  ? std::vector<VecEntry>{}
+                  : serial_level(a, oracle_frontier, oracle_levels, kNoVertex);
+          expect_step(fused, oracle_frontier.size(), level,
+                      "fused vs serial level", p, seed, depth);
+          if (fused.frontier_nnz == 0 || oracle_frontier.empty()) break;
           ++depth;
           for (const auto& e : level) {
             oracle_levels[static_cast<std::size_t>(e.idx)] = depth;
@@ -157,7 +163,8 @@ TEST(LevelKernelEquivalence, RandomFrontiersNotJustBfsFrontiers) {
         const auto fused = bfs_level_step(
             mat, x, dense, kNoVertex, grid, mps::Phase::kOrderingSpmspv,
             mps::Phase::kOrderingOther);
-        expect_step(fused, want, "random frontier fused vs serial", p,
+        expect_step(fused, global_frontier.size(), want,
+                    "random frontier fused vs serial", p,
                     seed * 100 + static_cast<u64>(t), 0);
       }, {}, t);
       }

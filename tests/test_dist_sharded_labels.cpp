@@ -5,7 +5,8 @@
 // extra O(n/q) alltoallv), and the rhs relabel becomes a local slab read.
 //
 // Contracts pinned here:
-//  * dist_rcm_sharded's slab, gathered, equals dist_order bit for bit;
+//  * dist_rcm_sharded's slab, gathered, equals dist_order bit for bit, and
+//    a request for any algorithm but RCM is a named CheckError;
 //  * ordered_solve under sharded_labels reproduces the replicated-label
 //    path BIT FOR BIT (labels, bandwidth, iteration count, solution slabs)
 //    across the {1,4,9,16} rank wall, load balancing on and off;
@@ -72,6 +73,41 @@ TEST(ShardedLabels, DistRcmShardedGathersToTheReplicatedLabels) {
             << "p=" << p << " load_balance=" << balance;
       });
     }
+  }
+}
+
+TEST(ShardedLabels, DistRcmShardedHonorsTheRequestedAlgorithm) {
+  // dist_rcm_sharded is RCM-only, and says so: a Sloan or GPS request is a
+  // named CheckError raised before any collective, never a silent RCM
+  // ordering. kAuto resolves exactly as dist_order resolves it.
+  const auto adjacency = gen::relabel_random(gen::grid2d(9, 11), 5);
+  const bool auto_is_rcm =
+      select_ordering(adjacency).algorithm == OrderingAlgorithm::kRcm;
+  for (const int p : dist::testing::rank_counts()) {
+    Runtime::run(p, [&](Comm& world) {
+      dist::ProcGrid2D grid(world);
+      for (const auto algorithm :
+           {OrderingAlgorithm::kSloan, OrderingAlgorithm::kGps}) {
+        DistRcmOptions options;
+        options.ordering.algorithm = algorithm;
+        EXPECT_THROW(dist_rcm_sharded(world, grid, adjacency, options),
+                     CheckError)
+            << ordering_algorithm_name(algorithm) << " p=" << p;
+      }
+      DistRcmOptions options;
+      options.ordering.algorithm = OrderingAlgorithm::kAuto;
+      if (!auto_is_rcm) {
+        EXPECT_THROW(dist_rcm_sharded(world, grid, adjacency, options),
+                     CheckError);
+        return;
+      }
+      DistRcmStats stats;
+      const auto gathered =
+          dist_rcm_sharded(world, grid, adjacency, options, &stats)
+              .to_global(world);
+      EXPECT_EQ(stats.algorithm, OrderingAlgorithm::kRcm);
+      EXPECT_EQ(gathered, dist_order(world, adjacency, options)) << "p=" << p;
+    });
   }
 }
 

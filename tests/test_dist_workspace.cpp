@@ -290,7 +290,7 @@ TEST_P(WorkspaceGrids, FusedTouchedBuffersSettleAfterWarmup) {
           auto step = bfs_level_step(mat, frontier, levels, kNoVertex, grid,
                                      mps::Phase::kPeripheralSpmspv,
                                      mps::Phase::kPeripheralOther, &ws);
-          if (step.global_nnz == 0) break;
+          if (step.frontier_nnz == 0) break;
           step.next.fill_values(depth);
           scatter_into_dense(levels, step.next, world);
           frontier = std::move(step.next);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "mpsim/comm.hpp"
@@ -217,6 +218,88 @@ TEST_P(CollectivesTest, EmptyContributionsAreLegal) {
     std::vector<std::vector<std::int64_t>> send(static_cast<std::size_t>(p));
     const auto recv = comm.alltoallv(send);
     EXPECT_TRUE(recv.empty());
+  });
+}
+
+TEST_P(CollectivesTest, FusedLevelEmptyExitChainsIntoAnyCollective) {
+  // The fused BFS level reads two boards after its final crossing: the
+  // span-count board on the one-crossing empty exit, and the auxiliary
+  // payload board after crossing 2. A fast rank leaving either exit may
+  // publish its next collective's contribution at once, while slow peers
+  // are still reading — so chain every exit straight into each kind of
+  // next collective (another empty level, a full level, an alltoallv on
+  // the array boards, an allreduce on the scalar board) with rank-skewed
+  // delays, and check every result. ThreadSanitizer runs this suite.
+  const int p = GetParam();
+  Runtime::run(p, [&](Comm& comm) {
+    std::vector<std::int64_t> gather_buf, recv_buf;
+    std::vector<std::vector<std::int64_t>> route_buf;
+    std::vector<int> everyone(static_cast<std::size_t>(p));
+    std::iota(everyone.begin(), everyone.end(), 0);
+    const auto route_all = [&](const std::vector<std::int64_t>& gathered,
+                               std::vector<std::vector<std::int64_t>>& route) {
+      route.assign(static_cast<std::size_t>(p), {});
+      for (const auto v : gathered) {
+        route[static_cast<std::size_t>(v % p)].push_back(v);
+      }
+    };
+    // A level over one element per rank, gathered by everyone: every rank
+    // receives, from each of the p ranks, the one element congruent to
+    // its rank.
+    const auto full_level = [&](std::int64_t round) {
+      const std::vector<std::int64_t> mine{round * p + comm.rank()};
+      bool received = false;
+      const auto total = comm.fused_gather_route_count(
+          everyone, std::span<const std::int64_t>(mine), gather_buf,
+          route_buf, recv_buf, route_all,
+          [&](const std::vector<std::int64_t>& got) {
+            received = true;
+            ASSERT_EQ(got.size(), static_cast<std::size_t>(p));
+            for (const auto v : got) EXPECT_EQ(v, round * p + comm.rank());
+          });
+      EXPECT_EQ(total, p);
+      EXPECT_TRUE(received);
+    };
+    const auto empty_level = [&] {
+      const auto total = comm.fused_gather_route_count(
+          everyone, std::span<const std::int64_t>(), gather_buf, route_buf,
+          recv_buf, route_all,
+          [&](const std::vector<std::int64_t>&) {
+            ADD_FAILURE() << "an empty level must not exchange anything";
+          });
+      EXPECT_EQ(total, 0);
+    };
+    for (std::int64_t round = 0; round < 200; ++round) {
+      // Skew: some ranks dawdle before the level, so they are still
+      // reading when the others race into the next collective.
+      if ((comm.rank() + round) % 3 == 0) {
+        for (int spin = 0; spin < 8; ++spin) std::this_thread::yield();
+      }
+      // Both exits (a full level's crossing-2 exit, an empty level's
+      // crossing-1 exit) chain into each kind of next collective.
+      full_level(round);
+      if (round % 2 == 1) empty_level();
+      switch ((round / 2) % 4) {
+        case 0: empty_level(); break;
+        case 1: full_level(round + 1000); break;
+        case 2: {
+          std::vector<std::vector<std::int64_t>> send(
+              static_cast<std::size_t>(p));
+          for (int d = 0; d < p; ++d) {
+            send[static_cast<std::size_t>(d)].push_back(round + d);
+          }
+          const auto got = comm.alltoallv(send);
+          ASSERT_EQ(got.size(), static_cast<std::size_t>(p));
+          for (const auto v : got) EXPECT_EQ(v, round + comm.rank());
+          break;
+        }
+        default: {
+          const auto sum = comm.allreduce(
+              round, [](std::int64_t x, std::int64_t y) { return x + y; });
+          EXPECT_EQ(sum, round * p);
+        }
+      }
+    }
   });
 }
 

@@ -1,8 +1,9 @@
 // Unit tests for the alpha-beta-gamma cost model formulas, plus the
 // barrier-crossing ledger that pins the fused kernels' synchrony budgets:
-// 3 crossings per BFS level (vs 8 for the same level as four standalone
-// primitives) and 5 per whole ordering level (vs 6 for the standalone
-// SORTPERM alone) — and the trace model's analytic crossing prediction
+// 2 crossings per BFS level (vs 8 for the same level as four standalone
+// primitives), 1 for the empty call that ends a BFS, and 5 per whole
+// ordering level (vs 6 for the standalone SORTPERM alone) — and the trace
+// model's analytic crossing prediction, speculative sweeps included,
 // against a real p=4 run's ledger.
 #include "mpsim/cost_model.hpp"
 
@@ -13,6 +14,7 @@
 #include "dist/sortperm.hpp"
 #include "dist/spmspv.hpp"
 #include "mpsim/runtime.hpp"
+#include "rcm/dist_bfs.hpp"
 #include "rcm/rcm_driver.hpp"
 #include "rcm/trace_model.hpp"
 #include "service/service.hpp"
@@ -114,11 +116,12 @@ TEST(CrossingLedger, EveryCollectiveIsTwoCrossingsBarrierIsOne) {
   EXPECT_EQ(report.aggregate(Phase::kOther).max.barrier_crossings, 4u);
 }
 
-TEST(CrossingLedger, FusedLevelKernelChargesAtMostThreeCrossingsPerLevel) {
-  // The tentpole claim: one BFS level through dist::bfs_level_step costs
-  // THREE barrier crossings; the same level as standalone primitives
-  // (gather -> SpMSpV's allgatherv + alltoallv + pairwise -> SELECT ->
-  // emptiness allreduce) costs eight. Distinct phases isolate each ledger.
+TEST(CrossingLedger, FusedLevelKernelChargesTwoCrossingsPerLevel) {
+  // One BFS level through dist::bfs_level_step costs TWO barrier
+  // crossings — the frontier's global count rides crossing 1, so there is
+  // no count superstep; the same level as standalone primitives (gather ->
+  // SpMSpV's allgatherv + alltoallv + pairwise -> SELECT -> emptiness
+  // allreduce) costs eight. Distinct phases isolate each ledger.
   const auto a = sparse::gen::grid2d(8, 8);
   const auto report = Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
@@ -143,8 +146,35 @@ TEST(CrossingLedger, FusedLevelKernelChargesAtMostThreeCrossingsPerLevel) {
       report.aggregate(Phase::kOrderingOther).max.barrier_crossings;
   const auto chain =
       report.aggregate(Phase::kPeripheralSpmspv).max.barrier_crossings;
-  EXPECT_EQ(fused, 3u) << "the fused kernel's synchrony budget";
+  EXPECT_EQ(fused, 2u) << "the fused kernel's synchrony budget";
   EXPECT_EQ(chain, 8u) << "the four standalone primitives of one level";
+}
+
+TEST(CrossingLedger, TerminalBfsLevelIsOneCrossing) {
+  // The call that finds its frontier empty everywhere — the one that ends
+  // every BFS — exits after crossing 1, uniformly on every rank, and a
+  // whole BFS of eccentricity L costs 2(L + 1) + 1 crossings.
+  const auto a = sparse::gen::path(6);
+  const auto report = Runtime::run(4, [&](Comm& world) {
+    dist::ProcGrid2D grid(world);
+    dist::DistSpMat mat(grid, a);
+    dist::DistDenseVec levels(mat.vec_dist(), grid, kNoVertex);
+    const dist::DistSpVec empty(mat.vec_dist(), grid);
+    const auto step = dist::bfs_level_step(
+        mat, empty, levels, kNoVertex, grid, Phase::kOrderingSpmspv,
+        Phase::kOrderingOther);
+    EXPECT_EQ(step.frontier_nnz, 0);
+    EXPECT_TRUE(step.next.entries().empty());
+    const auto bfs = rcm::dist_bfs(mat, 0, levels, grid,
+                                   Phase::kPeripheralSpmspv,
+                                   Phase::kPeripheralOther);
+    EXPECT_EQ(bfs.eccentricity, 5);
+  });
+  EXPECT_EQ(report.aggregate(Phase::kOrderingSpmspv).max.barrier_crossings,
+            1u);
+  EXPECT_EQ(report.aggregate(Phase::kPeripheralSpmspv).max.barrier_crossings +
+                report.aggregate(Phase::kPeripheralOther).max.barrier_crossings,
+            2u * 6 + 1);
 }
 
 TEST(CrossingLedger, FusedOrderingLevelIsAtMostFiveCrossings) {
@@ -218,6 +248,9 @@ TEST(CrossingLedger, TraceModelPredictsTheRealLedger) {
       sparse::gen::grid2d(8, 8),
       sparse::gen::erdos_renyi(120, 4.0, 7),  // possibly multi-component
       sparse::gen::star(17),
+      sparse::gen::small_world(80, 2, 0.1, 4),  // a discarded sweep
+      sparse::gen::disjoint_union(               // one-sweep components
+          {sparse::gen::path(5), sparse::gen::empty_graph(2)}),
   };
   for (const auto& a : graphs) {
     const auto run = rcm::run_dist_order(4, a);
@@ -252,6 +285,9 @@ TEST(CrossingLedger, TraceModelPredictsTheHybridLedger) {
       sparse::gen::grid2d(8, 8),
       sparse::gen::erdos_renyi(120, 4.0, 7),  // possibly multi-component
       sparse::gen::star(17),
+      sparse::gen::small_world(80, 2, 0.1, 4),  // a discarded sweep
+      sparse::gen::disjoint_union(               // one-sweep components
+          {sparse::gen::path(5), sparse::gen::empty_graph(2)}),
   };
   for (const auto& a : graphs) {
     rcm::DistRcmOptions flat_opt;
@@ -362,9 +398,11 @@ TEST(CrossingLedger, RepairHitIsPricedStrictlyBetweenHitAndCold) {
   // with the delta confined to the small component, so the big component
   // reuses (peripheral search + every level step skipped) and the plan is
   // deterministically profitable. plan_repair's conservative margin
-  // arithmetic (+6 per reused component, +5*(cone_level-1) - 2 per cone,
-  // -2 per recompute) guarantees the strict inequality whenever a repair
-  // is scheduled; this test keeps that guarantee tied to the ledger.
+  // arithmetic against the speculative cold run (a reused component saves
+  // all of cold's search and labeling but the seed argmin; a cone saves
+  // the CM levels above it; a recompute costs the membership allreduce)
+  // guarantees the strict inequality whenever a repair is scheduled; this
+  // test keeps that guarantee tied to the ledger.
   // Window-aligned sizes (n = 400, window width 25): the small component
   // fills windows 14..15 exactly, so its dirty windows never bleed onto
   // the big component's rows.

@@ -63,6 +63,46 @@ TEST(Trace, IsolatedVerticesAreComponents) {
   EXPECT_EQ(tr.pseudo_diameter, 0);
 }
 
+TEST(Trace, SpeculativeSweepsSplitTheLevels) {
+  // George-Liu takes three sweeps on this small world: the first is a
+  // plain BFS, the second a speculative CM sweep that the third
+  // supersedes (discarded), the third the ordering itself. Each sweep
+  // covers the component exactly once.
+  const auto a = gen::small_world(80, 2, 0.1, 4);
+  const auto tr = ExecutionTrace::collect(a);
+  EXPECT_EQ(tr.peripheral_sweeps, 3);
+  const auto covered = [](const std::vector<LevelTrace>& levels) {
+    index_t total = 0;
+    for (const auto& l : levels) total += l.frontier;
+    return total;
+  };
+  EXPECT_EQ(covered(tr.peripheral_levels), a.n());
+  EXPECT_EQ(covered(tr.discarded_levels), a.n());
+  EXPECT_EQ(covered(tr.ordering_levels), a.n());
+  // A path needs two sweeps: nothing is discarded.
+  EXPECT_TRUE(ExecutionTrace::collect(gen::path(20)).discarded_levels.empty());
+}
+
+TEST(CostModel, CrossingsFollowTheSpeculativeSearch) {
+  // path(20): seed 0, a plain BFS of eccentricity 19 (20 levels x 2 + the
+  // empty call's 1 = 41), one candidate argmin (2) and the seed scan (2)
+  // on the peripheral side; the speculative sweep from 19 is the ordering
+  // — 19 full CM levels x 5 + the terminal level's 3 — plus the final
+  // label allgatherv (2). Crossings do not depend on the core count.
+  const auto tr = ExecutionTrace::collect(gen::path(20));
+  for (const int cores : {1, 4, 24}) {
+    const auto c = project_cost(tr, cores, 1);
+    EXPECT_EQ(c.peripheral_crossings(), 45u) << cores;
+    EXPECT_EQ(c.ordering_crossings(), 100u) << cores;
+  }
+  // Isolated vertices: one plain sweep each (2 + 1), the fixpoint argmin
+  // (2), the seed scan (2) and a one-level CM pass (3) per component.
+  const auto iso =
+      project_cost(ExecutionTrace::collect(gen::empty_graph(3)), 4, 1);
+  EXPECT_EQ(iso.peripheral_crossings(), 3u * 7);
+  EXPECT_EQ(iso.ordering_crossings(), 3u * 3 + 2);
+}
+
 TEST(CostModel, SingleCoreIsPureCompute) {
   const auto tr = ExecutionTrace::collect(gen::grid2d(20, 20));
   const auto c = project_cost(tr, 1, 1);
