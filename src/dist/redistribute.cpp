@@ -7,35 +7,67 @@ namespace drcm::dist {
 
 namespace {
 
-/// Receive tail of the one-shot redistribution: one wholesale (row, col)
-/// sort of the received triples, then the local CSR slab. The (row, col)
-/// keys are unique — a bijective relabeling of a deduplicated pattern — so
-/// the result does not depend on arrival order.
+/// Receive tail of the one-shot redistribution: a counting pass by row over
+/// the known range [lo, hi), a scatter into the CSR slab, then a column
+/// sort of each row's few entries: O(recv + sum of d log d) over the row
+/// lengths d, charged to `work`. The (row, col) keys are unique — a
+/// bijective relabeling of a deduplicated pattern — so the result is the
+/// (row, col) order whatever the arrival order. `recv` is not read after
+/// the scatter and serves as the per-row sort scratch, so the step keeps
+/// no buffer beyond the triples and the slab.
 RowBlockCsr build_row_block(std::vector<MatEntryV>& recv, index_t n,
-                            mps::Comm& world) {
+                            mps::Comm& world, double& work) {
   RowBlockCsr out;
   out.n = n;
   out.lo = row_block_lo(n, world.size(), world.rank());
   out.hi = row_block_lo(n, world.size(), world.rank() + 1);
-  std::sort(recv.begin(), recv.end(), [](const MatEntryV& x, const MatEntryV& y) {
-    return x.row != y.row ? x.row < y.row : x.col < y.col;
-  });
   const auto nloc = static_cast<std::size_t>(out.local_rows());
-  out.row_ptr.assign(nloc + 1, 0);
+
+  // Counting pass. row_ptr[r + 2] counts row r, so after the prefix sum
+  // row_ptr[r + 1] is row r's first slot and serves as its scatter cursor;
+  // the scatter advances it to row r's end, which leaves row_ptr final.
+  out.row_ptr.assign(nloc + 2, 0);
+  for (const auto& e : recv) {
+    // Receive-path range check (always on), before either coordinate is
+    // used: the row indexes the local row_ptr and the column later indexes
+    // CG's halo'd solution vector.
+    DRCM_CHECK(e.row >= out.lo && e.row < out.hi && e.col >= 0 && e.col < n,
+               "received matrix entry outside the owned row block");
+    ++out.row_ptr[static_cast<std::size_t>(e.row - out.lo) + 2];
+  }
+  for (std::size_t r = 2; r < nloc + 2; ++r) {
+    out.row_ptr[r] += out.row_ptr[r - 1];
+  }
   out.cols.resize(recv.size());
   out.vals.resize(recv.size());
-  for (std::size_t k = 0; k < recv.size(); ++k) {
-    // Receive-path range check (always on): the row indexes the local
-    // row_ptr rebuild and the column later indexes CG's halo'd solution
-    // vector.
-    DRCM_CHECK(recv[k].row >= out.lo && recv[k].row < out.hi &&
-                   recv[k].col >= 0 && recv[k].col < n,
-               "received matrix entry outside the owned row block");
-    ++out.row_ptr[static_cast<std::size_t>(recv[k].row - out.lo) + 1];
-    out.cols[k] = recv[k].col;
-    out.vals[k] = recv[k].val;
+  for (const auto& e : recv) {
+    const auto slot = static_cast<std::size_t>(
+        out.row_ptr[static_cast<std::size_t>(e.row - out.lo) + 1]++);
+    out.cols[slot] = e.col;
+    out.vals[slot] = e.val;
   }
-  for (std::size_t r = 0; r < nloc; ++r) out.row_ptr[r + 1] += out.row_ptr[r];
+  out.row_ptr.pop_back();
+
+  // Column sort per row: the row's (col, val) pairs go through the front of
+  // `recv`, are sorted by column and written back.
+  work = 2.0 * static_cast<double>(recv.size());
+  for (std::size_t r = 0; r < nloc; ++r) {
+    const auto b = static_cast<std::size_t>(out.row_ptr[r]);
+    const auto d = static_cast<std::size_t>(out.row_ptr[r + 1]) - b;
+    work += static_cast<double>(d) * std::log2(static_cast<double>(d) + 1.0);
+    for (std::size_t k = 0; k < d; ++k) {
+      recv[k].col = out.cols[b + k];
+      recv[k].val = out.vals[b + k];
+    }
+    std::sort(recv.begin(), recv.begin() + static_cast<std::ptrdiff_t>(d),
+              [](const MatEntryV& x, const MatEntryV& y) {
+                return x.col < y.col;
+              });
+    for (std::size_t k = 0; k < d; ++k) {
+      out.cols[b + k] = recv[k].col;
+      out.vals[b + k] = recv[k].val;
+    }
+  }
   return out;
 }
 
@@ -97,14 +129,12 @@ OneShotRowBlocks stream_to_row_blocks(const sparse::CsrMatrix& a,
                       3 * recv.size());
 
   const auto recv_size = recv.size();
+  double assembly_work = 0.0;
   OneShotRowBlocks out;
-  out.block = build_row_block(recv, n, world);
+  out.block = build_row_block(recv, n, world, assembly_work);
   out.bandwidth = world.allreduce(
       local_bw, [](index_t x, index_t y) { return x > y ? x : y; });
-  world.charge_compute(
-      static_cast<double>(block_nnz) +
-      static_cast<double>(recv_size) *
-          (1.0 + std::log2(static_cast<double>(recv_size) + 2.0)));
+  world.charge_compute(static_cast<double>(block_nnz) + assembly_work);
   world.note_resident(label_resident + 3 * block_nnz + 3 * recv_size +
                       out.block.resident_elements());
   return out;
@@ -214,8 +244,7 @@ OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
 
   // Phase 2 — the replicated-label streaming body, reading the O(n/q)
   // windows instead of the O(n) vector. Same routing, same triples on the
-  // wire, same wholesale receive sort: the resulting blocks are
-  // bit-identical.
+  // wire, same receive assembly: the resulting blocks are bit-identical.
   return stream_to_row_blocks(
       a, grid,
       [&](index_t g) { return row_label[static_cast<std::size_t>(g - row_lo)]; },

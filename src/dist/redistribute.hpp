@@ -31,7 +31,8 @@ struct OneShotRowBlocks {
 /// q diagonal blocks would concentrate Θ(nnz/q) of the banded output. The
 /// input block is consumed as a coordinate stream (3 nnz/p words, no O(n/q)
 /// column pointer), so the whole step stays O(nnz/p + n/p) resident per
-/// rank. The receive path re-sorts wholesale by (row, col) — unique keys
+/// rank. The receive path counts entries by row over the owned range and
+/// sorts each row's few entries by column — (row, col) keys are unique
 /// under a bijective relabeling — so rank r's block is exactly rows
 /// [lo, hi) of sparse::permute_symmetric(a, labels), values bit for bit.
 /// `a` must carry values unless it has no entries. Collective on the grid's

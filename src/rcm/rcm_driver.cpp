@@ -614,11 +614,6 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
   return out;
 }
 
-namespace {
-
-/// Why `labels` cannot relabel an n-vertex matrix, or empty when it is a
-/// permutation of [0, n). Checks the caller's known labels on the hit path
-/// and the recoverable runner's ordering checkpoint. Local; no charge.
 std::string permutation_error(const std::vector<index_t>& labels, index_t n) {
   if (labels.size() != static_cast<std::size_t>(n)) {
     return std::to_string(labels.size()) + " labels for n=" +
@@ -629,6 +624,8 @@ std::string permutation_error(const std::vector<index_t>& labels, index_t n) {
   }
   return {};
 }
+
+namespace {
 
 /// Per-rank resident budget of the one-shot pipeline: O(nnz/p + n/p).
 /// Terms, largest first: this rank's balanced-2D input block consumed as

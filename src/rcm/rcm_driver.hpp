@@ -262,6 +262,13 @@ DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,
                           const DistRcmOptions& options = {},
                           const mps::MachineParams& machine = {});
 
+/// Why `labels` cannot relabel an n-vertex matrix, or empty when it is a
+/// permutation of [0, n). The one label validator: it checks the caller's
+/// known labels on the hit path, the recoverable runner's ordering
+/// checkpoint and the service's ordering deposits before they reach the
+/// cache. Local; no charge.
+std::string permutation_error(const std::vector<index_t>& labels, index_t n);
+
 /// The paper's Figure-1 pipeline as ONE distributed call: RCM ordering on
 /// the 2D grid, ONE streaming redistribution routing every relabeled entry
 /// straight to its 1D solver owner, a distributed rhs, and block-Jacobi

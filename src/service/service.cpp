@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -40,20 +41,6 @@ LanePlan plan_lanes(int ranks, std::size_t requests, int max_lanes) {
   plan.lane_size = dist::largest_square_grid(std::max(ranks / desired, 1));
   plan.nlanes = std::min(desired, ranks / plan.lane_size);
   return plan;
-}
-
-/// Labels must be a permutation of [0, n) before they may touch the cache
-/// or index the solution assembly — a faulted or corrupted ordering must
-/// surface as a structured error, never as a poisoned cache entry.
-bool is_permutation(const std::vector<index_t>& labels, index_t n) {
-  if (labels.size() != static_cast<std::size_t>(n)) return false;
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  for (const index_t l : labels) {
-    if (l < 0 || l >= n) return false;
-    if (seen[static_cast<std::size_t>(l)]) return false;
-    seen[static_cast<std::size_t>(l)] = 1;
-  }
-  return true;
 }
 
 /// One rank's modeled ordering-phase seconds: the cost a cache entry
@@ -95,15 +82,25 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
   std::vector<OrderSolveResponse> responses(nreq);
   if (nreq == 0) return responses;
 
-  // Strip each adjacency ONCE outside the ranks (simulated ranks share an
-  // address space; run_ordered_solve does the same), validate the fixtures
-  // up front, and take each request's DRIVER-SIDE refined fingerprint: the
-  // serial twin of the lane collective (partition-invariant, so one rank
-  // owning everything is just another cut). Scheduling — coalescing,
-  // repair candidacy — classifies on the serial value BEFORE any rank
-  // launches; the lanes recompute the fingerprint collectively (so the
-  // probe is charged to the ledger) and DRCM_CHECK agreement.
+  // Validate the fixtures up front and take each request's DRIVER-SIDE
+  // refined fingerprint: the serial twin of the lane collective
+  // (partition-invariant, so one rank owning everything is just another
+  // cut). Scheduling — coalescing, repair candidacy — classifies on the
+  // serial value BEFORE any rank launches; the lanes recompute the
+  // fingerprint collectively (so the probe is charged to the ledger) and
+  // DRCM_CHECK agreement.
+  //
+  // Each adjacency is stripped ONCE outside the ranks (simulated ranks
+  // share an address space; run_ordered_solve does the same), and only
+  // for a request that reads it: kAuto resolution here, a repair or cold
+  // run after classification. A cache hit never strips.
   std::vector<sparse::CsrMatrix> adjacencies(nreq);
+  std::vector<char> stripped(nreq, 0);
+  const auto strip = [&](std::size_t i) {
+    if (stripped[i]) return;
+    adjacencies[i] = requests[i].matrix->strip_diagonal();
+    stripped[i] = 1;
+  };
   std::vector<RefinedFingerprint> refined(nreq);
   std::vector<PatternFingerprint> salted(nreq);
   // Per-request RESOLVED options: kAuto is resolved driver-side on the
@@ -119,10 +116,11 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
     DRCM_CHECK(rq.matrix != nullptr, "request needs a matrix");
     DRCM_CHECK(rq.b.size() == static_cast<std::size_t>(rq.matrix->n()),
                "request rhs size mismatch");
-    adjacencies[i] = rq.matrix->strip_diagonal();
     refined[i] = fingerprint_pattern_serial(*rq.matrix);
     resolved[i] = rq.rcm;
     if (resolved[i].ordering.algorithm == rcm::OrderingAlgorithm::kAuto) {
+      // The salt depends on the resolved algorithm, so kAuto strips first.
+      strip(i);
       const auto choice = rcm::select_ordering(adjacencies[i]);
       resolved[i].ordering.algorithm = choice.algorithm;
       auto_selected[i] = 1;
@@ -252,6 +250,10 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
       sources[req] = best;
       source_fp[req] = best_fp;
       diff_windows[req] = best_diff;
+    }
+
+    for (const std::size_t req : wave) {
+      if (mode[req] != Mode::kHit) strip(req);
     }
 
     const LanePlan plan = plan_lanes(P, wave.size(), options_.max_lanes);
@@ -454,9 +456,15 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
           labels = &it->second.labels;
         } else {
           ++cache_misses_;
-          if (!is_permutation(pending_labels[req], n)) {
+          // Labels must be a permutation of [0, n) before they may touch
+          // the cache or index the solution assembly — a faulted or
+          // corrupted ordering surfaces as a structured error, never as a
+          // poisoned cache entry.
+          const std::string bad =
+              rcm::permutation_error(pending_labels[req], n);
+          if (!bad.empty()) {
             resp.status = RequestStatus::kFault;
-            resp.error = "ordering produced an invalid permutation";
+            resp.error = "ordering produced an invalid permutation: " + bad;
             continue;
           }
           labels = &pending_labels[req];

@@ -25,9 +25,25 @@ BlockJacobi::BlockJacobi(const sparse::CsrMatrix& a, int num_blocks) {
                   : 1.0;
 }
 
-BlockJacobi::Block BlockJacobi::factor_block(const sparse::CsrMatrix& a,
-                                             index_t lo, index_t hi,
-                                             int* shifted_pivots) {
+BlockJacobi::BlockJacobi(const dist::RowBlockCsr& a) {
+  const index_t m = a.local_rows();
+  if (m > 0) {
+    blocks_.push_back(factor_block(a, a.lo, a.hi, &shifted_pivots_));
+    // z = M^{-1} r runs on the rank's local slabs: rebase to row 0.
+    blocks_.back().lo = 0;
+    blocks_.back().hi = m;
+  }
+  const nnz_t captured =
+      blocks_.empty() ? 0 : static_cast<nnz_t>(blocks_.back().cols.size());
+  capture_fraction_ = a.local_nnz() > 0
+                          ? static_cast<double>(captured) /
+                                static_cast<double>(a.local_nnz())
+                          : 1.0;
+}
+
+template <class Rows>
+BlockJacobi::Block BlockJacobi::factor_block(const Rows& rows, index_t lo,
+                                             index_t hi, int* shifted_pivots) {
   Block blk;
   blk.lo = lo;
   blk.hi = hi;
@@ -39,8 +55,8 @@ BlockJacobi::Block BlockJacobi::factor_block(const sparse::CsrMatrix& a,
   blk.diag_pos.assign(static_cast<std::size_t>(m), -1);
   for (index_t i = 0; i < m; ++i) {
     const index_t gi = lo + i;
-    const auto cols = a.row(gi);
-    const auto vals = a.row_values(gi);
+    const auto cols = rows.row(gi);
+    const auto vals = rows.row_values(gi);
     bool saw_diag = false;
     for (std::size_t k = 0; k < cols.size(); ++k) {
       const index_t gj = cols[k];
@@ -71,25 +87,22 @@ BlockJacobi::Block BlockJacobi::factor_block(const sparse::CsrMatrix& a,
         static_cast<nnz_t>(blk.cols.size());
   }
 
-  // ILU(0), ikj variant restricted to the existing pattern.
-  const auto row_begin = [&](index_t i) {
-    return blk.row_ptr[static_cast<std::size_t>(i)];
+  // ILU(0), ikj variant restricted to the existing pattern, with a dense
+  // position map (Saad, Iterative Methods for Sparse Linear Systems,
+  // §10.3): pos[j] is the slot of column j in row i while row i is being
+  // eliminated, -1 elsewhere. Scatter, update, clear — O(1) per update
+  // instead of a search of row i.
+  std::vector<nnz_t> pos(static_cast<std::size_t>(m), -1);
+  // The map cell of the column stored at slot kk.
+  const auto slot_of = [&](nnz_t kk) -> nnz_t& {
+    return pos[static_cast<std::size_t>(blk.cols[static_cast<std::size_t>(kk)])];
   };
-  const auto row_end = [&](index_t i) {
-    return blk.row_ptr[static_cast<std::size_t>(i) + 1];
-  };
-  const auto find_in_row = [&](index_t row, index_t col) -> nnz_t {
-    const auto* base = blk.cols.data();
-    const auto* first = base + row_begin(row);
-    const auto* last = base + row_end(row);
-    const auto* it = std::lower_bound(first, last, col);
-    if (it != last && *it == col) return static_cast<nnz_t>(it - base);
-    return -1;
-  };
-
   constexpr double kPivotFloor = 1e-12;
   for (index_t i = 0; i < m; ++i) {
-    for (nnz_t kk = row_begin(i); kk < row_end(i); ++kk) {
+    const nnz_t row_begin = blk.row_ptr[static_cast<std::size_t>(i)];
+    const nnz_t row_end = blk.row_ptr[static_cast<std::size_t>(i) + 1];
+    for (nnz_t kk = row_begin; kk < row_end; ++kk) slot_of(kk) = kk;
+    for (nnz_t kk = row_begin; kk < row_end; ++kk) {
       const index_t k = blk.cols[static_cast<std::size_t>(kk)];
       if (k >= i) break;
       // Earlier rows are fully factored with their diagonal already
@@ -100,15 +113,15 @@ BlockJacobi::Block BlockJacobi::factor_block(const sparse::CsrMatrix& a,
       blk.vals[static_cast<std::size_t>(kk)] = lik;
       // a_ij -= l_ik * u_kj for j > k present in both rows i and k.
       for (nnz_t kj = blk.diag_pos[static_cast<std::size_t>(k)] + 1;
-           kj < row_end(k); ++kj) {
-        const index_t j = blk.cols[static_cast<std::size_t>(kj)];
-        const nnz_t ij = find_in_row(i, j);
+           kj < blk.row_ptr[static_cast<std::size_t>(k) + 1]; ++kj) {
+        const nnz_t ij = slot_of(kj);
         if (ij >= 0) {
           blk.vals[static_cast<std::size_t>(ij)] -=
               lik * blk.vals[static_cast<std::size_t>(kj)];
         }
       }
     }
+    for (nnz_t kk = row_begin; kk < row_end; ++kk) slot_of(kk) = -1;
     // Row i is final: a vanishing diagonal is shifted IN STORAGE to the
     // pivot floor (later rows divide by it, apply() divides by it) and the
     // fallback is recorded so callers can see the factorization was not

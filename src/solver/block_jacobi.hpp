@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "dist/row_block.hpp"
 #include "sparse/csr.hpp"
 
 namespace drcm::solver {
@@ -26,6 +27,12 @@ class BlockJacobi {
   /// Zero pivots (possible for wildly non-dominant inputs) are replaced by
   /// a small shift to keep the sweep well-defined.
   BlockJacobi(const sparse::CsrMatrix& a, int num_blocks);
+
+  /// One block: the owned rows of a distributed row block restricted to
+  /// its own columns [a.lo, a.hi) — dist_pcg's per-rank preconditioner,
+  /// factored straight from the row-block rows. Indices of z = M^{-1} r
+  /// are LOCAL (row a.lo is index 0).
+  explicit BlockJacobi(const dist::RowBlockCsr& a);
 
   int num_blocks() const { return static_cast<int>(blocks_.size()); }
 
@@ -42,6 +49,10 @@ class BlockJacobi {
   /// matrices (the factorization is then untouched).
   int shifted_pivots() const { return shifted_pivots_; }
 
+  /// Read-only view of the factored blocks for the factor oracle test
+  /// (tests/test_dist_assembly_oracle.cpp); not part of the solver API.
+  friend struct BlockJacobiFactorAccess;
+
  private:
   struct Block {
     index_t lo = 0;  ///< first row of the block
@@ -54,7 +65,11 @@ class BlockJacobi {
     std::vector<nnz_t> diag_pos;
   };
 
-  static Block factor_block(const sparse::CsrMatrix& a, index_t lo, index_t hi,
+  /// Factors rows [lo, hi) of `rows` (anything with CsrMatrix-style
+  /// row(g) / row_values(g), columns strictly ascending) restricted to
+  /// columns [lo, hi); block row i is global row lo + i.
+  template <class Rows>
+  static Block factor_block(const Rows& rows, index_t lo, index_t hi,
                             int* shifted_pivots);
 
   std::vector<Block> blocks_;

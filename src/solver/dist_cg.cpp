@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
-#include <unordered_map>
+#include <optional>
 
 #include "solver/block_jacobi.hpp"
-#include "sparse/coo.hpp"
 
 namespace drcm::solver {
 
@@ -34,7 +32,7 @@ struct LocalSystem {
   std::vector<double> rval;
   // Halo: for each peer rank, which of my x entries it needs (send), and
   // how many entries I receive from each peer (the slots are ordered by
-  // peer rank, then by the order of my distinct remote indices per peer).
+  // peer rank, then ascending by global index within each peer).
   std::vector<std::vector<index_t>> send_local_ids;  // per peer: local ids
   index_t halo_size = 0;
 
@@ -47,53 +45,47 @@ struct LocalSystem {
   }
 };
 
-/// Builds the split system from ANY source of the owned rows: `cols_of(g)`
-/// / `vals_of(g)` return the global column ids / values of global row g for
-/// g in [lo, hi). Both the replicated-CSR and the distributed row-block
-/// overloads funnel through here, so their halo tables, column splits and
-/// slot numbering are identical by construction.
-template <class ColsOf, class ValsOf>
-LocalSystem build_local_system(mps::Comm& world, index_t n, ColsOf&& cols_of,
-                               ValsOf&& vals_of) {
+/// Builds the split system of this rank's row block. Both dist_pcg
+/// overloads funnel through here (the replicated one slices its rows into
+/// a RowBlockCsr first), so their halo tables, column splits and slot
+/// numbering are identical by construction.
+LocalSystem build_local_system(mps::Comm& world, const dist::RowBlockCsr& a) {
   const int p = world.size();
-  const int r = world.rank();
   LocalSystem sys;
-  sys.lo = row_block_lo(n, p, r);
-  sys.hi = row_block_lo(n, p, r + 1);
+  sys.lo = a.lo;
+  sys.hi = a.hi;
+  const auto is_remote = [&](index_t j) { return j < sys.lo || j >= sys.hi; };
 
-  // Distinct remote indices, grouped by owner, in ascending index order.
-  std::vector<std::vector<index_t>> need(static_cast<std::size_t>(p));
-  std::unordered_map<index_t, index_t> slot_of;
-  for (index_t i = sys.lo; i < sys.hi; ++i) {
-    for (const index_t j : cols_of(i)) {
-      if (j < sys.lo || j >= sys.hi) {
-        if (slot_of.emplace(j, -1).second) {
-          need[static_cast<std::size_t>(row_block_owner(n, p, j))].push_back(j);
-        }
-      }
-    }
+  // Distinct remote indices, sorted. Owners hold contiguous ascending
+  // ranges, so the sorted list is already grouped by owner in rank order
+  // and ascending within each group: a remote column's halo slot is its
+  // position in this list.
+  std::vector<index_t> remote;
+  for (const index_t j : a.cols) {
+    if (is_remote(j)) remote.push_back(j);
   }
-  index_t slot = 0;
-  for (auto& group : need) {
-    std::sort(group.begin(), group.end());
-    for (const index_t j : group) slot_of[j] = slot++;
-  }
-  sys.halo_size = slot;
+  std::sort(remote.begin(), remote.end());
+  remote.erase(std::unique(remote.begin(), remote.end()), remote.end());
+  sys.halo_size = static_cast<index_t>(remote.size());
+  const auto slot_of = [&](index_t j) {
+    return static_cast<index_t>(
+        std::lower_bound(remote.begin(), remote.end(), j) - remote.begin());
+  };
 
   // Split rows into local/remote halves.
-  const index_t nloc = sys.hi - sys.lo;
+  const index_t nloc = a.local_rows();
   sys.lptr.assign(static_cast<std::size_t>(nloc) + 1, 0);
   sys.rptr.assign(static_cast<std::size_t>(nloc) + 1, 0);
   for (index_t i = sys.lo; i < sys.hi; ++i) {
-    const auto cols = cols_of(i);
-    const auto vals = vals_of(i);
+    const auto cols = a.row(i);
+    const auto vals = a.row_values(i);
     for (std::size_t k = 0; k < cols.size(); ++k) {
-      if (cols[k] >= sys.lo && cols[k] < sys.hi) {
+      if (is_remote(cols[k])) {
+        sys.rslot.push_back(slot_of(cols[k]));
+        sys.rval.push_back(vals[k]);
+      } else {
         sys.lcol.push_back(cols[k] - sys.lo);
         sys.lval.push_back(vals[k]);
-      } else {
-        sys.rslot.push_back(slot_of[cols[k]]);
-        sys.rval.push_back(vals[k]);
       }
     }
     sys.lptr[static_cast<std::size_t>(i - sys.lo) + 1] =
@@ -103,7 +95,10 @@ LocalSystem build_local_system(mps::Comm& world, index_t n, ColsOf&& cols_of,
   }
 
   // Tell each owner which entries I need; receive what I must send.
-  std::vector<std::vector<index_t>> requests(need.begin(), need.end());
+  std::vector<std::vector<index_t>> requests(static_cast<std::size_t>(p));
+  for (const index_t j : remote) {
+    requests[static_cast<std::size_t>(row_block_owner(a.n, p, j))].push_back(j);
+  }
   std::vector<std::int64_t> counts;
   const auto wanted = world.alltoallv(requests, &counts);
   sys.send_local_ids.resize(static_cast<std::size_t>(p));
@@ -121,44 +116,25 @@ LocalSystem build_local_system(mps::Comm& world, index_t n, ColsOf&& cols_of,
   return sys;
 }
 
-/// Per-rank diagonal block preconditioner: my rows restricted to my
-/// columns, ILU(0)-factored (BlockJacobi with a single block). Shared by
-/// both overloads, entry order identical to the replicated build.
-template <class ColsOf, class ValsOf>
-std::unique_ptr<BlockJacobi> build_block_preconditioner(index_t lo, index_t hi,
-                                                        ColsOf&& cols_of,
-                                                        ValsOf&& vals_of) {
-  const auto nloc = hi - lo;
-  if (nloc <= 0) return nullptr;
-  sparse::CooBuilder blk(nloc);
-  for (index_t i = lo; i < hi; ++i) {
-    const auto cols = cols_of(i);
-    const auto vals = vals_of(i);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      if (cols[k] >= lo && cols[k] < hi) {
-        blk.add(i - lo, cols[k] - lo, vals[k]);
-      }
-    }
-  }
-  return std::make_unique<BlockJacobi>(blk.to_csr(true), 1);
-}
-
-/// One distributed SpMV: halo exchange + split local multiply.
+/// One distributed SpMV: halo exchange + split local multiply. `send` is
+/// the caller's per-peer staging, kept across iterations so steady-state
+/// calls reuse its capacity.
 void dist_spmv(mps::Comm& world, const LocalSystem& sys,
-               std::span<const double> x_local, std::vector<double>& halo,
-               std::span<double> y_local) {
+               std::span<const double> x_local,
+               std::vector<std::vector<double>>& send,
+               std::vector<double>& halo, std::span<double> y_local) {
   const int p = world.size();
-  std::vector<std::vector<double>> send(static_cast<std::size_t>(p));
+  send.resize(static_cast<std::size_t>(p));
   for (int peer = 0; peer < p; ++peer) {
+    auto& out = send[static_cast<std::size_t>(peer)];
+    out.clear();
     for (const index_t lid : sys.send_local_ids[static_cast<std::size_t>(peer)]) {
-      send[static_cast<std::size_t>(peer)].push_back(
-          x_local[static_cast<std::size_t>(lid)]);
+      out.push_back(x_local[static_cast<std::size_t>(lid)]);
     }
   }
-  const auto recv = world.alltoallv(send);
-  DRCM_CHECK(static_cast<index_t>(recv.size()) == sys.halo_size,
+  halo = world.alltoallv(send);
+  DRCM_CHECK(static_cast<index_t>(halo.size()) == sys.halo_size,
              "halo exchange size mismatch");
-  halo.assign(recv.begin(), recv.end());
 
   const index_t nloc = sys.hi - sys.lo;
   for (index_t i = 0; i < nloc; ++i) {
@@ -186,20 +162,57 @@ double dist_dot(mps::Comm& world, std::span<const double> a,
   return world.allreduce(local, [](double x, double y) { return x + y; });
 }
 
-/// The shared PCG iteration: local state only, one halo'd SpMV and two
-/// allreduce dots per iteration. `x_out` receives this rank's solution
-/// slab — replication, when a caller wants it, is gather_solution's job.
-CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
+/// r'r and r'z reduced together.
+struct DotPair {
+  double rr = 0.0;
+  double rz = 0.0;
+};
+
+/// Both dots of the CG recurrence in ONE two-double allreduce. Each local
+/// sum runs in the same order as a standalone dist_dot and the fold is
+/// componentwise in rank order, so both values are bit-identical to two
+/// separate reductions — at one collective instead of two.
+DotPair dist_dot_pair(mps::Comm& world, std::span<const double> r,
+                      std::span<const double> z) {
+  DotPair local;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    local.rr += r[i] * r[i];
+    local.rz += r[i] * z[i];
+  }
+  world.charge_compute(static_cast<double>(2 * r.size()));
+  return world.allreduce(local, [](const DotPair& x, const DotPair& y) {
+    return DotPair{x.rr + y.rr, x.rz + y.rz};
+  });
+}
+
+/// The shared PCG iteration: local state only. Each iteration is one
+/// halo'd SpMV and two allreduces — p'Ap, then r'r and r'z together, the
+/// r'r being the NEXT iteration's residual norm. `x_out` receives this
+/// rank's solution slab — replication, when a caller wants it, is
+/// gather_solution's job.
+CgResult run_pcg(mps::Comm& world, const LocalSystem& sys,
                  const BlockJacobi* pre, std::span<const double> b_local,
                  std::vector<double>& x_out, const CgOptions& options) {
-  (void)n;
   const auto nloc = static_cast<std::size_t>(sys.hi - sys.lo);
   DRCM_CHECK(b_local.size() == nloc, "rhs block size mismatch");
 
   std::vector<double> x_local(nloc, 0.0), r(nloc), z(nloc), pdir(nloc),
       ap(nloc), halo;
+  std::vector<std::vector<double>> halo_send;
   for (std::size_t i = 0; i < nloc; ++i) r[i] = b_local[i];
-  const double bnorm = std::sqrt(dist_dot(world, r, r));
+
+  const auto apply_pre = [&](std::span<const double> in, std::span<double> out) {
+    if (pre) {
+      pre->apply(in, out);
+      world.charge_compute(static_cast<double>(2 * nloc));
+    } else {
+      std::copy(in.begin(), in.end(), out.begin());
+    }
+  };
+
+  apply_pre(r, z);
+  auto [rr, rz] = dist_dot_pair(world, r, z);
+  const double bnorm = std::sqrt(rr);
 
   CgResult res;
   if (pre) res.shifted_pivots = pre->shifted_pivots();
@@ -217,19 +230,7 @@ CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
     x_out = std::move(x_local);
     return res;
   }
-
-  const auto apply_pre = [&](std::span<const double> in, std::span<double> out) {
-    if (pre) {
-      pre->apply(in, out);
-      world.charge_compute(static_cast<double>(2 * nloc));
-    } else {
-      std::copy(in.begin(), in.end(), out.begin());
-    }
-  };
-
-  apply_pre(r, z);
   pdir.assign(z.begin(), z.end());
-  double rz = dist_dot(world, r, z);
 
   // Every exit decision below is driven by allreduce-replicated scalars
   // (residual norm, p'Ap, r'z), so all ranks branch identically and the
@@ -239,7 +240,7 @@ CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
   int since_improvement = 0;
   bool done = false;
   for (int it = 0; it < options.max_iterations && !done; ++it) {
-    res.relative_residual = std::sqrt(dist_dot(world, r, r)) / bnorm;
+    res.relative_residual = std::sqrt(rr) / bnorm;
     if (!std::isfinite(res.relative_residual)) {
       res.status = SolveStatus::kNanInf;
       done = true;
@@ -261,7 +262,7 @@ CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
         break;
       }
     }
-    dist_spmv(world, sys, pdir, halo, ap);
+    dist_spmv(world, sys, pdir, halo_send, halo, ap);
     const double pap = dist_dot(world, pdir, ap);
     if (!std::isfinite(pap)) {
       res.status = SolveStatus::kNanInf;
@@ -280,20 +281,21 @@ CgResult run_pcg(mps::Comm& world, index_t n, const LocalSystem& sys,
     }
     world.charge_compute(static_cast<double>(2 * nloc));
     apply_pre(r, z);
-    const double rz_next = dist_dot(world, r, z);
-    if (!std::isfinite(rz_next)) {
+    const DotPair next = dist_dot_pair(world, r, z);
+    if (!std::isfinite(next.rz)) {
       res.status = SolveStatus::kNanInf;
       done = true;
       break;
     }
-    const double beta = rz_next / rz;
+    const double beta = next.rz / rz;
     for (std::size_t i = 0; i < nloc; ++i) pdir[i] = z[i] + beta * pdir[i];
     world.charge_compute(static_cast<double>(nloc));
-    rz = rz_next;
+    rr = next.rr;
+    rz = next.rz;
     res.iterations = it + 1;
   }
   if (!done) {
-    res.relative_residual = std::sqrt(dist_dot(world, r, r)) / bnorm;
+    res.relative_residual = std::sqrt(rr) / bnorm;
     res.converged = res.relative_residual <= options.rtol;
     res.status = res.converged ? SolveStatus::kConverged
                                : SolveStatus::kMaxIterations;
@@ -323,31 +325,42 @@ CgResult dist_pcg(mps::Comm& world, const CsrMatrix& a,
   DRCM_CHECK(b.size() == static_cast<std::size_t>(a.n()), "rhs size mismatch");
   mps::PhaseScope scope(world, mps::Phase::kSolver);
 
-  const auto cols_of = [&](index_t i) { return a.row(i); };
-  const auto vals_of = [&](index_t i) { return a.row_values(i); };
-  const auto sys = build_local_system(world, a.n(), cols_of, vals_of);
-  std::unique_ptr<BlockJacobi> pre;
-  if (precondition) {
-    pre = build_block_preconditioner(sys.lo, sys.hi, cols_of, vals_of);
+  // Slice my rows out of the replicated matrix, then solve exactly as the
+  // distributed overload does.
+  dist::RowBlockCsr block;
+  block.n = a.n();
+  block.lo = row_block_lo(a.n(), world.size(), world.rank());
+  block.hi = row_block_lo(a.n(), world.size(), world.rank() + 1);
+  block.row_ptr.push_back(0);
+  for (index_t i = block.lo; i < block.hi; ++i) {
+    const auto cols = a.row(i);
+    const auto vals = a.row_values(i);
+    block.cols.insert(block.cols.end(), cols.begin(), cols.end());
+    block.vals.insert(block.vals.end(), vals.begin(), vals.end());
+    block.row_ptr.push_back(static_cast<nnz_t>(block.cols.size()));
   }
+  const auto sys = build_local_system(world, block);
+  std::optional<BlockJacobi> pre;
+  if (precondition) pre.emplace(block);
   // The replicated path's ledger entry: every rank holds the FULL matrix
-  // (row_ptr + cols + values) plus the replicated rhs next to its local
-  // system — the O(nnz) footprint the distributed overload eliminates.
-  world.note_resident(static_cast<std::uint64_t>(a.n() + 1) +
-                      2 * static_cast<std::uint64_t>(a.nnz()) + b.size() +
-                      sys.resident_elements());
+  // (row_ptr + cols + values) plus the replicated rhs next to its row
+  // slice and local system — the O(nnz) footprint the distributed
+  // overload eliminates.
+  const std::uint64_t held = static_cast<std::uint64_t>(a.n() + 1) +
+                             2 * static_cast<std::uint64_t>(a.nnz()) +
+                             b.size() + block.resident_elements() +
+                             sys.resident_elements();
+  world.note_resident(held);
   const auto b_local =
       b.subspan(static_cast<std::size_t>(sys.lo),
                 static_cast<std::size_t>(sys.hi - sys.lo));
   std::vector<double> x_local;
-  const auto res = run_pcg(world, a.n(), sys, pre.get(), b_local, x_local,
-                           options);
+  const auto res = run_pcg(world, sys, pre ? &*pre : nullptr, b_local,
+                           x_local, options);
   // This overload's contract stays replicated; the extra O(n) copy is now
   // explicit AND charged (it used to ride the ledger for free).
   x = gather_solution(world, x_local, a.n());
-  world.note_resident(static_cast<std::uint64_t>(a.n() + 1) +
-                      2 * static_cast<std::uint64_t>(a.nnz()) + b.size() +
-                      sys.resident_elements() + x.size());
+  world.note_resident(held + x.size());
   return res;
 }
 
@@ -360,20 +373,17 @@ CgResult dist_pcg(mps::Comm& world, const dist::RowBlockCsr& a,
              "row block does not match this world's 1D slicing");
   mps::PhaseScope scope(world, mps::Phase::kSolver);
 
-  const auto cols_of = [&](index_t i) { return a.row(i); };
-  const auto vals_of = [&](index_t i) { return a.row_values(i); };
-  const auto sys = build_local_system(world, a.n, cols_of, vals_of);
-  std::unique_ptr<BlockJacobi> pre;
-  if (precondition) {
-    pre = build_block_preconditioner(sys.lo, sys.hi, cols_of, vals_of);
-  }
+  const auto sys = build_local_system(world, a);
+  std::optional<BlockJacobi> pre;
+  if (precondition) pre.emplace(a);
   // Rank-local footprint only: my row block, my split system, my rhs slab
   // and my solution slab — O(nnz/p + n/p), never the full CSR and no
   // replicated solution (that O(n) tail is gather_solution, opt-in).
   world.note_resident(a.resident_elements() + sys.resident_elements() +
                       b_local.size() +
                       static_cast<std::uint64_t>(a.local_rows()));
-  return run_pcg(world, a.n, sys, pre.get(), b_local, x_local, options);
+  return run_pcg(world, sys, pre ? &*pre : nullptr, b_local, x_local,
+                 options);
 }
 
 DistCgRun run_dist_pcg(int nranks, const sparse::CsrMatrix& a,

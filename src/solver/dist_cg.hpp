@@ -6,11 +6,15 @@
 //   * a halo exchange (alltoallv of exactly the x-entries each rank's
 //     off-block columns reference — the communication volume RCM shrinks),
 //   * a local SpMV over the split local/remote column structure,
-//   * two allreduce dot products,
+//   * two allreduces: p'Ap, then r'r and r'z as ONE two-double reduction
+//     (the r'r is the next iteration's residual norm, so the convergence
+//     test costs no collective),
 //   * optionally a block Jacobi preconditioner sweep: each rank ILU(0)-
 //     factors its own diagonal block (PETSc's default sub-preconditioner),
 //     which is exactly one block per process — the preconditioner whose
 //     quality depends on the ordering.
+// That is 6 barrier crossings per iteration (2 per collective), plus 4 of
+// setup: the halo-analysis alltoallv and the first r'r / r'z pair.
 //
 // All costs are charged to Phase::kSolver, so a run yields measured wall
 // time plus modeled alpha-beta time per rank.
@@ -39,7 +43,8 @@ CgResult dist_pcg(mps::Comm& world, const sparse::CsrMatrix& a,
 /// analysis, the local/remote column split and the block-Jacobi ILU(0)
 /// factorization are all built from rank-local data — no replicated CSR
 /// exists anywhere. Iterations are bit-identical to the replicated overload
-/// on the same matrix (same blocks, same halo, same fold order).
+/// on the same matrix (that overload slices its rows into a RowBlockCsr and
+/// runs this code).
 /// `x_local` receives ONLY this rank's solution slab for rows [a.lo, a.hi)
 /// — the solve itself never replicates anything; callers that want the
 /// O(n) replicated vector opt in explicitly via gather_solution.

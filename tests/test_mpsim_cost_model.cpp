@@ -4,7 +4,7 @@
 // primitives), 1 for the empty call that ends a BFS, and 5 per whole
 // ordering level (vs 6 for the standalone SORTPERM alone) — and the trace
 // model's analytic crossing prediction, speculative sweeps included,
-// against a real p=4 run's ledger.
+// against a real p=4 run's ledger — and 6 crossings per CG iteration.
 #include "mpsim/cost_model.hpp"
 
 #include <gtest/gtest.h>
@@ -347,6 +347,31 @@ TEST(CrossingLedger, OrderedSolvePerformsExactlyOneMatrixRedistribution) {
   EXPECT_EQ(run.report.aggregate(Phase::kRedistribute).max.barrier_crossings,
             6u)
       << "one-shot: matrix alltoallv + bandwidth allreduce + rhs alltoallv";
+}
+
+TEST(CrossingLedger, DistPcgIsSixCrossingsPerIteration) {
+  // The solver's synchrony budget as a closed form in the iteration count
+  // K: the halo-setup alltoallv (2) and the setup r'r / r'z pair (2), then
+  // per iteration one halo alltoallv (2), the p'Ap allreduce (2) and the
+  // next r'r folded into the r'z allreduce (2). The residual test reads
+  // the carried r'r, so convergence costs no extra collective: 4 + 6K.
+  // The fold must not move the iterate: the iteration counts are pinned
+  // too.
+  const auto a = sparse::gen::with_laplacian_values(
+      sparse::gen::relabel_random(sparse::gen::grid2d(10, 10), 3), 0.02);
+  std::vector<double> b(static_cast<std::size_t>(a.n()));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + static_cast<double>(i % 7);
+  }
+  for (const auto& [p, iterations] : {std::pair{1, 19}, std::pair{4, 31}}) {
+    const auto run = rcm::run_ordered_solve(p, a, b);
+    ASSERT_TRUE(run.result.cg.converged) << "p=" << p;
+    const int k = run.result.cg.iterations;
+    EXPECT_EQ(k, iterations) << "p=" << p;
+    EXPECT_EQ(run.report.aggregate(Phase::kSolver).max.barrier_crossings,
+              static_cast<std::uint64_t>(4 + 6 * k))
+        << "p=" << p << ": 6 crossings per CG iteration plus 4 of setup";
+  }
 }
 
 TEST(CrossingLedger, StandaloneSortpermCarriesThePackedHistogram) {
