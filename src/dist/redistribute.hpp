@@ -4,7 +4,9 @@
 //
 // Every entry knows its destination arithmetically (the 1D row-block map of
 // its NEW index), so one alltoallv moves everything straight to its solver
-// owner and a local rebuild restores the invariants.
+// owner and a local rebuild restores the invariants. Labels come in one
+// form, the replicated vector rcm::dist_order returns (labels[v] = new
+// index of v); each rank reads only the entries of its own chunks.
 #pragma once
 
 #include <vector>
@@ -41,19 +43,6 @@ OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
                                             const std::vector<index_t>& labels,
                                             ProcGrid2D& grid);
 
-/// Sharded-label one-shot: same contract as above, but `labels` is the
-/// O(n/p)-per-rank distributed label vector (new-index-of, original
-/// numbering) instead of a replicated copy — the last O(n) replicated
-/// structure gone. The relabel becomes a two-sided lookup: each rank first
-/// receives the label windows its matrix chunks need (row window [chunk
-/// row], column window [chunk col], both O(n/q)) through ONE extra
-/// arithmetically-routed alltoallv, then streams exactly as the replicated
-/// path. Produces a bit-identical OneShotRowBlocks. Collective on the
-/// grid's world; 6 barrier crossings where the replicated path pays 4.
-OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
-                                            const DistDenseVec& labels,
-                                            ProcGrid2D& grid);
-
 /// One-shot vector arm: routes each owned element g of the 2D-distributed
 /// vector to the 1D row-block owner of labels[g] in one alltoallv and
 /// returns this rank's solver slab (slab[labels[g] - lo] = v[g] for
@@ -64,15 +53,6 @@ OneShotRowBlocks redistribute_to_row_blocks(const sparse::CsrMatrix& a,
 /// shape run the exchange without reallocating.
 std::vector<double> redistribute_to_row_slab(const DistDenseVecD& v,
                                              const std::vector<index_t>& labels,
-                                             mps::Comm& world,
-                                             DistWorkspace* ws = nullptr);
-
-/// Sharded-label vector arm: `labels` shares the vector's distribution, so
-/// the lookup labels[g] is a purely LOCAL slab read — no extra collective;
-/// the sharded rhs path costs the same single alltoallv as the replicated
-/// one. Bit-identical slab. Collective on `world`.
-std::vector<double> redistribute_to_row_slab(const DistDenseVecD& v,
-                                             const DistDenseVec& labels,
                                              mps::Comm& world,
                                              DistWorkspace* ws = nullptr);
 

@@ -46,33 +46,24 @@ OrderingAlgorithm resolve_algorithm(mps::Comm& world,
   return select_ordering(a).algorithm;
 }
 
-/// Derives the load-balancing relabel (shared-seed, equivalent to
-/// broadcasting it; charged as such) and repoints `work` at the relabeled
-/// matrix. `balance` stays empty when no relabel applies.
-void balance_input(mps::Comm& world, const sparse::CsrMatrix& a,
-                   const DistRcmOptions& options, std::vector<index_t>& balance,
-                   sparse::CsrMatrix& relabeled,
-                   const sparse::CsrMatrix*& work) {
-  work = &a;
-  if (options.load_balance && a.n() > 0) {
-    mps::PhaseScope scope(world, mps::Phase::kOther);
-    balance = sparse::random_permutation(a.n(), options.seed);
-    relabeled = sparse::permute_symmetric(a, balance);
-    work = &relabeled;
-    world.charge_compute(static_cast<double>(a.nnz() + a.n()));
+/// Turns the CM labels of an n-vertex ordering into RCM labels in place
+/// (RCM = reversed CM), still distributed. Local; charged to kOrderingOther.
+void reverse_labels(mps::Comm& world, dist::DistDenseVec& labels, index_t n) {
+  mps::PhaseScope scope(world, mps::Phase::kOrderingOther);
+  for (index_t g = labels.lo(); g < labels.hi(); ++g) {
+    labels.set(g, n - 1 - labels.get(g));
   }
+  world.charge_compute(static_cast<double>(labels.local_size()));
 }
 
 /// The distributed ordering proper: decompose `work` onto `grid`, run the
 /// per-component peripheral search + CM labeling, reverse. Returns the
-/// SHARDED label vector in the WORK numbering — O(n/p) per rank, never
-/// replicated here; the callers decide whether to gather (dist_order) or
-/// keep it distributed (dist_rcm_sharded).
+/// distributed label vector in the WORK numbering; dist_order gathers it.
 dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
                                    const sparse::CsrMatrix& work,
                                    const DistRcmOptions& options,
                                    DistRcmStats* stats,
-                                   OrderingRecipe* recipe = nullptr) {
+                                   OrderingRecipe* recipe) {
   const index_t n = work.n();
   dist::DistSpMat mat(grid, work);
   dist::DistDenseVec degrees = mat.degrees(grid);
@@ -106,15 +97,7 @@ dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     }
   }
 
-  // Reverse in place (RCM = reversed CM), still sharded.
-  {
-    mps::PhaseScope scope(world, mps::Phase::kOrderingOther);
-    for (index_t g = labels.lo(); g < labels.hi(); ++g) {
-      labels.set(g, n - 1 - labels.get(g));
-    }
-    world.charge_compute(static_cast<double>(labels.local_size()));
-  }
-
+  reverse_labels(world, labels, n);
   if (stats) *stats = local_stats;
   return labels;
 }
@@ -209,6 +192,10 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
                                 DistRcmStats* stats, OrderingRecipe* recipe) {
   DRCM_CHECK(!a.has_self_loops(),
              "dist_order expects an adjacency pattern (strip_diagonal first)");
+  DRCM_CHECK(recipe == nullptr || !options.load_balance,
+             "ordering recipes are captured without load balancing only "
+             "(the recipe would be in the balanced numbering, the labels in "
+             "the original one)");
   const index_t n = a.n();
 
   DistRcmOptions resolved = options;
@@ -218,10 +205,18 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
              "ordering recipes are captured on the kRcm arm only "
              "(Sloan/GPS orderings are not repair-eligible in v1)");
 
+  // The load-balancing relabel: shared-seed, equivalent to broadcasting
+  // it, and charged as such. `balance` stays empty when none applies.
   std::vector<index_t> balance;
-  const sparse::CsrMatrix* work = nullptr;
   sparse::CsrMatrix relabeled;
-  balance_input(world, a, resolved, balance, relabeled, work);
+  const sparse::CsrMatrix* work = &a;
+  if (options.load_balance && n > 0) {
+    mps::PhaseScope scope(world, mps::Phase::kOther);
+    balance = sparse::random_permutation(n, options.seed);
+    relabeled = sparse::permute_symmetric(a, balance);
+    work = &relabeled;
+    world.charge_compute(static_cast<double>(a.nnz() + a.n()));
+  }
 
   DistRcmStats local_stats;
   std::vector<index_t> global;
@@ -255,60 +250,6 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
 
   if (stats) *stats = local_stats;
   return global;
-}
-
-dist::DistDenseVec dist_rcm_sharded(mps::Comm& world, dist::ProcGrid2D& grid,
-                                    const sparse::CsrMatrix& a,
-                                    const DistRcmOptions& options,
-                                    DistRcmStats* stats) {
-  DRCM_CHECK(!a.has_self_loops(),
-             "dist_rcm_sharded expects an adjacency pattern (strip_diagonal "
-             "first)");
-  const index_t n = a.n();
-  DistRcmOptions resolved = options;
-  resolved.ordering.algorithm = resolve_algorithm(world, a, options);
-  DRCM_CHECK(resolved.ordering.algorithm == OrderingAlgorithm::kRcm,
-             "dist_rcm_sharded is RCM-only in v1: the Sloan and GPS arms "
-             "return replicated labels through dist_order");
-
-  std::vector<index_t> balance;
-  const sparse::CsrMatrix* work = nullptr;
-  sparse::CsrMatrix relabeled;
-  balance_input(world, a, resolved, balance, relabeled, work);
-
-  dist::DistDenseVec labels =
-      dist_rcm_levels(world, grid, *work, resolved, stats);
-  if (balance.empty()) return labels;
-
-  // Map back through the load-balancing permutation WITHOUT replicating:
-  // original vertex v's label lives on the owner of its alias balance[v],
-  // and v's shard owner is arithmetic, so ONE alltoallv re-owns the whole
-  // vector. (`balance` itself is a shared-seed pre-distribution fixture,
-  // like the replicated input matrix — the ledger tracks pipeline state,
-  // and the sharded result keeps that state O(n/p).)
-  mps::PhaseScope scope(world, mps::Phase::kOther);
-  const auto vdist = labels.dist();
-  std::vector<std::vector<dist::VecEntry>> send(
-      static_cast<std::size_t>(world.size()));
-  for (index_t v = 0; v < n; ++v) {
-    const index_t u = balance[static_cast<std::size_t>(v)];
-    if (!labels.owns(u)) continue;
-    send[static_cast<std::size_t>(vdist.owner_rank(v))].push_back(
-        dist::VecEntry{v, labels.get(u)});
-  }
-  const auto recv = world.alltoallv(send);
-  dist::DistDenseVec out(vdist, grid, kNoVertex);
-  DRCM_CHECK(recv.size() == static_cast<std::size_t>(out.local_size()),
-             "relabel re-owning must deliver every element exactly once");
-  for (const auto& e : recv) {
-    // Receive-path range check (always on): set() indexes the owned slab.
-    DRCM_CHECK(out.owns(e.idx), "received label outside the owned range");
-    out.set(e.idx, e.val);
-  }
-  world.charge_compute(static_cast<double>(n) +
-                       static_cast<double>(recv.size()));
-  world.note_resident(6 * static_cast<std::uint64_t>(out.local_size()));
-  return out;
 }
 
 RepairPlan plan_repair(const OrderingRecipe& recipe,
@@ -597,15 +538,9 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
   }
   DRCM_CHECK(next_label == n, "repair must label every vertex");
 
-  // Reverse in place (RCM = reversed CM), then replicate — the same tail
-  // as the cold path, charged to the same phases.
-  {
-    mps::PhaseScope scope(world, mps::Phase::kOrderingOther);
-    for (index_t g = labels.lo(); g < labels.hi(); ++g) {
-      labels.set(g, n - 1 - labels.get(g));
-    }
-    world.charge_compute(static_cast<double>(labels.local_size()));
-  }
+  // Reverse, then replicate — the same tail as the cold path, charged to
+  // the same phases.
+  reverse_labels(world, labels, n);
   {
     mps::PhaseScope scope(world, mps::Phase::kOrderingOther);
     out.labels = labels.to_global(world);
@@ -635,45 +570,37 @@ namespace {
 /// slabs and the halo (O(n/p) each). The constants are deliberately loose
 /// — 2D block skew before the load-balancing relabel, halo width — but the
 /// formula contains NO O(n) or O(nnz/q) term: that absence is the contract
-/// this budget enforces. (The replicated pre-distribution fixtures — and,
-/// on this replicated-label path, the labels — live OUTSIDE the ledger;
-/// DistRcmOptions::sharded_labels moves the labels inside it too, under
-/// the slightly wider sharded budget below.)
-std::uint64_t resident_budget_one_shot(nnz_t nnz, int p, index_t n) {
+/// this budget enforces. (The replicated pre-distribution fixtures and the
+/// replicated labels live OUTSIDE the ledger.)
+std::uint64_t resident_budget(nnz_t nnz, int p, index_t n) {
   return 24 * static_cast<std::uint64_t>(nnz) / static_cast<std::uint64_t>(p) +
          48 * static_cast<std::uint64_t>(n) / static_cast<std::uint64_t>(p) +
          4096;
 }
 
-/// Budget of the sharded-label pipeline: the one-shot budget plus the
-/// O(n/q) label windows (and their in-flight exchange doubles) the
-/// two-sided relabel lookup holds during redistribution. Still no O(n)
-/// term anywhere — with the labels sharded, the ledger now covers the
-/// WHOLE pipeline state, replicated labels included.
-std::uint64_t resident_budget_sharded(nnz_t nnz, int p, int q, index_t n) {
-  return resident_budget_one_shot(nnz, p, n) +
-         16 * static_cast<std::uint64_t>(n) / static_cast<std::uint64_t>(q);
-}
-
-std::uint64_t resident_budget(const DistRcmOptions& options, nnz_t nnz, int p,
-                              int q, index_t n) {
-  return options.sharded_labels ? resident_budget_sharded(nnz, p, q, n)
-                                : resident_budget_one_shot(nnz, p, n);
+/// The spec checks ordered_solve and the recoverable runner share. A matrix
+/// with zero stored entries is vacuously valued: the degenerate n = 0 input
+/// must flow through, not trip the precondition meant for pattern-only
+/// matrices. Local.
+void check_solve_spec(const OrderedSolveSpec& spec) {
+  DRCM_CHECK(spec.matrix != nullptr, "ordered_solve needs a matrix");
+  DRCM_CHECK(spec.matrix->has_values() || spec.matrix->nnz() == 0,
+             "ordered_solve needs a solver matrix with values");
+  DRCM_CHECK(spec.b.size() == static_cast<std::size_t>(spec.matrix->n()),
+             "rhs size mismatch");
 }
 
 /// Stage 2 of the pipeline: route every relabeled entry of this rank's
 /// balanced-2D block straight to its 1D solver owner in one alltoallv.
-/// Collective; `labels` is the stage-1 output, replicated or sharded. The
-/// grid is built by the CALLER, outside the phase scope below: its two
-/// Comm::split calls are collectives of their own, and keeping them out
-/// pins the kRedistribute crossing count to exactly the redistribution
-/// traffic (alltoallv + bandwidth allreduce = 4 crossings, plus the label
-/// window alltoallv on the sharded arm).
-template <class Labels>
+/// Collective; `labels` is the stage-1 output. The grid is built by the
+/// CALLER, outside the phase scope below: its two Comm::split calls are
+/// collectives of their own, and keeping them out pins the kRedistribute
+/// crossing count to exactly the redistribution traffic (alltoallv +
+/// bandwidth allreduce = 4 crossings).
 dist::OneShotRowBlocks redistribute_stage(mps::Comm& world,
                                           dist::ProcGrid2D& grid,
                                           const sparse::CsrMatrix& a,
-                                          const Labels& labels) {
+                                          const std::vector<index_t>& labels) {
   mps::PhaseScope scope(world, mps::Phase::kRedistribute);
   return dist::redistribute_to_row_blocks(a, labels, grid);
 }
@@ -691,10 +618,10 @@ struct SolveOut {
 /// Collective; `block` is the checkpointed stage-2 row block of this rank,
 /// `grid` the caller's (its workspace stages the rhs exchange, so repeat
 /// solves on a persistent grid reallocate nothing), `labels` the stage-1
-/// output, replicated or sharded.
-template <class Labels>
+/// output.
 SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
-                     const dist::RowBlockCsr& block, const Labels& labels,
+                     const dist::RowBlockCsr& block,
+                     const std::vector<index_t>& labels,
                      std::span<const double> b, bool precondition,
                      const solver::CgOptions& cg_options) {
   std::vector<double> b_local;
@@ -720,15 +647,15 @@ SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
   return out;
 }
 
-/// Stages 2 and 3 of ordered_solve under the stage-1 `labels` (replicated
-/// or sharded), then the scalability contract, O(nnz/p + n/p) end to end:
+/// Stages 2 and 3 of ordered_solve under the stage-1 `labels`, then the
+/// scalability contract, O(nnz/p + n/p) end to end:
 /// the one-shot redistribution streams the balanced-2D block straight into
 /// row blocks (no Θ(nnz/q) permuted-2D intermediate), the rhs moves as
 /// O(n/p) slabs, and the solution stays a slab — no O(n) replicated vector
 /// exists at ANY stage inside the ranks. Collective.
-template <class Labels>
 void redistribute_and_solve(dist::ProcGrid2D& grid,
-                            const OrderedSolveSpec& spec, const Labels& labels,
+                            const OrderedSolveSpec& spec,
+                            const std::vector<index_t>& labels,
                             OrderedSolveResult& out) {
   auto& world = grid.world();
   const sparse::CsrMatrix& a = *spec.matrix;
@@ -741,8 +668,7 @@ void redistribute_and_solve(dist::ProcGrid2D& grid,
   out.x_lo = redist.block.lo;
 
   const auto peak = world.stats().peak_resident_elements();
-  DRCM_CHECK(peak <= resident_budget(spec.rcm, a.nnz(), world.size(),
-                                     grid.q(), a.n()),
+  DRCM_CHECK(peak <= resident_budget(a.nnz(), world.size(), a.n()),
              "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
 }
 
@@ -772,64 +698,32 @@ std::vector<double> assemble_solution(
 
 OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
                                  const OrderedSolveSpec& spec) {
-  DRCM_CHECK(spec.matrix != nullptr, "ordered_solve needs a matrix");
+  check_solve_spec(spec);
   const sparse::CsrMatrix& a = *spec.matrix;
-  // A matrix with zero stored entries is vacuously valued: the degenerate
-  // n = 0 input must flow through, not trip the precondition meant for
-  // pattern-only matrices.
-  DRCM_CHECK(a.has_values() || a.nnz() == 0,
-             "ordered_solve needs a solver matrix with values");
-  DRCM_CHECK(spec.b.size() == static_cast<std::size_t>(a.n()),
-             "rhs size mismatch");
-  const index_t n = a.n();
-  auto& world = grid.world();
-  const DistRcmOptions& rcm_options = spec.rcm;
-
   OrderedSolveResult out;
-
   if (spec.labels != nullptr) {
     // The ordering-cache HIT path: stage 1 skipped, redistribution runs
     // under the KNOWN labels. The skipped ordering phases only make the
     // per-rank contract easier to meet. `out.labels` stays EMPTY — the
     // caller already holds the labels (that is why it could skip stage 1),
     // and the no-gather body has no business replicating them again.
-    const std::string bad = permutation_error(*spec.labels, n);
+    const std::string bad = permutation_error(*spec.labels, a.n());
     DRCM_CHECK(bad.empty(), "ordered_solve known labels: " + bad);
-    DRCM_CHECK(!rcm_options.sharded_labels,
-               "the hit path takes replicated labels");
     redistribute_and_solve(grid, spec, *spec.labels, out);
-  } else if (rcm_options.sharded_labels) {
-    // Fully sharded arm: the label vector never exists replicated inside
-    // the pipeline — ordering returns an O(n/p) slab, redistribution does
-    // the two-sided window lookup, the rhs relabel is a local slab read.
-    // dist_rcm_sharded rejects a request that does not resolve to kRcm.
-    DRCM_CHECK(spec.recipe == nullptr,
-               "recipe capture requires the replicated-label arm");
-    const dist::DistDenseVec labels =
-        spec.adjacency
-            ? dist_rcm_sharded(world, grid, *spec.adjacency, rcm_options)
-            : dist_rcm_sharded(world, grid, a.strip_diagonal(), rcm_options);
-    redistribute_and_solve(grid, spec, labels, out);
-
-    // Result packaging for the caller's checkpoint/cache, AFTER the
-    // contract was asserted (exactly like the run_* wrappers' replicated
-    // x): with labels sharded, no O(n) structure existed at any point of
-    // the pipeline.
-    mps::PhaseScope scope(world, mps::Phase::kOther);
-    out.labels = labels.to_global(world);
-  } else {
-    // The ordering runs on the self-loop-free adjacency pattern. Callers
-    // that know it (run_ordered_solve strips once outside the ranks) pass
-    // it in; otherwise each rank strips its own transient copy. dist_order
-    // dispatches on spec.rcm.ordering — the whole portfolio flows through
-    // the one pipeline.
-    out.labels = spec.adjacency
-                     ? dist_order(world, *spec.adjacency, rcm_options,
-                                  nullptr, spec.recipe)
-                     : dist_order(world, a.strip_diagonal(), rcm_options,
-                                  nullptr, spec.recipe);
-    redistribute_and_solve(grid, spec, out.labels, out);
+    return out;
   }
+  // The ordering runs on the self-loop-free adjacency pattern. Callers
+  // that know it (run_ordered_solve strips once outside the ranks) pass it
+  // in; otherwise each rank strips its own transient copy. dist_order
+  // dispatches on spec.rcm.ordering — the whole portfolio flows through
+  // the one pipeline.
+  auto& world = grid.world();
+  out.labels = spec.adjacency
+                   ? dist_order(world, *spec.adjacency, spec.rcm, nullptr,
+                                spec.recipe)
+                   : dist_order(world, a.strip_diagonal(), spec.rcm, nullptr,
+                                spec.recipe);
+  redistribute_and_solve(grid, spec, out.labels, out);
   return out;
 }
 
@@ -871,15 +765,12 @@ OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
 
 OrderedSolveRecoverableRun run_ordered_solve_recoverable(
     int nranks, const OrderedSolveSpec& spec, const RecoveryOptions& recovery) {
-  DRCM_CHECK(spec.matrix != nullptr, "ordered_solve needs a matrix");
+  check_solve_spec(spec);
   const sparse::CsrMatrix& a = *spec.matrix;
   const std::span<const double> b = spec.b;
   const bool precondition = spec.precondition;
   const DistRcmOptions& rcm_options = spec.rcm;
   const solver::CgOptions& cg_options = spec.cg;
-  DRCM_CHECK(a.has_values() || a.nnz() == 0,
-             "ordered_solve needs a solver matrix with values");
-  DRCM_CHECK(b.size() == static_cast<std::size_t>(a.n()), "rhs size mismatch");
   DRCM_CHECK(recovery.max_attempts >= 1, "need at least one attempt");
   DRCM_CHECK(spec.labels == nullptr,
              "the recoverable runner orders from scratch: known labels go "
@@ -889,7 +780,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
   const index_t n = a.n();
   const int q = static_cast<int>(std::lround(std::sqrt(nranks)));
   DRCM_CHECK(q * q == nranks, "world size must be a perfect square");
-  const std::uint64_t budget = resident_budget(rcm_options, a.nnz(), nranks, q, n);
+  const std::uint64_t budget = resident_budget(a.nnz(), nranks, n);
   const int threads = resolve_threads(rcm_options.threads);
   // The adjacency is stripped once outside the ranks when the caller did not
   // supply it.

@@ -15,6 +15,11 @@
 //   5. composition back through the load-balancing permutation, so callers
 //      always receive labels of the ORIGINAL matrix.
 //
+// Labels leave the ordering in one form: the replicated vector dist_order
+// returns. The pipeline (ordered_solve) redistributes under it once, as
+// the paper permutes the matrix in place with the labels computed on the
+// 2D grid.
+//
 // Determinism: for fixed options the result is bit-identical to
 // order::rcm_serial on every grid size; with load balancing enabled it is
 // bit-identical to rcm_serial applied to the relabeled matrix, mapped back.
@@ -43,15 +48,6 @@ struct DistRcmOptions {
   bool load_balance = false;
   /// Seed of the load-balancing permutation.
   u64 seed = 0x5eed;
-  /// Keep the label vector sharded O(n/p) per rank through the WHOLE
-  /// pipeline (ordered_solve only): ordering returns a distributed
-  /// slab, redistribution resolves labels through a two-sided window
-  /// lookup (one extra O(n/q) alltoallv), and the rhs relabel becomes a
-  /// local read. Removes the last replicated O(n) structure from the
-  /// ranks — the resident ledger then covers the complete pipeline state.
-  /// Bit-identical results. dist_order and the run_* launchers ignore it
-  /// (their contract is a replicated label vector).
-  bool sharded_labels = false;
   /// OpenMP threads per rank of the hybrid configuration (paper Fig. 6:
   /// one communicating thread per process, the others splitting the local
   /// SpMSpV). 0 resolves through the DRCM_THREADS environment variable,
@@ -225,28 +221,15 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
 /// ranks. Returns the replicated label vector (labels[v] = new index of v
 /// in the ORIGINAL numbering). `recipe`, when non-null, receives the
 /// per-component level structure — captured on the kRcm arm only (Sloan
-/// and GPS orderings are not repair-eligible in v1; the recipe stays
-/// empty, and the serving layer declines repairs against them). `stats`,
-/// when non-null, records the resolved algorithm. Collective.
+/// and GPS orderings are not repair-eligible in v1) and only without load
+/// balancing (the recipe would be in the balanced numbering while the
+/// labels are in the original one); either mismatch is a CheckError,
+/// raised before any collective. `stats`, when non-null, records the
+/// resolved algorithm. Collective.
 std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
                                 const DistRcmOptions& options = {},
                                 DistRcmStats* stats = nullptr,
                                 OrderingRecipe* recipe = nullptr);
-
-/// SPMD body, sharded output: the same RCM ordering, but the result stays an
-/// O(n/p)-per-rank distributed label vector in the ORIGINAL numbering —
-/// labels.get(v) = new index of v for owned v — and no rank ever holds a
-/// replicated copy. With load balancing the map-back through the balance
-/// permutation happens via one alltoallv re-owning instead of a
-/// replicated scan. labels.to_global(world) of the result equals
-/// dist_order(...) on the kRcm arm bit for bit. options.ordering.algorithm
-/// must resolve to kRcm (kAuto resolves here, as in dist_order); anything
-/// else is a CheckError, raised before any collective. Collective on the
-/// grid's world.
-dist::DistDenseVec dist_rcm_sharded(mps::Comm& world, dist::ProcGrid2D& grid,
-                                    const sparse::CsrMatrix& a,
-                                    const DistRcmOptions& options = {},
-                                    DistRcmStats* stats = nullptr);
 
 /// Launches `nranks` simulated ranks, runs dist_order (dispatching on
 /// options.ordering), and returns the labels plus the per-phase cost report
@@ -320,8 +303,8 @@ struct OrderedSolveSpec {
   /// them).
   const std::vector<index_t>* labels = nullptr;
   /// When non-null: receives the kRcm arm's level structure (cold runs
-  /// only; requires the replicated-label arm and no load balancing to be
-  /// useful to the repair consumer).
+  /// only). dist_order rejects it off the kRcm arm or together with
+  /// rcm.load_balance.
   OrderingRecipe* recipe = nullptr;
 };
 
@@ -330,8 +313,7 @@ struct OrderedSolveSpec {
 /// budget DRCM_CHECK. The ProcGrid2D (and with it the per-rank
 /// DistWorkspace staging every exchange) survives the call, so a serving
 /// layer's request N+1 runs against warmed buffer capacities and its
-/// workspace realloc ledger stays flat. Honors DistRcmOptions::
-/// sharded_labels. Collective on grid.world().
+/// workspace realloc ledger stays flat. Collective on grid.world().
 OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
                                  const OrderedSolveSpec& spec);
 

@@ -232,6 +232,41 @@ TEST(DistOrder, RecipeCaptureDeclinedOffRcmArm) {
   });
 }
 
+TEST(DistOrder, RecipeCaptureDeclinedUnderLoadBalancing) {
+  // A balanced run orders the relabeled pattern, so its recipe would hold
+  // seeds, roots and level starts in the balanced numbering while the
+  // labels come back in the original one; repair would then splice across
+  // the two. dist_order refuses the pair before any collective, for
+  // direct callers and for ordered_solve alike.
+  const auto a = gen::relabel_random(gen::grid2d(9, 11), 5);
+  const auto m = gen::with_laplacian_values(a);
+  const std::vector<double> b(static_cast<std::size_t>(m.n()), 1.0);
+  DistRcmOptions balanced;
+  balanced.load_balance = true;
+  for (const int p : {1, 4}) {
+    const auto report = mps::Runtime::run(p, [&](mps::Comm& world) {
+      OrderingRecipe recipe;
+      EXPECT_THROW(dist_order(world, a, balanced, nullptr, &recipe),
+                   CheckError)
+          << "p=" << p;
+      EXPECT_TRUE(recipe.empty());
+    });
+    for (const auto& rank : report.ranks) {
+      EXPECT_EQ(rank.total().barrier_crossings, 0u) << "p=" << p;
+    }
+    mps::Runtime::run(p, [&](mps::Comm& world) {
+      dist::ProcGrid2D grid(world);
+      OrderingRecipe recipe;
+      OrderedSolveSpec spec;
+      spec.matrix = &m;
+      spec.b = b;
+      spec.rcm = balanced;
+      spec.recipe = &recipe;
+      EXPECT_THROW(ordered_solve(grid, spec), CheckError) << "p=" << p;
+    });
+  }
+}
+
 TEST(DistOrder, RecoverableRunnerCoversThePortfolio) {
   // The recoverable pipeline's stage 1 goes through dist_order, so a Sloan
   // request survives the 3-stage checkpointed run end to end.

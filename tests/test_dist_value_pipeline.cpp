@@ -7,12 +7,13 @@
 //  * a fault-plan sweep over the one-shot redistribution: death or
 //    corruption at every collective terminates structured;
 //  * ordered_solve end to end: the one-call RCM -> permute -> CG pipeline
-//    reproduces the replicated path and keeps every rank's resident peak
-//    inside the O(nnz/p + n/p) ledger budget — the property both the
-//    gather-based path and a permuted-2D intermediate would violate.
+//    reproduces the replicated path over the {1,4,9,16} rank wall, load
+//    balancing off and on, and keeps every rank's resident peak inside the
+//    O(nnz/p + n/p) ledger budget — the property both the gather-based
+//    path and a permuted-2D intermediate would violate.
 // The one-shot block itself is checked against the serial permutation in
-// tests/test_dist_redistribute.cpp. Swept over the {1,4,9} simulated rank
-// matrix, with DRCM_TEST_RANKS pinning one cell, as in CI.
+// tests/test_dist_redistribute.cpp. The other suites sweep the {1,4,9}
+// simulated rank matrix; DRCM_TEST_RANKS pins one cell, as in CI.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -138,39 +139,58 @@ TEST(OneShotRedistribute, FaultSweepOverTheFusedCollectiveTerminatesStructured) 
 }
 
 TEST(OrderedSolve, ReproducesTheReplicatedPipelineAndItsIterationCount) {
-  for (const int p : testing::rank_counts()) {
-    const auto pattern = gen::relabel_random(gen::grid2d(22, 22), 8);
-    const auto m = gen::with_laplacian_values(pattern, 0.02);
-    const auto b = wavy_rhs(m.n());
-    solver::CgOptions opt;
-    opt.rtol = 1e-8;
+  // Over the {1,4,9,16} rank wall, load balancing off and on: the labels
+  // are dist_order's (serial RCM's when unbalanced), the bandwidth is the
+  // serial bandwidth under them, and the solve is bit-identical to the
+  // replicated path on the gathered permuted matrix. Block-Jacobi has one
+  // block per rank, so only the unpreconditioned iteration count is the
+  // same at every p.
+  const auto pattern = gen::relabel_random(gen::grid2d(22, 22), 8);
+  const auto m = gen::with_laplacian_values(pattern, 0.02);
+  const auto adjacency = m.strip_diagonal();
+  const auto b = wavy_rhs(m.n());
+  solver::CgOptions opt;
+  opt.rtol = 1e-8;
+  for (const bool balance : {false, true}) {
+    rcm::DistRcmOptions options;
+    options.load_balance = balance;
+    for (const bool precondition : {true, false}) {
+      int first_iterations = -1;
+      for (const int p : testing::rank_counts_wall()) {
+        SCOPED_TRACE("p=" + std::to_string(p) +
+                     " load_balance=" + std::to_string(balance) +
+                     " precondition=" + std::to_string(precondition));
+        const auto run =
+            rcm::run_ordered_solve(p, m, b, precondition, options, opt);
+        ASSERT_TRUE(run.result.cg.converged);
+        const auto& labels = run.result.labels;
+        EXPECT_EQ(labels, rcm::run_dist_order(p, adjacency, options).labels);
+        if (!balance) {
+          EXPECT_EQ(labels, order::rcm_serial(adjacency));
+        }
+        EXPECT_EQ(run.result.permuted_bandwidth,
+                  sparse::bandwidth_with_labels(adjacency, labels));
+        if (!precondition) {
+          if (first_iterations < 0) first_iterations = run.result.cg.iterations;
+          EXPECT_EQ(run.result.cg.iterations, first_iterations);
+        }
 
-    // The distributed one-call pipeline.
-    const auto run = rcm::run_ordered_solve(p, m, b, /*precondition=*/true,
-                                            {}, opt);
-    ASSERT_TRUE(run.result.cg.converged);
-
-    // Reference: the ordering is bit-identical to serial RCM; the solve is
-    // bit-identical to the replicated path on the gathered permuted matrix.
-    const auto serial_labels = order::rcm_serial(m.strip_diagonal());
-    EXPECT_EQ(run.result.labels, serial_labels);
-    EXPECT_EQ(run.result.permuted_bandwidth,
-              sparse::bandwidth_with_labels(m.strip_diagonal(), serial_labels));
-
-    const auto pm = sparse::permute_symmetric(m, serial_labels);
-    std::vector<double> b_perm(b.size());
-    for (index_t i = 0; i < m.n(); ++i) {
-      b_perm[static_cast<std::size_t>(serial_labels[static_cast<std::size_t>(i)])] =
-          b[static_cast<std::size_t>(i)];
-    }
-    const auto ref = solver::run_dist_pcg(p, pm, b_perm, true, opt);
-    ASSERT_TRUE(ref.result.converged);
-    EXPECT_EQ(run.result.cg.iterations, ref.result.iterations) << "p=" << p;
-    ASSERT_EQ(run.result.x.size(), b.size());
-    for (index_t i = 0; i < m.n(); ++i) {
-      const auto xi = ref.x[static_cast<std::size_t>(
-          serial_labels[static_cast<std::size_t>(i)])];
-      EXPECT_NEAR(run.result.x[static_cast<std::size_t>(i)], xi, 1e-12);
+        const auto pm = sparse::permute_symmetric(m, labels);
+        std::vector<double> b_perm(b.size());
+        for (index_t i = 0; i < m.n(); ++i) {
+          b_perm[static_cast<std::size_t>(labels[static_cast<std::size_t>(i)])] =
+              b[static_cast<std::size_t>(i)];
+        }
+        const auto ref = solver::run_dist_pcg(p, pm, b_perm, precondition, opt);
+        ASSERT_TRUE(ref.result.converged);
+        EXPECT_EQ(run.result.cg.iterations, ref.result.iterations);
+        ASSERT_EQ(run.result.x.size(), b.size());
+        for (index_t i = 0; i < m.n(); ++i) {
+          const auto xi =
+              ref.x[static_cast<std::size_t>(labels[static_cast<std::size_t>(i)])];
+          EXPECT_NEAR(run.result.x[static_cast<std::size_t>(i)], xi, 1e-12);
+        }
+      }
     }
   }
 }
