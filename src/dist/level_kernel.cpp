@@ -14,7 +14,8 @@ namespace {
 /// SET fused into publish-buffer construction: the outgoing frontier
 /// carries dense[idx] as its value (the parent's level/label). The buffer
 /// stays untouched through the whole collective — peers read it until the
-/// second crossing. Shared by the BFS and ordering level kernels.
+/// second crossing. Shared by the BFS level kernel and the column-frontier
+/// gather of the ordering level.
 std::vector<VecEntry>& publish_set(const DistSpVec& frontier,
                                    const DistDenseVec& dense,
                                    mps::Comm& world, mps::Phase other_phase,
@@ -121,15 +122,13 @@ BfsLevelResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
   return res;
 }
 
-LevelStepResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
+LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
                               DistDenseVec& labels,
                               const DistDenseVec& degrees, index_t label_lo,
                               index_t label_hi, index_t next_label,
                               ProcGrid2D& grid, mps::Phase spmspv_phase,
                               mps::Phase sort_phase, mps::Phase other_phase,
                               DistWorkspace* ws) {
-  DRCM_CHECK(frontier.dist() == a.vec_dist(),
-             "frontier distribution does not match the matrix");
   DRCM_CHECK(labels.dist() == a.vec_dist(),
              "label vector distribution does not match the matrix");
   DRCM_CHECK(degrees.dist() == a.vec_dist(),
@@ -141,131 +140,125 @@ LevelStepResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
   const int p = world.size();
   const int q = grid.q();
   const index_t nb = label_hi - label_lo;
-  const index_t my_block = block_index(grid.row(), grid.col(), q);
+  const index_t chunk_lo = dist.chunk_lo(grid.col());
+  const index_t chunk_hi = dist.chunk_lo(grid.col() + 1);
+  // My parent-label stripe as a sort worker: buckets [b_lo, b_hi).
+  const index_t b_lo = sortperm_stripe_lo(world.rank(), nb, p);
+  const index_t b_hi = sortperm_stripe_lo(world.rank() + 1, nb, p);
 
-  LevelStepResult res;
-  // Measured-wall attribution: a single PhaseScope would land EVERY second
-  // of this fused collective — including the SORTPERM plan, deal and worker
-  // sort — on the SpMSpV ledger (the modeled split was always exact; the
-  // measured one was not, and fig4's breakdown reports the measured split).
-  // Instead, sample a timer around each sort-side callback section and
-  // split the total at the end.
+  // Measured-wall attribution: sample a timer around each sort-side
+  // callback section (deal, worker sort) and split the level's wall at
+  // the end, so fig4's measured breakdown matches the modeled one.
   WallTimer level_timer;
   double sort_wall = 0.0;
   const mps::Phase prev_phase = world.set_phase(spmspv_phase);
 
-  // SET fused into publish-buffer construction, exactly as in
-  // bfs_level_step: the outgoing frontier carries labels[idx] (the parent's
-  // Cuthill-McKee label) as its value.
-  auto& outgoing = publish_set(frontier, labels, world, other_phase, w);
-
   std::vector<VecEntry> kept;
-  auto& entry_cell = w.entry_cell();
-  auto& hist = w.hist_cells();
-  SortPlan plan;
-  std::size_t my_cells = 0;
-  res.global_nnz = static_cast<index_t>(
-      world.fused_order_level<VecEntry, SortRec, index_t>(
-          grid.col_world_ranks(), std::span<const VecEntry>(outgoing),
-          w.gather_scratch(), w.fused_route(static_cast<std::size_t>(p)),
-          w.recv_scratch(), w.carry_words(), w.carry_words_all(),
+  const auto total = static_cast<index_t>(
+      world.fused_order_level<VecEntry, SortRec>(
+          w.fused_route(static_cast<std::size_t>(p)), w.recv_scratch(),
           w.sort_route(static_cast<std::size_t>(p)), w.sort_recv_scratch(),
-          w.entry_route(static_cast<std::size_t>(p)), w.rank_recv_scratch(),
-          [&](const std::vector<VecEntry>& gathered,
-              std::vector<std::vector<VecEntry>>& route) {
-            route_partials(a, gathered, route, world, w);
+          w.entry_route(static_cast<std::size_t>(p)), column,
+          [&](std::vector<std::vector<VecEntry>>& route) {
+            route_partials(a, column, route, world, w);
           },
           [&](const std::vector<VecEntry>& received,
-              std::vector<index_t>& carry) -> std::int64_t {
+              std::vector<std::vector<SortRec>>& deal) {
             merge_and_select(received, labels, kNoVertex, world, other_phase,
                              w, kept);
-            // The SORTPERM bucket histogram of the kept level rides the
-            // count superstep as the carried payload — two-level packed
-            // (sortperm_pack_cells), so a degree-diverse level carries ~1
-            // word per cell instead of 4 and the allgathered volume stays
-            // below the element deal instead of approaching 4x above it.
+            // Deal every kept vertex to the worker whose parent-label
+            // stripe holds its bucket: ranks ascend in label order, so the
+            // deal counts alone fix every worker's label offset.
             const auto prev = world.set_phase(sort_phase);
             const WallTimer sort_timer;
-            sortperm_local_hist(std::span<const VecEntry>(kept), degrees,
-                                label_lo, label_hi, my_block, w, hist,
-                                entry_cell);
-            sortperm_pack_cells(std::span<const SortHistCell>(hist), my_block,
-                                carry);
-            my_cells = hist.size();
-            world.charge_compute(
-                static_cast<double>(2 * kept.size() + carry.size()));
+            for (const auto& e : kept) {
+              DRCM_CHECK(e.val >= label_lo && e.val < label_hi,
+                         "parent label outside the frontier's label range");
+              const index_t b = e.val - label_lo;
+              deal[static_cast<std::size_t>(sortperm_worker_of(b, nb, p))]
+                  .push_back(SortRec{b, degrees.get(e.idx), e.idx});
+            }
+            world.charge_compute(static_cast<double>(kept.size()));
             sort_wall += sort_timer.seconds();
             world.set_phase(prev);
-            return static_cast<std::int64_t>(kept.size());
-          },
-          [&](std::int64_t total, const std::vector<index_t>& carry_all,
-              std::vector<std::vector<SortRec>>& deal) {
-            // Crossings 4-5 and the sort-side volume belong to the
-            // Ordering:Sort ledger from here on. Deal every kept element
-            // to its own position's worker: the cursor in `mine` hands out
-            // cell start + within-cell ordinal (exact final positions), so
-            // the worker stripes are the balanced partition of [0, total).
-            world.set_phase(sort_phase);
-            const WallTimer sort_timer;
-            auto& cells = w.hist_all();
-            sortperm_unpack_cells(std::span<const index_t>(carry_all), cells);
-            plan = sortperm_plan(std::span<const SortHistCell>(cells), p, nb,
-                                 a.n(), w);
-            DRCM_CHECK(plan.total == static_cast<index_t>(total),
-                       "histogram total disagrees with the level count");
-            auto& mine = w.my_starts();
-            sortperm_my_starts(plan, my_block, mine);
-            DRCM_CHECK(mine.size() == my_cells, "plan misses local cells");
-            sortperm_deal(std::span<const VecEntry>(kept), degrees, label_lo,
-                          std::span<const index_t>(entry_cell), mine,
-                          plan.total, p, deal);
-            world.charge_compute(static_cast<double>(4 * cells.size()) +
-                                 static_cast<double>(kept.size() + nb) +
-                                 static_cast<double>(carry_all.size()));
-            sort_wall += sort_timer.seconds();
           },
           [&](const std::vector<SortRec>& dealt,
-              std::span<const std::uint64_t> counts,
-              std::vector<std::vector<VecEntry>>& back) {
-            // Worker side: the shared sort tail brings the dealt elements
-            // to (bucket, degree, idx) — position — order, so my t-th
-            // element's label is next_label + stripe_lo + t.
+              std::span<const std::uint64_t> counts, std::int64_t offset,
+              std::int64_t level_total,
+              std::vector<std::vector<VecEntry>>& route) {
+            // Worker side, on the sort ledger from here on (crossing 3
+            // included): replay the dealt triples to global index order,
+            // counting-sort them to (bucket, degree, index) order, and my
+            // t-th triple's label is next_label + offset + t.
+            world.set_phase(sort_phase);
             const WallTimer sort_timer;
-            index_t stripe_lo = 0;
-            auto& arr = sortperm_worker_sort(std::span<const SortRec>(dealt),
-                                             counts, q, plan.total, nb, a.n(),
-                                             world, w, &stripe_lo);
+            DRCM_CHECK(offset >= 0 &&
+                           offset + static_cast<std::int64_t>(dealt.size()) <=
+                               level_total,
+                       "worker offset outside the level");
+            index_t dmax = 0, b_min = 0, b_max = -1;
+            auto& arr = sortperm_replay(dealt, counts, q, b_lo, b_hi, a.n(),
+                                        w, &dmax, &b_min, &b_max);
+            if (!arr.empty()) sortperm_lsd_sort(arr, dmax, b_min, b_max + 1, w);
+            // Every rank of the owner's processor column expands the
+            // vertex next level: deliver the label to all q of them.
             for (std::size_t t = 0; t < arr.size(); ++t) {
-              back[static_cast<std::size_t>(dist.owner_rank(arr[t].idx))]
-                  .push_back(VecEntry{
-                      arr[t].idx,
-                      next_label + stripe_lo + static_cast<index_t>(t)});
+              const VecEntry e{arr[t].idx,
+                               next_label + offset + static_cast<index_t>(t)};
+              const int c = dist.owner_col(e.idx);
+              for (int r = 0; r < q; ++r) {
+                route[static_cast<std::size_t>(grid.world_rank_of(r, c))]
+                    .push_back(e);
+              }
             }
-            world.charge_compute(static_cast<double>(arr.size()));
+            world.charge_compute(
+                static_cast<double>((4 + q) * arr.size()) +
+                static_cast<double>((arr.empty() ? 0 : b_max - b_min + 1) +
+                                    dmax + 1));
             sort_wall += sort_timer.seconds();
           },
-          [&](const std::vector<VecEntry>& ranked) {
-            // SET(R, Rnext): every kept element receives exactly one label.
-            DRCM_CHECK(ranked.size() == kept.size(),
-                       "every level element must receive exactly one label");
+          [&](const std::vector<VecEntry>& got) {
+            // `got` is the next column frontier; SET(R, Rnext) on the
+            // vertices I own. Every kept vertex receives exactly one label.
             const auto prev = world.set_phase(other_phase);
-            for (const auto& e : ranked) {
-              DRCM_CHECK(labels.owns(e.idx), "label routed to non-owner");
-              labels.set(e.idx, e.val);
+            std::size_t owned = 0;
+            for (const auto& e : got) {
+              DRCM_CHECK(e.idx >= chunk_lo && e.idx < chunk_hi,
+                         "label routed outside the receiver's column chunk");
+              if (labels.owns(e.idx)) {
+                labels.set(e.idx, e.val);
+                ++owned;
+              }
             }
-            world.charge_compute(static_cast<double>(ranked.size()));
+            DRCM_CHECK(owned == kept.size(),
+                       "every level element must receive exactly one label");
+            world.charge_compute(static_cast<double>(got.size()));
             world.set_phase(prev);
           }));
+  if (total == 0) column.clear();
 
-  // Callbacks may have left the phase on the sort bucket; restore the
-  // caller's, then split the measured wall: the sampled SORTPERM seconds go
-  // to the sort ledger, the rest of the collective to SpMSpV.
   world.set_phase(prev_phase);
   const double total_wall = level_timer.seconds();
   world.stats().add_wall(sort_phase, sort_wall);
   world.stats().add_wall(spmspv_phase, std::max(0.0, total_wall - sort_wall));
-  res.next = frontier.sibling(std::move(kept));
+  LevelStepResult res;
+  res.next = DistSpVec(dist, grid);
+  res.next.assign(std::move(kept));
+  res.global_nnz = total;
   return res;
+}
+
+std::vector<VecEntry> gather_column_frontier(const DistSpVec& frontier,
+                                             const DistDenseVec& labels,
+                                             ProcGrid2D& grid,
+                                             mps::Phase phase) {
+  DRCM_CHECK(frontier.dist() == labels.dist(),
+             "frontier and label vector must share one distribution");
+  auto& world = grid.world();
+  mps::PhaseScope scope(world, phase);
+  const auto& outgoing =
+      publish_set(frontier, labels, world, phase, grid.workspace());
+  return grid.col_comm().allgatherv(std::span<const VecEntry>(outgoing));
 }
 
 DistSpVec frontier_from_label_range(const DistDenseVec& labels,

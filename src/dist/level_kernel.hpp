@@ -1,5 +1,5 @@
 // The fused per-level kernels of the distributed BFS and Cuthill-McKee
-// loops. Per-level crossing budget: BFS 2, CM 5.
+// loops. Per-level crossing budget: BFS 2, CM 3.
 //
 // One BFS level — SET (refresh frontier values from the dense level
 // vector), the (select2nd, min) SpMSpV expansion and SELECT (keep
@@ -10,10 +10,20 @@
 // level came back empty one call later, in a terminal call of a single
 // crossing (L + 1 levels cost 2(L + 1) + 1 crossings).
 //
-// One ordering level keeps the count superstep, because SORTPERM needs the
-// level's histogram before it can deal: SET + SpMSpV + SELECT + count in
-// three crossings, SORTPERM and the label scatter on two more
-// (Comm::fused_order_level): 5 per level, 3 on the terminal level.
+// One ordering level (Comm::fused_order_level) starts from a COLUMN
+// frontier: the level's vertices in my processor column's chunk, valued
+// by their Cuthill-McKee labels, which every rank of the column already
+// holds. It expands that frontier and routes the partials to their owners
+// (crossing 1); the owners merge, SELECT, and deal each kept (bucket,
+// degree, index) triple to the sort worker whose parent-label stripe holds
+// its bucket (crossing 2, whose p x p deal counts give the level total and
+// every worker's label offset); each worker counting-sorts its stripe and
+// sends every (index, label) to all q ranks of the processor column that
+// owns the index (crossing 3). What a rank receives is its next column
+// frontier, and the owner sets the label: 3 crossings per level, 2 on the
+// terminal level. Trade-off: a level whose every vertex shares one parent
+// (a star) counting-sorts on one worker; the multiply and the merge stay
+// distributed, and the labels are the same.
 //
 // Stage-3 partials are routed DIRECTLY to the owner of each output element
 // (the paper's sub-chunk owner), so SELECT runs where the dense vector
@@ -48,8 +58,9 @@ struct BfsLevelResult {
 
 /// Result of one fused ordering level.
 struct LevelStepResult {
-  /// The post-SELECT next frontier: entries whose dense value equals the
-  /// keep sentinel, values = minimum parent value (ascending by index).
+  /// The discovered level, this rank's owned part: entries that were
+  /// unlabeled, values = minimum parent label (ascending by index). Their
+  /// new labels are in `labels`; the next call's input is `column`.
   DistSpVec next;
   /// Exact global nnz of `next` (the emptiness test), identical on every
   /// rank.
@@ -68,27 +79,24 @@ BfsLevelResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
                               mps::Phase spmspv_phase, mps::Phase other_phase,
                               DistWorkspace* ws = nullptr);
 
-/// One fused Cuthill-McKee ordering level in FIVE barrier crossings
-/// (Comm::fused_order_level), three when the level comes back empty:
+/// One fused Cuthill-McKee ordering level in THREE barrier crossings
+/// (Comm::fused_order_level), two when the level comes back empty:
 ///
-///   Lnext <- SELECT(SPMSPV(A, SET(Lcur, R)), R = kNoVertex)   [3 crossings]
-///   R     <- SET(R, SORTPERM(Lnext, D) + next_label)          [+2 crossings]
+///   Lnext <- SELECT(SPMSPV(A, Lcur), R = kNoVertex)      [crossing 1]
+///   R     <- SET(R, SORTPERM(Lnext, D) + next_label)     [crossings 2-3]
 ///
-/// The SORTPERM bucket histogram rides the count superstep's freed frontier
-/// board, the element deal reuses the freed partial-routing board, and the
-/// position scatter rides the auxiliary payload board — so the whole
-/// ordering level needs no collective beyond the level kernel's own (the
-/// standalone sortperm_bucket alone costs 6).
-///
-/// `labels` must hold the parent labels of `frontier`'s entries inside
-/// [label_lo, label_hi) (the contiguous range of the previous level);
-/// the discovered level is written into `labels` as consecutive labels
+/// `column` is this level's column frontier on entry — every vertex of
+/// the level in my processor column's chunk (any order), valued by its
+/// label, identical on the q ranks of the column — and the next level's
+/// on return (empty after the terminal level). Labels of the level lie in
+/// [label_lo, label_hi) (the contiguous range of the previous level); the
+/// discovered level is written into `labels` as consecutive labels
 /// starting at `next_label`, ranked by (parent label, degree, index).
-/// Costs split across `spmspv_phase` (crossings 1-3, expansion volume),
-/// `sort_phase` (crossings 4-5, histogram + deal + scatter volume) and
-/// `other_phase` (SET/SELECT scans); wall time lands on `spmspv_phase`.
-/// Collective; must not be called under an open PhaseScope.
-LevelStepResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
+/// Costs split across `spmspv_phase` (crossings 1-2, expansion volume and
+/// the count), `sort_phase` (crossing 3, deal + label volume, worker sort)
+/// and `other_phase` (SELECT and SET scans); wall time is split the same
+/// way. Collective; must not be called under an open PhaseScope.
+LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
                               DistDenseVec& labels,
                               const DistDenseVec& degrees, index_t label_lo,
                               index_t label_hi, index_t next_label,
@@ -96,14 +104,24 @@ LevelStepResult cm_level_step(const DistSpMat& a, const DistSpVec& frontier,
                               mps::Phase sort_phase, mps::Phase other_phase,
                               DistWorkspace* ws = nullptr);
 
+/// The column frontier of `frontier` for cm_level_step: my processor
+/// column's entries of it, valued by their labels — one allgatherv along
+/// the column (2 crossings). The re-entry point of a run that resumes from
+/// an owned frontier (the incremental-repair cone); a run from a root
+/// builds its one-entry column frontier locally instead. Collective; the
+/// gather is charged to `phase`.
+std::vector<VecEntry> gather_column_frontier(const DistSpVec& frontier,
+                                             const DistDenseVec& labels,
+                                             ProcGrid2D& grid,
+                                             mps::Phase phase);
+
 /// Reconstructs a frontier from the dense label vector: the sparse vector
 /// of vertices whose label lies in [label_lo, label_hi), values = their
-/// labels. Because cm_level_step's SET stage refreshes frontier values
-/// from `labels` anyway, the result is interchangeable with the `next`
-/// frontier a prior cm_level_step would have returned for that level —
-/// the re-entry point the incremental-repair cone uses to resume a cached
-/// BFS mid-flight. LOCAL (each rank scans its owned slab; entries come
-/// out ascending by index); `other_phase` receives the scan charge.
+/// labels — the owned part of the level whose labels occupy that range,
+/// which gather_column_frontier turns into the column frontier the
+/// incremental-repair cone resumes a cached BFS from. LOCAL (each rank
+/// scans its owned slab; entries come out ascending by index);
+/// `other_phase` receives the scan charge.
 DistSpVec frontier_from_label_range(const DistDenseVec& labels,
                                     index_t label_lo, index_t label_hi,
                                     ProcGrid2D& grid,

@@ -262,7 +262,8 @@ void sortperm_my_starts(const SortPlan& plan, index_t block,
 template <class CountT>
 std::vector<SortRec>& sortperm_replay(std::span<const SortRec> recv,
                                       std::span<const CountT> counts, int q,
-                                      index_t nb, index_t n, DistWorkspace& ws,
+                                      index_t stripe_lo, index_t stripe_hi,
+                                      index_t n, DistWorkspace& ws,
                                       index_t* dmax, index_t* b_min,
                                       index_t* b_max) {
   const int p = q * q;
@@ -273,8 +274,10 @@ std::vector<SortRec>& sortperm_replay(std::span<const SortRec> recv,
   // a corrupted triple must throw here instead. The degree field admits
   // any linear ranking key (Sloan priorities reach ~3n; see sortperm_plan).
   for (const auto& rec : recv) {
-    DRCM_CHECK(rec.bucket >= 0 && rec.bucket < nb && rec.degree >= 0 &&
-                   rec.degree <= 3 * n + 3 && rec.idx >= 0 && rec.idx < n,
+    DRCM_CHECK(rec.bucket >= stripe_lo && rec.bucket < stripe_hi,
+               "dealt bucket outside the worker's parent-label stripe");
+    DRCM_CHECK(rec.degree >= 0 && rec.degree <= 3 * n + 3 && rec.idx >= 0 &&
+                   rec.idx < n,
                "received sort triple out of range");
   }
   // Per-source offsets from the workspace counter buffer (dead before any
@@ -312,10 +315,10 @@ std::vector<SortRec>& sortperm_replay(std::span<const SortRec> recv,
 
 template std::vector<SortRec>& sortperm_replay<std::int64_t>(
     std::span<const SortRec>, std::span<const std::int64_t>, int, index_t,
-    index_t, DistWorkspace&, index_t*, index_t*, index_t*);
+    index_t, index_t, DistWorkspace&, index_t*, index_t*, index_t*);
 template std::vector<SortRec>& sortperm_replay<std::uint64_t>(
     std::span<const SortRec>, std::span<const std::uint64_t>, int, index_t,
-    index_t, DistWorkspace&, index_t*, index_t*, index_t*);
+    index_t, index_t, DistWorkspace&, index_t*, index_t*, index_t*);
 
 void sortperm_deal(std::span<const VecEntry> entries,
                    const DistDenseVec& degrees, index_t label_lo,
@@ -334,9 +337,8 @@ void sortperm_deal(std::span<const VecEntry> entries,
   }
 }
 
-template <class CountT>
 std::vector<SortRec>& sortperm_worker_sort(std::span<const SortRec> dealt,
-                                           std::span<const CountT> counts,
+                                           std::span<const std::int64_t> counts,
                                            int q, index_t total, index_t nb,
                                            index_t n, mps::Comm& world,
                                            DistWorkspace& ws,
@@ -344,7 +346,7 @@ std::vector<SortRec>& sortperm_worker_sort(std::span<const SortRec> dealt,
   const int p = q * q;
   index_t dmax = 0, b_min = 0, b_max = -1;
   auto& arr =
-      sortperm_replay(dealt, counts, q, nb, n, ws, &dmax, &b_min, &b_max);
+      sortperm_replay(dealt, counts, q, 0, nb, n, ws, &dmax, &b_min, &b_max);
   if (!arr.empty()) sortperm_lsd_sort(arr, dmax, b_min, b_max + 1, ws);
   *stripe_lo = sortperm_stripe_lo(world.rank(), total, p);
   DRCM_CHECK(static_cast<index_t>(arr.size()) ==
@@ -355,13 +357,6 @@ std::vector<SortRec>& sortperm_worker_sort(std::span<const SortRec> dealt,
       static_cast<double>((arr.empty() ? 0 : b_max - b_min + 1) + dmax + 1));
   return arr;
 }
-
-template std::vector<SortRec>& sortperm_worker_sort<std::int64_t>(
-    std::span<const SortRec>, std::span<const std::int64_t>, int, index_t,
-    index_t, index_t, mps::Comm&, DistWorkspace&, index_t*);
-template std::vector<SortRec>& sortperm_worker_sort<std::uint64_t>(
-    std::span<const SortRec>, std::span<const std::uint64_t>, int, index_t,
-    index_t, index_t, mps::Comm&, DistWorkspace&, index_t*);
 
 DistSpVec sortperm_bucket(const DistSpVec& x, const DistDenseVec& degrees,
                           index_t label_lo, index_t label_hi,
@@ -414,13 +409,11 @@ DistSpVec sortperm_bucket(const DistSpVec& x, const DistDenseVec& degrees,
 
   // Exchange the cells; every rank derives the identical global plan —
   // exact start positions for every (bucket, degree, block) cell. The
-  // carry rides the wire two-level packed (sortperm_pack_cells), exactly
-  // like the fused ordering level: ~1 word per cell on degree-diverse
-  // levels instead of the naive 4-word (bucket, degree, block, count)
-  // cells. The streams are self-delimiting, so the rank-concatenated
-  // allgather decodes with the same wire-structure checks
-  // (sortperm_unpack_cells) and field range checks (sortperm_plan) as the
-  // fused path.
+  // carry rides the wire two-level packed (sortperm_pack_cells): ~1 word
+  // per cell on degree-diverse levels instead of the naive 4-word (bucket,
+  // degree, block, count) cells. The streams are self-delimiting, so the
+  // rank-concatenated allgather decodes with wire-structure checks
+  // (sortperm_unpack_cells) and field range checks (sortperm_plan).
   auto& packed = w.carry_words();
   sortperm_pack_cells(std::span<const SortHistCell>(hist), my_block, packed);
   const auto all_words = world.allgatherv(std::span<const index_t>(packed));

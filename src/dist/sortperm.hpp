@@ -9,8 +9,16 @@
 // general sample sort kept as the HykSort-style comparison baseline
 // (micro_sort and the perfbench dist.sortperm_sample_* probes time it).
 //
-// The counting structure is factored into histogram-cell helpers shared
-// with the fused ordering-level kernel (dist/level_kernel.hpp): each rank
+// The fused ordering level (dist::cm_level_step) needs none of the
+// histogram machinery below. It deals each element straight to the worker
+// whose PARENT-LABEL STRIPE holds its bucket (sortperm_worker_of over the
+// nb buckets): workers then hold ascending label ranges, so the per-worker
+// deal counts alone give every worker's label offset, and each worker
+// finishes with sortperm_replay + sortperm_lsd_sort. The price is balance:
+// a level whose elements share one parent sorts on one worker.
+//
+// sortperm_bucket, the standalone kernel, instead balances its workers by
+// POSITION, through histogram-cell helpers it alone uses: each rank
 // publishes its sparse (bucket, degree) histogram stamped with its OWNED-
 // RANGE BLOCK index. Since (bucket, degree, block) refines the final
 // (bucket, degree, index) order, one exchange of these cells lets every
@@ -53,8 +61,11 @@ DistSpVec sortperm_sample(const DistSpVec& x, const DistDenseVec& degrees,
                           ProcGrid2D& grid, DistWorkspace* ws = nullptr);
 
 // ---------------------------------------------------------------------------
-// Counting-sort building blocks shared by sortperm_bucket and the fused
-// ordering-level kernel (dist::cm_level_step). All take scratch from `ws`.
+// Counting-sort building blocks. The histogram helpers (sortperm_local_hist
+// through sortperm_deal) serve sortperm_bucket alone; sortperm_worker_of,
+// sortperm_stripe_lo, sortperm_lsd_sort and sortperm_replay are shared with
+// the fused ordering-level kernel (dist::cm_level_step). All take scratch
+// from `ws`.
 
 /// Exact global positions of a sorted cell table plus the element total.
 /// The spans alias workspace buffers (hist_table / hist_start): valid until
@@ -84,9 +95,8 @@ void sortperm_local_hist(std::span<const VecEntry> entries,
                          std::vector<SortHistCell>& hist,
                          std::vector<index_t>& entry_cell);
 
-/// Two-level compaction of a local histogram for the histogram exchange —
-/// the fused collective's carried payload and the standalone
-/// sortperm_bucket allgatherv alike. The naive carry is 4 words per cell ((bucket, degree,
+/// Two-level compaction of a local histogram for sortperm_bucket's
+/// histogram allgatherv. The naive carry is 4 words per cell ((bucket, degree,
 /// block, count)), and on degree-diverse levels — where most cells hold a
 /// single element — the carried volume approaches 4x the ELEMENT volume,
 /// dwarfing the 3-word element deal it rides ahead of. The packed stream
@@ -131,16 +141,17 @@ SortPlan sortperm_plan(std::span<const SortHistCell> cells, int p, index_t nb,
 void sortperm_my_starts(const SortPlan& plan, index_t block,
                         std::vector<index_t>& out);
 
-/// The sort worker global position `at` is dealt to: position-proportional,
-/// so worker stripes are the balanced partition of [0, total) into p
-/// contiguous ranges.
+/// The sort worker that key `at` in [0, total) is dealt to: the balanced
+/// partition of [0, total) into p contiguous stripes. sortperm_bucket
+/// deals by global position (total = elements); the fused ordering level
+/// by parent bucket (total = nb).
 inline int sortperm_worker_of(index_t at, index_t total, int p) {
   const auto w = static_cast<int>((at * p) / total);
   return w < p ? w : p - 1;
 }
 
-/// First global position of worker `w`'s stripe: the inverse of
-/// sortperm_worker_of (positions [stripe_lo(w), stripe_lo(w+1)) map to w).
+/// First key of worker `w`'s stripe: the inverse of sortperm_worker_of
+/// (keys [stripe_lo(w), stripe_lo(w+1)) map to w).
 inline index_t sortperm_stripe_lo(int w, index_t total, int p) {
   return (static_cast<index_t>(w) * total + p - 1) / p;
 }
@@ -157,35 +168,35 @@ void sortperm_lsd_sort(std::vector<SortRec>& arr, index_t dmax, index_t b_lo,
 /// concatenation is globally index-sorted, the stability baseline the
 /// counting passes preserve. Returns the array; reports the degree maximum
 /// and bucket range of the received elements. Every received triple is
-/// range-checked (bucket in [0, nb), degree in [0, n], idx in [0, n);
-/// throws CheckError): the counting sort sizes its bins from these fields.
+/// range-checked (bucket in this worker's stripe [stripe_lo, stripe_hi),
+/// degree in [0, 3n + 3], idx in [0, n); throws CheckError): the counting
+/// sort sizes its bins from these fields.
 template <class CountT>
 std::vector<SortRec>& sortperm_replay(std::span<const SortRec> recv,
                                       std::span<const CountT> counts, int q,
-                                      index_t nb, index_t n, DistWorkspace& ws,
+                                      index_t stripe_lo, index_t stripe_hi,
+                                      index_t n, DistWorkspace& ws,
                                       index_t* dmax, index_t* b_min,
                                       index_t* b_max);
 
-/// The deal loop shared by sortperm_bucket and the fused ordering-level
-/// kernel: hands every entry its exact global position off the cursor in
-/// `mine` (advancing it) and pushes the (bucket, degree, idx) triple to
-/// its position's worker.
+/// sortperm_bucket's deal loop: hands every entry its exact global
+/// position off the cursor in `mine` (advancing it) and pushes the
+/// (bucket, degree, idx) triple to its position's worker.
 void sortperm_deal(std::span<const VecEntry> entries,
                    const DistDenseVec& degrees, index_t label_lo,
                    std::span<const index_t> entry_cell,
                    std::vector<index_t>& mine, index_t total, int p,
                    std::vector<std::vector<SortRec>>& route);
 
-/// The worker tail shared by sortperm_bucket and the fused ordering-level
-/// kernel: replays the dealt elements to global index order, counting-sorts
-/// to (bucket, degree, idx) — which IS global position order under
-/// position-proportional dealing — and checks the stripe size matches this
-/// worker's dealt position range (throws CheckError otherwise). Returns the
-/// sorted array (ws.sort_scratch(), so the t-th element's global position
-/// is *stripe_lo + t) and charges the replay/sort work to `world`.
-template <class CountT>
+/// sortperm_bucket's worker tail: replays the dealt elements to global
+/// index order, counting-sorts to (bucket, degree, idx) — which IS global
+/// position order under position-proportional dealing — and checks the
+/// stripe size matches this worker's dealt position range (throws
+/// CheckError otherwise). Returns the sorted array (ws.sort_scratch(), so
+/// the t-th element's global position is *stripe_lo + t) and charges the
+/// replay/sort work to `world`.
 std::vector<SortRec>& sortperm_worker_sort(std::span<const SortRec> dealt,
-                                           std::span<const CountT> counts,
+                                           std::span<const std::int64_t> counts,
                                            int q, index_t total, index_t nb,
                                            index_t n, mps::Comm& world,
                                            DistWorkspace& ws,

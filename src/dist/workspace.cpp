@@ -86,10 +86,6 @@ std::vector<index_t>& DistWorkspace::carry_words() {
   return checkout_cleared(carry_words_, carry_words_cap_);
 }
 
-std::vector<index_t>& DistWorkspace::carry_words_all() {
-  return checkout_cleared(carry_words_all_, carry_words_all_cap_);
-}
-
 std::vector<SortHistCell>& DistWorkspace::hist_table() {
   return checkout_cleared(hist_table_, hist_table_cap_);
 }
@@ -116,10 +112,6 @@ std::vector<index_t>& DistWorkspace::my_starts() {
 
 std::vector<SortRec>& DistWorkspace::sort_recv_scratch() {
   return checkout_cleared(sort_recv_, sort_recv_cap_);
-}
-
-std::vector<VecEntry>& DistWorkspace::rank_recv_scratch() {
-  return checkout_cleared(rank_recv_, rank_recv_cap_);
 }
 
 std::span<StampedSlots> DistWorkspace::thread_spas(std::size_t threads,

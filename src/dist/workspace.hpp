@@ -135,7 +135,8 @@ class DistWorkspace {
   /// thrash its outer size between them:
   /// SpMSpV stage 3a (row communicator).
   std::vector<std::vector<VecEntry>>& merge_route(std::size_t ranks);
-  /// SORTPERM position scatter-back (world).
+  /// SORTPERM position scatter-back and the ordering level's label
+  /// delivery (world).
   std::vector<std::vector<VecEntry>>& entry_route(std::size_t ranks);
   /// Fused level kernel owner routing (world).
   std::vector<std::vector<VecEntry>>& fused_route(std::size_t ranks);
@@ -149,24 +150,21 @@ class DistWorkspace {
   std::vector<std::vector<VecEntryD>>& vecd_route(std::size_t ranks);
 
   /// SORTPERM triple scratch (element array + counting-sort shadow),
-  /// cleared, and its per-destination routing buffers.
+  /// cleared, and its per-destination routing buffers (sortperm_bucket's
+  /// and the ordering level's deal).
   std::vector<SortRec>& sort_scratch();
   std::vector<SortRec>& sort_tmp();
   std::vector<std::vector<SortRec>>& sort_route(std::size_t ranks);
 
-  /// SORTPERM histogram-cell scratch, cleared: the local (bucket, degree)
-  /// cells (doubles as the fused collective's carry payload), the gathered
-  /// global table landing buffer, and the two ping-pong arrays of the
-  /// table's counting passes.
+  /// sortperm_bucket's histogram-cell scratch, cleared: the local (bucket,
+  /// degree) cells, the gathered global table landing buffer, and the two
+  /// ping-pong arrays of the table's counting passes.
   std::vector<SortHistCell>& hist_cells();
   std::vector<SortHistCell>& hist_all();
   std::vector<SortHistCell>& hist_table();
   std::vector<SortHistCell>& hist_shadow();
-  /// Packed-carry word streams of the fused ordering level: the local
-  /// two-level-compacted histogram (sortperm_pack_cells) and the
-  /// rank-concatenated allgather landing buffer it is decoded from.
+  /// sortperm_bucket's packed local histogram (sortperm_pack_cells).
   std::vector<index_t>& carry_words();
-  std::vector<index_t>& carry_words_all();
   /// Local-histogram construction triples ((bucket, degree, entry ordinal)).
   std::vector<SortRec>& hist_recs();
   /// Per-cell global start positions of the sorted table, per-entry cell
@@ -175,10 +173,9 @@ class DistWorkspace {
   std::vector<index_t>& hist_start();
   std::vector<index_t>& entry_cell();
   std::vector<index_t>& my_starts();
-  /// Fused ordering-level landing buffers: dealt SortRec elements and the
-  /// scattered (index, label) positions.
+  /// The ordering level's landing buffer for the SortRec triples dealt to
+  /// this rank.
   std::vector<SortRec>& sort_recv_scratch();
-  std::vector<VecEntry>& rank_recv_scratch();
 
   /// Per-thread SPA arms of the hybrid local multiply: `threads` stamped
   /// slot arrays, each epoch-opened over `rows` (so a thread cannot observe
@@ -257,7 +254,6 @@ class DistWorkspace {
   std::vector<SortHistCell> hist_cells_;
   std::vector<SortHistCell> hist_all_;
   std::vector<index_t> carry_words_;
-  std::vector<index_t> carry_words_all_;
   std::vector<SortHistCell> hist_table_;
   std::vector<SortHistCell> hist_shadow_;
   std::vector<SortRec> hist_recs_;
@@ -265,7 +261,6 @@ class DistWorkspace {
   std::vector<index_t> entry_cell_;
   std::vector<index_t> my_starts_;
   std::vector<SortRec> sort_recv_;
-  std::vector<VecEntry> rank_recv_;
   std::vector<StampedSlots> thread_spas_;
   std::vector<ThreadStripe> thread_stripes_;
   /// Per-arm capacity ledgers of the thread stripes (sum of the three
@@ -280,12 +275,10 @@ class DistWorkspace {
               sort_cap_ = 0, sort_tmp_cap_ = 0,
               sort_route_cap_ = 0, index_cap_ = 0, counters_cap_ = 0,
               hist_cells_cap_ = 0,
-              hist_all_cap_ = 0, carry_words_cap_ = 0,
-              carry_words_all_cap_ = 0, hist_table_cap_ = 0,
+              hist_all_cap_ = 0, carry_words_cap_ = 0, hist_table_cap_ = 0,
               hist_shadow_cap_ = 0,
               hist_recs_cap_ = 0, hist_start_cap_ = 0, entry_cell_cap_ = 0,
-              my_starts_cap_ = 0, sort_recv_cap_ = 0,
-              rank_recv_cap_ = 0;
+              my_starts_cap_ = 0, sort_recv_cap_ = 0;
   u64 reallocations_ = 0;
 };
 

@@ -1,6 +1,6 @@
 // Reusable, poisonable barrier for SPMD rank synchronization.
 //
-// Every collective in the runtime is built from one to five barrier
+// Every collective in the runtime is built from one to three barrier
 // crossings over a shared "publication board" (see comm.hpp). The barrier
 // must
 //   (a) be reusable an unbounded number of times;

@@ -111,18 +111,7 @@ class CommContext {
         barrier_(registry_->make_barrier(size)),
         ptr_(static_cast<std::size_t>(size), nullptr),
         cnt_(static_cast<std::size_t>(size), 0),
-        ptr_arr_(static_cast<std::size_t>(size), nullptr),
-        cnt_arr_(static_cast<std::size_t>(size), nullptr),
-        ptr_arr_aux_(static_cast<std::size_t>(size), nullptr),
-        cnt_arr_aux_(static_cast<std::size_t>(size), nullptr),
         scalar_arena_(static_cast<std::size_t>(size)),
-        array_arena_(static_cast<std::size_t>(size)),
-        array_arena_aux_(static_cast<std::size_t>(size)),
-        array_ptrs_(static_cast<std::size_t>(size)),
-        array_cnts_(static_cast<std::size_t>(size)),
-        array_ptrs_aux_(static_cast<std::size_t>(size)),
-        array_cnts_aux_(static_cast<std::size_t>(size)),
-        i64_(static_cast<std::size_t>(size), 0),
         split_color_(static_cast<std::size_t>(size), 0),
         split_key_(static_cast<std::size_t>(size), 0),
         split_ctx_(static_cast<std::size_t>(size)),
@@ -130,6 +119,7 @@ class CommContext {
         tags_(static_cast<std::size_t>(size)),
         tag_seq_(static_cast<std::size_t>(size), 0) {
     for (auto& t : tags_) t.store(0, std::memory_order_relaxed);
+    for (auto& board : boards_) board.resize(static_cast<std::size_t>(size));
     for (auto& slot : span_counts_) {
       slot.assign(static_cast<std::size_t>(size), 0);
     }
@@ -156,31 +146,38 @@ class CommContext {
     ptr_[r] = arena.data();
     cnt_[r] = count;
   }
-  void publish_array_board(int rank, const void* const* ptrs,
+  /// One rank's per-destination buffers land flattened in its arena on
+  /// array board `board`; the published pointer/count tables are rebuilt
+  /// into context-owned storage pointing at the arena copies.
+  void publish_array_board(int board, int rank, const void* const* ptrs,
                            const std::uint64_t* counts,
                            std::size_t elem_bytes) {
-    copy_array_payload(rank, ptrs, counts, elem_bytes, array_arena_,
-                       array_ptrs_, array_cnts_);
-    const auto r = static_cast<std::size_t>(rank);
-    ptr_arr_[r] = array_ptrs_[r].data();
-    cnt_arr_[r] = array_cnts_[r].data();
+    ArraySlot& slot = slot_of(board, rank);
+    const auto n = static_cast<std::size_t>(size_);
+    std::size_t total_bytes = 0;
+    for (std::size_t d = 0; d < n; ++d) {
+      total_bytes += static_cast<std::size_t>(counts[d]) * elem_bytes;
+    }
+    slot.arena.resize(total_bytes);
+    slot.ptrs.resize(n);
+    slot.cnts.resize(n);
+    std::size_t offset = 0;
+    for (std::size_t d = 0; d < n; ++d) {
+      const std::size_t bytes = static_cast<std::size_t>(counts[d]) * elem_bytes;
+      if (bytes != 0) std::memcpy(slot.arena.data() + offset, ptrs[d], bytes);
+      slot.ptrs[d] = slot.arena.data() + offset;
+      slot.cnts[d] = counts[d];
+      offset += bytes;
+    }
   }
-  void publish_array_board_aux(int rank, const void* const* ptrs,
-                               const std::uint64_t* counts,
-                               std::size_t elem_bytes) {
-    copy_array_payload(rank, ptrs, counts, elem_bytes, array_arena_aux_,
-                       array_ptrs_aux_, array_cnts_aux_);
-    const auto r = static_cast<std::size_t>(rank);
-    ptr_arr_aux_[r] = array_ptrs_aux_[r].data();
-    cnt_arr_aux_[r] = array_cnts_aux_[r].data();
+  const void* const* array_ptrs(int board, int rank) {
+    return slot_of(board, rank).ptrs.data();
+  }
+  const std::uint64_t* array_counts(int board, int rank) {
+    return slot_of(board, rank).cnts.data();
   }
   std::vector<const void*>& ptr() { return ptr_; }
   std::vector<std::uint64_t>& cnt() { return cnt_; }
-  std::vector<const void* const*>& ptr_arr() { return ptr_arr_; }
-  std::vector<const std::uint64_t*>& cnt_arr() { return cnt_arr_; }
-  std::vector<const void* const*>& ptr_arr_aux() { return ptr_arr_aux_; }
-  std::vector<const std::uint64_t*>& cnt_arr_aux() { return cnt_arr_aux_; }
-  std::vector<std::int64_t>& i64() { return i64_; }
   /// The span-count board of fused_gather_route_count, double-buffered by
   /// the parity of `rank`'s current collective ordinal on this
   /// communicator (identical on every member in a correct program). A
@@ -212,34 +209,15 @@ class CommContext {
   }
 
  private:
-  // One rank's per-destination buffers land flattened in its arena; the
-  // published pointer/count tables are rebuilt into context-owned storage
-  // pointing at the arena copies.
-  void copy_array_payload(int rank, const void* const* ptrs,
-                          const std::uint64_t* counts, std::size_t elem_bytes,
-                          std::vector<std::vector<std::byte>>& arenas,
-                          std::vector<std::vector<const void*>>& ptr_store,
-                          std::vector<std::vector<std::uint64_t>>& cnt_store) {
-    const auto r = static_cast<std::size_t>(rank);
-    const auto n = static_cast<std::size_t>(size_);
-    auto& arena = arenas[r];
-    auto& out_ptrs = ptr_store[r];
-    auto& out_cnts = cnt_store[r];
-    std::size_t total_bytes = 0;
-    for (std::size_t d = 0; d < n; ++d) {
-      total_bytes += static_cast<std::size_t>(counts[d]) * elem_bytes;
-    }
-    arena.resize(total_bytes);
-    out_ptrs.resize(n);
-    out_cnts.resize(n);
-    std::size_t offset = 0;
-    for (std::size_t d = 0; d < n; ++d) {
-      const std::size_t bytes = static_cast<std::size_t>(counts[d]) * elem_bytes;
-      if (bytes != 0) std::memcpy(arena.data() + offset, ptrs[d], bytes);
-      out_ptrs[d] = arena.data() + offset;
-      out_cnts[d] = counts[d];
-      offset += bytes;
-    }
+  /// One rank's slot on one array board.
+  struct ArraySlot {
+    std::vector<std::byte> arena;
+    std::vector<const void*> ptrs;
+    std::vector<std::uint64_t> cnts;
+  };
+  ArraySlot& slot_of(int board, int rank) {
+    return boards_[static_cast<std::size_t>(board)]
+                  [static_cast<std::size_t>(rank)];
   }
 
   const int size_;
@@ -247,18 +225,9 @@ class CommContext {
   std::shared_ptr<PoisonableBarrier> barrier_;
   std::vector<const void*> ptr_;
   std::vector<std::uint64_t> cnt_;
-  std::vector<const void* const*> ptr_arr_;
-  std::vector<const std::uint64_t*> cnt_arr_;
-  std::vector<const void* const*> ptr_arr_aux_;
-  std::vector<const std::uint64_t*> cnt_arr_aux_;
   std::vector<std::vector<std::byte>> scalar_arena_;
-  std::vector<std::vector<std::byte>> array_arena_;
-  std::vector<std::vector<std::byte>> array_arena_aux_;
-  std::vector<std::vector<const void*>> array_ptrs_;
-  std::vector<std::vector<std::uint64_t>> array_cnts_;
-  std::vector<std::vector<const void*>> array_ptrs_aux_;
-  std::vector<std::vector<std::uint64_t>> array_cnts_aux_;
-  std::vector<std::int64_t> i64_;
+  /// The primary, auxiliary and third array boards (Comm::Board).
+  std::array<std::vector<ArraySlot>, 3> boards_;
   std::array<std::vector<std::int64_t>, 2> span_counts_;
   std::vector<int> split_color_;
   std::vector<int> split_key_;
@@ -388,44 +357,23 @@ std::uint64_t Comm::peer_count(int r) const {
   return ctx_->cnt()[static_cast<std::size_t>(r)];
 }
 
-void Comm::publish_arrays(const void* const* ptrs, const std::uint64_t* counts,
-                          std::size_t elem_bytes) {
-  ctx_->publish_array_board(rank_, ptrs, counts, elem_bytes);
+void Comm::publish_arrays(Board board, const void* const* ptrs,
+                          const std::uint64_t* counts, std::size_t elem_bytes) {
+  ctx_->publish_array_board(static_cast<int>(board), rank_, ptrs, counts,
+                            elem_bytes);
 }
 
-const void* const* Comm::peer_ptr_array(int r) const {
-  return ctx_->ptr_arr()[static_cast<std::size_t>(r)];
+const void* const* Comm::peer_ptr_array(Board board, int r) const {
+  return ctx_->array_ptrs(static_cast<int>(board), r);
 }
 
-const std::uint64_t* Comm::peer_count_array(int r) const {
-  return ctx_->cnt_arr()[static_cast<std::size_t>(r)];
-}
-
-void Comm::publish_arrays_aux(const void* const* ptrs,
-                              const std::uint64_t* counts,
-                              std::size_t elem_bytes) {
-  ctx_->publish_array_board_aux(rank_, ptrs, counts, elem_bytes);
-}
-
-const void* const* Comm::peer_ptr_array_aux(int r) const {
-  return ctx_->ptr_arr_aux()[static_cast<std::size_t>(r)];
-}
-
-const std::uint64_t* Comm::peer_count_array_aux(int r) const {
-  return ctx_->cnt_arr_aux()[static_cast<std::size_t>(r)];
+const std::uint64_t* Comm::peer_count_array(Board board, int r) const {
+  return ctx_->array_counts(static_cast<int>(board), r);
 }
 
 void Comm::cross_barrier() {
   state_->stats.add_crossing(state_->phase);
   ctx_->cross();
-}
-
-void Comm::publish_i64(std::int64_t v) {
-  ctx_->i64()[static_cast<std::size_t>(rank_)] = v;
-}
-
-std::int64_t Comm::peer_i64(int r) const {
-  return ctx_->i64()[static_cast<std::size_t>(r)];
 }
 
 void Comm::publish_span_count(std::int64_t v) {

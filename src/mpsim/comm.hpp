@@ -249,61 +249,58 @@ class Comm {
                                         std::vector<T>& recv_buf,
                                         RouteFn&& route, ReceiveFn&& receive);
 
-  /// Fused five-superstep collective for the ordering-level kernel
-  /// (dist::cm_level_step): a gather + route head like
-  /// fused_gather_route_count's, a count superstep carrying the SORTPERM
-  /// histogram, and TWO further routed supersteps, so a whole Cuthill-McKee
-  /// ordering level (SET + SpMSpV + SELECT + count + SORTPERM + label
-  /// scatter) costs FIVE barrier crossings — where the level's head
-  /// followed by the standalone SORTPERM (three collectives) pays 3 + 6 =
-  /// 9. Board schedule (each board is free one crossing after its readers
-  /// finish, classic BSP):
+  /// Fused three-superstep collective for the ordering-level kernel
+  /// (dist::cm_level_step): expand, deal and label, so a whole
+  /// Cuthill-McKee ordering level (SpMSpV + SELECT + SORTPERM + SET) costs
+  /// THREE barrier crossings, two on the terminal level. The caller's
+  /// column frontier is already local (the previous level's label
+  /// superstep delivered it), so there is no gather superstep. Board
+  /// schedule:
   ///
-  ///   publish my `local` span                           [scalar board]
+  ///   route(route_buf); publish                       [primary array board]
   ///   ---- crossing 1 ----
-  ///   gather_buf <- gather_peers' spans; route(); publish [array board]
+  ///   recv_buf <- what every rank routed to me (source-rank order);
+  ///   deal(recv_buf, deal_buf); publish             [auxiliary array board]
   ///   ---- crossing 2 ----
-  ///   recv_buf <- routed data; n = count_carry(recv_buf, carry_buf);
-  ///   publish n [int64 board] and carry_buf [scalar board, free again]
+  ///   read the p x p deal counts off the auxiliary board: total = every
+  ///   element dealt; if total == 0 RETURN 0 (2 crossings: the terminal
+  ///   level, uniform on every rank); offset = elements dealt to ranks
+  ///   below me; dealt_buf <- what was dealt to me (+ per-source counts);
+  ///   label(dealt_buf, counts, offset, total, label_buf); publish
+  ///                                                    [third array board]
   ///   ---- crossing 3 ----
-  ///   total = sum of counts; if total == 0 RETURN (3 crossings: the
-  ///   termination level skips the sort tail on every rank uniformly);
-  ///   carry_all <- all ranks' carries (rank order);
-  ///   sort_route(total, carry_all, sort_route_buf); publish [array board]
-  ///   ---- crossing 4 ----
-  ///   sort_recv_buf <- routed U data (+ per-source counts);
-  ///   rank_route(sort_recv_buf, counts, rank_route_buf); publish
-  ///                                             [auxiliary payload board]
-  ///   ---- crossing 5 ----
-  ///   rank_recv_buf <- routed positions; finish(rank_recv_buf); return.
+  ///   label_recv_buf <- what every rank labeled for me (source-rank
+  ///   order); finish(label_recv_buf); return total.
   ///
-  /// Callbacks run BETWEEN crossings: they may charge compute and flip the
-  /// phase (dist::cm_level_step flips to the sort phase at sort_route, so
-  /// crossings 4-5 and the sort-side volume land in the Ordering:Sort
-  /// ledger) but must not invoke any collective. Published backing stores
-  /// must stay untouched while peers read them: `local` until crossing 2,
-  /// route_buf until crossing 3, carry_buf until crossing 4, sort_route_buf
-  /// until crossing 5, and rank_route_buf until this rank's next collective
-  /// (whose first crossing proves every peer finished reading; size-only
-  /// mutations such as a workspace checkout's clear() are harmless).
-  /// Charged as its component collectives: the head as an allgatherv, an
-  /// alltoallv priced by fan-out and the count allreduce, the tail as an
-  /// allgatherv of the carry plus
-  /// two FULL-communicator alltoallvs — the paper prices SORTPERM as an
-  /// all-process AlltoAll (the T_SortPerm alpha*p term), and the standalone
-  /// sortperm_bucket exchange this replaces is charged the same way.
-  template <class T, class U, class H, class RouteFn, class CountCarryFn,
-            class SortRouteFn, class RankRouteFn, class FinishFn>
-  std::int64_t fused_order_level(
-      std::span<const int> gather_peers, std::span<const T> local,
-      std::vector<T>& gather_buf, std::vector<std::vector<T>>& route_buf,
-      std::vector<T>& recv_buf, std::vector<H>& carry_buf,
-      std::vector<H>& carry_all, std::vector<std::vector<U>>& sort_route_buf,
-      std::vector<U>& sort_recv_buf,
-      std::vector<std::vector<T>>& rank_route_buf,
-      std::vector<T>& rank_recv_buf, RouteFn&& route,
-      CountCarryFn&& count_carry, SortRouteFn&& sort_route,
-      RankRouteFn&& rank_route, FinishFn&& finish);
+  /// The primary board is the only board any collective writes before its
+  /// first crossing, and every collective reads it before a non-final
+  /// crossing. The auxiliary board is written only after a first crossing
+  /// and the third only after a second, so the reads that follow either
+  /// final crossing (the deal counts on the terminal exit, the labels on
+  /// the full one) cannot race a fast peer's next publish: a level may
+  /// chain straight into any collective, itself included.
+  ///
+  /// Each routing callback must size its buffer table to exactly size()
+  /// buffers. Callbacks may charge compute and flip the phase (the
+  /// crossing after a callback lands on the phase it leaves) but must not
+  /// invoke any collective. Charged as its component collectives, each to
+  /// the phase current when it completes: the expand alltoallv, priced by
+  /// fan-out (the level kernel routes to at most sqrt(p) owners), once
+  /// received; the count allreduce (p words: the per-rank deal counts) at
+  /// crossing 2; the deal and label alltoallvs as FULL-communicator
+  /// exchanges once label() returns and after crossing 3 — the paper
+  /// prices SORTPERM as an all-process AlltoAll (the T_SortPerm alpha*p
+  /// term). The terminal level charges the expand and the count alone.
+  template <class T, class U, class RouteFn, class DealFn, class LabelFn,
+            class FinishFn>
+  std::int64_t fused_order_level(std::vector<std::vector<T>>& route_buf,
+                                 std::vector<T>& recv_buf,
+                                 std::vector<std::vector<U>>& deal_buf,
+                                 std::vector<U>& dealt_buf,
+                                 std::vector<std::vector<T>>& label_buf,
+                                 std::vector<T>& label_recv_buf,
+                                 RouteFn&& route, DealFn&& deal,
+                                 LabelFn&& label, FinishFn&& finish);
 
   /// MPI_Comm_split: members with the same `color` form a new communicator,
   /// ranked by (key, old rank).
@@ -339,34 +336,31 @@ class Comm {
   const CostModel& cost_model() const { return *model_; }
 
  private:
+  /// The per-destination array boards. kPrimary carries every plain
+  /// alltoallv / scatterv and a fused ordering level's expand; it is the
+  /// only one written before a first crossing. kAux is written only after
+  /// a fused collective's first crossing, kThird only after its second —
+  /// which is what lets a fused collective read either one after its
+  /// final crossing.
+  enum class Board : int { kPrimary = 0, kAux = 1, kThird = 2 };
+
   /// Volume of one routed superstep, for charging.
   struct RouteTally {
-    std::uint64_t gathered_words = 0;
     std::uint64_t send_words = 0;
     int fan_out = 0;  ///< non-empty destinations other than this rank
   };
 
-  /// The gather + route step both fused collectives run right after their
-  /// first crossing: reads `gather_peers`' spans off the scalar board into
-  /// gather_buf, lets `route` fill route_buf (exactly size() buffers) and
-  /// stages its pointer/count tables for publication.
-  template <class T, class RouteFn>
-  RouteTally gather_and_route(std::span<const int> gather_peers,
-                              std::vector<T>& gather_buf,
-                              std::vector<std::vector<T>>& route_buf,
-                              RouteFn&& route);
   /// Stages `bufs`' pointer/count tables in `ptrs`/`counts` and tallies the
   /// send volume and fan-out.
   template <class T>
   RouteTally stage_routes(const std::vector<std::vector<T>>& bufs,
                           std::vector<const void*>& ptrs,
                           std::vector<std::uint64_t>& counts) const;
-  /// recv_buf <- what every rank routed to me on the primary (`aux` false)
-  /// or auxiliary array board, in source-rank order; `src_counts`, when
-  /// non-null, receives the per-source element counts. Returns the words
-  /// received.
+  /// recv_buf <- what every rank routed to me on `board`, in source-rank
+  /// order; `src_counts`, when non-null, receives the per-source element
+  /// counts. Returns the words received.
   template <class T>
-  std::uint64_t receive_routed(bool aux, std::vector<T>& recv_buf,
+  std::uint64_t receive_routed(Board board, std::vector<T>& recv_buf,
                                std::vector<std::uint64_t>* src_counts =
                                    nullptr);
 
@@ -392,20 +386,10 @@ class Comm {
   void publish(const void* ptr, std::uint64_t count, std::size_t elem_bytes);
   const void* peer_ptr(int r) const;
   std::uint64_t peer_count(int r) const;
-  void publish_arrays(const void* const* ptrs, const std::uint64_t* counts,
-                      std::size_t elem_bytes);
-  const void* const* peer_ptr_array(int r) const;
-  const std::uint64_t* peer_count_array(int r) const;
-  /// The auxiliary payload board: a second per-destination array board, so
-  /// a fused collective can run two routed supersteps back to back (the
-  /// primary array board is still being read when the second superstep
-  /// publishes).
-  void publish_arrays_aux(const void* const* ptrs, const std::uint64_t* counts,
-                          std::size_t elem_bytes);
-  const void* const* peer_ptr_array_aux(int r) const;
-  const std::uint64_t* peer_count_array_aux(int r) const;
-  void publish_i64(std::int64_t v);
-  std::int64_t peer_i64(int r) const;
+  void publish_arrays(Board board, const void* const* ptrs,
+                      const std::uint64_t* counts, std::size_t elem_bytes);
+  const void* const* peer_ptr_array(Board board, int r) const;
+  const std::uint64_t* peer_count_array(Board board, int r) const;
   /// fused_gather_route_count's span-count board (double-buffered by
   /// collective ordinal; see CommContext::span_count).
   void publish_span_count(std::int64_t v);
@@ -422,18 +406,13 @@ class Comm {
   int size_;
   RankState* state_;
   const CostModel* model_;
-  /// fused_gather_route_count's published pointer tables, kept on the
-  /// Comm (one per rank) so steady-state level loops allocate nothing
-  /// per call. Reuse is safe: the previous call's peers are all past its
-  /// final crossing before this rank can re-enter the collective.
+  /// The fused collectives' staged pointer/count tables, kept on the Comm
+  /// (one per rank) so steady-state level loops allocate nothing per
+  /// call. Reuse between supersteps is safe: publishing copies the tables
+  /// and payloads into board-owned storage.
   std::vector<const void*> fused_ptrs_;
   std::vector<std::uint64_t> fused_counts_;
-  /// Second pointer-table pair for fused_order_level's position-scatter
-  /// superstep (the primary tables are still being read by peers of the
-  /// element-deal superstep), plus the per-source count scratch handed to
-  /// its rank_route callback.
-  std::vector<const void*> fused_ptrs_aux_;
-  std::vector<std::uint64_t> fused_counts_aux_;
+  /// Per-source counts of fused_order_level's deal, handed to label().
   std::vector<std::uint64_t> fused_src_counts_;
 };
 
@@ -548,17 +527,20 @@ std::vector<T> Comm::alltoallv(const std::vector<std::vector<T>>& send,
     my_counts[static_cast<std::size_t>(d)] = send[static_cast<std::size_t>(d)].size();
     send_total += my_counts[static_cast<std::size_t>(d)];
   }
-  publish_arrays(my_ptrs.data(), my_counts.data(), sizeof(T));
+  publish_arrays(Board::kPrimary, my_ptrs.data(), my_counts.data(), sizeof(T));
   cross_barrier();
   verify_collective(CollOp::kAlltoallv);
   std::uint64_t recv_total = 0;
-  for (int s = 0; s < size_; ++s) recv_total += peer_count_array(s)[rank_];
+  for (int s = 0; s < size_; ++s) {
+    recv_total += peer_count_array(Board::kPrimary, s)[rank_];
+  }
   std::vector<T> out;
   out.reserve(recv_total);
   if (recv_counts) recv_counts->assign(static_cast<std::size_t>(size_), 0);
   for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = peer_count_array(s)[rank_];
-    const T* src = static_cast<const T*>(peer_ptr_array(s)[rank_]);
+    const std::uint64_t c = peer_count_array(Board::kPrimary, s)[rank_];
+    const T* src =
+        static_cast<const T*>(peer_ptr_array(Board::kPrimary, s)[rank_]);
     out.insert(out.end(), src, src + c);
     if (recv_counts) (*recv_counts)[static_cast<std::size_t>(s)] = static_cast<std::int64_t>(c);
   }
@@ -630,11 +612,12 @@ std::vector<T> Comm::scatterv(const std::vector<std::vector<T>>& chunks,
       total += my_counts[static_cast<std::size_t>(r)];
     }
   }
-  publish_arrays(my_ptrs.data(), my_counts.data(), sizeof(T));
+  publish_arrays(Board::kPrimary, my_ptrs.data(), my_counts.data(), sizeof(T));
   cross_barrier();
   verify_collective(CollOp::kScatterv);
-  const std::uint64_t c = peer_count_array(root)[rank_];
-  const T* src = static_cast<const T*>(peer_ptr_array(root)[rank_]);
+  const std::uint64_t c = peer_count_array(Board::kPrimary, root)[rank_];
+  const T* src =
+      static_cast<const T*>(peer_ptr_array(Board::kPrimary, root)[rank_]);
   std::vector<T> out(src, src + c);
   maybe_corrupt(out.data(), out.size() * sizeof(T));
   cross_barrier();
@@ -682,26 +665,6 @@ std::vector<T> Comm::pairwise_exchange(int partner, std::span<const T> send) {
   return out;
 }
 
-template <class T, class RouteFn>
-Comm::RouteTally Comm::gather_and_route(std::span<const int> gather_peers,
-                                        std::vector<T>& gather_buf,
-                                        std::vector<std::vector<T>>& route_buf,
-                                        RouteFn&& route) {
-  // Peers read MY span until the next crossing, so the caller's `local`
-  // must not alias any buffer mutated here (gather_buf is fine: it is this
-  // rank's private landing area).
-  gather_buf.clear();
-  for (const int r : gather_peers) {
-    DRCM_CHECK(r >= 0 && r < size_, "gather peer out of range");
-    const T* src = static_cast<const T*>(peer_ptr(r));
-    gather_buf.insert(gather_buf.end(), src, src + peer_count(r));
-  }
-  route(static_cast<const std::vector<T>&>(gather_buf), route_buf);
-  RouteTally tally = stage_routes(route_buf, fused_ptrs_, fused_counts_);
-  tally.gathered_words = gather_buf.size() * words_of<T>();
-  return tally;
-}
-
 template <class T>
 Comm::RouteTally Comm::stage_routes(const std::vector<std::vector<T>>& bufs,
                                     std::vector<const void*>& ptrs,
@@ -723,16 +686,14 @@ Comm::RouteTally Comm::stage_routes(const std::vector<std::vector<T>>& bufs,
 }
 
 template <class T>
-std::uint64_t Comm::receive_routed(bool aux, std::vector<T>& recv_buf,
+std::uint64_t Comm::receive_routed(Board board, std::vector<T>& recv_buf,
                                    std::vector<std::uint64_t>* src_counts) {
   recv_buf.clear();
   if (src_counts) src_counts->assign(static_cast<std::size_t>(size_), 0);
   std::uint64_t words = 0;
   for (int s = 0; s < size_; ++s) {
-    const std::uint64_t c = aux ? peer_count_array_aux(s)[rank_]
-                                : peer_count_array(s)[rank_];
-    const T* src = static_cast<const T*>(aux ? peer_ptr_array_aux(s)[rank_]
-                                             : peer_ptr_array(s)[rank_]);
+    const std::uint64_t c = peer_count_array(board, s)[rank_];
+    const T* src = static_cast<const T*>(peer_ptr_array(board, s)[rank_]);
     recv_buf.insert(recv_buf.end(), src, src + c);
     if (src_counts) (*src_counts)[static_cast<std::size_t>(s)] = c;
     words += c * words_of<T>();
@@ -766,19 +727,28 @@ std::int64_t Comm::fused_gather_route_count(
   // total != 0 means crossing 1 is NOT final, so the lockstep check is
   // sound and guards the span reads below.
   verify_collective(op);
-  const RouteTally tally =
-      gather_and_route(gather_peers, gather_buf, route_buf,
-                       std::forward<RouteFn>(route));
+  // Gather the peers' spans and route. Peers read MY span until the next
+  // crossing, so the caller's `local` must not alias any buffer mutated
+  // here (gather_buf is fine: it is this rank's private landing area).
+  gather_buf.clear();
+  for (const int r : gather_peers) {
+    DRCM_CHECK(r >= 0 && r < size_, "gather peer out of range");
+    const T* src = static_cast<const T*>(peer_ptr(r));
+    gather_buf.insert(gather_buf.end(), src, src + peer_count(r));
+  }
+  route(static_cast<const std::vector<T>&>(gather_buf), route_buf);
+  const RouteTally tally = stage_routes(route_buf, fused_ptrs_, fused_counts_);
 
   // Superstep 2: exchange the routed data on the auxiliary payload board
   // (no collective writes it before its first crossing, so reading it
   // after this final crossing cannot race a fast peer's next publish).
-  publish_arrays_aux(fused_ptrs_.data(), fused_counts_.data(), sizeof(T));
+  publish_arrays(Board::kAux, fused_ptrs_.data(), fused_counts_.data(),
+                 sizeof(T));
   cross_barrier();
-  const std::uint64_t recv_words = receive_routed(/*aux=*/true, recv_buf);
+  const std::uint64_t recv_words = receive_routed(Board::kAux, recv_buf);
 
   CommCost cost = model_->allgatherv(static_cast<int>(gather_peers.size()),
-                                     tally.gathered_words);
+                                     gather_buf.size() * words_of<T>());
   cost += model_->alltoallv(tally.fan_out + 1, tally.send_words, recv_words);
   cost += model_->allreduce(size_, 1);
   charge(cost);
@@ -786,100 +756,73 @@ std::int64_t Comm::fused_gather_route_count(
   return total;
 }
 
-template <class T, class U, class H, class RouteFn, class CountCarryFn,
-          class SortRouteFn, class RankRouteFn, class FinishFn>
-std::int64_t Comm::fused_order_level(
-    std::span<const int> gather_peers, std::span<const T> local,
-    std::vector<T>& gather_buf, std::vector<std::vector<T>>& route_buf,
-    std::vector<T>& recv_buf, std::vector<H>& carry_buf,
-    std::vector<H>& carry_all, std::vector<std::vector<U>>& sort_route_buf,
-    std::vector<U>& sort_recv_buf, std::vector<std::vector<T>>& rank_route_buf,
-    std::vector<T>& rank_recv_buf, RouteFn&& route, CountCarryFn&& count_carry,
-    SortRouteFn&& sort_route, RankRouteFn&& rank_route, FinishFn&& finish) {
+template <class T, class U, class RouteFn, class DealFn, class LabelFn,
+          class FinishFn>
+std::int64_t Comm::fused_order_level(std::vector<std::vector<T>>& route_buf,
+                                     std::vector<T>& recv_buf,
+                                     std::vector<std::vector<U>>& deal_buf,
+                                     std::vector<U>& dealt_buf,
+                                     std::vector<std::vector<T>>& label_buf,
+                                     std::vector<T>& label_recv_buf,
+                                     RouteFn&& route, DealFn&& deal,
+                                     LabelFn&& label, FinishFn&& finish) {
   static_assert(std::is_trivially_copyable_v<T>);
   static_assert(std::is_trivially_copyable_v<U>);
-  static_assert(std::is_trivially_copyable_v<H>);
   constexpr CollOp op = CollOp::kFusedOrderLevel;
 
-  // Superstep 1: publish my span on the scalar board...
+  // Superstep 1 (expand): route before the first crossing, on the primary
+  // array board.
   enter_collective(op);
-  publish(local.data(), local.size(), sizeof(T));
+  route(route_buf);
+  const RouteTally expand = stage_routes(route_buf, fused_ptrs_, fused_counts_);
+  publish_arrays(Board::kPrimary, fused_ptrs_.data(), fused_counts_.data(),
+                 sizeof(T));
   cross_barrier();
-  verify_collective(op);
-  // ...then gather, route, and publish the routed partials on the array
-  // board (the scalar board is still being read — boards are distinct, so
-  // this costs no extra crossing).
-  const RouteTally head = gather_and_route(gather_peers, gather_buf, route_buf,
-                                           std::forward<RouteFn>(route));
-  publish_arrays(fused_ptrs_.data(), fused_counts_.data(), sizeof(T));
-  cross_barrier();
-  // Re-verify before reading: crossing 2 is non-final, so a passing check
-  // proves every rank is still in lockstep in THIS call and the array
-  // board below is stable while we read it. (A rank that diverged — e.g.
-  // on a corrupted payload — would have published a different tag before
-  // whichever arrival released us.)
-  verify_collective(op);
-  const std::uint64_t recv_words = receive_routed(/*aux=*/false, recv_buf);
+  verify_collective(op);  // crossing 1 is never final
+  const std::uint64_t expand_recv = receive_routed(Board::kPrimary, recv_buf);
+  charge(model_->alltoallv(expand.fan_out + 1, expand.send_words,
+                           expand_recv));
 
-  // Superstep 3: publish my count on the int64 board and the carry on the
-  // scalar board (free since crossing 2); fold everyone's counts after the
-  // crossing. No collective writes the int64 board before its first
-  // crossing, so this read is safe even when crossing 3 is final.
-  carry_buf.clear();
-  publish_i64(count_carry(static_cast<const std::vector<T>&>(recv_buf),
-                          carry_buf));
-  publish(carry_buf.data(), carry_buf.size(), sizeof(H));
+  // Superstep 2 (deal), on the auxiliary board. Its count tables double as
+  // the level's count exchange: the total and my offset need no payload.
+  deal(static_cast<const std::vector<T>&>(recv_buf), deal_buf);
+  const RouteTally dealt = stage_routes(deal_buf, fused_ptrs_, fused_counts_);
+  publish_arrays(Board::kAux, fused_ptrs_.data(), fused_counts_.data(),
+                 sizeof(U));
   cross_barrier();
   std::int64_t total = 0;
-  for (int r = 0; r < size_; ++r) total += peer_i64(r);
-  CommCost cost = model_->allgatherv(static_cast<int>(gather_peers.size()),
-                                     head.gathered_words);
-  cost += model_->alltoallv(head.fan_out + 1, head.send_words, recv_words);
-  cost += model_->allreduce(size_, 1);
-  charge(cost);
-  if (total == 0) return 0;  // identical on every rank: uniform early exit
-
-  // total != 0 means crossing 3 was NOT this call's final crossing, so the
-  // lockstep re-check is sound here and guards the carry reads below.
-  verify_collective(op);
-
-  // Superstep 4: read the carry allgather, deal the U elements (the array
-  // board is free since crossing 3).
-  carry_all.clear();
-  std::uint64_t carry_words = 0;
-  for (int r = 0; r < size_; ++r) {
-    const H* src = static_cast<const H*>(peer_ptr(r));
-    carry_all.insert(carry_all.end(), src, src + peer_count(r));
-    carry_words += peer_count(r) * words_of<H>();
+  std::int64_t offset = 0;
+  for (int s = 0; s < size_; ++s) {
+    const std::uint64_t* counts = peer_count_array(Board::kAux, s);
+    for (int d = 0; d < size_; ++d) {
+      const auto c = static_cast<std::int64_t>(counts[d]);
+      total += c;
+      if (d < rank_) offset += c;
+    }
   }
-  sort_route(total, static_cast<const std::vector<H>&>(carry_all),
-             sort_route_buf);
-  charge(model_->allgatherv(size_, carry_words));
-  const RouteTally sort_tally =
-      stage_routes(sort_route_buf, fused_ptrs_, fused_counts_);
-  publish_arrays(fused_ptrs_.data(), fused_counts_.data(), sizeof(U));
-  cross_barrier();
-  verify_collective(op);  // crossing 4: still non-final
-  const std::uint64_t sort_recv_words =
-      receive_routed(/*aux=*/false, sort_recv_buf, &fused_src_counts_);
-  // Priced as the paper's all-process AlltoAll (T_SortPerm's alpha*p term),
-  // matching the standalone sortperm_bucket exchange it replaces.
-  charge(model_->alltoallv(size_, sort_tally.send_words, sort_recv_words));
+  charge(model_->allreduce(size_, static_cast<std::uint64_t>(size_)));
+  if (total == 0) {
+    // Identical on every rank: a uniform two-crossing exit. No tag check
+    // here — crossing 2 is this call's final crossing.
+    return 0;
+  }
+  verify_collective(op);  // total != 0: crossing 2 is not final
+  const std::uint64_t deal_recv =
+      receive_routed(Board::kAux, dealt_buf, &fused_src_counts_);
 
-  // Superstep 5: scatter the computed positions home on the auxiliary
-  // payload board (the primary array board is still being read).
-  rank_route(static_cast<const std::vector<U>&>(sort_recv_buf),
-             std::span<const std::uint64_t>(fused_src_counts_),
-             rank_route_buf);
-  const RouteTally rank_tally =
-      stage_routes(rank_route_buf, fused_ptrs_aux_, fused_counts_aux_);
-  publish_arrays_aux(fused_ptrs_aux_.data(), fused_counts_aux_.data(),
-                     sizeof(T));
+  // Superstep 3 (label), on the third board.
+  label(static_cast<const std::vector<U>&>(dealt_buf),
+        std::span<const std::uint64_t>(fused_src_counts_), offset, total,
+        label_buf);
+  charge(model_->alltoallv(size_, dealt.send_words, deal_recv));
+  const RouteTally labeled = stage_routes(label_buf, fused_ptrs_, fused_counts_);
+  publish_arrays(Board::kThird, fused_ptrs_.data(), fused_counts_.data(),
+                 sizeof(T));
   cross_barrier();
-  const std::uint64_t rank_recv_words =
-      receive_routed(/*aux=*/true, rank_recv_buf);
-  charge(model_->alltoallv(size_, rank_tally.send_words, rank_recv_words));
-  finish(static_cast<const std::vector<T>&>(rank_recv_buf));
+  const std::uint64_t label_recv =
+      receive_routed(Board::kThird, label_recv_buf);
+  charge(model_->alltoallv(size_, labeled.send_words, label_recv));
+  finish(static_cast<const std::vector<T>&>(label_recv_buf));
   return total;
 }
 

@@ -44,9 +44,9 @@ struct PhaseTotals {
   /// Barrier synchronizations entered (every collective is two crossings
   /// of the publication-board barrier; the fused BFS level collective is
   /// two for its whole gather-route-count chain, one on the empty call
-  /// that ends a BFS, and the fused ordering level five for BFS level +
-  /// SORTPERM + label scatter together). The latency budget the fused
-  /// kernels exist to shrink.
+  /// that ends a BFS, and the fused ordering level three for expand +
+  /// SORTPERM deal + label delivery together, two on its terminal level).
+  /// The latency budget the fused kernels exist to shrink.
   std::uint64_t barrier_crossings = 0;
 
   double model_total() const { return model_compute_seconds + model_comm_seconds; }

@@ -16,7 +16,7 @@
 // always ends with its root as the source of its LAST sweep. So the first
 // sweep of a component stays a plain BFS (Peripheral:* phases, 2 crossings
 // per level), and every candidate sweep after it runs as a fused CM
-// labeling run from the candidate (rcm/dist_rcm.hpp; Ordering:* phases, 5
+// labeling run from the candidate (rcm/dist_rcm.hpp; Ordering:* phases, 3
 // crossings per level): it finds the same levels, eccentricity and last
 // level as a BFS, and labels the component on the way, starting at the
 // component's first label. When the search stops, the last sweep's labels
@@ -24,7 +24,7 @@
 // the search moves past (its eccentricity grew, so another candidate
 // follows) is discarded by resetting exactly the owned vertices it labeled
 // — O(component / p), not O(n / p). A component with k sweeps of L levels
-// then costs about 2L + 5(k - 1)L crossings instead of 3kL + 5L. RCM++'s
+// then costs about 2L + 3(k - 1)L crossings instead of 2kL + 3L. RCM++'s
 // root need not be its last sweep's source, so kBiCriteria keeps plain
 // sweeps, as do the Sloan arm and the repair cone's search.
 #pragma once

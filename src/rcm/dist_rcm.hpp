@@ -7,9 +7,10 @@
 // SORTPERM on the (parent label, degree, id) key, shifted by the running
 // label counter, and written into the dense label vector R (SET). The
 // whole ordering level runs through the fused dist::cm_level_step
-// collective — five barrier crossings per level (three on the terminal
-// level). Costs are charged to the Ordering:* phases of the Figure-4
-// breakdown.
+// collective — three barrier crossings per level (two on the terminal
+// level); a run from a root starts without a collective, a run resumed
+// from an owned frontier pays one column allgatherv. Costs are charged to
+// the Ordering:* phases of the Figure-4 breakdown.
 //
 // A CM run discovers exactly the levels a BFS from the same root would —
 // the same eccentricity, the same last level — and labels them on the
@@ -61,10 +62,11 @@ CmRun dist_cm_component(const dist::DistSpMat& a,
 /// continue CM labeling from an arbitrary mid-BFS state instead of a
 /// root. `frontier` must hold the vertices of the last already-labeled
 /// level, whose labels in `labels` occupy [next_label - frontier_nnz,
-/// next_label) (frontier VALUES are ignored — the fused kernel's SET
-/// stage refreshes them from `labels`); every deeper vertex must still be
-/// kNoVertex. Runs cm_level_step until the frontier empties, exactly the
-/// steps dist_cm_component would have run from this state. The result's
+/// next_label) (frontier VALUES are ignored — the column gather refreshes
+/// them from `labels`); every deeper vertex must still be kNoVertex.
+/// Gathers the column frontier (one column allgatherv), then runs
+/// cm_level_step until the frontier empties, exactly the steps
+/// dist_cm_component would have run from this state. The result's
 /// depth counts the levels below `frontier`; when no level follows,
 /// `frontier` itself is reported as the deepest level.
 ///

@@ -292,7 +292,7 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
 
   // Crossing arithmetic against the speculative cold run (see header).
   // A BFS sweep of eccentricity L costs 2L + 3 crossings, a CM labeling
-  // run of L levels below its root 5L + 3, an argmin 2. Per component with
+  // run of L levels below its root 3L + 2, an argmin 2. Per component with
   // k recorded sweeps and root eccentricity L, cold pays the seed argmin,
   // the first sweep plainly, every later sweep as a CM run, k - 1 (k = 1:
   // one) candidate argmins, and — when k = 1 — a separate CM run from the
@@ -300,7 +300,7 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
   // so they count as 0: every bound below is a lower bound on cold minus
   // repair. k = 0 (not recorded) is priced like k = 2, the smaller bound.
   const auto bfs_run = [](index_t below) { return 2 * below + 3; };
-  const auto cm_run = [](index_t below) { return 5 * below + 3; };
+  const auto cm_run = [](index_t below) { return 3 * below + 2; };
   for (std::size_t k = 0; k < ncomp; ++k) {
     auto& cp = plan.components[k];
     const auto& cr = recipe.components[k];
@@ -317,12 +317,15 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
       plan.crossing_margin += cold - 2;
       continue;
     }
-    // A cone re-runs the search with plain sweeps, then the levels from
+    // A cone re-runs the search with plain sweeps, then gathers the
+    // level-(d-1) column frontier (an allgatherv), runs the levels from
     // cone_level on, then the membership allreduce. Against cold it saves
-    // the CM levels above the cone but pays 3L more per sweep cold would
-    // have run speculatively (one-sweep components have none).
+    // the CM levels above the cone but sweeps the root plainly on top
+    // (one-sweep components pay that sweep in cold too). Cold's other
+    // speculative sweeps cost L - 1 >= 0 more than the cone's plain ones;
+    // they count as 0.
     const index_t d = min_level[k];
-    const index_t cone = cm_run(ecc - d + 1) + 2;
+    const index_t cone = 2 + cm_run(ecc - d + 1) + 2;
     const index_t cone_margin = one_sweep ? cm_run(ecc) - cone
                                           : cm_run(ecc) - bfs_run(ecc) - cone;
     // A recompute runs cold's own speculative routine plus the membership

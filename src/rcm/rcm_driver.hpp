@@ -139,17 +139,18 @@ struct ComponentRepairPlan {
 /// than a cold recompute.
 struct RepairPlan {
   std::vector<ComponentRepairPlan> components;
-  /// Non-terminal cm_level_step collectives the plan skips (5 crossings
+  /// Non-terminal cm_level_step collectives the plan skips (3 crossings
   /// each); reused components additionally skip their peripheral search
   /// and terminal steps.
   index_t level_steps_skipped = 0;
   /// Conservative crossing margin of repair vs the SPECULATIVE cold run,
   /// from each component's recorded sweep count k and root eccentricity L
-  /// (a BFS sweep costs 2L + 3 crossings, a CM run 5L + 3): reuse = cold's
+  /// (a BFS sweep costs 2L + 3 crossings, a CM run 3L + 2): reuse = cold's
   /// whole component minus the seed argmin; cone = the CM levels above
-  /// cone_level minus the membership allreduce (2), minus 3L when k != 1
-  /// (the cone's plain sweep from the root, which cold runs as its
-  /// ordering); recompute -2. Repair is only worth launching when > 0.
+  /// cone_level minus the column-frontier allgatherv and the membership
+  /// allreduce (2 each), minus 2L + 3 when k != 1 (the cone's plain sweep
+  /// from the root, which cold runs as its ordering); recompute -2. Repair
+  /// is only worth launching when > 0.
   index_t crossing_margin = 0;
   bool profitable = false;
 };

@@ -140,66 +140,61 @@ CostBreakdown project_cost(const ExecutionTrace& trace, int cores,
   const double logP = P > 1 ? std::log2(P) : 0.0;
   constexpr double kEntryWords = 2.0;  // VecEntry {idx, val}
   constexpr double kTupleWords = 3.0;  // (parent, degree, id)
-  // Packed histogram carry (sortperm_pack_cells): a degree-diverse level
-  // costs ~1 word per cell, and cells <= elements, so 1 word per element
-  // upper-bounds the carried volume the model prices (the unpacked cell
-  // was 4 words).
-  constexpr double kCarryWords = 1.0;
 
   CostBreakdown out;
 
-  // One level's expansion: allgatherv along the processor column, the
-  // owner-direct alltoallv (fan-out q, subsuming the old row alltoallv +
-  // transpose pairwise exchange) and the count reduction, in `crossings`
-  // barrier crossings.
-  const auto add_spmspv_level = [&](const LevelTrace& l, PhaseTime& spmspv,
-                                    PhaseTime& other,
-                                    std::uint64_t crossings) {
+  // One level's expansion: the local work (multiply + accumulator merge
+  // multithreaded across all cores; the SET + SELECT scans fused into the
+  // kernel stay attributed to Other) and the owner-direct alltoallv of the
+  // partials (fan-out q, subsuming the old row alltoallv + transpose
+  // pairwise exchange), in `crossings` barrier crossings.
+  const auto add_expand = [&](const LevelTrace& l, PhaseTime& spmspv,
+                              PhaseTime& other, std::uint64_t crossings) {
     const double frontier = static_cast<double>(l.frontier);
     const double expansion = static_cast<double>(l.expansion);
     const double next = static_cast<double>(l.next);
-    // Local multiply + accumulator merge, multithreaded across all cores.
     spmspv.compute += gamma * (expansion + 2.0 * next) / total_cores;
-    if (P > 1) {
-      spmspv.comm += alpha * (q - 1) + beta * kEntryWords * frontier / q;
-      spmspv.comm += alpha * q + beta * kEntryWords * expansion / P;
-      spmspv.comm += 2.0 * alpha * logP;
-    }
+    if (P > 1) spmspv.comm += alpha * q + beta * kEntryWords * expansion / P;
     spmspv.crossings += crossings;
-    // SET + SELECT are local scans fused into the kernel; their work stays
-    // attributed to Other, while the count reduction's latency sits in the
-    // fused SpMSpV collective above.
     other.compute += gamma * (frontier + 2.0 * next) / total_cores;
   };
 
-  // BFS levels (dist::bfs_level_step): the count of the expanded frontier
-  // rides crossing 1, so a level costs 2 crossings, and the empty call
-  // that ends each BFS one more (plus its count reduction).
+  // BFS levels (dist::bfs_level_step): the frontier gather along the
+  // processor column and the count of the expanded frontier ride crossing
+  // 1, so a level costs 2 crossings, and the empty call that ends each BFS
+  // one more (plus its count reduction).
   for (const auto& l : trace.peripheral_levels) {
-    add_spmspv_level(l, out.peripheral_spmspv, out.peripheral_other, 2);
+    auto& comm = out.peripheral_spmspv.comm;
+    if (P > 1) {
+      comm += alpha * (q - 1) +
+              beta * kEntryWords * static_cast<double>(l.frontier) / q;
+    }
+    add_expand(l, out.peripheral_spmspv, out.peripheral_other, 2);
+    if (P > 1) comm += 2.0 * alpha * logP;
     if (l.next == 0) {
       out.peripheral_spmspv.crossings += 1;
       if (P > 1) out.peripheral_spmspv.comm += 2.0 * alpha * logP;
     }
   }
   // Ordering levels (dist::cm_level_step), the root's and the discarded
-  // speculative sweeps' alike: the three-crossing head, then SORTPERM
-  // fused into the level — the (bucket, degree, block) histogram rides the
-  // count superstep as an all-rank exchange, then the element deal and the
-  // position scatter are the two sort-side supersteps, crossings 4 and 5;
-  // the terminal level (next == 0) skips the sort tail.
+  // speculative sweeps' alike: the column frontier is already local, so
+  // the expand is crossing 1; the deal to the parent-label stripes is
+  // crossing 2, whose per-rank deal counts (an allreduce of P words) are
+  // the level's count; the labels go to the q ranks of each owner's
+  // processor column on crossing 3, the level's only sort-side crossing.
+  // The terminal level (next == 0) ends after crossing 2.
   const auto add_cm_level = [&](const LevelTrace& l) {
-    add_spmspv_level(l, out.ordering_spmspv, out.ordering_other, 3);
+    add_expand(l, out.ordering_spmspv, out.ordering_other, 2);
+    if (P > 1) out.ordering_spmspv.comm += 2.0 * logP * (alpha + beta * P);
     const double next = static_cast<double>(l.next);
     out.ordering_sort.compute +=
         gamma * next * (1.0 + std::log2(next + 1.0)) / total_cores;
     if (l.next > 0) {
-      out.ordering_sort.crossings += 2;
+      out.ordering_sort.crossings += 1;
       if (P > 1) {
         out.ordering_sort.comm +=
-            alpha * (P - 1) + beta * kCarryWords * next +    // packed carry
-            alpha * (P - 1) + beta * kTupleWords * next / P + // element deal
-            alpha * (P - 1) + beta * kEntryWords * next / P;  // positions home
+            alpha * (P - 1) + beta * kTupleWords * next / P +  // the deal
+            alpha * (P - 1) + beta * kEntryWords * next / q;   // labels
       }
     }
   };

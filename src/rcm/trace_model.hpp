@@ -52,7 +52,7 @@ struct ExecutionTrace {
   /// Plain BFS sweeps: the first sweep of every component (2 crossings per
   /// level, plus 1 for the empty call that ends each BFS).
   std::vector<LevelTrace> peripheral_levels;
-  /// The CM labeling from each component's root (5 crossings per level, 3
+  /// The CM labeling from each component's root (3 crossings per level, 2
   /// on the terminal one): its last speculative sweep, or a separate pass
   /// when the search stopped after its first sweep.
   std::vector<LevelTrace> ordering_levels;

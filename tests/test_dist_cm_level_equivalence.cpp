@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "dist_rank_matrix.hpp"
 #include "level_oracle.hpp"
@@ -71,8 +73,9 @@ TEST(CmLevelEquivalence, FullOrderingMatchesSerial) {
 TEST(CmLevelEquivalence, LevelByLevelMatchesTheSerialOracle) {
   // Drive one component level by level next to the serial oracle: after
   // every level the fused step must agree with it on the level count, the
-  // next frontier (support AND minimum-parent values) and every label
-  // assigned so far.
+  // next frontier (support AND minimum-parent values), the column frontier
+  // it hands the next level (my processor column's part of the level,
+  // valued by the new labels) and every label assigned so far.
   for (u64 seed = 40; seed <= 45; ++seed) {
     const auto a = seed % 2 == 0
                        ? gen::erdos_renyi(100 + 5 * static_cast<index_t>(seed % 3),
@@ -92,17 +95,18 @@ TEST(CmLevelEquivalence, LevelByLevelMatchesTheSerialOracle) {
         std::vector<index_t> want(static_cast<std::size_t>(a.n()), kNoVertex);
         want[static_cast<std::size_t>(root)] = 0;
         std::vector<index_t> oracle_frontier{root};
-        DistSpVec frontier(mat.vec_dist(), grid);
-        if (frontier.lo() <= root && root < frontier.hi()) {
-          frontier.assign({VecEntry{root, 0}});
-        }
+        const auto& dist = mat.vec_dist();
+        const index_t chunk_lo = dist.chunk_lo(grid.col());
+        const index_t chunk_hi = dist.chunk_lo(grid.col() + 1);
+        std::vector<VecEntry> column;
+        if (chunk_lo <= root && root < chunk_hi) column.push_back({root, 0});
         index_t next_label = 1;
         index_t frontier_nnz = 1;
         index_t depth = 0;
         while (frontier_nnz > 0) {
           const index_t label_lo = next_label - frontier_nnz;
           const auto fused = cm_level_step(
-              mat, frontier, labels, degrees, label_lo, next_label,
+              mat, column, labels, degrees, label_lo, next_label,
               next_label, grid, mps::Phase::kOrderingSpmspv,
               mps::Phase::kOrderingSort, mps::Phase::kOrderingOther);
           const auto level =
@@ -119,10 +123,20 @@ TEST(CmLevelEquivalence, LevelByLevelMatchesTheSerialOracle) {
                                          labels.local().end()),
                     owned_want)
               << "seed=" << seed << " p=" << p << " depth=" << depth;
+          std::vector<VecEntry> want_column;
+          for (const auto& e : level) {
+            if (e.idx >= chunk_lo && e.idx < chunk_hi) {
+              want_column.push_back(
+                  {e.idx, want[static_cast<std::size_t>(e.idx)]});
+            }
+          }
+          auto got_column = column;
+          std::sort(got_column.begin(), got_column.end(), idx_less);
+          EXPECT_EQ(got_column, want_column)
+              << "seed=" << seed << " p=" << p << " depth=" << depth;
           oracle_frontier = support(level);
           frontier_nnz = fused.global_nnz;
           next_label += frontier_nnz;
-          frontier = fused.next;
           ++depth;
         }
       }, {}, t);

@@ -12,8 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "dist/dist_matrix.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/runtime.hpp"
+#include "rcm/dist_rcm.hpp"
 #include "rcm/rcm_driver.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
@@ -170,6 +172,56 @@ TEST(FaultInjection, WatchdogConvertsAStalledRankIntoBoundedDiagnostic) {
                            std::chrono::steady_clock::now() - start)
                            .count();
   EXPECT_LT(elapsed, 30) << "watchdog must fire within a bounded budget";
+}
+
+// ---------------------------------------------------------------------------
+// The fused ordering level: a corrupted payload on any of its three
+// supersteps must end in a named CheckError from that superstep's
+// receive-path check, never in a wrong ordering.
+
+TEST(FaultInjection, CorruptedOrderingLevelPayloadsFailNamedChecks) {
+  // path(12) on the 2 x 2 grid, CM from root 10 (chunk 1 = [6, 12): rank 1
+  // owns 6-8, rank 3 owns 9-11). Every rank's 4th collective is the first
+  // ordering level (two grid splits and the degree gather come first). Its
+  // level {9, 11} has one parent, so it is expanded by rank 3, whose
+  // partials come home to rank 3; dealt whole to worker 0 (parent stripe
+  // [0, 1)); and labeled for processor column 1 = ranks 1 and 3. A
+  // corruption armed there lands on the first non-empty payload the rank
+  // receives: rank 3's partials, rank 0's dealt triples, rank 1's labels.
+  struct Case {
+    const char* superstep;
+    int rank;
+    const char* check;
+  };
+  const Case cases[] = {
+      {"expand", 3, "partial routed to non-owner"},
+      {"deal", 0, "dealt bucket outside the worker's parent-label stripe"},
+      {"label", 1, "label routed outside the receiver's column chunk"},
+  };
+  const auto a = gen::path(12);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.superstep);
+    FaultPlan plan;
+    plan.corrupt_at(c.rank, 4);
+    try {
+      Runtime::run(
+          4,
+          [&](Comm& world) {
+            dist::ProcGrid2D grid(world);
+            dist::DistSpMat mat(grid, a);
+            const auto degrees = mat.degrees(grid);
+            dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
+            rcm::dist_cm_component(mat, degrees, labels, 10, 0, grid);
+          },
+          with_faults(&plan));
+      ADD_FAILURE() << "a corrupted " << c.superstep
+                    << " payload must not complete";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.check), std::string::npos)
+          << e.what();
+    }
+    ASSERT_TRUE(plan.actions().front().fired);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -303,5 +303,146 @@ TEST_P(CollectivesTest, FusedLevelEmptyExitChainsIntoAnyCollective) {
   });
 }
 
+TEST_P(CollectivesTest, FusedOrderLevelExitsChainIntoAnyCollective) {
+  // The fused ordering level writes the primary array board BEFORE its
+  // first crossing, and reads a board after its final crossing on both
+  // exits: the auxiliary board's deal counts on the terminal exit (crossing
+  // 2), the third board's labels on the full one (crossing 3). Chain both
+  // exits straight into itself, the fused BFS level and an alltoallv with
+  // rank-skewed delays, and check every payload, count and offset.
+  // ThreadSanitizer runs this suite.
+  const int p = GetParam();
+  struct Dealt {
+    std::int64_t value;
+    std::int64_t source;
+  };
+  Runtime::run(p, [&](Comm& comm) {
+    const auto me = static_cast<std::int64_t>(comm.rank());
+    std::vector<std::int64_t> recv_buf, label_recv_buf, gather_buf;
+    std::vector<Dealt> dealt_buf;
+    std::vector<std::vector<std::int64_t>> route_buf, label_buf;
+    std::vector<std::vector<Dealt>> deal_buf;
+    std::vector<int> everyone(static_cast<std::size_t>(p));
+    std::iota(everyone.begin(), everyone.end(), 0);
+    // Every rank routes round*1000 + rank to everyone, deals what it got
+    // back to each sender, and labels: worker w holds p dealt elements, so
+    // its offset is w*p, and it sends offset + d to every rank d.
+    const auto full_order_level = [&](std::int64_t round) {
+      bool finished = false;
+      const auto total = comm.fused_order_level<std::int64_t, Dealt>(
+          route_buf, recv_buf, deal_buf, dealt_buf, label_buf, label_recv_buf,
+          [&](std::vector<std::vector<std::int64_t>>& route) {
+            route.assign(static_cast<std::size_t>(p), {round * 1000 + me});
+          },
+          [&](const std::vector<std::int64_t>& got,
+              std::vector<std::vector<Dealt>>& deal) {
+            ASSERT_EQ(got.size(), static_cast<std::size_t>(p));
+            deal.assign(static_cast<std::size_t>(p), {});
+            for (const auto v : got) {
+              deal[static_cast<std::size_t>(v - round * 1000)].push_back(
+                  Dealt{v, me});
+            }
+          },
+          [&](const std::vector<Dealt>& dealt,
+              std::span<const std::uint64_t> counts, std::int64_t offset,
+              std::int64_t level_total,
+              std::vector<std::vector<std::int64_t>>& label) {
+            EXPECT_EQ(level_total, static_cast<std::int64_t>(p) * p);
+            EXPECT_EQ(offset, me * p);
+            ASSERT_EQ(dealt.size(), static_cast<std::size_t>(p));
+            ASSERT_EQ(counts.size(), static_cast<std::size_t>(p));
+            for (int s = 0; s < p; ++s) {
+              EXPECT_EQ(counts[static_cast<std::size_t>(s)], 1u);
+              EXPECT_EQ(dealt[static_cast<std::size_t>(s)].value,
+                        round * 1000 + me);
+              EXPECT_EQ(dealt[static_cast<std::size_t>(s)].source, s);
+            }
+            label.assign(static_cast<std::size_t>(p), {});
+            for (int d = 0; d < p; ++d) {
+              label[static_cast<std::size_t>(d)].push_back(offset + d);
+            }
+          },
+          [&](const std::vector<std::int64_t>& got) {
+            finished = true;
+            ASSERT_EQ(got.size(), static_cast<std::size_t>(p));
+            for (int s = 0; s < p; ++s) {
+              EXPECT_EQ(got[static_cast<std::size_t>(s)],
+                        static_cast<std::int64_t>(s) * p + me);
+            }
+          });
+      EXPECT_EQ(total, static_cast<std::int64_t>(p) * p);
+      EXPECT_TRUE(finished);
+    };
+    const auto empty_order_level = [&] {
+      const auto total = comm.fused_order_level<std::int64_t, Dealt>(
+          route_buf, recv_buf, deal_buf, dealt_buf, label_buf, label_recv_buf,
+          [&](std::vector<std::vector<std::int64_t>>& route) {
+            route.assign(static_cast<std::size_t>(p), {});
+          },
+          [&](const std::vector<std::int64_t>& got,
+              std::vector<std::vector<Dealt>>& deal) {
+            EXPECT_TRUE(got.empty());
+            deal.assign(static_cast<std::size_t>(p), {});
+          },
+          [&](const std::vector<Dealt>&, std::span<const std::uint64_t>,
+              std::int64_t, std::int64_t,
+              std::vector<std::vector<std::int64_t>>&) {
+            ADD_FAILURE() << "an empty level must not label";
+          },
+          [&](const std::vector<std::int64_t>&) {
+            ADD_FAILURE() << "an empty level must not finish";
+          });
+      EXPECT_EQ(total, 0);
+    };
+    const auto bfs_level = [&](std::int64_t round) {
+      const std::vector<std::int64_t> mine{round * p + me};
+      const auto total = comm.fused_gather_route_count(
+          everyone, std::span<const std::int64_t>(mine), gather_buf,
+          route_buf, recv_buf,
+          [&](const std::vector<std::int64_t>& gathered,
+              std::vector<std::vector<std::int64_t>>& route) {
+            route.assign(static_cast<std::size_t>(p), {});
+            for (const auto v : gathered) {
+              route[static_cast<std::size_t>(v % p)].push_back(v);
+            }
+          },
+          [&](const std::vector<std::int64_t>& got) {
+            ASSERT_EQ(got.size(), static_cast<std::size_t>(p));
+            for (const auto v : got) EXPECT_EQ(v, round * p + me);
+          });
+      EXPECT_EQ(total, p);
+    };
+    for (std::int64_t round = 0; round < 200; ++round) {
+      // Skew: some ranks dawdle, so they are still reading when the others
+      // race into the next collective.
+      if ((comm.rank() + round) % 3 == 0) {
+        for (int spin = 0; spin < 8; ++spin) std::this_thread::yield();
+      }
+      // Each exit (full: crossing 3; terminal: crossing 2) chains into
+      // each kind of next collective.
+      if (round % 2 == 0) {
+        full_order_level(round);
+      } else {
+        empty_order_level();
+      }
+      switch ((round / 2) % 4) {
+        case 0: full_order_level(round + 500); break;
+        case 1: empty_order_level(); break;
+        case 2: bfs_level(round); break;
+        default: {
+          std::vector<std::vector<std::int64_t>> send(
+              static_cast<std::size_t>(p));
+          for (int d = 0; d < p; ++d) {
+            send[static_cast<std::size_t>(d)].push_back(round + d);
+          }
+          const auto got = comm.alltoallv(send);
+          ASSERT_EQ(got.size(), static_cast<std::size_t>(p));
+          for (const auto v : got) EXPECT_EQ(v, round + me);
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 }  // namespace drcm::mps

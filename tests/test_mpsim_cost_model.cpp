@@ -177,25 +177,24 @@ TEST(CrossingLedger, TerminalBfsLevelIsOneCrossing) {
             2u * 6 + 1);
 }
 
-TEST(CrossingLedger, FusedOrderingLevelIsAtMostFiveCrossings) {
+TEST(CrossingLedger, FusedOrderingLevelIsAtMostThreeCrossings) {
   // The ordering-level tentpole: one WHOLE Cuthill-McKee ordering level
-  // (BFS level + SORTPERM + label scatter) through dist::cm_level_step
-  // costs FIVE barrier crossings — three for the level kernel head, two
-  // for the fused sort tail — while the standalone sortperm_bucket alone
-  // (allgatherv + two alltoallvs) pays 6 on the level it discovered.
+  // (SpMSpV + SELECT + SORTPERM + SET) through dist::cm_level_step costs
+  // THREE barrier crossings — expand and deal on the SpMSpV ledger, the
+  // label delivery on the sort ledger — while the standalone
+  // sortperm_bucket alone (allgatherv + two alltoallvs) pays 6 on the
+  // level it discovered.
   const auto a = sparse::gen::grid2d(8, 8);
   const auto report = Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
     dist::DistSpMat mat(grid, a);
     const auto degrees = mat.degrees(grid);
-    dist::DistSpVec frontier(mat.vec_dist(), grid);
-    if (frontier.lo() <= 27 && 27 < frontier.hi()) {
-      frontier.assign({dist::VecEntry{27, 0}});
-    }
+    std::vector<dist::VecEntry> column;
+    if (mat.vec_dist().owner_col(27) == grid.col()) column.push_back({27, 0});
     dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
     if (labels.owns(27)) labels.set(27, 0);
     const auto level = dist::cm_level_step(
-        mat, frontier, labels, degrees, /*label_lo=*/0, /*label_hi=*/1,
+        mat, column, labels, degrees, /*label_lo=*/0, /*label_hi=*/1,
         /*next_label=*/1, grid, Phase::kOrderingSpmspv, Phase::kOrderingSort,
         Phase::kOrderingOther);
     PhaseScope scope(world, Phase::kSolver);
@@ -205,17 +204,22 @@ TEST(CrossingLedger, FusedOrderingLevelIsAtMostFiveCrossings) {
       report.aggregate(Phase::kOrderingSpmspv).max.barrier_crossings +
       report.aggregate(Phase::kOrderingSort).max.barrier_crossings +
       report.aggregate(Phase::kOrderingOther).max.barrier_crossings;
-  EXPECT_LE(fused, 5u) << "the fused ordering level's synchrony contract";
-  EXPECT_EQ(fused, 5u) << "3 level-kernel crossings + 2 sort crossings";
-  EXPECT_EQ(report.aggregate(Phase::kOrderingSort).max.barrier_crossings, 2u);
+  EXPECT_LE(fused, 3u) << "the fused ordering level's synchrony contract";
+  EXPECT_EQ(fused, 3u) << "expand + deal + label delivery";
+  EXPECT_EQ(report.aggregate(Phase::kOrderingSort).max.barrier_crossings, 1u);
+  // The level {19, 26, 28, 35} has one parent, so worker 0 receives the
+  // whole deal (4 triples of 3 words) and sends each of the 4 labels (2
+  // words) to the q = 2 ranks of its owner's column: no histogram words.
+  EXPECT_EQ(report.aggregate(Phase::kOrderingSort).max.words,
+            3u * 4 + 2u * 2 * 4);
   EXPECT_EQ(report.aggregate(Phase::kSolver).max.barrier_crossings, 6u)
       << "the standalone SORTPERM's three collectives";
 }
 
 TEST(CrossingLedger, TerminalOrderingLevelSkipsTheSortTail) {
-  // When the count superstep reports an empty next level, every rank skips
-  // supersteps 4-5 uniformly: the termination level costs the plain level
-  // kernel's 3 crossings and touches neither the sort ledger nor labels.
+  // When the deal counts report an empty next level, every rank skips the
+  // label superstep uniformly: the termination level costs 2 crossings
+  // (expand + deal) and touches neither the sort ledger nor labels.
   const auto a = sparse::gen::path(2);
   const auto report = Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
@@ -224,18 +228,17 @@ TEST(CrossingLedger, TerminalOrderingLevelSkipsTheSortTail) {
     dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
     if (labels.owns(0)) labels.set(0, 0);
     if (labels.owns(1)) labels.set(1, 1);
-    dist::DistSpVec frontier(mat.vec_dist(), grid);
-    if (frontier.lo() <= 1 && 1 < frontier.hi()) {
-      frontier.assign({dist::VecEntry{1, 1}});
-    }
+    std::vector<dist::VecEntry> column;
+    if (mat.vec_dist().owner_col(1) == grid.col()) column.push_back({1, 1});
     const auto step = dist::cm_level_step(
-        mat, frontier, labels, degrees, /*label_lo=*/1, /*label_hi=*/2,
+        mat, column, labels, degrees, /*label_lo=*/1, /*label_hi=*/2,
         /*next_label=*/2, grid, Phase::kOrderingSpmspv, Phase::kOrderingSort,
         Phase::kOrderingOther);
     EXPECT_EQ(step.global_nnz, 0);
+    EXPECT_TRUE(column.empty()) << "no level follows the terminal one";
   });
   EXPECT_EQ(report.aggregate(Phase::kOrderingSpmspv).max.barrier_crossings,
-            3u);
+            2u);
   EXPECT_EQ(report.aggregate(Phase::kOrderingSort).max.barrier_crossings, 0u);
 }
 

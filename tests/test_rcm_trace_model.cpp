@@ -87,20 +87,20 @@ TEST(CostModel, CrossingsFollowTheSpeculativeSearch) {
   // path(20): seed 0, a plain BFS of eccentricity 19 (20 levels x 2 + the
   // empty call's 1 = 41), one candidate argmin (2) and the seed scan (2)
   // on the peripheral side; the speculative sweep from 19 is the ordering
-  // — 19 full CM levels x 5 + the terminal level's 3 — plus the final
+  // — 19 full CM levels x 3 + the terminal level's 2 — plus the final
   // label allgatherv (2). Crossings do not depend on the core count.
   const auto tr = ExecutionTrace::collect(gen::path(20));
   for (const int cores : {1, 4, 24}) {
     const auto c = project_cost(tr, cores, 1);
     EXPECT_EQ(c.peripheral_crossings(), 45u) << cores;
-    EXPECT_EQ(c.ordering_crossings(), 100u) << cores;
+    EXPECT_EQ(c.ordering_crossings(), 61u) << cores;
   }
   // Isolated vertices: one plain sweep each (2 + 1), the fixpoint argmin
-  // (2), the seed scan (2) and a one-level CM pass (3) per component.
+  // (2), the seed scan (2) and a one-level CM pass (2) per component.
   const auto iso =
       project_cost(ExecutionTrace::collect(gen::empty_graph(3)), 4, 1);
   EXPECT_EQ(iso.peripheral_crossings(), 3u * 7);
-  EXPECT_EQ(iso.ordering_crossings(), 3u * 3 + 2);
+  EXPECT_EQ(iso.ordering_crossings(), 3u * 2 + 2);
 }
 
 TEST(CostModel, SingleCoreIsPureCompute) {
