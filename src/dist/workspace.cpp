@@ -61,6 +61,11 @@ std::vector<std::vector<VecEntryD>>& DistWorkspace::vecd_route(
   return checkout_route(vecd_route_, ranks, vecd_route_cap_);
 }
 
+std::vector<std::vector<double>>& DistWorkspace::value_route(
+    std::size_t ranks) {
+  return checkout_route(value_route_, ranks, value_route_cap_);
+}
+
 std::vector<SortRec>& DistWorkspace::sort_scratch() {
   return checkout_cleared(sort_, sort_cap_);
 }

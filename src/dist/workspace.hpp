@@ -148,6 +148,11 @@ class DistWorkspace {
   /// ledger extends across requests.
   std::vector<std::vector<MatEntryV>>& mat_route(std::size_t ranks);
   std::vector<std::vector<VecEntryD>>& vecd_route(std::size_t ranks);
+  /// Value-only staging of a plan hit (solver::SolvePlan): the matrix
+  /// values, then the rhs values, one word each. The cold route that
+  /// builds a plan reserves it to its own per-destination counts, so the
+  /// hits that follow stage allocation-free from the first.
+  std::vector<std::vector<double>>& value_route(std::size_t ranks);
 
   /// SORTPERM triple scratch (element array + counting-sort shadow),
   /// cleared, and its per-destination routing buffers (sortperm_bucket's
@@ -246,6 +251,7 @@ class DistWorkspace {
   std::vector<std::vector<VecEntry>> fused_route_;
   std::vector<std::vector<MatEntryV>> mat_route_;
   std::vector<std::vector<VecEntryD>> vecd_route_;
+  std::vector<std::vector<double>> value_route_;
   std::vector<SortRec> sort_;
   std::vector<SortRec> sort_tmp_;
   std::vector<std::vector<SortRec>> sort_route_;
@@ -272,6 +278,7 @@ class DistWorkspace {
               partial_cap_ = 0, gather_cap_ = 0, recv_cap_ = 0,
               merge_route_cap_ = 0, entry_route_cap_ = 0,
               fused_route_cap_ = 0, mat_route_cap_ = 0, vecd_route_cap_ = 0,
+              value_route_cap_ = 0,
               sort_cap_ = 0, sort_tmp_cap_ = 0,
               sort_route_cap_ = 0, index_cap_ = 0, counters_cap_ = 0,
               hist_cells_cap_ = 0,

@@ -33,8 +33,9 @@ struct OrderingStats {
   int peripheral_bfs_sweeps = 0;  ///< total peripheral sweeps over all comps
   /// Total BFS levels labeled over all components (each component
   /// contributes root eccentricity + 1) — in the distributed setting every
-  /// level is one fused 5-crossing collective, so this is the latency
-  /// figure the bi-criteria start finder tries to shrink.
+  /// level is one fused level step of 3 barrier crossings (2 on a
+  /// component's terminal level), so this is the latency figure the
+  /// bi-criteria start finder tries to shrink.
   index_t ordering_levels = 0;
 };
 

@@ -43,7 +43,8 @@ std::vector<index_t> sloan(const sparse::CsrMatrix& a, SloanOptions opt = {});
 /// distributed level kernel ranks by, with k(v) substituted for the degree.
 /// No final reversal (Sloan numbers front-to-back). Quality sits between
 /// RCM and classic Sloan on wavefront, and it parallelizes exactly like
-/// RCM: one fused 5-crossing collective per level.
+/// RCM: one fused level step per level, 3 barrier crossings (2 on the
+/// terminal level).
 std::vector<index_t> sloan_levels(
     const sparse::CsrMatrix& a, SloanOptions opt = {},
     PeripheralMode mode = PeripheralMode::kGeorgeLiu);

@@ -608,71 +608,132 @@ dist::OneShotRowBlocks redistribute_stage(mps::Comm& world,
   return dist::redistribute_to_row_blocks(a, labels, grid);
 }
 
+/// This rank's O(n/p) window of the pre-distribution rhs fixture, as the
+/// 2D-distributed vector the rhs routes read.
+dist::DistDenseVecD rhs_window(mps::Comm& world, dist::ProcGrid2D& grid,
+                               std::span<const double> b) {
+  const auto n = static_cast<index_t>(b.size());
+  dist::DistDenseVecD b_dist(dist::VectorDist(n, grid.q()), grid, 0.0);
+  for (index_t g = b_dist.lo(); g < b_dist.hi(); ++g) {
+    b_dist.set(g, b[static_cast<std::size_t>(g)]);
+  }
+  world.charge_compute(static_cast<double>(b_dist.local_size()));
+  return b_dist;
+}
+
+/// The rhs half of stage 2: my window of the rhs, permuted and re-owned by
+/// the same routing rule as the matrix, fixture -> O(n/p) 2D slab -> one
+/// alltoallv -> O(n/p) solver slab. `held` is what the caller keeps live
+/// alongside (its row block); `slot_out` as in redistribute_to_row_slab.
+/// The grid's workspace stages the exchange, so repeat solves on a
+/// persistent grid reallocate nothing. Collective.
+std::vector<double> route_rhs(mps::Comm& world, dist::ProcGrid2D& grid,
+                              const std::vector<index_t>& labels,
+                              std::span<const double> b, std::uint64_t held,
+                              std::vector<index_t>* slot_out) {
+  mps::PhaseScope scope(world, mps::Phase::kRedistribute);
+  const auto b_dist = rhs_window(world, grid, b);
+  auto b_local = dist::redistribute_to_row_slab(b_dist, labels, world,
+                                                &grid.workspace(), slot_out);
+  world.note_resident(held +
+                      4 * static_cast<std::uint64_t>(b_dist.local_size()) +
+                      4 * b_local.size() + (slot_out ? slot_out->size() : 0));
+  return b_local;
+}
+
 struct SolveOut {
   solver::CgResult cg;
   std::vector<double> x_local;  ///< this rank's slab, PERMUTED rows
 };
 
-/// Stage 3 of the pipeline: distribute the rhs, run the distributed
-/// solver, return this rank's solution slab. The rhs goes fixture ->
-/// O(n/p) 2D slab -> one alltoallv -> O(n/p) solver slab; the inverse
-/// labeling scan and the replicated permuted rhs of the old path are gone,
-/// and the solution never leaves slab form inside the SPMD body.
-/// Collective; `block` is the checkpointed stage-2 row block of this rank,
-/// `grid` the caller's (its workspace stages the rhs exchange, so repeat
-/// solves on a persistent grid reallocate nothing), `labels` the stage-1
-/// output.
-SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid, index_t n,
+/// Stage 3 of the recoverable pipeline: route the rhs, then solve on the
+/// checkpointed stage-2 row block of this rank (dist_pcg builds its plan
+/// from the block). The solution never leaves slab form inside the SPMD
+/// body. Collective; `labels` is the stage-1 output.
+SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid,
                      const dist::RowBlockCsr& block,
                      const std::vector<index_t>& labels,
                      std::span<const double> b, bool precondition,
                      const solver::CgOptions& cg_options) {
-  std::vector<double> b_local;
-  {
-    mps::PhaseScope scope(world, mps::Phase::kRedistribute);
-    // My arithmetic O(n/p) window of the pre-distribution rhs fixture,
-    // permuted and re-owned by the same routing rule as the matrix.
-    dist::DistDenseVecD b_dist(dist::VectorDist(n, grid.q()), grid, 0.0);
-    for (index_t g = b_dist.lo(); g < b_dist.hi(); ++g) {
-      b_dist.set(g, b[static_cast<std::size_t>(g)]);
-    }
-    world.charge_compute(static_cast<double>(b_dist.local_size()));
-    b_local = dist::redistribute_to_row_slab(b_dist, labels, world,
-                                             &grid.workspace());
-    world.note_resident(block.resident_elements() +
-                        4 * static_cast<std::uint64_t>(b_dist.local_size()) +
-                        4 * b_local.size());
-  }
-
+  const auto b_local = route_rhs(world, grid, labels, b,
+                                 block.resident_elements(), nullptr);
   SolveOut out;
   out.cg = solver::dist_pcg(world, block, b_local, out.x_local, precondition,
                             cg_options);
   return out;
 }
 
-/// Stages 2 and 3 of ordered_solve under the stage-1 `labels`, then the
-/// scalability contract, O(nnz/p + n/p) end to end:
-/// the one-shot redistribution streams the balanced-2D block straight into
-/// row blocks (no Θ(nnz/q) permuted-2D intermediate), the rhs moves as
-/// O(n/p) slabs, and the solution stays a slab — no O(n) replicated vector
-/// exists at ANY stage inside the ranks. Collective.
+/// The scalability contract every ordered solve ends on: the per-rank
+/// resident peak stayed O(nnz/p + n/p).
+void check_resident_budget(mps::Comm& world, const sparse::CsrMatrix& a) {
+  const auto peak = world.stats().peak_resident_elements();
+  DRCM_CHECK(peak <= resident_budget(a.nnz(), world.size(), a.n()),
+             "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
+}
+
+/// Stages 2 and 3 of ordered_solve under the stage-1 `labels`, building
+/// this rank's solve plan on the way, then the scalability contract,
+/// O(nnz/p + n/p) end to end: the one-shot redistribution streams the
+/// balanced-2D block straight into row blocks (no Θ(nnz/q) permuted-2D
+/// intermediate), the rhs moves as O(n/p) slabs, and the solution stays a
+/// slab — no O(n) replicated vector exists at ANY stage inside the ranks.
+/// The numeric half then runs on the values the route delivered, exactly
+/// as a plan hit runs it. Collective.
 void redistribute_and_solve(dist::ProcGrid2D& grid,
                             const OrderedSolveSpec& spec,
                             const std::vector<index_t>& labels,
                             OrderedSolveResult& out) {
   auto& world = grid.world();
   const sparse::CsrMatrix& a = *spec.matrix;
-  const auto redist = redistribute_stage(world, grid, a, labels);
-  out.permuted_bandwidth = redist.bandwidth;
-  auto solved = solve_stage(world, grid, a.n(), redist.block, labels, spec.b,
-                            spec.precondition, spec.cg);
-  out.cg = solved.cg;
-  out.x_local = std::move(solved.x_local);
-  out.x_lo = redist.block.lo;
+  auto redist = redistribute_stage(world, grid, a, labels);
+  std::vector<index_t> rhs_slot;
+  const auto b_local =
+      route_rhs(world, grid, labels, spec.b,
+                redist.block.resident_elements() + redist.origin.size(),
+                &rhs_slot);
+  auto plan = solver::build_solve_plan(world, redist.block, redist.origin);
+  plan.rhs_slot = std::move(rhs_slot);
+  plan.bandwidth = redist.bandwidth;
+  plan.window_digest = redist.window_digest;
+  // The received values in arrival order — the numeric pass's input, as a
+  // plan hit's value route delivers it. The block is not needed after.
+  std::vector<double> values(redist.origin.size());
+  for (std::size_t s = 0; s < values.size(); ++s) {
+    values[static_cast<std::size_t>(redist.origin[s])] = redist.block.vals[s];
+  }
+  redist = {};
+  out.cg = solver::solve_with_plan(world, plan, values, b_local, out.x_local,
+                                   spec.precondition, spec.cg, values.size());
+  out.permuted_bandwidth = plan.bandwidth;
+  out.x_lo = plan.lo;
+  if (spec.plan_out != nullptr) *spec.plan_out = std::move(plan);
+  check_resident_budget(world, a);
+}
 
-  const auto peak = world.stats().peak_resident_elements();
-  DRCM_CHECK(peak <= resident_budget(a.nnz(), world.size(), a.n()),
-             "ordered_solve per-rank resident peak exceeded O(nnz/p + n/p)");
+/// The plan hit: stages 2 and 3 with the symbolic work skipped. Values
+/// move one word each through the plan's receive-slot maps (no triple
+/// route, no bandwidth allreduce, no halo-request alltoallv, no row sorts),
+/// then the same numeric pass as a cold request. Collective.
+void solve_on_plan_hit(dist::ProcGrid2D& grid, const OrderedSolveSpec& spec,
+                       const solver::SolvePlan& plan,
+                       OrderedSolveResult& out) {
+  auto& world = grid.world();
+  const sparse::CsrMatrix& a = *spec.matrix;
+  DRCM_CHECK(plan.n == a.n() && plan.ranks == world.size(),
+             "solve plan was built for another matrix size or world");
+  std::vector<double> values, b_local;
+  {
+    mps::PhaseScope scope(world, mps::Phase::kRedistribute);
+    values = dist::route_row_block_values(a, *spec.labels, grid);
+    const auto b_dist = rhs_window(world, grid, spec.b);
+    b_local = dist::route_to_row_slab(b_dist, *spec.labels, world,
+                                      plan.rhs_slot, grid.workspace());
+  }
+  out.cg = solver::solve_with_plan(world, plan, values, b_local, out.x_local,
+                                   spec.precondition, spec.cg, values.size());
+  out.permuted_bandwidth = plan.bandwidth;
+  out.x_lo = plan.lo;
+  check_resident_budget(world, a);
 }
 
 /// Assembles the replicated ORIGINAL-numbering solution from the per-rank
@@ -702,6 +763,10 @@ std::vector<double> assemble_solution(
 OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
                                  const OrderedSolveSpec& spec) {
   check_solve_spec(spec);
+  DRCM_CHECK(spec.plan == nullptr || spec.labels != nullptr,
+             "a cached solve plan needs the labels it was built under");
+  DRCM_CHECK(spec.plan == nullptr || spec.plan_out == nullptr,
+             "a request reusing a solve plan builds none");
   const sparse::CsrMatrix& a = *spec.matrix;
   OrderedSolveResult out;
   if (spec.labels != nullptr) {
@@ -712,7 +777,11 @@ OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
     // and the no-gather body has no business replicating them again.
     const std::string bad = permutation_error(*spec.labels, a.n());
     DRCM_CHECK(bad.empty(), "ordered_solve known labels: " + bad);
-    redistribute_and_solve(grid, spec, *spec.labels, out);
+    if (spec.plan != nullptr) {
+      solve_on_plan_hit(grid, spec, *spec.plan, out);
+    } else {
+      redistribute_and_solve(grid, spec, *spec.labels, out);
+    }
     return out;
   }
   // The ordering runs on the self-loop-free adjacency pattern. Callers
@@ -780,6 +849,8 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
              "through ordered_solve");
   DRCM_CHECK(spec.recipe == nullptr,
              "the recoverable runner captures no ordering recipe");
+  DRCM_CHECK(spec.plan == nullptr && spec.plan_out == nullptr,
+             "the recoverable runner neither reuses nor exports solve plans");
   const index_t n = a.n();
   const int q = static_cast<int>(std::lround(std::sqrt(nranks)));
   DRCM_CHECK(q * q == nranks, "world size must be a perfect square");
@@ -915,7 +986,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
       [&](mps::Comm& world) {
         dist::ProcGrid2D grid(world);
         auto result =
-            solve_stage(world, grid, n,
+            solve_stage(world, grid,
                         blocks[static_cast<std::size_t>(world.rank())], labels,
                         b, precondition, cg_options);
         slabs[static_cast<std::size_t>(world.rank())] =

@@ -34,6 +34,7 @@
 #include "rcm/dist_rcm.hpp"
 #include "rcm/ordering.hpp"
 #include "solver/cg.hpp"
+#include "solver/dist_cg.hpp"
 #include "sparse/csr.hpp"
 
 namespace drcm::rcm {
@@ -71,7 +72,8 @@ struct DistRcmStats {
   /// reset; every other speculative sweep became its component's ordering.
   int discarded_sweeps = 0;
   /// Total BFS levels labeled over all components (kRcm/kSloan arms; one
-  /// fused 5-crossing collective each) — the figure the bi-criteria
+  /// fused level step each, 3 crossings, 2 on a component's terminal
+  /// level) — the figure the bi-criteria
   /// peripheral mode shrinks. 0 on the replicated kGps arm.
   index_t ordering_levels = 0;
   /// The algorithm that actually ran (kAuto resolved; never kAuto here).
@@ -307,6 +309,18 @@ struct OrderedSolveSpec {
   /// only). dist_order rejects it off the kRcm arm or together with
   /// rcm.load_balance.
   OrderingRecipe* recipe = nullptr;
+  /// When non-null (requires `labels`): the PLAN HIT. This rank's solve
+  /// plan, built by an earlier request on the same pattern, under the same
+  /// labels, on a world of the same size. Stages 2 and 3 then skip all
+  /// symbolic work: values and rhs move one word each through the plan's
+  /// receive-slot maps, and the bandwidth comes from the plan. The caller
+  /// vouches for the match — the serving layer checks every rank's window
+  /// digest against its plan in the fingerprint's allreduce — while the
+  /// body checks sizes and slot ranges.
+  const solver::SolvePlan* plan = nullptr;
+  /// When non-null (and `plan` is null): receives this rank's solve plan,
+  /// built from the routed pattern, for later plan hits.
+  solver::SolvePlan* plan_out = nullptr;
 };
 
 /// THE pipeline: ordering (or label splice) -> one-shot redistribution
@@ -377,7 +391,8 @@ struct OrderedSolveRecoverableRun {
 /// exhausts its attempts the last structured error is rethrown — either
 /// way the pipeline terminates in bounded time with a named outcome,
 /// never a hang or a raw abort. The runner owns its own checkpoints:
-/// spec.labels and spec.recipe must be null (a CheckError otherwise).
+/// spec.labels, spec.recipe, spec.plan and spec.plan_out must be null (a
+/// CheckError otherwise).
 OrderedSolveRecoverableRun run_ordered_solve_recoverable(
     int nranks, const OrderedSolveSpec& spec,
     const RecoveryOptions& recovery = {});

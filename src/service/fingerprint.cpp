@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "dist/dist_vector.hpp"
+#include "dist/redistribute.hpp"
 
 namespace drcm::service {
 
@@ -26,19 +27,26 @@ std::uint64_t mix_entry(index_t row, index_t col) {
                static_cast<std::uint64_t>(col));
 }
 
+/// The refined fingerprint's allreduce payload: the K window sub-sums, the
+/// total at [K] and the plan-guard rejection count at [K + 1].
+using Partial = std::array<std::uint64_t, kFingerprintWindows + 2>;
+
 /// Local partial of the refined fingerprint over a 2D window of `a`:
-/// windows[K] carries the total so the combined payload is one array.
+/// windows[K] carries the total so the combined payload is one array;
+/// [K + 1] is left for the caller. `digest`, when non-null, receives the
+/// window's order-dependent digest (dist::window_digest_step).
 /// The lower_bound probe only finds this rank's column slice when the
 /// row's indices are sorted; CsrMatrix's constructor enforces that, and
 /// the in-walk check keeps the guarantee local to this loop so a future
 /// in-place mutation of col_idx can't silently split one pattern into
 /// p different per-rank views (satellite: unsorted-CSR fingerprints).
-std::array<std::uint64_t, kFingerprintWindows + 1> window_partial(
-    const sparse::CsrMatrix& a, index_t row_lo, index_t row_hi,
-    index_t col_lo, index_t col_hi, std::uint64_t* touched_nnz) {
-  std::array<std::uint64_t, kFingerprintWindows + 1> acc{};
+Partial window_partial(const sparse::CsrMatrix& a, index_t row_lo,
+                       index_t row_hi, index_t col_lo, index_t col_hi,
+                       std::uint64_t* touched_nnz, std::uint64_t* digest) {
+  Partial acc{};
   const index_t n = a.n();
   std::uint64_t count = 0;
+  std::uint64_t d = 0;
   for (index_t gr = row_lo; gr < row_hi; ++gr) {
     const auto cols = a.row(gr);
     const auto first = std::lower_bound(cols.begin(), cols.end(), col_lo);
@@ -51,10 +59,12 @@ std::array<std::uint64_t, kFingerprintWindows + 1> window_partial(
       const std::uint64_t h = mix_entry(gr, *it);
       acc[static_cast<std::size_t>(w)] += h;
       acc[kFingerprintWindows] += h;
+      if (digest != nullptr) d = dist::window_digest_step(d, gr, *it);
       ++count;
     }
   }
   if (touched_nnz != nullptr) *touched_nnz = count;
+  if (digest != nullptr) *digest = d;
   return acc;
 }
 
@@ -102,7 +112,8 @@ PatternFingerprint fingerprint_pattern(mps::Comm& world,
 
 RefinedFingerprint fingerprint_pattern_refined(mps::Comm& world,
                                                const sparse::CsrMatrix& a,
-                                               dist::ProcGrid2D& grid) {
+                                               dist::ProcGrid2D& grid,
+                                               PlanGuard* guard) {
   mps::PhaseScope scope(world, mps::Phase::kOther);
   const index_t n = a.n();
   const dist::VectorDist vd(n, grid.q());
@@ -113,21 +124,30 @@ RefinedFingerprint fingerprint_pattern_refined(mps::Comm& world,
 
   // Same window walk as the one-shot redistribution: this rank touches
   // exactly its balanced-2D block, so the fingerprint costs O(nnz/p)
-  // compute and one array allreduce (K+1 words), independent of cache
+  // compute and one array allreduce (K+2 words), independent of cache
   // outcome. The window sub-sums re-bucket the identical per-entry
   // terms by row, so windows[K] == the legacy scalar hash bit for bit.
   std::uint64_t block_nnz = 0;
-  const auto local =
-      window_partial(a, row_lo, row_hi, col_lo, col_hi, &block_nnz);
+  std::uint64_t digest = 0;
+  auto local = window_partial(a, row_lo, row_hi, col_lo, col_hi, &block_nnz,
+                              guard != nullptr ? &digest : nullptr);
   world.charge_compute(static_cast<double>(block_nnz));
+  // A rank without a guard, or without a plan, rejects: plan reuse needs
+  // every rank's vote.
+  const solver::SolvePlan* plan = guard != nullptr ? guard->plan : nullptr;
+  local[kFingerprintWindows + 1] =
+      plan == nullptr || plan->ranks != world.size() ||
+      plan->window_digest != digest;
 
-  const auto total = world.allreduce(
-      local,
-      [](std::array<std::uint64_t, kFingerprintWindows + 1> x,
-         const std::array<std::uint64_t, kFingerprintWindows + 1>& y) {
+  const auto total =
+      world.allreduce(local, [](Partial x, const Partial& y) {
         for (std::size_t i = 0; i < x.size(); ++i) x[i] += y[i];
         return x;
       });
+  if (guard != nullptr) {
+    guard->window_digest = digest;
+    guard->accepted = total[kFingerprintWindows + 1] == 0;
+  }
 
   RefinedFingerprint rf;
   rf.fp.n = n;
@@ -142,7 +162,7 @@ RefinedFingerprint fingerprint_pattern_serial(const sparse::CsrMatrix& a) {
   // The "one rank owns everything" cut of the same sum: bit-equal to the
   // collective value because summation is partition-invariant.
   const index_t n = a.n();
-  const auto total = window_partial(a, 0, n, 0, n, nullptr);
+  const auto total = window_partial(a, 0, n, 0, n, nullptr, nullptr);
   RefinedFingerprint rf;
   rf.fp.n = n;
   rf.fp.nnz = a.nnz();

@@ -17,10 +17,17 @@
 // structure hash (summation re-associates freely). A near-miss pattern is
 // diffed window-by-window against a cached entry, which tells the repair
 // path WHICH row ranges changed without storing the pattern itself; the
-// windows ride the same single allreduce as the total (a K+1-word payload
-// instead of 1). Because the stored pattern is symmetric, both endpoints
-// of every changed entry live in a changed window — the property the
-// BFS-cone bound in rcm::dist_rcm_repair relies on.
+// windows ride the same single allreduce as the total (K+1 words instead
+// of 1, plus the plan guard's word below). Because the stored pattern is
+// symmetric, both endpoints of every changed entry live in a changed
+// window — the property the BFS-cone bound in rcm::dist_rcm_repair relies
+// on.
+//
+// PLAN GUARD: the same walk folds an order-dependent digest of each rank's
+// window, and the allreduce carries one more word, the number of ranks
+// whose digest disagrees with the solve plan the request means to reuse —
+// so a cache hit decides plan reuse on every rank together, with no
+// collective of its own.
 #pragma once
 
 #include <array>
@@ -30,6 +37,7 @@
 
 #include "dist/proc_grid.hpp"
 #include "rcm/rcm_driver.hpp"
+#include "solver/dist_cg.hpp"
 #include "sparse/csr.hpp"
 
 namespace drcm::service {
@@ -85,13 +93,33 @@ PatternFingerprint fingerprint_pattern(mps::Comm& world,
                                        const sparse::CsrMatrix& a,
                                        dist::ProcGrid2D& grid);
 
+/// The solve-plan guard that rides the fingerprint's allreduce. A cached
+/// solver::SolvePlan is only valid for the exact input windows it was
+/// routed from; the fingerprint's partition-invariant sum cannot vouch for
+/// that (a collision, or a pattern whose entries moved between windows),
+/// so the same walk also folds each rank's order-dependent window digest
+/// (dist::window_digest_step) and one more carried word counts the ranks
+/// whose digest differs from their plan's.
+struct PlanGuard {
+  /// In: this rank's candidate plan, or null when it has none.
+  const solver::SolvePlan* plan = nullptr;
+  /// Out: this rank's window digest.
+  std::uint64_t window_digest = 0;
+  /// Out, identical on every rank: every rank had a plan built on a world
+  /// of this size whose digest equals its window's.
+  bool accepted = false;
+};
+
 /// The refined collective: identical total hash, plus the K row-window
-/// sub-sums, still in ONE allreduce (K+1 carried words). fp.hash equals
+/// sub-sums, still in ONE allreduce (K+2 carried words: the windows, the
+/// total and the plan-guard rejection count). fp.hash equals
 /// fingerprint_pattern's bit for bit — the windows merely re-bucket the
-/// same per-entry terms by row.
+/// same per-entry terms by row. `guard`, when non-null, is decided in the
+/// same allreduce.
 RefinedFingerprint fingerprint_pattern_refined(mps::Comm& world,
                                                const sparse::CsrMatrix& a,
-                                               dist::ProcGrid2D& grid);
+                                               dist::ProcGrid2D& grid,
+                                               PlanGuard* guard = nullptr);
 
 /// Driver-side (non-collective) twin of fingerprint_pattern_refined: one
 /// full-matrix walk producing the SAME value the lanes allreduce — the

@@ -136,6 +136,8 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
   std::vector<std::vector<std::vector<double>>> slabs(nreq);
   std::vector<std::vector<index_t>> pending_labels(nreq);
   std::vector<rcm::OrderingRecipe> pending_recipes(nreq);
+  /// Per-lane-rank solve plans a miss built, deposited by each rank.
+  std::vector<std::vector<solver::SolvePlan>> pending_plans(nreq);
   /// Coalescing memo: the request sat out a wave behind an identical
   /// in-flight fingerprint (reported as OrderSolveResponse::coalesced).
   std::vector<char> was_deferred(nreq, 0);
@@ -277,6 +279,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
       slabs[req].assign(static_cast<std::size_t>(plan.lane_size), {});
       pending_labels[req].clear();
       pending_recipes[req] = rcm::OrderingRecipe{};
+      pending_plans[req].assign(static_cast<std::size_t>(plan.lane_size), {});
     }
 
     // Which request each world rank is inside, for fault attribution.
@@ -309,12 +312,28 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
         const auto realloc0 =
             workspaces_[static_cast<std::size_t>(wr)].reallocations();
 
+        // A hit reuses its entry's solve plans when the entry holds one per
+        // rank of a lane this wide; the guard below confirms the windows.
+        const CacheEntry* entry = nullptr;
+        PlanGuard guard;
+        if (mode[req] == Mode::kHit) {
+          entry = cache_find(salted[req]);
+          DRCM_CHECK(entry != nullptr, "scheduled hit lost its entry");
+          if (entry->plans.size() == static_cast<std::size_t>(lane.size())) {
+            guard.plan = &entry->plans[static_cast<std::size_t>(lane.rank())];
+          }
+        }
+
         // The lane's collective fingerprint (charged to kOther) must
         // reproduce the driver's serial classification value bit for bit
         // — partition invariance is the property the whole schedule
-        // rests on.
-        const RefinedFingerprint rf =
-            fingerprint_pattern_refined(lane, *rq.matrix, grid);
+        // rests on. On a hit its allreduce also decides, on every rank
+        // together, whether each rank's input window still matches its
+        // plan: a fingerprint collision or a different lane width rebuilds
+        // the plan from the request, and the entry keeps its own.
+        const RefinedFingerprint rf = fingerprint_pattern_refined(
+            lane, *rq.matrix, grid,
+            mode[req] == Mode::kHit ? &guard : nullptr);
         const PatternFingerprint fp = salt_ordering_options(rf.fp, ropt);
         DRCM_CHECK(fp == salted[req] && rf.windows == refined[req].windows,
                    "lane fingerprint must match the driver's serial twin");
@@ -338,9 +357,8 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
         rcm::RepairResult rep;
         bool repaired = false;
         if (mode[req] == Mode::kHit) {
-          const CacheEntry* entry = cache_find(fp);
-          DRCM_CHECK(entry != nullptr, "scheduled hit lost its entry");
           spec.labels = &entry->labels;
+          if (guard.accepted) spec.plan = guard.plan;
         } else if (mode[req] == Mode::kRepair) {
           const CacheEntry* src = sources[req];
           rep = rcm::dist_rcm_repair(grid, adjacencies[req], src->labels,
@@ -369,6 +387,11 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
           // repair-eligible.
           spec.adjacency = &adjacencies[req];
           spec.recipe = recipe_sink;
+        }
+        if (mode[req] != Mode::kHit) {
+          // Every miss leaves its plans with the entry it inserts.
+          spec.plan_out =
+              &pending_plans[req][static_cast<std::size_t>(lane.rank())];
         }
         rcm::OrderedSolveResult result = rcm::ordered_solve(grid, spec);
         if (mode[req] == Mode::kHit) {
@@ -405,6 +428,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
         if (lane.rank() == 0) {
           auto& resp = responses[req];
           resp.cache_hit = mode[req] == Mode::kHit;
+          resp.plan_reused = spec.plan != nullptr;
           // A repair only counts as a HIT when it actually skipped work;
           // one that degraded to a full recompute is honest about it.
           resp.repair_hit =
@@ -500,6 +524,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
           entry.rf = refined[req];
           entry.spec = resolved[req].ordering;
           entry.recipe = std::move(pending_recipes[req]);
+          entry.plans = std::move(pending_plans[req]);
           entry.repair_eligible =
               !requests[req].rcm.load_balance && !entry.recipe.empty() &&
               entry.spec.algorithm == rcm::OrderingAlgorithm::kRcm;

@@ -13,9 +13,17 @@
 //
 //   * ORDERING CACHE — requests are keyed by a partition-invariant
 //     sparsity-pattern fingerprint (service/fingerprint.hpp). A repeat
-//     pattern skips BFS + SORTPERM entirely and jumps straight to the
-//     value-carrying redistribution (rcm::ordered_solve with known labels);
-//     the body asserts ZERO ordering-phase barrier crossings on every hit.
+//     pattern skips BFS + SORTPERM entirely (the body asserts ZERO
+//     ordering-phase barrier crossings on every hit), and with it the
+//     symbolic half of the solve: each entry keeps the per-lane-rank
+//     solver::SolvePlan its miss built, so a hit on a lane of the same
+//     width moves values and rhs one word each through the plan's
+//     receive-slot maps, refactors ILU(0) numerically and iterates — no
+//     triple route, no bandwidth allreduce, no halo-request alltoallv, no
+//     row sorts. Each rank checks its input window's digest against its
+//     plan inside the fingerprint's allreduce; a mismatch (a fingerprint
+//     collision) or another lane width rebuilds the plan from the request
+//     and leaves the entry's own in place.
 //     Eviction is COST/RECENCY weighted: each entry remembers the measured
 //     ordering wall that produced it, and the evictee minimizes
 //     cost / age — an expensive ordering survives a stream of cheap
@@ -102,8 +110,11 @@ struct OrderSolveResponse {
   /// source's (repair attempts only; 0 otherwise).
   int changed_windows = 0;
   /// Non-terminal ordering level steps the repair skipped (repair hits
-  /// only; each is 5 barrier crossings a cold run would have paid).
+  /// only; each is 3 barrier crossings a cold run would have paid).
   index_t level_steps_skipped = 0;
+  /// A cache hit that reused its entry's solve plans (every lane rank's
+  /// window digest matched); false on misses and on hits that rebuilt.
+  bool plan_reused = false;
   PatternFingerprint fingerprint{};
   index_t permuted_bandwidth = 0;
   solver::CgResult cg{};
@@ -220,6 +231,10 @@ class ReorderingService {
     double cost_model_seconds = 0.0;
     /// Logical clock of the last insert-or-hit (eviction recency).
     std::uint64_t last_use_tick = 0;
+    /// One solve plan per rank of the lane the inserting miss ran on,
+    /// indexed by lane rank. Hits on lanes of plans.size() ranks reuse
+    /// them; lanes only ever read them, concurrently.
+    std::vector<solver::SolvePlan> plans;
   };
 
   using PinnedSet =

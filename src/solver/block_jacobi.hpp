@@ -11,15 +11,62 @@
 // blocks, so the block factorizations capture almost the whole operator
 // (fewer CG iterations); with a scattered "natural" ordering most couplings
 // cross block boundaries and the preconditioner degrades.
+//
+// One block's factorization is split in two halves. The SYMBOLIC half
+// (IluPattern) depends only on the sparsity pattern: the block's entries in
+// local indices, a unit placeholder on every structurally missing diagonal,
+// and where in the caller's value array each entry's value lives. The
+// NUMERIC half (ilu0_factor) gathers the values through that map and
+// eliminates. dist_pcg keeps the pattern in its per-rank solve plan, so a
+// repeated pattern refactors values only.
 #pragma once
 
 #include <span>
 #include <vector>
 
-#include "dist/row_block.hpp"
 #include "sparse/csr.hpp"
 
 namespace drcm::solver {
+
+/// The symbolic half of one ILU(0) block of m rows.
+struct IluPattern {
+  /// Value source of a unit placeholder diagonal.
+  static constexpr nnz_t kPlaceholder = -1;
+
+  std::vector<nnz_t> row_ptr;   ///< m + 1 offsets
+  std::vector<index_t> cols;    ///< local column ids, ascending per row
+  std::vector<nnz_t> diag_pos;  ///< slot of row i's diagonal in `cols`
+  /// Position of each slot's value in the caller's value array, or
+  /// kPlaceholder for an inserted unit diagonal.
+  std::vector<nnz_t> src;
+
+  index_t rows() const { return static_cast<index_t>(diag_pos.size()); }
+  std::uint64_t resident_elements() const {
+    return static_cast<std::uint64_t>(row_ptr.size() + cols.size() +
+                                      diag_pos.size() + src.size());
+  }
+};
+
+/// Pattern of an m-row block: row i holds the entries k in
+/// [row_ptr[i], row_ptr[i + 1]) whose column cols[k] - col_lo falls in
+/// [0, m), in their stored (strictly ascending) order; an entry's value
+/// source is k itself. `row_ptr` has m + 1 entries.
+IluPattern ilu0_pattern(std::span<const nnz_t> row_ptr,
+                        std::span<const index_t> cols, index_t col_lo);
+
+/// The numeric half: gathers values[src] (1.0 on placeholders) and factors
+/// in place — ILU(0), ikj variant with a dense position map. Vanishing
+/// pivots are shifted to the +-1e-12 floor and counted in
+/// `*shifted_pivots` when non-null. Returns the factored values, one per
+/// pattern slot.
+std::vector<double> ilu0_factor(const IluPattern& pattern,
+                                std::span<const double> values,
+                                int* shifted_pivots);
+
+/// z = (LU)^{-1} r over one factored block (local indices, r and z of
+/// pattern.rows() entries).
+void ilu0_solve(const IluPattern& pattern, std::span<const double> factor,
+                std::span<const double> r, std::span<double> z);
 
 class BlockJacobi {
  public:
@@ -27,12 +74,6 @@ class BlockJacobi {
   /// Zero pivots (possible for wildly non-dominant inputs) are replaced by
   /// a small shift to keep the sweep well-defined.
   BlockJacobi(const sparse::CsrMatrix& a, int num_blocks);
-
-  /// One block: the owned rows of a distributed row block restricted to
-  /// its own columns [a.lo, a.hi) — dist_pcg's per-rank preconditioner,
-  /// factored straight from the row-block rows. Indices of z = M^{-1} r
-  /// are LOCAL (row a.lo is index 0).
-  explicit BlockJacobi(const dist::RowBlockCsr& a);
 
   int num_blocks() const { return static_cast<int>(blocks_.size()); }
 
@@ -49,28 +90,13 @@ class BlockJacobi {
   /// matrices (the factorization is then untouched).
   int shifted_pivots() const { return shifted_pivots_; }
 
-  /// Read-only view of the factored blocks for the factor oracle test
-  /// (tests/test_dist_assembly_oracle.cpp); not part of the solver API.
-  friend struct BlockJacobiFactorAccess;
-
  private:
   struct Block {
     index_t lo = 0;  ///< first row of the block
     index_t hi = 0;  ///< one past the last row
-    // ILU(0) factor in CSR over the block's local pattern. `diag_pos[i]`
-    // indexes the diagonal entry of local row i in `cols`/`vals`.
-    std::vector<nnz_t> row_ptr;
-    std::vector<index_t> cols;  ///< local column ids
-    std::vector<double> vals;
-    std::vector<nnz_t> diag_pos;
+    IluPattern pattern;
+    std::vector<double> factor;
   };
-
-  /// Factors rows [lo, hi) of `rows` (anything with CsrMatrix-style
-  /// row(g) / row_values(g), columns strictly ascending) restricted to
-  /// columns [lo, hi); block row i is global row lo + i.
-  template <class Rows>
-  static Block factor_block(const Rows& rows, index_t lo, index_t hi,
-                            int* shifted_pivots);
 
   std::vector<Block> blocks_;
   double capture_fraction_ = 0.0;

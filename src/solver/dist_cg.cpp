@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
-
-#include "solver/block_jacobi.hpp"
 
 namespace drcm::solver {
 
@@ -18,109 +15,22 @@ using dist::row_block_lo;
 using dist::row_block_owner;
 using sparse::CsrMatrix;
 
-/// Per-rank solver state: the local row block split into local-column and
-/// remote-column halves, plus the halo routing tables.
-struct LocalSystem {
-  index_t lo = 0, hi = 0;
-  // Local half: columns inside [lo, hi), stored with local column ids.
-  std::vector<nnz_t> lptr;
-  std::vector<index_t> lcol;
-  std::vector<double> lval;
-  // Remote half: columns outside, remapped to halo slots.
-  std::vector<nnz_t> rptr;
-  std::vector<index_t> rslot;
-  std::vector<double> rval;
-  // Halo: for each peer rank, which of my x entries it needs (send), and
-  // how many entries I receive from each peer (the slots are ordered by
-  // peer rank, then ascending by global index within each peer).
-  std::vector<std::vector<index_t>> send_local_ids;  // per peer: local ids
-  index_t halo_size = 0;
-
-  std::uint64_t resident_elements() const {
-    std::uint64_t total = lptr.size() + lcol.size() + lval.size() +
-                          rptr.size() + rslot.size() + rval.size() +
-                          static_cast<std::uint64_t>(halo_size);
-    for (const auto& ids : send_local_ids) total += ids.size();
-    return total;
-  }
-};
-
-/// Builds the split system of this rank's row block. Both dist_pcg
-/// overloads funnel through here (the replicated one slices its rows into
-/// a RowBlockCsr first), so their halo tables, column splits and slot
-/// numbering are identical by construction.
-LocalSystem build_local_system(mps::Comm& world, const dist::RowBlockCsr& a) {
-  const int p = world.size();
-  LocalSystem sys;
-  sys.lo = a.lo;
-  sys.hi = a.hi;
-  const auto is_remote = [&](index_t j) { return j < sys.lo || j >= sys.hi; };
-
-  // Distinct remote indices, sorted. Owners hold contiguous ascending
-  // ranges, so the sorted list is already grouped by owner in rank order
-  // and ascending within each group: a remote column's halo slot is its
-  // position in this list.
-  std::vector<index_t> remote;
-  for (const index_t j : a.cols) {
-    if (is_remote(j)) remote.push_back(j);
-  }
-  std::sort(remote.begin(), remote.end());
-  remote.erase(std::unique(remote.begin(), remote.end()), remote.end());
-  sys.halo_size = static_cast<index_t>(remote.size());
-  const auto slot_of = [&](index_t j) {
-    return static_cast<index_t>(
-        std::lower_bound(remote.begin(), remote.end(), j) - remote.begin());
-  };
-
-  // Split rows into local/remote halves.
-  const index_t nloc = a.local_rows();
-  sys.lptr.assign(static_cast<std::size_t>(nloc) + 1, 0);
-  sys.rptr.assign(static_cast<std::size_t>(nloc) + 1, 0);
-  for (index_t i = sys.lo; i < sys.hi; ++i) {
-    const auto cols = a.row(i);
-    const auto vals = a.row_values(i);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      if (is_remote(cols[k])) {
-        sys.rslot.push_back(slot_of(cols[k]));
-        sys.rval.push_back(vals[k]);
-      } else {
-        sys.lcol.push_back(cols[k] - sys.lo);
-        sys.lval.push_back(vals[k]);
-      }
-    }
-    sys.lptr[static_cast<std::size_t>(i - sys.lo) + 1] =
-        static_cast<nnz_t>(sys.lcol.size());
-    sys.rptr[static_cast<std::size_t>(i - sys.lo) + 1] =
-        static_cast<nnz_t>(sys.rslot.size());
-  }
-
-  // Tell each owner which entries I need; receive what I must send.
-  std::vector<std::vector<index_t>> requests(static_cast<std::size_t>(p));
-  for (const index_t j : remote) {
-    requests[static_cast<std::size_t>(row_block_owner(a.n, p, j))].push_back(j);
-  }
-  std::vector<std::int64_t> counts;
-  const auto wanted = world.alltoallv(requests, &counts);
-  sys.send_local_ids.resize(static_cast<std::size_t>(p));
-  std::size_t pos = 0;
-  for (int peer = 0; peer < p; ++peer) {
-    auto& ids = sys.send_local_ids[static_cast<std::size_t>(peer)];
-    for (std::int64_t k = 0; k < counts[static_cast<std::size_t>(peer)]; ++k) {
-      // Receive-path range check (always on): the requested index arrived
-      // over the wire and becomes an x_local offset on every SpMV.
-      DRCM_CHECK(wanted[pos] >= sys.lo && wanted[pos] < sys.hi,
-                 "halo request outside the owned row block");
-      ids.push_back(wanted[pos++] - sys.lo);
-    }
-  }
-  return sys;
+/// Elements a rank holds while solve_with_plan runs on `plan`: the plan,
+/// the split values, the ILU(0) factor when preconditioned, and the rhs
+/// and solution slabs.
+std::uint64_t numeric_resident(const SolvePlan& plan, bool precondition) {
+  return plan.resident_elements() +
+         static_cast<std::uint64_t>(plan.entries()) +
+         (precondition ? plan.ilu.src.size() : 0) +
+         2 * static_cast<std::uint64_t>(plan.local_rows());
 }
 
-/// One distributed SpMV: halo exchange + split local multiply. `send` is
-/// the caller's per-peer staging, kept across iterations so steady-state
-/// calls reuse its capacity.
-void dist_spmv(mps::Comm& world, const LocalSystem& sys,
-               std::span<const double> x_local,
+/// One distributed SpMV: halo exchange + split local multiply over the
+/// plan's structure and the split values `vals` (local half first). `send`
+/// is the caller's per-peer staging, kept across iterations so
+/// steady-state calls reuse its capacity.
+void dist_spmv(mps::Comm& world, const SolvePlan& sys,
+               std::span<const double> vals, std::span<const double> x_local,
                std::vector<std::vector<double>>& send,
                std::vector<double>& halo, std::span<double> y_local) {
   const int p = world.size();
@@ -136,22 +46,23 @@ void dist_spmv(mps::Comm& world, const LocalSystem& sys,
   DRCM_CHECK(static_cast<index_t>(halo.size()) == sys.halo_size,
              "halo exchange size mismatch");
 
-  const index_t nloc = sys.hi - sys.lo;
+  const index_t nloc = sys.local_rows();
+  const auto rval = vals.subspan(sys.lcol.size());
   for (index_t i = 0; i < nloc; ++i) {
     double sum = 0.0;
     for (nnz_t k = sys.lptr[static_cast<std::size_t>(i)];
          k < sys.lptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      sum += sys.lval[static_cast<std::size_t>(k)] *
+      sum += vals[static_cast<std::size_t>(k)] *
              x_local[static_cast<std::size_t>(sys.lcol[static_cast<std::size_t>(k)])];
     }
     for (nnz_t k = sys.rptr[static_cast<std::size_t>(i)];
          k < sys.rptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      sum += sys.rval[static_cast<std::size_t>(k)] *
+      sum += rval[static_cast<std::size_t>(k)] *
              halo[static_cast<std::size_t>(sys.rslot[static_cast<std::size_t>(k)])];
     }
     y_local[static_cast<std::size_t>(i)] = sum;
   }
-  world.charge_compute(static_cast<double>(sys.lval.size() + sys.rval.size()));
+  world.charge_compute(static_cast<double>(vals.size()));
 }
 
 double dist_dot(mps::Comm& world, std::span<const double> a,
@@ -187,13 +98,16 @@ DotPair dist_dot_pair(mps::Comm& world, std::span<const double> r,
 
 /// The shared PCG iteration: local state only. Each iteration is one
 /// halo'd SpMV and two allreduces — p'Ap, then r'r and r'z together, the
-/// r'r being the NEXT iteration's residual norm. `x_out` receives this
-/// rank's solution slab — replication, when a caller wants it, is
+/// r'r being the NEXT iteration's residual norm. `factor` holds the
+/// ILU(0) values over sys.ilu, or is null for plain CG. `x_out` receives
+/// this rank's solution slab — replication, when a caller wants it, is
 /// gather_solution's job.
-CgResult run_pcg(mps::Comm& world, const LocalSystem& sys,
-                 const BlockJacobi* pre, std::span<const double> b_local,
-                 std::vector<double>& x_out, const CgOptions& options) {
-  const auto nloc = static_cast<std::size_t>(sys.hi - sys.lo);
+CgResult run_pcg(mps::Comm& world, const SolvePlan& sys,
+                 std::span<const double> vals,
+                 const std::vector<double>* factor, int shifted_pivots,
+                 std::span<const double> b_local, std::vector<double>& x_out,
+                 const CgOptions& options) {
+  const auto nloc = static_cast<std::size_t>(sys.local_rows());
   DRCM_CHECK(b_local.size() == nloc, "rhs block size mismatch");
 
   std::vector<double> x_local(nloc, 0.0), r(nloc), z(nloc), pdir(nloc),
@@ -202,8 +116,8 @@ CgResult run_pcg(mps::Comm& world, const LocalSystem& sys,
   for (std::size_t i = 0; i < nloc; ++i) r[i] = b_local[i];
 
   const auto apply_pre = [&](std::span<const double> in, std::span<double> out) {
-    if (pre) {
-      pre->apply(in, out);
+    if (factor) {
+      ilu0_solve(sys.ilu, *factor, in, out);
       world.charge_compute(static_cast<double>(2 * nloc));
     } else {
       std::copy(in.begin(), in.end(), out.begin());
@@ -215,7 +129,7 @@ CgResult run_pcg(mps::Comm& world, const LocalSystem& sys,
   const double bnorm = std::sqrt(rr);
 
   CgResult res;
-  if (pre) res.shifted_pivots = pre->shifted_pivots();
+  if (factor) res.shifted_pivots = shifted_pivots;
   if (bnorm == 0.0) {
     res.converged = true;
     res.status = SolveStatus::kConverged;
@@ -262,7 +176,7 @@ CgResult run_pcg(mps::Comm& world, const LocalSystem& sys,
         break;
       }
     }
-    dist_spmv(world, sys, pdir, halo_send, halo, ap);
+    dist_spmv(world, sys, vals, pdir, halo_send, halo, ap);
     const double pap = dist_dot(world, pdir, ap);
     if (!std::isfinite(pap)) {
       res.status = SolveStatus::kNanInf;
@@ -307,6 +221,129 @@ CgResult run_pcg(mps::Comm& world, const LocalSystem& sys,
 
 }  // namespace
 
+std::uint64_t SolvePlan::resident_elements() const {
+  std::uint64_t total = value_slot.size() + lptr.size() + lcol.size() +
+                        rptr.size() + rslot.size() +
+                        static_cast<std::uint64_t>(halo_size) +
+                        ilu.resident_elements() + rhs_slot.size();
+  for (const auto& ids : send_local_ids) total += ids.size();
+  return total;
+}
+
+SolvePlan build_solve_plan(mps::Comm& world, const dist::RowBlockCsr& a,
+                           std::span<const nnz_t> origin) {
+  const int p = world.size();
+  DRCM_CHECK(a.lo == row_block_lo(a.n, p, world.rank()) &&
+                 a.hi == row_block_lo(a.n, p, world.rank() + 1),
+             "row block does not match this world's 1D slicing");
+  DRCM_CHECK(origin.empty() || origin.size() == a.cols.size(),
+             "origin map must cover every entry of the row block");
+  mps::PhaseScope scope(world, mps::Phase::kSolver);
+  SolvePlan sys;
+  sys.n = a.n;
+  sys.lo = a.lo;
+  sys.hi = a.hi;
+  sys.ranks = p;
+  const auto is_remote = [&](index_t j) { return j < sys.lo || j >= sys.hi; };
+
+  // Distinct remote indices, sorted. Owners hold contiguous ascending
+  // ranges, so the sorted list is already grouped by owner in rank order
+  // and ascending within each group: a remote column's halo slot is its
+  // position in this list.
+  std::vector<index_t> remote;
+  for (const index_t j : a.cols) {
+    if (is_remote(j)) remote.push_back(j);
+  }
+  std::sort(remote.begin(), remote.end());
+  remote.erase(std::unique(remote.begin(), remote.end()), remote.end());
+  sys.halo_size = static_cast<index_t>(remote.size());
+  const auto slot_of = [&](index_t j) {
+    return static_cast<index_t>(
+        std::lower_bound(remote.begin(), remote.end(), j) - remote.begin());
+  };
+
+  // Split rows into local/remote halves, recording where each input value
+  // lands: the local half's slots first, the remote half's after them.
+  const index_t nloc = a.local_rows();
+  const auto nl = static_cast<nnz_t>(a.cols.size()) -
+                  static_cast<nnz_t>(std::count_if(a.cols.begin(),
+                                                   a.cols.end(), is_remote));
+  sys.value_slot.resize(a.cols.size());
+  sys.lptr.assign(static_cast<std::size_t>(nloc) + 1, 0);
+  sys.rptr.assign(static_cast<std::size_t>(nloc) + 1, 0);
+  for (index_t i = 0; i < nloc; ++i) {
+    for (nnz_t k = a.row_ptr[static_cast<std::size_t>(i)];
+         k < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+      const index_t j = a.cols[static_cast<std::size_t>(k)];
+      const nnz_t at =
+          origin.empty() ? k : origin[static_cast<std::size_t>(k)];
+      DRCM_CHECK(at >= 0 && at < static_cast<nnz_t>(sys.value_slot.size()),
+                 "origin map outside the row block's entries");
+      nnz_t& slot = sys.value_slot[static_cast<std::size_t>(at)];
+      if (is_remote(j)) {
+        slot = nl + static_cast<nnz_t>(sys.rslot.size());
+        sys.rslot.push_back(slot_of(j));
+      } else {
+        slot = static_cast<nnz_t>(sys.lcol.size());
+        sys.lcol.push_back(j - sys.lo);
+      }
+    }
+    sys.lptr[static_cast<std::size_t>(i) + 1] =
+        static_cast<nnz_t>(sys.lcol.size());
+    sys.rptr[static_cast<std::size_t>(i) + 1] =
+        static_cast<nnz_t>(sys.rslot.size());
+  }
+  sys.ilu = ilu0_pattern(sys.lptr, sys.lcol, 0);
+
+  // Tell each owner which entries I need; receive what I must send.
+  std::vector<std::vector<index_t>> requests(static_cast<std::size_t>(p));
+  for (const index_t j : remote) {
+    requests[static_cast<std::size_t>(row_block_owner(a.n, p, j))].push_back(j);
+  }
+  std::vector<std::int64_t> counts;
+  const auto wanted = world.alltoallv(requests, &counts);
+  sys.send_local_ids.resize(static_cast<std::size_t>(p));
+  std::size_t pos = 0;
+  for (int peer = 0; peer < p; ++peer) {
+    auto& ids = sys.send_local_ids[static_cast<std::size_t>(peer)];
+    for (std::int64_t k = 0; k < counts[static_cast<std::size_t>(peer)]; ++k) {
+      // Receive-path range check (always on): the requested index arrived
+      // over the wire and becomes an x_local offset on every SpMV.
+      DRCM_CHECK(wanted[pos] >= sys.lo && wanted[pos] < sys.hi,
+                 "halo request outside the owned row block");
+      ids.push_back(wanted[pos++] - sys.lo);
+    }
+  }
+  return sys;
+}
+
+CgResult solve_with_plan(mps::Comm& world, const SolvePlan& plan,
+                         std::span<const double> values,
+                         std::span<const double> b_local,
+                         std::vector<double>& x_local, bool precondition,
+                         const CgOptions& options,
+                         std::uint64_t held_alongside) {
+  DRCM_CHECK(plan.ranks == world.size() &&
+                 plan.lo == row_block_lo(plan.n, world.size(), world.rank()) &&
+                 plan.hi == row_block_lo(plan.n, world.size(), world.rank() + 1),
+             "solve plan does not match this world's 1D slicing");
+  DRCM_CHECK(values.size() == plan.value_slot.size(),
+             "solve plan expects exactly one value per planned entry");
+  mps::PhaseScope scope(world, mps::Phase::kSolver);
+
+  // The numeric placement: one scatter through the receive-slot map.
+  std::vector<double> vals(values.size());
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    vals[static_cast<std::size_t>(plan.value_slot[k])] = values[k];
+  }
+  std::vector<double> factor;
+  int shifted = 0;
+  if (precondition) factor = ilu0_factor(plan.ilu, vals, &shifted);
+  world.note_resident(held_alongside + numeric_resident(plan, precondition));
+  return run_pcg(world, plan, vals, precondition ? &factor : nullptr, shifted,
+                 b_local, x_local, options);
+}
+
 std::vector<double> gather_solution(mps::Comm& world,
                                     std::span<const double> x_local,
                                     index_t n) {
@@ -339,28 +376,24 @@ CgResult dist_pcg(mps::Comm& world, const CsrMatrix& a,
     block.vals.insert(block.vals.end(), vals.begin(), vals.end());
     block.row_ptr.push_back(static_cast<nnz_t>(block.cols.size()));
   }
-  const auto sys = build_local_system(world, block);
-  std::optional<BlockJacobi> pre;
-  if (precondition) pre.emplace(block);
+  const auto plan = build_solve_plan(world, block);
   // The replicated path's ledger entry: every rank holds the FULL matrix
   // (row_ptr + cols + values) plus the replicated rhs next to its row
-  // slice and local system — the O(nnz) footprint the distributed
-  // overload eliminates.
+  // slice and its solve — the O(nnz) footprint the distributed overload
+  // eliminates.
   const std::uint64_t held = static_cast<std::uint64_t>(a.n() + 1) +
                              2 * static_cast<std::uint64_t>(a.nnz()) +
-                             b.size() + block.resident_elements() +
-                             sys.resident_elements();
-  world.note_resident(held);
+                             b.size() + block.resident_elements();
   const auto b_local =
-      b.subspan(static_cast<std::size_t>(sys.lo),
-                static_cast<std::size_t>(sys.hi - sys.lo));
+      b.subspan(static_cast<std::size_t>(plan.lo),
+                static_cast<std::size_t>(plan.local_rows()));
   std::vector<double> x_local;
-  const auto res = run_pcg(world, sys, pre ? &*pre : nullptr, b_local,
-                           x_local, options);
+  const auto res = solve_with_plan(world, plan, block.vals, b_local, x_local,
+                                   precondition, options, held);
   // This overload's contract stays replicated; the extra O(n) copy is now
   // explicit AND charged (it used to ride the ledger for free).
   x = gather_solution(world, x_local, a.n());
-  world.note_resident(held + x.size());
+  world.note_resident(held + numeric_resident(plan, precondition) + x.size());
   return res;
 }
 
@@ -368,22 +401,12 @@ CgResult dist_pcg(mps::Comm& world, const dist::RowBlockCsr& a,
                   std::span<const double> b_local,
                   std::vector<double>& x_local, bool precondition,
                   const CgOptions& options) {
-  DRCM_CHECK(a.lo == row_block_lo(a.n, world.size(), world.rank()) &&
-                 a.hi == row_block_lo(a.n, world.size(), world.rank() + 1),
-             "row block does not match this world's 1D slicing");
-  mps::PhaseScope scope(world, mps::Phase::kSolver);
-
-  const auto sys = build_local_system(world, a);
-  std::optional<BlockJacobi> pre;
-  if (precondition) pre.emplace(a);
-  // Rank-local footprint only: my row block, my split system, my rhs slab
-  // and my solution slab — O(nnz/p + n/p), never the full CSR and no
-  // replicated solution (that O(n) tail is gather_solution, opt-in).
-  world.note_resident(a.resident_elements() + sys.resident_elements() +
-                      b_local.size() +
-                      static_cast<std::uint64_t>(a.local_rows()));
-  return run_pcg(world, sys, pre ? &*pre : nullptr, b_local, x_local,
-                 options);
+  // Rank-local footprint only: my row block next to its solve — O(nnz/p +
+  // n/p), never the full CSR and no replicated solution (that O(n) tail
+  // is gather_solution, opt-in).
+  const auto plan = build_solve_plan(world, a);
+  return solve_with_plan(world, plan, a.vals, b_local, x_local, precondition,
+                         options, a.resident_elements());
 }
 
 DistCgRun run_dist_pcg(int nranks, const sparse::CsrMatrix& a,

@@ -1,12 +1,15 @@
-// Oracle wall for the solve stage's two local builders:
+// Oracle wall for the solve stage's local builders:
 //   * the receive assembly of redistribute_to_row_blocks (a counting pass
 //     by row, then a column sort per row), checked against a test-local
 //     copy of the wholesale (row, col) sort it replaced, fed the same
 //     received triples in a shuffled arrival order;
-//   * the block-Jacobi ILU(0) factor built straight from a RowBlockCsr with
-//     a dense position map, checked against a test-local copy of the
-//     binary-search ILU(0) over the COO-rebuilt diagonal block it replaced.
-// Both comparisons are element for element (values bit for bit), over
+//   * its receive-slot map: the value-only route of a plan hit delivers
+//     value k exactly where the triple route put arrival k;
+//   * the ILU(0) factor of the solve plan (the symbolic pattern over the
+//     split system's local half, then the numeric position-map factor),
+//     checked against a test-local copy of the binary-search ILU(0) over
+//     the COO-rebuilt diagonal block it replaced.
+// All comparisons are element for element (values bit for bit), over
 // random SPD patterns, long rows, rows with no stored diagonal (the unit
 // placeholder), vanishing pivots (the shift, with shifted_pivots) and
 // ranks that own no rows. Honors DRCM_TEST_RANKS / DRCM_TEST_THREADS.
@@ -20,19 +23,10 @@
 #include "dist/redistribute.hpp"
 #include "dist_rank_matrix.hpp"
 #include "mpsim/runtime.hpp"
-#include "solver/block_jacobi.hpp"
+#include "solver/dist_cg.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/permute.hpp"
-
-namespace drcm::solver {
-
-/// The block-Jacobi factor's befriended read-only view.
-struct BlockJacobiFactorAccess {
-  static const auto& blocks(const BlockJacobi& pre) { return pre.blocks_; }
-};
-
-}  // namespace drcm::solver
 
 namespace drcm::dist {
 namespace {
@@ -211,23 +205,39 @@ int check_against_oracles(const sparse::CsrMatrix& a,
           EXPECT_EQ(got.cols, want.cols) << where;
           EXPECT_EQ(got.vals, want.vals) << where;
 
-          const solver::BlockJacobi pre(got);
-          const auto oracle = binary_search_ilu0(got);
-          EXPECT_EQ(pre.shifted_pivots(), oracle.shifted_pivots) << where;
-          shifted[static_cast<std::size_t>(r)] = pre.shifted_pivots();
-          const auto& blocks = solver::BlockJacobiFactorAccess::blocks(pre);
-          if (got.local_rows() == 0) {
-            EXPECT_TRUE(blocks.empty()) << where;
-            return;
+          // The slot map is a permutation of the block's slots, and the
+          // value-only route lands each value where its triple landed.
+          const auto routed = redistribute_to_row_blocks(a, labels, grid);
+          std::vector<nnz_t> seen(routed.origin);
+          std::sort(seen.begin(), seen.end());
+          for (std::size_t k = 0; k < seen.size(); ++k) {
+            ASSERT_EQ(seen[k], static_cast<nnz_t>(k)) << where;
           }
-          ASSERT_EQ(blocks.size(), 1u) << where;
-          const auto& blk = blocks.front();
-          EXPECT_EQ(blk.lo, 0) << where;
-          EXPECT_EQ(blk.hi, got.local_rows()) << where;
-          EXPECT_EQ(blk.row_ptr, oracle.row_ptr) << where;
-          EXPECT_EQ(blk.cols, oracle.cols) << where;
-          EXPECT_EQ(blk.vals, oracle.vals) << where;
-          EXPECT_EQ(blk.diag_pos, oracle.diag_pos) << where;
+          const auto values = route_row_block_values(a, labels, grid);
+          ASSERT_EQ(values.size(), routed.origin.size()) << where;
+          for (std::size_t s = 0; s < values.size(); ++s) {
+            EXPECT_EQ(values[static_cast<std::size_t>(routed.origin[s])],
+                      got.vals[s])
+                << where << " block slot " << s;
+          }
+
+          // The plan's ILU(0) half over the placed values.
+          const auto plan =
+              solver::build_solve_plan(world, routed.block, routed.origin);
+          std::vector<double> split(values.size());
+          for (std::size_t k = 0; k < values.size(); ++k) {
+            split[static_cast<std::size_t>(plan.value_slot[k])] = values[k];
+          }
+          int pivots = 0;
+          const auto factor = solver::ilu0_factor(plan.ilu, split, &pivots);
+          const auto oracle = binary_search_ilu0(got);
+          EXPECT_EQ(pivots, oracle.shifted_pivots) << where;
+          shifted[static_cast<std::size_t>(r)] = pivots;
+          EXPECT_EQ(plan.ilu.rows(), got.local_rows()) << where;
+          EXPECT_EQ(plan.ilu.row_ptr, oracle.row_ptr) << where;
+          EXPECT_EQ(plan.ilu.cols, oracle.cols) << where;
+          EXPECT_EQ(factor, oracle.vals) << where;
+          EXPECT_EQ(plan.ilu.diag_pos, oracle.diag_pos) << where;
         },
         mps::MachineParams{}, t);
     shifted_total = 0;

@@ -1,13 +1,16 @@
 // Unit tests for the alpha-beta-gamma cost model formulas, plus the
 // barrier-crossing ledger that pins the fused kernels' synchrony budgets:
 // 2 crossings per BFS level (vs 8 for the same level as four standalone
-// primitives), 1 for the empty call that ends a BFS, and 5 per whole
-// ordering level (vs 6 for the standalone SORTPERM alone) — and the trace
-// model's analytic crossing prediction, speculative sweeps included,
-// against a real p=4 run's ledger — and 6 crossings per CG iteration.
+// primitives), 1 for the empty call that ends a BFS, and 3 per whole
+// ordering level, 2 on the terminal one (vs 6 for the standalone SORTPERM
+// alone) — and the trace model's analytic crossing prediction, speculative
+// sweeps included, against a real p=4 run's ledger — and 6 crossings per
+// CG iteration, with a solve-plan hit skipping the symbolic collectives.
 #include "mpsim/cost_model.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "dist/level_kernel.hpp"
 #include "dist/primitives.hpp"
@@ -375,6 +378,77 @@ TEST(CrossingLedger, DistPcgIsSixCrossingsPerIteration) {
               static_cast<std::uint64_t>(4 + 6 * k))
         << "p=" << p << ": 6 crossings per CG iteration plus 4 of setup";
   }
+}
+
+TEST(CrossingLedger, PlanHitSkipsTheSymbolicCollectives) {
+  // The cold pins' fixture, served twice by a 4-rank service: the second
+  // request is a cache hit that reuses the solve plan. kRedistribute keeps
+  // only the value-only matrix alltoallv (2) and the value-only rhs
+  // alltoallv (2) — no bandwidth allreduce; kSolver loses the
+  // halo-request alltoallv and keeps the setup dot pair: 2 + 6K. Words
+  // drop from a 3-word triple and a 2-word rhs element to one word each.
+  const auto a = sparse::gen::with_laplacian_values(
+      sparse::gen::relabel_random(sparse::gen::grid2d(10, 10), 3), 0.02);
+  std::vector<double> b(static_cast<std::size_t>(a.n()));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + static_cast<double>(i % 7);
+  }
+  service::ServiceOptions options;
+  options.ranks = 4;
+  service::ReorderingService svc(options);
+  service::OrderSolveRequest request;
+  request.matrix = &a;
+  request.b = b;
+  const auto cold = svc.submit(request);
+  const auto hit = svc.submit(request);
+  ASSERT_EQ(cold.status, service::RequestStatus::kOk);
+  ASSERT_EQ(hit.status, service::RequestStatus::kOk);
+  ASSERT_TRUE(hit.plan_reused);
+  ASSERT_TRUE(hit.cg.converged);
+  const int k = hit.cg.iterations;
+  EXPECT_EQ(k, 31) << "the p=4 iteration pin of DistPcgIsSixCrossingsPerIteration";
+
+  const auto crossings = [](const service::OrderSolveResponse& r, Phase ph) {
+    return r.report.aggregate(ph).max.barrier_crossings;
+  };
+  EXPECT_EQ(crossings(cold, Phase::kRedistribute), 6u);
+  EXPECT_EQ(crossings(cold, Phase::kSolver), static_cast<std::uint64_t>(4 + 6 * k));
+  EXPECT_EQ(crossings(hit, Phase::kRedistribute), 4u)
+      << "value-only matrix alltoallv + value-only rhs alltoallv";
+  EXPECT_EQ(crossings(hit, Phase::kSolver), static_cast<std::uint64_t>(2 + 6 * k))
+      << "no halo-request alltoallv on a plan hit";
+  EXPECT_LT(crossings(hit, Phase::kRedistribute) + crossings(hit, Phase::kSolver),
+            crossings(cold, Phase::kRedistribute) + crossings(cold, Phase::kSolver));
+
+  // Words, max over ranks: cold = 3 per routed entry + 2 for the
+  // bandwidth allreduce + 2 per rhs element; the hit ships one word each.
+  const auto words = [](const service::OrderSolveResponse& r) {
+    return r.report.aggregate(Phase::kRedistribute).max.words;
+  };
+  EXPECT_EQ(words(cold), 480u);
+  EXPECT_EQ(words(hit), 167u);
+  EXPECT_LE(10 * words(hit), 4 * words(cold)) << "at most 0.4x the cold words";
+
+  // The hit's ledger holds its rank's plan (and the numeric pass on top),
+  // yet stays under the cold request's triple-exchange peak.
+  std::vector<std::uint64_t> plan_elements(4, 0);
+  Runtime::run(4, [&](Comm& world) {
+    dist::ProcGrid2D grid(world);
+    const auto labels = rcm::dist_order(world, a.strip_diagonal());
+    solver::SolvePlan plan;
+    rcm::OrderedSolveSpec spec;
+    spec.matrix = &a;
+    spec.b = b;
+    spec.labels = &labels;
+    spec.plan_out = &plan;
+    (void)rcm::ordered_solve(grid, spec);
+    plan_elements[static_cast<std::size_t>(world.rank())] =
+        plan.resident_elements();
+  });
+  const auto hit_peak = hit.report.max_peak_resident();
+  EXPECT_GE(hit_peak,
+            *std::max_element(plan_elements.begin(), plan_elements.end()));
+  EXPECT_LT(hit_peak, cold.report.max_peak_resident());
 }
 
 TEST(CrossingLedger, StandaloneSortpermCarriesThePackedHistogram) {

@@ -16,7 +16,9 @@
 //    computes the ordering exactly once, twins wait a wave and are served
 //    from the freshly inserted entry;
 //  * a wave-end insert may never evict an entry a request of the same
-//    batch was served from — the cache overflows capacity instead.
+//    batch was served from — the cache overflows capacity instead;
+//  * concurrent lanes of one batch reuse the SAME entry's solve plans
+//    (read-only, while both lanes' ranks run) and match a single hit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -298,6 +300,38 @@ TEST(ServiceBatch, WaveEndInsertNeverEvictsAnEntryTheBatchWasServedFrom) {
       << "the insert must overflow capacity, not evict the served entry";
   EXPECT_TRUE(service.submit(ra).cache_hit) << "A survived its own batch";
   EXPECT_TRUE(service.submit(rc).cache_hit);
+}
+
+TEST(ServiceBatch, ConcurrentLanesReuseOneEntrysPlans) {
+  // Eight ranks: a lone request runs on the largest square lane (4
+  // ranks), and so does each request of a two-request batch — two
+  // concurrent 2x2 lanes reading one entry's 2x2 plans.
+  const auto m = gen::with_laplacian_values(
+      gen::relabel_random(gen::grid2d(12, 13), 61), 0.02);
+  const auto b = wavy_rhs(m.n(), 3);
+
+  ServiceOptions options;
+  options.ranks = 8;
+  ReorderingService service(options);
+  OrderSolveRequest request;
+  request.matrix = &m;
+  request.b = b;
+  ASSERT_EQ(service.submit(request).status, RequestStatus::kOk);
+  const auto single = service.submit(request);
+  ASSERT_EQ(single.status, RequestStatus::kOk);
+  ASSERT_TRUE(single.plan_reused);
+
+  const std::vector<OrderSolveRequest> batch(2, request);
+  const auto responses = service.submit_batch(batch);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_NE(responses[0].lane, responses[1].lane);
+  for (const auto& resp : responses) {
+    ASSERT_EQ(resp.status, RequestStatus::kOk);
+    EXPECT_EQ(resp.lane_ranks, 4);
+    EXPECT_TRUE(resp.plan_reused);
+    EXPECT_EQ(resp.cg.iterations, single.cg.iterations);
+    expect_bitwise_equal(resp.x, single.x);
+  }
 }
 
 }  // namespace

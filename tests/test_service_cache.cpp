@@ -15,7 +15,14 @@
 //    reallocations and zero ordering crossings from request 3 on;
 //  * eviction is cost/recency-weighted (an expensive ordering survives
 //    cheap churn), an ordering-irrelevant seed does not split the key,
-//    and unsorted CSR input is rejected before it can be fingerprinted.
+//    and unsorted CSR input is rejected before it can be fingerprinted;
+//  * a hit reuses the entry's solve plan with the REQUEST's values: same
+//    pattern, new values solves bit-identically to the one-call pipeline,
+//    and a lane of another width rebuilds the plan and still matches;
+//  * the plan guard: every rank rejects a plan together when any rank's
+//    input window differs from the one its plan was routed from, and a
+//    corrupted value exchange on a plan hit ends structured, leaving the
+//    entry and its plan intact.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "dist/proc_grid.hpp"
 #include "mpsim/fault.hpp"
 #include "rcm/rcm_driver.hpp"
 #include "service/service.hpp"
@@ -456,6 +464,191 @@ TEST(ServiceCache, UnsortedCsrCannotReachTheFingerprint) {
 
   std::vector<index_t> duplicate_cols{1, 1, 0, 0};  // row 0: {1, 1}
   EXPECT_THROW(sparse::CsrMatrix(3, row_ptr, duplicate_cols), CheckError);
+}
+
+TEST(ServiceCache, SamePatternNewValuesReusesThePlanBitIdentically) {
+  // The plan is symbolic: a hit on the same pattern with other values must
+  // place THOSE values and refactor, so anything value-dependent leaking
+  // into the plan shows up here as a bit difference.
+  const auto pattern = gen::relabel_random(gen::grid2d(15, 16), 21);
+  const auto m1 = gen::with_laplacian_values(pattern, 0.02);
+  const auto m2 = gen::with_laplacian_values(pattern, 0.05);
+  const auto b = wavy_rhs(m1.n());
+
+  ServiceOptions options;
+  options.ranks = 4;
+  ReorderingService service(options);
+
+  OrderSolveRequest first;
+  first.matrix = &m1;
+  first.b = b;
+  const auto cold = service.submit(first);
+  ASSERT_EQ(cold.status, RequestStatus::kOk);
+  EXPECT_FALSE(cold.plan_reused);
+
+  OrderSolveRequest second;
+  second.matrix = &m2;
+  second.b = b;
+  const auto hit = service.submit(second);
+  ASSERT_EQ(hit.status, RequestStatus::kOk);
+  ASSERT_TRUE(hit.cache_hit);
+  EXPECT_TRUE(hit.plan_reused);
+  const auto reference = rcm::run_ordered_solve(4, m2, b);
+  ASSERT_TRUE(reference.result.cg.converged);
+  EXPECT_EQ(hit.cg.iterations, reference.result.cg.iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(hit.cg.relative_residual),
+            std::bit_cast<std::uint64_t>(reference.result.cg.relative_residual));
+  EXPECT_EQ(hit.permuted_bandwidth, reference.result.permuted_bandwidth);
+  expect_bitwise_equal(hit.x, reference.result.x);
+
+  // Four hits in one batch run on four 1-rank lanes: the entry's plans are
+  // for 4-rank lanes, so each lane builds its own from the request and
+  // must match a 1-rank service solving the same request.
+  const std::vector<OrderSolveRequest> batch(4, second);
+  const auto narrow = service.submit_batch(batch);
+  ServiceOptions one_rank;
+  one_rank.ranks = 1;
+  ReorderingService sequential(one_rank);
+  const auto seq = sequential.submit(second);
+  ASSERT_EQ(seq.status, RequestStatus::kOk);
+  for (const auto& resp : narrow) {
+    ASSERT_EQ(resp.status, RequestStatus::kOk);
+    EXPECT_TRUE(resp.cache_hit);
+    EXPECT_EQ(resp.lane_ranks, 1);
+    EXPECT_FALSE(resp.plan_reused) << "a 1-rank lane cannot use 4-rank plans";
+    EXPECT_EQ(resp.cg.iterations, seq.cg.iterations);
+    EXPECT_EQ(resp.permuted_bandwidth, seq.permuted_bandwidth);
+    expect_bitwise_equal(resp.x, seq.x);
+  }
+
+  // The entry kept its 4-rank plans: the next full-width hit reuses them.
+  const auto again = service.submit(second);
+  ASSERT_EQ(again.status, RequestStatus::kOk);
+  EXPECT_TRUE(again.plan_reused);
+  expect_bitwise_equal(again.x, hit.x);
+}
+
+/// Runs `body` on a fresh 4-rank world and its 2x2 grid.
+template <class Body>
+void on_four_ranks(Body body) {
+  mps::Runtime::run(4, [&](mps::Comm& world) {
+    dist::ProcGrid2D grid(world);
+    body(world, grid);
+  });
+}
+
+/// Known-labels ordered solve without a plan, `plan_out` optional; returns
+/// this rank's solution slab.
+std::vector<double> known_labels_solve(dist::ProcGrid2D& grid,
+                                       const sparse::CsrMatrix& m,
+                                       const std::vector<double>& b,
+                                       const std::vector<index_t>& labels,
+                                       solver::SolvePlan* plan_out) {
+  rcm::OrderedSolveSpec spec;
+  spec.matrix = &m;
+  spec.b = b;
+  spec.labels = &labels;
+  spec.plan_out = plan_out;
+  return rcm::ordered_solve(grid, spec).x_local;
+}
+
+TEST(ServiceCache, PlanGuardRejectsOnEveryRankTogether) {
+  // Two relabelings of one grid: the same n and nnz, different windows.
+  // A plan routed from A must not place B's values, even under A's
+  // labels — B's entries reach other slots.
+  const auto base = gen::grid2d(14, 14);
+  const auto a = gen::with_laplacian_values(gen::relabel_random(base, 31), 0.02);
+  const auto c = gen::with_laplacian_values(gen::relabel_random(base, 32), 0.02);
+  ASSERT_EQ(a.n(), c.n());
+  ASSERT_EQ(a.nnz(), c.nnz());
+  const auto b = wavy_rhs(a.n());
+  const auto labels = rcm::run_dist_order(4, a.strip_diagonal()).labels;
+
+  // The known-labels solve of C: what the lane must fall back to.
+  std::vector<std::vector<double>> want(4);
+  on_four_ranks([&](mps::Comm& world, dist::ProcGrid2D& grid) {
+    want[static_cast<std::size_t>(world.rank())] =
+        known_labels_solve(grid, c, b, labels, nullptr);
+  });
+
+  std::vector<int> accepted_a(4, -1), accepted_c(4, -1), accepted_tampered(4, -1);
+  std::vector<std::vector<double>> got(4);
+  on_four_ranks([&](mps::Comm& world, dist::ProcGrid2D& grid) {
+    const auto r = static_cast<std::size_t>(world.rank());
+    solver::SolvePlan plan;
+    (void)known_labels_solve(grid, a, b, labels, &plan);
+
+    // Control: A's own windows accept A's plans.
+    PlanGuard guard_a;
+    guard_a.plan = &plan;
+    (void)fingerprint_pattern_refined(world, a, grid, &guard_a);
+    accepted_a[r] = guard_a.accepted;
+
+    // One rank's plan disagrees with its window: all four reject.
+    solver::SolvePlan tampered = plan;
+    if (world.rank() == 2) tampered.window_digest ^= 1;
+    PlanGuard guard_t;
+    guard_t.plan = &tampered;
+    (void)fingerprint_pattern_refined(world, a, grid, &guard_t);
+    accepted_tampered[r] = guard_t.accepted;
+
+    // C under A's plans: rejected everywhere, so the lane rebuilds.
+    PlanGuard guard_c;
+    guard_c.plan = &plan;
+    (void)fingerprint_pattern_refined(world, c, grid, &guard_c);
+    accepted_c[r] = guard_c.accepted;
+    EXPECT_NE(guard_c.window_digest, plan.window_digest) << "rank " << r;
+    if (!guard_c.accepted) {
+      got[r] = known_labels_solve(grid, c, b, labels, nullptr);
+    }
+  });
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(accepted_a[r], 1) << "rank " << r;
+    EXPECT_EQ(accepted_tampered[r], 0) << "rank " << r;
+    EXPECT_EQ(accepted_c[r], 0) << "rank " << r;
+    expect_bitwise_equal(got[r], want[r]);
+  }
+}
+
+TEST(ServiceCache, CorruptedPlanHitValueExchangeEndsStructured) {
+  const auto m = gen::with_laplacian_values(
+      gen::relabel_random(gen::grid2d(13, 15), 17), 0.02);
+  const auto b = wavy_rhs(m.n());
+
+  mps::FaultPlan plan;
+  ServiceOptions options;
+  options.ranks = 4;
+  options.faults = &plan;
+  options.watchdog_seconds = 20.0;
+  ReorderingService service(options);
+
+  OrderSolveRequest request;
+  request.matrix = &m;
+  request.b = b;
+  ASSERT_EQ(service.submit(request).status, RequestStatus::kOk);
+  const auto first = service.submit(request);
+  ASSERT_EQ(first.status, RequestStatus::kOk);
+  ASSERT_TRUE(first.plan_reused);
+
+  // A hit launch enters, on every rank: the world split (1), the lane
+  // grid's row and column splits (2, 3), the fingerprint allreduce (4),
+  // then the value-only matrix exchange (5). Corrupt rank 1's copy of it.
+  plan.corrupt_at(1, 5);
+  const auto poisoned = service.submit(request);
+  ASSERT_TRUE(plan.actions().front().fired);
+  EXPECT_TRUE(poisoned.status == RequestStatus::kFault ||
+              poisoned.cg.status == solver::SolveStatus::kNanInf)
+      << poisoned.error;
+  EXPECT_FALSE(poisoned.cg.converged)
+      << "a corrupted value must never converge to a wrong x";
+
+  // The hit wrote nothing: the entry and its plans serve the next hit.
+  EXPECT_EQ(service.cache_size(), 1u);
+  const auto next = service.submit(request);
+  ASSERT_EQ(next.status, RequestStatus::kOk);
+  EXPECT_TRUE(next.plan_reused);
+  EXPECT_EQ(next.cg.iterations, first.cg.iterations);
+  expect_bitwise_equal(next.x, first.x);
 }
 
 }  // namespace
