@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
           .global_nnz(world);
       const auto c2 = crossings();
       std::vector<dist::VecEntry> column;
-      if (mat.vec_dist().owner_col(0) == grid.col()) column.push_back({0, 0});
+      if (mat.cuts().owner_col(0) == grid.col()) column.push_back({0, 0});
       const auto level = dist::cm_level_step(
           mat, column, labels, degrees, 0, 1, 1, grid,
           mps::Phase::kOrderingSpmspv, mps::Phase::kOrderingSort,

@@ -3,8 +3,12 @@
 //
 // Blocks are stored CSC (by local column, row lists sorted ascending)
 // because SpMSpV streams frontier entries through columns. The input
-// pattern must be structurally symmetric (the RCM precondition), which
-// makes per-column counts equal to vertex degrees.
+// pattern must be structurally symmetric (the RCM precondition), so column
+// g of A is row g of A: each block is built in one sequential pass over
+// the rows of its column chunk, each row cut to the block's row chunk, with
+// no transpose. The same pass records the degree (row length) of every
+// vertex the rank owns — its owned range lies inside its column chunk —
+// so the degree vector D needs no communication.
 #pragma once
 
 #include <span>
@@ -20,13 +24,15 @@ class DistSpMat {
  public:
   /// Builds my block of the pattern of the replicated matrix (values, if
   /// any, are ignored: the ordering needs the pattern only, and the solver
-  /// matrix travels through redistribute_to_row_blocks). Collective only in
-  /// the sense that every rank must construct the same matrix on the same
-  /// grid.
+  /// matrix travels through redistribute_to_row_blocks). Local: every rank
+  /// must construct the same matrix on the same grid, and reads only the
+  /// rows of its column chunk.
   DistSpMat(ProcGrid2D& grid, const sparse::CsrMatrix& a);
 
   index_t n() const { return dist_.n(); }
   const VectorDist& vec_dist() const { return dist_; }
+  /// Division-free owner lookup for vec_dist(), built once with the block.
+  const CutTable& cuts() const { return cuts_; }
 
   index_t row_lo() const { return row_lo_; }
   index_t row_hi() const { return row_hi_; }
@@ -53,17 +59,18 @@ class DistSpMat {
   /// Total stored entries across all blocks. Collective.
   nnz_t global_nnz(mps::Comm& world) const;
 
-  /// The distributed degree vector D (per-column counts summed along the
-  /// processor column; equals row degrees for a symmetric pattern).
-  /// Collective.
+  /// The distributed degree vector D: the row lengths of my owned
+  /// vertices, recorded while the block was built. Local — no collective.
   DistDenseVec degrees(ProcGrid2D& grid) const;
 
  private:
   VectorDist dist_{};
+  CutTable cuts_;
   index_t row_lo_ = 0, row_hi_ = 0;
   index_t col_lo_ = 0, col_hi_ = 0;
   std::vector<nnz_t> col_ptr_{0};
   std::vector<index_t> rows_;  ///< local row ids, sorted within each column
+  std::vector<index_t> owned_degrees_;  ///< row lengths of my owned range
 };
 
 }  // namespace drcm::dist

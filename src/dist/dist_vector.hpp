@@ -6,7 +6,10 @@
 // exactly one rank: (owner_row(g), owner_col(g)). All cuts are balanced
 // (sizes differ by at most one) and purely arithmetic, so every rank can
 // compute any owner without communication — the property the SpMSpV
-// routing and SORTPERM bucket routing rely on.
+// routing and SORTPERM bucket routing rely on. The per-element routing
+// loops look owners up in a CutTable (the cuts precomputed once, then a
+// division-free scan); VectorDist's owner_* arithmetic is the closed form
+// the table is checked against.
 #pragma once
 
 #include <span>
@@ -83,6 +86,52 @@ class VectorDist {
  private:
   index_t n_ = 0;
   int q_ = 1;
+};
+
+/// Division-free owner lookup for one VectorDist: its p + 1 owned-range
+/// cuts in (column, row) grid order — the order owned ranges ascend in —
+/// so chunk c's q + 1 sub-chunk cuts are the consecutive entries
+/// [c * q, c * q + q]. An owner is found by scanning at most q cuts per
+/// axis for the last cut <= g, which also steps over empty chunks and
+/// sub-chunks (n < q). Agrees with VectorDist's owner_col / owner_row /
+/// owner_rank for every g.
+class CutTable {
+ public:
+  explicit CutTable(const VectorDist& d)
+      : q_(d.q()), cuts_(static_cast<std::size_t>(d.q()) * d.q() + 1, d.n()) {
+    for (int c = 0; c < q_; ++c) {
+      for (int r = 0; r < q_; ++r) {
+        cuts_[static_cast<std::size_t>(c) * q_ + r] = d.sub_lo(c, r);
+      }
+    }
+  }
+
+  /// Grid row of g's owner, for g in chunk c (== owner_row(g) there).
+  int owner_row_in_chunk(int c, index_t g) const {
+    const index_t* cut = cuts_.data() + static_cast<std::size_t>(c) * q_;
+    DRCM_DCHECK(g >= cut[0] && g < cut[q_], "element outside the chunk");
+    int r = 0;
+    while (r + 1 < q_ && cut[r + 1] <= g) ++r;
+    return r;
+  }
+
+  /// Chunk holding g (== owner_col(g)).
+  int owner_col(index_t g) const {
+    DRCM_DCHECK(g >= 0 && g < cuts_.back(), "element outside the vector");
+    int c = 0;
+    while (c + 1 < q_ && cuts_[static_cast<std::size_t>(c + 1) * q_] <= g) ++c;
+    return c;
+  }
+
+  /// World rank owning g (== owner_rank(g)).
+  int owner_rank(index_t g) const {
+    const int c = owner_col(g);
+    return owner_row_in_chunk(c, g) * q_ + c;
+  }
+
+ private:
+  int q_;
+  std::vector<index_t> cuts_;
 };
 
 /// Dense distributed vector: each rank stores exactly its owned range.

@@ -31,18 +31,23 @@ std::vector<VecEntry>& publish_set(const DistSpVec& frontier,
 }
 
 /// Stage 2: local block multiply into per-row partial minima, then route
-/// each partial straight to the owner of its element. The owner min-merges
-/// in stamped slots, so the partials travel in whatever order the multiply
-/// emitted them.
+/// each partial straight to the owner of its element. Every partial lies in
+/// my row chunk, so its owner is one of the q ranks of processor column
+/// grid.row(), found by a scan of that chunk's sub-chunk cuts. The owner
+/// min-merges in stamped slots, so the partials travel in whatever order
+/// the multiply emitted them.
 void route_partials(const DistSpMat& a, const std::vector<VecEntry>& gathered,
                     std::vector<std::vector<VecEntry>>& route,
-                    mps::Comm& world, DistWorkspace& w) {
+                    ProcGrid2D& grid, DistWorkspace& w) {
+  auto& world = grid.world();
   double work = 0;
   const auto& partial =
       spmspv_local_multiply(a, gathered, w, &work, world.threads());
-  const auto& dist = a.vec_dist();
+  const auto& cuts = a.cuts();
+  const int chunk = grid.row();
   for (const auto& e : partial) {
-    route[static_cast<std::size_t>(dist.owner_rank(e.idx))].push_back(e);
+    const int r = cuts.owner_row_in_chunk(chunk, e.idx);
+    route[static_cast<std::size_t>(grid.world_rank_of(r, chunk))].push_back(e);
   }
   world.charge_compute(work + static_cast<double>(partial.size()));
 }
@@ -111,7 +116,7 @@ BfsLevelResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
       w.recv_scratch(),
       [&](const std::vector<VecEntry>& gathered,
           std::vector<std::vector<VecEntry>>& route) {
-        route_partials(a, gathered, route, world, w);
+        route_partials(a, gathered, route, grid, w);
       },
       [&](const std::vector<VecEntry>& received) {
         merge_and_select(received, dense, keep_sentinel, world, other_phase,
@@ -160,7 +165,7 @@ LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
           w.sort_route(static_cast<std::size_t>(p)), w.sort_recv_scratch(),
           w.entry_route(static_cast<std::size_t>(p)), column,
           [&](std::vector<std::vector<VecEntry>>& route) {
-            route_partials(a, column, route, world, w);
+            route_partials(a, column, route, grid, w);
           },
           [&](const std::vector<VecEntry>& received,
               std::vector<std::vector<SortRec>>& deal) {
@@ -205,7 +210,7 @@ LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
             for (std::size_t t = 0; t < arr.size(); ++t) {
               const VecEntry e{arr[t].idx,
                                next_label + offset + static_cast<index_t>(t)};
-              const int c = dist.owner_col(e.idx);
+              const int c = a.cuts().owner_col(e.idx);
               for (int r = 0; r < q; ++r) {
                 route[static_cast<std::size_t>(grid.world_rank_of(r, c))]
                     .push_back(e);

@@ -455,8 +455,9 @@ DistSpVec sortperm_bucket(const DistSpVec& x, const DistDenseVec& degrees,
 
   // Hand each element its global position and route it home.
   auto& back = w.entry_route(static_cast<std::size_t>(p));
+  const CutTable owners(dist);
   for (std::size_t t = 0; t < arr.size(); ++t) {
-    back[static_cast<std::size_t>(dist.owner_rank(arr[t].idx))].push_back(
+    back[static_cast<std::size_t>(owners.owner_rank(arr[t].idx))].push_back(
         VecEntry{arr[t].idx, stripe_lo + static_cast<index_t>(t)});
   }
   return scatter_ranks_back(x, back, world, w);
@@ -523,12 +524,13 @@ DistSpVec sortperm_sample(const DistSpVec& x, const DistDenseVec& degrees,
   world.charge_compute(ml * std::log2(ml + 2) + mr * std::log2(mr + 2));
 
   auto& back = w.entry_route(static_cast<std::size_t>(p));
+  const CutTable owners(dist);
   for (std::size_t t = 0; t < mine.size(); ++t) {
     // Receive-path range check (always on): `mine` arrived over the wire
     // and its indices become owner-route positions.
     DRCM_CHECK(mine[t].idx >= 0 && mine[t].idx < dist.n(),
                "received sort element index out of range");
-    back[static_cast<std::size_t>(dist.owner_rank(mine[t].idx))].push_back(
+    back[static_cast<std::size_t>(owners.owner_rank(mine[t].idx))].push_back(
         VecEntry{mine[t].idx, base + static_cast<index_t>(t)});
   }
   return scatter_ranks_back(x, back, world, w);

@@ -202,8 +202,10 @@ DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
   // which is the grid row of the element's owner. Stage 3b merges in
   // stamped slots, so the partials may travel in any order.
   auto& to_merge = w.merge_route(static_cast<std::size_t>(q));
+  const auto& cuts = a.cuts();
   for (const auto& e : partial) {
-    to_merge[static_cast<std::size_t>(dist.owner_row(e.idx))].push_back(e);
+    to_merge[static_cast<std::size_t>(cuts.owner_row_in_chunk(grid.row(), e.idx))]
+        .push_back(e);
   }
   const auto received = grid.row_comm().alltoallv(to_merge);
 

@@ -85,7 +85,7 @@ CmRun dist_cm_component(const dist::DistSpMat& a,
   // The root's processor column builds the one-entry column frontier
   // locally: the first level needs no collective.
   std::vector<VecEntry> column;
-  if (labels.dist().owner_col(root) == grid.col()) {
+  if (a.cuts().owner_col(root) == grid.col()) {
     column.push_back(VecEntry{root, next_label});
   }
   return cm_levels(a, degrees, labels, std::move(frontier), std::move(column),

@@ -10,6 +10,7 @@
 #include "dist/level_kernel.hpp"
 #include "dist/primitives.hpp"
 #include "dist/redistribute.hpp"
+#include "dist/row_block.hpp"
 #include "order/gps.hpp"
 #include "order/sloan.hpp"
 #include "rcm/dist_bfs.hpp"
@@ -44,6 +45,22 @@ OrderingAlgorithm resolve_algorithm(mps::Comm& world,
   mps::PhaseScope scope(world, mps::Phase::kOther);
   world.charge_compute(static_cast<double>(a.nnz() + a.n()));
   return select_ordering(a).algorithm;
+}
+
+/// The adjacency-pattern precondition of the distributed ordering entries:
+/// no stored diagonal entry. Each rank searches only its 1D row block (n/p
+/// rows), so together the ranks read every row once. A rank that finds a
+/// diagonal entry throws `what`; Runtime::run reports that root cause ahead
+/// of the PoisonedError its peers get at their next collective.
+void check_no_self_loops(const mps::Comm& world, const sparse::CsrMatrix& a,
+                         const char* what) {
+  const index_t n = a.n();
+  const index_t hi = dist::row_block_lo(n, world.size(), world.rank() + 1);
+  for (index_t i = dist::row_block_lo(n, world.size(), world.rank()); i < hi;
+       ++i) {
+    const auto row = a.row(i);
+    DRCM_CHECK(!std::binary_search(row.begin(), row.end(), i), what);
+  }
 }
 
 /// Turns the CM labels of an n-vertex ordering into RCM labels in place
@@ -190,8 +207,8 @@ std::vector<index_t> gps_replicated(mps::Comm& world,
 std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
                                 const DistRcmOptions& options,
                                 DistRcmStats* stats, OrderingRecipe* recipe) {
-  DRCM_CHECK(!a.has_self_loops(),
-             "dist_order expects an adjacency pattern (strip_diagonal first)");
+  check_no_self_loops(
+      world, a, "dist_order expects an adjacency pattern (strip_diagonal first)");
   DRCM_CHECK(recipe == nullptr || !options.load_balance,
              "ordering recipes are captured without load balancing only "
              "(the recipe would be in the balanced numbering, the labels in "
@@ -357,8 +374,8 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
   DRCM_CHECK(options.ordering.algorithm == OrderingAlgorithm::kRcm,
              "repair is RCM-only in v1: Sloan/GPS runs capture no recipe, "
              "so there is nothing sound to splice against");
-  DRCM_CHECK(!a.has_self_loops(),
-             "dist_rcm_repair expects an adjacency pattern");
+  check_no_self_loops(grid.world(), a,
+                      "dist_rcm_repair expects an adjacency pattern");
   const index_t n = a.n();
   DRCM_CHECK(cached_labels.size() == static_cast<std::size_t>(n),
              "cached labels must cover every vertex");

@@ -60,6 +60,25 @@ TEST(VectorDist, OwnerMapsAreConsistentExhaustively) {
   }
 }
 
+TEST(CutTable, AgreesWithTheOwnerArithmeticForEveryElement) {
+  // n < q leaves chunks and sub-chunks empty: the scans must step over
+  // every empty cut exactly like the closed-form owner_* adjustments.
+  for (index_t n = 0; n <= 130; ++n) {
+    for (int q = 1; q <= 6; ++q) {
+      const VectorDist d(n, q);
+      const CutTable cuts(d);
+      for (index_t g = 0; g < n; ++g) {
+        const int c = d.owner_col(g);
+        ASSERT_EQ(cuts.owner_col(g), c) << "n=" << n << " q=" << q << " g=" << g;
+        ASSERT_EQ(cuts.owner_row_in_chunk(c, g), d.owner_row(g))
+            << "n=" << n << " q=" << q << " g=" << g;
+        ASSERT_EQ(cuts.owner_rank(g), d.owner_rank(g))
+            << "n=" << n << " q=" << q << " g=" << g;
+      }
+    }
+  }
+}
+
 TEST(ProcGrid, RequiresSquareWorld) {
   EXPECT_THROW(Runtime::run(2, [](Comm& world) { ProcGrid2D grid(world); }),
                CheckError);

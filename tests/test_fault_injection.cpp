@@ -181,8 +181,9 @@ TEST(FaultInjection, WatchdogConvertsAStalledRankIntoBoundedDiagnostic) {
 
 TEST(FaultInjection, CorruptedOrderingLevelPayloadsFailNamedChecks) {
   // path(12) on the 2 x 2 grid, CM from root 10 (chunk 1 = [6, 12): rank 1
-  // owns 6-8, rank 3 owns 9-11). Every rank's 4th collective is the first
-  // ordering level (two grid splits and the degree gather come first). Its
+  // owns 6-8, rank 3 owns 9-11). Every rank's 3rd collective is the first
+  // ordering level (the two grid splits come first; the degree vector is
+  // built locally with the block). Its
   // level {9, 11} has one parent, so it is expanded by rank 3, whose
   // partials come home to rank 3; dealt whole to worker 0 (parent stripe
   // [0, 1)); and labeled for processor column 1 = ranks 1 and 3. A
@@ -202,7 +203,7 @@ TEST(FaultInjection, CorruptedOrderingLevelPayloadsFailNamedChecks) {
   for (const auto& c : cases) {
     SCOPED_TRACE(c.superstep);
     FaultPlan plan;
-    plan.corrupt_at(c.rank, 4);
+    plan.corrupt_at(c.rank, 3);
     try {
       Runtime::run(
           4,

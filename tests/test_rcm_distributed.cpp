@@ -2,6 +2,10 @@
 // with the serial reference on every grid size, every workload class.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "dist/proc_grid.hpp"
 #include "mpsim/runtime.hpp"
 #include "order/pseudo_peripheral.hpp"
 #include "order/rcm_serial.hpp"
@@ -108,6 +112,63 @@ TEST(DistRcm, RejectsSelfLoopedInput) {
   // The intended route: strip the diagonal first.
   const auto run = run_dist_order(1, solver_matrix.strip_diagonal());
   EXPECT_TRUE(sparse::is_valid_permutation(run.labels));
+}
+
+/// `a` plus the single diagonal entry (k, k).
+CsrMatrix with_diagonal_entry(const CsrMatrix& a, index_t k) {
+  std::vector<nnz_t> row_ptr{0};
+  std::vector<index_t> cols;
+  for (index_t i = 0; i < a.n(); ++i) {
+    const auto row = a.row(i);
+    const auto at = std::lower_bound(row.begin(), row.end(), i);
+    cols.insert(cols.end(), row.begin(), at);
+    if (i == k) cols.push_back(k);
+    cols.insert(cols.end(), at, row.end());
+    row_ptr.push_back(static_cast<nnz_t>(cols.size()));
+  }
+  return CsrMatrix(a.n(), std::move(row_ptr), std::move(cols));
+}
+
+TEST(DistRcm, BothEntriesRejectOneDiagonalEntryInAnyRow) {
+  // Each rank searches only its own row block for a diagonal entry: one
+  // entry in the first, a middle or the last row must still fail both
+  // entries with their named error on every grid, however many ranks the
+  // entry's row block leaves clean.
+  const auto a = gen::relabel_random(gen::grid2d(7, 9), 3);
+  const index_t n = a.n();
+  OrderingRecipe recipe;
+  std::vector<index_t> cached;
+  Runtime::run(1, [&](Comm& world) {
+    cached = dist_order(world, a, {}, nullptr, &recipe);
+  });
+  for (const index_t k : {index_t{0}, n / 2, n - 1}) {
+    const auto looped = with_diagonal_entry(a, k);
+    const auto plan = plan_repair(recipe, cached, {{k, k + 1}}, n);
+    for (const int p : {1, 4, 9}) {
+      SCOPED_TRACE("row " + std::to_string(k) + " p=" + std::to_string(p));
+      try {
+        Runtime::run(p, [&](Comm& world) { dist_order(world, looped); });
+        ADD_FAILURE() << "dist_order accepted a diagonal entry";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("dist_order expects an "
+                                             "adjacency pattern"),
+                  std::string::npos)
+            << e.what();
+      }
+      try {
+        Runtime::run(p, [&](Comm& world) {
+          dist::ProcGrid2D grid(world);
+          dist_rcm_repair(grid, looped, cached, recipe, plan);
+        });
+        ADD_FAILURE() << "dist_rcm_repair accepted a diagonal entry";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("dist_rcm_repair expects an "
+                                             "adjacency pattern"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(DistRcm, ReportCarriesPhaseBreakdown) {
