@@ -1,5 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the two SORTPERM variants on
-// synthetic frontiers: the paper's bucket sort vs the general sample sort.
+// synthetic frontiers: the paper's bucket sort (counting passes only; each
+// element is dealt to the worker whose parent-label stripe holds it, and a
+// count allgather gives every worker its offset) vs the general sample sort.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"

@@ -147,9 +147,6 @@ LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
   const index_t nb = label_hi - label_lo;
   const index_t chunk_lo = dist.chunk_lo(grid.col());
   const index_t chunk_hi = dist.chunk_lo(grid.col() + 1);
-  // My parent-label stripe as a sort worker: buckets [b_lo, b_hi).
-  const index_t b_lo = sortperm_stripe_lo(world.rank(), nb, p);
-  const index_t b_hi = sortperm_stripe_lo(world.rank() + 1, nb, p);
 
   // Measured-wall attribution: sample a timer around each sort-side
   // callback section (deal, worker sort) and split the level's wall at
@@ -176,13 +173,7 @@ LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
             // deal counts alone fix every worker's label offset.
             const auto prev = world.set_phase(sort_phase);
             const WallTimer sort_timer;
-            for (const auto& e : kept) {
-              DRCM_CHECK(e.val >= label_lo && e.val < label_hi,
-                         "parent label outside the frontier's label range");
-              const index_t b = e.val - label_lo;
-              deal[static_cast<std::size_t>(sortperm_worker_of(b, nb, p))]
-                  .push_back(SortRec{b, degrees.get(e.idx), e.idx});
-            }
+            sortperm_stripe_deal(kept, degrees, label_lo, label_hi, deal);
             world.charge_compute(static_cast<double>(kept.size()));
             sort_wall += sort_timer.seconds();
             world.set_phase(prev);
@@ -201,10 +192,10 @@ LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
                            offset + static_cast<std::int64_t>(dealt.size()) <=
                                level_total,
                        "worker offset outside the level");
-            index_t dmax = 0, b_min = 0, b_max = -1;
-            auto& arr = sortperm_replay(dealt, counts, q, b_lo, b_hi, a.n(),
-                                        w, &dmax, &b_min, &b_max);
-            if (!arr.empty()) sortperm_lsd_sort(arr, dmax, b_min, b_max + 1, w);
+            double units = 0.0;
+            auto& arr = sortperm_stripe_sort(
+                std::span<const SortRec>(dealt), counts, world.rank(), q, nb,
+                a.n(), w, &units);
             // Every rank of the owner's processor column expands the
             // vertex next level: deliver the label to all q of them.
             for (std::size_t t = 0; t < arr.size(); ++t) {
@@ -216,10 +207,8 @@ LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
                     .push_back(e);
               }
             }
-            world.charge_compute(
-                static_cast<double>((4 + q) * arr.size()) +
-                static_cast<double>((arr.empty() ? 0 : b_max - b_min + 1) +
-                                    dmax + 1));
+            world.charge_compute(units +
+                                 static_cast<double>(q * arr.size()));
             sort_wall += sort_timer.seconds();
           },
           [&](const std::vector<VecEntry>& got) {

@@ -42,30 +42,25 @@ DistSpVec scatter_ranks_back(const DistSpVec& x,
   return emit_from_slots(x, slot);
 }
 
-/// One stable counting pass of histogram cells from `src` to `dst` keyed by
-/// `key` (values in [0, bins)); counters come from the workspace so the
-/// steady-state level loop allocates nothing per pass.
-template <class KeyFn>
-void cell_counting_pass(const std::vector<SortHistCell>& src,
-                        std::vector<SortHistCell>& dst, std::size_t bins,
-                        DistWorkspace& ws, KeyFn key) {
-  auto& cnt = ws.counters(bins);
-  for (const auto& c : src) ++cnt[static_cast<std::size_t>(key(c))];
-  index_t run = 0;
-  for (auto& v : cnt) {
-    const index_t v0 = v;
-    v = run;
-    run += v0;
-  }
-  for (const auto& c : src) {
-    dst[static_cast<std::size_t>(cnt[static_cast<std::size_t>(key(c))]++)] = c;
-  }
+/// The sort worker that bucket `b` in [0, nb) is dealt to: the balanced
+/// partition of [0, nb) into p contiguous stripes.
+int worker_of(index_t b, index_t nb, int p) {
+  const auto w = static_cast<int>((b * p) / nb);
+  return w < p ? w : p - 1;
 }
 
-}  // namespace
+/// First bucket of worker `w`'s stripe: the inverse of worker_of (buckets
+/// [stripe_lo(w), stripe_lo(w+1)) map to w).
+index_t stripe_lo(int w, index_t nb, int p) {
+  return (static_cast<index_t>(w) * nb + p - 1) / p;
+}
 
-void sortperm_lsd_sort(std::vector<SortRec>& arr, index_t dmax, index_t b_lo,
-                       index_t b_hi, DistWorkspace& ws) {
+/// Two stable counting passes (degree, then parent bucket, counters
+/// restricted to [b_lo, b_hi)) over triples already in ascending-index
+/// order: the triples end in final (bucket, degree, idx) order. The shadow
+/// array comes from ws.sort_tmp().
+void lsd_sort(std::vector<SortRec>& arr, index_t dmax, index_t b_lo,
+              index_t b_hi, DistWorkspace& ws) {
   // Degree bins can reach O(n) on degree-skewed levels, so the counter
   // storage comes from the workspace (one buffer serves both passes: the
   // degree counters are dead before the bucket checkout re-zeroes it).
@@ -95,193 +90,45 @@ void sortperm_lsd_sort(std::vector<SortRec>& arr, index_t dmax, index_t b_lo,
   }
 }
 
-void sortperm_local_hist(std::span<const VecEntry> entries,
-                         const DistDenseVec& degrees, index_t label_lo,
-                         index_t label_hi, index_t block, DistWorkspace& ws,
-                         std::vector<SortHistCell>& hist,
-                         std::vector<index_t>& entry_cell) {
-  entry_cell.resize(entries.size());
-  if (entries.empty()) return;
-  // (bucket, degree, entry ordinal) triples, then the two counting passes
-  // shared with the element sort: recs end up (bucket, degree)-grouped.
-  auto& recs = ws.hist_recs();
-  recs.reserve(entries.size());
-  index_t dmax = 0;
-  index_t b_min = label_hi - label_lo;
-  index_t b_max = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& e = entries[i];
+}  // namespace
+
+void sortperm_stripe_deal(std::span<const VecEntry> entries,
+                          const DistDenseVec& degrees, index_t label_lo,
+                          index_t label_hi,
+                          std::vector<std::vector<SortRec>>& deal) {
+  const index_t nb = label_hi - label_lo;
+  const int p = static_cast<int>(deal.size());
+  for (const auto& e : entries) {
     DRCM_CHECK(e.val >= label_lo && e.val < label_hi,
                "parent label outside the frontier's label range");
     const index_t b = e.val - label_lo;
-    const index_t d = degrees.get(e.idx);
-    dmax = std::max(dmax, d);
-    b_min = std::min(b_min, b);
-    b_max = std::max(b_max, b);
-    recs.push_back(SortRec{b, d, static_cast<index_t>(i)});
-  }
-  sortperm_lsd_sort(recs, dmax, b_min, b_max + 1, ws);
-  for (const auto& rec : recs) {
-    if (hist.empty() || hist.back().bucket != rec.bucket ||
-        hist.back().degree != rec.degree) {
-      hist.push_back(SortHistCell{rec.bucket, rec.degree, block, 0});
-    }
-    hist.back().count += 1;
-    entry_cell[static_cast<std::size_t>(rec.idx)] =
-        static_cast<index_t>(hist.size()) - 1;
-  }
-}
-
-void sortperm_pack_cells(std::span<const SortHistCell> cells, index_t block,
-                         std::vector<index_t>& out) {
-  if (cells.empty()) return;
-  out.push_back(block);
-  const std::size_t nwords_at = out.size();
-  out.push_back(0);
-  std::size_t i = 0;
-  while (i < cells.size()) {
-    std::size_t j = i;
-    index_t multi = 0;
-    index_t single = 0;
-    while (j < cells.size() && cells[j].bucket == cells[i].bucket) {
-      DRCM_DCHECK(cells[j].block == block && cells[j].count >= 1,
-                  "packing a foreign or empty cell");
-      (cells[j].count == 1 ? single : multi) += 1;
-      ++j;
-    }
-    if (multi > 0) {
-      out.push_back(cells[i].bucket);
-      out.push_back(multi);
-      for (std::size_t t = i; t < j; ++t) {
-        if (cells[t].count != 1) {
-          out.push_back(cells[t].degree);
-          out.push_back(cells[t].count);
-        }
-      }
-    }
-    if (single > 0) {
-      out.push_back(cells[i].bucket);
-      out.push_back(-single);
-      for (std::size_t t = i; t < j; ++t) {
-        if (cells[t].count == 1) out.push_back(cells[t].degree);
-      }
-    }
-    i = j;
-  }
-  out[nwords_at] = static_cast<index_t>(out.size() - nwords_at - 1);
-}
-
-void sortperm_unpack_cells(std::span<const index_t> words,
-                           std::vector<SortHistCell>& out) {
-  std::size_t i = 0;
-  while (i < words.size()) {
-    DRCM_CHECK(i + 2 <= words.size(), "truncated packed histogram header");
-    const index_t block = words[i];
-    const index_t nwords = words[i + 1];
-    i += 2;
-    DRCM_CHECK(nwords >= 0 &&
-                   static_cast<std::size_t>(nwords) <= words.size() - i,
-               "packed histogram payload overruns the stream");
-    const std::size_t end = i + static_cast<std::size_t>(nwords);
-    while (i < end) {
-      DRCM_CHECK(end - i >= 2, "truncated packed histogram group");
-      const index_t bucket = words[i];
-      const index_t k = words[i + 1];
-      i += 2;
-      DRCM_CHECK(k != 0, "empty packed histogram group");
-      if (k > 0) {
-        DRCM_CHECK(static_cast<std::size_t>(k) <= (end - i) / 2,
-                   "truncated packed histogram pair group");
-        for (index_t g = 0; g < k; ++g) {
-          out.push_back(SortHistCell{bucket, words[i], block, words[i + 1]});
-          i += 2;
-        }
-      } else {
-        // Compare without negating k first: a corrupted most-negative k
-        // must fail the check, not overflow on -k.
-        DRCM_CHECK(k >= -static_cast<index_t>(end - i),
-                   "truncated packed histogram singleton group");
-        for (index_t g = 0; g < -k; ++g) {
-          out.push_back(SortHistCell{bucket, words[i], block, 1});
-          i += 1;
-        }
-      }
-    }
-  }
-}
-
-SortPlan sortperm_plan(std::span<const SortHistCell> cells, int p, index_t nb,
-                       index_t n, DistWorkspace& ws) {
-  // Receive-path range checks (always on): the cell table was exchanged
-  // over the wire, and every field below becomes a counting-pass bin index
-  // or a bin count — a corrupted cell must throw here, not index counters
-  // out of bounds or size them absurdly. The "degree" field is a generic
-  // ranking key: plain degrees for RCM, Sloan priorities (bounded by
-  // w1*(dmax+1) + w2*ecc < 3n + 3 with the default weights) for the Sloan
-  // arm — still linear in n, so the counting bins stay O(n).
-  for (const auto& c : cells) {
-    DRCM_CHECK(c.block >= 0 && c.block < p && c.bucket >= 0 && c.bucket < nb &&
-                   c.degree >= 0 && c.degree <= 3 * n + 3 && c.count >= 0,
-               "received histogram cell out of range");
-  }
-  auto& table = ws.hist_table();
-  auto& shadow = ws.hist_shadow();
-  shadow.assign(cells.begin(), cells.end());
-  table.resize(cells.size());
-  index_t dmax = 0;
-  for (const auto& c : cells) dmax = std::max(dmax, c.degree);
-  // Stable LSD to (bucket, degree, block) order: least-significant key
-  // first. Input cells arrive rank-concatenated (each rank's sub-table
-  // already (bucket, degree)-sorted), but the passes assume nothing.
-  cell_counting_pass(shadow, table, static_cast<std::size_t>(p), ws,
-                     [](const SortHistCell& c) { return c.block; });
-  cell_counting_pass(table, shadow, static_cast<std::size_t>(dmax) + 1, ws,
-                     [](const SortHistCell& c) { return c.degree; });
-  cell_counting_pass(shadow, table, static_cast<std::size_t>(nb), ws,
-                     [](const SortHistCell& c) { return c.bucket; });
-  auto& start = ws.hist_start();
-  start.reserve(table.size());
-  index_t run = 0;
-  for (const auto& c : table) {
-    start.push_back(run);
-    run += c.count;
-  }
-  return SortPlan{std::span<const SortHistCell>(table),
-                  std::span<const index_t>(start), run};
-}
-
-void sortperm_my_starts(const SortPlan& plan, index_t block,
-                        std::vector<index_t>& out) {
-  // Filtering the (bucket, degree, block)-sorted table to one block yields
-  // that rank's cells in (bucket, degree) order — the local hist order.
-  for (std::size_t t = 0; t < plan.table.size(); ++t) {
-    if (plan.table[t].block == block) out.push_back(plan.start[t]);
+    deal[static_cast<std::size_t>(worker_of(b, nb, p))].push_back(
+        SortRec{b, degrees.get(e.idx), e.idx});
   }
 }
 
 template <class CountT>
-std::vector<SortRec>& sortperm_replay(std::span<const SortRec> recv,
-                                      std::span<const CountT> counts, int q,
-                                      index_t stripe_lo, index_t stripe_hi,
-                                      index_t n, DistWorkspace& ws,
-                                      index_t* dmax, index_t* b_min,
-                                      index_t* b_max) {
+std::vector<SortRec>& sortperm_stripe_sort(std::span<const SortRec> dealt,
+                                           std::span<const CountT> counts,
+                                           int w, int q, index_t nb, index_t n,
+                                           DistWorkspace& ws, double* units) {
   const int p = q * q;
   DRCM_CHECK(static_cast<int>(counts.size()) == p,
              "replay needs one count per source rank");
+  const index_t b_lo = stripe_lo(w, nb, p);
+  const index_t b_hi = stripe_lo(w + 1, nb, p);
   // Receive-path range checks (always on): bucket and degree size the
-  // counting-sort bins downstream and idx becomes an owner-route index, so
-  // a corrupted triple must throw here instead. The degree field admits
-  // any linear ranking key (Sloan priorities reach ~3n; see sortperm_plan).
-  for (const auto& rec : recv) {
-    DRCM_CHECK(rec.bucket >= stripe_lo && rec.bucket < stripe_hi,
+  // counting-sort bins and idx becomes an owner-route index, so a
+  // corrupted triple must throw here instead.
+  for (const auto& rec : dealt) {
+    DRCM_CHECK(rec.bucket >= b_lo && rec.bucket < b_hi,
                "dealt bucket outside the worker's parent-label stripe");
     DRCM_CHECK(rec.degree >= 0 && rec.degree <= 3 * n + 3 && rec.idx >= 0 &&
                    rec.idx < n,
                "received sort triple out of range");
   }
-  // Per-source offsets from the workspace counter buffer (dead before any
-  // later checkout) — the per-level hot path allocates nothing here.
+  // Per-source offsets from the workspace counter buffer (dead before the
+  // sort's checkout) — the per-level hot path allocates nothing here.
   auto& offset = ws.counters(static_cast<std::size_t>(p) + 1);
   for (int s = 0; s < p; ++s) {
     offset[static_cast<std::size_t>(s) + 1] =
@@ -289,176 +136,90 @@ std::vector<SortRec>& sortperm_replay(std::span<const SortRec> recv,
         static_cast<index_t>(counts[static_cast<std::size_t>(s)]);
   }
   auto& arr = ws.sort_scratch();
-  arr.reserve(recv.size());
-  *dmax = 0;
-  *b_min = 0;
-  *b_max = -1;
+  arr.reserve(dealt.size());
+  index_t dmax = 0, b_min = 0, b_max = -1;
   for (int c = 0; c < q; ++c) {
     for (int r = 0; r < q; ++r) {
       const auto s = static_cast<std::size_t>(r * q + c);
       for (auto i = offset[s]; i < offset[s + 1]; ++i) {
-        const auto& rec = recv[static_cast<std::size_t>(i)];
+        const auto& rec = dealt[static_cast<std::size_t>(i)];
         if (arr.empty()) {
-          *b_min = rec.bucket;
-          *b_max = rec.bucket;
+          b_min = rec.bucket;
+          b_max = rec.bucket;
         } else {
-          *b_min = std::min(*b_min, rec.bucket);
-          *b_max = std::max(*b_max, rec.bucket);
+          b_min = std::min(b_min, rec.bucket);
+          b_max = std::max(b_max, rec.bucket);
         }
-        *dmax = std::max(*dmax, rec.degree);
+        dmax = std::max(dmax, rec.degree);
         arr.push_back(rec);
       }
     }
   }
+  if (!arr.empty()) lsd_sort(arr, dmax, b_min, b_max + 1, ws);
+  *units = static_cast<double>(4 * arr.size()) +
+           static_cast<double>((arr.empty() ? 0 : b_max - b_min + 1) +
+                               dmax + 1);
   return arr;
 }
 
-template std::vector<SortRec>& sortperm_replay<std::int64_t>(
-    std::span<const SortRec>, std::span<const std::int64_t>, int, index_t,
-    index_t, index_t, DistWorkspace&, index_t*, index_t*, index_t*);
-template std::vector<SortRec>& sortperm_replay<std::uint64_t>(
-    std::span<const SortRec>, std::span<const std::uint64_t>, int, index_t,
-    index_t, index_t, DistWorkspace&, index_t*, index_t*, index_t*);
-
-void sortperm_deal(std::span<const VecEntry> entries,
-                   const DistDenseVec& degrees, index_t label_lo,
-                   std::span<const index_t> entry_cell,
-                   std::vector<index_t>& mine, index_t total, int p,
-                   std::vector<std::vector<SortRec>>& route) {
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& e = entries[i];
-    const index_t at = mine[static_cast<std::size_t>(entry_cell[i])]++;
-    // A cell table corrupted in transit (but field-wise in range) can hand
-    // out positions past the element total; the worker map is only defined
-    // on [0, total).
-    DRCM_CHECK(at >= 0 && at < total, "dealt position outside [0, total)");
-    route[static_cast<std::size_t>(sortperm_worker_of(at, total, p))]
-        .push_back(SortRec{e.val - label_lo, degrees.get(e.idx), e.idx});
-  }
-}
-
-std::vector<SortRec>& sortperm_worker_sort(std::span<const SortRec> dealt,
-                                           std::span<const std::int64_t> counts,
-                                           int q, index_t total, index_t nb,
-                                           index_t n, mps::Comm& world,
-                                           DistWorkspace& ws,
-                                           index_t* stripe_lo) {
-  const int p = q * q;
-  index_t dmax = 0, b_min = 0, b_max = -1;
-  auto& arr =
-      sortperm_replay(dealt, counts, q, 0, nb, n, ws, &dmax, &b_min, &b_max);
-  if (!arr.empty()) sortperm_lsd_sort(arr, dmax, b_min, b_max + 1, ws);
-  *stripe_lo = sortperm_stripe_lo(world.rank(), total, p);
-  DRCM_CHECK(static_cast<index_t>(arr.size()) ==
-                 sortperm_stripe_lo(world.rank() + 1, total, p) - *stripe_lo,
-             "worker stripe does not match the dealt position range");
-  world.charge_compute(
-      static_cast<double>(4 * arr.size()) +
-      static_cast<double>((arr.empty() ? 0 : b_max - b_min + 1) + dmax + 1));
-  return arr;
-}
+template std::vector<SortRec>& sortperm_stripe_sort<std::int64_t>(
+    std::span<const SortRec>, std::span<const std::int64_t>, int, int,
+    index_t, index_t, DistWorkspace&, double*);
+template std::vector<SortRec>& sortperm_stripe_sort<std::uint64_t>(
+    std::span<const SortRec>, std::span<const std::uint64_t>, int, int,
+    index_t, index_t, DistWorkspace&, double*);
 
 DistSpVec sortperm_bucket(const DistSpVec& x, const DistDenseVec& degrees,
                           index_t label_lo, index_t label_hi,
-                          ProcGrid2D& grid, DistWorkspace* ws,
-                          index_t* stripe_out) {
+                          ProcGrid2D& grid, DistWorkspace* ws) {
   DRCM_CHECK(x.dist() == degrees.dist(),
              "frontier and degree vector must share one distribution");
   DRCM_CHECK(label_hi > label_lo, "empty parent label range");
   auto& world = grid.world();
   DistWorkspace& w = ws ? *ws : grid.workspace();
   const int p = world.size();
-  const int q = grid.q();
   const auto& dist = x.dist();
-  const index_t nb = label_hi - label_lo;
-  if (stripe_out) *stripe_out = 0;
+  const index_t n = dist.n();
+  // Workers hold ascending label ranges, so a worker's count prefix is its
+  // offset into the level.
+  auto& deal = w.sort_route(static_cast<std::size_t>(p));
+  sortperm_stripe_deal(x.entries(), degrees, label_lo, label_hi, deal);
+  world.charge_compute(static_cast<double>(x.entries().size()));
+  std::vector<std::int64_t> dealt_counts;
+  const auto dealt = world.alltoallv(deal, &dealt_counts);
 
-  if (p == 1) {
-    // Degenerate single-rank grid: the entries are already the whole
-    // frontier in index order — two counting passes finish the job with
-    // no collectives.
-    auto& arr = w.sort_scratch();
-    arr.reserve(x.entries().size());
-    index_t dmax = 0;
-    for (const auto& e : x.entries()) {
-      DRCM_CHECK(e.val >= label_lo && e.val < label_hi,
-                 "parent label outside the frontier's label range");
-      const index_t d = degrees.get(e.idx);
-      dmax = std::max(dmax, d);
-      arr.push_back(SortRec{e.val - label_lo, d, e.idx});
-    }
-    sortperm_lsd_sort(arr, dmax, 0, nb, w);
-    if (stripe_out) *stripe_out = static_cast<index_t>(arr.size());
-    auto& slot = w.index_scratch(static_cast<std::size_t>(x.hi() - x.lo()));
-    for (std::size_t t = 0; t < arr.size(); ++t) {
-      slot[static_cast<std::size_t>(arr[t].idx - x.lo())] =
-          static_cast<index_t>(t);
-    }
-    world.charge_compute(static_cast<double>(4 * arr.size()) +
-                         static_cast<double>(nb + dmax + 1));
-    return emit_from_slots(x, slot);
+  // Every worker's count, for my offset and the level total. Receive-path
+  // checks (always on): the counts arrived over the wire and become label
+  // offsets.
+  const auto counts = world.allgather(static_cast<index_t>(dealt.size()));
+  index_t offset = 0;
+  index_t total = 0;
+  for (int r = 0; r < p; ++r) {
+    const index_t c = counts[static_cast<std::size_t>(r)];
+    DRCM_CHECK(c >= 0 && c <= n, "worker count outside [0, n]");
+    if (r < world.rank()) offset += c;
+    total += c;
   }
+  DRCM_CHECK(counts[static_cast<std::size_t>(world.rank())] ==
+                 static_cast<index_t>(dealt.size()),
+             "worker count does not match its dealt triples");
+  DRCM_CHECK(total <= n, "worker offset outside the level");
+  if (total == 0) return x.sibling({});
 
-  // Local (bucket, degree) histogram stamped with my owned-range block
-  // index (validates the contiguous-range precondition).
-  const index_t my_block = block_index(grid.row(), grid.col(), q);
-  auto& hist = w.hist_cells();
-  auto& entry_cell = w.entry_cell();
-  sortperm_local_hist(x.entries(), degrees, label_lo, label_hi, my_block, w,
-                      hist, entry_cell);
-
-  // Exchange the cells; every rank derives the identical global plan —
-  // exact start positions for every (bucket, degree, block) cell. The
-  // carry rides the wire two-level packed (sortperm_pack_cells): ~1 word
-  // per cell on degree-diverse levels instead of the naive 4-word (bucket,
-  // degree, block, count) cells. The streams are self-delimiting, so the
-  // rank-concatenated allgather decodes with wire-structure checks
-  // (sortperm_unpack_cells) and field range checks (sortperm_plan).
-  auto& packed = w.carry_words();
-  sortperm_pack_cells(std::span<const SortHistCell>(hist), my_block, packed);
-  const auto all_words = world.allgatherv(std::span<const index_t>(packed));
-  auto& all = w.hist_all();
-  sortperm_unpack_cells(std::span<const index_t>(all_words), all);
-  const SortPlan plan =
-      sortperm_plan(std::span<const SortHistCell>(all), p, nb, dist.n(), w);
-  world.charge_compute(static_cast<double>(2 * x.entries().size()) +
-                       static_cast<double>(packed.size()) +
-                       static_cast<double>(4 * all.size()) +
-                       static_cast<double>(nb));
-  if (plan.total == 0) {
-    return x.sibling({});
-  }
-
-  // Deal every element to its own position's worker: my j-th element of a
-  // cell (consumed in index order) sits at exactly cell start + j, so the
-  // cursor in `mine` hands out final positions element by element. Stripes
-  // are the balanced partition of [0, total) — a whole level concentrated
-  // in one cell still spreads evenly (the ROADMAP worker-stripe fix).
-  auto& mine = w.my_starts();
-  sortperm_my_starts(plan, my_block, mine);
-  DRCM_CHECK(mine.size() == hist.size(), "plan misses local cells");
-  auto& send = w.sort_route(static_cast<std::size_t>(p));
-  sortperm_deal(std::span<const VecEntry>(x.entries()), degrees, label_lo,
-                std::span<const index_t>(entry_cell), mine, plan.total, p,
-                send);
-  std::vector<std::int64_t> recv_counts;
-  const auto recv = world.alltoallv(send, &recv_counts);
-
-  // Sort my stripe to (bucket, degree, idx) order — which IS global
-  // position order, so my t-th element sits at stripe start + t.
-  index_t stripe_lo = 0;
-  auto& arr = sortperm_worker_sort(std::span<const SortRec>(recv),
-                                   std::span<const std::int64_t>(recv_counts),
-                                   q, plan.total, nb, dist.n(), world, w,
-                                   &stripe_lo);
-  if (stripe_out) *stripe_out = static_cast<index_t>(arr.size());
+  // My t-th sorted triple sits at global position offset + t.
+  double units = 0.0;
+  auto& arr = sortperm_stripe_sort(
+      std::span<const SortRec>(dealt),
+      std::span<const std::int64_t>(dealt_counts), world.rank(), grid.q(),
+      label_hi - label_lo, n, w, &units);
+  world.charge_compute(units);
 
   // Hand each element its global position and route it home.
   auto& back = w.entry_route(static_cast<std::size_t>(p));
   const CutTable owners(dist);
   for (std::size_t t = 0; t < arr.size(); ++t) {
     back[static_cast<std::size_t>(owners.owner_rank(arr[t].idx))].push_back(
-        VecEntry{arr[t].idx, stripe_lo + static_cast<index_t>(t)});
+        VecEntry{arr[t].idx, offset + static_cast<index_t>(t)});
   }
   return scatter_ranks_back(x, back, world, w);
 }

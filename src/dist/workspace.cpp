@@ -79,42 +79,6 @@ std::vector<std::vector<SortRec>>& DistWorkspace::sort_route(
   return checkout_route(sort_route_, ranks, sort_route_cap_);
 }
 
-std::vector<SortHistCell>& DistWorkspace::hist_cells() {
-  return checkout_cleared(hist_cells_, hist_cells_cap_);
-}
-
-std::vector<SortHistCell>& DistWorkspace::hist_all() {
-  return checkout_cleared(hist_all_, hist_all_cap_);
-}
-
-std::vector<index_t>& DistWorkspace::carry_words() {
-  return checkout_cleared(carry_words_, carry_words_cap_);
-}
-
-std::vector<SortHistCell>& DistWorkspace::hist_table() {
-  return checkout_cleared(hist_table_, hist_table_cap_);
-}
-
-std::vector<SortHistCell>& DistWorkspace::hist_shadow() {
-  return checkout_cleared(hist_shadow_, hist_shadow_cap_);
-}
-
-std::vector<SortRec>& DistWorkspace::hist_recs() {
-  return checkout_cleared(hist_recs_, hist_recs_cap_);
-}
-
-std::vector<index_t>& DistWorkspace::hist_start() {
-  return checkout_cleared(hist_start_, hist_start_cap_);
-}
-
-std::vector<index_t>& DistWorkspace::entry_cell() {
-  return checkout_cleared(entry_cell_, entry_cell_cap_);
-}
-
-std::vector<index_t>& DistWorkspace::my_starts() {
-  return checkout_cleared(my_starts_, my_starts_cap_);
-}
-
 std::vector<SortRec>& DistWorkspace::sort_recv_scratch() {
   return checkout_cleared(sort_recv_, sort_recv_cap_);
 }

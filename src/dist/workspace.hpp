@@ -91,21 +91,6 @@ struct ThreadStripe {
   std::vector<index_t> gather;
 };
 
-/// One cell of the sparse SORTPERM histogram: how many elements with parent
-/// bucket `bucket` and degree `degree` live on the rank whose owned index
-/// range sits at position `block` in global index order (block = col * q +
-/// row). Because (bucket, degree, block) is a prefix-compatible refinement
-/// of the final (bucket, degree, index) sort key, the exchanged cells let
-/// every rank compute the EXACT global start position of every cell — which
-/// is what splits oversized buckets across sort workers with no extra
-/// offset-exchange round (the ROADMAP worker-stripe fix).
-struct SortHistCell {
-  index_t bucket;
-  index_t degree;
-  index_t block;
-  index_t count;
-};
-
 class DistWorkspace {
  public:
   /// The flat SpMSpV stage-2 accumulator, epoch opened over `rows`, and
@@ -155,29 +140,11 @@ class DistWorkspace {
   std::vector<std::vector<double>>& value_route(std::size_t ranks);
 
   /// SORTPERM triple scratch (element array + counting-sort shadow),
-  /// cleared, and its per-destination routing buffers (sortperm_bucket's
-  /// and the ordering level's deal).
+  /// cleared, and its per-destination deal buffers (sortperm_bucket and the
+  /// ordering level).
   std::vector<SortRec>& sort_scratch();
   std::vector<SortRec>& sort_tmp();
   std::vector<std::vector<SortRec>>& sort_route(std::size_t ranks);
-
-  /// sortperm_bucket's histogram-cell scratch, cleared: the local (bucket,
-  /// degree) cells, the gathered global table landing buffer, and the two
-  /// ping-pong arrays of the table's counting passes.
-  std::vector<SortHistCell>& hist_cells();
-  std::vector<SortHistCell>& hist_all();
-  std::vector<SortHistCell>& hist_table();
-  std::vector<SortHistCell>& hist_shadow();
-  /// sortperm_bucket's packed local histogram (sortperm_pack_cells).
-  std::vector<index_t>& carry_words();
-  /// Local-histogram construction triples ((bucket, degree, entry ordinal)).
-  std::vector<SortRec>& hist_recs();
-  /// Per-cell global start positions of the sorted table, per-entry cell
-  /// ordinals, and this rank's cell-start cursors (advanced by the deal
-  /// loop as positions are handed out).
-  std::vector<index_t>& hist_start();
-  std::vector<index_t>& entry_cell();
-  std::vector<index_t>& my_starts();
   /// The ordering level's landing buffer for the SortRec triples dealt to
   /// this rank.
   std::vector<SortRec>& sort_recv_scratch();
@@ -200,7 +167,7 @@ class DistWorkspace {
   std::vector<index_t>& index_scratch(std::size_t n);
 
   /// Zero-filled counter array of exactly `bins` slots for the counting
-  /// passes (degree/bucket/block bins can reach O(n) on degree-skewed
+  /// passes (degree/bucket bins can reach O(n) on degree-skewed
   /// levels, so the storage must be reused across levels, not allocated
   /// per pass). Each checkout re-zeroes, so sequential passes may share it
   /// — but a second checkout invalidates the first's contents.
@@ -257,15 +224,6 @@ class DistWorkspace {
   std::vector<std::vector<SortRec>> sort_route_;
   std::vector<index_t> index_;
   std::vector<index_t> counters_;
-  std::vector<SortHistCell> hist_cells_;
-  std::vector<SortHistCell> hist_all_;
-  std::vector<index_t> carry_words_;
-  std::vector<SortHistCell> hist_table_;
-  std::vector<SortHistCell> hist_shadow_;
-  std::vector<SortRec> hist_recs_;
-  std::vector<index_t> hist_start_;
-  std::vector<index_t> entry_cell_;
-  std::vector<index_t> my_starts_;
   std::vector<SortRec> sort_recv_;
   std::vector<StampedSlots> thread_spas_;
   std::vector<ThreadStripe> thread_stripes_;
@@ -281,11 +239,7 @@ class DistWorkspace {
               value_route_cap_ = 0,
               sort_cap_ = 0, sort_tmp_cap_ = 0,
               sort_route_cap_ = 0, index_cap_ = 0, counters_cap_ = 0,
-              hist_cells_cap_ = 0,
-              hist_all_cap_ = 0, carry_words_cap_ = 0, hist_table_cap_ = 0,
-              hist_shadow_cap_ = 0,
-              hist_recs_cap_ = 0, hist_start_cap_ = 0, entry_cell_cap_ = 0,
-              my_starts_cap_ = 0, sort_recv_cap_ = 0;
+              sort_recv_cap_ = 0;
   u64 reallocations_ = 0;
 };
 

@@ -546,6 +546,32 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
     run_options.watchdog_seconds = options_.watchdog_seconds;
     run_options.report_on_error = &partial;
 
+    // Attributable fault: the dying rank's in-flight request gets a
+    // structured kFault response — unless it died mid-REPAIR, in which case
+    // the request survives and relaunches cold (the cache is untouched
+    // either way; inserts only follow validated deposits). Everyone else is
+    // relaunched from the driver's checkpoints (one-shot actions cannot
+    // re-fire).
+    auto attribute_fault = [&](int rank, std::string message) {
+      cumulative_.merge_from(partial);
+      finalize_wave();
+      last_error = std::move(message);
+      const int victim = current_request[static_cast<std::size_t>(rank)];
+      if (victim >= 0 && !done[static_cast<std::size_t>(victim)]) {
+        if (mode[static_cast<std::size_t>(victim)] == Mode::kRepair) {
+          no_repair[static_cast<std::size_t>(victim)] = 1;
+        } else {
+          auto& resp = responses[static_cast<std::size_t>(victim)];
+          resp.status = RequestStatus::kFault;
+          resp.error = last_error;
+          wave.erase(std::remove(wave.begin(), wave.end(),
+                                 static_cast<std::size_t>(victim)),
+                     wave.end());
+        }
+      }
+      ++relaunches;
+    };
+
     ++launches_;
     bool wave_clean = false;
     try {
@@ -556,51 +582,16 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
                  "fault-free launch must complete every scheduled request");
       wave_clean = true;
     } catch (const mps::InjectedFault& f) {
-      // Attributable fault: the dying rank's in-flight request gets a
-      // structured kFault response — unless it died mid-REPAIR, in which
-      // case the request survives and relaunches cold (the cache is
-      // untouched either way; inserts only follow validated deposits).
-      // Everyone else is relaunched from the driver's checkpoints
-      // (one-shot actions cannot re-fire).
-      cumulative_.merge_from(partial);
-      finalize_wave();
-      last_error = std::string("injected ") + mps::fault_kind_name(f.kind()) +
-                   " on rank " + std::to_string(f.rank()) + " at collective " +
-                   std::to_string(f.ordinal());
-      const int victim = current_request[static_cast<std::size_t>(f.rank())];
-      if (victim >= 0 && !done[static_cast<std::size_t>(victim)]) {
-        if (mode[static_cast<std::size_t>(victim)] == Mode::kRepair) {
-          no_repair[static_cast<std::size_t>(victim)] = 1;
-        } else {
-          auto& resp = responses[static_cast<std::size_t>(victim)];
-          resp.status = RequestStatus::kFault;
-          resp.error = last_error;
-          wave.erase(std::remove(wave.begin(), wave.end(),
-                                 static_cast<std::size_t>(victim)),
-                     wave.end());
-        }
-      }
-      ++relaunches;
+      attribute_fault(f.rank(), std::string("injected ") +
+                                    mps::fault_kind_name(f.kind()) +
+                                    " on rank " + std::to_string(f.rank()) +
+                                    " at collective " +
+                                    std::to_string(f.ordinal()));
     } catch (const mps::InjectedAllocFailure& f) {
-      cumulative_.merge_from(partial);
-      finalize_wave();
-      last_error = "injected alloc-failure on rank " +
-                   std::to_string(f.rank()) + " at collective " +
-                   std::to_string(f.ordinal());
-      const int victim = current_request[static_cast<std::size_t>(f.rank())];
-      if (victim >= 0 && !done[static_cast<std::size_t>(victim)]) {
-        if (mode[static_cast<std::size_t>(victim)] == Mode::kRepair) {
-          no_repair[static_cast<std::size_t>(victim)] = 1;
-        } else {
-          auto& resp = responses[static_cast<std::size_t>(victim)];
-          resp.status = RequestStatus::kFault;
-          resp.error = last_error;
-          wave.erase(std::remove(wave.begin(), wave.end(),
-                                 static_cast<std::size_t>(victim)),
-                     wave.end());
-        }
-      }
-      ++relaunches;
+      attribute_fault(f.rank(), "injected alloc-failure on rank " +
+                                    std::to_string(f.rank()) +
+                                    " at collective " +
+                                    std::to_string(f.ordinal()));
     } catch (const std::exception& e) {
       // No rank attribution (corruption faults surface as downstream check
       // failures; watchdog timeouts name no single request): retry every

@@ -24,10 +24,11 @@
 //     plan inside the fingerprint's allreduce; a mismatch (a fingerprint
 //     collision) or another lane width rebuilds the plan from the request
 //     and leaves the entry's own in place.
-//     Eviction is COST/RECENCY weighted: each entry remembers the measured
-//     ordering wall that produced it, and the evictee minimizes
-//     cost / age — an expensive ordering survives a stream of cheap
-//     one-offs that would have FIFO'd it out.
+//     Eviction is COST/RECENCY weighted: each entry remembers the modeled
+//     ordering seconds that produced it (cost_model_seconds, the slowest
+//     lane rank's ordering phases), and the evictee minimizes cost / age —
+//     an expensive ordering survives a stream of cheap one-offs that would
+//     have FIFO'd it out.
 //
 //   * INCREMENTAL REPAIR — a near-miss (same n, small pattern delta) is
 //     detected by diffing the refined fingerprint's row-window sub-sums

@@ -126,20 +126,17 @@ TEST_P(EquivalenceGrids, RanksAreAPermutationOfPositions) {
   }
 }
 
-TEST(SortpermStripes, GiantBucketSplitsAcrossWorkers) {
-  // The ROADMAP worker-stripe bug: bucket-granular dealing put a star
-  // graph's whole leaf level — ONE parent bucket — on a single sort
-  // worker. Elements are now dealt at (bucket, degree, owner-block) cell
-  // granularity by exact start position, so the giant bucket spreads over
-  // a contiguous worker range: no stripe may exceed ~2x the mean.
+TEST(SortpermStripes, GiantBucketRanksByIndex) {
+  // A star graph's leaf level: the center (vertex 0) was labeled 0, and
+  // every leaf joins the next level with parent label 0 and degree 1 — one
+  // giant bucket full of degree ties, dealt whole to one sort worker.
+  // Within the single (bucket, degree) run the order is by index, so leaf
+  // v must receive rank v - 1.
   for (const int p : {4, 9}) {
     const index_t n = 1 + 48 * static_cast<index_t>(p);
     Runtime::run(p, [&](Comm& world) {
       ProcGrid2D grid(world);
       VectorDist dist(n, grid.q());
-      // A star-graph level: the center (vertex 0) was labeled 0; every
-      // leaf joins the next level with parent label 0 and degree 1 — one
-      // giant bucket full of degree ties.
       DistDenseVec degrees(dist, grid, 1);
       if (degrees.owns(0)) degrees.set(0, n - 1);
       DistSpVec x(dist, grid);
@@ -148,20 +145,8 @@ TEST(SortpermStripes, GiantBucketSplitsAcrossWorkers) {
         mine.push_back(VecEntry{v, 0});
       }
       x.assign(mine);
-      index_t stripe = 0;
-      const auto r = sortperm_bucket(x, degrees, 0, 1, grid, nullptr, &stripe);
-      const auto stripes = world.allgather(stripe);
-      index_t total = 0, largest = 0;
-      for (const auto s : stripes) {
-        total += s;
-        largest = std::max(largest, s);
-      }
-      EXPECT_EQ(total, n - 1);
-      const double mean = static_cast<double>(total) / p;
-      EXPECT_LE(static_cast<double>(largest), 2.0 * mean + 1.0)
-          << "p=" << p << ": one worker still holds the giant bucket";
-      // Exactness ride-along: within the single (bucket, degree) run the
-      // order is by index, so leaf v must receive rank v - 1.
+      const auto r = sortperm_bucket(x, degrees, 0, 1, grid);
+      EXPECT_EQ(r.entries().size(), mine.size());
       for (const auto& e : r.entries()) {
         EXPECT_EQ(e.val, e.idx - 1) << "p=" << p;
       }
@@ -169,12 +154,10 @@ TEST(SortpermStripes, GiantBucketSplitsAcrossWorkers) {
   }
 }
 
-TEST(SortpermStripes, SingleCellLevelStillSpreadsAcrossWorkers) {
-  // Worse than a giant bucket: a level whose elements all sit in ONE
-  // rank's owned range with one parent label and uniform degree is a
-  // single indivisible histogram cell. Position-proportional dealing
-  // (cell start + within-cell ordinal, owner-computable) still spreads it
-  // in balanced stripes.
+TEST(SortpermStripes, SingleCellLevelRanksByIndex) {
+  // A level whose elements all sit in ONE rank's owned range with one
+  // parent label and uniform degree: a single (bucket, degree) cell, so
+  // the ranks are the index order.
   for (const int p : {4, 9}) {
     const index_t n = 40 * static_cast<index_t>(p);
     const index_t m = 35;  // within block 0's owned range (40 elements)
@@ -188,38 +171,13 @@ TEST(SortpermStripes, SingleCellLevelStillSpreadsAcrossWorkers) {
         mine.push_back(VecEntry{v, 5});
       }
       x.assign(mine);
-      index_t stripe = 0;
-      const auto r =
-          sortperm_bucket(x, degrees, 5, 6, grid, nullptr, &stripe);
-      const auto stripes = world.allgather(stripe);
-      index_t total = 0, largest = 0;
-      for (const auto s : stripes) {
-        total += s;
-        largest = std::max(largest, s);
-      }
-      EXPECT_EQ(total, m);
-      EXPECT_LE(largest, total / p + 1)
-          << "p=" << p << ": stripes must be the balanced partition";
+      const auto r = sortperm_bucket(x, degrees, 5, 6, grid);
+      EXPECT_EQ(r.global_nnz(world), m);
       for (const auto& e : r.entries()) {
         EXPECT_EQ(e.val, e.idx) << "p=" << p;  // index order within the cell
       }
     });
   }
-}
-
-TEST(SortpermStripes, SingleRankReportsItsWholeFrontier) {
-  Runtime::run(1, [&](Comm& world) {
-    ProcGrid2D grid(world);
-    VectorDist dist(30, grid.q());
-    DistDenseVec degrees(dist, grid, 2);
-    DistSpVec x(dist, grid);
-    std::vector<VecEntry> mine;
-    for (index_t v = 0; v < 30; v += 2) mine.push_back(VecEntry{v, 0});
-    x.assign(mine);
-    index_t stripe = -1;
-    sortperm_bucket(x, degrees, 0, 1, grid, nullptr, &stripe);
-    EXPECT_EQ(stripe, 15);
-  });
 }
 
 TEST(SortpermEquivalence, DeterministicAcrossRuns) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dist/dist_matrix.hpp"
+#include "dist/sortperm.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/runtime.hpp"
 #include "rcm/dist_rcm.hpp"
@@ -216,6 +217,55 @@ TEST(FaultInjection, CorruptedOrderingLevelPayloadsFailNamedChecks) {
           },
           with_faults(&plan));
       ADD_FAILURE() << "a corrupted " << c.superstep
+                    << " payload must not complete";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.check), std::string::npos)
+          << e.what();
+    }
+    ASSERT_TRUE(plan.actions().front().fired);
+  }
+}
+
+TEST(FaultInjection, CorruptedStandaloneSortpermPayloadsFailNamedChecks) {
+  // sortperm_bucket on the 2 x 2 grid over a full frontier of n = 16 with
+  // parent bucket = vertex mod 4: every rank owns 4 vertices, one per
+  // bucket, so it deals one triple to every worker (worker w's stripe is
+  // bucket w), receives 4 counts, and gets one position back per owned
+  // vertex. After the two grid splits, collective 3 is the deal, 4 the
+  // count allgather and 5 the scatter-back; each receives a non-empty
+  // payload on every rank, so the corruption lands on that collective.
+  struct Case {
+    const char* collective;
+    std::uint64_t ordinal;
+    const char* check;
+  };
+  const Case cases[] = {
+      {"deal", 3, "dealt bucket outside the worker's parent-label stripe"},
+      {"count", 4, "worker count outside [0, n]"},
+      {"scatter-back", 5, "rank routed to non-owner"},
+  };
+  constexpr index_t kN = 16;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.collective);
+    FaultPlan plan;
+    plan.corrupt_at(2, c.ordinal);
+    try {
+      Runtime::run(
+          4,
+          [&](Comm& world) {
+            dist::ProcGrid2D grid(world);
+            dist::VectorDist vdist(kN, grid.q());
+            dist::DistDenseVec degrees(vdist, grid, 1);
+            dist::DistSpVec frontier(vdist, grid);
+            std::vector<dist::VecEntry> mine;
+            for (index_t g = frontier.lo(); g < frontier.hi(); ++g) {
+              mine.push_back(dist::VecEntry{g, g % 4});
+            }
+            frontier.assign(mine);
+            (void)dist::sortperm_bucket(frontier, degrees, 0, 4, grid);
+          },
+          with_faults(&plan));
+      ADD_FAILURE() << "a corrupted " << c.collective
                     << " payload must not complete";
     } catch (const CheckError& e) {
       EXPECT_NE(std::string(e.what()).find(c.check), std::string::npos)

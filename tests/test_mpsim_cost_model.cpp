@@ -185,8 +185,8 @@ TEST(CrossingLedger, FusedOrderingLevelIsAtMostThreeCrossings) {
   // (SpMSpV + SELECT + SORTPERM + SET) through dist::cm_level_step costs
   // THREE barrier crossings — expand and deal on the SpMSpV ledger, the
   // label delivery on the sort ledger — while the standalone
-  // sortperm_bucket alone (allgatherv + two alltoallvs) pays 6 on the
-  // level it discovered.
+  // sortperm_bucket alone (deal alltoallv + count allgather + scatter-back
+  // alltoallv) pays 6 on the level it discovered.
   const auto a = sparse::gen::grid2d(8, 8);
   const auto report = Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
@@ -451,19 +451,15 @@ TEST(CrossingLedger, PlanHitSkipsTheSymbolicCollectives) {
   EXPECT_LT(hit_peak, cold.report.max_peak_resident());
 }
 
-TEST(CrossingLedger, StandaloneSortpermCarriesThePackedHistogram) {
-  // The standalone sortperm_bucket regression pin: its histogram exchange
-  // rides the wire two-level packed (sortperm_pack_cells), like the fused
-  // ordering level, instead of the naive 4-word (bucket, degree, block,
-  // count) cells. Fixture: a FULL frontier of n = 128 vertices whose
-  // degrees are all distinct (degree = vertex id), so every histogram
-  // cell is a singleton and cells == elements == 128 — the degree-diverse
-  // worst case the compaction exists for. Under the naive carry the
-  // histogram allgatherv ALONE charges 4 * 128 = 512 words to every rank
-  // before a single element moves; packed, the whole sort phase — carry
-  // plus BOTH element alltoallvs (3-word deal records + 2-word ranked
-  // results) — must come in UNDER that line. Reverting the carry breaks
-  // this bound by the allgatherv alone.
+TEST(CrossingLedger, StandaloneSortpermIsSixCrossingsExactWords) {
+  // The standalone sortperm_bucket's exact bill. Fixture: a FULL frontier
+  // of n = 128 vertices on the 2 x 2 grid, degree = vertex id, parent
+  // bucket = vertex id mod 4. Each rank owns 32 consecutive vertices, 8 in
+  // every bucket, and worker w's parent stripe is bucket w, so every rank
+  // deals 8 triples to each worker and receives 32. Per rank: the deal
+  // alltoallv moves 32 triples of 3 words (96), the count allgather 4 words
+  // (one per worker), and the scatter-back alltoallv 32 (index, position)
+  // pairs of 2 words (64): 164 words over 2 + 2 + 2 crossings.
   constexpr index_t kN = 128;
   constexpr index_t kBuckets = 4;
   const auto report = Runtime::run(4, [&](Comm& world) {
@@ -471,7 +467,7 @@ TEST(CrossingLedger, StandaloneSortpermCarriesThePackedHistogram) {
     dist::VectorDist vdist(kN, grid.q());
     dist::DistDenseVec degrees(vdist, grid, 0);
     for (index_t g = degrees.lo(); g < degrees.hi(); ++g) {
-      degrees.set(g, g);  // all distinct: every cell a singleton
+      degrees.set(g, g);
     }
     dist::DistSpVec frontier(vdist, grid);
     std::vector<dist::VecEntry> mine;
@@ -486,10 +482,8 @@ TEST(CrossingLedger, StandaloneSortpermCarriesThePackedHistogram) {
   });
   const auto& sort = report.aggregate(Phase::kOrderingSort).max;
   EXPECT_EQ(sort.barrier_crossings, 6u)
-      << "standalone SORTPERM: histogram allgatherv + deal + scatter-back";
-  EXPECT_GT(sort.words, 0u);
-  EXPECT_LT(sort.words, 4u * static_cast<std::uint64_t>(kN))
-      << "sort-phase words must undercut the naive histogram carry alone";
+      << "standalone SORTPERM: deal + count allgather + scatter-back";
+  EXPECT_EQ(sort.words, 3u * 32 + 4u + 2u * 32);
 }
 
 TEST(CrossingLedger, RepairHitIsPricedStrictlyBetweenHitAndCold) {
