@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
               prev_gap_ratio);
 
   // Validation: REAL distributed runs at p = 4 (thread-backed ranks).
-  //   natural — the replicated-CSR dist_pcg baseline (every rank re-slices
-  //             the full matrix; its ledger records the gathered footprint);
+  //   natural — dist_pcg on the unordered matrix's row blocks (sliced
+  //             outside the ranks);
   //   RCM     — the fully distributed pipeline in ONE call: RCM on the 2D
   //             grid, value-carrying redistribute, 2D->1D re-owning,
   //             distributed-matrix CG. No replicated CSR between ordering
@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
               nat_agg.max.model_total(),
               static_cast<unsigned long long>(nat.report.max_peak_resident()));
 
-  const auto rcm = rcm::run_ordered_solve(4, m_nat, b, /*precondition=*/true,
-                                          {}, opt);
+  const auto rcm =
+      rcm::run_ordered_solve_recoverable(4, {.matrix = &m_nat, .b = b, .cg = opt});
   const auto rcm_agg = rcm.report.aggregate(mps::Phase::kSolver);
   std::printf("  %-14s iters=%4d converged=%s words-moved(max rank)=%llu "
               "modeled=%.4fs peak-resident=%llu BW=%lld\n",

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     solver::CgOptions opt;
     opt.rtol = 1e-8;
     const auto run =
-        rcm::run_ordered_solve(p, m, b, /*precondition=*/true, {}, opt);
+        rcm::run_ordered_solve_recoverable(p, {.matrix = &m, .b = b, .cg = opt});
     if (!run.result.cg.converged) {
       std::printf("ERROR: pipeline did not converge at p=%d\n", p);
       return 1;
@@ -114,9 +114,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(run.result.permuted_bandwidth),
                 pt.words, pt.peak);
     // The pipeline's bandwidth must agree with the grid-insensitive
-    // ordering above. (Iteration counts may differ BETWEEN rank counts —
-    // p diagonal preconditioner blocks per p ranks — but each equals the
-    // replicated-CSR path's, which the equivalence tests pin.)
+    // ordering above. (Iterations may differ BETWEEN rank counts — p
+    // preconditioner blocks — but each equals run_dist_pcg's, pinned.)
     if (run.result.permuted_bandwidth !=
         sparse::bandwidth_with_labels(a, reference)) {
       std::printf("ERROR: permuted bandwidth disagrees with the ordering!\n");

@@ -20,8 +20,8 @@
 namespace drcm::dist {
 
 /// First row of rank r's contiguous block when n rows split over p ranks —
-/// the exact slicing rule of the replicated-CSR dist_pcg path, so a matrix
-/// re-owned through redistribute_to_row_blocks lands on identical blocks.
+/// the slicing rule run_dist_pcg cuts its fixture by, so a matrix re-owned
+/// through redistribute_to_row_blocks lands on identical blocks.
 inline index_t row_block_lo(index_t n, int p, int r) {
   return (static_cast<index_t>(r) * n) / p;
 }

@@ -68,15 +68,11 @@ const char* coll_op_name(CollOp op) {
   switch (op) {
     case CollOp::kNone: return "none";
     case CollOp::kBarrier: return "barrier";
-    case CollOp::kBcast: return "bcast";
     case CollOp::kAllreduce: return "allreduce";
     case CollOp::kAllgather: return "allgather";
     case CollOp::kAllgatherv: return "allgatherv";
     case CollOp::kAlltoallv: return "alltoallv";
     case CollOp::kExscan: return "exscan";
-    case CollOp::kGatherv: return "gatherv";
-    case CollOp::kScatterv: return "scatterv";
-    case CollOp::kReduce: return "reduce";
     case CollOp::kPairwise: return "pairwise-exchange";
     case CollOp::kFusedGatherRouteCount: return "fused-gather-route-count";
     case CollOp::kFusedOrderLevel: return "fused-order-level";

@@ -8,10 +8,13 @@
 // unstructured point-to-point traffic (paper Sec. III-IV), so the runtime
 // deliberately offers collectives only:
 //
-//   barrier, bcast, allreduce (deterministic rank-order fold), allgather(v),
+//   barrier, allreduce (deterministic rank-order fold), allgather(v),
 //   alltoallv, exscan_sum, pairwise_exchange (the SpMSpV transpose
-//   realignment, performed by all ranks at once), and split (MPI_Comm_split:
-//   forms the row/column sub-communicators of the 2D grid).
+//   realignment, performed by all ranks at once), the two fused level
+//   collectives of the BFS and ordering kernels, and split (MPI_Comm_split:
+//   forms the row/column sub-communicators of the 2D grid). There are no
+//   rooted collectives (bcast, gather, scatter, reduce): no distributed
+//   algorithm here needs one.
 //
 // Mechanically, every collective is two crossings of the communicator's
 // barrier around a shared "publication board": ranks publish their
@@ -83,15 +86,11 @@ class WatchdogTimeoutError : public std::runtime_error {
 enum class CollOp : std::uint8_t {
   kNone = 0,
   kBarrier,
-  kBcast,
   kAllreduce,
   kAllgather,
   kAllgatherv,
   kAlltoallv,
   kExscan,
-  kGatherv,
-  kScatterv,
-  kReduce,
   kPairwise,
   kFusedGatherRouteCount,
   kFusedOrderLevel,
@@ -157,10 +156,6 @@ class Comm {
   /// Synchronizes all members (and charges the modeled barrier cost).
   void barrier();
 
-  /// Replicates `data` from `root` to every member.
-  template <class T>
-  void bcast(std::vector<T>& data, int root);
-
   /// Reduces one value per rank with `combine`, folding in rank order on
   /// every member (deterministic, identical result everywhere). Intended
   /// for small payloads: scalars and argmin-style pairs.
@@ -185,19 +180,6 @@ class Comm {
   /// Exclusive prefix sum over ranks (rank 0 gets T{}).
   template <class T>
   T exscan_sum(const T& value);
-
-  /// Concatenates every rank's span on `root` only (others get empty).
-  template <class T>
-  std::vector<T> gatherv(std::span<const T> local, int root);
-
-  /// Root distributes `chunks[r]` to rank r; returns my chunk.
-  template <class T>
-  std::vector<T> scatterv(const std::vector<std::vector<T>>& chunks, int root);
-
-  /// Reduce-to-root with a deterministic rank-order fold; non-root ranks
-  /// receive a default-constructed T.
-  template <class T, class Combine>
-  T reduce(const T& value, Combine combine, int root);
 
   /// Simultaneous pairwise exchange: every member calls this with its
   /// partner's rank (partner==rank() is a local no-op copy). Used for the
@@ -337,7 +319,7 @@ class Comm {
 
  private:
   /// The per-destination array boards. kPrimary carries every plain
-  /// alltoallv / scatterv and a fused ordering level's expand; it is the
+  /// alltoallv and a fused ordering level's expand; it is the
   /// only one written before a first crossing. kAux is written only after
   /// a fused collective's first crossing, kThird only after its second —
   /// which is what lets a fused collective read either one after its
@@ -437,24 +419,6 @@ class PhaseScope {
 
 // ---------------------------------------------------------------------------
 // Template implementations.
-
-template <class T>
-void Comm::bcast(std::vector<T>& data, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  DRCM_CHECK(root >= 0 && root < size_, "bcast root out of range");
-  enter_collective(CollOp::kBcast);
-  publish(data.data(), data.size(), sizeof(T));
-  cross_barrier();
-  verify_collective(CollOp::kBcast);
-  std::uint64_t count = peer_count(root);
-  if (rank_ != root) {
-    const T* src = static_cast<const T*>(peer_ptr(root));
-    data.assign(src, src + count);
-    maybe_corrupt(data.data(), data.size() * sizeof(T));
-  }
-  cross_barrier();
-  charge(model_->bcast(size_, count * words_of<T>()));
-}
 
 template <class T, class Combine>
 T Comm::allreduce(const T& value, Combine combine) {
@@ -565,84 +529,6 @@ T Comm::exscan_sum(const T& value) {
   maybe_corrupt(&acc, sizeof(T));
   cross_barrier();
   charge(model_->exscan(size_, words_of<T>()));
-  return acc;
-}
-
-template <class T>
-std::vector<T> Comm::gatherv(std::span<const T> local, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  DRCM_CHECK(root >= 0 && root < size_, "gatherv root out of range");
-  enter_collective(CollOp::kGatherv);
-  publish(local.data(), local.size(), sizeof(T));
-  cross_barrier();
-  verify_collective(CollOp::kGatherv);
-  std::vector<T> out;
-  std::uint64_t total = 0;
-  for (int r = 0; r < size_; ++r) total += peer_count(r);
-  if (rank_ == root) {
-    out.reserve(total);
-    for (int r = 0; r < size_; ++r) {
-      const T* src = static_cast<const T*>(peer_ptr(r));
-      out.insert(out.end(), src, src + peer_count(r));
-    }
-    maybe_corrupt(out.data(), out.size() * sizeof(T));
-  }
-  cross_barrier();
-  charge(model_->gatherv(size_, total * words_of<T>()));
-  return out;
-}
-
-template <class T>
-std::vector<T> Comm::scatterv(const std::vector<std::vector<T>>& chunks,
-                              int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  DRCM_CHECK(root >= 0 && root < size_, "scatterv root out of range");
-  enter_collective(CollOp::kScatterv);
-  // Every rank publishes a full-size (if empty) table: the copy-on-publish
-  // board walks all size_ destination slots even for non-roots.
-  std::vector<const void*> my_ptrs(static_cast<std::size_t>(size_), nullptr);
-  std::vector<std::uint64_t> my_counts(static_cast<std::size_t>(size_), 0);
-  std::uint64_t total = 0;
-  if (rank_ == root) {
-    DRCM_CHECK(static_cast<int>(chunks.size()) == size_,
-               "scatterv needs one chunk per rank");
-    for (int r = 0; r < size_; ++r) {
-      my_ptrs[static_cast<std::size_t>(r)] = chunks[static_cast<std::size_t>(r)].data();
-      my_counts[static_cast<std::size_t>(r)] = chunks[static_cast<std::size_t>(r)].size();
-      total += my_counts[static_cast<std::size_t>(r)];
-    }
-  }
-  publish_arrays(Board::kPrimary, my_ptrs.data(), my_counts.data(), sizeof(T));
-  cross_barrier();
-  verify_collective(CollOp::kScatterv);
-  const std::uint64_t c = peer_count_array(Board::kPrimary, root)[rank_];
-  const T* src =
-      static_cast<const T*>(peer_ptr_array(Board::kPrimary, root)[rank_]);
-  std::vector<T> out(src, src + c);
-  maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
-  charge(model_->scatterv(size_, total * words_of<T>()));
-  return out;
-}
-
-template <class T, class Combine>
-T Comm::reduce(const T& value, Combine combine, int root) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  DRCM_CHECK(root >= 0 && root < size_, "reduce root out of range");
-  enter_collective(CollOp::kReduce);
-  publish(&value, 1, sizeof(T));
-  cross_barrier();
-  verify_collective(CollOp::kReduce);
-  T acc{};
-  if (rank_ == root) {
-    acc = *static_cast<const T*>(peer_ptr(0));
-    for (int r = 1; r < size_; ++r) {
-      acc = combine(acc, *static_cast<const T*>(peer_ptr(r)));
-    }
-    maybe_corrupt(&acc, sizeof(T));
-  }
-  cross_barrier();
-  charge(model_->reduce(size_, words_of<T>()));
   return acc;
 }
 

@@ -18,13 +18,6 @@ CommCost CostModel::barrier(int q) const {
   return {p_.alpha * static_cast<double>(hops), hops, 0};
 }
 
-CommCost CostModel::bcast(int q, std::uint64_t words) const {
-  const auto hops = static_cast<std::uint64_t>(ceil_log2(q));
-  const double sec =
-      static_cast<double>(hops) * (p_.alpha + p_.beta * static_cast<double>(words));
-  return {sec, hops, hops * words};
-}
-
 CommCost CostModel::allreduce(int q, std::uint64_t words) const {
   // Reduce-to-root plus broadcast, both log-depth trees.
   const auto hops = static_cast<std::uint64_t>(2 * ceil_log2(q));
@@ -60,25 +53,6 @@ CommCost CostModel::exscan(int q, std::uint64_t words) const {
 
 CommCost CostModel::pairwise(std::uint64_t words) const {
   return {p_.alpha + p_.beta * static_cast<double>(words), 1, words};
-}
-
-CommCost CostModel::gatherv(int q, std::uint64_t total_words) const {
-  if (q <= 1) return {};
-  const auto msgs = static_cast<std::uint64_t>(q - 1);
-  return {p_.alpha * static_cast<double>(msgs) +
-              p_.beta * static_cast<double>(total_words),
-          msgs, total_words};
-}
-
-CommCost CostModel::scatterv(int q, std::uint64_t total_words) const {
-  return gatherv(q, total_words);
-}
-
-CommCost CostModel::reduce(int q, std::uint64_t words) const {
-  const auto hops = static_cast<std::uint64_t>(ceil_log2(q));
-  const double sec =
-      static_cast<double>(hops) * (p_.alpha + p_.beta * static_cast<double>(words));
-  return {sec, hops, hops * words};
 }
 
 }  // namespace drcm::mps

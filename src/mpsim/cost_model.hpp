@@ -10,8 +10,7 @@
 //
 // Collective cost formulas (q = communicator size, words = 8-byte units):
 //   barrier       : ceil(log2 q) messages on the critical path
-//   bcast         : tree,            ceil(log2 q) * (alpha + beta*w)
-//   allreduce     : tree + bcast,    2*ceil(log2 q) * (alpha + beta*w)
+//   allreduce     : two trees,       2*ceil(log2 q) * (alpha + beta*w)
 //   allgatherv    : personalized,    (q-1)*alpha + beta*W_total
 //   alltoallv     : personalized,    (q-1)*alpha + beta*max(W_send, W_recv)
 //   exscan        : tree,            ceil(log2 q) * (alpha + beta*w)
@@ -63,7 +62,6 @@ class CostModel {
   explicit CostModel(const MachineParams& params = {}) : p_(params) {}
 
   CommCost barrier(int q) const;
-  CommCost bcast(int q, std::uint64_t words) const;
   CommCost allreduce(int q, std::uint64_t words) const;
   /// `total_words`: sum of contributions over all ranks (what each rank ends
   /// up holding).
@@ -73,11 +71,6 @@ class CostModel {
                      std::uint64_t recv_words) const;
   CommCost exscan(int q, std::uint64_t words) const;
   CommCost pairwise(std::uint64_t words) const;
-  /// Root-rooted gather/scatter: (q-1) messages + the full payload.
-  CommCost gatherv(int q, std::uint64_t total_words) const;
-  CommCost scatterv(int q, std::uint64_t total_words) const;
-  /// Reduce-to-root: one log-depth tree pass.
-  CommCost reduce(int q, std::uint64_t words) const;
 
   /// Modeled seconds for `units` scalar work units on one thread.
   double compute_seconds(double units) const { return units * p_.gamma; }

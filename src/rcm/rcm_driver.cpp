@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <string>
@@ -20,17 +19,15 @@
 
 namespace drcm::rcm {
 
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("DRCM_THREADS")) {
-    const int t = std::atoi(env);
-    DRCM_CHECK(t >= 1, "DRCM_THREADS must be a positive thread count");
-    return t;
-  }
-  return 1;
-}
-
 namespace {
+
+/// The threads per rank a run_* launcher starts the runtime with: the
+/// caller's request, rejected below 1 before any rank launches.
+int launch_threads(const DistRcmOptions& options) {
+  DRCM_CHECK(options.threads >= 1,
+             "DistRcmOptions::threads must be at least 1");
+  return options.threads;
+}
 
 /// The concrete algorithm `options` asks for on the adjacency pattern `a`:
 /// kAuto resolves BEFORE any collective — the selector is a deterministic
@@ -658,25 +655,19 @@ std::vector<double> route_rhs(mps::Comm& world, dist::ProcGrid2D& grid,
   return b_local;
 }
 
-struct SolveOut {
-  solver::CgResult cg;
-  std::vector<double> x_local;  ///< this rank's slab, PERMUTED rows
-};
-
-/// Stage 3 of the recoverable pipeline: route the rhs, then solve on the
+/// Stage 3 of the launcher: route the rhs, then solve on the
 /// checkpointed stage-2 row block of this rank (dist_pcg builds its plan
 /// from the block). The solution never leaves slab form inside the SPMD
 /// body. Collective; `labels` is the stage-1 output.
-SolveOut solve_stage(mps::Comm& world, dist::ProcGrid2D& grid,
-                     const dist::RowBlockCsr& block,
-                     const std::vector<index_t>& labels,
-                     std::span<const double> b, bool precondition,
-                     const solver::CgOptions& cg_options) {
-  const auto b_local = route_rhs(world, grid, labels, b,
+OrderedSolveResult solve_stage(mps::Comm& world, dist::ProcGrid2D& grid,
+                               const dist::RowBlockCsr& block,
+                               const std::vector<index_t>& labels,
+                               const OrderedSolveSpec& spec) {
+  const auto b_local = route_rhs(world, grid, labels, spec.b,
                                  block.resident_elements(), nullptr);
-  SolveOut out;
-  out.cg = solver::dist_pcg(world, block, b_local, out.x_local, precondition,
-                            cg_options);
+  OrderedSolveResult out;
+  out.cg = solver::dist_pcg(world, block, b_local, out.x_local,
+                            spec.precondition, spec.cg);
   return out;
 }
 
@@ -753,28 +744,6 @@ void solve_on_plan_hit(dist::ProcGrid2D& grid, const OrderedSolveSpec& spec,
   check_resident_budget(world, a);
 }
 
-/// Assembles the replicated ORIGINAL-numbering solution from the per-rank
-/// permuted slabs, OUTSIDE the SPMD ranks (the driver holds the slabs like
-/// any other checkpoint, so no rank's ledger pays for the O(n) copy). The
-/// row blocks are contiguous, so rank-order concatenation IS the permuted
-/// vector; then x[v] = x_perm[labels[v]].
-std::vector<double> assemble_solution(
-    const std::vector<std::vector<double>>& slabs,
-    const std::vector<index_t>& labels) {
-  std::vector<double> x_perm;
-  x_perm.reserve(labels.size());
-  for (const auto& slab : slabs) {
-    x_perm.insert(x_perm.end(), slab.begin(), slab.end());
-  }
-  DRCM_CHECK(x_perm.size() == labels.size(),
-             "solution slabs must cover every permuted row exactly once");
-  std::vector<double> x(labels.size());
-  for (std::size_t v = 0; v < labels.size(); ++v) {
-    x[v] = x_perm[static_cast<std::size_t>(labels[v])];
-  }
-  return x;
-}
-
 }  // namespace
 
 OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
@@ -802,8 +771,8 @@ OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
     return out;
   }
   // The ordering runs on the self-loop-free adjacency pattern. Callers
-  // that know it (run_ordered_solve strips once outside the ranks) pass it
-  // in; otherwise each rank strips its own transient copy. dist_order
+  // that know it (the launcher strips once outside the ranks) pass it in;
+  // otherwise each rank strips its own transient copy. dist_order
   // dispatches on spec.rcm.ordering — the whole portfolio flows through
   // the one pipeline.
   auto& world = grid.world();
@@ -816,50 +785,10 @@ OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
   return out;
 }
 
-OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
-                                  std::span<const double> b, bool precondition,
-                                  const DistRcmOptions& rcm_options,
-                                  const solver::CgOptions& cg_options,
-                                  const mps::MachineParams& machine) {
-  // Strip the adjacency pattern ONCE outside the ranks: simulated ranks
-  // share an address space, and p transient O(nnz) copies would otherwise
-  // be built concurrently inside the bodies.
-  const auto adjacency = a.strip_diagonal();
-  OrderedSolveSpec spec;
-  spec.matrix = &a;
-  spec.b = b;
-  spec.precondition = precondition;
-  spec.rcm = rcm_options;
-  spec.cg = cg_options;
-  spec.adjacency = &adjacency;
-  OrderedSolveRun run;
-  // Per-rank solution slabs, deposited like checkpoints: the replicated
-  // ORIGINAL-numbering x is assembled OUTSIDE the SPMD run, so no rank's
-  // resident ledger ever holds an O(n) value vector.
-  std::vector<std::vector<double>> slabs(static_cast<std::size_t>(nranks));
-  run.report = mps::Runtime::run(
-      nranks,
-      [&](mps::Comm& world) {
-        dist::ProcGrid2D grid(world);
-        auto result = ordered_solve(grid, spec);
-        slabs[static_cast<std::size_t>(world.rank())] =
-            std::move(result.x_local);
-        if (world.rank() == 0) run.result = std::move(result);
-      },
-      machine, resolve_threads(rcm_options.threads));
-  run.result.x = assemble_solution(slabs, run.result.labels);
-  run.result.x_local = std::move(slabs[0]);  // rank 0's own slab, restored
-  return run;
-}
-
 OrderedSolveRecoverableRun run_ordered_solve_recoverable(
     int nranks, const OrderedSolveSpec& spec, const RecoveryOptions& recovery) {
   check_solve_spec(spec);
   const sparse::CsrMatrix& a = *spec.matrix;
-  const std::span<const double> b = spec.b;
-  const bool precondition = spec.precondition;
-  const DistRcmOptions& rcm_options = spec.rcm;
-  const solver::CgOptions& cg_options = spec.cg;
   DRCM_CHECK(recovery.max_attempts >= 1, "need at least one attempt");
   DRCM_CHECK(spec.labels == nullptr,
              "the recoverable runner orders from scratch: known labels go "
@@ -872,7 +801,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
   const int q = static_cast<int>(std::lround(std::sqrt(nranks)));
   DRCM_CHECK(q * q == nranks, "world size must be a perfect square");
   const std::uint64_t budget = resident_budget(a.nnz(), nranks, n);
-  const int threads = resolve_threads(rcm_options.threads);
+  const int threads = launch_threads(spec.rcm);
   // The adjacency is stripped once outside the ranks when the caller did not
   // supply it.
   sparse::CsrMatrix stripped;
@@ -944,7 +873,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
   run_stage(
       "ordering",
       [&](mps::Comm& world) {
-        auto result = dist_order(world, adjacency, rcm_options);
+        auto result = dist_order(world, adjacency, spec.rcm);
         if (world.rank() == 0) labels = std::move(result);
       },
       // A corrupted index payload that survived the run shows up here.
@@ -1002,10 +931,9 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
       "solve",
       [&](mps::Comm& world) {
         dist::ProcGrid2D grid(world);
-        auto result =
-            solve_stage(world, grid,
-                        blocks[static_cast<std::size_t>(world.rank())], labels,
-                        b, precondition, cg_options);
+        auto result = solve_stage(
+            world, grid, blocks[static_cast<std::size_t>(world.rank())],
+            labels, spec);
         slabs[static_cast<std::size_t>(world.rank())] =
             std::move(result.x_local);
         if (world.rank() == 0) run.result.cg = result.cg;
@@ -1017,7 +945,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
         return {};
       });
 
-  run.result.x = assemble_solution(slabs, labels);
+  run.result.x = solver::assemble_solution(slabs, labels);
   run.result.x_local = std::move(slabs[0]);  // rank 0's own slab
   run.result.x_lo = 0;
   run.result.labels = std::move(labels);
@@ -1039,7 +967,7 @@ DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,
           run.stats = stats;
         }
       },
-      machine, resolve_threads(options.threads));
+      machine, launch_threads(options));
   return run;
 }
 

@@ -51,18 +51,13 @@ struct DistRcmOptions {
   u64 seed = 0x5eed;
   /// OpenMP threads per rank of the hybrid configuration (paper Fig. 6:
   /// one communicating thread per process, the others splitting the local
-  /// SpMSpV). 0 resolves through the DRCM_THREADS environment variable,
-  /// defaulting to 1 (flat MPI). Consumed by the run_* launchers when
-  /// launching the runtime; a body already running on a Comm inherits the
-  /// Runtime::run threads_per_rank instead. Every thread count produces
-  /// bit-identical orderings — this is a performance knob.
-  int threads = 0;
+  /// SpMSpV); 1 is flat MPI. Consumed by the run_* launchers when
+  /// launching the runtime, which reject values below 1; a body already
+  /// running on a Comm inherits the Runtime::run threads_per_rank instead.
+  /// Every thread count produces bit-identical orderings — this is a
+  /// performance knob.
+  int threads = 1;
 };
-
-/// Resolves DistRcmOptions::threads: a positive request passes through;
-/// 0 reads DRCM_THREADS (re-read per call, so benches can flip
-/// configurations between runs), defaulting to 1.
-int resolve_threads(int requested);
 
 struct DistRcmStats {
   int components = 0;
@@ -271,14 +266,13 @@ struct OrderedSolveResult {
   solver::CgResult cg;
   /// This rank's solution slab for PERMUTED rows [x_lo, x_lo +
   /// x_local.size()) — the SPMD-body output; the body never replicates the
-  /// solution. SPMD callers wanting the full vector use
-  /// solver::gather_solution; the run_* wrappers assemble the replicated
-  /// `x` outside the ranks instead.
+  /// solution. Drivers deposit every rank's slab and assemble the
+  /// replicated `x` outside the ranks (solver::assemble_solution).
   std::vector<double> x_local;
   index_t x_lo = 0;
-  /// Replicated solution in the ORIGINAL numbering. Filled by the run_*
-  /// wrappers AFTER the SPMD runs (empty at SPMD-body level, where the
-  /// no-gather contract forbids it).
+  /// Replicated solution in the ORIGINAL numbering. Filled by
+  /// run_ordered_solve_recoverable AFTER the SPMD runs (empty at SPMD-body
+  /// level, where the no-gather contract forbids it).
   std::vector<double> x;
 };
 
@@ -294,8 +288,9 @@ struct OrderedSolveSpec {
   DistRcmOptions rcm{};
   solver::CgOptions cg{};
   /// Optional pre-stripped adjacency equal to matrix->strip_diagonal()
-  /// (run_* wrappers strip once outside the ranks; null makes each rank
-  /// strip its own transient copy). Ignored when `labels` is set.
+  /// (null makes ordered_solve's ranks each strip a transient copy, and
+  /// the launcher strip once outside the ranks). Ignored when `labels` is
+  /// set.
   const sparse::CsrMatrix* adjacency = nullptr;
   /// When non-null: the ordering-cache HIT path. Stage 1 is skipped
   /// entirely and redistribution runs under these KNOWN labels, which must
@@ -332,21 +327,6 @@ struct OrderedSolveSpec {
 OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
                                  const OrderedSolveSpec& spec);
 
-/// Launches `nranks` ranks (a perfect square), runs ordered_solve on a
-/// fresh grid, and returns the result — with the replicated `x` assembled
-/// outside the ranks — plus the cost/ledger report.
-struct OrderedSolveRun {
-  OrderedSolveResult result;
-  mps::SpmdReport report;
-};
-
-OrderedSolveRun run_ordered_solve(int nranks, const sparse::CsrMatrix& a,
-                                  std::span<const double> b,
-                                  bool precondition = true,
-                                  const DistRcmOptions& rcm_options = {},
-                                  const solver::CgOptions& cg_options = {},
-                                  const mps::MachineParams& machine = {});
-
 /// Retry policy of run_ordered_solve_recoverable.
 struct RecoveryOptions {
   mps::MachineParams machine{};
@@ -378,8 +358,12 @@ struct OrderedSolveRecoverableRun {
   std::vector<std::string> fault_log;
 };
 
-/// The Figure-1 pipeline with stage-boundary checkpoints and bounded
-/// retries. Execution is split into three SPMD runs — ordering (via
+/// THE launcher of the Figure-1 pipeline: `nranks` simulated ranks (a
+/// perfect square) run it with stage-boundary checkpoints and bounded
+/// retries, and the replicated `x` is assembled outside the ranks. With
+/// the default RecoveryOptions a fault-free run is one attempt per stage
+/// and returns what ordered_solve computes in one body, bit for bit.
+/// Execution is split into three SPMD runs — ordering (via
 /// dist_order, so the whole portfolio is recoverable), redistribute (the
 /// one-shot route to the 1D row blocks), solve — whose outputs (replicated
 /// labels; per-rank row blocks) the driver holds between runs. A failed attempt

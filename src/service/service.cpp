@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "dist/proc_grid.hpp"
+#include "solver/dist_cg.hpp"
 
 namespace drcm::service {
 
@@ -91,7 +92,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
   // DRCM_CHECK agreement.
   //
   // Each adjacency is stripped ONCE outside the ranks (simulated ranks
-  // share an address space; run_ordered_solve does the same), and only
+  // share an address space; the launcher does the same), and only
   // for a request that reads it: kAuto resolution here, a repair or cold
   // run after classification. A cache hit never strips.
   std::vector<sparse::CsrMatrix> adjacencies(nreq);
@@ -454,7 +455,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
     };
 
     // Finalizes every request the launch completed: assemble the
-    // replicated solution outside the ranks (like run_ordered_solve),
+    // replicated solution outside the ranks (as the launcher does),
     // count the cache outcome, bump/pin served entries, stage miss
     // orderings for the wave-end insert, and drop the request from the
     // wave.
@@ -503,19 +504,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
             }
           }
         }
-        std::vector<double> x_perm;
-        x_perm.reserve(static_cast<std::size_t>(n));
-        for (auto& slab : slabs[req]) {
-          x_perm.insert(x_perm.end(), slab.begin(), slab.end());
-        }
-        DRCM_CHECK(x_perm.size() == static_cast<std::size_t>(n),
-                   "solution slabs must cover every permuted row exactly once");
-        resp.x.resize(static_cast<std::size_t>(n));
-        for (index_t v = 0; v < n; ++v) {
-          resp.x[static_cast<std::size_t>(v)] =
-              x_perm[static_cast<std::size_t>((*labels)[static_cast<std::size_t>(
-                  v)])];
-        }
+        resp.x = solver::assemble_solution(slabs[req], *labels);
         resp.status = RequestStatus::kOk;
         resp.report.machine = options_.machine;
         if (!resp.cache_hit) {

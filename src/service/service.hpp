@@ -120,7 +120,8 @@ struct OrderSolveResponse {
   index_t permuted_bandwidth = 0;
   solver::CgResult cg{};
   /// Replicated solution in the ORIGINAL numbering, assembled by the
-  /// driver outside the ranks (like run_ordered_solve).
+  /// driver outside the ranks (solver::assemble_solution, as the launcher
+  /// run_ordered_solve_recoverable does).
   std::vector<double> x;
   /// Per-lane-rank ledgers of THIS request alone: each rank's recorder is
   /// reset when the request starts and deposited when it completes, so the

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "sparse/permute.hpp"
+
 namespace drcm::solver {
 
 namespace {
@@ -13,7 +15,6 @@ namespace {
 // disagree on block bounds or halo owners.
 using dist::row_block_lo;
 using dist::row_block_owner;
-using sparse::CsrMatrix;
 
 /// Elements a rank holds while solve_with_plan runs on `plan`: the plan,
 /// the split values, the ILU(0) factor when preconditioned, and the rhs
@@ -100,8 +101,8 @@ DotPair dist_dot_pair(mps::Comm& world, std::span<const double> r,
 /// halo'd SpMV and two allreduces — p'Ap, then r'r and r'z together, the
 /// r'r being the NEXT iteration's residual norm. `factor` holds the
 /// ILU(0) values over sys.ilu, or is null for plain CG. `x_out` receives
-/// this rank's solution slab — replication, when a caller wants it, is
-/// gather_solution's job.
+/// this rank's solution slab — replication, when a driver wants it, is
+/// assemble_solution's job, outside the ranks.
 CgResult run_pcg(mps::Comm& world, const SolvePlan& sys,
                  std::span<const double> vals,
                  const std::vector<double>* factor, int shifted_pivots,
@@ -344,87 +345,75 @@ CgResult solve_with_plan(mps::Comm& world, const SolvePlan& plan,
                  b_local, x_local, options);
 }
 
-std::vector<double> gather_solution(mps::Comm& world,
-                                    std::span<const double> x_local,
-                                    index_t n) {
-  // Contiguous row blocks concatenate in rank order, so the allgatherv
-  // result IS the global vector.
-  auto x = world.allgatherv(x_local);
-  DRCM_CHECK(x.size() == static_cast<std::size_t>(n),
-             "solution gather size mismatch");
-  return x;
-}
-
-CgResult dist_pcg(mps::Comm& world, const CsrMatrix& a,
-                  std::span<const double> b, std::vector<double>& x,
-                  bool precondition, const CgOptions& options) {
-  DRCM_CHECK(a.has_values(), "CG needs matrix values");
-  DRCM_CHECK(b.size() == static_cast<std::size_t>(a.n()), "rhs size mismatch");
-  mps::PhaseScope scope(world, mps::Phase::kSolver);
-
-  // Slice my rows out of the replicated matrix, then solve exactly as the
-  // distributed overload does.
-  dist::RowBlockCsr block;
-  block.n = a.n();
-  block.lo = row_block_lo(a.n(), world.size(), world.rank());
-  block.hi = row_block_lo(a.n(), world.size(), world.rank() + 1);
-  block.row_ptr.push_back(0);
-  for (index_t i = block.lo; i < block.hi; ++i) {
-    const auto cols = a.row(i);
-    const auto vals = a.row_values(i);
-    block.cols.insert(block.cols.end(), cols.begin(), cols.end());
-    block.vals.insert(block.vals.end(), vals.begin(), vals.end());
-    block.row_ptr.push_back(static_cast<nnz_t>(block.cols.size()));
-  }
-  const auto plan = build_solve_plan(world, block);
-  // The replicated path's ledger entry: every rank holds the FULL matrix
-  // (row_ptr + cols + values) plus the replicated rhs next to its row
-  // slice and its solve — the O(nnz) footprint the distributed overload
-  // eliminates.
-  const std::uint64_t held = static_cast<std::uint64_t>(a.n() + 1) +
-                             2 * static_cast<std::uint64_t>(a.nnz()) +
-                             b.size() + block.resident_elements();
-  const auto b_local =
-      b.subspan(static_cast<std::size_t>(plan.lo),
-                static_cast<std::size_t>(plan.local_rows()));
-  std::vector<double> x_local;
-  const auto res = solve_with_plan(world, plan, block.vals, b_local, x_local,
-                                   precondition, options, held);
-  // This overload's contract stays replicated; the extra O(n) copy is now
-  // explicit AND charged (it used to ride the ledger for free).
-  x = gather_solution(world, x_local, a.n());
-  world.note_resident(held + numeric_resident(plan, precondition) + x.size());
-  return res;
-}
-
 CgResult dist_pcg(mps::Comm& world, const dist::RowBlockCsr& a,
                   std::span<const double> b_local,
                   std::vector<double>& x_local, bool precondition,
                   const CgOptions& options) {
   // Rank-local footprint only: my row block next to its solve — O(nnz/p +
-  // n/p), never the full CSR and no replicated solution (that O(n) tail
-  // is gather_solution, opt-in).
+  // n/p), never the full CSR and no replicated solution.
   const auto plan = build_solve_plan(world, a);
   return solve_with_plan(world, plan, a.vals, b_local, x_local, precondition,
                          options, a.resident_elements());
+}
+
+std::vector<double> assemble_solution(
+    const std::vector<std::vector<double>>& slabs,
+    const std::vector<index_t>& labels) {
+  std::vector<double> x_perm;
+  x_perm.reserve(labels.size());
+  for (const auto& slab : slabs) {
+    x_perm.insert(x_perm.end(), slab.begin(), slab.end());
+  }
+  DRCM_CHECK(x_perm.size() == labels.size(),
+             "solution slabs must cover every permuted row exactly once");
+  std::vector<double> x(labels.size());
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    x[v] = x_perm[static_cast<std::size_t>(labels[v])];
+  }
+  return x;
 }
 
 DistCgRun run_dist_pcg(int nranks, const sparse::CsrMatrix& a,
                        std::span<const double> b, bool precondition,
                        const CgOptions& options,
                        const mps::MachineParams& machine) {
+  DRCM_CHECK(nranks >= 1, "need at least one rank");
+  DRCM_CHECK(a.has_values(), "CG needs matrix values");
+  DRCM_CHECK(b.size() == static_cast<std::size_t>(a.n()), "rhs size mismatch");
+  // Each rank's row block is sliced from the replicated fixture before
+  // launch, as every run_* launcher treats its fixture.
+  std::vector<dist::RowBlockCsr> blocks(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    auto& block = blocks[static_cast<std::size_t>(r)];
+    block.n = a.n();
+    block.lo = row_block_lo(a.n(), nranks, r);
+    block.hi = row_block_lo(a.n(), nranks, r + 1);
+    block.row_ptr.push_back(0);
+    for (index_t i = block.lo; i < block.hi; ++i) {
+      const auto cols = a.row(i);
+      const auto vals = a.row_values(i);
+      block.cols.insert(block.cols.end(), cols.begin(), cols.end());
+      block.vals.insert(block.vals.end(), vals.begin(), vals.end());
+      block.row_ptr.push_back(static_cast<nnz_t>(block.cols.size()));
+    }
+  }
   DistCgRun run;
+  std::vector<std::vector<double>> slabs(static_cast<std::size_t>(nranks));
   run.report = mps::Runtime::run(
       nranks,
       [&](mps::Comm& world) {
-        std::vector<double> x;
-        const auto res = dist_pcg(world, a, b, x, precondition, options);
-        if (world.rank() == 0) {
-          run.result = res;
-          run.x = std::move(x);
-        }
+        const auto& block = blocks[static_cast<std::size_t>(world.rank())];
+        const auto b_local =
+            b.subspan(static_cast<std::size_t>(block.lo),
+                      static_cast<std::size_t>(block.local_rows()));
+        const auto res =
+            dist_pcg(world, block, b_local,
+                     slabs[static_cast<std::size_t>(world.rank())],
+                     precondition, options);
+        if (world.rank() == 0) run.result = res;
       },
       machine);
+  run.x = assemble_solution(slabs, sparse::identity_permutation(a.n()));
   return run;
 }
 

@@ -104,39 +104,33 @@ CgResult solve_with_plan(mps::Comm& world, const SolvePlan& plan,
                          const CgOptions& options = {},
                          std::uint64_t held_alongside = 0);
 
-/// SPMD collective: solves A x = b on `world` (A and b replicated on every
-/// rank; the matrix is sliced into row blocks internally). Returns the CG
-/// statistics; `x` receives the replicated solution on every rank.
-CgResult dist_pcg(mps::Comm& world, const sparse::CsrMatrix& a,
-                  std::span<const double> b, std::vector<double>& x,
-                  bool precondition, const CgOptions& options = {});
-
-/// Same solve on an ALREADY DISTRIBUTED matrix: `a` is this rank's 1D row
-/// block (the output of dist::redistribute_to_row_blocks)
-/// and `b_local` the rhs entries of the owned rows [a.lo, a.hi): builds the
-/// block's plan, then solves with its values. No replicated CSR exists
-/// anywhere. Iterations are bit-identical to the replicated overload
-/// on the same matrix (that overload slices its rows into a RowBlockCsr and
-/// runs this code).
-/// `x_local` receives ONLY this rank's solution slab for rows [a.lo, a.hi)
-/// — the solve itself never replicates anything; callers that want the
-/// O(n) replicated vector opt in explicitly via gather_solution.
+/// SPMD collective: solves A x = b on an ALREADY DISTRIBUTED matrix: `a`
+/// is this rank's 1D row block (the output of
+/// dist::redistribute_to_row_blocks) and `b_local` the rhs entries of the
+/// owned rows [a.lo, a.hi): builds the block's plan, then solves with its
+/// values. No replicated CSR exists anywhere. `x_local` receives ONLY this
+/// rank's solution slab for rows [a.lo, a.hi) — the solve never replicates
+/// anything; drivers assemble the O(n) vector outside the ranks
+/// (assemble_solution).
 CgResult dist_pcg(mps::Comm& world, const dist::RowBlockCsr& a,
                   std::span<const double> b_local,
                   std::vector<double>& x_local, bool precondition,
                   const CgOptions& options = {});
 
-/// The explicit replication step the slab overload no longer performs:
-/// allgathers the per-rank solution slabs (contiguous row blocks, so the
-/// rank-order concatenation IS the global vector) into a replicated length-n
-/// solution. Collective; costs O(n) resident on every rank — callers on the
-/// no-gather pipeline should stay on the slab instead.
-std::vector<double> gather_solution(mps::Comm& world,
-                                    std::span<const double> x_local,
-                                    index_t n);
+/// Assembles the replicated solution from every rank's slab, OUTSIDE the
+/// SPMD ranks (the driver holds the slabs like any other checkpoint, so no
+/// rank's ledger pays for the O(n) copy). The row blocks are contiguous,
+/// so rank-order concatenation IS the solution of the permuted system;
+/// then x[v] = x_perm[labels[v]] maps it back to the original numbering
+/// (identity labels for an unpermuted solve). Local; no charge.
+std::vector<double> assemble_solution(
+    const std::vector<std::vector<double>>& slabs,
+    const std::vector<index_t>& labels);
 
-/// Convenience wrapper: launches `nranks` ranks, runs dist_pcg, returns the
-/// solution plus the cost report.
+/// Convenience wrapper: slices the replicated fixture `a` (and `b`) into
+/// one RowBlockCsr per rank outside the ranks, launches `nranks` ranks
+/// (any count) running dist_pcg on their block, and assembles the
+/// replicated solution outside them — returned with the cost report.
 struct DistCgRun {
   CgResult result;
   std::vector<double> x;

@@ -48,7 +48,7 @@ double relative_residual(const sparse::CsrMatrix& a,
 /// solve, and a solution that satisfies the ORIGINAL system.
 void expect_solves(const sparse::CsrMatrix& m, int p) {
   const auto b = mild_rhs(m.n());
-  const auto run = run_ordered_solve(p, m, b, /*precondition=*/true);
+  const auto run = run_ordered_solve_recoverable(p, {.matrix = &m, .b = b});
   EXPECT_TRUE(sparse::is_valid_permutation(run.result.labels))
       << "p=" << p << " n=" << m.n();
   ASSERT_TRUE(run.result.cg.converged) << "p=" << p << " n=" << m.n();
@@ -60,7 +60,7 @@ void expect_solves(const sparse::CsrMatrix& m, int p) {
 TEST(DegeneratePipeline, EmptyMatrixYieldsEmptyEverything) {
   const sparse::CsrMatrix m = sparse::CooBuilder(0).to_csr(true);
   for (const int p : dist::testing::rank_counts()) {
-    const auto run = run_ordered_solve(p, m, {}, /*precondition=*/true);
+    const auto run = run_ordered_solve_recoverable(p, {.matrix = &m});
     EXPECT_TRUE(run.result.labels.empty());
     EXPECT_TRUE(run.result.x.empty());
     EXPECT_TRUE(run.result.cg.converged);
@@ -74,7 +74,7 @@ TEST(DegeneratePipeline, SingletonSolvesItsOneEquation) {
   const auto m = coo.to_csr(true);
   const std::vector<double> b{3.0};
   for (const int p : dist::testing::rank_counts()) {
-    const auto run = run_ordered_solve(p, m, b, /*precondition=*/true);
+    const auto run = run_ordered_solve_recoverable(p, {.matrix = &m, .b = b});
     ASSERT_EQ(run.result.labels.size(), 1u);
     EXPECT_EQ(run.result.labels[0], 0);
     ASSERT_TRUE(run.result.cg.converged);

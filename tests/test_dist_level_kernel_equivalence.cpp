@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "dist_rank_matrix.hpp"
 #include "dist/primitives.hpp"
@@ -196,16 +199,25 @@ TEST(LevelKernelEquivalence, FullOrderingDegreeTieDeterminism) {
   }
 }
 
-TEST(LevelKernelEquivalence, ThreadsKnobResolvesThroughTheEnvironment) {
-  // DistRcmOptions::threads: positive requests pass through; 0 falls back
-  // to DRCM_THREADS, then to flat MPI.
-  EXPECT_EQ(rcm::resolve_threads(4), 4);
-  EXPECT_EQ(rcm::resolve_threads(0), 1);
-  ASSERT_EQ(setenv("DRCM_THREADS", "6", 1), 0);
-  EXPECT_EQ(rcm::resolve_threads(0), 6);
-  EXPECT_EQ(rcm::resolve_threads(2), 2);  // explicit request wins
-  ASSERT_EQ(unsetenv("DRCM_THREADS"), 0);
-  EXPECT_EQ(rcm::resolve_threads(0), 1);
+TEST(LevelKernelEquivalence, LaunchersRejectThreadCountsBelowOne) {
+  // DistRcmOptions::threads defaults to flat MPI (1); no value below 1
+  // means anything, so both launchers name it before any rank starts.
+  const auto a = gen::path(6);
+  rcm::DistRcmOptions opt;
+  opt.threads = 0;
+  try {
+    rcm::run_dist_order(1, a, opt);
+    ADD_FAILURE() << "threads = 0 was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("DistRcmOptions::threads"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto m = gen::with_laplacian_values(a);
+  const std::vector<double> b(static_cast<std::size_t>(m.n()), 1.0);
+  EXPECT_THROW(rcm::run_ordered_solve_recoverable(
+                   1, {.matrix = &m, .b = b, .rcm = {.threads = -2}}),
+               CheckError);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Tests for the root-rooted collectives and the distributed in-place
-// permutation (the one-shot redistribute_to_row_blocks), including the full
-// pipeline the paper's conclusion describes: order on the grid, permute on
-// the grid, no gather anywhere.
+// Tests for the distributed in-place permutation (the one-shot
+// redistribute_to_row_blocks), including the full pipeline the paper's
+// conclusion describes: order on the grid, permute on the grid, no gather
+// anywhere.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,71 +22,6 @@ namespace {
 using mps::Comm;
 using mps::Runtime;
 namespace gen = sparse::gen;
-
-class RootCollectives : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Ranks, RootCollectives, ::testing::Values(1, 2, 5, 9));
-
-TEST_P(RootCollectives, GathervConcentratesOnRoot) {
-  const int p = GetParam();
-  Runtime::run(p, [&](Comm& world) {
-    const int root = world.size() / 2;
-    std::vector<std::int64_t> mine(static_cast<std::size_t>(world.rank() + 1),
-                                   world.rank());
-    const auto out = world.gatherv(std::span<const std::int64_t>(mine), root);
-    if (world.rank() == root) {
-      std::size_t expected = 0;
-      for (int r = 0; r < p; ++r) expected += static_cast<std::size_t>(r + 1);
-      ASSERT_EQ(out.size(), expected);
-      // Rank r's block holds r+1 copies of r, in rank order.
-      std::size_t pos = 0;
-      for (int r = 0; r < p; ++r) {
-        for (int k = 0; k <= r; ++k) EXPECT_EQ(out[pos++], r);
-      }
-    } else {
-      EXPECT_TRUE(out.empty());
-    }
-  });
-}
-
-TEST_P(RootCollectives, ScattervDistributesChunks) {
-  const int p = GetParam();
-  Runtime::run(p, [&](Comm& world) {
-    const int root = 0;
-    std::vector<std::vector<std::int64_t>> chunks;
-    if (world.rank() == root) {
-      chunks.resize(static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        chunks[static_cast<std::size_t>(r)].assign(static_cast<std::size_t>(r + 2),
-                                                   100 + r);
-      }
-    }
-    const auto mine = world.scatterv(chunks, root);
-    ASSERT_EQ(mine.size(), static_cast<std::size_t>(world.rank() + 2));
-    for (const auto v : mine) EXPECT_EQ(v, 100 + world.rank());
-  });
-}
-
-TEST_P(RootCollectives, ReduceToRootOnly) {
-  const int p = GetParam();
-  Runtime::run(p, [&](Comm& world) {
-    const int root = world.size() - 1;
-    const auto sum = world.reduce(
-        static_cast<std::int64_t>(world.rank() + 1),
-        [](std::int64_t a, std::int64_t b) { return a + b; }, root);
-    if (world.rank() == root) {
-      EXPECT_EQ(sum, static_cast<std::int64_t>(p) * (p + 1) / 2);
-    } else {
-      EXPECT_EQ(sum, 0);
-    }
-  });
-}
-
-TEST(RootCollectives, RootOutOfRangeThrows) {
-  Runtime::run(1, [](Comm& world) {
-    std::vector<std::int64_t> v{1};
-    EXPECT_THROW(world.gatherv(std::span<const std::int64_t>(v), 3), CheckError);
-  });
-}
 
 /// Checks that this rank's one-shot block is exactly its rows of the
 /// serially permuted matrix `want`: row partition, row_ptr and cols, and

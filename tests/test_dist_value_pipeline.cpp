@@ -2,21 +2,26 @@
 // whole distributed pipeline bit for bit.
 //
 //  * dist_pcg on the distributed row blocks (redistribute_to_row_blocks
-//    under identity labels) vs the replicated-CSR overload: identical
-//    iteration counts, solutions equal to 1e-12;
+//    under identity labels) vs run_dist_pcg on blocks sliced outside the
+//    ranks: identical iteration counts and solutions;
 //  * a fault-plan sweep over the one-shot redistribution: death or
 //    corruption at every collective terminates structured;
 //  * ordered_solve end to end: the one-call RCM -> permute -> CG pipeline
 //    reproduces the replicated path over the {1,4,9,16} rank wall, load
 //    balancing off and on, and keeps every rank's resident peak inside the
 //    O(nnz/p + n/p) ledger budget — the property both the gather-based
-//    path and a permuted-2D intermediate would violate.
+//    path and a permuted-2D intermediate would violate;
+//  * the one-body cold path (ordered_solve without labels, as the service
+//    runs it) against the three-stage launcher: same labels, solution
+//    bits, iterations, bandwidth, and kRedistribute / kSolver ledger.
 // The one-shot block itself is checked against the serial permutation in
 // tests/test_dist_redistribute.cpp. The other suites sweep the {1,4,9}
 // simulated rank matrix; DRCM_TEST_RANKS pins one cell, as in CI.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dist/redistribute.hpp"
 #include "dist_rank_matrix.hpp"
@@ -45,24 +50,26 @@ std::vector<double> wavy_rhs(index_t n) {
   return b;
 }
 
-TEST(DistributedCg, MatchesTheReplicatedOverloadExactly) {
-  // Same world, both overloads back to back: the distributed row-block
-  // build must reproduce the replicated slicing bit for bit — identical
-  // iteration counts and solutions within 1e-12. The slab overload returns
-  // only this rank's rows; the explicit gather_solution opt-in replicates
-  // it for the comparison (and the slab itself must be the owned slice of
-  // the gathered vector, bit for bit).
+TEST(DistributedCg, MatchesTheLauncherOnSlicedBlocksExactly) {
+  // The identity-redistributed row blocks, solved in one body, against
+  // run_dist_pcg, which slices the same fixture into row blocks outside
+  // the ranks: identical blocks, so identical iteration counts and
+  // solutions bit for bit. Each slab holds only its rank's rows, and the
+  // assembled vector is their rank-order concatenation.
   for (const int p : testing::rank_counts()) {
     const auto pattern = gen::relabel_random(gen::grid2d(24, 24), 6);
     const auto m = gen::with_laplacian_values(pattern, 0.02);
     const auto b = wavy_rhs(m.n());
+    solver::CgOptions opt;
+    opt.rtol = 1e-8;
     for (const bool precondition : {true, false}) {
+      SCOPED_TRACE("p=" + std::to_string(p) +
+                   " precondition=" + std::to_string(precondition));
+      const auto want = solver::run_dist_pcg(p, m, b, precondition, opt);
+      std::vector<std::vector<double>> slabs(static_cast<std::size_t>(p));
+      std::vector<index_t> slab_lo(static_cast<std::size_t>(p));
+      solver::CgResult got;
       Runtime::run(p, [&](Comm& world) {
-        solver::CgOptions opt;
-        opt.rtol = 1e-8;
-        std::vector<double> x_rep;
-        const auto rep = solver::dist_pcg(world, m, b, x_rep, precondition, opt);
-
         ProcGrid2D grid(world);
         const auto block =
             redistribute_to_row_blocks(
@@ -72,27 +79,33 @@ TEST(DistributedCg, MatchesTheReplicatedOverloadExactly) {
             std::span<const double>(b).subspan(
                 static_cast<std::size_t>(block.lo),
                 static_cast<std::size_t>(block.local_rows()));
-        std::vector<double> x_slab;
-        const auto got =
+        auto& x_slab = slabs[static_cast<std::size_t>(world.rank())];
+        const auto res =
             solver::dist_pcg(world, block, b_local, x_slab, precondition, opt);
-        ASSERT_EQ(x_slab.size(),
+        EXPECT_EQ(x_slab.size(),
                   static_cast<std::size_t>(block.local_rows()));
-        const auto x_dist = solver::gather_solution(world, x_slab, m.n());
-
-        EXPECT_TRUE(rep.converged);
-        EXPECT_TRUE(got.converged);
-        EXPECT_EQ(got.iterations, rep.iterations)
-            << "p=" << p << " precondition=" << precondition;
-        ASSERT_EQ(x_dist.size(), x_rep.size());
-        for (std::size_t i = 0; i < x_rep.size(); ++i) {
-          EXPECT_NEAR(x_dist[i], x_rep[i], 1e-12);
-        }
-        for (index_t g = block.lo; g < block.hi; ++g) {
-          EXPECT_EQ(x_slab[static_cast<std::size_t>(g - block.lo)],
-                    x_dist[static_cast<std::size_t>(g)])
-              << "the slab is the owned slice of the gathered solution";
-        }
+        slab_lo[static_cast<std::size_t>(world.rank())] = block.lo;
+        if (world.rank() == 0) got = res;
       });
+      const auto x = solver::assemble_solution(
+          slabs, sparse::identity_permutation(m.n()));
+
+      EXPECT_TRUE(want.result.converged);
+      EXPECT_TRUE(got.converged);
+      EXPECT_EQ(got.iterations, want.result.iterations);
+      ASSERT_EQ(x.size(), want.x.size());
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i], want.x[i]) << "x[" << i << "]";
+      }
+      for (int r = 0; r < p; ++r) {
+        const auto& slab = slabs[static_cast<std::size_t>(r)];
+        for (std::size_t k = 0; k < slab.size(); ++k) {
+          EXPECT_EQ(slab[k],
+                    x[static_cast<std::size_t>(
+                        slab_lo[static_cast<std::size_t>(r)]) + k])
+              << "the slab is the owned slice of the assembled solution";
+        }
+      }
     }
   }
 }
@@ -160,8 +173,12 @@ TEST(OrderedSolve, ReproducesTheReplicatedPipelineAndItsIterationCount) {
         SCOPED_TRACE("p=" + std::to_string(p) +
                      " load_balance=" + std::to_string(balance) +
                      " precondition=" + std::to_string(precondition));
-        const auto run =
-            rcm::run_ordered_solve(p, m, b, precondition, options, opt);
+        const auto run = rcm::run_ordered_solve_recoverable(
+            p, {.matrix = &m,
+                .b = b,
+                .precondition = precondition,
+                .rcm = options,
+                .cg = opt});
         ASSERT_TRUE(run.result.cg.converged);
         const auto& labels = run.result.labels;
         EXPECT_EQ(labels, rcm::run_dist_order(p, adjacency, options).labels);
@@ -195,6 +212,75 @@ TEST(OrderedSolve, ReproducesTheReplicatedPipelineAndItsIterationCount) {
   }
 }
 
+TEST(OrderedSolve, OneBodyColdPathMatchesTheLauncher) {
+  // The serving layer's cold path is ordered_solve(grid, spec) without
+  // labels, in ONE Runtime::run body; the launcher runs the same pipeline
+  // as three checkpointed stages. Over the {1,4,9,16} wall, balancing and
+  // preconditioning off and on, both must return the same labels,
+  // bandwidth, iterations, residual and solution bits, and charge every
+  // rank the same kRedistribute and kSolver crossings and words. Peaks
+  // are NOT compared: the launcher's solve stage holds its checkpointed
+  // row block next to the solve, so its peak runs higher (p = 1,
+  // preconditioned: 4,384 against 4,140 elements). Each is held to the
+  // O(nnz/p + n/p) budget instead.
+  const auto m = gen::with_laplacian_values(
+      gen::relabel_random(gen::grid2d(10, 10), 3), 0.02);
+  const auto b = wavy_rhs(m.n());
+  for (const bool balance : {false, true}) {
+    for (const bool precondition : {true, false}) {
+      for (const int p : testing::rank_counts_wall()) {
+        SCOPED_TRACE("p=" + std::to_string(p) +
+                     " load_balance=" + std::to_string(balance) +
+                     " precondition=" + std::to_string(precondition));
+        const rcm::OrderedSolveSpec spec{.matrix = &m,
+                                         .b = b,
+                                         .precondition = precondition,
+                                         .rcm = {.load_balance = balance}};
+        const auto want = rcm::run_ordered_solve_recoverable(p, spec);
+
+        std::vector<std::vector<double>> slabs(static_cast<std::size_t>(p));
+        rcm::OrderedSolveResult got;
+        const auto report = Runtime::run(p, [&](Comm& world) {
+          ProcGrid2D grid(world);
+          auto result = rcm::ordered_solve(grid, spec);
+          slabs[static_cast<std::size_t>(world.rank())] =
+              std::move(result.x_local);
+          if (world.rank() == 0) got = std::move(result);
+        });
+        const auto x = solver::assemble_solution(slabs, got.labels);
+
+        EXPECT_EQ(got.labels, want.result.labels);
+        EXPECT_EQ(got.permuted_bandwidth, want.result.permuted_bandwidth);
+        EXPECT_EQ(got.cg.iterations, want.result.cg.iterations);
+        EXPECT_EQ(got.cg.relative_residual, want.result.cg.relative_residual);
+        ASSERT_EQ(x.size(), want.result.x.size());
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          EXPECT_EQ(x[i], want.result.x[i]) << "x[" << i << "]";
+        }
+        ASSERT_EQ(report.ranks.size(), want.report.ranks.size());
+        for (std::size_t r = 0; r < report.ranks.size(); ++r) {
+          for (const auto phase :
+               {mps::Phase::kRedistribute, mps::Phase::kSolver}) {
+            const auto& one = report.ranks[r].phase(phase);
+            const auto& three = want.report.ranks[r].phase(phase);
+            EXPECT_EQ(one.barrier_crossings, three.barrier_crossings)
+                << "rank " << r << " " << mps::phase_name(phase);
+            EXPECT_EQ(one.words, three.words)
+                << "rank " << r << " " << mps::phase_name(phase);
+          }
+        }
+        const u64 budget = 24 * static_cast<u64>(m.nnz()) /
+                               static_cast<u64>(p) +
+                           48 * static_cast<u64>(m.n()) /
+                               static_cast<u64>(p) +
+                           4096;
+        EXPECT_LE(report.max_peak_resident(), budget);
+        EXPECT_LE(want.report.max_peak_resident(), budget);
+      }
+    }
+  }
+}
+
 TEST(OrderedSolve, LedgerProvesNoRankMaterializesTheFullMatrix) {
   // A high-degree matrix (27-point stencil: nnz ~ 26 n). On the one-shot
   // default path the pipeline's per-rank ledger peak is bounded by
@@ -203,8 +289,7 @@ TEST(OrderedSolve, LedgerProvesNoRankMaterializesTheFullMatrix) {
   // value vector exist anywhere between the ordering and the solve. From
   // p = 9 on, that peak sits strictly BELOW the full-CSR footprint every
   // rank of the gather-based path pins — the "no rank materializes the
-  // full matrix" property — while the replicated dist_pcg overload's own
-  // ledger records the gathered footprint it pays.
+  // full matrix" property.
   const auto m = gen::with_laplacian_values(
       gen::relabel_random(gen::grid3d(6, 6, 10, gen::Stencil3d::k27), 5), 0.02);
   const auto b = wavy_rhs(m.n());
@@ -212,7 +297,8 @@ TEST(OrderedSolve, LedgerProvesNoRankMaterializesTheFullMatrix) {
       static_cast<u64>(m.n() + 1) + 2 * static_cast<u64>(m.nnz());
   for (const int p : testing::rank_counts()) {
     if (p < 4) continue;  // at p = 1 "distributed" and "gathered" coincide
-    const auto run = rcm::run_ordered_solve(p, m, b);
+    const auto run =
+        rcm::run_ordered_solve_recoverable(p, {.matrix = &m, .b = b});
     ASSERT_TRUE(run.result.cg.converged);
     const auto peak = run.report.max_peak_resident();
     EXPECT_GT(peak, 0u);
@@ -227,10 +313,6 @@ TEST(OrderedSolve, LedgerProvesNoRankMaterializesTheFullMatrix) {
       EXPECT_LT(peak, full_csr_elements)
           << "p=" << p << ": some rank held the full permuted matrix";
     }
-
-    const auto rep = solver::run_dist_pcg(p, m, b, true);
-    EXPECT_GE(rep.report.max_peak_resident(), full_csr_elements)
-        << "the replicated path must record its gathered footprint";
   }
 }
 

@@ -310,7 +310,7 @@ TEST(RecoverablePipeline, RecoveredRunsAreBitIdenticalToFaultFreeRuns) {
     b[i] = 1.0 + static_cast<double>(i % 7);
   }
   for (const int p : {4, 9}) {
-    const auto clean = rcm::run_ordered_solve(p, a, b);
+    const auto clean = rcm::run_ordered_solve_recoverable(p, spec_of(a, b));
     for (auto& scripted : pipeline_plans(p)) {
       rcm::RecoveryOptions recovery;
       recovery.faults = &scripted.plan;
@@ -346,7 +346,7 @@ TEST(RecoverablePipeline, RecoveredRunsAreBitIdenticalToFaultFreeRuns) {
 TEST(RecoverablePipeline, RetriedAttemptsStayOnTheCostLedger) {
   const auto a = gen::with_laplacian_values(gen::grid2d(8, 8));
   std::vector<double> b(static_cast<std::size_t>(a.n()), 1.0);
-  const auto clean = rcm::run_ordered_solve(4, a, b);
+  const auto clean = rcm::run_ordered_solve_recoverable(4, spec_of(a, b));
   FaultPlan plan;
   plan.die_at(3, 5);
   rcm::RecoveryOptions recovery;
@@ -400,7 +400,7 @@ TEST(RecoverablePipeline, SeededRandomPlanSweepTerminatesStructured) {
   for (std::size_t i = 0; i < b.size(); ++i) {
     b[i] = 0.5 + static_cast<double>(i % 5);
   }
-  const auto clean = rcm::run_ordered_solve(4, a, b);
+  const auto clean = rcm::run_ordered_solve_recoverable(4, spec_of(a, b));
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
     FaultPlan plan = FaultPlan::random(seed, 4, 60, 3);
     rcm::RecoveryOptions recovery;

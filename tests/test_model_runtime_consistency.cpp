@@ -93,9 +93,7 @@ TEST(ModelConsistency, HybridDividesComputeAndKeepsCommunication) {
   // compute seconds (the same work, split across the OpenMP team) and touch
   // neither the communication charges nor the raw unit ledger.
   const auto a = gen::relabel_random(gen::grid2d(16, 16), 3);
-  DistRcmOptions flat_opt;
-  flat_opt.threads = 1;  // pinned: DRCM_THREADS must not skew the baseline
-  const auto flat = run_dist_order(4, a, flat_opt);
+  const auto flat = run_dist_order(4, a);  // threads = 1
   DistRcmOptions opt;
   opt.threads = 6;
   const auto hybrid = run_dist_order(4, a, opt);

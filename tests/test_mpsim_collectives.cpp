@@ -26,19 +26,6 @@ TEST_P(CollectivesTest, BarrierCompletes) {
   SUCCEED();
 }
 
-TEST_P(CollectivesTest, BcastReplicatesRootVector) {
-  const int p = GetParam();
-  Runtime::run(p, [&](Comm& comm) {
-    const int root = comm.size() - 1;
-    std::vector<std::int64_t> data;
-    if (comm.rank() == root) data = {10, 20, 30, 40};
-    comm.bcast(data, root);
-    ASSERT_EQ(data.size(), 4u);
-    EXPECT_EQ(data[0], 10);
-    EXPECT_EQ(data[3], 40);
-  });
-}
-
 TEST_P(CollectivesTest, AllreduceSumAndMin) {
   const int p = GetParam();
   Runtime::run(p, [&](Comm& comm) {

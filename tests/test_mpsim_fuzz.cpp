@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -84,9 +85,11 @@ TEST_P(CollectiveFuzz, MixedCollectiveSequence) {
           break;
         }
         case 1: {
-          std::vector<std::int64_t> data;
-          if (world.rank() == 0) data = {7, 8, 9};
-          world.bcast(data, 0);
+          // Only rank 0 contributes: every rank receives its three words.
+          std::vector<std::int64_t> mine;
+          if (world.rank() == 0) mine = {7, 8, 9};
+          const auto data =
+              world.allgatherv(std::span<const std::int64_t>(mine));
           ASSERT_EQ(data.size(), 3u);
           EXPECT_EQ(data[2], 9);
           break;

@@ -192,8 +192,8 @@ TEST(ServiceBatch, KilledRequestFailsAloneWhilePeersCompleteBitIdentically) {
 
 TEST(ServiceBatch, MoreRequestsThanRanksRoundRobinOntoLanes) {
   // Three requests on four ranks: three 1x1 lanes (one rank idles), each
-  // request a single-rank pipeline — results must equal run_ordered_solve
-  // at p = 1 exactly.
+  // request a single-rank pipeline — results must equal the launcher's at
+  // p = 1 exactly.
   BatchFixture fixture(3);
   ServiceOptions options;
   options.ranks = 4;
@@ -203,8 +203,8 @@ TEST(ServiceBatch, MoreRequestsThanRanksRoundRobinOntoLanes) {
   for (std::size_t i = 0; i < 3; ++i) {
     ASSERT_EQ(responses[i].status, RequestStatus::kOk);
     EXPECT_EQ(responses[i].lane_ranks, 1);
-    const auto want = rcm::run_ordered_solve(1, fixture.matrices[i],
-                                             fixture.rhs[i]);
+    const auto want = rcm::run_ordered_solve_recoverable(
+        1, {.matrix = &fixture.matrices[i], .b = fixture.rhs[i]});
     expect_bitwise_equal(responses[i].x, want.result.x);
   }
 
@@ -220,8 +220,8 @@ TEST(ServiceBatch, MoreRequestsThanRanksRoundRobinOntoLanes) {
     ASSERT_EQ(queued[i].status, RequestStatus::kOk);
     EXPECT_EQ(queued[i].lane, 0);
     EXPECT_EQ(queued[i].lane_ranks, 4);
-    const auto want = rcm::run_ordered_solve(4, fixture.matrices[i],
-                                             fixture.rhs[i]);
+    const auto want = rcm::run_ordered_solve_recoverable(
+        4, {.matrix = &fixture.matrices[i], .b = fixture.rhs[i]});
     expect_bitwise_equal(queued[i].x, want.result.x);
   }
 }

@@ -4,7 +4,7 @@
 //
 //  * a repeat pattern HITS, skips every ordering collective (the ledger
 //    says exactly zero ordering-phase crossings), and still produces a
-//    solution bit-identical to the cold run and to run_ordered_solve;
+//    solution bit-identical to the cold run and to the launcher;
 //  * a hit serves a DIFFERENT rhs correctly (the cache keys the pattern,
 //    not the problem);
 //  * same-shape different-pattern requests MUST miss (n and nnz equal,
@@ -95,7 +95,8 @@ TEST(ServiceCache, RepeatPatternHitsAndSolvesBitIdentically) {
   EXPECT_EQ(service.cache_size(), 1u);
 
   // Both must equal the one-call pipeline on the same four ranks.
-  const auto reference = rcm::run_ordered_solve(4, m, b);
+  const auto reference =
+      rcm::run_ordered_solve_recoverable(4, {.matrix = &m, .b = b});
   ASSERT_TRUE(reference.result.cg.converged);
   expect_bitwise_equal(cold.x, reference.result.x);
 
@@ -126,7 +127,8 @@ TEST(ServiceCache, HitServesADifferentRhsCorrectly) {
   ASSERT_EQ(warm.status, RequestStatus::kOk);
   EXPECT_TRUE(warm.cache_hit);
 
-  const auto reference = rcm::run_ordered_solve(4, m, b2);
+  const auto reference =
+      rcm::run_ordered_solve_recoverable(4, {.matrix = &m, .b = b2});
   expect_bitwise_equal(warm.x, reference.result.x);
 }
 
@@ -224,7 +226,8 @@ TEST(ServiceCache, FaultNeverPoisonsTheCache) {
   const auto warm = service.submit(rc);
   ASSERT_EQ(warm.status, RequestStatus::kOk);
   EXPECT_TRUE(warm.cache_hit);
-  const auto reference = rcm::run_ordered_solve(4, c, b);
+  const auto reference =
+      rcm::run_ordered_solve_recoverable(4, {.matrix = &c, .b = b});
   expect_bitwise_equal(warm.x, reference.result.x);
 }
 
@@ -493,7 +496,8 @@ TEST(ServiceCache, SamePatternNewValuesReusesThePlanBitIdentically) {
   ASSERT_EQ(hit.status, RequestStatus::kOk);
   ASSERT_TRUE(hit.cache_hit);
   EXPECT_TRUE(hit.plan_reused);
-  const auto reference = rcm::run_ordered_solve(4, m2, b);
+  const auto reference =
+      rcm::run_ordered_solve_recoverable(4, {.matrix = &m2, .b = b});
   ASSERT_TRUE(reference.result.cg.converged);
   EXPECT_EQ(hit.cg.iterations, reference.result.cg.iterations);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(hit.cg.relative_residual),
