@@ -428,7 +428,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n  \"bench\": \"ordering_service_delta\",\n");
     std::fprintf(f,
                  "  \"service\": {\"ranks\": %d, \"repair_max_windows\": %d},\n",
-                 delta_options.ranks, delta_options.repair_max_windows);
+                 delta_options.ranks, service::kRepairMaxWindows);
     std::fprintf(f, "  \"pattern\": {\"n\": %lld, \"nnz\": %lld},\n",
                  static_cast<long long>(base.n()),
                  static_cast<long long>(base.nnz()));

@@ -52,17 +52,18 @@ void route_partials(const DistSpMat& a, const std::vector<VecEntry>& gathered,
   world.charge_compute(work + static_cast<double>(partial.size()));
 }
 
-/// Owner merge: min-combine the <= q partial lists over my owned range in
-/// the stamped slot array, recording each slot the first time it fills,
-/// then SELECT right here, where the dense vector lives: test only the
-/// filled slots against `keep_sentinel` and append the survivors to
-/// `kept`, sorted ascending by index (DistSpVec's storage order).
-void merge_and_select(const std::vector<VecEntry>& received,
-                      const DistDenseVec& dense, index_t keep_sentinel,
-                      mps::Comm& world, mps::Phase other_phase,
-                      DistWorkspace& w, std::vector<VecEntry>& kept) {
-  const index_t lo = dense.lo();
-  const index_t hi = dense.hi();
+/// Owner merge: min-combine the <= q partial lists over my owned range
+/// [lo, hi) in the stamped slot array, recording each slot the first time
+/// it fills, then test only the filled slots with `keep` — SELECT, right
+/// here where the dense vector lives, or nothing for the standalone
+/// SpMSpV — and append the survivors to `kept`, sorted ascending by index
+/// (DistSpVec's storage order). The keep scan and sort are charged to
+/// `other_phase`.
+template <class Keep>
+void merge_owned(const std::vector<VecEntry>& received, index_t lo,
+                 index_t hi, Keep&& keep, mps::Comm& world,
+                 mps::Phase other_phase, DistWorkspace& w,
+                 std::vector<VecEntry>& kept) {
   auto& slots = w.merge_slots(static_cast<std::size_t>(hi - lo));
   auto& touched = w.merge_touched();
   for (const auto& e : received) {
@@ -78,7 +79,7 @@ void merge_and_select(const std::vector<VecEntry>& received,
   const auto prev = world.set_phase(other_phase);
   for (const index_t s : touched) {
     const index_t g = lo + s;
-    if (dense.get(g) == keep_sentinel) {
+    if (keep(g)) {
       kept.push_back(VecEntry{g, slots.val[static_cast<std::size_t>(s)]});
     }
   }
@@ -87,6 +88,18 @@ void merge_and_select(const std::vector<VecEntry>& received,
   world.charge_compute(static_cast<double>(touched.size()) +
                        k * std::log2(k + 1.0));
   world.set_phase(prev);
+}
+
+/// The owner merge with SELECT: keep the slots whose dense value equals
+/// `keep_sentinel`.
+void merge_and_select(const std::vector<VecEntry>& received,
+                      const DistDenseVec& dense, index_t keep_sentinel,
+                      mps::Comm& world, mps::Phase other_phase,
+                      DistWorkspace& w, std::vector<VecEntry>& kept) {
+  merge_owned(
+      received, dense.lo(), dense.hi(),
+      [&](index_t g) { return dense.get(g) == keep_sentinel; }, world,
+      other_phase, w, kept);
 }
 
 }  // namespace
@@ -125,6 +138,33 @@ BfsLevelResult bfs_level_step(const DistSpMat& a, const DistSpVec& frontier,
 
   res.next = frontier.sibling(std::move(kept));
   return res;
+}
+
+DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
+                               ProcGrid2D& grid, DistWorkspace* ws) {
+  DRCM_CHECK(x.dist() == a.vec_dist(),
+             "frontier distribution does not match the matrix");
+  auto& world = grid.world();
+  DistWorkspace& w = ws ? *ws : grid.workspace();
+  const int p = world.size();
+
+  // bfs_level_step without SET or SELECT: x's values travel as published
+  // and the owner keeps every merged slot, all on the caller's phase.
+  std::vector<VecEntry> merged;
+  world.fused_gather_route_count(
+      grid.col_world_ranks(), std::span<const VecEntry>(x.entries()),
+      w.gather_scratch(), w.fused_route(static_cast<std::size_t>(p)),
+      w.recv_scratch(),
+      [&](const std::vector<VecEntry>& gathered,
+          std::vector<std::vector<VecEntry>>& route) {
+        route_partials(a, gathered, route, grid, w);
+      },
+      [&](const std::vector<VecEntry>& received) {
+        merge_owned(
+            received, x.lo(), x.hi(), [](index_t) { return true; }, world,
+            world.phase(), w, merged);
+      });
+  return x.sibling(std::move(merged));
 }
 
 LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
@@ -249,10 +289,17 @@ std::vector<VecEntry> gather_column_frontier(const DistSpVec& frontier,
   DRCM_CHECK(frontier.dist() == labels.dist(),
              "frontier and label vector must share one distribution");
   auto& world = grid.world();
+  DistWorkspace& w = grid.workspace();
   mps::PhaseScope scope(world, phase);
-  const auto& outgoing =
-      publish_set(frontier, labels, world, phase, grid.workspace());
-  return grid.col_comm().allgatherv(std::span<const VecEntry>(outgoing));
+  const auto& outgoing = publish_set(frontier, labels, world, phase, w);
+  // The column gather of the level superstep with nothing routed.
+  std::vector<VecEntry> column;
+  world.fused_gather_route_count(
+      grid.col_world_ranks(), std::span<const VecEntry>(outgoing), column,
+      w.fused_route(static_cast<std::size_t>(world.size())), w.recv_scratch(),
+      [](const std::vector<VecEntry>&, std::vector<std::vector<VecEntry>>&) {},
+      [](const std::vector<VecEntry>&) {});
+  return column;
 }
 
 DistSpVec frontier_from_label_range(const DistDenseVec& labels,

@@ -35,6 +35,9 @@
 // which tests/test_dist_level_kernel_equivalence.cpp and
 // tests/test_dist_cm_level_equivalence.cpp check level by level against
 // serial oracles at every rank x thread count.
+//
+// The standalone dist::spmspv_select2nd_min (declared in spmspv.hpp) is
+// defined here too: bfs_level_step's expansion without SET or SELECT.
 #pragma once
 
 #include "dist/dist_matrix.hpp"
@@ -105,8 +108,9 @@ LevelStepResult cm_level_step(const DistSpMat& a, std::vector<VecEntry>& column,
                               DistWorkspace* ws = nullptr);
 
 /// The column frontier of `frontier` for cm_level_step: my processor
-/// column's entries of it, valued by their labels — one allgatherv along
-/// the column (2 crossings). The re-entry point of a run that resumes from
+/// column's entries of it, valued by their labels — the column gather of
+/// Comm::fused_gather_route_count with nothing routed (2 crossings, 1 when
+/// `frontier` is empty everywhere). The re-entry point of a run that resumes from
 /// an owned frontier (the incremental-repair cone); a run from a root
 /// builds its one-entry column frontier locally instead. Collective; the
 /// gather is charged to `phase`.

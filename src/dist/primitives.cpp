@@ -25,31 +25,11 @@ ArgMin combine_argmin(const ArgMin& a, const ArgMin& b) {
 
 }  // namespace
 
-void gather_from_dense(DistSpVec& sp, const DistDenseVec& dense,
-                       mps::Comm& world) {
-  check_aligned(sp.dist(), dense.dist());
-  auto entries = sp.entries();
-  for (auto& e : entries) e.val = dense.get(e.idx);
-  world.charge_compute(static_cast<double>(entries.size()));
-  sp.assign(std::move(entries));
-}
-
 void scatter_into_dense(DistDenseVec& dense, const DistSpVec& sp,
                         mps::Comm& world) {
   check_aligned(sp.dist(), dense.dist());
   for (const auto& e : sp.entries()) dense.set(e.idx, e.val);
   world.charge_compute(static_cast<double>(sp.entries().size()));
-}
-
-DistSpVec select_where_equals(const DistSpVec& sp, const DistDenseVec& dense,
-                              index_t value, mps::Comm& world) {
-  check_aligned(sp.dist(), dense.dist());
-  std::vector<VecEntry> kept;
-  for (const auto& e : sp.entries()) {
-    if (dense.get(e.idx) == value) kept.push_back(e);
-  }
-  world.charge_compute(static_cast<double>(sp.entries().size()));
-  return sp.sibling(std::move(kept));
 }
 
 std::pair<index_t, index_t> reduce_argmin(const DistSpVec& sp,

@@ -1,10 +1,13 @@
-// The paper's Table-I vector primitives (SET / SELECT / REDUCE and
-// friends) on aligned distributed vectors.
+// The paper's Table-I vector primitives that stand alone on aligned
+// distributed vectors: SET (dense <- sparse) and the REDUCE argmins.
 //
-// All sparse/dense pairs must share one distribution, so SET and SELECT
-// are embarrassingly local; only the argmin reductions communicate (one
-// allreduce of an (key, index) pair). Every primitive charges its scalar
-// work through the Comm so phase breakdowns stay honest.
+// SET (sparse <- dense) and SELECT have no standalone form: the level
+// kernels (dist/level_kernel.hpp) fold them into the SpMSpV superstep,
+// where the frontier is published and where the owner merges. All
+// sparse/dense pairs must share one distribution, so SET is embarrassingly
+// local; only the argmin reductions communicate (one allreduce of a
+// (key, index) pair). Every primitive charges its scalar work through the
+// Comm so phase breakdowns stay honest.
 #pragma once
 
 #include <utility>
@@ -13,18 +16,10 @@
 
 namespace drcm::dist {
 
-/// SET (sparse <- dense): every sparse value becomes the dense value at
-/// its index. Local; `world` only receives the compute charge.
-void gather_from_dense(DistSpVec& sp, const DistDenseVec& dense,
-                       mps::Comm& world);
-
 /// SET (dense <- sparse): dense[idx] <- val for every sparse entry.
+/// Local; `world` only receives the compute charge.
 void scatter_into_dense(DistDenseVec& dense, const DistSpVec& sp,
                         mps::Comm& world);
-
-/// SELECT: keep the sparse entries whose dense value equals `value`.
-DistSpVec select_where_equals(const DistSpVec& sp, const DistDenseVec& dense,
-                              index_t value, mps::Comm& world);
 
 /// REDUCE: (min dense[idx], idx) over the sparse support, ties to the
 /// smallest index; (kNoVertex, kNoVertex) when the support is empty

@@ -1,11 +1,10 @@
 // The sqrt(p) x sqrt(p) process grid of the paper's 2D decomposition.
 //
 // World rank w sits at grid position (row, col) = (w / q, w % q). The grid
-// owns the two sub-communicators every 2D kernel needs:
-//   * row_comm: the q ranks sharing my grid row (SpMSpV result merge),
-//   * col_comm: the q ranks sharing my grid column (frontier gather).
-// Both are formed with Comm::split exactly once at construction, so the
-// split cost is paid during setup, not inside kernels.
+// holds no sub-communicator: every 2D exchange is a routed superstep on the
+// world communicator (the frontier gather reads the world ranks of my
+// processor column, col_world_ranks()), so building a grid runs no
+// collective.
 #pragma once
 
 #include "common/check.hpp"
@@ -31,11 +30,11 @@ inline int largest_square_grid(int p) {
 
 class ProcGrid2D {
  public:
-  /// Collective on `world`, whose size must be a perfect square. When
+  /// Runs no collective; `world`'s size must be a perfect square. When
   /// `external` is non-null the grid adopts it as its kernel scratch
   /// instead of its own member workspace: a serving layer keeps one
   /// DistWorkspace per rank alive ACROSS grids (grids die with their
-  /// communicators at the end of every Runtime::run), so the realloc
+  /// world at the end of every Runtime::run), so the realloc
   /// ledger — and the warmed buffer capacities it certifies — extends
   /// across requests. The external workspace must outlive the grid.
   explicit ProcGrid2D(mps::Comm& world, DistWorkspace* external = nullptr)
@@ -43,9 +42,7 @@ class ProcGrid2D {
         external_workspace_(external),
         q_(side_of(world.size())),
         row_(world.rank() / q_),
-        col_(world.rank() % q_),
-        row_comm_(world.split(/*color=*/row_, /*key=*/col_)),
-        col_comm_(world.split(/*color=*/col_, /*key=*/row_)) {
+        col_(world.rank() % q_) {
     col_world_ranks_.reserve(static_cast<std::size_t>(q_));
     for (int r = 0; r < q_; ++r) {
       col_world_ranks_.push_back(world_rank_of(r, col_));
@@ -61,10 +58,6 @@ class ProcGrid2D {
   int col() const { return col_; }
 
   mps::Comm& world() { return world_; }
-  /// The q ranks with my row index, ranked by column.
-  mps::Comm& row_comm() { return row_comm_; }
-  /// The q ranks with my column index, ranked by row.
-  mps::Comm& col_comm() { return col_comm_; }
 
   /// World rank of grid position (r, c).
   int world_rank_of(int r, int c) const {
@@ -72,12 +65,8 @@ class ProcGrid2D {
     return r * q_ + c;
   }
 
-  /// World rank of my mirror across the diagonal: (col, row). The SpMSpV
-  /// realignment pairs every rank with its transpose partner.
-  int transpose_partner() const { return world_rank_of(col_, row_); }
-
   /// World ranks of my processor column in grid-row order (the gather
-  /// group of the fused level kernel; same member order as col_comm).
+  /// group of every SpMSpV expansion).
   /// Computed once — the per-level hot path must not allocate it.
   std::span<const int> col_world_ranks() const { return col_world_ranks_; }
 
@@ -103,8 +92,6 @@ class ProcGrid2D {
   int q_;
   int row_;
   int col_;
-  mps::Comm row_comm_;
-  mps::Comm col_comm_;
   std::vector<int> col_world_ranks_;
   DistWorkspace workspace_;
 };

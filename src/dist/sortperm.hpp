@@ -14,8 +14,8 @@
 // parent sorts on one worker.
 //
 // sortperm_sample is the general sample sort kept as the HykSort-style
-// comparison baseline (micro_sort and the perfbench dist.sortperm_sample_*
-// probes time it).
+// comparison baseline (the perfbench dist.sortperm_sample_* probes time it
+// and check that it agrees with sortperm_bucket).
 #pragma once
 
 #include <span>

@@ -175,67 +175,4 @@ std::vector<VecEntry>& spmspv_local_multiply(const DistSpMat& a,
   return out;
 }
 
-DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
-                               ProcGrid2D& grid, DistWorkspace* ws) {
-  DRCM_CHECK(x.dist() == a.vec_dist(),
-             "frontier distribution does not match the matrix");
-  auto& world = grid.world();
-  DistWorkspace& w = ws ? *ws : grid.workspace();
-  const auto& dist = a.vec_dist();
-  const int q = grid.q();
-
-  // Stage 1: my block needs the frontier entries of my whole column chunk,
-  // which lives sub-chunk by sub-chunk on my processor column. Members are
-  // ranked by grid row, so the concatenation arrives index-sorted.
-  const auto frontier =
-      grid.col_comm().allgatherv(std::span<const VecEntry>(x.entries()));
-
-  // Stage 2: local block multiply into per-row partial minima, split
-  // across the rank's hybrid OpenMP team (communication stays on this
-  // thread, as in the paper's one-communicating-thread design).
-  double work = 0;
-  const auto& partial =
-      spmspv_local_multiply(a, frontier, w, &work, world.threads());
-
-  // Stage 3a: my partial rows live in row chunk R = grid.row(); the rank
-  // in my processor row at column s merges sub-chunk s of that chunk —
-  // which is the grid row of the element's owner. Stage 3b merges in
-  // stamped slots, so the partials may travel in any order.
-  auto& to_merge = w.merge_route(static_cast<std::size_t>(q));
-  const auto& cuts = a.cuts();
-  for (const auto& e : partial) {
-    to_merge[static_cast<std::size_t>(cuts.owner_row_in_chunk(grid.row(), e.idx))]
-        .push_back(e);
-  }
-  const auto received = grid.row_comm().alltoallv(to_merge);
-
-  // Stage 3b: min-merge the q partial lists over my merge sub-range
-  // (sub-chunk grid.col() of chunk grid.row()) with the stamped slot array.
-  const index_t m_lo = dist.sub_lo(grid.row(), grid.col());
-  const index_t m_hi = dist.sub_lo(grid.row(), grid.col() + 1);
-  auto& slots = w.merge_slots(static_cast<std::size_t>(m_hi - m_lo));
-  for (const auto& e : received) {
-    // Receive-path range check (always on): a corrupted index must stop
-    // here as a CheckError, not as an out-of-bounds slot write.
-    DRCM_CHECK(e.idx >= m_lo && e.idx < m_hi, "partial routed to wrong rank");
-    slots.put_min(static_cast<std::size_t>(e.idx - m_lo), e.val);
-  }
-  std::vector<VecEntry> merged;
-  for (index_t g = m_lo; g < m_hi; ++g) {
-    const auto s = static_cast<std::size_t>(g - m_lo);
-    if (slots.live(s)) merged.push_back(VecEntry{g, slots.val[s]});
-  }
-  work += static_cast<double>(partial.size() + received.size()) +
-          kScanUnit * static_cast<double>(m_hi - m_lo);
-  world.charge_compute(work);
-
-  // Stage 3c: the merge range I hold is owned by my transpose partner (and
-  // vice versa) — one simultaneous pairwise exchange realigns everything.
-  auto mine = world.pairwise_exchange(grid.transpose_partner(),
-                                      std::span<const VecEntry>(merged));
-  DistSpVec y(dist, grid);
-  y.assign(std::move(mine));
-  return y;
-}
-
 }  // namespace drcm::dist

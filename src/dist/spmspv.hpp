@@ -2,19 +2,18 @@
 // Algorithm 2). y[i] = min over frontier entries (j, v) with A(i, j) != 0
 // of v — children adopt the minimum parent value.
 //
-// Three bulk-synchronous stages on the 2D grid:
-//   1. gather the frontier chunk along my processor column (allgatherv),
-//   2. multiply my block locally into per-row partial minima,
-//   3. merge partials along my processor row (alltoallv by sub-chunk) and
-//      hand the merged sub-chunk to its true owner via the transpose
-//      pairwise exchange.
-//
-// This is the standalone kernel: three collectives (six barrier crossings)
-// per call, plus the caller's SET / SELECT / emptiness round trips. The
-// fused per-level path (dist/level_kernel.hpp) performs the same math in
-// one two-crossing collective and is what the BFS loops actually run;
-// this entry point remains a primitive of its own (micro_spmspv, fig4's
-// crossing split and the perfbench dist.spmspv_* probes time it).
+// One routed superstep pair on the world communicator
+// (Comm::fused_gather_route_count), the same route the fused level
+// kernels take:
+//   1. gather the frontier chunk from the q ranks of my processor column,
+//   2. multiply my block locally into per-row partial minima and route
+//      each partial straight to the owner of its element,
+//   3. the owner min-merges the <= q partial lists in stamped slots.
+// 2 barrier crossings per call, 1 when the frontier is empty everywhere.
+// The local multiply lives here (spmspv.cpp); the standalone entry point
+// is defined next to bfs_level_step in level_kernel.cpp, whose helpers it
+// shares. It adds neither SET nor SELECT, so it remains a primitive of its
+// own: fig4 and the perfbench dist.spmspv_* probes time it.
 #pragma once
 
 #include "dist/dist_matrix.hpp"
@@ -23,19 +22,12 @@
 
 namespace drcm::dist {
 
-/// Work units charged per element of a sequential stamp-check sweep.
-/// MachineParams::gamma is calibrated for one random CSR edge visit; a
-/// predictable linear sweep over a dense array costs a fraction of that.
-/// Only the standalone kernel's stage-3b merge still sweeps its whole
-/// merge range; the fused level kernel never scans a dense range.
-inline constexpr double kScanUnit = 0.125;
-
 /// Stage 2 alone: multiplies my block by the gathered frontier into
 /// per-row partial minima with GLOBAL row indices, each row at most once.
 /// Returns workspace-owned scratch valid until the next workspace checkout;
 /// `*work` receives the work units to charge: frontier edges + emitted
-/// rows, the same at every thread count. Shared by the standalone kernel
-/// below and the fused level kernel.
+/// rows, the same at every thread count. Every expansion (the standalone
+/// kernel below and both fused level kernels) runs it.
 ///
 /// With `threads` == 1 one stamped SPA records the rows it touches and
 /// emits them in first-touch order — O(frontier edges), NOT ascending.
@@ -51,10 +43,12 @@ std::vector<VecEntry>& spmspv_local_multiply(const DistSpMat& a,
                                              int threads = 1);
 
 /// Collective. `x` must be distributed conformally with `a`
-/// (x.dist() == a.vec_dist(); throws CheckError otherwise). Scratch comes
-/// from `ws`, or from the grid's per-rank workspace when `ws` is null. The
-/// local multiply runs on grid.world().threads() OpenMP threads (the
-/// Runtime::run threads_per_rank of the hybrid configuration).
+/// (x.dist() == a.vec_dist(); throws CheckError otherwise); the result is
+/// this rank's owned part of y, ascending by index. Costs are charged to
+/// the caller's current phase. Scratch comes from `ws`, or from the grid's
+/// per-rank workspace when `ws` is null. The local multiply runs on
+/// grid.world().threads() OpenMP threads (the Runtime::run
+/// threads_per_rank of the hybrid configuration).
 DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
                                ProcGrid2D& grid, DistWorkspace* ws = nullptr);
 

@@ -36,11 +36,6 @@ std::vector<VecEntry>& DistWorkspace::recv_scratch() {
   return checkout_cleared(recv_, recv_cap_);
 }
 
-std::vector<std::vector<VecEntry>>& DistWorkspace::merge_route(
-    std::size_t ranks) {
-  return checkout_route(merge_route_, ranks, merge_route_cap_);
-}
-
 std::vector<std::vector<VecEntry>>& DistWorkspace::entry_route(
     std::size_t ranks) {
   return checkout_route(entry_route_, ranks, entry_route_cap_);

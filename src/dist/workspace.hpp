@@ -97,9 +97,8 @@ class DistWorkspace {
   /// the list of local rows it touched in this epoch, cleared.
   StampedSlots& spa(std::size_t rows);
   std::vector<index_t>& spa_touched();
-  /// The result-merge accumulator (SpMSpV stage 3b / fused owner merge),
-  /// epoch opened over `n` slots, and the fused owner merge's list of the
-  /// slots it filled, cleared.
+  /// The owner-merge accumulator, epoch opened over `n` slots, and the
+  /// list of the slots it filled, cleared.
   StampedSlots& merge_slots(std::size_t n);
   std::vector<index_t>& merge_touched();
 
@@ -115,15 +114,11 @@ class DistWorkspace {
   std::vector<VecEntry>& recv_scratch();
   /// Per-destination VecEntry routing buffers, sized to exactly `ranks`
   /// with each destination cleared (capacity retained). One table per call
-  /// site, because the tables are sized to different communicators (the
-  /// row merge to q, the owner routes to p) and a shared table would
-  /// thrash its outer size between them:
-  /// SpMSpV stage 3a (row communicator).
-  std::vector<std::vector<VecEntry>>& merge_route(std::size_t ranks);
+  /// site, because one ordering level holds two at once:
   /// SORTPERM position scatter-back and the ordering level's label
-  /// delivery (world).
+  /// delivery.
   std::vector<std::vector<VecEntry>>& entry_route(std::size_t ranks);
-  /// Fused level kernel owner routing (world).
+  /// Owner routing of every SpMSpV expansion.
   std::vector<std::vector<VecEntry>>& fused_route(std::size_t ranks);
   /// One-shot redistribution staging: the relabeled matrix triples routed
   /// to their 1D owners, and the rhs/solution slab elements alongside them.
@@ -213,7 +208,6 @@ class DistWorkspace {
   std::vector<VecEntry> partial_;
   std::vector<VecEntry> gather_;
   std::vector<VecEntry> recv_;
-  std::vector<std::vector<VecEntry>> merge_route_;
   std::vector<std::vector<VecEntry>> entry_route_;
   std::vector<std::vector<VecEntry>> fused_route_;
   std::vector<std::vector<MatEntryV>> mat_route_;
@@ -234,7 +228,7 @@ class DistWorkspace {
   std::size_t spa_touched_cap_ = 0, merge_touched_cap_ = 0,
               frontier_cap_ = 0,
               partial_cap_ = 0, gather_cap_ = 0, recv_cap_ = 0,
-              merge_route_cap_ = 0, entry_route_cap_ = 0,
+              entry_route_cap_ = 0,
               fused_route_cap_ = 0, mat_route_cap_ = 0, vecd_route_cap_ = 0,
               value_route_cap_ = 0,
               sort_cap_ = 0, sort_tmp_cap_ = 0,

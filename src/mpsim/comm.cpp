@@ -73,7 +73,6 @@ const char* coll_op_name(CollOp op) {
     case CollOp::kAllgatherv: return "allgatherv";
     case CollOp::kAlltoallv: return "alltoallv";
     case CollOp::kExscan: return "exscan";
-    case CollOp::kPairwise: return "pairwise-exchange";
     case CollOp::kFusedGatherRouteCount: return "fused-gather-route-count";
     case CollOp::kFusedOrderLevel: return "fused-order-level";
     case CollOp::kSplit: return "split";

@@ -9,12 +9,13 @@
 // deliberately offers collectives only:
 //
 //   barrier, allreduce (deterministic rank-order fold), allgather(v),
-//   alltoallv, exscan_sum, pairwise_exchange (the SpMSpV transpose
-//   realignment, performed by all ranks at once), the two fused level
-//   collectives of the BFS and ordering kernels, and split (MPI_Comm_split:
-//   forms the row/column sub-communicators of the 2D grid). There are no
-//   rooted collectives (bcast, gather, scatter, reduce): no distributed
-//   algorithm here needs one.
+//   alltoallv, exscan_sum, the two fused level collectives of the SpMSpV
+//   expansion and the ordering kernel, and split (MPI_Comm_split: forms the
+//   service's per-lane communicators). The 2D grid uses no
+//   sub-communicator: its column gather and owner routing are supersteps
+//   of fused_gather_route_count on the world. There are no rooted
+//   collectives (bcast, gather, scatter, reduce): no distributed algorithm
+//   here needs one.
 //
 // Mechanically, every collective is two crossings of the communicator's
 // barrier around a shared "publication board": ranks publish their
@@ -91,7 +92,6 @@ enum class CollOp : std::uint8_t {
   kAllgatherv,
   kAlltoallv,
   kExscan,
-  kPairwise,
   kFusedGatherRouteCount,
   kFusedOrderLevel,
   kSplit,
@@ -150,7 +150,7 @@ class Comm {
   int size() const { return size_; }
   /// OpenMP threads the hybrid configuration grants this rank's local
   /// kernels (Runtime::run's threads_per_rank; 1 = flat MPI). Shared by all
-  /// communicators of the rank, so split row/column comms agree with world.
+  /// communicators of the rank, so split communicators agree with world.
   int threads() const { return state_->threads; }
 
   /// Synchronizes all members (and charges the modeled barrier cost).
@@ -181,14 +181,10 @@ class Comm {
   template <class T>
   T exscan_sum(const T& value);
 
-  /// Simultaneous pairwise exchange: every member calls this with its
-  /// partner's rank (partner==rank() is a local no-op copy). Used for the
-  /// SpMSpV transpose realignment where P(i,j) swaps with P(j,i).
-  template <class T>
-  std::vector<T> pairwise_exchange(int partner, std::span<const T> send);
-
-  /// Fused two-superstep collective for the BFS level kernel
-  /// (dist::bfs_level_step): a sub-group allgatherv plus an allreduce-sum
+  /// Fused two-superstep collective of every SpMSpV expansion
+  /// (dist::bfs_level_step, the standalone dist::spmspv_select2nd_min, and
+  /// with an empty route dist::gather_column_frontier's column gather): a
+  /// sub-group allgatherv plus an allreduce-sum
   /// of every rank's span size, then an alltoallv of what `route` makes of
   /// the gathered data — in TWO barrier crossings, where the same level as
   /// standalone collectives (gather, alltoallv, count allreduce) pays six.
@@ -378,7 +374,7 @@ class Comm {
   std::int64_t span_count_total() const;
   /// Raw barrier crossing: no modeled seconds charged, but every crossing
   /// is recorded in the per-phase barrier_crossings ledger (the quantity
-  /// the fused level kernel's 3-vs-8 contract is asserted on).
+  /// the level kernels' 2- and 3-crossing budgets are asserted on).
   void cross_barrier();
 
   void charge(const CommCost& cost);
@@ -530,25 +526,6 @@ T Comm::exscan_sum(const T& value) {
   cross_barrier();
   charge(model_->exscan(size_, words_of<T>()));
   return acc;
-}
-
-template <class T>
-std::vector<T> Comm::pairwise_exchange(int partner, std::span<const T> send) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  DRCM_CHECK(partner >= 0 && partner < size_, "pairwise partner out of range");
-  enter_collective(CollOp::kPairwise);
-  publish(send.data(), send.size(), sizeof(T));
-  cross_barrier();
-  verify_collective(CollOp::kPairwise);
-  const std::uint64_t count = peer_count(partner);
-  const T* src = static_cast<const T*>(peer_ptr(partner));
-  std::vector<T> out(src, src + count);
-  maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
-  if (partner != rank_) {
-    charge(model_->pairwise(count * words_of<T>()));
-  }
-  return out;
 }
 
 template <class T>

@@ -51,8 +51,4 @@ CommCost CostModel::exscan(int q, std::uint64_t words) const {
   return {sec, hops, hops * words};
 }
 
-CommCost CostModel::pairwise(std::uint64_t words) const {
-  return {p_.alpha + p_.beta * static_cast<double>(words), 1, words};
-}
-
 }  // namespace drcm::mps

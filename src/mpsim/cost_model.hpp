@@ -14,7 +14,6 @@
 //   allgatherv    : personalized,    (q-1)*alpha + beta*W_total
 //   alltoallv     : personalized,    (q-1)*alpha + beta*max(W_send, W_recv)
 //   exscan        : tree,            ceil(log2 q) * (alpha + beta*w)
-//   pairwise      : one exchange,    alpha + beta*w
 //
 // The linear (q-1)*alpha terms for allgatherv/alltoallv match the paper's
 // own analysis (T_SpMSpV has an |iters|*alpha*sqrt(p) term and T_SortPerm an
@@ -70,7 +69,6 @@ class CostModel {
   CommCost alltoallv(int q, std::uint64_t send_words,
                      std::uint64_t recv_words) const;
   CommCost exscan(int q, std::uint64_t words) const;
-  CommCost pairwise(std::uint64_t words) const;
 
   /// Modeled seconds for `units` scalar work units on one thread.
   double compute_seconds(double units) const { return units * p_.gamma; }

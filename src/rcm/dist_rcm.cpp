@@ -98,7 +98,7 @@ CmRun dist_cm_cone(const dist::DistSpMat& a, const dist::DistDenseVec& degrees,
                    index_t frontier_nnz, index_t next_label,
                    dist::ProcGrid2D& grid, std::vector<index_t>* level_starts,
                    index_t label_cap, std::vector<index_t>* touched) {
-  // Re-entry from an owned frontier: one column allgatherv.
+  // Re-entry from an owned frontier: one two-crossing column gather.
   auto column = dist::gather_column_frontier(frontier, labels, grid,
                                              mps::Phase::kOrderingSpmspv);
   return cm_levels(a, degrees, labels, std::move(frontier), std::move(column),

@@ -9,8 +9,8 @@
 // whole ordering level runs through the fused dist::cm_level_step
 // collective — three barrier crossings per level (two on the terminal
 // level); a run from a root starts without a collective, a run resumed
-// from an owned frontier pays one column allgatherv. Costs are charged to
-// the Ordering:* phases of the Figure-4 breakdown.
+// from an owned frontier pays one two-crossing column gather. Costs are
+// charged to the Ordering:* phases of the Figure-4 breakdown.
 //
 // A CM run discovers exactly the levels a BFS from the same root would —
 // the same eccentricity, the same last level — and labels them on the
@@ -64,7 +64,7 @@ CmRun dist_cm_component(const dist::DistSpMat& a,
 /// level, whose labels in `labels` occupy [next_label - frontier_nnz,
 /// next_label) (frontier VALUES are ignored — the column gather refreshes
 /// them from `labels`); every deeper vertex must still be kNoVertex.
-/// Gathers the column frontier (one column allgatherv), then runs
+/// Gathers the column frontier (one two-crossing column gather), then runs
 /// cm_level_step until the frontier empties, exactly the steps
 /// dist_cm_component would have run from this state. The result's
 /// depth counts the levels below `frontier`; when no level follows,

@@ -144,7 +144,7 @@ struct RepairPlan {
   /// from each component's recorded sweep count k and root eccentricity L
   /// (a BFS sweep costs 2L + 3 crossings, a CM run 3L + 2): reuse = cold's
   /// whole component minus the seed argmin; cone = the CM levels above
-  /// cone_level minus the column-frontier allgatherv and the membership
+  /// cone_level minus the column-frontier gather and the membership
   /// allreduce (2 each), minus 2L + 3 when k != 1 (the cone's plain sweep
   /// from the root, which cold runs as its ordering); recompute -2. Repair
   /// is only worth launching when > 0.

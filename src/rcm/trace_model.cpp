@@ -146,8 +146,7 @@ CostBreakdown project_cost(const ExecutionTrace& trace, int cores,
   // One level's expansion: the local work (multiply + accumulator merge
   // multithreaded across all cores; the SET + SELECT scans fused into the
   // kernel stay attributed to Other) and the owner-direct alltoallv of the
-  // partials (fan-out q, subsuming the old row alltoallv + transpose
-  // pairwise exchange), in `crossings` barrier crossings.
+  // partials (fan-out q), in `crossings` barrier crossings.
   const auto add_expand = [&](const LevelTrace& l, PhaseTime& spmspv,
                               PhaseTime& other, std::uint64_t crossings) {
     const double frontier = static_cast<double>(l.frontier);

@@ -104,12 +104,6 @@ PatternFingerprint salt_ordering_options(PatternFingerprint fp,
   return fp;
 }
 
-PatternFingerprint fingerprint_pattern(mps::Comm& world,
-                                       const sparse::CsrMatrix& a,
-                                       dist::ProcGrid2D& grid) {
-  return fingerprint_pattern_refined(world, a, grid).fp;
-}
-
 RefinedFingerprint fingerprint_pattern_refined(mps::Comm& world,
                                                const sparse::CsrMatrix& a,
                                                dist::ProcGrid2D& grid,

@@ -86,13 +86,6 @@ struct PatternFingerprintHash {
   std::size_t operator()(const PatternFingerprint& f) const;
 };
 
-/// Collective on the grid's world: every rank mixes its 2D window of `a`
-/// (the same replicated fixture everywhere) and one allreduce returns the
-/// identical fingerprint on every rank.
-PatternFingerprint fingerprint_pattern(mps::Comm& world,
-                                       const sparse::CsrMatrix& a,
-                                       dist::ProcGrid2D& grid);
-
 /// The solve-plan guard that rides the fingerprint's allreduce. A cached
 /// solver::SolvePlan is only valid for the exact input windows it was
 /// routed from; the fingerprint's partition-invariant sum cannot vouch for
@@ -110,12 +103,13 @@ struct PlanGuard {
   bool accepted = false;
 };
 
-/// The refined collective: identical total hash, plus the K row-window
-/// sub-sums, still in ONE allreduce (K+2 carried words: the windows, the
-/// total and the plan-guard rejection count). fp.hash equals
-/// fingerprint_pattern's bit for bit — the windows merely re-bucket the
-/// same per-entry terms by row. `guard`, when non-null, is decided in the
-/// same allreduce.
+/// Collective on the grid's world: every rank mixes its 2D window of `a`
+/// (the same replicated fixture everywhere) and ONE allreduce returns the
+/// identical fingerprint on every rank, plus the K row-window sub-sums
+/// (K+2 carried words: the windows, the total and the plan-guard rejection
+/// count). The windows re-bucket the same per-entry terms as the total
+/// hash by row. `guard`, when non-null, is decided in the same
+/// allreduce.
 RefinedFingerprint fingerprint_pattern_refined(mps::Comm& world,
                                                const sparse::CsrMatrix& a,
                                                dist::ProcGrid2D& grid,

@@ -29,15 +29,14 @@ struct LanePlan {
 };
 
 /// Carves lanes for `requests` concurrent requests on `ranks` ranks:
-/// as many lanes as there are requests (capped by max_lanes when set),
-/// each the LARGEST square grid fitting the per-lane share — a single
-/// request always gets the full largest-square lane, so the steady-state
-/// geometry (and with it the warmed workspace capacities) is stable.
-LanePlan plan_lanes(int ranks, std::size_t requests, int max_lanes) {
+/// as many lanes as there are requests, each the LARGEST square grid
+/// fitting the per-lane share — a single request always gets the full
+/// largest-square lane, so the steady-state geometry (and with it the
+/// warmed workspace capacities) is stable.
+LanePlan plan_lanes(int ranks, std::size_t requests) {
   int desired = static_cast<int>(
       std::min<std::size_t>(requests, static_cast<std::size_t>(ranks)));
   desired = std::max(desired, 1);
-  if (max_lanes > 0) desired = std::min(desired, max_lanes);
   LanePlan plan;
   plan.lane_size = dist::largest_square_grid(std::max(ranks / desired, 1));
   plan.nlanes = std::min(desired, ranks / plan.lane_size);
@@ -66,9 +65,6 @@ ReorderingService::ReorderingService(const ServiceOptions& options)
   DRCM_CHECK(options_.threads_per_rank >= 1,
              "service needs at least one thread per rank");
   DRCM_CHECK(options_.max_relaunches >= 0, "negative relaunch budget");
-  DRCM_CHECK(options_.repair_max_windows >= 1 &&
-                 options_.repair_max_windows <= kFingerprintWindows,
-             "repair_max_windows out of range");
   cumulative_.machine = options_.machine;
 }
 
@@ -228,7 +224,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
           diff += entry.rf.windows[static_cast<std::size_t>(w)] !=
                   refined[req].windows[static_cast<std::size_t>(w)];
         }
-        if (diff < 1 || diff > options_.repair_max_windows) continue;
+        if (diff < 1 || diff > kRepairMaxWindows) continue;
         if (best == nullptr || diff < best_diff ||
             (diff == best_diff && entry.last_use_tick > best_tick)) {
           best = &entry;
@@ -259,7 +255,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
       if (mode[req] != Mode::kHit) strip(req);
     }
 
-    const LanePlan plan = plan_lanes(P, wave.size(), options_.max_lanes);
+    const LanePlan plan = plan_lanes(P, wave.size());
 
     // Deal the wave's requests round-robin onto the lanes.
     std::vector<std::vector<std::size_t>> lane_queue(

@@ -139,6 +139,10 @@ struct OrderSolveResponse {
   int lane_ranks = 0;
 };
 
+/// Window-diff cap for repair candidacy (of kFingerprintWindows): a delta
+/// touching more row windows than this recomputes cold.
+inline constexpr int kRepairMaxWindows = 8;
+
 struct ServiceOptions {
   /// World size of the service's rank fleet. Need not be square — lanes
   /// are carved as the largest square fitting the per-wave share.
@@ -157,18 +161,12 @@ struct ServiceOptions {
   /// briefly exceeded when every resident entry is pinned by the batch
   /// in flight — served entries are never evicted mid-batch.
   std::size_t cache_capacity = 64;
-  /// Cap on concurrent lanes per batch wave (0 = one lane per request,
-  /// as many as the fleet fits).
-  int max_lanes = 0;
   /// Attempt incremental repair on near-miss patterns: a miss whose
   /// refined fingerprint differs from a repair-eligible cached entry in
-  /// at most repair_max_windows row windows is repaired (component
+  /// at most kRepairMaxWindows row windows is repaired (component
   /// reuse + cone re-level + splice) when rcm::plan_repair prices that
   /// strictly under a cold recompute.
   bool enable_repair = true;
-  /// Window-diff cap for repair candidacy (1..kFingerprintWindows; a
-  /// delta touching more windows than this recomputes cold).
-  int repair_max_windows = 8;
   /// Debug cross-check: after every successful repair, run a
   /// stats-isolated cold ordering on the lane and DRCM_CHECK the repaired
   /// labels are bit-identical. Doubles the ordering cost of repairs (the

@@ -30,27 +30,7 @@ struct Fixture {
         sparse(dist, grid) {}
 };
 
-TEST_P(PrimGrids, SelectKeepsOnlyMatches) {
-  Runtime::run(GetParam(), [](Comm& world) {
-    Fixture f(world, 41);
-    // Dense: even indices visited (0), odd unvisited (-1).
-    for (index_t g = f.dense.lo(); g < f.dense.hi(); ++g) {
-      f.dense.set(g, g % 2 == 0 ? 0 : kNoVertex);
-    }
-    // Sparse: every owned index.
-    std::vector<VecEntry> mine;
-    for (index_t g = f.sparse.lo(); g < f.sparse.hi(); ++g) {
-      mine.push_back(VecEntry{g, g});
-    }
-    f.sparse.assign(mine);
-    const auto kept = select_where_equals(f.sparse, f.dense, kNoVertex, world);
-    for (const auto& e : kept.entries()) EXPECT_EQ(e.idx % 2, 1);
-    const index_t total = kept.global_nnz(world);
-    EXPECT_EQ(total, 41 / 2);
-  });
-}
-
-TEST_P(PrimGrids, ScatterAndGatherDense) {
+TEST_P(PrimGrids, ScatterIntoDense) {
   Runtime::run(GetParam(), [](Comm& world) {
     Fixture f(world, 29);
     std::vector<VecEntry> mine;
@@ -62,10 +42,6 @@ TEST_P(PrimGrids, ScatterAndGatherDense) {
     for (index_t g = f.dense.lo(); g < f.dense.hi(); ++g) {
       EXPECT_EQ(f.dense.get(g), g % 3 == 0 ? g * 2 : kNoVertex);
     }
-    // Now overwrite dense and gather back into the sparse values.
-    for (index_t g = f.dense.lo(); g < f.dense.hi(); ++g) f.dense.set(g, g + 7);
-    gather_from_dense(f.sparse, f.dense, world);
-    for (const auto& e : f.sparse.entries()) EXPECT_EQ(e.val, e.idx + 7);
   });
 }
 

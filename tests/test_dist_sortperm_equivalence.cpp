@@ -1,4 +1,4 @@
-// The ablation contract behind bench/micro_sort: the paper's bucket
+// The contract behind perfbench's dist.sortperm_* probes: the paper's bucket
 // SORTPERM and the sample-sort baseline are interchangeable — identical
 // ranks on any frontier, including deterministic resolution of degree
 // ties, so every measured difference between them is performance, never

@@ -86,22 +86,20 @@ TEST(ProcGrid, RequiresSquareWorld) {
                CheckError);
 }
 
-TEST(ProcGrid, CoordinatesAndSubcommunicators) {
+TEST(ProcGrid, CoordinatesAndColumnRanks) {
   Runtime::run(9, [](Comm& world) {
     ProcGrid2D grid(world);
     EXPECT_EQ(grid.q(), 3);
     EXPECT_EQ(grid.row(), world.rank() / 3);
     EXPECT_EQ(grid.col(), world.rank() % 3);
-    EXPECT_EQ(grid.row_comm().size(), 3);
-    EXPECT_EQ(grid.col_comm().size(), 3);
-    // Row comm: all members share my row index.
-    const auto rows = grid.row_comm().allgather(grid.row());
-    for (const int r : rows) EXPECT_EQ(r, grid.row());
-    const auto cols = grid.col_comm().allgather(grid.col());
-    for (const int c : cols) EXPECT_EQ(c, grid.col());
-    // Transpose partner is an involution.
-    const int partner = grid.transpose_partner();
-    EXPECT_EQ(grid.world_rank_of(partner % 3, partner / 3), world.rank());
+    // My processor column, in grid-row order: every member shares my
+    // column index, and I sit at my row.
+    const auto column = grid.col_world_ranks();
+    ASSERT_EQ(column.size(), 3u);
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(column[static_cast<std::size_t>(r)] % 3, grid.col());
+      EXPECT_EQ(column[static_cast<std::size_t>(r)] / 3, r);
+    }
   });
 }
 

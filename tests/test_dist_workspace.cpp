@@ -183,7 +183,7 @@ INSTANTIATE_TEST_SUITE_P(Grids, WorkspaceGrids, ::testing::Values(1, 4));
 TEST_P(WorkspaceGrids, TwoMatrixSizesAlternateWithoutCrossContamination) {
   // The hazard the workspace object fixes: under the thread_local SPA, a
   // big matrix inflated the shared buffer and a small matrix reused it
-  // blind. Alternate unfused SpMSpV calls and fused level steps of two
+  // blind. Alternate standalone SpMSpV calls and fused level steps of two
   // differently-sized matrices through ONE shared workspace and demand
   // bit-identical results to calls made with a fresh workspace each time.
   const int p = GetParam();
@@ -217,7 +217,7 @@ TEST_P(WorkspaceGrids, TwoMatrixSizesAlternateWithoutCrossContamination) {
           const auto got = spmspv_select2nd_min(mat, x, grid, &shared);
           const auto want = spmspv_select2nd_min(mat, x, grid, &fresh);
           ASSERT_EQ(got.entries(), want.entries())
-              << "unfused p=" << p << " threads=" << threads
+              << "standalone p=" << p << " threads=" << threads
               << " round=" << round << " big=" << use_big;
           const auto step = [&](DistWorkspace& ws) {
             return bfs_level_step(mat, x, dense, kNoVertex, grid,

@@ -182,9 +182,9 @@ TEST(FaultInjection, WatchdogConvertsAStalledRankIntoBoundedDiagnostic) {
 
 TEST(FaultInjection, CorruptedOrderingLevelPayloadsFailNamedChecks) {
   // path(12) on the 2 x 2 grid, CM from root 10 (chunk 1 = [6, 12): rank 1
-  // owns 6-8, rank 3 owns 9-11). Every rank's 3rd collective is the first
-  // ordering level (the two grid splits come first; the degree vector is
-  // built locally with the block). Its
+  // owns 6-8, rank 3 owns 9-11). Every rank's 1st collective is the first
+  // ordering level (the grid, the block and the degree vector are built
+  // without a collective). Its
   // level {9, 11} has one parent, so it is expanded by rank 3, whose
   // partials come home to rank 3; dealt whole to worker 0 (parent stripe
   // [0, 1)); and labeled for processor column 1 = ranks 1 and 3. A
@@ -204,7 +204,7 @@ TEST(FaultInjection, CorruptedOrderingLevelPayloadsFailNamedChecks) {
   for (const auto& c : cases) {
     SCOPED_TRACE(c.superstep);
     FaultPlan plan;
-    plan.corrupt_at(c.rank, 3);
+    plan.corrupt_at(c.rank, 1);
     try {
       Runtime::run(
           4,
@@ -231,8 +231,8 @@ TEST(FaultInjection, CorruptedStandaloneSortpermPayloadsFailNamedChecks) {
   // parent bucket = vertex mod 4: every rank owns 4 vertices, one per
   // bucket, so it deals one triple to every worker (worker w's stripe is
   // bucket w), receives 4 counts, and gets one position back per owned
-  // vertex. After the two grid splits, collective 3 is the deal, 4 the
-  // count allgather and 5 the scatter-back; each receives a non-empty
+  // vertex. Collective 1 is the deal, 2 the count allgather and 3 the
+  // scatter-back (the grid is built without one); each receives a non-empty
   // payload on every rank, so the corruption lands on that collective.
   struct Case {
     const char* collective;
@@ -240,9 +240,9 @@ TEST(FaultInjection, CorruptedStandaloneSortpermPayloadsFailNamedChecks) {
     const char* check;
   };
   const Case cases[] = {
-      {"deal", 3, "dealt bucket outside the worker's parent-label stripe"},
-      {"count", 4, "worker count outside [0, n]"},
-      {"scatter-back", 5, "rank routed to non-owner"},
+      {"deal", 1, "dealt bucket outside the worker's parent-label stripe"},
+      {"count", 2, "worker count outside [0, n]"},
+      {"scatter-back", 3, "rank routed to non-owner"},
   };
   constexpr index_t kN = 16;
   for (const auto& c : cases) {
@@ -286,12 +286,15 @@ struct NamedPlan {
 
 std::vector<NamedPlan> pipeline_plans(int nranks) {
   std::vector<NamedPlan> plans;
-  plans.push_back({"rank-death", FaultPlan().die_at(nranks - 1, 5)});
-  // Ordinal 5 lands the poisoned word on a payload the ordering actually
+  // The ordering stage opens with the barrier before the block build
+  // (collective 1) and the seed argmin (2), then the peripheral search's
+  // BFS levels (3, 4, ...).
+  plans.push_back({"rank-death", FaultPlan().die_at(nranks - 1, 4)});
+  // Ordinal 4 lands the poisoned word on a payload the ordering actually
   // consumes at both grid sizes, so the first attempt must fail and retry.
-  plans.push_back({"payload-corruption", FaultPlan().corrupt_at(1, 5)});
-  plans.push_back({"alloc-failure", FaultPlan().fail_alloc_at(0, 6)});
-  plans.push_back({"stall", FaultPlan().stall_at(2, 2, 0.25)});
+  plans.push_back({"payload-corruption", FaultPlan().corrupt_at(1, 4)});
+  plans.push_back({"alloc-failure", FaultPlan().fail_alloc_at(0, 5)});
+  plans.push_back({"stall", FaultPlan().stall_at(2, 1, 0.25)});
   return plans;
 }
 
@@ -348,7 +351,7 @@ TEST(RecoverablePipeline, RetriedAttemptsStayOnTheCostLedger) {
   std::vector<double> b(static_cast<std::size_t>(a.n()), 1.0);
   const auto clean = rcm::run_ordered_solve_recoverable(4, spec_of(a, b));
   FaultPlan plan;
-  plan.die_at(3, 5);
+  plan.die_at(3, 4);
   rcm::RecoveryOptions recovery;
   recovery.faults = &plan;
   recovery.max_attempts = 3;

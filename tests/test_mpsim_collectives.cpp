@@ -119,18 +119,6 @@ TEST_P(CollectivesTest, ExscanSumIsExclusivePrefix) {
   });
 }
 
-TEST_P(CollectivesTest, PairwiseExchangeWithReversalPartner) {
-  const int p = GetParam();
-  Runtime::run(p, [&](Comm& comm) {
-    const int partner = comm.size() - 1 - comm.rank();
-    std::vector<std::int64_t> send(3, comm.rank());
-    const auto recv =
-        comm.pairwise_exchange(partner, std::span<const std::int64_t>(send));
-    ASSERT_EQ(recv.size(), 3u);
-    EXPECT_EQ(recv[0], partner);
-  });
-}
-
 TEST_P(CollectivesTest, SplitFormsRowGroups) {
   const int p = GetParam();
   Runtime::run(p, [&](Comm& comm) {

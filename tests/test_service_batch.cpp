@@ -11,7 +11,7 @@
 //    batch peer completes bit-identically to a fault-free batch — and the
 //    victim leaves no cache entry;
 //  * more requests than lanes round-robin onto the available lanes
-//    (max_lanes = 1 serializes the whole batch through one lane);
+//    (five requests on four 1x1 lanes queue two on lane 0);
 //  * duplicate patterns inside one batch COALESCE: the first occurrence
 //    computes the ordering exactly once, twins wait a wave and are served
 //    from the freshly inserted entry;
@@ -151,11 +151,12 @@ TEST(ServiceBatch, KilledRequestFailsAloneWhilePeersCompleteBitIdentically) {
   ReorderingService reference(clean);
   const auto want = reference.submit_batch(fixture.requests);
 
-  // World rank 5 = lane 1, lane rank 1; its 10th collective lands inside
-  // request 1's ordering. The fleet is poisoned, the driver attributes the
-  // death to request 1, and relaunches the survivors from its checkpoints.
+  // World rank 5 = lane 1, lane rank 1; its 7th collective (the third BFS
+  // level of the peripheral search) lands inside request 1's ordering. The
+  // fleet is poisoned, the driver attributes the death to request 1, and
+  // relaunches the survivors from its checkpoints.
   mps::FaultPlan plan;
-  plan.die_at(5, 10);
+  plan.die_at(5, 7);
   ServiceOptions faulty;
   faulty.ranks = 16;
   faulty.faults = &plan;
@@ -208,20 +209,20 @@ TEST(ServiceBatch, MoreRequestsThanRanksRoundRobinOntoLanes) {
     expect_bitwise_equal(responses[i].x, want.result.x);
   }
 
-  // max_lanes = 1: the same batch serializes through ONE full 2x2 lane
-  // (round-robin queue of three on lane 0), equal to p = 4 references.
-  ServiceOptions serial;
-  serial.ranks = 4;
-  serial.max_lanes = 1;
-  ReorderingService one_lane(serial);
-  const auto queued = one_lane.submit_batch(fixture.requests);
-  EXPECT_EQ(one_lane.launches(), 1);
-  for (std::size_t i = 0; i < 3; ++i) {
+  // Five requests on four ranks: four 1x1 lanes, dealt round-robin, so
+  // lane 0 queues requests 0 and 4 in the same launch; each still equals
+  // the p = 1 launcher.
+  BatchFixture five(5);
+  ReorderingService queued_service(options);
+  const auto queued = queued_service.submit_batch(five.requests);
+  ASSERT_EQ(queued.size(), 5u);
+  EXPECT_EQ(queued_service.launches(), 1);
+  for (std::size_t i = 0; i < 5; ++i) {
     ASSERT_EQ(queued[i].status, RequestStatus::kOk);
-    EXPECT_EQ(queued[i].lane, 0);
-    EXPECT_EQ(queued[i].lane_ranks, 4);
+    EXPECT_EQ(queued[i].lane, static_cast<int>(i % 4));
+    EXPECT_EQ(queued[i].lane_ranks, 1);
     const auto want = rcm::run_ordered_solve_recoverable(
-        4, {.matrix = &fixture.matrices[i], .b = fixture.rhs[i]});
+        1, {.matrix = &five.matrices[i], .b = five.rhs[i]});
     expect_bitwise_equal(queued[i].x, want.result.x);
   }
 }

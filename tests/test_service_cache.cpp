@@ -205,10 +205,12 @@ TEST(ServiceCache, FaultNeverPoisonsTheCache) {
   ASSERT_EQ(service.submit(ra).status, RequestStatus::kOk);
   ASSERT_EQ(service.cache_size(), 1u);
 
-  // Kill rank 1 mid-ordering of pattern C's first submission. The request
-  // must come back as a structured fault — and the cache must NOT have
-  // gained an entry for C.
-  plan.die_at(1, 10);
+  // Kill rank 1 mid-ordering of pattern C's first submission: collective 7
+  // is the third BFS level of the peripheral search (after the lane split,
+  // the fingerprint allreduce, the ordering's barrier before its block
+  // build and the seed argmin). The request must come back as a
+  // structured fault — and the cache must NOT have gained an entry for C.
+  plan.die_at(1, 7);
   const auto killed = service.submit(rc);
   EXPECT_EQ(killed.status, RequestStatus::kFault);
   EXPECT_NE(killed.error.find("rank-death"), std::string::npos)
@@ -459,8 +461,8 @@ TEST(ServiceCache, UnsortedCsrCannotReachTheFingerprint) {
   // probed window skipped), letting two distinct patterns collide. The
   // CsrMatrix constructor rejects such input at ingestion — pinned here
   // so the fingerprint's precondition can never be relaxed by accident —
-  // and fingerprint_pattern keeps its own in-walk sortedness check as
-  // defense in depth.
+  // and fingerprint_pattern_refined keeps its own in-walk sortedness
+  // check as defense in depth.
   std::vector<nnz_t> row_ptr{0, 2, 3, 4};
   std::vector<index_t> unsorted_cols{2, 1, 0, 0};  // row 0: {2, 1}
   EXPECT_THROW(sparse::CsrMatrix(3, row_ptr, unsorted_cols), CheckError);
@@ -634,10 +636,10 @@ TEST(ServiceCache, CorruptedPlanHitValueExchangeEndsStructured) {
   ASSERT_EQ(first.status, RequestStatus::kOk);
   ASSERT_TRUE(first.plan_reused);
 
-  // A hit launch enters, on every rank: the world split (1), the lane
-  // grid's row and column splits (2, 3), the fingerprint allreduce (4),
-  // then the value-only matrix exchange (5). Corrupt rank 1's copy of it.
-  plan.corrupt_at(1, 5);
+  // A hit launch enters, on every rank: the world split (1), the
+  // fingerprint allreduce (2), then the value-only matrix exchange (3); the
+  // lane grid is built without a collective. Corrupt rank 1's copy of it.
+  plan.corrupt_at(1, 3);
   const auto poisoned = service.submit(request);
   ASSERT_TRUE(plan.actions().front().fired);
   EXPECT_TRUE(poisoned.status == RequestStatus::kFault ||

@@ -233,10 +233,11 @@ TEST(ServiceRepair, FaultDuringRepairFallsBackColdWithoutPoisoningTheCache) {
 
   // The clean run (TwoComponentDeltaDeterministicallyRepairs) proves this
   // exact (base, delta) pair schedules a repair at p = 4; now rank 1 dies
-  // a few collectives into that repair (armed only after the seed launch,
-  // so the seed ordering is already resident). The request must NOT fail:
-  // a killed repair relaunches COLD, completes, and caches a valid entry.
-  plan.die_at(1, 8);
+  // a few collectives into that repair, at its second BFS level (armed
+  // only after the seed launch, so the seed ordering is already resident).
+  // The request must NOT fail: a killed repair relaunches COLD, completes,
+  // and caches a valid entry.
+  plan.die_at(1, 6);
 
   const auto recovered = service.submit(delta_rq);
   ASSERT_EQ(recovered.status, RequestStatus::kOk)
