@@ -91,7 +91,8 @@ struct ThreadStripe {
   std::vector<index_t> gather;
 };
 
-class DistWorkspace {
+/// Cache-line aligned: per-rank workspaces side by side must not false-share.
+class alignas(64) DistWorkspace {
  public:
   /// The flat SpMSpV stage-2 accumulator, epoch opened over `rows`, and
   /// the list of local rows it touched in this epoch, cleared.

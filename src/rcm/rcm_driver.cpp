@@ -70,50 +70,62 @@ void reverse_labels(mps::Comm& world, dist::DistDenseVec& labels, index_t n) {
   world.charge_compute(static_cast<double>(labels.local_size()));
 }
 
-/// The distributed ordering proper: decompose `work` onto `grid`, run the
-/// per-component peripheral search + CM labeling, reverse. Returns the
-/// distributed label vector in the WORK numbering; dist_order gathers it.
-dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
-                                   const sparse::CsrMatrix& work,
-                                   const DistRcmOptions& options,
-                                   DistRcmStats* stats,
-                                   OrderingRecipe* recipe) {
-  const index_t n = work.n();
-  dist::DistSpMat mat(grid, work);
-  dist::DistDenseVec degrees = mat.degrees(grid);
-  dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
+/// The one component walk of the kRcm, kSloan and repair arms: it owns the
+/// work pattern's decomposition on the caller's grid (block, degrees, CM
+/// labels, kNoVertex = unlabeled). The collective run() opens each component
+/// at its seed, the unlabeled vertex of minimum (degree, id); `body(seed,
+/// first_label)` labels it and returns the next free label (kNoVertex stops).
+struct ComponentWalk {
+  ComponentWalk(dist::ProcGrid2D& grid, const sparse::CsrMatrix& work)
+      : mat(grid, work),
+        degrees(mat.degrees(grid)),
+        labels(mat.vec_dist(), grid, kNoVertex) {}
 
-  DistRcmStats local_stats;
-  index_t next_label = 0;
-  while (next_label < n) {
-    // Component seed: unvisited vertex of minimum degree, ties to id.
-    index_t seed = kNoVertex;
-    {
-      mps::PhaseScope scope(world, mps::Phase::kPeripheralOther);
-      seed = dist::argmin_unvisited(labels, degrees, world).second;
-    }
-    DRCM_CHECK(seed != kNoVertex, "unlabeled vertices must exist");
-    ComponentRecipe cr;
-    const auto comp = dist_order_component(
-        mat, degrees, labels, seed, next_label, grid,
-        options.ordering.peripheral_mode, recipe ? &cr.level_starts : nullptr);
-    local_stats.components += 1;
-    local_stats.peripheral_bfs_sweeps += comp.sweeps;
-    local_stats.discarded_sweeps += comp.discarded_sweeps;
-    local_stats.ordering_levels += comp.eccentricity + 1;
-    next_label = comp.next_label;
-    if (recipe) {
-      cr.seed = seed;
-      cr.root = comp.root;
-      cr.sweeps = comp.sweeps;
-      cr.level_starts.push_back(next_label);  // one-past-the-end sentinel
-      recipe->components.push_back(std::move(cr));
+  void run(mps::Comm& world,
+           const std::function<index_t(index_t, index_t)>& body) {
+    for (index_t next = 0; next != kNoVertex && next < mat.n();) {
+      index_t seed = kNoVertex;
+      {
+        mps::PhaseScope scope(world, mps::Phase::kPeripheralOther);
+        seed = dist::argmin_unvisited(labels, degrees, world).second;
+      }
+      DRCM_CHECK(seed != kNoVertex, "unlabeled vertices must exist");
+      next = body(seed, next);
     }
   }
 
-  reverse_labels(world, labels, n);
-  if (stats) *stats = local_stats;
-  return labels;
+  dist::DistSpMat mat;
+  dist::DistDenseVec degrees;
+  dist::DistDenseVec labels;
+};
+
+/// The kRcm arm: decompose `work` onto `grid`, search + CM-label each
+/// component, reverse. Returns the labels in the WORK numbering with the
+/// decomposition already freed, for dist_order to gather.
+dist::DistDenseVec dist_rcm_levels(dist::ProcGrid2D& grid,
+                                   const sparse::CsrMatrix& work,
+                                   const DistRcmOptions& options,
+                                   DistRcmStats& stats,
+                                   OrderingRecipe* recipe) {
+  ComponentWalk walk(grid, work);
+  walk.run(grid.world(), [&](index_t seed, index_t first_label) {
+    std::vector<index_t> starts;
+    const auto comp = dist_order_component(
+        walk.mat, walk.degrees, walk.labels, seed, first_label, grid,
+        options.ordering.peripheral_mode, recipe ? &starts : nullptr);
+    stats.components += 1;
+    stats.peripheral_bfs_sweeps += comp.sweeps;
+    stats.discarded_sweeps += comp.discarded_sweeps;
+    stats.ordering_levels += comp.eccentricity + 1;
+    if (recipe) {
+      starts.push_back(comp.next_label);  // one-past-the-end sentinel
+      recipe->components.push_back(
+          {seed, comp.root, comp.sweeps, std::move(starts)});
+    }
+    return comp.next_label;
+  });
+  reverse_labels(grid.world(), walk.labels, work.n());
+  return std::move(walk.labels);
 }
 
 /// The kSloan arm: level-synchronous Sloan over the same fused level
@@ -124,33 +136,24 @@ dist::DistDenseVec dist_rcm_levels(mps::Comm& world, dist::ProcGrid2D& grid,
 /// Sloan applies), one more BFS for distances to e, then CM-style level
 /// expansion from s with the static Sloan key substituted for the degree
 /// as the SORTPERM ranking key. No reversal (Sloan numbers front-to-back).
-dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
+dist::DistDenseVec dist_sloan_levels(dist::ProcGrid2D& grid,
                                      const sparse::CsrMatrix& work,
                                      const DistRcmOptions& options,
-                                     DistRcmStats* stats) {
-  const index_t n = work.n();
-  dist::DistSpMat mat(grid, work);
-  dist::DistDenseVec degrees = mat.degrees(grid);
-  dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
-  dist::DistDenseVec keys(mat.vec_dist(), grid, 0);
-  dist::DistDenseVec levels(mat.vec_dist(), grid, kNoVertex);
+                                     DistRcmStats& stats) {
+  auto& world = grid.world();
+  ComponentWalk walk(grid, work);
+  const auto& degrees = walk.degrees;
+  dist::DistDenseVec keys(walk.mat.vec_dist(), grid, 0);
+  dist::DistDenseVec levels(walk.mat.vec_dist(), grid, kNoVertex);
   const order::SloanOptions weights{};  // w1 = 2, w2 = 1, as serial
 
-  DistRcmStats local_stats;
-  index_t next_label = 0;
-  while (next_label < n) {
-    index_t seed = kNoVertex;
-    {
-      mps::PhaseScope scope(world, mps::Phase::kPeripheralOther);
-      seed = dist::argmin_unvisited(labels, degrees, world).second;
-    }
-    DRCM_CHECK(seed != kNoVertex, "unlabeled vertices must exist");
+  walk.run(world, [&](index_t seed, index_t first_label) {
     const auto peripheral =
-        dist_pseudo_peripheral(mat, degrees, seed, grid,
+        dist_pseudo_peripheral(walk.mat, degrees, seed, grid,
                                options.ordering.peripheral_mode);
-    local_stats.components += 1;
-    local_stats.peripheral_bfs_sweeps += peripheral.bfs_sweeps;
-    local_stats.ordering_levels += peripheral.eccentricity + 1;
+    stats.components += 1;
+    stats.peripheral_bfs_sweeps += peripheral.bfs_sweeps;
+    stats.ordering_levels += peripheral.eccentricity + 1;
     const index_t s = peripheral.vertex;
 
     // Pseudo-diameter end vertex e: REDUCE(last level of s's BFS, D).
@@ -161,7 +164,7 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
     }
     DRCM_CHECK(e != kNoVertex, "last BFS level cannot be empty");
     const auto bfs_e =
-        dist_bfs(mat, e, levels, grid, mps::Phase::kPeripheralSpmspv,
+        dist_bfs(walk.mat, e, levels, grid, mps::Phase::kPeripheralSpmspv,
                  mps::Phase::kPeripheralOther);
 
     // Static key = w1*(deg+1) + w2*(ecc(e) - dist(v, e)), non-negative and
@@ -178,11 +181,10 @@ dist::DistDenseVec dist_sloan_levels(mps::Comm& world, dist::ProcGrid2D& grid,
       }
       world.charge_compute(static_cast<double>(keys.local_size()));
     }
-    next_label =
-        dist_cm_component(mat, keys, labels, s, next_label, grid).next_label;
-  }
-  if (stats) *stats = local_stats;
-  return labels;  // no reversal
+    return dist_cm_component(walk.mat, keys, walk.labels, s, first_label, grid)
+        .next_label;
+  });
+  return std::move(walk.labels);  // no reversal
 }
 
 /// The kGps arm, v1: each rank runs the replicated serial GPS on the
@@ -201,9 +203,11 @@ std::vector<index_t> gps_replicated(mps::Comm& world,
 
 }  // namespace
 
-std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
+std::vector<index_t> dist_order(dist::ProcGrid2D& grid,
+                                const sparse::CsrMatrix& a,
                                 const DistRcmOptions& options,
                                 DistRcmStats* stats, OrderingRecipe* recipe) {
+  auto& world = grid.world();
   check_no_self_loops(
       world, a, "dist_order expects an adjacency pattern (strip_diagonal first)");
   DRCM_CHECK(recipe == nullptr || !options.load_balance,
@@ -237,7 +241,6 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
   if (resolved.ordering.algorithm == OrderingAlgorithm::kGps) {
     global = gps_replicated(world, *work);
   } else {
-    dist::ProcGrid2D grid(world);
     // Start the block build in lockstep. Measured with perfbench on a
     // 4-core host: without this barrier order_wide's pass p90 rises from
     // ~11.6 to ~16.6 ms (p50 unchanged); a barrier before the self-loop
@@ -245,9 +248,8 @@ std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
     world.barrier();
     dist::DistDenseVec labels =
         resolved.ordering.algorithm == OrderingAlgorithm::kSloan
-            ? dist_sloan_levels(world, grid, *work, resolved, &local_stats)
-            : dist_rcm_levels(world, grid, *work, resolved, &local_stats,
-                              recipe);
+            ? dist_sloan_levels(grid, *work, resolved, local_stats)
+            : dist_rcm_levels(grid, *work, resolved, local_stats, recipe);
     // Replicate.
     mps::PhaseScope scope(world, mps::Phase::kOrderingOther);
     global = labels.to_global(world);
@@ -391,12 +393,12 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
     return out;
   }
 
-  // Same decomposition a cold run pays for: the delta'd pattern on the
-  // 2D grid plus its NEW degree vector (degrees of delta vertices changed;
-  // the ranking keys must be the new ones for bit-identity with cold).
-  dist::DistSpMat mat(grid, a);
-  dist::DistDenseVec degrees = mat.degrees(grid);
-  dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
+  // The walk a cold run takes, on the delta'd pattern and its NEW degrees
+  // (the ranking keys must be the new ones for bit-identity with cold).
+  // Walk component k must be cached component k, or the walk ends early.
+  ComponentWalk walk(grid, a);
+  const auto& degrees = walk.degrees;
+  auto& labels = walk.labels;
 
   // cached CM label of vertex v (the recipe's label space).
   const auto cm_cached = [&](index_t v) {
@@ -434,28 +436,24 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
                bad, [](index_t x, index_t y) { return std::max(x, y); }) != 0;
   };
 
-  index_t next_label = 0;
-  for (std::size_t k = 0; k < recipe.components.size(); ++k) {
+  std::size_t k = 0;
+  walk.run(world, [&](index_t seed, index_t first_label) {
+    DRCM_CHECK(k < recipe.components.size() &&
+                   recipe.components[k].lo() == first_label,
+               "recipe components must tile [0, n)");
     const auto& cr = recipe.components[k];
-    const auto& cp = plan.components[k];
+    const auto& cp = plan.components[k++];
     const index_t comp_lo = cr.lo();
     const index_t comp_hi = cr.hi();
-    DRCM_CHECK(comp_lo == next_label, "recipe components must tile [0, n)");
 
-    // The seed argmin a cold run would perform, on the NEW degrees. If it
-    // does not land in the expected cached component, the delta reordered
-    // component discovery (a changed degree now wins the argmin) and the
-    // whole cached label space is stale — fall back to cold.
-    index_t seed = kNoVertex;
-    {
-      mps::PhaseScope scope(world, mps::Phase::kPeripheralOther);
-      seed = dist::argmin_unvisited(labels, degrees, world).second;
-    }
-    DRCM_CHECK(seed != kNoVertex, "unlabeled vertices must exist");
+    // The seed is the argmin a cold run performs, on the NEW degrees. If
+    // it does not land in the expected cached component, the delta
+    // reordered component discovery (a changed degree now wins the argmin)
+    // and the whole cached label space is stale — fall back to cold.
     const index_t cm_seed = cm_cached(seed);
     if (cm_seed < comp_lo || cm_seed >= comp_hi) {
       out.reason = "component discovery order changed";
-      return out;
+      return kNoVertex;
     }
 
     // A clean component whose seed matches needs no peripheral search: the
@@ -469,21 +467,19 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
     // winner still wins — but the degrade path below keeps repair honest
     // rather than trusting that proof at runtime.)
     RepairAction action = cp.action;
-    ComponentRecipe ncr;
-    ncr.seed = seed;
-    ncr.root = cr.root;
-    ncr.sweeps = cr.sweeps;
+    ComponentRecipe ncr{seed, cr.root, cr.sweeps, {}};
+    index_t next_label = comp_lo;
     bool searched = false;  // labels still to write from ncr.root
     if (action == RepairAction::kRecompute) {
       const auto comp = dist_order_component(
-          mat, degrees, labels, seed, comp_lo, grid,
+          walk.mat, degrees, labels, seed, comp_lo, grid,
           options.ordering.peripheral_mode, &ncr.level_starts);
       ncr.root = comp.root;
       ncr.sweeps = comp.sweeps;
       next_label = comp.next_label;
     } else if (!(action == RepairAction::kReuse && seed == cr.seed)) {
       const auto peripheral =
-          dist_pseudo_peripheral(mat, degrees, seed, grid,
+          dist_pseudo_peripheral(walk.mat, degrees, seed, grid,
                                  options.ordering.peripheral_mode);
       ncr.root = peripheral.vertex;
       ncr.sweeps = peripheral.bfs_sweeps;
@@ -500,7 +496,6 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
 
     if (action == RepairAction::kReuse) {
       splice_cached(comp_lo, comp_hi);
-      next_label = comp_hi;
       ncr.level_starts = cr.level_starts;
       out.reused += 1;
     } else if (action == RepairAction::kCone) {
@@ -517,7 +512,7 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
       auto frontier = dist::frontier_from_label_range(
           labels, flo, fhi, grid, mps::Phase::kOrderingOther);
       std::vector<index_t> cone_starts;
-      next_label = dist_cm_cone(mat, degrees, labels, std::move(frontier),
+      next_label = dist_cm_cone(walk.mat, degrees, labels, std::move(frontier),
                                 fhi - flo, fhi, grid, &cone_starts,
                                 /*label_cap=*/comp_hi)
                        .next_label;
@@ -525,11 +520,11 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
         out.reason = next_label > comp_hi
                          ? "cone escaped its component (pattern merge)"
                          : "cone exhausted early (pattern split)";
-        return out;
+        return kNoVertex;
       }
       if (membership_violated(comp_lo, comp_hi)) {
         out.reason = "cone absorbed foreign vertices (pattern merge)";
-        return out;
+        return kNoVertex;
       }
       ncr.level_starts.assign(cr.level_starts.begin(),
                               cr.level_starts.begin() + d);
@@ -540,25 +535,27 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
       out.level_steps_skipped += d - 1;
     } else {
       if (searched) {
-        next_label = dist_cm_component(mat, degrees, labels, ncr.root,
+        next_label = dist_cm_component(walk.mat, degrees, labels, ncr.root,
                                        comp_lo, grid, &ncr.level_starts)
                          .next_label;
       }
       if (next_label != comp_hi) {
         out.reason = "recomputed component changed size (split or merge)";
-        return out;
+        return kNoVertex;
       }
       if (cp.action != RepairAction::kReuse &&
           membership_violated(comp_lo, comp_hi)) {
         out.reason = "recomputed component absorbed foreign vertices";
-        return out;
+        return kNoVertex;
       }
       ncr.level_starts.push_back(comp_hi);
       out.recomputed += 1;
     }
     out.recipe.components.push_back(std::move(ncr));
-  }
-  DRCM_CHECK(next_label == n, "repair must label every vertex");
+    return comp_hi;
+  });
+  if (!out.reason.empty()) return out;
+  DRCM_CHECK(k == recipe.components.size(), "repair must label every vertex");
 
   // Reverse, then replicate — the same tail as the cold path, charged to
   // the same phases.
@@ -618,24 +615,23 @@ void check_solve_spec(const OrderedSolveSpec& spec) {
 /// count is exactly the redistribution traffic (alltoallv + bandwidth
 /// allreduce = 4 crossings): the caller's grid was built without a
 /// collective.
-dist::OneShotRowBlocks redistribute_stage(mps::Comm& world,
-                                          dist::ProcGrid2D& grid,
+dist::OneShotRowBlocks redistribute_stage(dist::ProcGrid2D& grid,
                                           const sparse::CsrMatrix& a,
                                           const std::vector<index_t>& labels) {
-  mps::PhaseScope scope(world, mps::Phase::kRedistribute);
+  mps::PhaseScope scope(grid.world(), mps::Phase::kRedistribute);
   return dist::redistribute_to_row_blocks(a, labels, grid);
 }
 
 /// This rank's O(n/p) window of the pre-distribution rhs fixture, as the
 /// 2D-distributed vector the rhs routes read.
-dist::DistDenseVecD rhs_window(mps::Comm& world, dist::ProcGrid2D& grid,
+dist::DistDenseVecD rhs_window(dist::ProcGrid2D& grid,
                                std::span<const double> b) {
   const auto n = static_cast<index_t>(b.size());
   dist::DistDenseVecD b_dist(dist::VectorDist(n, grid.q()), grid, 0.0);
   for (index_t g = b_dist.lo(); g < b_dist.hi(); ++g) {
     b_dist.set(g, b[static_cast<std::size_t>(g)]);
   }
-  world.charge_compute(static_cast<double>(b_dist.local_size()));
+  grid.world().charge_compute(static_cast<double>(b_dist.local_size()));
   return b_dist;
 }
 
@@ -645,12 +641,13 @@ dist::DistDenseVecD rhs_window(mps::Comm& world, dist::ProcGrid2D& grid,
 /// alongside (its row block); `slot_out` as in redistribute_to_row_slab.
 /// The grid's workspace stages the exchange, so repeat solves on a
 /// persistent grid reallocate nothing. Collective.
-std::vector<double> route_rhs(mps::Comm& world, dist::ProcGrid2D& grid,
+std::vector<double> route_rhs(dist::ProcGrid2D& grid,
                               const std::vector<index_t>& labels,
                               std::span<const double> b, std::uint64_t held,
                               std::vector<index_t>* slot_out) {
+  auto& world = grid.world();
   mps::PhaseScope scope(world, mps::Phase::kRedistribute);
-  const auto b_dist = rhs_window(world, grid, b);
+  const auto b_dist = rhs_window(grid, b);
   auto b_local = dist::redistribute_to_row_slab(b_dist, labels, world,
                                                 &grid.workspace(), slot_out);
   world.note_resident(held +
@@ -663,14 +660,14 @@ std::vector<double> route_rhs(mps::Comm& world, dist::ProcGrid2D& grid,
 /// checkpointed stage-2 row block of this rank (dist_pcg builds its plan
 /// from the block). The solution never leaves slab form inside the SPMD
 /// body. Collective; `labels` is the stage-1 output.
-OrderedSolveResult solve_stage(mps::Comm& world, dist::ProcGrid2D& grid,
+OrderedSolveResult solve_stage(dist::ProcGrid2D& grid,
                                const dist::RowBlockCsr& block,
                                const std::vector<index_t>& labels,
                                const OrderedSolveSpec& spec) {
-  const auto b_local = route_rhs(world, grid, labels, spec.b,
-                                 block.resident_elements(), nullptr);
+  const auto b_local =
+      route_rhs(grid, labels, spec.b, block.resident_elements(), nullptr);
   OrderedSolveResult out;
-  out.cg = solver::dist_pcg(world, block, b_local, out.x_local,
+  out.cg = solver::dist_pcg(grid.world(), block, b_local, out.x_local,
                             spec.precondition, spec.cg);
   return out;
 }
@@ -697,10 +694,10 @@ void redistribute_and_solve(dist::ProcGrid2D& grid,
                             OrderedSolveResult& out) {
   auto& world = grid.world();
   const sparse::CsrMatrix& a = *spec.matrix;
-  auto redist = redistribute_stage(world, grid, a, labels);
+  auto redist = redistribute_stage(grid, a, labels);
   std::vector<index_t> rhs_slot;
   const auto b_local =
-      route_rhs(world, grid, labels, spec.b,
+      route_rhs(grid, labels, spec.b,
                 redist.block.resident_elements() + redist.origin.size(),
                 &rhs_slot);
   auto plan = solver::build_solve_plan(world, redist.block, redist.origin);
@@ -737,7 +734,7 @@ void solve_on_plan_hit(dist::ProcGrid2D& grid, const OrderedSolveSpec& spec,
   {
     mps::PhaseScope scope(world, mps::Phase::kRedistribute);
     values = dist::route_row_block_values(a, *spec.labels, grid);
-    const auto b_dist = rhs_window(world, grid, spec.b);
+    const auto b_dist = rhs_window(grid, spec.b);
     b_local = dist::route_to_row_slab(b_dist, *spec.labels, world,
                                       plan.rhs_slot, grid.workspace());
   }
@@ -779,11 +776,10 @@ OrderedSolveResult ordered_solve(dist::ProcGrid2D& grid,
   // otherwise each rank strips its own transient copy. dist_order
   // dispatches on spec.rcm.ordering — the whole portfolio flows through
   // the one pipeline.
-  auto& world = grid.world();
   out.labels = spec.adjacency
-                   ? dist_order(world, *spec.adjacency, spec.rcm, nullptr,
+                   ? dist_order(grid, *spec.adjacency, spec.rcm, nullptr,
                                 spec.recipe)
-                   : dist_order(world, a.strip_diagonal(), spec.rcm, nullptr,
+                   : dist_order(grid, a.strip_diagonal(), spec.rcm, nullptr,
                                 spec.recipe);
   redistribute_and_solve(grid, spec, out.labels, out);
   return out;
@@ -802,8 +798,8 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
   DRCM_CHECK(spec.plan == nullptr && spec.plan_out == nullptr,
              "the recoverable runner neither reuses nor exports solve plans");
   const index_t n = a.n();
-  const int q = static_cast<int>(std::lround(std::sqrt(nranks)));
-  DRCM_CHECK(q * q == nranks, "world size must be a perfect square");
+  DRCM_CHECK(dist::largest_square_grid(nranks) == nranks,
+             "world size must be a perfect square");
   const std::uint64_t budget = resident_budget(a.nnz(), nranks, n);
   const int threads = launch_threads(spec.rcm);
   // The adjacency is stripped once outside the ranks when the caller did not
@@ -877,7 +873,8 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
   run_stage(
       "ordering",
       [&](mps::Comm& world) {
-        auto result = dist_order(world, adjacency, spec.rcm);
+        dist::ProcGrid2D grid(world);
+        auto result = dist_order(grid, adjacency, spec.rcm);
         if (world.rank() == 0) labels = std::move(result);
       },
       // A corrupted index payload that survived the run shows up here.
@@ -892,7 +889,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
       "redistribute",
       [&](mps::Comm& world) {
         dist::ProcGrid2D grid(world);
-        auto result = redistribute_stage(world, grid, a, labels);
+        auto result = redistribute_stage(grid, a, labels);
         blocks[static_cast<std::size_t>(world.rank())] =
             std::move(result.block);
         if (world.rank() == 0) bandwidth = result.bandwidth;
@@ -936,8 +933,7 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
       [&](mps::Comm& world) {
         dist::ProcGrid2D grid(world);
         auto result = solve_stage(
-            world, grid, blocks[static_cast<std::size_t>(world.rank())],
-            labels, spec);
+            grid, blocks[static_cast<std::size_t>(world.rank())], labels, spec);
         slabs[static_cast<std::size_t>(world.rank())] =
             std::move(result.x_local);
         if (world.rank() == 0) run.result.cg = result.cg;
@@ -964,12 +960,10 @@ DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,
   run.report = mps::Runtime::run(
       nranks,
       [&](mps::Comm& world) {
-        DistRcmStats stats;
-        auto labels = dist_order(world, a, options, &stats);
-        if (world.rank() == 0) {
-          run.labels = std::move(labels);
-          run.stats = stats;
-        }
+        dist::ProcGrid2D grid(world);
+        auto labels = dist_order(grid, a, options,
+                                 world.rank() == 0 ? &run.stats : nullptr);
+        if (world.rank() == 0) run.labels = std::move(labels);
       },
       machine, launch_threads(options));
   return run;

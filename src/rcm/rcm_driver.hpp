@@ -4,7 +4,7 @@
 //   1. optional load-balancing random symmetric permutation of the input
 //      (paper Sec. IV-A: "we randomly permute the input matrix A before
 //      running the RCM algorithm");
-//   2. 2D decomposition of the matrix onto the process grid;
+//   2. 2D decomposition of the matrix onto the caller's process grid;
 //   3. per component: seed (unvisited min-degree vertex) -> distributed
 //      pseudo-peripheral search (Algorithm 4) -> distributed CM labeling
 //      (Algorithm 3). Under George-Liu the two phases fuse: the search's
@@ -80,8 +80,8 @@ struct DistRcmStats {
 /// All fields are in the WORK numbering and CM (pre-reversal) label space:
 /// callers holding the reversed RCM labels recover cm(v) = n - 1 - rcm(v).
 struct ComponentRecipe {
-  /// argmin_unvisited winner that opened the component (min degree, ties
-  /// to id, over the then-unlabeled vertices).
+  /// The component walk's seed: the unlabeled vertex of minimum (degree,
+  /// id) when the component opened, shared by the kRcm arm and repair.
   index_t seed = kNoVertex;
   /// Pseudo-peripheral root the CM labeling started from.
   index_t root = kNoVertex;
@@ -223,16 +223,18 @@ RepairResult dist_rcm_repair(dist::ProcGrid2D& grid,
 /// balancing (the recipe would be in the balanced numbering while the
 /// labels are in the original one); either mismatch is a CheckError,
 /// raised before any collective. `stats`, when non-null, records the
-/// resolved algorithm. Collective.
-std::vector<index_t> dist_order(mps::Comm& world, const sparse::CsrMatrix& a,
+/// resolved algorithm. Collective on grid.world(), a perfect square on every
+/// arm; kRcm and kSloan keep their scratch in grid.workspace().
+std::vector<index_t> dist_order(dist::ProcGrid2D& grid,
+                                const sparse::CsrMatrix& a,
                                 const DistRcmOptions& options = {},
                                 DistRcmStats* stats = nullptr,
                                 OrderingRecipe* recipe = nullptr);
 
-/// Launches `nranks` simulated ranks, runs dist_order (dispatching on
-/// options.ordering), and returns the labels plus the per-phase cost report
-/// (the data behind the paper's Figures 4-6). run.stats.algorithm records
-/// what kAuto resolved to.
+/// Launches `nranks` simulated ranks (a perfect square), runs dist_order on
+/// their grid (dispatching on options.ordering), and returns the labels
+/// plus the per-phase cost report (the data behind the paper's Figures
+/// 4-6). run.stats.algorithm records what kAuto resolved to.
 struct DistRcmRun {
   std::vector<index_t> labels;
   DistRcmStats stats;

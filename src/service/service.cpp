@@ -368,7 +368,7 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
               // exists to win).
               const auto parked = lane.stats();
               lane.stats().reset();
-              const auto cold = rcm::dist_order(lane, adjacencies[req], ropt);
+              const auto cold = rcm::dist_order(grid, adjacencies[req], ropt);
               lane.stats() = parked;
               DRCM_CHECK(cold == rep.labels,
                          "repair must be bit-identical to a cold recompute");

@@ -225,8 +225,9 @@ TEST_P(DegenerateAlgorithms, EmptySingletonStarAllOrder) {
 TEST(DistOrder, RecipeCaptureDeclinedOffRcmArm) {
   const auto a = gen::grid2d(6, 6);
   mps::Runtime::run(1, [&](mps::Comm& world) {
+    dist::ProcGrid2D grid(world);
     OrderingRecipe recipe;
-    EXPECT_THROW(dist_order(world, a, with(OrderingAlgorithm::kSloan), nullptr,
+    EXPECT_THROW(dist_order(grid, a, with(OrderingAlgorithm::kSloan), nullptr,
                             &recipe),
                  CheckError);
   });
@@ -245,8 +246,9 @@ TEST(DistOrder, RecipeCaptureDeclinedUnderLoadBalancing) {
   balanced.load_balance = true;
   for (const int p : {1, 4}) {
     const auto report = mps::Runtime::run(p, [&](mps::Comm& world) {
+      dist::ProcGrid2D grid(world);
       OrderingRecipe recipe;
-      EXPECT_THROW(dist_order(world, a, balanced, nullptr, &recipe),
+      EXPECT_THROW(dist_order(grid, a, balanced, nullptr, &recipe),
                    CheckError)
           << "p=" << p;
       EXPECT_TRUE(recipe.empty());

@@ -92,7 +92,7 @@ TEST(Redistribute, FullInPlacePipeline) {
   for (const int p : testing::rank_counts_wall()) {
     Runtime::run(p, [&](Comm& world) {
       ProcGrid2D grid(world);
-      const auto labels = rcm::dist_order(world, a);
+      const auto labels = rcm::dist_order(grid, a);
       EXPECT_EQ(redistribute_to_row_blocks(m, labels, grid).bandwidth,
                 expected_bw)
           << "p=" << p;

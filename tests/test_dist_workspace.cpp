@@ -1,8 +1,9 @@
 // Tests for the per-rank DistWorkspace: the explicit replacement for the
-// old `thread_local` SPA inside spmspv.cpp. Two properties are pinned:
+// old `thread_local` SPA inside spmspv.cpp. Three properties are pinned:
 // alternating kernels over matrices of different dimensions through ONE
-// workspace never cross-contaminates results, and steady-state reuse
-// (BFS level after BFS level) stops allocating after warm-up.
+// workspace never cross-contaminates results, steady-state reuse (BFS
+// level after BFS level) stops allocating after warm-up, and a whole
+// ordering runs in its caller's grid workspace.
 #include "dist/workspace.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "mpsim/runtime.hpp"
 #include "rcm/dist_bfs.hpp"
 #include "rcm/dist_rcm.hpp"
+#include "rcm/rcm_driver.hpp"
 #include "sparse/generators.hpp"
 
 namespace drcm::dist {
@@ -312,6 +314,28 @@ TEST_P(WorkspaceGrids, FusedTouchedBuffersSettleAfterWarmup) {
       EXPECT_EQ(ws.merge_touched().capacity(), merge_cap);
       EXPECT_EQ(ws.spa_touched().capacity(), spa_cap);
     }, {}, threads);
+  }
+}
+
+TEST(Workspace, DistOrderWarmsTheCallersGridWorkspace) {
+  // dist_order orders on the caller's grid, so its scratch lives in that
+  // grid's workspace: the first ordering grows it, and a repeat ordering
+  // of the same matrix on the same grid reuses every buffer.
+  const auto a = gen::disjoint_union(
+      {gen::relabel_random(gen::grid2d(14, 14), 3), gen::path(10),
+       gen::empty_graph(2)});
+  const auto want = rcm::run_dist_order(1, a).labels;
+  for (const int p : {1, 4, 9}) {
+    Runtime::run(p, [&](Comm& world) {
+      ProcGrid2D grid(world);
+      const u64 fresh = grid.workspace().reallocations();
+      EXPECT_EQ(rcm::dist_order(grid, a), want) << "p=" << p;
+      const u64 warm = grid.workspace().reallocations();
+      EXPECT_GT(warm, fresh) << "p=" << p;
+      EXPECT_EQ(rcm::dist_order(grid, a), want) << "p=" << p;
+      EXPECT_EQ(grid.workspace().reallocations(), warm)
+          << "a repeat ordering must reuse the grid's buffers, p=" << p;
+    });
   }
 }
 

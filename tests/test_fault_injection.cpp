@@ -397,6 +397,18 @@ TEST(RecoverablePipeline, KnownLabelsAndRecipeSinksAreRejected) {
   EXPECT_THROW(rcm::run_ordered_solve_recoverable(4, with_recipe), CheckError);
 }
 
+TEST(RecoverablePipeline, RankCountsWithoutASquareGridAreRejected) {
+  // Checked before any rank launches, so no bad count reaches the
+  // per-rank budget arithmetic (which divides by the rank count).
+  const auto a = gen::with_laplacian_values(gen::grid2d(6, 6));
+  const std::vector<double> b(static_cast<std::size_t>(a.n()), 1.0);
+  for (const int p : {0, 2, 3}) {
+    EXPECT_THROW(rcm::run_ordered_solve_recoverable(p, spec_of(a, b)),
+                 CheckError)
+        << "p=" << p;
+  }
+}
+
 TEST(RecoverablePipeline, SeededRandomPlanSweepTerminatesStructured) {
   const auto a = gen::with_laplacian_values(gen::grid2d(7, 7));
   std::vector<double> b(static_cast<std::size_t>(a.n()));

@@ -464,7 +464,7 @@ TEST(CrossingLedger, PlanHitSkipsTheSymbolicCollectives) {
   std::vector<std::uint64_t> plan_elements(4, 0);
   Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
-    const auto labels = rcm::dist_order(world, a.strip_diagonal());
+    const auto labels = rcm::dist_order(grid, a.strip_diagonal());
     solver::SolvePlan plan;
     rcm::OrderedSolveSpec spec;
     spec.matrix = &a;

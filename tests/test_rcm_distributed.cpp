@@ -139,7 +139,8 @@ TEST(DistRcm, BothEntriesRejectOneDiagonalEntryInAnyRow) {
   OrderingRecipe recipe;
   std::vector<index_t> cached;
   Runtime::run(1, [&](Comm& world) {
-    cached = dist_order(world, a, {}, nullptr, &recipe);
+    dist::ProcGrid2D grid(world);
+    cached = dist_order(grid, a, {}, nullptr, &recipe);
   });
   for (const index_t k : {index_t{0}, n / 2, n - 1}) {
     const auto looped = with_diagonal_entry(a, k);
@@ -147,7 +148,10 @@ TEST(DistRcm, BothEntriesRejectOneDiagonalEntryInAnyRow) {
     for (const int p : {1, 4, 9}) {
       SCOPED_TRACE("row " + std::to_string(k) + " p=" + std::to_string(p));
       try {
-        Runtime::run(p, [&](Comm& world) { dist_order(world, looped); });
+        Runtime::run(p, [&](Comm& world) {
+          dist::ProcGrid2D grid(world);
+          dist_order(grid, looped);
+        });
         ADD_FAILURE() << "dist_order accepted a diagonal entry";
       } catch (const CheckError& e) {
         EXPECT_NE(std::string(e.what()).find("dist_order expects an "

@@ -108,7 +108,8 @@ TEST(SpeculativeSearch, MatchesSerialAndTheUnfusedRecipe) {
               [&](Comm& world) {
                 DistRcmStats my_stats;
                 OrderingRecipe mine;
-                auto got = dist_order(world, c.a, options, &my_stats, &mine);
+                dist::ProcGrid2D grid(world);
+                auto got = dist_order(grid, c.a, options, &my_stats, &mine);
                 auto ref = reference_recipe(world, c.a, mode);
                 if (world.rank() == 0) {
                   labels = std::move(got);

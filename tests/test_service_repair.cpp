@@ -4,11 +4,12 @@
 // re-level -> splice) promises BIT-IDENTITY: a repaired ordering equals
 // what a cold recompute on the delta'd pattern would produce, or the
 // repair honestly degrades/falls back. The wall sweeps
-// {add, remove} x {1, 8, 64}-entry deltas over ER / grid / R-MAT at the
-// CI rank counts (DRCM_TEST_RANKS honored) with verify_repair ON, so
-// every successful repair is cross-checked against a stats-isolated cold
-// ordering inside the lane — and the driver re-checks the end-to-end
-// solution against a fresh cold service bit for bit.
+// {add, remove} x {1, 8, 64}-entry deltas over ER / grid / R-MAT / a
+// many-component union at the CI rank counts (DRCM_TEST_RANKS honored)
+// with verify_repair ON, so every successful repair is cross-checked
+// against a stats-isolated cold ordering inside the lane — and the driver
+// re-checks the end-to-end solution against a fresh cold service bit for
+// bit.
 //
 // Deterministic repair coverage rides a two-component fixture (delta
 // confined to the small component, the big one reused), which also
@@ -84,6 +85,14 @@ TEST(ServiceRepair, EquivalenceWallAcrossDeltasGraphsAndRanks) {
   families.push_back({"grid", gen::grid2d(20, 24)});
   families.push_back({"er", gen::erdos_renyi(420, 6.0, 77)});
   families.push_back({"rmat", gen::rmat(9, 4, 11)});
+  // Many components: the component walk's reuse path (untouched paths)
+  // and its early exits (a delta that merges components) over a long
+  // walk, isolated vertices included.
+  families.push_back(
+      {"components",
+       gen::disjoint_union({gen::grid2d(12, 15), gen::path(10), gen::path(10),
+                            gen::path(10), gen::path(10), gen::path(10),
+                            gen::path(10), gen::empty_graph(4)})});
 
   for (const int p : dist::testing::rank_counts()) {
     for (const auto& family : families) {
