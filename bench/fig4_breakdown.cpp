@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   std::printf("shape check: Ord:Sort share rises with cores; "
               "low-diameter matrices keep scaling past 1K cores; every "
               "SpMSpV expansion, fused level or standalone, holds at <=2 "
-              "crossings, and a whole fused ordering level at <=3, half "
-              "the standalone SORTPERM's 6.\n");
+              "crossings, and a whole fused ordering level at <=3, as "
+              "many as the standalone SORTPERM's 3 alone.\n");
   return 0;
 }

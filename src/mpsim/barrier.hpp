@@ -1,7 +1,8 @@
 // Reusable, poisonable barrier for SPMD rank synchronization.
 //
-// Every collective in the runtime is built from one to three barrier
-// crossings over a shared "publication board" (see comm.hpp). The barrier
+// Every collective in the runtime is built from barrier crossings over a
+// shared "publication board" (see comm.hpp): one per plain collective, two
+// for split, one per superstep of a fused level collective. The barrier
 // must
 //   (a) be reusable an unbounded number of times;
 //   (b) establish happens-before between every participant's writes before

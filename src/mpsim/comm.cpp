@@ -60,9 +60,9 @@ class BarrierRegistry {
 
 // ---------------------------------------------------------------------------
 // Collective tags: every collective entry publishes (op, phase, per-rank
-// sequence number) packed into one word. Multi-crossing collectives compare
-// all peers' tags between their first and second crossings; see
-// Comm::verify_collective for why that window is race-free.
+// sequence number) packed into one word on the tag board of its ordinal's
+// parity, and checks every peer's tag right after its first crossing; see
+// Comm::verify_collective for why that read is race-free.
 
 const char* coll_op_name(CollOp op) {
   switch (op) {
@@ -97,57 +97,74 @@ std::string describe_collective_tag(std::uint64_t tag) {
 
 // ---------------------------------------------------------------------------
 // CommContext: shared state of one communicator.
+//
+// Every board a collective writes before its first crossing (the scalar
+// board, the primary array board, the tag board and split's board) has two
+// slots, picked by the parity of the writer's collective ordinal on this
+// communicator — identical on every member in a correct program. A rank
+// reads parity slot s of ordinal k after its first crossing; a peer writes
+// slot s again only at ordinal k + 2, and to get there it must complete
+// the first crossing of ordinal k + 1, which needs this rank to arrive
+// there, i.e. to have finished reading. So no collective needs a trailing
+// crossing to protect its board from a fast peer's next publish.
 
 class CommContext {
  public:
+  /// One rank's slot on split's board: the colour and key it publishes
+  /// before crossing 1, the child communicator rank 0 assigns it before
+  /// crossing 2.
+  struct SplitSlot {
+    int color = 0;
+    int key = 0;
+    std::shared_ptr<CommContext> child;
+    int child_rank = 0;
+  };
+
   CommContext(int size, std::shared_ptr<BarrierRegistry> registry)
       : size_(size),
         registry_(std::move(registry)),
         barrier_(registry_->make_barrier(size)),
-        ptr_(static_cast<std::size_t>(size), nullptr),
-        cnt_(static_cast<std::size_t>(size), 0),
-        scalar_arena_(static_cast<std::size_t>(size)),
-        split_color_(static_cast<std::size_t>(size), 0),
-        split_key_(static_cast<std::size_t>(size), 0),
-        split_ctx_(static_cast<std::size_t>(size)),
-        split_rank_(static_cast<std::size_t>(size), 0),
-        tags_(static_cast<std::size_t>(size)),
-        tag_seq_(static_cast<std::size_t>(size), 0) {
-    for (auto& t : tags_) t.store(0, std::memory_order_relaxed);
-    for (auto& board : boards_) board.resize(static_cast<std::size_t>(size));
-    for (auto& slot : span_counts_) {
-      slot.assign(static_cast<std::size_t>(size), 0);
-    }
+        tag_seq_(static_cast<std::size_t>(size)) {
+    const auto n = static_cast<std::size_t>(size);
+    for (auto& slots : scalar_) slots.resize(n);
+    for (auto& board : boards_) board.resize(n);
+    for (auto& slots : split_) slots.resize(n);
+    for (auto& tags : tags_) tags = std::vector<Tag>(n);
   }
 
   int size() const { return size_; }
   void cross() { barrier_->arrive_and_wait(); }
   const std::shared_ptr<BarrierRegistry>& registry() const { return registry_; }
 
-  // Publication board (guarded by barrier crossings, not by a mutex).
+  // Publication boards (guarded by barrier crossings, not by a mutex).
+  // `self` is the calling rank, whose ordinal picks the parity slot.
   // Payloads are COPIED into context-owned arenas at publish time, so a
   // peer reading a slot never dereferences memory owned by the publishing
   // rank's frames: a rank that unwinds (injected fault, mismatch error,
   // check failure) cannot leave dangling pointers behind for ranks still
   // inside a collective. The arenas keep their capacity across calls, so
   // steady-state publication allocates nothing.
-  void publish_scalar(int rank, const void* data, std::uint64_t count,
+  void publish_scalar(int self, const void* data, std::uint64_t count,
                       std::size_t elem_bytes) {
-    const auto r = static_cast<std::size_t>(rank);
-    auto& arena = scalar_arena_[r];
+    ScalarSlot& slot = scalar_slot(self, self);
     const std::size_t bytes = static_cast<std::size_t>(count) * elem_bytes;
-    arena.resize(bytes);
-    if (bytes != 0) std::memcpy(arena.data(), data, bytes);
-    ptr_[r] = arena.data();
-    cnt_[r] = count;
+    slot.arena.resize(bytes);
+    if (bytes != 0) std::memcpy(slot.arena.data(), data, bytes);
+    slot.count = count;
+  }
+  const void* scalar_data(int self, int rank) {
+    return scalar_slot(self, rank).arena.data();
+  }
+  std::uint64_t scalar_count(int self, int rank) {
+    return scalar_slot(self, rank).count;
   }
   /// One rank's per-destination buffers land flattened in its arena on
   /// array board `board`; the published pointer/count tables are rebuilt
   /// into context-owned storage pointing at the arena copies.
-  void publish_array_board(int board, int rank, const void* const* ptrs,
+  void publish_array_board(int board, int self, const void* const* ptrs,
                            const std::uint64_t* counts,
                            std::size_t elem_bytes) {
-    ArraySlot& slot = slot_of(board, rank);
+    ArraySlot& slot = array_slot(board, self, self);
     const auto n = static_cast<std::size_t>(size_);
     std::size_t total_bytes = 0;
     for (std::size_t d = 0; d < n; ++d) {
@@ -165,71 +182,75 @@ class CommContext {
       offset += bytes;
     }
   }
-  const void* const* array_ptrs(int board, int rank) {
-    return slot_of(board, rank).ptrs.data();
+  const void* const* array_ptrs(int board, int self, int rank) {
+    return array_slot(board, self, rank).ptrs.data();
   }
-  const std::uint64_t* array_counts(int board, int rank) {
-    return slot_of(board, rank).cnts.data();
+  const std::uint64_t* array_counts(int board, int self, int rank) {
+    return array_slot(board, self, rank).cnts.data();
   }
-  std::vector<const void*>& ptr() { return ptr_; }
-  std::vector<std::uint64_t>& cnt() { return cnt_; }
-  /// The span-count board of fused_gather_route_count, double-buffered by
-  /// the parity of `rank`'s current collective ordinal on this
-  /// communicator (identical on every member in a correct program). A
-  /// one-crossing exit reads slot s after its only crossing; the next
-  /// collective writes slot 1-s, and the one after that can only write
-  /// slot s again once every member has crossed into the next one, i.e.
-  /// finished reading.
-  std::int64_t& span_count(int rank, int slot_rank) {
-    const auto slot = tag_seq_[static_cast<std::size_t>(rank)] & 1U;
-    return span_counts_[slot][static_cast<std::size_t>(slot_rank)];
+  SplitSlot& split_slot(int self, int rank) {
+    return split_[parity(self)][static_cast<std::size_t>(rank)];
   }
-  std::vector<int>& split_color() { return split_color_; }
-  std::vector<int>& split_key() { return split_key_; }
-  std::vector<std::shared_ptr<CommContext>>& split_ctx() { return split_ctx_; }
-  std::vector<int>& split_rank() { return split_rank_; }
 
   // Collective-tag board. Tags are atomics so a genuinely mismatched program
   // (two ranks in different collectives racing on the board) stays defined
   // behavior and still yields a deterministic mismatch report.
-  void publish_tag(int rank, CollOp op, Phase phase) {
-    auto& seq = tag_seq_[static_cast<std::size_t>(rank)];
-    ++seq;
-    tags_[static_cast<std::size_t>(rank)].store(
+  void publish_tag(int self, CollOp op, Phase phase) {
+    const std::uint64_t seq = ++tag_seq_[static_cast<std::size_t>(self)].seq;
+    tags_[parity(self)][static_cast<std::size_t>(self)].word.store(
         pack_collective_tag(op, phase, seq), std::memory_order_relaxed);
   }
-  std::uint64_t tag(int rank) const {
-    return tags_[static_cast<std::size_t>(rank)].load(
+  std::uint64_t tag(int self, int rank) const {
+    return tags_[parity(self)][static_cast<std::size_t>(rank)].word.load(
         std::memory_order_relaxed);
   }
 
  private:
+  // Every per-rank slot below has cache lines of its own: a fast rank
+  // publishing its next collective on one parity must not invalidate the
+  // lines its slower peers still read the other parity (or their own
+  // ordinal) from.
+  struct alignas(64) Ordinal {
+    std::uint64_t seq = 0;
+  };
+  struct alignas(64) Tag {
+    std::atomic<std::uint64_t> word{0};
+  };
+  struct alignas(64) ScalarSlot {
+    std::vector<std::byte> arena;
+    std::uint64_t count = 0;
+  };
   /// One rank's slot on one array board.
-  struct ArraySlot {
+  struct alignas(64) ArraySlot {
     std::vector<std::byte> arena;
     std::vector<const void*> ptrs;
     std::vector<std::uint64_t> cnts;
   };
-  ArraySlot& slot_of(int board, int rank) {
-    return boards_[static_cast<std::size_t>(board)]
-                  [static_cast<std::size_t>(rank)];
+
+  /// Parity of `self`'s current collective ordinal on this communicator.
+  std::size_t parity(int self) const {
+    return tag_seq_[static_cast<std::size_t>(self)].seq & 1U;
+  }
+  ScalarSlot& scalar_slot(int self, int rank) {
+    return scalar_[parity(self)][static_cast<std::size_t>(rank)];
+  }
+  /// boards_[0..1] are the primary board's parity slots (the only array
+  /// board written before a first crossing); boards_[2] and [3] are the
+  /// auxiliary and third boards.
+  ArraySlot& array_slot(int board, int self, int rank) {
+    const std::size_t b =
+        board == 0 ? parity(self) : static_cast<std::size_t>(board) + 1;
+    return boards_[b][static_cast<std::size_t>(rank)];
   }
 
   const int size_;
   std::shared_ptr<BarrierRegistry> registry_;
   std::shared_ptr<PoisonableBarrier> barrier_;
-  std::vector<const void*> ptr_;
-  std::vector<std::uint64_t> cnt_;
-  std::vector<std::vector<std::byte>> scalar_arena_;
-  /// The primary, auxiliary and third array boards (Comm::Board).
-  std::array<std::vector<ArraySlot>, 3> boards_;
-  std::array<std::vector<std::int64_t>, 2> span_counts_;
-  std::vector<int> split_color_;
-  std::vector<int> split_key_;
-  std::vector<std::shared_ptr<CommContext>> split_ctx_;
-  std::vector<int> split_rank_;
-  std::vector<std::atomic<std::uint64_t>> tags_;
-  std::vector<std::uint64_t> tag_seq_;  // owner-written only
+  std::array<std::vector<ScalarSlot>, 2> scalar_;
+  std::array<std::vector<ArraySlot>, 4> boards_;
+  std::array<std::vector<SplitSlot>, 2> split_;
+  std::array<std::vector<Tag>, 2> tags_;
+  std::vector<Ordinal> tag_seq_;  // owner-written only
 };
 
 std::shared_ptr<CommContext> make_comm_context(
@@ -261,11 +282,9 @@ Comm::Comm(std::shared_ptr<CommContext> ctx, int rank, RankState* state,
 }
 
 void Comm::barrier() {
-  // A plain barrier publishes its tag but cannot verify peers: with a single
-  // crossing there is no window in which every peer is guaranteed to have
-  // published. Multi-crossing collectives do the verification.
   enter_collective(CollOp::kBarrier);
   cross_barrier();
+  verify_collective(CollOp::kBarrier);
   charge(model_->barrier(size_));
 }
 
@@ -295,21 +314,19 @@ void Comm::enter_collective(CollOp op) {
 }
 
 void Comm::verify_collective(CollOp op) {
-  // Runs after every NON-FINAL crossing of a collective, before any board
-  // read that crossing opens. In a correct program those windows are
-  // race-free: no peer can be past its own first crossing of a LATER
-  // collective (it would need this rank to arrive at a crossing it has not
-  // reached), and every peer has published its tag for THIS one before
-  // arriving. So any tag disagreement means the program's collective
-  // sequences genuinely diverged across ranks — and because the check runs
-  // before the reads, a diverged peer's boards are never consumed. (After a
-  // FINAL crossing the check would race with fast peers legally entering
-  // the next collective, so final-crossing read windows rely on the
-  // preceding verified crossing plus the board-ownership discipline.)
+  // Runs right after a collective's first crossing, before any board read
+  // it opens, on the tag board of this collective's parity. In a correct
+  // program that read is race-free: every peer published its tag for THIS
+  // collective before arriving, and a fast peer's next collective writes
+  // the other parity slot, while the one after that cannot start before
+  // this rank arrives at the next crossing. So any tag disagreement means
+  // the program's collective sequences genuinely diverged across ranks —
+  // and because the check runs before the reads, a diverged peer's boards
+  // are never consumed.
   (void)op;
-  const std::uint64_t mine = ctx_->tag(rank_);
+  const std::uint64_t mine = ctx_->tag(rank_, rank_);
   for (int r = 0; r < size_; ++r) {
-    const std::uint64_t theirs = ctx_->tag(r);
+    const std::uint64_t theirs = ctx_->tag(rank_, r);
     if (theirs != mine) {
       throw CollectiveMismatchError(
           "collective mismatch on a " + std::to_string(size_) +
@@ -344,12 +361,10 @@ void Comm::publish(const void* ptr, std::uint64_t count,
   ctx_->publish_scalar(rank_, ptr, count, elem_bytes);
 }
 
-const void* Comm::peer_ptr(int r) const {
-  return ctx_->ptr()[static_cast<std::size_t>(r)];
-}
+const void* Comm::peer_ptr(int r) const { return ctx_->scalar_data(rank_, r); }
 
 std::uint64_t Comm::peer_count(int r) const {
-  return ctx_->cnt()[static_cast<std::size_t>(r)];
+  return ctx_->scalar_count(rank_, r);
 }
 
 void Comm::publish_arrays(Board board, const void* const* ptrs,
@@ -359,11 +374,11 @@ void Comm::publish_arrays(Board board, const void* const* ptrs,
 }
 
 const void* const* Comm::peer_ptr_array(Board board, int r) const {
-  return ctx_->array_ptrs(static_cast<int>(board), r);
+  return ctx_->array_ptrs(static_cast<int>(board), rank_, r);
 }
 
 const std::uint64_t* Comm::peer_count_array(Board board, int r) const {
-  return ctx_->array_counts(static_cast<int>(board), r);
+  return ctx_->array_counts(static_cast<int>(board), rank_, r);
 }
 
 void Comm::cross_barrier() {
@@ -371,14 +386,10 @@ void Comm::cross_barrier() {
   ctx_->cross();
 }
 
-void Comm::publish_span_count(std::int64_t v) {
-  ctx_->span_count(rank_, rank_) = v;
-}
-
-std::int64_t Comm::span_count_total() const {
-  std::int64_t total = 0;
-  for (int r = 0; r < size_; ++r) total += ctx_->span_count(rank_, r);
-  return total;
+CommCost Comm::routed_cost(const RouteTally& sent,
+                           const RouteTally& got) const {
+  return model_->alltoallv(std::max(sent.fan, got.fan) + 1, sent.words,
+                           got.words);
 }
 
 void Comm::charge(const CommCost& cost) {
@@ -388,39 +399,36 @@ void Comm::charge(const CommCost& cost) {
 Comm Comm::split(int color, int key) {
   DRCM_CHECK(color >= 0, "split color must be non-negative");
   enter_collective(CollOp::kSplit);
-  auto& colors = ctx_->split_color();
-  auto& keys = ctx_->split_key();
-  colors[static_cast<std::size_t>(rank_)] = color;
-  keys[static_cast<std::size_t>(rank_)] = key;
+  auto& mine = ctx_->split_slot(rank_, rank_);
+  mine.color = color;
+  mine.key = key;
   cross_barrier();
   verify_collective(CollOp::kSplit);
   if (rank_ == 0) {
     // Group members by color; within a group rank by (key, old rank).
+    const auto slot = [&](int r) -> CommContext::SplitSlot& {
+      return ctx_->split_slot(rank_, r);
+    };
     std::map<int, std::vector<int>> groups;
-    for (int r = 0; r < size_; ++r) {
-      groups[colors[static_cast<std::size_t>(r)]].push_back(r);
-    }
+    for (int r = 0; r < size_; ++r) groups[slot(r).color].push_back(r);
     for (auto& [c, members] : groups) {
       std::stable_sort(members.begin(), members.end(), [&](int a, int b) {
-        return keys[static_cast<std::size_t>(a)] < keys[static_cast<std::size_t>(b)];
+        return slot(a).key < slot(b).key;
       });
       auto child = std::make_shared<CommContext>(
           static_cast<int>(members.size()), ctx_->registry());
       for (int new_rank = 0; new_rank < static_cast<int>(members.size());
            ++new_rank) {
-        const auto m = static_cast<std::size_t>(members[static_cast<std::size_t>(new_rank)]);
-        ctx_->split_ctx()[m] = child;
-        ctx_->split_rank()[m] = new_rank;
+        auto& member = slot(members[static_cast<std::size_t>(new_rank)]);
+        member.child = child;
+        member.child_rank = new_rank;
       }
     }
   }
   cross_barrier();
-  verify_collective(CollOp::kSplit);  // crossing 2 of 3: lockstep re-check
-  auto child_ctx = ctx_->split_ctx()[static_cast<std::size_t>(rank_)];
-  const int child_rank = ctx_->split_rank()[static_cast<std::size_t>(rank_)];
-  cross_barrier();  // everyone picked up before the board can be reused
+  verify_collective(CollOp::kSplit);  // crossing 2 of 2: lockstep re-check
   charge(model_->allgatherv(size_, static_cast<std::uint64_t>(size_)));
-  return Comm(std::move(child_ctx), child_rank, state_, model_);
+  return Comm(mine.child, mine.child_rank, state_, model_);
 }
 
 void Comm::charge_compute(double units) {

@@ -17,14 +17,18 @@
 //   collectives (bcast, gather, scatter, reduce): no distributed algorithm
 //   here needs one.
 //
-// Mechanically, every collective is two crossings of the communicator's
-// barrier around a shared "publication board": ranks publish their
-// contribution (copied into board-owned storage, like an MPI send buffer),
-// cross the barrier, read what they need from peers, and cross again before
-// anyone may reuse the board. The barrier's mutex provides all required
-// happens-before ordering, and because the board owns every published
-// payload, a rank that unwinds mid-run (injected fault, failed check)
-// cannot leave peers reading freed memory.
+// Mechanically, every plain collective is ONE crossing of the
+// communicator's barrier around a shared "publication board": ranks publish
+// their contribution (copied into board-owned storage, like an MPI send
+// buffer), cross the barrier and read what they need from peers. A
+// collective's boards have two slots picked by the parity of its ordinal
+// on the communicator, so a fast peer's next collective writes the other
+// slot, and the one after that cannot start before every member has
+// finished reading (see CommContext in comm.cpp). The fused level
+// collectives cost one crossing per superstep, split two. The barrier
+// provides all required happens-before ordering, and because the board
+// owns every published payload, a rank that unwinds mid-run (injected
+// fault, failed check) cannot leave peers reading freed memory.
 //
 // Every operation is charged to the alpha-beta CostModel and attributed to
 // the rank's current Phase, which is how the paper's Figures 4-6 breakdowns
@@ -61,11 +65,11 @@ class PoisonedError : public std::runtime_error {
 /// different counts of the same collective) — the classic silent-deadlock
 /// bug, surfaced as a structured error naming both call sites. Detection:
 /// every collective publishes an op-id/epoch tag on its communicator's tag
-/// board before its first barrier crossing, and every multi-crossing
-/// collective checks all peers' tags between its first and second crossing
-/// (where the barrier guarantees the tags are stable for a correct program;
-/// a racing incorrect program still detects, the message may just name
-/// whichever of the offender's collectives was last published).
+/// board (the slot of its ordinal's parity) before its first barrier
+/// crossing, and checks all peers' tags right after it (where the parity
+/// slot guarantees the tags are stable for a correct program; a racing
+/// incorrect program still detects, the message may just name whichever of
+/// the offender's collectives was last published).
 class CollectiveMismatchError : public std::logic_error {
  public:
   explicit CollectiveMismatchError(const std::string& what)
@@ -153,7 +157,8 @@ class Comm {
   /// communicators of the rank, so split communicators agree with world.
   int threads() const { return state_->threads; }
 
-  /// Synchronizes all members (and charges the modeled barrier cost).
+  /// Synchronizes all members in one crossing, checks that every member
+  /// entered a barrier, and charges the modeled barrier cost.
   void barrier();
 
   /// Reduces one value per rank with `combine`, folding in rank order on
@@ -191,8 +196,7 @@ class Comm {
   /// The global size of the frontier is the sum of the span sizes every
   /// rank publishes at crossing 1, so no count superstep is needed:
   ///
-  ///   publish my `local` span [scalar board] and its size [span-count
-  ///   board]
+  ///   publish my `local` span [scalar board]
   ///   ---- crossing 1 ----
   ///   total = sum of all ranks' span sizes; if total == 0 RETURN 0
   ///   (ONE crossing: the terminal call of a BFS, uniform on every rank);
@@ -203,11 +207,10 @@ class Comm {
   ///   recv_buf <- what every rank routed to me (source-rank order);
   ///   receive(recv_buf); return total.
   ///
-  /// Both reads that follow a call's final crossing come from boards no
-  /// collective writes before its first crossing: the auxiliary payload
-  /// board (written only after a first crossing), and the span-count
-  /// board, double-buffered by collective ordinal so the very next
-  /// collective — even another level call — writes the other slot. So a
+  /// The reads after crossing 1 come from the scalar board's parity slot,
+  /// which the very next collective — even another level call — does not
+  /// write; the reads after crossing 2 come from the auxiliary payload
+  /// board, which no collective writes before its first crossing. So a
   /// level may chain straight into any collective after either exit.
   ///
   /// `route` must size route_buf to exactly size() buffers; both buffer
@@ -216,9 +219,9 @@ class Comm {
   /// but must not invoke any collective on any communicator, and `route`
   /// must not mutate `local`'s backing store (peers are still reading it).
   /// Charged as its component collectives, with the alltoallv latency
-  /// priced by the actual destination fan-out (the level kernel routes to
-  /// at most sqrt(p) owners, not to all p ranks); the terminal call is
-  /// charged as the count allreduce alone.
+  /// priced by the actual fan-out or fan-in, whichever is larger (the level
+  /// kernel routes to at most sqrt(p) owners, not to all p ranks); the
+  /// terminal call is charged as the count allreduce alone.
   template <class T, class RouteFn, class ReceiveFn>
   std::int64_t fused_gather_route_count(std::span<const int> gather_peers,
                                         std::span<const T> local,
@@ -250,25 +253,26 @@ class Comm {
   ///   label_recv_buf <- what every rank labeled for me (source-rank
   ///   order); finish(label_recv_buf); return total.
   ///
-  /// The primary board is the only board any collective writes before its
-  /// first crossing, and every collective reads it before a non-final
-  /// crossing. The auxiliary board is written only after a first crossing
-  /// and the third only after a second, so the reads that follow either
-  /// final crossing (the deal counts on the terminal exit, the labels on
-  /// the full one) cannot race a fast peer's next publish: a level may
-  /// chain straight into any collective, itself included.
+  /// The primary board is the only array board any collective writes
+  /// before its first crossing, so it has a slot per ordinal parity like
+  /// the scalar board. The auxiliary board is written only after a first
+  /// crossing and the third only after a second, so the reads that follow
+  /// either final crossing (the deal counts on the terminal exit, the
+  /// labels on the full one) cannot race a fast peer's next publish: a
+  /// level may chain straight into any collective, itself included.
   ///
   /// Each routing callback must size its buffer table to exactly size()
   /// buffers. Callbacks may charge compute and flip the phase (the
   /// crossing after a callback lands on the phase it leaves) but must not
   /// invoke any collective. Charged as its component collectives, each to
   /// the phase current when it completes: the expand alltoallv, priced by
-  /// fan-out (the level kernel routes to at most sqrt(p) owners), once
-  /// received; the count allreduce (p words: the per-rank deal counts) at
-  /// crossing 2; the deal and label alltoallvs as FULL-communicator
-  /// exchanges once label() returns and after crossing 3 — the paper
-  /// prices SORTPERM as an all-process AlltoAll (the T_SortPerm alpha*p
-  /// term). The terminal level charges the expand and the count alone.
+  /// the larger of fan-out and fan-in (the level kernel routes to at most
+  /// sqrt(p) owners), once received; the count allreduce (p words: the
+  /// per-rank deal counts) at crossing 2; the deal and label alltoallvs as
+  /// FULL-communicator exchanges once label() returns and after crossing 3
+  /// — the paper prices SORTPERM as an all-process AlltoAll (the
+  /// T_SortPerm alpha*p term). The terminal level charges the expand and
+  /// the count alone.
   template <class T, class U, class RouteFn, class DealFn, class LabelFn,
             class FinishFn>
   std::int64_t fused_order_level(std::vector<std::vector<T>>& route_buf,
@@ -281,7 +285,8 @@ class Comm {
                                  LabelFn&& label, FinishFn&& finish);
 
   /// MPI_Comm_split: members with the same `color` form a new communicator,
-  /// ranked by (key, old rank).
+  /// ranked by (key, old rank). Two crossings: colours and keys are on the
+  /// board after the first, rank 0's assignment after the second.
   Comm split(int color, int key);
 
   /// Charges `seconds` of modeled dead time (an injected stall, a recovery
@@ -315,17 +320,17 @@ class Comm {
 
  private:
   /// The per-destination array boards. kPrimary carries every plain
-  /// alltoallv and a fused ordering level's expand; it is the
-  /// only one written before a first crossing. kAux is written only after
-  /// a fused collective's first crossing, kThird only after its second —
-  /// which is what lets a fused collective read either one after its
-  /// final crossing.
+  /// alltoallv and a fused ordering level's expand; it is the only one
+  /// written before a first crossing, so it has a slot per ordinal parity.
+  /// kAux is written only after a fused collective's first crossing,
+  /// kThird only after its second — which is what lets a fused collective
+  /// read either one after its final crossing.
   enum class Board : int { kPrimary = 0, kAux = 1, kThird = 2 };
 
-  /// Volume of one routed superstep, for charging.
+  /// One direction of a routed superstep, for charging.
   struct RouteTally {
-    std::uint64_t send_words = 0;
-    int fan_out = 0;  ///< non-empty destinations other than this rank
+    std::uint64_t words = 0;
+    int fan = 0;  ///< non-empty peers other than this rank
   };
 
   /// Stages `bufs`' pointer/count tables in `ptrs`/`counts` and tallies the
@@ -336,21 +341,24 @@ class Comm {
                           std::vector<std::uint64_t>& counts) const;
   /// recv_buf <- what every rank routed to me on `board`, in source-rank
   /// order; `src_counts`, when non-null, receives the per-source element
-  /// counts. Returns the words received.
+  /// counts. Returns the receive volume and fan-in.
   template <class T>
-  std::uint64_t receive_routed(Board board, std::vector<T>& recv_buf,
-                               std::vector<std::uint64_t>* src_counts =
-                                   nullptr);
+  RouteTally receive_routed(Board board, std::vector<T>& recv_buf,
+                            std::vector<std::uint64_t>* src_counts = nullptr);
+  /// The alltoallv price of a routed superstep whose group is only the
+  /// peers it touches: max(fan-out, fan-in) + 1, so a rank that only
+  /// receives still pays its messages and words.
+  CommCost routed_cost(const RouteTally& sent, const RouteTally& got) const;
 
   /// Entry hook of EVERY collective, called before the first crossing:
   /// bumps the rank's collective counter, fires any scripted fault due at
   /// this ordinal, and publishes the op-id/epoch tag on this
   /// communicator's tag board.
   void enter_collective(CollOp op);
-  /// Tag check of every multi-crossing collective, called after each
-  /// non-final crossing before the reads it opens: all peers must have
-  /// published the same (op, epoch) tag, else CollectiveMismatchError names
-  /// both call sites. Costs no crossing and no modeled time.
+  /// Tag check of every collective, called after its first crossing before
+  /// the reads it opens: all peers must have published the same (op, epoch)
+  /// tag, else CollectiveMismatchError names both call sites. Costs no
+  /// crossing and no modeled time.
   void verify_collective(CollOp op);
   /// Applies the armed payload-corruption fault (if any) to a received
   /// buffer of `bytes` bytes: one deterministic bit flip in the first
@@ -368,10 +376,6 @@ class Comm {
                       const std::uint64_t* counts, std::size_t elem_bytes);
   const void* const* peer_ptr_array(Board board, int r) const;
   const std::uint64_t* peer_count_array(Board board, int r) const;
-  /// fused_gather_route_count's span-count board (double-buffered by
-  /// collective ordinal; see CommContext::span_count).
-  void publish_span_count(std::int64_t v);
-  std::int64_t span_count_total() const;
   /// Raw barrier crossing: no modeled seconds charged, but every crossing
   /// is recorded in the per-phase barrier_crossings ledger (the quantity
   /// the level kernels' 2- and 3-crossing budgets are asserted on).
@@ -428,7 +432,6 @@ T Comm::allreduce(const T& value, Combine combine) {
     acc = combine(acc, *static_cast<const T*>(peer_ptr(r)));
   }
   maybe_corrupt(&acc, sizeof(T));
-  cross_barrier();
   charge(model_->allreduce(size_, words_of<T>()));
   return acc;
 }
@@ -446,7 +449,6 @@ std::vector<T> Comm::allgather(const T& value) {
     out.push_back(*static_cast<const T*>(peer_ptr(r)));
   }
   maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
   charge(model_->allgatherv(size_, static_cast<std::uint64_t>(size_) * words_of<T>()));
   return out;
 }
@@ -467,7 +469,6 @@ std::vector<T> Comm::allgatherv(std::span<const T> local) {
     out.insert(out.end(), src, src + peer_count(r));
   }
   maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
   charge(model_->allgatherv(size_, total * words_of<T>()));
   return out;
 }
@@ -505,7 +506,6 @@ std::vector<T> Comm::alltoallv(const std::vector<std::vector<T>>& send,
     if (recv_counts) (*recv_counts)[static_cast<std::size_t>(s)] = static_cast<std::int64_t>(c);
   }
   maybe_corrupt(out.data(), out.size() * sizeof(T));
-  cross_barrier();
   charge(model_->alltoallv(size_, send_total * words_of<T>(),
                            recv_total * words_of<T>()));
   return out;
@@ -523,7 +523,6 @@ T Comm::exscan_sum(const T& value) {
     acc = static_cast<T>(acc + *static_cast<const T*>(peer_ptr(r)));
   }
   maybe_corrupt(&acc, sizeof(T));
-  cross_barrier();
   charge(model_->exscan(size_, words_of<T>()));
   return acc;
 }
@@ -542,27 +541,28 @@ Comm::RouteTally Comm::stage_routes(const std::vector<std::vector<T>>& bufs,
     const auto& buf = bufs[static_cast<std::size_t>(d)];
     ptrs[static_cast<std::size_t>(d)] = buf.data();
     counts[static_cast<std::size_t>(d)] = buf.size();
-    tally.send_words += buf.size() * words_of<T>();
-    tally.fan_out += !buf.empty() && d != rank_;
+    tally.words += buf.size() * words_of<T>();
+    tally.fan += !buf.empty() && d != rank_;
   }
   return tally;
 }
 
 template <class T>
-std::uint64_t Comm::receive_routed(Board board, std::vector<T>& recv_buf,
-                                   std::vector<std::uint64_t>* src_counts) {
+Comm::RouteTally Comm::receive_routed(Board board, std::vector<T>& recv_buf,
+                                      std::vector<std::uint64_t>* src_counts) {
   recv_buf.clear();
   if (src_counts) src_counts->assign(static_cast<std::size_t>(size_), 0);
-  std::uint64_t words = 0;
+  RouteTally tally;
   for (int s = 0; s < size_; ++s) {
     const std::uint64_t c = peer_count_array(board, s)[rank_];
     const T* src = static_cast<const T*>(peer_ptr_array(board, s)[rank_]);
     recv_buf.insert(recv_buf.end(), src, src + c);
     if (src_counts) (*src_counts)[static_cast<std::size_t>(s)] = c;
-    words += c * words_of<T>();
+    tally.words += c * words_of<T>();
+    tally.fan += c != 0 && s != rank_;
   }
   maybe_corrupt(recv_buf.data(), recv_buf.size() * sizeof(T));
-  return words;
+  return tally;
 }
 
 template <class T, class RouteFn, class ReceiveFn>
@@ -573,23 +573,21 @@ std::int64_t Comm::fused_gather_route_count(
   static_assert(std::is_trivially_copyable_v<T>);
   constexpr CollOp op = CollOp::kFusedGatherRouteCount;
 
-  // Superstep 1: publish my span on the scalar board and its size on the
-  // span-count board; the sum of the sizes is the global frontier size.
+  // Superstep 1: publish my span on the scalar board; the sum of the
+  // published sizes is the global frontier size.
   enter_collective(op);
   publish(local.data(), local.size(), sizeof(T));
-  publish_span_count(static_cast<std::int64_t>(local.size()));
   cross_barrier();
-  const std::int64_t total = span_count_total();
+  verify_collective(op);
+  std::int64_t total = 0;
+  for (int r = 0; r < size_; ++r) {
+    total += static_cast<std::int64_t>(peer_count(r));
+  }
   if (total == 0) {
-    // Identical on every rank: a uniform one-crossing exit. No tag check
-    // here — crossing 1 is this call's final crossing, and a fast peer may
-    // already have published its next collective's tag.
+    // Identical on every rank: a uniform one-crossing exit.
     charge(model_->allreduce(size_, 1));
     return 0;
   }
-  // total != 0 means crossing 1 is NOT final, so the lockstep check is
-  // sound and guards the span reads below.
-  verify_collective(op);
   // Gather the peers' spans and route. Peers read MY span until the next
   // crossing, so the caller's `local` must not alias any buffer mutated
   // here (gather_buf is fine: it is this rank's private landing area).
@@ -608,11 +606,11 @@ std::int64_t Comm::fused_gather_route_count(
   publish_arrays(Board::kAux, fused_ptrs_.data(), fused_counts_.data(),
                  sizeof(T));
   cross_barrier();
-  const std::uint64_t recv_words = receive_routed(Board::kAux, recv_buf);
+  const RouteTally got = receive_routed(Board::kAux, recv_buf);
 
   CommCost cost = model_->allgatherv(static_cast<int>(gather_peers.size()),
                                      gather_buf.size() * words_of<T>());
-  cost += model_->alltoallv(tally.fan_out + 1, tally.send_words, recv_words);
+  cost += routed_cost(tally, got);
   cost += model_->allreduce(size_, 1);
   charge(cost);
   receive(static_cast<const std::vector<T>&>(recv_buf));
@@ -641,10 +639,8 @@ std::int64_t Comm::fused_order_level(std::vector<std::vector<T>>& route_buf,
   publish_arrays(Board::kPrimary, fused_ptrs_.data(), fused_counts_.data(),
                  sizeof(T));
   cross_barrier();
-  verify_collective(op);  // crossing 1 is never final
-  const std::uint64_t expand_recv = receive_routed(Board::kPrimary, recv_buf);
-  charge(model_->alltoallv(expand.fan_out + 1, expand.send_words,
-                           expand_recv));
+  verify_collective(op);
+  charge(routed_cost(expand, receive_routed(Board::kPrimary, recv_buf)));
 
   // Superstep 2 (deal), on the auxiliary board. Its count tables double as
   // the level's count exchange: the total and my offset need no payload.
@@ -665,26 +661,24 @@ std::int64_t Comm::fused_order_level(std::vector<std::vector<T>>& route_buf,
   }
   charge(model_->allreduce(size_, static_cast<std::uint64_t>(size_)));
   if (total == 0) {
-    // Identical on every rank: a uniform two-crossing exit. No tag check
-    // here — crossing 2 is this call's final crossing.
+    // Identical on every rank: a uniform two-crossing exit.
     return 0;
   }
-  verify_collective(op);  // total != 0: crossing 2 is not final
-  const std::uint64_t deal_recv =
+  verify_collective(op);  // lockstep re-check before the deal reads
+  const RouteTally deal_recv =
       receive_routed(Board::kAux, dealt_buf, &fused_src_counts_);
 
   // Superstep 3 (label), on the third board.
   label(static_cast<const std::vector<U>&>(dealt_buf),
         std::span<const std::uint64_t>(fused_src_counts_), offset, total,
         label_buf);
-  charge(model_->alltoallv(size_, dealt.send_words, deal_recv));
+  charge(model_->alltoallv(size_, dealt.words, deal_recv.words));
   const RouteTally labeled = stage_routes(label_buf, fused_ptrs_, fused_counts_);
   publish_arrays(Board::kThird, fused_ptrs_.data(), fused_counts_.data(),
                  sizeof(T));
   cross_barrier();
-  const std::uint64_t label_recv =
-      receive_routed(Board::kThird, label_recv_buf);
-  charge(model_->alltoallv(size_, labeled.send_words, label_recv));
+  const RouteTally label_recv = receive_routed(Board::kThird, label_recv_buf);
+  charge(model_->alltoallv(size_, labeled.words, label_recv.words));
   finish(static_cast<const std::vector<T>&>(label_recv_buf));
   return total;
 }

@@ -41,12 +41,13 @@ struct PhaseTotals {
   double compute_units = 0.0;       ///< raw work units charged
   std::uint64_t messages = 0;
   std::uint64_t words = 0;
-  /// Barrier synchronizations entered (every collective is two crossings
-  /// of the publication-board barrier; the fused BFS level collective is
-  /// two for its whole gather-route-count chain, one on the empty call
-  /// that ends a BFS, and the fused ordering level three for expand +
-  /// SORTPERM deal + label delivery together, two on its terminal level).
-  /// The latency budget the fused kernels exist to shrink.
+  /// Barrier synchronizations entered (every plain collective and the
+  /// barrier are one crossing of the publication-board barrier and split
+  /// two; the fused BFS level collective is two for its whole
+  /// gather-route-count chain, one on the empty call that ends a BFS, and
+  /// the fused ordering level three for expand + SORTPERM deal + label
+  /// delivery together, two on its terminal level). The latency budget the
+  /// fused kernels exist to shrink.
   std::uint64_t barrier_crossings = 0;
 
   double model_total() const { return model_compute_seconds + model_comm_seconds; }

@@ -313,7 +313,7 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
 
   // Crossing arithmetic against the speculative cold run (see header).
   // A BFS sweep of eccentricity L costs 2L + 3 crossings, a CM labeling
-  // run of L levels below its root 3L + 2, an argmin 2. Per component with
+  // run of L levels below its root 3L + 2, an argmin 1. Per component with
   // k recorded sweeps and root eccentricity L, cold pays the seed argmin,
   // the first sweep plainly, every later sweep as a CM run, k - 1 (k = 1:
   // one) candidate argmins, and — when k = 1 — a separate CM run from the
@@ -322,6 +322,7 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
   // repair. k = 0 (not recorded) is priced like k = 2, the smaller bound.
   const auto bfs_run = [](index_t below) { return 2 * below + 3; };
   const auto cm_run = [](index_t below) { return 3 * below + 2; };
+  constexpr index_t kAllreduce = 1;
   for (std::size_t k = 0; k < ncomp; ++k) {
     auto& cp = plan.components[k];
     const auto& cr = recipe.components[k];
@@ -332,10 +333,10 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
       // Reuse pays only the seed argmin; cold pays the whole component.
       cp.action = RepairAction::kReuse;
       const index_t cold =
-          one_sweep ? 2 + bfs_run(ecc) + 2 + cm_run(ecc)
-                    : 2 + bfs_run(0) + 2 * (sweeps - 1) +
+          one_sweep ? kAllreduce + bfs_run(ecc) + kAllreduce + cm_run(ecc)
+                    : kAllreduce + bfs_run(0) + kAllreduce * (sweeps - 1) +
                           (sweeps - 2) * cm_run(0) + cm_run(ecc);
-      plan.crossing_margin += cold - 2;
+      plan.crossing_margin += cold - kAllreduce;
       continue;
     }
     // A cone re-runs the search with plain sweeps, then gathers the
@@ -346,12 +347,12 @@ RepairPlan plan_repair(const OrderingRecipe& recipe,
     // speculative sweeps cost L - 1 >= 0 more than the cone's plain ones;
     // they count as 0.
     const index_t d = min_level[k];
-    const index_t cone = 2 + cm_run(ecc - d + 1) + 2;
+    const index_t cone = 2 + cm_run(ecc - d + 1) + kAllreduce;
     const index_t cone_margin = one_sweep ? cm_run(ecc) - cone
                                           : cm_run(ecc) - bfs_run(ecc) - cone;
     // A recompute runs cold's own speculative routine plus the membership
     // allreduce. A cone is chosen only when it is the cheaper of the two.
-    constexpr index_t kRecomputeMargin = -2;
+    constexpr index_t kRecomputeMargin = -kAllreduce;
     if (d >= 2 && cone_margin > kRecomputeMargin) {
       cp.action = RepairAction::kCone;
       cp.cone_level = d;
@@ -613,7 +614,7 @@ void check_solve_spec(const OrderedSolveSpec& spec) {
 /// balanced-2D block straight to its 1D solver owner in one alltoallv.
 /// Collective; `labels` is the stage-1 output. The kRedistribute crossing
 /// count is exactly the redistribution traffic (alltoallv + bandwidth
-/// allreduce = 4 crossings): the caller's grid was built without a
+/// allreduce = 2 crossings): the caller's grid was built without a
 /// collective.
 dist::OneShotRowBlocks redistribute_stage(dist::ProcGrid2D& grid,
                                           const sparse::CsrMatrix& a,

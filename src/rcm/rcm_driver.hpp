@@ -142,12 +142,12 @@ struct RepairPlan {
   index_t level_steps_skipped = 0;
   /// Conservative crossing margin of repair vs the SPECULATIVE cold run,
   /// from each component's recorded sweep count k and root eccentricity L
-  /// (a BFS sweep costs 2L + 3 crossings, a CM run 3L + 2): reuse = cold's
-  /// whole component minus the seed argmin; cone = the CM levels above
-  /// cone_level minus the column-frontier gather and the membership
-  /// allreduce (2 each), minus 2L + 3 when k != 1 (the cone's plain sweep
-  /// from the root, which cold runs as its ordering); recompute -2. Repair
-  /// is only worth launching when > 0.
+  /// (a BFS sweep costs 2L + 3 crossings, a CM run 3L + 2, an allreduce
+  /// 1): reuse = cold's whole component minus the seed argmin; cone = the
+  /// CM levels above cone_level minus the column-frontier gather (2) and
+  /// the membership allreduce (1), minus 2L + 3 when k != 1 (the cone's
+  /// plain sweep from the root, which cold runs as its ordering);
+  /// recompute -1. Repair is only worth launching when > 0.
   index_t crossing_margin = 0;
   bool profitable = false;
 };

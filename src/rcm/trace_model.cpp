@@ -207,7 +207,7 @@ CostBreakdown project_cost(const ExecutionTrace& trace, int cores,
   }
 
   // Per George-Liu candidate selection: the REDUCE argmin over the last
-  // level (an allreduce: two crossings).
+  // level (an allreduce: one crossing).
   out.peripheral_other.comm +=
       (P > 1 ? 2.0 * alpha * logP : 0.0) * trace.peripheral_argmin_rounds;
   // Per component: the unvisited-argmin seed scan (another allreduce).
@@ -216,17 +216,17 @@ CostBreakdown project_cost(const ExecutionTrace& trace, int cores,
   out.peripheral_other.comm +=
       (P > 1 ? 2.0 * alpha * logP : 0.0) * trace.components;
   out.peripheral_other.crossings +=
-      2 * static_cast<std::uint64_t>(trace.peripheral_argmin_rounds) +
-      2 * static_cast<std::uint64_t>(trace.components);
+      static_cast<std::uint64_t>(trace.peripheral_argmin_rounds) +
+      static_cast<std::uint64_t>(trace.components);
 
   // Setup (degree computation) and the final reversal + label replication
-  // (one allgatherv: two crossings).
+  // (one allgatherv: one crossing).
   const double n = static_cast<double>(trace.n);
   out.ordering_other.compute += gamma * 3.0 * n / total_cores;
   if (P > 1) {
     out.ordering_other.comm += alpha * (q - 1) + beta * n / q;
   }
-  out.ordering_other.crossings += 2;
+  out.ordering_other.crossings += 1;
   return out;
 }
 

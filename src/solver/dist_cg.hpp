@@ -13,14 +13,14 @@
 //     factors its own diagonal block (PETSc's default sub-preconditioner),
 //     which is exactly one block per process — the preconditioner whose
 //     quality depends on the ordering.
-// That is 6 barrier crossings per iteration (2 per collective), plus 2 of
+// That is 3 barrier crossings per iteration (1 per collective), plus 1 of
 // setup for the first r'r / r'z pair.
 //
 // The solve is split in two halves (SuperLU_DIST's SamePattern reuse,
 // applied to block-Jacobi CG). The SYMBOLIC half, a per-rank SolvePlan,
 // depends on the pattern only: where each arriving value lands in the
-// split local system, the halo tables (one alltoallv of halo requests, 2
-// crossings) and the ILU(0) structure. The NUMERIC half places one value
+// split local system, the halo tables (one alltoallv of halo requests, 1
+// crossing) and the ILU(0) structure. The NUMERIC half places one value
 // per entry through the plan, factors ILU(0) and iterates. A repeated
 // pattern keeps its plan and pays only the numeric half.
 //

@@ -8,8 +8,10 @@
 #include <thread>
 #include <vector>
 
+#include "dist/spmspv.hpp"
 #include "mpsim/comm.hpp"
 #include "mpsim/runtime.hpp"
+#include "sparse/generators.hpp"
 
 namespace drcm::mps {
 namespace {
@@ -198,8 +200,8 @@ TEST_P(CollectivesTest, EmptyContributionsAreLegal) {
 
 TEST_P(CollectivesTest, FusedLevelEmptyExitChainsIntoAnyCollective) {
   // The fused BFS level reads two boards after its final crossing: the
-  // span-count board on the one-crossing empty exit, and the auxiliary
-  // payload board after crossing 2. A fast rank leaving either exit may
+  // scalar board's parity slot on the one-crossing empty exit, and the
+  // auxiliary payload board after crossing 2. A fast rank leaving either exit may
   // publish its next collective's contribution at once, while slow peers
   // are still reading — so chain every exit straight into each kind of
   // next collective (another empty level, a full level, an alltoallv on
@@ -417,6 +419,113 @@ TEST_P(CollectivesTest, FusedOrderLevelExitsChainIntoAnyCollective) {
       }
     }
   });
+}
+
+TEST_P(CollectivesTest, OneCrossingCollectivesReuseTheirBoardsSafely) {
+  // Every plain collective is one crossing: a fast rank publishes its next
+  // collective on the other parity slot while slow peers still read this
+  // one, and may write this slot again only after they all reach the next
+  // crossing. Drive 2,400 back-to-back one-crossing collectives of every
+  // kind with rank-skewed payload sizes, one rank yielding between calls,
+  // and check every result. ThreadSanitizer runs this suite.
+  const int p = GetParam();
+  Runtime::run(p, [&](Comm& comm) {
+    const std::int64_t me = comm.rank();
+    // Rank r contributes (r + i) % 4 + r elements to collective i.
+    const auto size_of = [](std::int64_t r, std::int64_t i) {
+      return static_cast<std::size_t>((r + i) % 4 + r);
+    };
+    const auto value = [](std::int64_t i, std::int64_t src, std::int64_t dst,
+                          std::size_t k) {
+      return ((i * 64 + src) * 64 + dst) * 64 + static_cast<std::int64_t>(k);
+    };
+    for (std::int64_t i = 0; i < 2400; ++i) {
+      if (me == p - 1) std::this_thread::yield();
+      switch (i % 6) {
+        case 0: {
+          const auto sum = comm.allreduce(
+              i + me, [](std::int64_t x, std::int64_t y) { return x + y; });
+          EXPECT_EQ(sum, i * p + static_cast<std::int64_t>(p) * (p - 1) / 2);
+          break;
+        }
+        case 1: {
+          const auto all = comm.allgather(value(i, me, 0, 0));
+          ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
+          for (int r = 0; r < p; ++r) {
+            EXPECT_EQ(all[static_cast<std::size_t>(r)], value(i, r, 0, 0));
+          }
+          break;
+        }
+        case 2: {
+          std::vector<std::int64_t> mine(size_of(me, i));
+          for (std::size_t k = 0; k < mine.size(); ++k) {
+            mine[k] = value(i, me, 0, k);
+          }
+          const auto all =
+              comm.allgatherv(std::span<const std::int64_t>(mine));
+          std::size_t at = 0;
+          for (int r = 0; r < p; ++r) {
+            for (std::size_t k = 0; k < size_of(r, i); ++k, ++at) {
+              ASSERT_LT(at, all.size());
+              EXPECT_EQ(all[at], value(i, r, 0, k));
+            }
+          }
+          EXPECT_EQ(at, all.size());
+          break;
+        }
+        case 3: {
+          std::vector<std::vector<std::int64_t>> send(
+              static_cast<std::size_t>(p));
+          for (int d = 0; d < p; ++d) {
+            auto& buf = send[static_cast<std::size_t>(d)];
+            buf.resize(size_of(me, i + d));
+            for (std::size_t k = 0; k < buf.size(); ++k) {
+              buf[k] = value(i, me, d, k);
+            }
+          }
+          std::vector<std::int64_t> counts;
+          const auto got = comm.alltoallv(send, &counts);
+          std::size_t at = 0;
+          for (int s = 0; s < p; ++s) {
+            const std::size_t c = size_of(s, i + me);
+            EXPECT_EQ(counts[static_cast<std::size_t>(s)],
+                      static_cast<std::int64_t>(c));
+            for (std::size_t k = 0; k < c; ++k, ++at) {
+              ASSERT_LT(at, got.size());
+              EXPECT_EQ(got[at], value(i, s, me, k));
+            }
+          }
+          EXPECT_EQ(at, got.size());
+          break;
+        }
+        case 4:
+          EXPECT_EQ(comm.exscan_sum(i + me), i * me + me * (me - 1) / 2);
+          break;
+        default:
+          comm.barrier();
+      }
+    }
+  });
+}
+
+TEST(CollectiveMismatch, BarrierAgainstAnEmptySpmspvIsDetected) {
+  // Both sides are single-crossing collectives: a barrier, and the fused
+  // SpMSpV's exit on a frontier that is empty everywhere. Each checks its
+  // peers' tags after that crossing, so the divergence cannot pass
+  // silently.
+  const auto a = sparse::gen::grid2d(4, 4);
+  EXPECT_THROW(Runtime::run(4,
+                            [&](Comm& world) {
+                              dist::ProcGrid2D grid(world);
+                              dist::DistSpMat mat(grid, a);
+                              const dist::DistSpVec x(mat.vec_dist(), grid);
+                              if (world.rank() == 0) {
+                                world.barrier();
+                              } else {
+                                (void)dist::spmspv_select2nd_min(mat, x, grid);
+                              }
+                            }),
+               CollectiveMismatchError);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Unit tests for the alpha-beta-gamma cost model formulas, plus the
-// barrier-crossing ledger that pins the synchrony budgets: 0 crossings to
-// build a grid, 2 per BFS level and per standalone SpMSpV, 1 for the empty
-// call that ends a BFS (or an empty standalone SpMSpV), and 3 per whole
-// ordering level, 2 on the terminal one (vs 6 for the standalone SORTPERM
-// alone) — and the trace model's analytic crossing prediction, speculative
-// sweeps included, against a real p=4 run's ledger — and 6 crossings per
-// CG iteration, with a solve-plan hit skipping the symbolic collectives.
+// barrier-crossing ledger that pins the synchrony budgets: 1 crossing per
+// plain collective and 2 per split, 0 to build a grid, 2 per BFS level and
+// per standalone SpMSpV, 1 for the empty call that ends a BFS (or an empty
+// standalone SpMSpV), and 3 per whole ordering level, 2 on the terminal
+// one (as many as the standalone SORTPERM alone) — and the trace model's
+// analytic crossing prediction, speculative sweeps included, against a
+// real p=4 run's ledger — and 3 crossings per CG iteration, with a
+// solve-plan hit skipping the symbolic collectives.
 #include "mpsim/cost_model.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "rcm/rcm_driver.hpp"
 #include "rcm/trace_model.hpp"
 #include "service/service.hpp"
+#include "solver/dist_cg.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/pattern_delta.hpp"
 
@@ -94,20 +96,39 @@ TEST(CostModel, CommCostAccumulates) {
   EXPECT_EQ(a.words, 10u);
 }
 
-TEST(CrossingLedger, EveryCollectiveIsTwoCrossingsBarrierIsOne) {
-  const auto report = Runtime::run(4, [](Comm& world) {
-    {
-      PhaseScope scope(world, Phase::kSolver);
-      world.barrier();  // 1 crossing
-    }
-    {
-      PhaseScope scope(world, Phase::kOther);
-      world.allreduce(1, [](int a, int b) { return a + b; });  // 2 crossings
-      world.allgatherv(std::span<const int>{});                // 2 crossings
-    }
+TEST(CrossingLedger, EveryCollectiveIsOneCrossingPerSuperstep) {
+  // Every plain collective publishes on a board slot of its ordinal's
+  // parity, so one crossing both delivers the payloads and keeps the next
+  // collective off the slot being read. split is two supersteps: colours
+  // and keys, then rank 0's assignment.
+  Runtime::run(4, [](Comm& world) {
+    const auto crossings = [&] {
+      return world.stats().total().barrier_crossings;
+    };
+    std::uint64_t before = crossings();
+    const auto expect_crossed = [&](std::uint64_t n, const char* what) {
+      EXPECT_EQ(crossings() - before, n) << what;
+      before = crossings();
+    };
+    world.barrier();
+    expect_crossed(1, "barrier");
+    EXPECT_EQ(world.allreduce(world.rank(), [](int a, int b) { return a + b; }),
+              6);
+    expect_crossed(1, "allreduce");
+    EXPECT_EQ(world.allgather(world.rank()), (std::vector<int>{0, 1, 2, 3}));
+    expect_crossed(1, "allgather");
+    EXPECT_TRUE(world.allgatherv(std::span<const int>{}).empty());
+    expect_crossed(1, "allgatherv");
+    std::vector<std::vector<int>> send(4, std::vector<int>{world.rank()});
+    EXPECT_EQ(world.alltoallv(send), (std::vector<int>{0, 1, 2, 3}));
+    expect_crossed(1, "alltoallv");
+    EXPECT_EQ(world.exscan_sum(1), world.rank());
+    expect_crossed(1, "exscan_sum");
+    Comm half = world.split(world.rank() % 2, world.rank());
+    expect_crossed(2, "split");
+    EXPECT_EQ(half.size(), 2);
+    EXPECT_EQ(half.rank(), world.rank() / 2);
   });
-  EXPECT_EQ(report.aggregate(Phase::kSolver).max.barrier_crossings, 1u);
-  EXPECT_EQ(report.aggregate(Phase::kOther).max.barrier_crossings, 4u);
 }
 
 TEST(CrossingLedger, BuildingAGridCrossesNoBarrier) {
@@ -127,9 +148,10 @@ TEST(CrossingLedger, StandaloneSpmspvIsTwoCrossingsOneWhenEmpty) {
   // column 0 (ranks 0, 2) gathers the one entry (2 words); rank 0 expands
   // it to rows 19, 26, 28 and routes them to their owner, rank 2
   // (6 words); rank 2 expands it to row 35 and routes it to rank 1
-  // (2 words, charged as max(sent, received) = 6). Every rank adds the
-  // 4-word count allreduce. A frontier that is empty everywhere exits
-  // after crossing 1 with the count allreduce alone.
+  // (2 words, charged as max(sent, received) = 6). Rank 1 only receives,
+  // and is priced by its fan-in: the 2-word partial from rank 2. Every
+  // rank adds the 4-word count allreduce. A frontier that is empty
+  // everywhere exits after crossing 1 with the count allreduce alone.
   const auto a = sparse::gen::grid2d(8, 8);
   std::vector<std::vector<dist::VecEntry>> got(4);
   const auto report = Runtime::run(4, [&](Comm& world) {
@@ -149,7 +171,7 @@ TEST(CrossingLedger, StandaloneSpmspvIsTwoCrossingsOneWhenEmpty) {
   const std::vector<std::vector<dist::VecEntry>> want{
       {}, {{35, 0}}, {{19, 0}, {26, 0}, {28, 0}}, {}};
   EXPECT_EQ(got, want);
-  const std::uint64_t words[] = {12, 4, 12, 4};
+  const std::uint64_t words[] = {12, 6, 12, 4};
   for (std::size_t r = 0; r < 4; ++r) {
     SCOPED_TRACE("rank " + std::to_string(r));
     const auto& ledger = report.ranks[r];
@@ -214,9 +236,9 @@ TEST(CrossingLedger, FusedOrderingLevelIsAtMostThreeCrossings) {
   // The ordering-level tentpole: one WHOLE Cuthill-McKee ordering level
   // (SpMSpV + SELECT + SORTPERM + SET) through dist::cm_level_step costs
   // THREE barrier crossings — expand and deal on the SpMSpV ledger, the
-  // label delivery on the sort ledger — while the standalone
+  // label delivery on the sort ledger — as many as the standalone
   // sortperm_bucket alone (deal alltoallv + count allgather + scatter-back
-  // alltoallv) pays 6 on the level it discovered.
+  // alltoallv) pays on the level it discovered.
   const auto a = sparse::gen::grid2d(8, 8);
   const auto report = Runtime::run(4, [&](Comm& world) {
     dist::ProcGrid2D grid(world);
@@ -245,7 +267,7 @@ TEST(CrossingLedger, FusedOrderingLevelIsAtMostThreeCrossings) {
   // words) to the q = 2 ranks of its owner's column: no histogram words.
   EXPECT_EQ(report.aggregate(Phase::kOrderingSort).max.words,
             3u * 4 + 2u * 2 * 4);
-  EXPECT_EQ(report.aggregate(Phase::kSolver).max.barrier_crossings, 6u)
+  EXPECT_EQ(report.aggregate(Phase::kSolver).max.barrier_crossings, 3u)
       << "the standalone SORTPERM's three collectives";
 }
 
@@ -366,11 +388,10 @@ TEST(CrossingLedger, TraceModelPredictsTheHybridLedger) {
 
 TEST(CrossingLedger, OrderedSolvePerformsExactlyOneMatrixRedistribution) {
   // The one-shot tentpole pin: everything charged to Phase::kRedistribute
-  // in an ordered_solve is ONE fused matrix alltoallv (2 crossings), the
-  // folded bandwidth allreduce (2) and the rhs slab alltoallv (2) — six
-  // crossings total, with the grid's communicator splits deliberately
-  // constructed outside the phase. Any second matrix redistribution
-  // sneaking into the pipeline moves this exact count.
+  // in an ordered_solve is ONE fused matrix alltoallv (1 crossing), the
+  // folded bandwidth allreduce (1) and the rhs slab alltoallv (1) — three
+  // crossings total. Any second matrix redistribution sneaking into the
+  // pipeline moves this exact count.
   const auto a = sparse::gen::with_laplacian_values(
       sparse::gen::relabel_random(sparse::gen::grid2d(10, 10), 3), 0.02);
   std::vector<double> b(static_cast<std::size_t>(a.n()));
@@ -380,16 +401,16 @@ TEST(CrossingLedger, OrderedSolvePerformsExactlyOneMatrixRedistribution) {
   const auto run =
       rcm::run_ordered_solve_recoverable(4, {.matrix = &a, .b = b});
   EXPECT_EQ(run.report.aggregate(Phase::kRedistribute).max.barrier_crossings,
-            6u)
+            3u)
       << "one-shot: matrix alltoallv + bandwidth allreduce + rhs alltoallv";
 }
 
-TEST(CrossingLedger, DistPcgIsSixCrossingsPerIteration) {
+TEST(CrossingLedger, OrderedSolveIsThreeCrossingsPerIteration) {
   // The solver's synchrony budget as a closed form in the iteration count
-  // K: the halo-setup alltoallv (2) and the setup r'r / r'z pair (2), then
-  // per iteration one halo alltoallv (2), the p'Ap allreduce (2) and the
-  // next r'r folded into the r'z allreduce (2). The residual test reads
-  // the carried r'r, so convergence costs no extra collective: 4 + 6K.
+  // K: the halo-setup alltoallv (1) and the setup r'r / r'z pair (1), then
+  // per iteration one halo alltoallv (1), the p'Ap allreduce (1) and the
+  // next r'r folded into the r'z allreduce (1). The residual test reads
+  // the carried r'r, so convergence costs no extra collective: 2 + 3K.
   // The fold must not move the iterate: the iteration counts are pinned
   // too.
   const auto a = sparse::gen::with_laplacian_values(
@@ -405,17 +426,77 @@ TEST(CrossingLedger, DistPcgIsSixCrossingsPerIteration) {
     const int k = run.result.cg.iterations;
     EXPECT_EQ(k, iterations) << "p=" << p;
     EXPECT_EQ(run.report.aggregate(Phase::kSolver).max.barrier_crossings,
-              static_cast<std::uint64_t>(4 + 6 * k))
-        << "p=" << p << ": 6 crossings per CG iteration plus 4 of setup";
+              static_cast<std::uint64_t>(2 + 3 * k))
+        << "p=" << p << ": 3 crossings per CG iteration plus 2 of setup";
+  }
+}
+
+TEST(CrossingLedger, PcgIterationIsThreeCrossings) {
+  // dist_pcg's numeric half on a fixed SPD system (the 10 x 10 grid
+  // Laplacian in its natural order, row blocks sliced outside the ranks):
+  // the setup r'r / r'z pair, then one halo alltoallv and two allreduces
+  // per iteration, each ONE crossing: 1 + 3K. The plan's halo-request
+  // alltoallv before it is one more.
+  constexpr int kRanks = 4;
+  const auto a =
+      sparse::gen::with_laplacian_values(sparse::gen::grid2d(10, 10), 0.02);
+  std::vector<double> b(static_cast<std::size_t>(a.n()));
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0 + static_cast<double>(i % 7);
+  }
+  std::vector<dist::RowBlockCsr> blocks(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    auto& block = blocks[static_cast<std::size_t>(r)];
+    block.n = a.n();
+    block.lo = dist::row_block_lo(a.n(), kRanks, r);
+    block.hi = dist::row_block_lo(a.n(), kRanks, r + 1);
+    block.row_ptr.push_back(0);
+    for (index_t i = block.lo; i < block.hi; ++i) {
+      const auto cols = a.row(i);
+      const auto vals = a.row_values(i);
+      block.cols.insert(block.cols.end(), cols.begin(), cols.end());
+      block.vals.insert(block.vals.end(), vals.begin(), vals.end());
+      block.row_ptr.push_back(static_cast<nnz_t>(block.cols.size()));
+    }
+  }
+  std::vector<int> iterations(kRanks, -1);
+  std::vector<std::uint64_t> plan_crossings(kRanks), solve_crossings(kRanks);
+  Runtime::run(kRanks, [&](Comm& world) {
+    const auto r = static_cast<std::size_t>(world.rank());
+    const auto& block = blocks[r];
+    const auto solver_crossings = [&] {
+      return world.stats().phase(Phase::kSolver).barrier_crossings;
+    };
+    const auto plan = solver::build_solve_plan(world, block);
+    plan_crossings[r] = solver_crossings();
+    std::vector<double> x_local;
+    const auto res = solver::solve_with_plan(
+        world, plan, block.vals,
+        std::span<const double>(b).subspan(
+            static_cast<std::size_t>(block.lo),
+            static_cast<std::size_t>(block.local_rows())),
+        x_local, /*precondition=*/true);
+    EXPECT_TRUE(res.converged);
+    iterations[r] = res.iterations;
+    solve_crossings[r] = solver_crossings() - plan_crossings[r];
+  });
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const int k = iterations[0];
+    ASSERT_GT(k, 0);
+    EXPECT_EQ(iterations[r], k);
+    EXPECT_EQ(plan_crossings[r], 1u) << "the halo-request alltoallv";
+    EXPECT_EQ(solve_crossings[r], static_cast<std::uint64_t>(1 + 3 * k))
+        << "3 crossings per CG iteration plus the setup dot pair";
   }
 }
 
 TEST(CrossingLedger, PlanHitSkipsTheSymbolicCollectives) {
   // The cold pins' fixture, served twice by a 4-rank service: the second
   // request is a cache hit that reuses the solve plan. kRedistribute keeps
-  // only the value-only matrix alltoallv (2) and the value-only rhs
-  // alltoallv (2) — no bandwidth allreduce; kSolver loses the
-  // halo-request alltoallv and keeps the setup dot pair: 2 + 6K. Words
+  // only the value-only matrix alltoallv (1) and the value-only rhs
+  // alltoallv (1) — no bandwidth allreduce; kSolver loses the
+  // halo-request alltoallv and keeps the setup dot pair: 1 + 3K. Words
   // drop from a 3-word triple and a 2-word rhs element to one word each.
   const auto a = sparse::gen::with_laplacian_values(
       sparse::gen::relabel_random(sparse::gen::grid2d(10, 10), 3), 0.02);
@@ -436,16 +517,17 @@ TEST(CrossingLedger, PlanHitSkipsTheSymbolicCollectives) {
   ASSERT_TRUE(hit.plan_reused);
   ASSERT_TRUE(hit.cg.converged);
   const int k = hit.cg.iterations;
-  EXPECT_EQ(k, 31) << "the p=4 iteration pin of DistPcgIsSixCrossingsPerIteration";
+  EXPECT_EQ(k, 31)
+      << "the p=4 iteration pin of OrderedSolveIsThreeCrossingsPerIteration";
 
   const auto crossings = [](const service::OrderSolveResponse& r, Phase ph) {
     return r.report.aggregate(ph).max.barrier_crossings;
   };
-  EXPECT_EQ(crossings(cold, Phase::kRedistribute), 6u);
-  EXPECT_EQ(crossings(cold, Phase::kSolver), static_cast<std::uint64_t>(4 + 6 * k));
-  EXPECT_EQ(crossings(hit, Phase::kRedistribute), 4u)
+  EXPECT_EQ(crossings(cold, Phase::kRedistribute), 3u);
+  EXPECT_EQ(crossings(cold, Phase::kSolver), static_cast<std::uint64_t>(2 + 3 * k));
+  EXPECT_EQ(crossings(hit, Phase::kRedistribute), 2u)
       << "value-only matrix alltoallv + value-only rhs alltoallv";
-  EXPECT_EQ(crossings(hit, Phase::kSolver), static_cast<std::uint64_t>(2 + 6 * k))
+  EXPECT_EQ(crossings(hit, Phase::kSolver), static_cast<std::uint64_t>(1 + 3 * k))
       << "no halo-request alltoallv on a plan hit";
   EXPECT_LT(crossings(hit, Phase::kRedistribute) + crossings(hit, Phase::kSolver),
             crossings(cold, Phase::kRedistribute) + crossings(cold, Phase::kSolver));
@@ -481,7 +563,7 @@ TEST(CrossingLedger, PlanHitSkipsTheSymbolicCollectives) {
   EXPECT_LT(hit_peak, cold.report.max_peak_resident());
 }
 
-TEST(CrossingLedger, StandaloneSortpermIsSixCrossingsExactWords) {
+TEST(CrossingLedger, StandaloneSortpermIsThreeCrossingsExactWords) {
   // The standalone sortperm_bucket's exact bill. Fixture: a FULL frontier
   // of n = 128 vertices on the 2 x 2 grid, degree = vertex id, parent
   // bucket = vertex id mod 4. Each rank owns 32 consecutive vertices, 8 in
@@ -489,7 +571,7 @@ TEST(CrossingLedger, StandaloneSortpermIsSixCrossingsExactWords) {
   // deals 8 triples to each worker and receives 32. Per rank: the deal
   // alltoallv moves 32 triples of 3 words (96), the count allgather 4 words
   // (one per worker), and the scatter-back alltoallv 32 (index, position)
-  // pairs of 2 words (64): 164 words over 2 + 2 + 2 crossings.
+  // pairs of 2 words (64): 164 words over 1 + 1 + 1 crossings.
   constexpr index_t kN = 128;
   constexpr index_t kBuckets = 4;
   const auto report = Runtime::run(4, [&](Comm& world) {
@@ -511,7 +593,7 @@ TEST(CrossingLedger, StandaloneSortpermIsSixCrossingsExactWords) {
     EXPECT_EQ(ranked.entries().size(), mine.size());
   });
   const auto& sort = report.aggregate(Phase::kOrderingSort).max;
-  EXPECT_EQ(sort.barrier_crossings, 6u)
+  EXPECT_EQ(sort.barrier_crossings, 3u)
       << "standalone SORTPERM: deal + count allgather + scatter-back";
   EXPECT_EQ(sort.words, 3u * 32 + 4u + 2u * 32);
 }

@@ -85,22 +85,22 @@ TEST(Trace, SpeculativeSweepsSplitTheLevels) {
 
 TEST(CostModel, CrossingsFollowTheSpeculativeSearch) {
   // path(20): seed 0, a plain BFS of eccentricity 19 (20 levels x 2 + the
-  // empty call's 1 = 41), one candidate argmin (2) and the seed scan (2)
+  // empty call's 1 = 41), one candidate argmin (1) and the seed scan (1)
   // on the peripheral side; the speculative sweep from 19 is the ordering
   // — 19 full CM levels x 3 + the terminal level's 2 — plus the final
-  // label allgatherv (2). Crossings do not depend on the core count.
+  // label allgatherv (1). Crossings do not depend on the core count.
   const auto tr = ExecutionTrace::collect(gen::path(20));
   for (const int cores : {1, 4, 24}) {
     const auto c = project_cost(tr, cores, 1);
-    EXPECT_EQ(c.peripheral_crossings(), 45u) << cores;
-    EXPECT_EQ(c.ordering_crossings(), 61u) << cores;
+    EXPECT_EQ(c.peripheral_crossings(), 43u) << cores;
+    EXPECT_EQ(c.ordering_crossings(), 60u) << cores;
   }
   // Isolated vertices: one plain sweep each (2 + 1), the fixpoint argmin
-  // (2), the seed scan (2) and a one-level CM pass (2) per component.
+  // (1), the seed scan (1) and a one-level CM pass (2) per component.
   const auto iso =
       project_cost(ExecutionTrace::collect(gen::empty_graph(3)), 4, 1);
-  EXPECT_EQ(iso.peripheral_crossings(), 3u * 7);
-  EXPECT_EQ(iso.ordering_crossings(), 3u * 2 + 2);
+  EXPECT_EQ(iso.peripheral_crossings(), 3u * 5);
+  EXPECT_EQ(iso.ordering_crossings(), 3u * 2 + 1);
 }
 
 TEST(CostModel, SingleCoreIsPureCompute) {
