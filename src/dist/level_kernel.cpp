@@ -41,8 +41,7 @@ void route_partials(const DistSpMat& a, const std::vector<VecEntry>& gathered,
                     ProcGrid2D& grid, DistWorkspace& w) {
   auto& world = grid.world();
   double work = 0;
-  const auto& partial =
-      spmspv_local_multiply(a, gathered, w, &work, world.threads());
+  const auto& partial = spmspv_local_multiply(a, gathered, w, &work);
   const auto& cuts = a.cuts();
   const int chunk = grid.row();
   for (const auto& e : partial) {

@@ -26,29 +26,19 @@ namespace drcm::dist {
 /// per-row partial minima with GLOBAL row indices, each row at most once.
 /// Returns workspace-owned scratch valid until the next workspace checkout;
 /// `*work` receives the work units to charge: frontier edges + emitted
-/// rows, the same at every thread count. Every expansion (the standalone
-/// kernel below and both fused level kernels) runs it.
-///
-/// With `threads` == 1 one stamped SPA records the rows it touches and
-/// emits them in first-touch order — O(frontier edges), NOT ascending.
-/// `threads` > 1 selects the hybrid node-level path (paper Fig. 6): the
-/// frontier loop OpenMP-splits into contiguous stripes over per-thread
-/// stamped SPAs, and the per-thread results are min-merged in a
-/// deterministic order into ascending output. Either way the emitted
-/// (row, minimum) SET is identical, so callers that need an order sort
-/// it; the caller's Comm divides modeled seconds by its thread count.
+/// rows. Every expansion (the standalone kernel below and both fused level
+/// kernels) runs it. One stamped SPA records the rows it touches and emits
+/// them in first-touch order — O(frontier edges), NOT ascending, so callers
+/// that need an order sort it.
 std::vector<VecEntry>& spmspv_local_multiply(const DistSpMat& a,
                                              std::span<const VecEntry> frontier,
-                                             DistWorkspace& ws, double* work,
-                                             int threads = 1);
+                                             DistWorkspace& ws, double* work);
 
 /// Collective. `x` must be distributed conformally with `a`
 /// (x.dist() == a.vec_dist(); throws CheckError otherwise); the result is
 /// this rank's owned part of y, ascending by index. Costs are charged to
 /// the caller's current phase. Scratch comes from `ws`, or from the grid's
-/// per-rank workspace when `ws` is null. The local multiply runs on
-/// grid.world().threads() OpenMP threads (the Runtime::run
-/// threads_per_rank of the hybrid configuration).
+/// per-rank workspace when `ws` is null.
 DistSpVec spmspv_select2nd_min(const DistSpMat& a, const DistSpVec& x,
                                ProcGrid2D& grid, DistWorkspace* ws = nullptr);
 

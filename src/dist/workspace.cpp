@@ -78,39 +78,6 @@ std::vector<SortRec>& DistWorkspace::sort_recv_scratch() {
   return checkout_cleared(sort_recv_, sort_recv_cap_);
 }
 
-std::span<StampedSlots> DistWorkspace::thread_spas(std::size_t threads,
-                                                   std::size_t rows) {
-  if (thread_spas_.size() < threads) {
-    thread_spas_.resize(threads);
-    ++reallocations_;
-  }
-  for (std::size_t t = 0; t < threads; ++t) {
-    reallocations_ += thread_spas_[t].begin(rows);
-  }
-  return {thread_spas_.data(), threads};
-}
-
-std::span<ThreadStripe> DistWorkspace::thread_stripes(std::size_t threads) {
-  if (thread_stripes_.size() < threads) {
-    thread_stripes_.resize(threads);
-    thread_stripe_caps_.resize(threads, 0);
-    ++reallocations_;
-  }
-  for (std::size_t t = 0; t < threads; ++t) {
-    auto& s = thread_stripes_[t];
-    const std::size_t cap =
-        s.emit.capacity() + s.touched.capacity() + s.gather.capacity();
-    if (cap != thread_stripe_caps_[t]) {
-      ++reallocations_;
-      thread_stripe_caps_[t] = cap;
-    }
-    s.emit.clear();
-    s.touched.clear();
-    s.gather.clear();
-  }
-  return {thread_stripes_.data(), threads};
-}
-
 std::vector<index_t>& DistWorkspace::index_scratch(std::size_t n) {
   if (index_.capacity() != index_cap_) {
     ++reallocations_;

@@ -21,7 +21,6 @@
 //     pin the "no reallocation after warm-up" property.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -70,25 +69,6 @@ struct SortRec {
   index_t bucket;
   index_t degree;
   index_t idx;
-};
-
-/// Per-thread stage-2 stripe of the hybrid node-level SpMSpV: thread t of
-/// the OpenMP team owns a contiguous slice of the gathered frontier and
-/// emits its row-stripe of the merged per-thread SPAs into `emit`, so no
-/// two threads ever share mutable state. The calling thread then
-/// concatenates the emissions in thread order — a deterministic reduction
-/// that keeps the hybrid output identical at any thread count.
-///
-/// `touched` records the rows this thread's SPA first-touched during
-/// accumulation, which makes the merge OUTPUT-SENSITIVE on sparse levels:
-/// instead of probing team x local_rows SPA slots, each emitting thread
-/// collects the team's touched rows falling in its row stripe into
-/// `gather`, sorts/dedups them, and probes only those (team probes per
-/// emitted row — but zero scans of untouched rows).
-struct ThreadStripe {
-  std::vector<VecEntry> emit;
-  std::vector<index_t> touched;
-  std::vector<index_t> gather;
 };
 
 /// Cache-line aligned: per-rank workspaces side by side must not false-share.
@@ -144,19 +124,6 @@ class alignas(64) DistWorkspace {
   /// The ordering level's landing buffer for the SortRec triples dealt to
   /// this rank.
   std::vector<SortRec>& sort_recv_scratch();
-
-  /// Per-thread SPA arms of the hybrid local multiply: `threads` stamped
-  /// slot arrays, each epoch-opened over `rows` (so a thread cannot observe
-  /// another thread's — or a previous call's — values). Growth of the arm
-  /// count and of any arm's storage is realloc-counted; shrinking the
-  /// thread count between calls retains the extra arms' storage and counts
-  /// nothing, so a rank alternating hybrid and flat calls stays
-  /// allocation-free after warm-up.
-  std::span<StampedSlots> thread_spas(std::size_t threads, std::size_t rows);
-  /// Per-thread stripes of the hybrid local multiply (emission, touched
-  /// and gather buffers), each cleared with capacity retained; realloc
-  /// accounting mirrors thread_spas.
-  std::span<ThreadStripe> thread_stripes(std::size_t threads);
 
   /// Plain index scratch of exactly `n` elements, contents unspecified
   /// (callers overwrite every slot they read).
@@ -220,12 +187,6 @@ class alignas(64) DistWorkspace {
   std::vector<index_t> index_;
   std::vector<index_t> counters_;
   std::vector<SortRec> sort_recv_;
-  std::vector<StampedSlots> thread_spas_;
-  std::vector<ThreadStripe> thread_stripes_;
-  /// Per-arm capacity ledgers of the thread stripes (sum of the three
-  /// buffers), so shrinking and re-growing the thread count between calls
-  /// is not misread as a reallocation.
-  std::vector<std::size_t> thread_stripe_caps_;
   std::size_t spa_touched_cap_ = 0, merge_touched_cap_ = 0,
               frontier_cap_ = 0,
               partial_cap_ = 0, gather_cap_ = 0, recv_cap_ = 0,

@@ -39,9 +39,8 @@ int usable_cores() {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
-WaitPolicy choose_wait_policy(int nranks, int threads_per_rank, int cores) {
-  const auto demand = static_cast<long long>(nranks) * threads_per_rank;
-  return demand <= cores ? WaitPolicy::kSpinThenPark : WaitPolicy::kPark;
+WaitPolicy choose_wait_policy(int nranks, int cores) {
+  return nranks <= cores ? WaitPolicy::kSpinThenPark : WaitPolicy::kPark;
 }
 
 PoisonableBarrier::PoisonableBarrier(int n, WaitPolicy policy,

@@ -16,7 +16,7 @@
 //   (c) spin only when the rank threads fit the cores, otherwise park. A
 //       waiter whose peers all own a core is woken in well under a
 //       microsecond by spinning, while a futex sleep and wake costs about
-//       10 µs. When `nranks × threads_per_rank` exceeds the usable cores, a
+//       10 µs. When the rank threads outnumber the usable cores, a
 //       spinning waiter would burn the core its straggling peer needs, so
 //       waiters park at once. The spin is bounded by wall time either way:
 //       after kSpinBudget the waiter parks on the mutex/condvar;
@@ -49,9 +49,9 @@ inline constexpr std::chrono::microseconds kSpinBudget{10};
 /// std::thread::hardware_concurrency (at least 1).
 int usable_cores();
 
-/// The spin rule: spin only when every rank thread and every node-level
-/// worker thread can own a core, i.e. `nranks × threads_per_rank <= cores`.
-WaitPolicy choose_wait_policy(int nranks, int threads_per_rank, int cores);
+/// The spin rule: spin only when every rank thread can own a core, i.e.
+/// `nranks <= cores`.
+WaitPolicy choose_wait_policy(int nranks, int cores);
 
 /// Watchdog settings shared by every barrier of one run.
 struct Watchdog {

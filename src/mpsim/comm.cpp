@@ -432,9 +432,8 @@ Comm Comm::split(int color, int key) {
 }
 
 void Comm::charge_compute(double units) {
-  state_->stats.add_compute(
-      state_->phase, units,
-      model_->compute_seconds(units) / static_cast<double>(state_->threads));
+  state_->stats.add_compute(state_->phase, units,
+                            model_->compute_seconds(units));
 }
 
 void Comm::note_resident(std::uint64_t elements) {

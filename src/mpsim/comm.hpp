@@ -110,15 +110,10 @@ std::string describe_collective_tag(std::uint64_t tag);
 
 /// Per-rank mutable state shared by all communicators a rank holds
 /// (world and any splits): the stats recorder, the current phase and the
-/// hybrid thread count.
+/// fault-injection bookkeeping.
 struct RankState {
   StatsRecorder stats;
   Phase phase = Phase::kOther;
-  /// OpenMP threads available to this rank's local kernels (the paper's
-  /// hybrid configuration: one communicating thread per process, the rest
-  /// doing local work). Modeled compute time divides by this; modeled
-  /// communication does not — collectives stay single-threaded per rank.
-  int threads = 1;
   /// This rank's MPI_COMM_WORLD rank — the coordinate fault plans script
   /// against (sub-communicator ranks differ).
   int world_rank = 0;
@@ -152,10 +147,6 @@ class Comm {
 
   int rank() const { return rank_; }
   int size() const { return size_; }
-  /// OpenMP threads the hybrid configuration grants this rank's local
-  /// kernels (Runtime::run's threads_per_rank; 1 = flat MPI). Shared by all
-  /// communicators of the rank, so split communicators agree with world.
-  int threads() const { return state_->threads; }
 
   /// Synchronizes all members in one crossing, checks that every member
   /// entered a barrier, and charges the modeled barrier cost.
@@ -294,15 +285,10 @@ class Comm {
   /// up in the modeled makespan, the unit ledger stays honest.
   void charge_stall(double modeled_seconds);
 
-  /// Charges `units` of scalar work to the current phase. The raw unit
-  /// ledger records the algorithm's work independent of threading; the
-  /// modeled seconds divide by threads(). That is the paper's (and the
-  /// trace model's) hybrid pricing — ALL local computation assumed spread
-  /// over P * threads cores — applied uniformly so the two cost paths
-  /// agree exactly. Executed wall time honors it only where a kernel
-  /// actually splits (today the SpMSpV local multiply; serial scans keep
-  /// their measured time, the modeled/measured columns diverging there by
-  /// design).
+  /// Charges `units` of scalar work, priced at the machine's per-unit
+  /// compute rate, to the current phase. Every rank is one thread; the
+  /// paper's hybrid pricing (compute spread over the threads of a process)
+  /// is applied by the trace model, rcm::project_cost.
   void charge_compute(double units);
 
   /// Records this rank's CURRENT distributed-state footprint (in scalar

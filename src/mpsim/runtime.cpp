@@ -77,30 +77,25 @@ void SpmdReport::merge_from(const SpmdReport& other) {
 }
 
 SpmdReport Runtime::run(int nranks, const std::function<void(Comm&)>& body,
-                        const MachineParams& machine, int threads_per_rank) {
+                        const MachineParams& machine) {
   RunOptions options;
   options.machine = machine;
-  options.threads_per_rank = threads_per_rank;
   return run(nranks, body, options);
 }
 
 SpmdReport Runtime::run(int nranks, const std::function<void(Comm&)>& body,
                         const RunOptions& options) {
   DRCM_CHECK(nranks >= 1, "need at least one rank");
-  DRCM_CHECK(options.threads_per_rank >= 1,
-             "need at least one thread per rank");
   const MachineParams& machine = options.machine;
-  // Decided once per run: spin only when every rank thread (and each
-  // rank's node-level workers) can own a core.
-  auto registry = make_barrier_registry(choose_wait_policy(
-      nranks, options.threads_per_rank, usable_cores()));
+  // Decided once per run: spin only when every rank thread can own a core.
+  auto registry =
+      make_barrier_registry(choose_wait_policy(nranks, usable_cores()));
   auto world_ctx = make_comm_context(nranks, registry);
   const CostModel model(machine);
 
   std::vector<RankState> states(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     auto& s = states[static_cast<std::size_t>(r)];
-    s.threads = options.threads_per_rank;
     s.world_rank = r;
     s.faults = options.faults;
   }

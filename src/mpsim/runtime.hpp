@@ -48,8 +48,6 @@ struct SpmdReport {
 /// Extended launch configuration for fault-tolerance work.
 struct RunOptions {
   MachineParams machine{};
-  /// Hybrid OpenMP-MPI configuration; see Runtime::run.
-  int threads_per_rank = 1;
   /// Scripted faults injected at each rank's collective-entry hook; may be
   /// null. Actions are one-shot (transient-fault semantics) — see fault.hpp.
   FaultPlan* faults = nullptr;
@@ -67,17 +65,13 @@ struct RunOptions {
 
 class Runtime {
  public:
-  /// Runs `body` on `nranks` ranks and returns the cost report.
-  /// `threads_per_rank` is the hybrid OpenMP-MPI configuration: each rank's
-  /// Comm::threads() reports it, the node-level kernels split their local
-  /// loops across that many OpenMP threads, and modeled compute time is
-  /// divided accordingly (communication is performed by one thread per
-  /// rank, as in the paper's hybrid implementation). Barrier waiters spin
-  /// briefly before sleeping only when `nranks × threads_per_rank` fits
-  /// the usable cores (mpsim/barrier.hpp).
+  /// Runs `body` on `nranks` ranks, one thread each, and returns the cost
+  /// report. Barrier waiters spin briefly before sleeping only when the
+  /// `nranks` rank threads fit the usable cores (mpsim/barrier.hpp). The
+  /// paper's hybrid MPI+OpenMP configuration is priced by the trace model
+  /// (rcm::project_cost), not executed.
   static SpmdReport run(int nranks, const std::function<void(Comm&)>& body,
-                        const MachineParams& machine = {},
-                        int threads_per_rank = 1);
+                        const MachineParams& machine = {});
 
   /// Same, with fault injection and the barrier watchdog.
   static SpmdReport run(int nranks, const std::function<void(Comm&)>& body,

@@ -134,13 +134,9 @@ index_t gps_component(const CsrMatrix& a, index_t seed, index_t next_label,
 std::vector<index_t> gps(const CsrMatrix& a) {
   std::vector<index_t> labels(static_cast<std::size_t>(a.n()), kNoVertex);
   index_t next_label = 0;
+  ComponentSeeds seeds(a);
   while (next_label < a.n()) {
-    index_t seed = kNoVertex;
-    for (index_t v = 0; v < a.n(); ++v) {
-      if (labels[static_cast<std::size_t>(v)] != kNoVertex) continue;
-      if (seed == kNoVertex || a.degree(v) < a.degree(seed)) seed = v;
-    }
-    next_label = gps_component(a, seed, next_label, labels);
+    next_label = gps_component(a, seeds.next(labels), next_label, labels);
   }
   reverse_labels(labels);
   return labels;

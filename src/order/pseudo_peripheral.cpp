@@ -28,6 +28,13 @@ PeripheralResult pseudo_peripheral_vertex(const sparse::CsrMatrix& a,
   DRCM_CHECK(start >= 0 && start < a.n(), "start vertex out of range");
   PeripheralResult res;
   res.vertex = start;
+  if (a.degree(start) == 0) {
+    // An isolated vertex is its own component: the one sweep either
+    // iteration runs finds a single level, so skip its O(n) BFS.
+    res.bfs_sweeps = 1;
+    res.last_width = 1;
+    return res;
+  }
 
   sparse::BfsResult b = sparse::bfs(a, res.vertex);
   ++res.bfs_sweeps;

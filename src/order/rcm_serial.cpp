@@ -6,14 +6,21 @@
 
 namespace drcm::order {
 
-index_t next_component_seed(const sparse::CsrMatrix& a,
-                            const std::vector<index_t>& labels) {
-  index_t best = kNoVertex;
+ComponentSeeds::ComponentSeeds(const sparse::CsrMatrix& a)
+    : order_(static_cast<std::size_t>(a.n())) {
+  // Stable counting sort by degree: ids ascend within each degree bucket.
+  index_t max_degree = 0;
   for (index_t v = 0; v < a.n(); ++v) {
-    if (labels[static_cast<std::size_t>(v)] != kNoVertex) continue;
-    if (best == kNoVertex || a.degree(v) < a.degree(best)) best = v;
+    max_degree = std::max(max_degree, a.degree(v));
   }
-  return best;
+  std::vector<std::size_t> start(static_cast<std::size_t>(max_degree) + 2, 0);
+  for (index_t v = 0; v < a.n(); ++v) {
+    ++start[static_cast<std::size_t>(a.degree(v)) + 1];
+  }
+  for (std::size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+  for (index_t v = 0; v < a.n(); ++v) {
+    order_[start[static_cast<std::size_t>(a.degree(v))]++] = v;
+  }
 }
 
 namespace {
@@ -95,8 +102,9 @@ std::vector<index_t> cm_all_components(const CsrMatrix& a,
   std::vector<index_t> labels(static_cast<std::size_t>(a.n()), kNoVertex);
   index_t next_label = 0;
   OrderingStats local;
+  ComponentSeeds seeds(a);
   while (next_label < a.n()) {
-    const index_t seed = next_component_seed(a, labels);
+    const index_t seed = seeds.next(labels);
     DRCM_CHECK(seed != kNoVertex, "labels/next_label inconsistency");
     const auto peripheral = pseudo_peripheral_vertex(a, seed, mode);
     local.components += 1;
@@ -139,9 +147,10 @@ std::vector<index_t> cm_classic(const CsrMatrix& a) {
   queue.reserve(static_cast<std::size_t>(a.n()));
   index_t next_label = 0;
   std::vector<index_t> children;
+  ComponentSeeds seeds(a);
 
   while (next_label < a.n()) {
-    const index_t seed = next_component_seed(a, labels);
+    const index_t seed = seeds.next(labels);
     const auto peripheral = pseudo_peripheral_vertex(a, seed);
     labels[static_cast<std::size_t>(peripheral.vertex)] = next_label++;
     queue.push_back(peripheral.vertex);
@@ -191,8 +200,9 @@ std::vector<index_t> rcm_endsort(const CsrMatrix& a) {
 
   index_t placed = 0;
   index_t component = 0;
+  ComponentSeeds seeds(a);
   while (placed < a.n()) {
-    const index_t seed = next_component_seed(a, labels);
+    const index_t seed = seeds.next(labels);
     const auto peripheral = pseudo_peripheral_vertex(a, seed);
     const index_t root = peripheral.vertex;
     // One BFS: levels plus minimum-ID parent in the previous level (labels

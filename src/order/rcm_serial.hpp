@@ -63,12 +63,35 @@ index_t cm_component_keyed(const sparse::CsrMatrix& a, index_t root,
                            index_t next_label, std::span<const index_t> keys,
                            std::vector<index_t>& labels);
 
-/// Next unvisited component seed: minimum degree, ties to smallest id
-/// (kNoVertex when every vertex is labeled). The shared component-seeding
-/// rule of every portfolio ordering — exported so the level-synchronous
-/// Sloan and the distributed drivers agree on component discovery order.
-index_t next_component_seed(const sparse::CsrMatrix& a,
-                            const std::vector<index_t>& labels);
+/// Component seeds in discovery order: the unlabeled vertex of minimum
+/// degree, ties to the smallest id — the shared component-seeding rule of
+/// every portfolio ordering, so the serial arms and the distributed drivers
+/// agree on component discovery order. The vertices are counting-sorted by
+/// (degree, id) once; next() advances a cursor past labeled vertices.
+/// Labeled vertices never become unlabeled, so the cursor never moves back
+/// and a whole ordering pays O(n + max degree) for its seeds.
+class ComponentSeeds {
+ public:
+  explicit ComponentSeeds(const sparse::CsrMatrix& a);
+
+  /// The next vertex v in (degree, id) order with !labeled(v); kNoVertex
+  /// when every vertex is labeled.
+  template <class Labeled>
+  index_t next(const Labeled& labeled) {
+    while (cursor_ < order_.size() && labeled(order_[cursor_])) ++cursor_;
+    return cursor_ < order_.size() ? order_[cursor_] : kNoVertex;
+  }
+  /// Same, where labels[v] != kNoVertex marks v labeled.
+  index_t next(const std::vector<index_t>& labels) {
+    return next([&](index_t v) {
+      return labels[static_cast<std::size_t>(v)] != kNoVertex;
+    });
+  }
+
+ private:
+  std::vector<index_t> order_;
+  std::size_t cursor_ = 0;
+};
 
 /// Textbook queue-based Cuthill-McKee (paper Algorithm 1) with the same
 /// tie-breaking; used to cross-validate cm_serial.

@@ -99,16 +99,13 @@ std::vector<index_t> rcm_shared(const CsrMatrix& a, int num_threads) {
   for (auto& l : labels) l.store(kNoVertex, std::memory_order_relaxed);
 
   index_t next_label = 0;
+  ComponentSeeds seeds(a);
   while (next_label < a.n()) {
     // Component seed: min degree, ties to smallest id (same as serial).
-    index_t seed = kNoVertex;
-    for (index_t v = 0; v < a.n(); ++v) {
-      if (labels[static_cast<std::size_t>(v)].load(std::memory_order_relaxed) !=
-          kNoVertex) {
-        continue;
-      }
-      if (seed == kNoVertex || a.degree(v) < a.degree(seed)) seed = v;
-    }
+    const index_t seed = seeds.next([&](index_t v) {
+      return labels[static_cast<std::size_t>(v)].load(
+                 std::memory_order_relaxed) != kNoVertex;
+    });
     const auto peripheral = pseudo_peripheral_vertex(a, seed);
     next_label = cm_component_parallel(a, peripheral.vertex, next_label, labels);
   }

@@ -109,13 +109,9 @@ std::vector<index_t> sloan(const CsrMatrix& a, SloanOptions opt) {
   DRCM_CHECK(opt.w1 >= 0 && opt.w2 >= 0, "Sloan weights must be non-negative");
   std::vector<index_t> labels(static_cast<std::size_t>(a.n()), kNoVertex);
   index_t next_label = 0;
+  ComponentSeeds seeds(a);
   while (next_label < a.n()) {
-    index_t seed = kNoVertex;
-    for (index_t v = 0; v < a.n(); ++v) {
-      if (labels[static_cast<std::size_t>(v)] != kNoVertex) continue;
-      if (seed == kNoVertex || a.degree(v) < a.degree(seed)) seed = v;
-    }
-    next_label = sloan_component(a, seed, next_label, opt, labels);
+    next_label = sloan_component(a, seeds.next(labels), next_label, opt, labels);
   }
   return labels;
 }
@@ -126,8 +122,9 @@ std::vector<index_t> sloan_levels(const CsrMatrix& a, SloanOptions opt,
   std::vector<index_t> labels(static_cast<std::size_t>(a.n()), kNoVertex);
   std::vector<index_t> keys(static_cast<std::size_t>(a.n()), 0);
   index_t next_label = 0;
+  ComponentSeeds seeds(a);
   while (next_label < a.n()) {
-    const index_t seed = next_component_seed(a, labels);
+    const index_t seed = seeds.next(labels);
     DRCM_CHECK(seed != kNoVertex, "labels/next_label inconsistency");
     // The same pseudo-diameter pair classic Sloan computes: s = peripheral
     // vertex, e = min-degree (ties id) vertex of s's last BFS level.

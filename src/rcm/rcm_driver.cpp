@@ -21,14 +21,6 @@ namespace drcm::rcm {
 
 namespace {
 
-/// The threads per rank a run_* launcher starts the runtime with: the
-/// caller's request, rejected below 1 before any rank launches.
-int launch_threads(const DistRcmOptions& options) {
-  DRCM_CHECK(options.threads >= 1,
-             "DistRcmOptions::threads must be at least 1");
-  return options.threads;
-}
-
 /// The concrete algorithm `options` asks for on the adjacency pattern `a`:
 /// kAuto resolves BEFORE any collective — the selector is a deterministic
 /// function of the replicated pattern, so every rank lands on the same arm
@@ -802,7 +794,6 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
   DRCM_CHECK(dist::largest_square_grid(nranks) == nranks,
              "world size must be a perfect square");
   const std::uint64_t budget = resident_budget(a.nnz(), nranks, n);
-  const int threads = launch_threads(spec.rcm);
   // The adjacency is stripped once outside the ranks when the caller did not
   // supply it.
   sparse::CsrMatrix stripped;
@@ -825,7 +816,6 @@ OrderedSolveRecoverableRun run_ordered_solve_recoverable(
     for (int attempt = 1;; ++attempt) {
       mps::RunOptions options;
       options.machine = recovery.machine;
-      options.threads_per_rank = threads;
       options.faults = recovery.faults;
       options.watchdog_seconds = recovery.watchdog_seconds;
       mps::SpmdReport partial;
@@ -966,7 +956,7 @@ DistRcmRun run_dist_order(int nranks, const sparse::CsrMatrix& a,
                                  world.rank() == 0 ? &run.stats : nullptr);
         if (world.rank() == 0) run.labels = std::move(labels);
       },
-      machine, launch_threads(options));
+      machine);
   return run;
 }
 

@@ -49,14 +49,6 @@ struct DistRcmOptions {
   bool load_balance = false;
   /// Seed of the load-balancing permutation.
   u64 seed = 0x5eed;
-  /// OpenMP threads per rank of the hybrid configuration (paper Fig. 6:
-  /// one communicating thread per process, the others splitting the local
-  /// SpMSpV); 1 is flat MPI. Consumed by the run_* launchers when
-  /// launching the runtime, which reject values below 1; a body already
-  /// running on a Comm inherits the Runtime::run threads_per_rank instead.
-  /// Every thread count produces bit-identical orderings — this is a
-  /// performance knob.
-  int threads = 1;
 };
 
 struct DistRcmStats {

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "order/rcm_serial.hpp"
 
 namespace drcm::rcm {
 
@@ -63,14 +64,12 @@ ExecutionTrace ExecutionTrace::collect(const CsrMatrix& a) {
   std::vector<bool> labeled(static_cast<std::size_t>(a.n()), false);
   index_t mark = 0;
   index_t remaining = a.n();
+  order::ComponentSeeds seeds(a);
 
   while (remaining > 0) {
     // Component seed: unvisited minimum degree, ties to smallest id.
-    index_t seed = kNoVertex;
-    for (index_t v = 0; v < a.n(); ++v) {
-      if (labeled[static_cast<std::size_t>(v)]) continue;
-      if (seed == kNoVertex || a.degree(v) < a.degree(seed)) seed = v;
-    }
+    const index_t seed = seeds.next(
+        [&](index_t v) { return labeled[static_cast<std::size_t>(v)]; });
     tr.components += 1;
 
     // George-Liu iteration with traced sweeps: the first a plain BFS, every

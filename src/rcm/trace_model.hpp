@@ -120,10 +120,9 @@ struct CostBreakdown {
 ///
 /// The hybrid pricing — compute divided by ALL cores, communication priced
 /// per process with one communicating thread each, crossings independent of
-/// the thread count — is the same rule the executed runtime charges: a real
-/// mpsim run at P ranks with Runtime::run's threads_per_rank = t divides
-/// every charge_compute by t and leaves collectives untouched, so
-/// project_cost(trace, P * t, t) stays consistent with that run's ledger
+/// the thread count — lives here only: the executed runtime runs one thread
+/// per rank, so project_cost(trace, P, 1) matches a P-rank run's ledger and
+/// project_cost(trace, P * t, t) differs from it only by compute / t
 /// (asserted in test_mpsim_cost_model.cpp / test_model_runtime_consistency).
 CostBreakdown project_cost(const ExecutionTrace& trace, int cores,
                            int threads_per_process,

@@ -62,8 +62,6 @@ ReorderingService::ReorderingService(const ServiceOptions& options)
     : options_(options),
       workspaces_(static_cast<std::size_t>(std::max(options.ranks, 1))) {
   DRCM_CHECK(options_.ranks >= 1, "service needs at least one rank");
-  DRCM_CHECK(options_.threads_per_rank >= 1,
-             "service needs at least one thread per rank");
   DRCM_CHECK(options_.max_relaunches >= 0, "negative relaunch budget");
   cumulative_.machine = options_.machine;
 }
@@ -526,7 +524,6 @@ std::vector<OrderSolveResponse> ReorderingService::submit_batch(
     mps::SpmdReport partial;
     mps::RunOptions run_options;
     run_options.machine = options_.machine;
-    run_options.threads_per_rank = options_.threads_per_rank;
     run_options.faults = options_.faults;
     run_options.watchdog_seconds = options_.watchdog_seconds;
     run_options.report_on_error = &partial;

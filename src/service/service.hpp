@@ -147,7 +147,6 @@ struct ServiceOptions {
   /// World size of the service's rank fleet. Need not be square — lanes
   /// are carved as the largest square fitting the per-wave share.
   int ranks = 4;
-  int threads_per_rank = 1;
   mps::MachineParams machine{};
   /// Scripted faults (one-shot actions), applied across ALL launches the
   /// service performs; may be null.

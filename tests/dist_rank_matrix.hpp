@@ -1,9 +1,7 @@
-// The simulated rank x thread sweep shared by the rank-parameterized
-// distributed equivalence suites. DRCM_TEST_RANKS (a single positive rank
-// count) pins the rank axis to one configuration and DRCM_TEST_THREADS (a
-// single positive hybrid thread count) the thread axis — the knobs the CI
-// matrix sets to {1,4,9} x {1,2,6}; unset, each axis runs its full sweep,
-// so a plain local run covers the whole rank x thread matrix. One copy of
+// The simulated rank sweep shared by the rank-parameterized distributed
+// equivalence suites. DRCM_TEST_RANKS (a single positive rank count) pins
+// it to one configuration — the knob the CI matrix sets to each of
+// {1,4,9}; unset, a plain local run covers the whole sweep. One copy of
 // the contract so every suite honors the environment identically.
 #pragma once
 
@@ -34,18 +32,6 @@ inline std::vector<int> rank_counts_wall() {
     return {p > 0 ? p : 1};
   }
   return {1, 4, 9, 16};
-}
-
-/// The hybrid threads-per-rank axis: 1 = flat MPI (the serial local
-/// multiply), 2 = the smallest real OpenMP split, 6 = the paper's hybrid
-/// configuration. Every point must produce output bit-identical to flat.
-inline std::vector<int> thread_counts() {
-  if (const char* env = std::getenv("DRCM_TEST_THREADS")) {
-    const int t = std::atoi(env);
-    EXPECT_GT(t, 0) << "DRCM_TEST_THREADS must be a positive thread count";
-    return {t > 0 ? t : 1};
-  }
-  return {1, 2, 6};
 }
 
 }  // namespace drcm::dist::testing

@@ -12,7 +12,7 @@
 // All comparisons are element for element (values bit for bit), over
 // random SPD patterns, long rows, rows with no stored diagonal (the unit
 // placeholder), vanishing pivots (the shift, with shifted_pivots) and
-// ranks that own no rows. Honors DRCM_TEST_RANKS / DRCM_TEST_THREADS.
+// ranks that own no rows. Honors DRCM_TEST_RANKS.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +34,6 @@ namespace {
 using mps::Comm;
 using mps::Runtime;
 using testing::rank_counts_wall;
-using testing::thread_counts;
 namespace gen = sparse::gen;
 
 // ---- Oracles: the replaced code, kept here only to compare against ----
@@ -176,73 +175,67 @@ std::vector<MatEntryV> received_triples(const sparse::CsrMatrix& a,
   return out;
 }
 
-/// Redistributes `a` under `labels` on every p x threads cell and checks
-/// each rank's block against the sort-based oracle and its factor against
-/// the binary-search oracle. Returns the shifted pivots summed over ranks
-/// of the last cell (every cell sees the same blocks at one p).
+/// Redistributes `a` under `labels` on p ranks and checks each rank's
+/// block against the sort-based oracle and its factor against the
+/// binary-search oracle. Returns the shifted pivots summed over ranks.
 int check_against_oracles(const sparse::CsrMatrix& a,
                           const std::vector<index_t>& labels,
                           const std::string& what, int p) {
+  std::vector<int> shifted(static_cast<std::size_t>(p), 0);
+  Runtime::run(
+      p,
+      [&](Comm& world) {
+        ProcGrid2D grid(world);
+        const auto got = redistribute_to_row_blocks(a, labels, grid).block;
+        const int r = world.rank();
+        const auto want = sort_based_row_block(
+            received_triples(a, labels, p, r, 0x5eed + static_cast<u64>(r)),
+            a.n(), p, r);
+        const auto where = what + " p=" + std::to_string(p) +
+                           " rank=" + std::to_string(r);
+        EXPECT_EQ(got.n, want.n) << where;
+        EXPECT_EQ(got.lo, want.lo) << where;
+        EXPECT_EQ(got.hi, want.hi) << where;
+        EXPECT_EQ(got.row_ptr, want.row_ptr) << where;
+        EXPECT_EQ(got.cols, want.cols) << where;
+        EXPECT_EQ(got.vals, want.vals) << where;
+
+        // The slot map is a permutation of the block's slots, and the
+        // value-only route lands each value where its triple landed.
+        const auto routed = redistribute_to_row_blocks(a, labels, grid);
+        std::vector<nnz_t> seen(routed.origin);
+        std::sort(seen.begin(), seen.end());
+        for (std::size_t k = 0; k < seen.size(); ++k) {
+          ASSERT_EQ(seen[k], static_cast<nnz_t>(k)) << where;
+        }
+        const auto values = route_row_block_values(a, labels, grid);
+        ASSERT_EQ(values.size(), routed.origin.size()) << where;
+        for (std::size_t s = 0; s < values.size(); ++s) {
+          EXPECT_EQ(values[static_cast<std::size_t>(routed.origin[s])],
+                    got.vals[s])
+              << where << " block slot " << s;
+        }
+
+        // The plan's ILU(0) half over the placed values.
+        const auto plan =
+            solver::build_solve_plan(world, routed.block, routed.origin);
+        std::vector<double> split(values.size());
+        for (std::size_t k = 0; k < values.size(); ++k) {
+          split[static_cast<std::size_t>(plan.value_slot[k])] = values[k];
+        }
+        int pivots = 0;
+        const auto factor = solver::ilu0_factor(plan.ilu, split, &pivots);
+        const auto oracle = binary_search_ilu0(got);
+        EXPECT_EQ(pivots, oracle.shifted_pivots) << where;
+        shifted[static_cast<std::size_t>(r)] = pivots;
+        EXPECT_EQ(plan.ilu.rows(), got.local_rows()) << where;
+        EXPECT_EQ(plan.ilu.row_ptr, oracle.row_ptr) << where;
+        EXPECT_EQ(plan.ilu.cols, oracle.cols) << where;
+        EXPECT_EQ(factor, oracle.vals) << where;
+        EXPECT_EQ(plan.ilu.diag_pos, oracle.diag_pos) << where;
+      });
   int shifted_total = 0;
-  for (const int t : thread_counts()) {
-    std::vector<int> shifted(static_cast<std::size_t>(p), 0);
-    Runtime::run(
-        p,
-        [&](Comm& world) {
-          ProcGrid2D grid(world);
-          const auto got = redistribute_to_row_blocks(a, labels, grid).block;
-          const int r = world.rank();
-          const auto want = sort_based_row_block(
-              received_triples(a, labels, p, r, 0x5eed + static_cast<u64>(r)),
-              a.n(), p, r);
-          const auto where = what + " p=" + std::to_string(p) +
-                             " t=" + std::to_string(t) +
-                             " rank=" + std::to_string(r);
-          EXPECT_EQ(got.n, want.n) << where;
-          EXPECT_EQ(got.lo, want.lo) << where;
-          EXPECT_EQ(got.hi, want.hi) << where;
-          EXPECT_EQ(got.row_ptr, want.row_ptr) << where;
-          EXPECT_EQ(got.cols, want.cols) << where;
-          EXPECT_EQ(got.vals, want.vals) << where;
-
-          // The slot map is a permutation of the block's slots, and the
-          // value-only route lands each value where its triple landed.
-          const auto routed = redistribute_to_row_blocks(a, labels, grid);
-          std::vector<nnz_t> seen(routed.origin);
-          std::sort(seen.begin(), seen.end());
-          for (std::size_t k = 0; k < seen.size(); ++k) {
-            ASSERT_EQ(seen[k], static_cast<nnz_t>(k)) << where;
-          }
-          const auto values = route_row_block_values(a, labels, grid);
-          ASSERT_EQ(values.size(), routed.origin.size()) << where;
-          for (std::size_t s = 0; s < values.size(); ++s) {
-            EXPECT_EQ(values[static_cast<std::size_t>(routed.origin[s])],
-                      got.vals[s])
-                << where << " block slot " << s;
-          }
-
-          // The plan's ILU(0) half over the placed values.
-          const auto plan =
-              solver::build_solve_plan(world, routed.block, routed.origin);
-          std::vector<double> split(values.size());
-          for (std::size_t k = 0; k < values.size(); ++k) {
-            split[static_cast<std::size_t>(plan.value_slot[k])] = values[k];
-          }
-          int pivots = 0;
-          const auto factor = solver::ilu0_factor(plan.ilu, split, &pivots);
-          const auto oracle = binary_search_ilu0(got);
-          EXPECT_EQ(pivots, oracle.shifted_pivots) << where;
-          shifted[static_cast<std::size_t>(r)] = pivots;
-          EXPECT_EQ(plan.ilu.rows(), got.local_rows()) << where;
-          EXPECT_EQ(plan.ilu.row_ptr, oracle.row_ptr) << where;
-          EXPECT_EQ(plan.ilu.cols, oracle.cols) << where;
-          EXPECT_EQ(factor, oracle.vals) << where;
-          EXPECT_EQ(plan.ilu.diag_pos, oracle.diag_pos) << where;
-        },
-        mps::MachineParams{}, t);
-    shifted_total = 0;
-    for (const int s : shifted) shifted_total += s;
-  }
+  for (const int s : shifted) shifted_total += s;
   return shifted_total;
 }
 

@@ -1,14 +1,12 @@
 // Equivalence wall for the fused ordering-level kernel: on Erdős–Rényi,
-// grid, star and path graphs, under the {1,4,9} x {1,2,6} rank x thread
-// matrix, dist::cm_level_step must match the serial Cuthill-McKee level
-// oracle (tests/level_oracle.hpp) level by level — frontiers and every
-// label assigned so far — and whole orderings must match serial RCM.
-// Comparison-free label ranking is exactly what makes the fusion legal;
-// the thread axis additionally proves the hybrid node-level SpMSpV changed
-// the wall clock and nothing else.
+// grid, star and path graphs, at p in {1,4,9} ranks, dist::cm_level_step
+// must match the serial Cuthill-McKee level oracle (tests/level_oracle.hpp)
+// level by level — frontiers and every label assigned so far — and whole
+// orderings must match serial RCM. Comparison-free label ranking is exactly
+// what makes the fusion legal.
 //
-// The sweep honors DRCM_TEST_RANKS / DRCM_TEST_THREADS (a single rank or
-// thread count each) so CI can run the same suite once per configuration.
+// The sweep honors DRCM_TEST_RANKS (a single rank count) so CI can run the
+// same suite once per configuration.
 #include "dist/level_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -35,7 +33,6 @@ using drcm::dist::testing::owned_slice;
 using drcm::dist::testing::rank_counts;
 using drcm::dist::testing::serial_cm_level;
 using drcm::dist::testing::support;
-using drcm::dist::testing::thread_counts;
 
 /// The graph pool the ISSUE names: ER (degree diversity), grids (mass
 /// degree ties), star (one giant single-bucket level — the worker-stripe
@@ -59,13 +56,8 @@ TEST(CmLevelEquivalence, FullOrderingMatchesSerial) {
   for (const auto& a : graph_pool()) {
     const auto want = order::rcm_serial(a);
     for (const int p : rank_counts()) {
-      for (const int t : thread_counts()) {
-        rcm::DistRcmOptions opt;
-        opt.threads = t;
-        const auto run = rcm::run_dist_order(p, a, opt);
-        EXPECT_EQ(run.labels, want)
-            << "n=" << a.n() << " p=" << p << " t=" << t;
-      }
+      const auto run = rcm::run_dist_order(p, a);
+      EXPECT_EQ(run.labels, want) << "n=" << a.n() << " p=" << p;
     }
   }
 }
@@ -85,7 +77,6 @@ TEST(CmLevelEquivalence, LevelByLevelMatchesTheSerialOracle) {
     const auto root =
         static_cast<index_t>(splitmix64(seed) % static_cast<u64>(a.n()));
     for (const int p : rank_counts()) {
-      for (const int t : thread_counts()) {
       Runtime::run(p, [&](Comm& world) {
         ProcGrid2D grid(world);
         DistSpMat mat(grid, a);
@@ -139,8 +130,7 @@ TEST(CmLevelEquivalence, LevelByLevelMatchesTheSerialOracle) {
           next_label += frontier_nnz;
           ++depth;
         }
-      }, {}, t);
-      }
+      });
     }
   }
 }

@@ -1,20 +1,17 @@
 // Randomized equivalence suite for the fused BFS level kernel: on
-// Erdős–Rényi and grid graphs, under the {1,4,9} x {1,2,6} rank x thread
-// matrix, every level dist::bfs_level_step returns must equal the serial
-// level oracle (tests/level_oracle.hpp) — count, next-frontier support and
+// Erdős–Rényi and grid graphs, at p in {1,4,9} ranks, every level
+// dist::bfs_level_step returns must equal the serial level oracle
+// (tests/level_oracle.hpp) — count, next-frontier support and
 // minimum-parent values — and whole orderings must equal serial RCM,
 // including the degree-tie determinism the ordering quality contract rests
-// on. The thread axis drives the hybrid node-level SpMSpV (per-thread SPAs
-// with a deterministic ordered merge), so every point of the matrix is
-// held to the same serial reference.
+// on.
 //
-// The sweep honors DRCM_TEST_RANKS / DRCM_TEST_THREADS (a single rank or
-// thread count each) so CI can run the same suite once per configuration.
+// The sweep honors DRCM_TEST_RANKS (a single rank count) so CI can run the
+// same suite once per configuration.
 #include "dist/level_kernel.hpp"
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -38,7 +35,6 @@ using drcm::dist::testing::owned_slice;
 using drcm::dist::testing::rank_counts;
 using drcm::dist::testing::serial_level;
 using drcm::dist::testing::support;
-using drcm::dist::testing::thread_counts;
 
 /// The randomized graph pool: ER at several densities plus 2D/3D grids
 /// (mass degree ties) and a randomly relabeled grid (scattered ownership).
@@ -72,7 +68,6 @@ TEST(LevelKernelEquivalence, RandomizedBfsSweepMatchesSerialLevels) {
     const auto root =
         static_cast<index_t>(splitmix64(seed) % static_cast<u64>(a.n()));
     for (const int p : rank_counts()) {
-      for (const int t : thread_counts()) {
       Runtime::run(p, [&](Comm& world) {
         ProcGrid2D grid(world);
         DistSpMat mat(grid, a);
@@ -116,10 +111,9 @@ TEST(LevelKernelEquivalence, RandomizedBfsSweepMatchesSerialLevels) {
         const auto got = levels.to_global(world);
         if (world.rank() == 0) {
           EXPECT_EQ(got, oracle_levels) << "levels vs serial BFS, p=" << p
-                                        << " t=" << t << " seed=" << seed;
+                                        << " seed=" << seed;
         }
-      }, {}, t);
-      }
+      });
     }
   }
 }
@@ -146,7 +140,6 @@ TEST(LevelKernelEquivalence, RandomFrontiersNotJustBfsFrontiers) {
     const auto want =
         serial_level(a, support(global_frontier), mark, kNoVertex);
     for (const int p : rank_counts()) {
-      for (const int t : thread_counts()) {
       Runtime::run(p, [&](Comm& world) {
         ProcGrid2D grid(world);
         DistSpMat mat(grid, a);
@@ -168,9 +161,8 @@ TEST(LevelKernelEquivalence, RandomFrontiersNotJustBfsFrontiers) {
             mps::Phase::kOrderingOther);
         expect_step(fused, global_frontier.size(), want,
                     "random frontier fused vs serial", p,
-                    seed * 100 + static_cast<u64>(t), 0);
-      }, {}, t);
-      }
+                    seed, 0);
+      });
     }
   }
 }
@@ -179,7 +171,7 @@ TEST(LevelKernelEquivalence, FullOrderingDegreeTieDeterminism) {
   // RCM++ (Hou & Liu 2024) point: ordering quality is only trustworthy
   // with deterministic level-by-level tie-breaking. Regular graphs make
   // every degree compare equal, so the ordering is pure tie-breaking; it
-  // must be bit-identical to serial RCM at every rank and thread count.
+  // must be bit-identical to serial RCM at every rank count.
   const CsrMatrix graphs[] = {
       gen::cycle(48),                          // all degrees 2
       gen::grid2d(13, 13),                     // mass interior ties
@@ -189,35 +181,10 @@ TEST(LevelKernelEquivalence, FullOrderingDegreeTieDeterminism) {
   for (const auto& a : graphs) {
     const auto want = order::rcm_serial(a);
     for (const int p : rank_counts()) {
-      for (const int t : thread_counts()) {
-        rcm::DistRcmOptions opt;
-        opt.threads = t;
-        const auto run = rcm::run_dist_order(p, a, opt);
-        EXPECT_EQ(run.labels, want) << "p=" << p << " t=" << t;
-      }
+      const auto run = rcm::run_dist_order(p, a);
+      EXPECT_EQ(run.labels, want) << "p=" << p;
     }
   }
-}
-
-TEST(LevelKernelEquivalence, LaunchersRejectThreadCountsBelowOne) {
-  // DistRcmOptions::threads defaults to flat MPI (1); no value below 1
-  // means anything, so both launchers name it before any rank starts.
-  const auto a = gen::path(6);
-  rcm::DistRcmOptions opt;
-  opt.threads = 0;
-  try {
-    rcm::run_dist_order(1, a, opt);
-    ADD_FAILURE() << "threads = 0 was accepted";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("DistRcmOptions::threads"),
-              std::string::npos)
-        << e.what();
-  }
-  const auto m = gen::with_laplacian_values(a);
-  const std::vector<double> b(static_cast<std::size_t>(m.n()), 1.0);
-  EXPECT_THROW(rcm::run_ordered_solve_recoverable(
-                   1, {.matrix = &m, .b = b, .rcm = {.threads = -2}}),
-               CheckError);
 }
 
 }  // namespace

@@ -173,10 +173,9 @@ TEST_P(DistMatrixGrids, SpmspvChargesPhaseCosts) {
 TEST_P(DistMatrixGrids, FusedExpansionMatchesTheSerialReference) {
   // The fused level kernel (unsorted partials min-merged at their owners,
   // the kept level sorted last) must expand a frontier into the serial
-  // reference at every thread count. SET refreshes the frontier's values
-  // from `dense`, which holds the frontier values on its support and the
-  // keep sentinel elsewhere, so SELECT drops exactly the frontier's own
-  // rows.
+  // reference. SET refreshes the frontier's values from `dense`, which
+  // holds the frontier values on its support and the keep sentinel
+  // elsewhere, so SELECT drops exactly the frontier's own rows.
   const int p = GetParam();
   const auto a = gen::rmat(6, 6, 13);
   std::vector<VecEntry> frontier;
@@ -185,29 +184,27 @@ TEST_P(DistMatrixGrids, FusedExpansionMatchesTheSerialReference) {
   for (const auto& [i, val] : reference_spmspv(a, frontier)) {
     if (i % 3 != 0) want.push_back(VecEntry{i, val});
   }
-  for (const int threads : {1, 2, 6}) {
-    std::vector<VecEntry> fused_all;
-    Runtime::run(p, [&](Comm& world) {
-      ProcGrid2D grid(world);
-      DistSpMat mat(grid, a);
-      DistSpVec x(mat.vec_dist(), grid);
-      DistDenseVec dense(mat.vec_dist(), grid, kNoVertex);
-      std::vector<VecEntry> mine;
-      for (const auto& e : frontier) {
-        if (e.idx >= x.lo() && e.idx < x.hi()) {
-          mine.push_back(e);
-          dense.set(e.idx, e.val);
-        }
+  std::vector<VecEntry> fused_all;
+  Runtime::run(p, [&](Comm& world) {
+    ProcGrid2D grid(world);
+    DistSpMat mat(grid, a);
+    DistSpVec x(mat.vec_dist(), grid);
+    DistDenseVec dense(mat.vec_dist(), grid, kNoVertex);
+    std::vector<VecEntry> mine;
+    for (const auto& e : frontier) {
+      if (e.idx >= x.lo() && e.idx < x.hi()) {
+        mine.push_back(e);
+        dense.set(e.idx, e.val);
       }
-      x.assign(mine);
-      const auto fused = bfs_level_step(mat, x, dense, kNoVertex, grid,
-                                        mps::Phase::kOrderingSpmspv,
-                                        mps::Phase::kOrderingOther);
-      const auto f = fused.next.to_global(world);
-      if (world.rank() == 0) fused_all = f;
-    }, {}, threads);
-    EXPECT_EQ(fused_all, want) << "p=" << p << " threads=" << threads;
-  }
+    }
+    x.assign(mine);
+    const auto fused = bfs_level_step(mat, x, dense, kNoVertex, grid,
+                                      mps::Phase::kOrderingSpmspv,
+                                      mps::Phase::kOrderingOther);
+    const auto f = fused.next.to_global(world);
+    if (world.rank() == 0) fused_all = f;
+  });
+  EXPECT_EQ(fused_all, want) << "p=" << p;
 }
 
 TEST(DistMatrix, MismatchedVectorDistributionThrows) {

@@ -8,9 +8,7 @@
 // doubles. A per-level scan of the owned range (levels x n/p) grows
 // quadratically instead — about 4x — which is what this gate catches.
 //
-// The sweep honors DRCM_TEST_RANKS / DRCM_TEST_THREADS so CI can run it
-// once per cell of the rank x thread matrix; charged units do not depend
-// on the thread count.
+// The sweep honors DRCM_TEST_RANKS so CI can run it once per rank count.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -27,11 +25,9 @@ namespace gen = sparse::gen;
 
 /// Compute units each rank charged to the peripheral search and the
 /// ordering levels' SpMSpV and SET/SELECT phases.
-std::vector<double> level_units(int p, int threads, index_t length) {
+std::vector<double> level_units(int p, index_t length) {
   const auto a = gen::grid3d(3, 3, length, gen::Stencil3d::k27);
-  DistRcmOptions opt;
-  opt.threads = threads;
-  const auto run = run_dist_order(p, a, opt);
+  const auto run = run_dist_order(p, a);
   std::vector<double> units;
   for (const auto& rank : run.report.ranks) {
     double u = 0;
@@ -51,16 +47,14 @@ TEST(OutputSensitivity, LevelUnitsGrowLinearlyWithBarLength) {
                                      : std::vector<int>{1, 4};
   constexpr index_t kLength = 96;
   for (const int p : ranks) {
-    for (const int t : dist::testing::thread_counts()) {
-      const auto base = level_units(p, t, kLength);
-      const auto doubled = level_units(p, t, 2 * kLength);
-      ASSERT_EQ(base.size(), doubled.size());
-      for (std::size_t r = 0; r < base.size(); ++r) {
-        ASSERT_GT(base[r], 0.0) << "p=" << p << " rank=" << r;
-        EXPECT_LE(doubled[r] / base[r], 2.2)
-            << "p=" << p << " t=" << t << " rank=" << r << " units "
-            << base[r] << " -> " << doubled[r];
-      }
+    const auto base = level_units(p, kLength);
+    const auto doubled = level_units(p, 2 * kLength);
+    ASSERT_EQ(base.size(), doubled.size());
+    for (std::size_t r = 0; r < base.size(); ++r) {
+      ASSERT_GT(base[r], 0.0) << "p=" << p << " rank=" << r;
+      EXPECT_LE(doubled[r] / base[r], 2.2)
+          << "p=" << p << " rank=" << r << " units "
+          << base[r] << " -> " << doubled[r];
     }
   }
 }

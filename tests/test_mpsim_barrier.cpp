@@ -139,13 +139,12 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(WaitPolicyRule, SpinsOnlyWhenRankThreadsFitTheCores) {
-  EXPECT_EQ(choose_wait_policy(4, 1, 4), WaitPolicy::kSpinThenPark);
-  EXPECT_EQ(choose_wait_policy(1, 1, 1), WaitPolicy::kSpinThenPark);
-  EXPECT_EQ(choose_wait_policy(2, 2, 4), WaitPolicy::kSpinThenPark);
-  EXPECT_EQ(choose_wait_policy(16, 1, 4), WaitPolicy::kPark);
-  EXPECT_EQ(choose_wait_policy(4, 6, 4), WaitPolicy::kPark);
-  EXPECT_EQ(choose_wait_policy(9, 1, 4), WaitPolicy::kPark);
-  EXPECT_EQ(choose_wait_policy(5, 1, 4), WaitPolicy::kPark);
+  EXPECT_EQ(choose_wait_policy(4, 4), WaitPolicy::kSpinThenPark);
+  EXPECT_EQ(choose_wait_policy(1, 1), WaitPolicy::kSpinThenPark);
+  EXPECT_EQ(choose_wait_policy(2, 4), WaitPolicy::kSpinThenPark);
+  EXPECT_EQ(choose_wait_policy(16, 4), WaitPolicy::kPark);
+  EXPECT_EQ(choose_wait_policy(9, 4), WaitPolicy::kPark);
+  EXPECT_EQ(choose_wait_policy(5, 4), WaitPolicy::kPark);
 }
 
 TEST(WaitPolicyRule, UsableCoresIsPositive) { EXPECT_GE(usable_cores(), 1); }

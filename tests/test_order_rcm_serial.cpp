@@ -3,6 +3,7 @@
 
 #include "order/rcm_serial.hpp"
 #include "sparse/generators.hpp"
+#include "sparse/graph_algo.hpp"
 #include "sparse/metrics.hpp"
 #include "sparse/permute.hpp"
 
@@ -57,6 +58,51 @@ TEST(RcmSerial, DisconnectedComponentsAllLabeled) {
   EXPECT_TRUE(sparse::is_valid_permutation(labels));
   EXPECT_EQ(stats.components, 3);
   EXPECT_GE(stats.peripheral_bfs_sweeps, 3);
+}
+
+/// The per-component rescan ComponentSeeds replaced, kept here only to
+/// compare against: the unlabeled vertex of minimum degree, ties to the
+/// smallest id, found by a pass over all n vertices.
+index_t scan_seed(const CsrMatrix& a, const std::vector<index_t>& labels) {
+  index_t best = kNoVertex;
+  for (index_t v = 0; v < a.n(); ++v) {
+    if (labels[static_cast<std::size_t>(v)] != kNoVertex) continue;
+    if (best == kNoVertex || a.degree(v) < a.degree(best)) best = v;
+  }
+  return best;
+}
+
+TEST(RcmSerial, SeedCursorMatchesTheFullScan) {
+  // Labeling removes whole components, as every ordering arm does; after
+  // each one the cursor must name the seed the full scan names.
+  const CsrMatrix graphs[] = {
+      gen::empty_graph(50),
+      gen::disjoint_union(std::vector<CsrMatrix>(400, gen::path(10))),
+      gen::relabel_random(
+          gen::disjoint_union({gen::grid2d(9, 8), gen::empty_graph(25)}), 4),
+      gen::relabel_random(gen::erdos_renyi(300, 1.2, 11), 12),
+  };
+  for (const auto& a : graphs) {
+    std::vector<index_t> labels(static_cast<std::size_t>(a.n()), kNoVertex);
+    ComponentSeeds seeds(a);
+    index_t next_label = 0;
+    int components = 0;
+    while (true) {
+      const index_t want = scan_seed(a, labels);
+      ASSERT_EQ(seeds.next(labels), want)
+          << "n=" << a.n() << " component " << components;
+      if (want == kNoVertex) break;
+      const auto reach = sparse::bfs(a, want);
+      for (index_t v = 0; v < a.n(); ++v) {
+        if (reach.level[static_cast<std::size_t>(v)] != kNoVertex) {
+          labels[static_cast<std::size_t>(v)] = next_label++;
+        }
+      }
+      ++components;
+    }
+    EXPECT_EQ(next_label, a.n());
+    EXPECT_EQ(components, sparse::connected_components(a).count);
+  }
 }
 
 TEST(RcmSerial, ReducesBandwidthOnShuffledGrid) {

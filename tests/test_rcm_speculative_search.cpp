@@ -12,8 +12,8 @@
 // The graphs cover isolated vertices (k = 1), complete graphs and paths
 // (k = 2), graphs that force discards (k >= 3) and many components.
 //
-// The sweep honors DRCM_TEST_RANKS / DRCM_TEST_THREADS (a single rank or
-// thread count each) so CI can run the same suite once per configuration.
+// The sweep honors DRCM_TEST_RANKS (a single rank count) so CI can run the
+// same suite once per configuration.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,7 +32,6 @@ namespace drcm::rcm {
 namespace {
 
 using dist::testing::rank_counts;
-using dist::testing::thread_counts;
 using mps::Comm;
 using mps::Runtime;
 using sparse::CsrMatrix;
@@ -95,56 +94,53 @@ TEST(SpeculativeSearch, MatchesSerialAndTheUnfusedRecipe) {
       order::OrderingStats serial_stats;
       const auto serial = order::rcm_serial(c.a, &serial_stats, mode);
       for (const int p : rank_counts()) {
-        for (const int t : thread_counts()) {
-          SCOPED_TRACE(c.name + " mode=" + peripheral_mode_name(mode) +
-                       " p=" + std::to_string(p) + " t=" + std::to_string(t));
-          DistRcmOptions options;
-          options.ordering.peripheral_mode = mode;
-          std::vector<index_t> labels;
-          DistRcmStats stats;
-          OrderingRecipe recipe, reference;
-          Runtime::run(
-              p,
-              [&](Comm& world) {
-                DistRcmStats my_stats;
-                OrderingRecipe mine;
-                dist::ProcGrid2D grid(world);
-                auto got = dist_order(grid, c.a, options, &my_stats, &mine);
-                auto ref = reference_recipe(world, c.a, mode);
-                if (world.rank() == 0) {
-                  labels = std::move(got);
-                  stats = my_stats;
-                  recipe = std::move(mine);
-                  reference = std::move(ref);
-                }
-              },
-              {}, t);
+        SCOPED_TRACE(c.name + " mode=" + peripheral_mode_name(mode) +
+                     " p=" + std::to_string(p));
+        DistRcmOptions options;
+        options.ordering.peripheral_mode = mode;
+        std::vector<index_t> labels;
+        DistRcmStats stats;
+        OrderingRecipe recipe, reference;
+        Runtime::run(
+            p,
+            [&](Comm& world) {
+              DistRcmStats my_stats;
+              OrderingRecipe mine;
+              dist::ProcGrid2D grid(world);
+              auto got = dist_order(grid, c.a, options, &my_stats, &mine);
+              auto ref = reference_recipe(world, c.a, mode);
+              if (world.rank() == 0) {
+                labels = std::move(got);
+                stats = my_stats;
+                recipe = std::move(mine);
+                reference = std::move(ref);
+              }
+            });
 
-          EXPECT_EQ(labels, serial);
-          EXPECT_EQ(stats.components, serial_stats.components);
-          EXPECT_EQ(stats.peripheral_bfs_sweeps,
-                    serial_stats.peripheral_bfs_sweeps);
-          EXPECT_EQ(stats.ordering_levels, serial_stats.ordering_levels);
+        EXPECT_EQ(labels, serial);
+        EXPECT_EQ(stats.components, serial_stats.components);
+        EXPECT_EQ(stats.peripheral_bfs_sweeps,
+                  serial_stats.peripheral_bfs_sweeps);
+        EXPECT_EQ(stats.ordering_levels, serial_stats.ordering_levels);
 
-          ASSERT_EQ(recipe.components.size(), reference.components.size());
-          int discards = 0;
-          for (std::size_t k = 0; k < recipe.components.size(); ++k) {
-            const auto& got = recipe.components[k];
-            const auto& want = reference.components[k];
-            EXPECT_EQ(got.seed, want.seed) << "component " << k;
-            EXPECT_EQ(got.root, want.root) << "component " << k;
-            EXPECT_EQ(got.sweeps, want.sweeps) << "component " << k;
-            EXPECT_EQ(got.level_starts, want.level_starts) << "component " << k;
-            if (mode == PeripheralMode::kGeorgeLiu && got.sweeps >= 2) {
-              discards += got.sweeps - 2;
-            }
-            seen_one += got.sweeps == 1;
-            seen_two += got.sweeps == 2;
-            seen_more += got.sweeps >= 3;
+        ASSERT_EQ(recipe.components.size(), reference.components.size());
+        int discards = 0;
+        for (std::size_t k = 0; k < recipe.components.size(); ++k) {
+          const auto& got = recipe.components[k];
+          const auto& want = reference.components[k];
+          EXPECT_EQ(got.seed, want.seed) << "component " << k;
+          EXPECT_EQ(got.root, want.root) << "component " << k;
+          EXPECT_EQ(got.sweeps, want.sweeps) << "component " << k;
+          EXPECT_EQ(got.level_starts, want.level_starts) << "component " << k;
+          if (mode == PeripheralMode::kGeorgeLiu && got.sweeps >= 2) {
+            discards += got.sweeps - 2;
           }
-          EXPECT_EQ(stats.discarded_sweeps, discards);
-          seen_discards += stats.discarded_sweeps;
+          seen_one += got.sweeps == 1;
+          seen_two += got.sweeps == 2;
+          seen_more += got.sweeps >= 3;
         }
+        EXPECT_EQ(stats.discarded_sweeps, discards);
+        seen_discards += stats.discarded_sweeps;
       }
     }
   }
@@ -167,56 +163,53 @@ TEST(SpeculativeSearch, DiscardedSweepResetTouchesOnlyItsComponent) {
   constexpr index_t kLo = 5, kHi = 85, kFirst = 3, kSentinel = 1000;
   const auto outside = [&](index_t v) { return v < kLo || v >= kHi; };
   for (const int p : rank_counts()) {
-    for (const int t : thread_counts()) {
-      SCOPED_TRACE("p=" + std::to_string(p) + " t=" + std::to_string(t));
-      Runtime::run(
-          p,
-          [&](Comm& world) {
-            dist::ProcGrid2D grid(world);
-            dist::DistSpMat mat(grid, a);
-            const auto degrees = mat.degrees(grid);
-            const auto prefilled = [&] {
-              dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
-              for (index_t g = labels.lo(); g < labels.hi(); ++g) {
-                if (outside(g)) labels.set(g, kSentinel + g);
-              }
-              return labels;
-            };
-            auto labels = prefilled();
-            const index_t seed =
-                dist::argmin_unvisited(labels, degrees, world).second;
-            std::vector<index_t> starts;
-            const auto comp = dist_order_component(
-                mat, degrees, labels, seed, kFirst, grid,
-                PeripheralMode::kGeorgeLiu, &starts);
-            EXPECT_EQ(comp.sweeps, 3);
-            EXPECT_EQ(comp.discarded_sweeps, 1);
-            EXPECT_EQ(comp.next_label, kFirst + (kHi - kLo));
+    SCOPED_TRACE("p=" + std::to_string(p));
+    Runtime::run(
+        p,
+        [&](Comm& world) {
+          dist::ProcGrid2D grid(world);
+          dist::DistSpMat mat(grid, a);
+          const auto degrees = mat.degrees(grid);
+          const auto prefilled = [&] {
+            dist::DistDenseVec labels(mat.vec_dist(), grid, kNoVertex);
+            for (index_t g = labels.lo(); g < labels.hi(); ++g) {
+              if (outside(g)) labels.set(g, kSentinel + g);
+            }
+            return labels;
+          };
+          auto labels = prefilled();
+          const index_t seed =
+              dist::argmin_unvisited(labels, degrees, world).second;
+          std::vector<index_t> starts;
+          const auto comp = dist_order_component(
+              mat, degrees, labels, seed, kFirst, grid,
+              PeripheralMode::kGeorgeLiu, &starts);
+          EXPECT_EQ(comp.sweeps, 3);
+          EXPECT_EQ(comp.discarded_sweeps, 1);
+          EXPECT_EQ(comp.next_label, kFirst + (kHi - kLo));
 
-            auto reference = prefilled();
-            const auto peripheral =
-                dist_pseudo_peripheral(mat, degrees, seed, grid);
-            std::vector<index_t> ref_starts;
-            dist_cm_component(mat, degrees, reference, peripheral.vertex,
-                              kFirst, grid, &ref_starts);
-            EXPECT_EQ(comp.root, peripheral.vertex);
-            EXPECT_EQ(comp.eccentricity, peripheral.eccentricity);
-            EXPECT_EQ(starts, ref_starts);
+          auto reference = prefilled();
+          const auto peripheral =
+              dist_pseudo_peripheral(mat, degrees, seed, grid);
+          std::vector<index_t> ref_starts;
+          dist_cm_component(mat, degrees, reference, peripheral.vertex,
+                            kFirst, grid, &ref_starts);
+          EXPECT_EQ(comp.root, peripheral.vertex);
+          EXPECT_EQ(comp.eccentricity, peripheral.eccentricity);
+          EXPECT_EQ(starts, ref_starts);
 
-            const auto got = labels.to_global(world);
-            const auto want = reference.to_global(world);
-            if (world.rank() == 0) {
-              EXPECT_EQ(got, want);
-              for (index_t v = 0; v < a.n(); ++v) {
-                if (outside(v)) {
-                  EXPECT_EQ(got[static_cast<std::size_t>(v)], kSentinel + v)
-                      << "vertex " << v << " lies outside the component";
-                }
+          const auto got = labels.to_global(world);
+          const auto want = reference.to_global(world);
+          if (world.rank() == 0) {
+            EXPECT_EQ(got, want);
+            for (index_t v = 0; v < a.n(); ++v) {
+              if (outside(v)) {
+                EXPECT_EQ(got[static_cast<std::size_t>(v)], kSentinel + v)
+                    << "vertex " << v << " lies outside the component";
               }
             }
-          },
-          {}, t);
-    }
+          }
+        });
   }
 }
 
